@@ -8,9 +8,9 @@
 //! - **Latency** — a heavy-tailed cube at `--cells` (default 10⁶) base
 //!   cells, a stratified plane attached, then `--queries` aggregate
 //!   forecast queries through the full engine path
-//!   ([`F2db::query_with`]). Reported as p50/p95 wall-clock per query.
-//!   An exact answer would fold 10⁶ per-cell forecasts per query;
-//!   the plane folds a few hundred sampled ones.
+//!   ([`F2db::execute`] with `approx` controls). Reported as p50/p95
+//!   wall-clock per query. An exact answer would fold 10⁶ per-cell
+//!   forecasts per query; the plane folds a few hundred sampled ones.
 //! - **Coverage** — the intervals must mean what they say. At a reduced
 //!   cell count (exact oracles over 10⁶ cells per trial would dominate
 //!   the run), `--trials` independently seeded planes each forecast the
@@ -34,7 +34,7 @@
 use fdc_approx::{ApproxOptions, ApproxPlane, ApproxQuerySpec};
 use fdc_cube::{Configuration, Dataset};
 use fdc_datagen::{generate_highcard, HighCardSpec};
-use fdc_f2db::F2db;
+use fdc_f2db::{F2db, QueryAnswer, QueryMode, QueryRequest};
 use fdc_forecast::{FitOptions, ModelSpec};
 use std::time::Instant;
 
@@ -155,12 +155,21 @@ fn main() {
     let build_secs = build_start.elapsed().as_secs_f64();
     println!("  plane attached in {build_secs:.1}s");
 
-    let qspec = ApproxQuerySpec {
-        budget,
-        ..ApproxQuerySpec::default()
+    let request = QueryRequest {
+        approx: Some(ApproxQuerySpec {
+            budget,
+            ..ApproxQuerySpec::default()
+        }),
+        ..QueryRequest::new(SQL, QueryMode::Forecast)
+    };
+    let query = || {
+        db.execute(&request)
+            .ok()
+            .and_then(QueryAnswer::into_rows)
+            .expect("query")
     };
     // One warmup answers lazy one-time costs; measured queries follow.
-    let warm = db.query_with(SQL, Some(&qspec)).expect("warmup query");
+    let warm = query();
     let row = &warm.rows[0];
     let meta = row.approx.as_ref().expect("sampled row");
     println!(
@@ -171,7 +180,7 @@ fn main() {
     let mut lat_ms: Vec<f64> = Vec::with_capacity(queries);
     for _ in 0..queries {
         let started = Instant::now();
-        let res = db.query_with(SQL, Some(&qspec)).expect("query");
+        let res = query();
         assert_eq!(res.rows[0].values.len(), HORIZON);
         lat_ms.push(started.elapsed().as_secs_f64() * 1e3);
     }

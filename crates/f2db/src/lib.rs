@@ -72,7 +72,8 @@ pub use explain::{
 pub use maintenance::{MaintenancePolicy, MaintenanceStats, SharedMaintenanceStats};
 pub use parser::parse_query;
 pub use query::{
-    AggregateFn, ForecastQuery, HorizonSpec, QueryResult, QueryRow, RowApprox, Statement,
+    AggregateFn, ForecastQuery, HorizonSpec, QueryAnswer, QueryMode, QueryRequest, QueryResult,
+    QueryRow, RowApprox, Statement,
 };
 // Approximation surface, re-exported so engine embedders need not depend
 // on fdc-approx directly.
@@ -139,6 +140,10 @@ impl From<fdc_approx::ApproxError> for F2dbError {
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, F2dbError>;
+
+/// The approximation side of a request once the plane is locked: the
+/// caller's controls and the attached plane, or `None` for exact.
+type Sampling<'a> = Option<(&'a ApproxQuerySpec, &'a ApproxPlane)>;
 
 /// The embedded flash-forward database.
 ///
@@ -484,14 +489,6 @@ impl F2db {
             .map(|p| (p.owned.len(), p.resident.len()))
     }
 
-    /// The owned base nodes of a partitioned engine, ascending; `None`
-    /// when unpartitioned.
-    pub fn owned_base_nodes(&self) -> Option<Vec<NodeId>> {
-        self.partition
-            .as_ref()
-            .map(|p| p.owned.iter().copied().collect())
-    }
-
     /// The placement key of a base node: its first `key_dims` dimension
     /// *values* (schema order) joined with `|` — the deterministic
     /// string a consistent-hash placement function scores. `key_dims`
@@ -529,14 +526,8 @@ impl F2db {
     /// without a leading `EXPLAIN [ANALYZE]`; order matches resolve
     /// order, i.e. the row order of [`F2db::query`].
     pub fn query_derivation(&self, sql: &str) -> Result<Vec<DerivationSite>> {
-        let q = match parse_query(sql)? {
-            Statement::Forecast(q) | Statement::Explain { query: q, .. } => q,
-            Statement::Insert { .. } => {
-                return Err(F2dbError::Semantic(
-                    "expected a forecast query, got an INSERT".into(),
-                ));
-            }
-        };
+        // The most permissive mode: any `EXPLAIN` prefix is accepted.
+        let q = Self::forecast_statement(sql, QueryMode::ExplainAnalyze)?;
         let ds = self.dataset.read().unwrap();
         let g = ds.graph();
         let nodes = Self::node_query(&ds, &q)?
@@ -563,35 +554,9 @@ impl F2db {
     /// Redistributes the catalog over `shards` shards. `1` reproduces a
     /// single global catalog lock — the concurrency baseline.
     pub fn with_shards(self, shards: usize) -> Self {
-        let F2db {
-            dataset,
-            catalog,
-            pending,
-            advance_lock,
-            policy,
-            fit,
-            stats,
-            accuracy,
-            wal,
-            recovered_wal_seq,
-            read_only,
-            partition,
-            approx,
-        } = self;
         F2db {
-            dataset,
-            catalog: catalog.reshard(shards),
-            pending,
-            advance_lock,
-            policy,
-            fit,
-            stats,
-            accuracy,
-            wal,
-            recovered_wal_seq,
-            read_only,
-            partition,
-            approx,
+            catalog: self.catalog.reshard(shards),
+            ..self
         }
     }
 
@@ -623,231 +588,297 @@ impl F2db {
         &self.catalog
     }
 
-    /// Executes a semicolon-separated script of statements, stopping at
-    /// the first error. Returns one result per executed statement.
-    pub fn execute_script(&self, script: &str) -> Result<Vec<QueryResult>> {
-        // Strip `--` comment lines first so a comment above a statement
-        // does not swallow it.
-        let cleaned: String = script
-            .lines()
-            .filter(|l| !l.trim_start().starts_with("--"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let mut results = Vec::new();
-        for stmt in cleaned.split(';') {
-            let stmt = stmt.trim();
-            if stmt.is_empty() {
-                continue;
-            }
-            results.push(self.execute(stmt)?);
-        }
-        Ok(results)
-    }
-
-    /// Executes a SQL statement (forecast query or insert).
-    pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        match parse_query(sql)? {
-            Statement::Forecast(q) => self.run_forecast(&q, None),
-            Statement::Explain { .. } => Err(F2dbError::Semantic(
-                "EXPLAIN statements return a plan; use F2db::explain or F2db::explain_analyze"
-                    .into(),
-            )),
-            Statement::Insert { values, measure } => {
-                self.insert_row(&values, measure)?;
-                Ok(QueryResult::empty())
-            }
-        }
-    }
-
-    /// Executes a forecast query (convenience wrapper around
-    /// [`F2db::execute`] that rejects non-query statements).
-    pub fn query(&self, sql: &str) -> Result<QueryResult> {
-        self.query_filtered(sql, None)
-    }
-
-    /// [`F2db::query`] with per-request approximation controls: rows
-    /// whose nodes are registered on the sampling plane are answered as
-    /// stratified Horvitz–Thompson scale-ups under the given budget /
-    /// CI target, carrying [`RowApprox`] metadata; unregistered nodes
-    /// fall back to the exact path. With `approx: None` this *is*
-    /// [`F2db::query`], bit for bit.
-    pub fn query_with(&self, sql: &str, approx: Option<&ApproxQuerySpec>) -> Result<QueryResult> {
-        self.query_filtered_with(sql, None, approx)
-    }
-
-    /// [`F2db::query_filtered`] with per-request approximation controls
-    /// (the shard half of a routed approximate query).
-    pub fn query_filtered_with(
-        &self,
-        sql: &str,
-        nodes: Option<&[NodeId]>,
-        approx: Option<&ApproxQuerySpec>,
-    ) -> Result<QueryResult> {
-        match parse_query(sql)? {
-            Statement::Forecast(q) => self.run_forecast_with(&q, nodes, approx),
-            Statement::Explain { .. } => Err(F2dbError::Semantic(
-                "EXPLAIN statements return a plan; use F2db::explain or F2db::explain_analyze"
-                    .into(),
-            )),
-            Statement::Insert { .. } => Err(F2dbError::Semantic(
-                "expected a forecast query, got an INSERT".into(),
-            )),
-        }
-    }
-
-    /// [`F2db::query`] restricted to a subset of the resolved nodes —
-    /// the scatter half of a routed scatter-gather: the router plans
-    /// once, then asks each shard only for the nodes it owns. Rows keep
-    /// the full query's resolve order; a filter that excludes every
-    /// resolved node is an error (the router misrouted).
-    pub fn query_filtered(&self, sql: &str, nodes: Option<&[NodeId]>) -> Result<QueryResult> {
-        match parse_query(sql)? {
-            Statement::Forecast(q) => self.run_forecast(&q, nodes),
-            Statement::Explain { .. } => Err(F2dbError::Semantic(
-                "EXPLAIN statements return a plan; use F2db::explain or F2db::explain_analyze"
-                    .into(),
-            )),
-            Statement::Insert { .. } => Err(F2dbError::Semantic(
-                "expected a forecast query, got an INSERT".into(),
-            )),
-        }
-    }
-
-    /// Explains how a forecast query would be answered: the nodes it
-    /// resolves to, each node's derivation scheme kind, sources, weight
-    /// and the models (with their maintenance state) that would serve it.
-    /// Accepts the query with or without a leading `EXPLAIN`.
-    pub fn explain(&self, sql: &str) -> Result<ExplainReport> {
-        self.explain_filtered(sql, None)
-    }
-
-    /// [`F2db::explain`] restricted to a subset of the resolved nodes —
-    /// the per-shard half of a routed `/explain`. Planning is static
-    /// (no model executes), so it works for any node, resident or not;
-    /// the filter only trims the report's rows.
-    pub fn explain_filtered(&self, sql: &str, nodes: Option<&[NodeId]>) -> Result<ExplainReport> {
-        let q = match parse_query(sql)? {
-            Statement::Forecast(q)
-            | Statement::Explain {
-                query: q,
-                analyze: false,
-            } => q,
-            Statement::Explain { analyze: true, .. } => {
-                return Err(F2dbError::Semantic(
-                    "EXPLAIN ANALYZE executes the query; use F2db::explain_analyze".into(),
-                ));
-            }
-            Statement::Insert { .. } => {
-                return Err(F2dbError::Semantic("cannot EXPLAIN an INSERT".into()));
-            }
-        };
-        let ds = self.dataset.read().unwrap();
-        let mut report = self.plan_report(&ds, &q, None)?;
-        if let Some(f) = nodes {
-            let keep: std::collections::HashSet<NodeId> = f.iter().copied().collect();
-            report.rows.retain(|r| keep.contains(&r.node));
-            if report.rows.is_empty() {
-                return Err(F2dbError::Semantic(
-                    "node filter excludes every node the query resolves to".into(),
-                ));
-            }
-        }
-        Ok(report)
-    }
-
-    /// [`F2db::explain`] with per-request approximation controls: plan
-    /// rows whose nodes are registered on the sampling plane come back
-    /// with `scheme_kind = "sampled"` and [`ExplainApprox`] facts
-    /// (population, stored sample size, strata, the caller's budget /
-    /// CI target) instead of derivation sources. With `approx: None`
-    /// this is exactly [`F2db::explain`].
-    pub fn explain_with(
-        &self,
-        sql: &str,
-        approx: Option<&ApproxQuerySpec>,
-    ) -> Result<ExplainReport> {
-        let q = match parse_query(sql)? {
-            Statement::Forecast(q)
-            | Statement::Explain {
-                query: q,
-                analyze: false,
-            } => q,
-            Statement::Explain { analyze: true, .. } => {
-                return Err(F2dbError::Semantic(
-                    "EXPLAIN ANALYZE executes the query; use F2db::explain_analyze".into(),
-                ));
-            }
-            Statement::Insert { .. } => {
-                return Err(F2dbError::Semantic("cannot EXPLAIN an INSERT".into()));
-            }
-        };
-        let ds = self.dataset.read().unwrap();
-        self.plan_report(&ds, &q, approx)
-    }
-
-    /// `EXPLAIN ANALYZE`: produces the same plan as [`F2db::explain`] but
-    /// actually executes it, annotating every row with the wall-clock
-    /// time spent deriving its forecast, the state of each source model
-    /// (cached, or re-estimated lazily by this very query) and the values
-    /// produced. Accepts the query with or without a leading
-    /// `EXPLAIN [ANALYZE]`.
+    /// Executes one forecast request: the single entry point of the §V
+    /// query processor (rewrite → nodes → models → derive). The
+    /// statement is parsed and classified against [`QueryRequest::mode`]
+    /// here, the node filter and the approximation controls apply the
+    /// same way in every mode, and an illegal combination is a typed
+    /// [`F2dbError::Semantic`]:
     ///
-    /// Counts as a real query for maintenance statistics and latency
-    /// metrics — the lazy re-estimation it triggers is identical to what
-    /// the query processor would do.
-    pub fn explain_analyze(&self, sql: &str) -> Result<ExplainReport> {
-        self.explain_analyze_filtered(sql, None)
+    /// * `INSERT` text under any mode (writes go through
+    ///   [`F2db::insert_value`] / [`F2db::insert_batch`]);
+    /// * `EXPLAIN` text under [`QueryMode::Forecast`], `EXPLAIN ANALYZE`
+    ///   text under [`QueryMode::Explain`] (the explain modes accept the
+    ///   query with or without the prefix);
+    /// * `approx` with [`QueryMode::ExplainAnalyze`].
+    ///
+    /// `nodes` restricts the resolved nodes (rows keep resolve order; a
+    /// filter excluding every node is an error — the router misrouted).
+    /// `approx` answers nodes registered on the sampling plane as
+    /// Horvitz–Thompson scale-ups carrying [`RowApprox`] (or, when
+    /// explaining, plans them as `sampled` rows with [`ExplainApprox`]
+    /// facts); with `approx: None` the plane is never consulted, so
+    /// exact results stay bit-identical. The executing modes count as
+    /// queries for maintenance statistics and latency metrics, trigger
+    /// lazy re-estimation and — on a partitioned engine — require every
+    /// surviving node to be resident; [`QueryMode::Explain`] is static
+    /// planning and works for any node.
+    pub fn execute(&self, request: &QueryRequest) -> Result<QueryAnswer> {
+        request.validate()?;
+        self.run(
+            &request.sql,
+            request.nodes.as_deref(),
+            request.approx.as_ref(),
+            request.mode,
+        )
     }
 
-    /// [`F2db::explain_analyze`] restricted to a subset of the resolved
-    /// nodes. Unlike [`F2db::explain_filtered`] this executes models, so
-    /// on a partitioned engine every surviving node must be resident
-    /// (same guard as a filtered query).
-    pub fn explain_analyze_filtered(
+    /// Executes a forecast query: sugar for [`F2db::execute`] with a
+    /// plain [`QueryMode::Forecast`] request (no node filter, exact).
+    pub fn query(&self, sql: &str) -> Result<QueryResult> {
+        self.run(sql, None, None, QueryMode::Forecast)
+            .map(|answer| answer.into_rows().expect("Forecast mode answers rows"))
+    }
+
+    /// Parses `sql` and classifies it against `mode` — the one place a
+    /// statement becomes a [`ForecastQuery`].
+    fn forecast_statement(sql: &str, mode: QueryMode) -> Result<ForecastQuery> {
+        match (parse_query(sql)?, mode) {
+            (Statement::Insert { .. }, _) => Err(F2dbError::Semantic(
+                "expected a forecast query, got an INSERT".into(),
+            )),
+            (Statement::Explain { .. }, QueryMode::Forecast) => Err(F2dbError::Semantic(
+                "EXPLAIN statements return a plan; use QueryMode::Explain or \
+                 QueryMode::ExplainAnalyze"
+                    .into(),
+            )),
+            (Statement::Explain { analyze: true, .. }, QueryMode::Explain) => {
+                Err(F2dbError::Semantic(
+                    "EXPLAIN ANALYZE executes the query; use QueryMode::ExplainAnalyze".into(),
+                ))
+            }
+            (Statement::Forecast(q) | Statement::Explain { query: q, .. }, _) => Ok(q),
+        }
+    }
+
+    fn run(
         &self,
         sql: &str,
-        nodes: Option<&[NodeId]>,
-    ) -> Result<ExplainReport> {
-        let _span = fdc_obs::span!("f2db.explain_analyze");
-        let filter = nodes;
-        let q = match parse_query(sql)? {
-            Statement::Forecast(q) | Statement::Explain { query: q, .. } => q,
-            Statement::Insert { .. } => {
-                return Err(F2dbError::Semantic("cannot EXPLAIN an INSERT".into()));
-            }
+        filter: Option<&[NodeId]>,
+        approx: Option<&ApproxQuerySpec>,
+        mode: QueryMode,
+    ) -> Result<QueryAnswer> {
+        let q = Self::forecast_statement(sql, mode)?;
+        let executes = mode != QueryMode::Explain;
+        let _span = match mode {
+            QueryMode::Forecast => Some(fdc_obs::span!("f2db.query")),
+            QueryMode::ExplainAnalyze => Some(fdc_obs::span!("f2db.explain_analyze")),
+            QueryMode::Explain => None,
         };
         let started = Instant::now();
         let ds = self.dataset.read().unwrap();
-        // Static plan first (sources, kinds, weights, pre-execution
-        // invalid flags).
-        let mut report = self.plan_report(&ds, &q, None)?;
-        let planned: Vec<NodeId> = report.rows.iter().map(|r| r.node).collect();
-        let kept = self.apply_node_filter(planned, filter)?;
-        if kept.len() != report.rows.len() {
-            let keep: std::collections::HashSet<NodeId> = kept.iter().copied().collect();
-            report.rows.retain(|r| keep.contains(&r.node));
+        let horizon = q.horizon.steps(ds.series(0).granularity()).ok_or_else(|| {
+            F2dbError::Semantic(format!(
+                "horizon unit {:?} is finer than the data granularity",
+                q.horizon
+            ))
+        })?;
+        let nodes = Self::node_query(&ds, &q)?
+            .resolve(ds.graph())
+            .map_err(|e| F2dbError::Semantic(e.to_string()))?;
+        let nodes = self.apply_node_filter(nodes, filter, executes)?;
+        // Without an approx spec the plane lock is never taken — the
+        // exact path is untouched.
+        let plane = approx.map(|_| self.approx.read().unwrap());
+        let sampling = approx.zip(plane.as_ref().and_then(|guard| guard.as_ref()));
+
+        let mut answer = match mode {
+            QueryMode::Forecast => {
+                QueryAnswer::Rows(self.forecast_rows(&ds, &q, horizon, &nodes, sampling)?)
+            }
+            QueryMode::Explain | QueryMode::ExplainAnalyze => {
+                let mut report = self.plan_report(&ds, &q, horizon, &nodes, sampling)?;
+                if executes {
+                    self.analyze(&ds, &q, &mut report)?;
+                }
+                QueryAnswer::Plan(report)
+            }
+        };
+        drop(ds);
+        if executes {
+            let elapsed = started.elapsed();
+            if let QueryAnswer::Plan(report) = &mut answer {
+                report.total_elapsed = Some(elapsed);
+                fdc_obs::counter(names::F2DB_EXPLAIN_ANALYZE).incr();
+            }
+            self.stats.record_query(elapsed);
+            fdc_obs::counter(names::F2DB_QUERIES).incr();
+            fdc_obs::histogram(names::F2DB_QUERY_NS).record_duration(elapsed);
         }
-        let horizon = report.horizon;
+        Ok(answer)
+    }
 
-        // Execute: lazily re-estimate every invalid source referenced by
-        // the plan, recording which ones this query paid for.
-        let nodes: Vec<NodeId> = report.rows.iter().map(|r| r.node).collect();
-        let reestimated = self.reestimate_referenced(&ds, &nodes)?;
+    /// The exact forecast of `n`: the catalog derivation, divided by the
+    /// number of base series under the node for AVG (series are aligned,
+    /// so the count is constant over time).
+    fn exact_forecast(
+        &self,
+        ds: &Dataset,
+        q: &ForecastQuery,
+        n: NodeId,
+        horizon: usize,
+    ) -> Result<Vec<f64>> {
+        let mut values = self.catalog.forecast(n, horizon).ok_or_else(|| {
+            F2dbError::Semantic(format!(
+                "node {} has no derivation scheme in the configuration",
+                ds.graph().coord(n).display(ds.graph().schema())
+            ))
+        })?;
+        if q.aggregate == AggregateFn::Avg {
+            let count = ds.graph().base_descendants(n).len().max(1) as f64;
+            for v in &mut values {
+                *v /= count;
+            }
+        }
+        Ok(values)
+    }
 
-        for row in &mut report.rows {
-            let node_started = Instant::now();
-            let mut values = self.catalog.forecast(row.node, horizon).ok_or_else(|| {
+    /// Forecast rows of the resolved `nodes`: plane-registered nodes (only
+    /// with `sampling`) as Horvitz–Thompson scale-ups, the rest through
+    /// the catalog after lazily re-estimating the models they reference.
+    fn forecast_rows(
+        &self,
+        ds: &Dataset,
+        q: &ForecastQuery,
+        horizon: usize,
+        nodes: &[NodeId],
+        sampling: Sampling<'_>,
+    ) -> Result<QueryResult> {
+        let sampled = |n: NodeId| sampling.filter(|(_, plane)| plane.is_registered(n));
+        // Only exactly-answered nodes reference catalog models.
+        let exact_nodes: Vec<NodeId> = nodes
+            .iter()
+            .copied()
+            .filter(|&n| sampled(n).is_none())
+            .collect();
+        self.reestimate_referenced(ds, &exact_nodes)?;
+
+        let g = ds.graph();
+        let now = ds.series(0).end();
+        let mut rows = Vec::with_capacity(nodes.len());
+        for &n in nodes {
+            let (values, approx) = match sampled(n) {
+                None => (self.exact_forecast(ds, q, n, horizon)?, None),
+                Some((spec, plane)) => {
+                    let mut fc = plane
+                        .estimate(n, horizon, spec)
+                        .expect("is_registered implies an estimate");
+                    fdc_obs::counter(names::F2DB_APPROX_ROWS).incr();
+                    if q.aggregate == AggregateFn::Avg {
+                        // AVG = SUM / population; the plane knows the exact
+                        // population without an O(cells) descendant scan.
+                        let count = fc.population.max(1) as f64;
+                        for v in fc.values.iter_mut().chain(&mut fc.ci_half) {
+                            *v /= count;
+                        }
+                    }
+                    let approx = RowApprox {
+                        sampled: fc.sampled,
+                        population: fc.population,
+                        confidence: fc.confidence,
+                        ci_half: fc.ci_half,
+                    };
+                    (fc.values, Some(approx))
+                }
+            };
+            rows.push(QueryRow {
+                node: n,
+                label: g.coord(n).display(g.schema()),
+                values: values
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, v)| (now + i as i64, v))
+                    .collect(),
+                approx,
+            });
+        }
+        Ok(QueryResult { rows })
+    }
+
+    /// The static plan of the resolved `nodes`. With `sampling`, nodes
+    /// registered on the plane plan as `sampled` rows instead of catalog
+    /// derivations.
+    fn plan_report(
+        &self,
+        ds: &Dataset,
+        q: &ForecastQuery,
+        horizon: usize,
+        nodes: &[NodeId],
+        sampling: Sampling<'_>,
+    ) -> Result<ExplainReport> {
+        let g = ds.graph();
+        let mut rows = Vec::with_capacity(nodes.len());
+        for &n in nodes {
+            let label = g.coord(n).display(g.schema());
+            let sampled =
+                sampling.and_then(|(spec, plane)| plane.node_info(n).map(|info| (spec, info)));
+            if let Some((spec, info)) = sampled {
+                rows.push(ExplainRow {
+                    node: n,
+                    label,
+                    scheme_kind: "sampled",
+                    sources: Vec::new(),
+                    weight: 1.0,
+                    analysis: None,
+                    approx: Some(ExplainApprox {
+                        population: info.population,
+                        sampled: info.sampled,
+                        strata: info.strata,
+                        budget: spec.budget,
+                        target_ci: spec.target_ci,
+                    }),
+                });
+                continue;
+            }
+            let entry = self.catalog.entry(n).ok_or_else(|| {
                 F2dbError::Semantic(format!(
-                    "node {} has no derivation scheme in the configuration",
-                    row.label
+                    "node {label} has no derivation scheme in the configuration"
                 ))
             })?;
-            if q.aggregate == query::AggregateFn::Avg {
-                let count = ds.graph().base_descendants(row.node).len().max(1) as f64;
-                for v in &mut values {
-                    *v /= count;
-                }
-            }
+            let scheme_kind = match fdc_cube::derive::classify_scheme(ds, &entry.scheme_sources, n)
+            {
+                fdc_cube::SchemeKind::Direct => "direct",
+                fdc_cube::SchemeKind::Aggregation => "aggregation",
+                fdc_cube::SchemeKind::Disaggregation => "disaggregation",
+                fdc_cube::SchemeKind::General => "general",
+            };
+            let sources = entry
+                .scheme_sources
+                .iter()
+                .map(|&s| ExplainSource {
+                    label: g.coord(s).display(g.schema()),
+                    invalid: self.catalog.is_invalid(s),
+                })
+                .collect();
+            rows.push(ExplainRow {
+                node: n,
+                label,
+                scheme_kind,
+                sources,
+                weight: entry.weight,
+                analysis: None,
+                approx: None,
+            });
+        }
+        Ok(ExplainReport {
+            horizon,
+            aggregate: q.aggregate,
+            rows,
+            total_elapsed: None,
+        })
+    }
+
+    /// Executes a static plan in place (`EXPLAIN ANALYZE`): lazily
+    /// re-estimates every invalid source the plan references, then
+    /// annotates each row with the wall-clock time spent deriving its
+    /// forecast, the state of each source model (cached, or re-estimated
+    /// by this very query) and the values produced.
+    fn analyze(&self, ds: &Dataset, q: &ForecastQuery, report: &mut ExplainReport) -> Result<()> {
+        let nodes: Vec<NodeId> = report.rows.iter().map(|r| r.node).collect();
+        let reestimated = self.reestimate_referenced(ds, &nodes)?;
+        for row in &mut report.rows {
+            let node_started = Instant::now();
+            let values = self.exact_forecast(ds, q, row.node, report.horizon)?;
             let elapsed = node_started.elapsed();
             let entry = self
                 .catalog
@@ -870,98 +901,7 @@ impl F2db {
                 values,
             });
         }
-        let total = started.elapsed();
-        report.total_elapsed = Some(total);
-        self.stats.record_query(total);
-        fdc_obs::counter(names::F2DB_QUERIES).incr();
-        fdc_obs::counter(names::F2DB_EXPLAIN_ANALYZE).incr();
-        fdc_obs::histogram(names::F2DB_QUERY_NS).record_duration(total);
-        Ok(report)
-    }
-
-    /// Builds the static plan of `q` (shared by [`F2db::explain`],
-    /// [`F2db::explain_with`] and [`F2db::explain_analyze`]). With an
-    /// approx spec, nodes registered on the sampling plane plan as
-    /// `sampled` rows instead of catalog derivations.
-    fn plan_report(
-        &self,
-        ds: &Dataset,
-        q: &ForecastQuery,
-        approx: Option<&ApproxQuerySpec>,
-    ) -> Result<ExplainReport> {
-        let horizon = q.horizon.steps(ds.series(0).granularity()).ok_or_else(|| {
-            F2dbError::Semantic(format!(
-                "horizon unit {:?} is finer than the data granularity",
-                q.horizon
-            ))
-        })?;
-        let nodes = Self::node_query(ds, q)?
-            .resolve(ds.graph())
-            .map_err(|e| F2dbError::Semantic(e.to_string()))?;
-        let g = ds.graph();
-        let plane = approx.map(|_| self.approx.read().unwrap());
-        let plane = plane.as_ref().and_then(|guard| guard.as_ref());
-        let mut rows = Vec::with_capacity(nodes.len());
-        for &n in &nodes {
-            let label = g.coord(n).display(g.schema());
-            if let (Some(spec), Some(info)) = (approx, plane.and_then(|p| p.node_info(n))) {
-                rows.push(ExplainRow {
-                    node: n,
-                    label,
-                    scheme_kind: "sampled",
-                    sources: Vec::new(),
-                    weight: 1.0,
-                    analysis: None,
-                    approx: Some(ExplainApprox {
-                        population: info.population,
-                        sampled: info.sampled,
-                        strata: info.strata,
-                        budget: spec.budget,
-                        target_ci: spec.target_ci,
-                    }),
-                });
-                continue;
-            }
-            match self.catalog.entry(n) {
-                Some(entry) => {
-                    let kind = match fdc_cube::derive::classify_scheme(ds, &entry.scheme_sources, n)
-                    {
-                        fdc_cube::SchemeKind::Direct => "direct",
-                        fdc_cube::SchemeKind::Aggregation => "aggregation",
-                        fdc_cube::SchemeKind::Disaggregation => "disaggregation",
-                        fdc_cube::SchemeKind::General => "general",
-                    };
-                    let sources = entry
-                        .scheme_sources
-                        .iter()
-                        .map(|&s| ExplainSource {
-                            label: g.coord(s).display(g.schema()),
-                            invalid: self.catalog.is_invalid(s),
-                        })
-                        .collect();
-                    rows.push(ExplainRow {
-                        node: n,
-                        label,
-                        scheme_kind: kind,
-                        sources,
-                        weight: entry.weight,
-                        analysis: None,
-                        approx: None,
-                    });
-                }
-                None => {
-                    return Err(F2dbError::Semantic(format!(
-                        "node {label} has no derivation scheme in the configuration"
-                    )));
-                }
-            }
-        }
-        Ok(ExplainReport {
-            horizon,
-            aggregate: q.aggregate,
-            rows,
-            total_elapsed: None,
-        })
+        Ok(())
     }
 
     /// Lazily re-estimates every invalid model referenced by the
@@ -1001,151 +941,33 @@ impl F2db {
         Ok(refitted)
     }
 
-    fn run_forecast(&self, q: &ForecastQuery, filter: Option<&[NodeId]>) -> Result<QueryResult> {
-        self.run_forecast_with(q, filter, None)
-    }
-
-    fn run_forecast_with(
-        &self,
-        q: &ForecastQuery,
-        filter: Option<&[NodeId]>,
-        approx: Option<&ApproxQuerySpec>,
-    ) -> Result<QueryResult> {
-        let _span = fdc_obs::span!("f2db.query");
-        let started = Instant::now();
-        let ds = self.dataset.read().unwrap();
-        let horizon = q.horizon.steps(ds.series(0).granularity()).ok_or_else(|| {
-            F2dbError::Semantic(format!(
-                "horizon unit {:?} is finer than the data granularity",
-                q.horizon
-            ))
-        })?;
-        let nodes = Self::node_query(&ds, q)?
-            .resolve(ds.graph())
-            .map_err(|e| F2dbError::Semantic(e.to_string()))?;
-        let nodes = self.apply_node_filter(nodes, filter)?;
-
-        // Split into plane-answered and exact nodes. Without an approx
-        // spec the split is trivially "all exact" and the plane lock is
-        // never taken — the exact path is untouched.
-        let plane = approx.map(|_| self.approx.read().unwrap());
-        let plane = plane.as_ref().and_then(|g| g.as_ref());
-        let answered_by_plane = |n: NodeId| plane.map(|p| p.is_registered(n)).unwrap_or(false);
-
-        // Lazy re-estimation: queries referencing invalid models trigger
-        // parameter re-estimation now (§V maintenance processor). Only
-        // exactly-answered nodes reference catalog models.
-        let exact_nodes: Vec<NodeId> = nodes
-            .iter()
-            .copied()
-            .filter(|&n| !answered_by_plane(n))
-            .collect();
-        self.reestimate_referenced(&ds, &exact_nodes)?;
-
-        let mut rows = Vec::with_capacity(nodes.len());
-        let now = ds.series(0).end();
-        for &n in &nodes {
-            if answered_by_plane(n) {
-                let spec = approx.expect("plane only consulted with a spec");
-                let plane = plane.expect("registered node implies a plane");
-                let mut fc = plane
-                    .estimate(n, horizon, spec)
-                    .expect("is_registered implies an estimate");
-                fdc_obs::counter(names::F2DB_APPROX_ROWS).incr();
-                if q.aggregate == query::AggregateFn::Avg {
-                    // AVG = SUM / population; the plane knows the exact
-                    // population without an O(cells) descendant scan.
-                    let count = fc.population.max(1) as f64;
-                    for v in &mut fc.values {
-                        *v /= count;
-                    }
-                    for h in &mut fc.ci_half {
-                        *h /= count;
-                    }
-                }
-                rows.push(QueryRow {
-                    node: n,
-                    label: ds.graph().coord(n).display(ds.graph().schema()),
-                    values: fc
-                        .values
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &v)| (now + i as i64, v))
-                        .collect(),
-                    approx: Some(RowApprox {
-                        sampled: fc.sampled,
-                        population: fc.population,
-                        confidence: fc.confidence,
-                        ci_half: fc.ci_half,
-                    }),
-                });
-                continue;
-            }
-            let mut forecasts = self.catalog.forecast(n, horizon).ok_or_else(|| {
-                F2dbError::Semantic(format!(
-                    "node {} has no derivation scheme in the configuration",
-                    ds.graph().coord(n).display(ds.graph().schema())
-                ))
-            })?;
-            if q.aggregate == query::AggregateFn::Avg {
-                // AVG = SUM / number of base series under the node (series
-                // are aligned, so the count is constant over time).
-                let count = ds.graph().base_descendants(n).len().max(1) as f64;
-                for v in &mut forecasts {
-                    *v /= count;
-                }
-            }
-            rows.push(QueryRow {
-                node: n,
-                label: ds.graph().coord(n).display(ds.graph().schema()),
-                values: forecasts
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, v)| (now + i as i64, v))
-                    .collect(),
-                approx: None,
-            });
-        }
-        drop(ds);
-        let elapsed = started.elapsed();
-        self.stats.record_query(elapsed);
-        fdc_obs::counter(names::F2DB_QUERIES).incr();
-        fdc_obs::histogram(names::F2DB_QUERY_NS).record_duration(elapsed);
-        Ok(QueryResult { rows })
-    }
-
-    /// Restricts resolved nodes to `filter` (keeping resolve order) and
-    /// enforces residency on a partitioned engine: executing a forecast
-    /// for a node whose derivation closure leaves this shard would
-    /// silently mix zero-padded series into the answer, so it is a
+    /// Restricts resolved nodes to `filter` (keeping resolve order) and,
+    /// for a request that `executes` models, enforces residency on a
+    /// partitioned engine: executing a forecast for a node whose
+    /// derivation closure leaves this shard would silently mix
+    /// zero-padded series into the answer, so it is a
     /// [`F2dbError::WrongShard`] instead.
     fn apply_node_filter(
         &self,
-        nodes: Vec<NodeId>,
+        mut nodes: Vec<NodeId>,
         filter: Option<&[NodeId]>,
+        executes: bool,
     ) -> Result<Vec<NodeId>> {
-        let nodes = match filter {
-            None => nodes,
-            Some(f) => {
-                let keep: std::collections::HashSet<NodeId> = f.iter().copied().collect();
-                let filtered: Vec<NodeId> =
-                    nodes.into_iter().filter(|n| keep.contains(n)).collect();
-                if filtered.is_empty() {
-                    return Err(F2dbError::Semantic(
-                        "node filter excludes every node the query resolves to".into(),
-                    ));
-                }
-                filtered
+        if let Some(f) = filter {
+            let keep: std::collections::HashSet<NodeId> = f.iter().copied().collect();
+            nodes.retain(|n| keep.contains(n));
+            if nodes.is_empty() {
+                return Err(F2dbError::Semantic(
+                    "node filter excludes every node the query resolves to".into(),
+                ));
             }
-        };
-        if self.partition.is_some() {
-            for &n in &nodes {
-                if !self.is_resident(n) {
-                    return Err(F2dbError::WrongShard(format!(
-                        "node {n} is not resident on this shard (its derivation \
-                         closure spans base nodes owned elsewhere)"
-                    )));
-                }
+        }
+        if executes && self.partition.is_some() {
+            if let Some(&n) = nodes.iter().find(|&&n| !self.is_resident(n)) {
+                return Err(F2dbError::WrongShard(format!(
+                    "node {n} is not resident on this shard (its derivation \
+                     closure spans base nodes owned elsewhere)"
+                )));
             }
         }
         Ok(nodes)
@@ -1165,9 +987,9 @@ impl F2db {
     }
 
     /// Resolves dimension values (in schema order) to the base node they
-    /// identify — the validation half of [`F2db::insert_row`], usable on
-    /// its own by callers (like a network server) that resolve rows up
-    /// front and commit them later in a micro-batch.
+    /// identify, for callers (a network server, the shell's `INSERT`)
+    /// that resolve rows up front and commit them through
+    /// [`F2db::insert_value`] or [`F2db::insert_batch`].
     pub fn base_node_for(&self, dim_values: &[String]) -> Result<NodeId> {
         let ds = self.dataset.read().unwrap();
         let schema = ds.graph().schema();
@@ -1191,14 +1013,6 @@ impl F2db {
         ds.graph()
             .node(&fdc_cube::Coord::new(coord))
             .ok_or_else(|| F2dbError::Semantic("no base series for these values".into()))
-    }
-
-    /// Inserts one new observation for the base series identified by its
-    /// dimension values (in schema order). Returns `true` when the insert
-    /// completed a time stamp and the graph advanced.
-    pub fn insert_row(&self, dim_values: &[String], measure: f64) -> Result<bool> {
-        let node = self.base_node_for(dim_values)?;
-        self.insert_value(node, measure)
     }
 
     /// Inserts one new observation for a base node id. Inserts are
@@ -1743,6 +1557,13 @@ mod tests {
         F2db::load(ds, &outcome.configuration).unwrap()
     }
 
+    fn plan(db: &F2db, sql: &str, mode: QueryMode) -> ExplainReport {
+        db.execute(&QueryRequest::new(sql, mode))
+            .unwrap()
+            .into_plan()
+            .unwrap()
+    }
+
     #[test]
     fn forecast_query_returns_horizon_rows() {
         let db = small_db();
@@ -1896,16 +1717,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_sql_statement_works() {
-        let db = small_db();
-        let r = db
-            .execute("INSERT INTO facts VALUES ('holiday', 'NSW', 123.0)")
-            .unwrap();
-        assert!(r.rows.is_empty());
-        assert_eq!(db.pending_inserts(), 1);
-    }
-
-    #[test]
     fn duplicate_pending_insert_overwrites() {
         let db = small_db();
         let b = db.dataset().graph().base_nodes()[0];
@@ -1936,27 +1747,6 @@ mod tests {
     }
 
     #[test]
-    fn execute_script_runs_statements_in_order() {
-        let db = small_db();
-        let results = db
-            .execute_script(
-                "-- warm the cache
-                 INSERT INTO facts VALUES ('holiday', 'NSW', 10.0);
-                 SELECT time, SUM(v) FROM facts GROUP BY time AS OF now() + '1 quarter';
-                 ",
-            )
-            .unwrap();
-        assert_eq!(results.len(), 2);
-        assert!(results[0].rows.is_empty());
-        assert_eq!(results[1].rows.len(), 1);
-        assert_eq!(db.pending_inserts(), 1);
-        // Errors stop the script.
-        assert!(db
-            .execute_script("SELECT time FROM facts AS OF now() + '1 quarter'; BOGUS;")
-            .is_err());
-    }
-
-    #[test]
     fn avg_aggregate_divides_by_base_count() {
         let db = small_db();
         let sum = db
@@ -1974,9 +1764,7 @@ mod tests {
     #[test]
     fn explain_describes_the_plan() {
         let db = small_db();
-        let report = db
-            .explain("EXPLAIN SELECT time, SUM(visitors) FROM facts WHERE state = 'NSW' GROUP BY time AS OF now() + '4 quarters'")
-            .unwrap();
+        let report = plan(&db, "EXPLAIN SELECT time, SUM(visitors) FROM facts WHERE state = 'NSW' GROUP BY time AS OF now() + '4 quarters'", QueryMode::Explain);
         assert_eq!(report.horizon, 4);
         assert_eq!(report.rows.len(), 1);
         let row = &report.rows[0];
@@ -1988,21 +1776,53 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("NSW"));
         assert!(text.contains(row.scheme_kind));
-        // explain() also accepts the query without the EXPLAIN prefix.
-        let same = db
-            .explain("SELECT time, SUM(visitors) FROM facts WHERE state = 'NSW' GROUP BY time AS OF now() + '4 quarters'")
-            .unwrap();
+        // Explain mode also accepts the query without the EXPLAIN prefix.
+        let same = plan(&db, "SELECT time, SUM(visitors) FROM facts WHERE state = 'NSW' GROUP BY time AS OF now() + '4 quarters'", QueryMode::Explain);
         assert_eq!(same, report);
     }
 
     #[test]
-    fn execute_rejects_explain_with_hint() {
+    fn execute_rejects_illegal_combinations_with_typed_errors() {
         let db = small_db();
-        let err = db
-            .execute("EXPLAIN SELECT time, v FROM facts AS OF now() + '1 quarter'")
-            .unwrap_err();
-        assert!(matches!(err, F2dbError::Semantic(_)));
-        assert!(db.explain("INSERT INTO facts VALUES ('a', 1.0)").is_err());
+        let select = "SELECT time, v FROM facts AS OF now() + '1 quarter'";
+        let modes = [
+            QueryMode::Forecast,
+            QueryMode::Explain,
+            QueryMode::ExplainAnalyze,
+        ];
+        let semantic = |request: QueryRequest| {
+            let err = db.execute(&request).unwrap_err();
+            assert!(matches!(err, F2dbError::Semantic(_)), "{request:?}: {err}");
+        };
+        // INSERT text is not a forecast request, whatever the mode.
+        for mode in modes {
+            semantic(QueryRequest::new(
+                "INSERT INTO facts VALUES ('holiday', 'NSW', 123.0)",
+                mode,
+            ));
+        }
+        assert_eq!(db.pending_inserts(), 0);
+        // EXPLAIN text needs an explain mode; ANALYZE text the analyze one.
+        semantic(QueryRequest::new(
+            format!("EXPLAIN {select}"),
+            QueryMode::Forecast,
+        ));
+        semantic(QueryRequest::new(
+            format!("EXPLAIN ANALYZE {select}"),
+            QueryMode::Explain,
+        ));
+        // An analyzed plan executes the exact derivation: no approx.
+        semantic(QueryRequest {
+            approx: Some(ApproxQuerySpec::default()),
+            ..QueryRequest::new(select, QueryMode::ExplainAnalyze)
+        });
+        // None of the rejections counted as a query.
+        assert_eq!(db.stats().queries, 0);
+        for mode in modes {
+            db.execute(&QueryRequest::new(select, mode)).unwrap();
+        }
+        // Static planning is not a query; the two executing modes are.
+        assert_eq!(db.stats().queries, 2);
     }
 
     #[test]
@@ -2075,8 +1895,6 @@ mod tests {
         for err in [
             db.insert_value(b, 1.0).unwrap_err(),
             db.insert_batch(&[(b, 1.0)]).unwrap_err(),
-            db.execute("INSERT INTO facts VALUES ('holiday', 'NSW', 5.0)")
-                .unwrap_err(),
             db.maintain().unwrap_err(),
         ] {
             assert!(matches!(err, F2dbError::ReadOnly(_)), "{err:?}");
@@ -2139,7 +1957,7 @@ mod tests {
         let (_, owned) = first_slice_partition(&db);
         assert!(owned.len() < all.len(), "fixture must span >1 slice");
         let db = db.with_base_partition(&owned).unwrap();
-        assert_eq!(db.owned_base_nodes().as_deref(), Some(&owned[..]));
+        assert!(owned.iter().all(|&b| db.owns_base(b)));
 
         let foreign = *all.iter().find(|b| !owned.contains(b)).unwrap();
         assert!(matches!(
@@ -2215,15 +2033,19 @@ mod tests {
         let sites = oracle.query_derivation(sql).unwrap();
         let mut compared = 0;
         for site in &sites {
+            let only = QueryRequest {
+                nodes: Some(vec![site.node]),
+                ..QueryRequest::new(sql, QueryMode::Forecast)
+            };
             if !shard.is_resident(site.node) {
                 assert!(matches!(
-                    shard.query_filtered(sql, Some(&[site.node])).unwrap_err(),
+                    shard.execute(&only).unwrap_err(),
                     F2dbError::WrongShard(_)
                 ));
                 continue;
             }
-            let want = oracle.query_filtered(sql, Some(&[site.node])).unwrap();
-            let got = shard.query_filtered(sql, Some(&[site.node])).unwrap();
+            let want = oracle.execute(&only).unwrap().into_rows().unwrap();
+            let got = shard.execute(&only).unwrap().into_rows().unwrap();
             assert_eq!(got.rows.len(), 1);
             assert_eq!(got.rows[0].label, want.rows[0].label);
             for (g, w) in got.rows[0].values.iter().zip(&want.rows[0].values) {
@@ -2270,17 +2092,29 @@ mod tests {
         let db = small_db();
         let sql = "SELECT time, SUM(visitors) FROM facts \
                    GROUP BY time, purpose AS OF now() + '1 quarter'";
-        let full = db.explain(sql).unwrap();
+        let full = plan(&db, sql, QueryMode::Explain);
         assert!(full.rows.len() > 1);
         let keep = full.rows[1].node;
-        let trimmed = db.explain_filtered(sql, Some(&[keep])).unwrap();
+        let filtered = |nodes: Vec<NodeId>, mode| {
+            db.execute(&QueryRequest {
+                nodes: Some(nodes),
+                ..QueryRequest::new(sql, mode)
+            })
+        };
+        let trimmed = filtered(vec![keep], QueryMode::Explain)
+            .unwrap()
+            .into_plan()
+            .unwrap();
         assert_eq!(trimmed.rows.len(), 1);
         assert_eq!(trimmed.rows[0].node, keep);
-        let analyzed = db.explain_analyze_filtered(sql, Some(&[keep])).unwrap();
+        let analyzed = filtered(vec![keep], QueryMode::ExplainAnalyze)
+            .unwrap()
+            .into_plan()
+            .unwrap();
         assert_eq!(analyzed.rows.len(), 1);
         assert!(analyzed.rows[0].analysis.is_some());
         assert!(matches!(
-            db.explain_filtered(sql, Some(&[NodeId::MAX])).unwrap_err(),
+            filtered(vec![NodeId::MAX], QueryMode::Explain).unwrap_err(),
             F2dbError::Semantic(_)
         ));
     }

@@ -1,7 +1,97 @@
-//! Query AST and results for the forecast query dialect.
+//! Query AST, the request description and results for the forecast
+//! query dialect.
 
+use crate::explain::ExplainReport;
+use crate::{F2dbError, Result};
+use fdc_approx::ApproxQuerySpec;
 use fdc_cube::NodeId;
 use fdc_forecast::Granularity;
+
+/// What a [`QueryRequest`] asks for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum QueryMode {
+    /// Answer the forecast query with rows.
+    #[default]
+    Forecast,
+    /// Describe how the query would be answered, without executing it:
+    /// resolved nodes, scheme kinds, sources, weights and the
+    /// maintenance state of the models that would serve it.
+    Explain,
+    /// Execute the plan and annotate it with per-node wall-clock
+    /// timings, source-model states and the values produced.
+    ExplainAnalyze,
+}
+
+/// One forecast request — everything [`crate::F2db::execute`] needs,
+/// whether it arrives from an embedder, the shell or the wire.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueryRequest {
+    /// The statement text. The explain modes accept it with or without
+    /// a leading `EXPLAIN [ANALYZE]`.
+    pub sql: String,
+    /// Restricts the answer to these of the resolved nodes — the
+    /// scatter half of a routed query: the router plans once, then asks
+    /// each shard only for the nodes it owns.
+    pub nodes: Option<Vec<NodeId>>,
+    /// Per-request approximation controls; `None` is the exact path.
+    pub approx: Option<ApproxQuerySpec>,
+    /// What to do with the statement.
+    pub mode: QueryMode,
+}
+
+impl QueryRequest {
+    /// An exact, unfiltered request.
+    pub fn new(sql: impl Into<String>, mode: QueryMode) -> Self {
+        QueryRequest {
+            sql: sql.into(),
+            nodes: None,
+            approx: None,
+            mode,
+        }
+    }
+
+    /// Rejects the member combinations no statement text can make
+    /// legal, so a router can refuse a request with the engine's own
+    /// error before it reaches a shard.
+    pub fn validate(&self) -> Result<()> {
+        if self.approx.is_some() && self.mode == QueryMode::ExplainAnalyze {
+            return Err(F2dbError::Semantic(
+                "approx cannot be combined with EXPLAIN ANALYZE: an analyzed plan \
+                 executes the exact derivation"
+                    .into(),
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// What [`crate::F2db::execute`] answers: rows for
+/// [`QueryMode::Forecast`], a plan for the explain modes.
+#[derive(Debug, Clone, PartialEq)]
+pub enum QueryAnswer {
+    /// Forecast rows.
+    Rows(QueryResult),
+    /// The (possibly analyzed) plan.
+    Plan(ExplainReport),
+}
+
+impl QueryAnswer {
+    /// The forecast rows; `None` for a plan.
+    pub fn into_rows(self) -> Option<QueryResult> {
+        match self {
+            QueryAnswer::Rows(result) => Some(result),
+            QueryAnswer::Plan(_) => None,
+        }
+    }
+
+    /// The plan; `None` for forecast rows.
+    pub fn into_plan(self) -> Option<ExplainReport> {
+        match self {
+            QueryAnswer::Plan(report) => Some(report),
+            QueryAnswer::Rows(_) => None,
+        }
+    }
+}
 
 /// A parsed SQL statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,19 +246,14 @@ pub struct QueryRow {
     pub approx: Option<RowApprox>,
 }
 
-/// Result of a statement.
+/// Result of a forecast query.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryResult {
-    /// Result rows (empty for inserts).
+    /// Result rows.
     pub rows: Vec<QueryRow>,
 }
 
 impl QueryResult {
-    /// An empty result (inserts).
-    pub fn empty() -> Self {
-        QueryResult { rows: Vec::new() }
-    }
-
     /// A fingerprint over the exact bit patterns of every row: node ids,
     /// labels, time stamps and the raw IEEE-754 bits of each forecast
     /// value (FNV-1a). Two results fingerprint equal iff they are
@@ -254,7 +339,7 @@ mod tests {
             rows: vec![row(f64::from_bits(10.0_f64.to_bits() + 1))],
         };
         assert_ne!(a.fingerprint(), nudged.fingerprint());
-        assert_ne!(a.fingerprint(), QueryResult::empty().fingerprint());
+        assert_ne!(a.fingerprint(), QueryResult::default().fingerprint());
     }
 
     #[test]

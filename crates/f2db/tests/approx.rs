@@ -6,7 +6,10 @@
 use fdc_approx::plan_coverage;
 use fdc_cube::{Configuration, ConfiguredModel, CubeSplit, Dataset, NodeId};
 use fdc_datagen::{generate_cube, generate_highcard, GenSpec, HighCardSpec};
-use fdc_f2db::{ApproxOptions, ApproxQuerySpec, CoverageOptions, F2db};
+use fdc_f2db::{
+    ApproxOptions, ApproxQuerySpec, CoverageOptions, F2db, F2dbError, QueryAnswer, QueryMode,
+    QueryRequest, QueryResult,
+};
 use fdc_forecast::{FitOptions, ModelSpec};
 
 const Q: &str = "SELECT time, SUM(v) FROM facts GROUP BY time AS OF now() + '3 steps'";
@@ -29,6 +32,16 @@ fn approx_options() -> ApproxOptions {
         spec: Some(ModelSpec::Ses),
         ..ApproxOptions::default()
     }
+}
+
+fn approx_query(db: &F2db, sql: &str, spec: &ApproxQuerySpec) -> QueryResult {
+    db.execute(&QueryRequest {
+        approx: Some(spec.clone()),
+        ..QueryRequest::new(sql, QueryMode::Forecast)
+    })
+    .unwrap()
+    .into_rows()
+    .unwrap()
 }
 
 /// A configuration with a direct model at every aggregation node the
@@ -71,9 +84,11 @@ fn exact_queries_are_byte_identical_with_a_plane_attached() {
     let b = with_plane.query(q).unwrap();
     assert_eq!(a.fingerprint(), b.fingerprint());
     assert!(b.rows.iter().all(|r| r.approx.is_none()));
-    // Even query_with(None) is the exact path.
-    let c = with_plane.query_with(q, None).unwrap();
-    assert_eq!(a.fingerprint(), c.fingerprint());
+    // Even execute with `approx: None` is the exact path.
+    let c = with_plane
+        .execute(&QueryRequest::new(q, QueryMode::Forecast))
+        .unwrap();
+    assert_eq!(QueryAnswer::Rows(a), c);
 }
 
 #[test]
@@ -85,7 +100,7 @@ fn opt_in_queries_carry_ci_metadata() {
         .with_approx(approx_options())
         .unwrap();
     let spec = ApproxQuerySpec::default();
-    let res = db.query_with(Q, Some(&spec)).unwrap();
+    let res = approx_query(&db, Q, &spec);
     assert_eq!(res.rows.len(), 1);
     let row = &res.rows[0];
     let ap = row.approx.as_ref().expect("top node answers approximately");
@@ -99,13 +114,15 @@ fn opt_in_queries_carry_ci_metadata() {
 
     // A cell budget caps the evaluated sample.
     let budgeted = db
-        .query_with(
-            Q,
-            Some(&ApproxQuerySpec {
+        .execute(&QueryRequest {
+            approx: Some(ApproxQuerySpec {
                 budget: Some(12),
                 ..ApproxQuerySpec::default()
             }),
-        )
+            ..QueryRequest::new(Q, QueryMode::Forecast)
+        })
+        .unwrap()
+        .into_rows()
         .unwrap();
     let bp = budgeted.rows[0].approx.as_ref().unwrap();
     assert!(bp.sampled < ap.sampled);
@@ -120,9 +137,9 @@ fn avg_aggregate_divides_estimate_and_interval_by_population() {
         .with_approx(approx_options())
         .unwrap();
     let spec = ApproxQuerySpec::default();
-    let sum = db.query_with(Q, Some(&spec)).unwrap();
+    let sum = approx_query(&db, Q, &spec);
     let avg_q = "SELECT time, AVG(v) FROM facts GROUP BY time AS OF now() + '3 steps'";
-    let avg = db.query_with(avg_q, Some(&spec)).unwrap();
+    let avg = approx_query(&db, avg_q, &spec);
     let (s, a) = (&sum.rows[0], &avg.rows[0]);
     let pop = s.approx.as_ref().unwrap().population as f64;
     for ((_, sv), (_, av)) in s.values.iter().zip(&a.values) {
@@ -153,7 +170,13 @@ fn explain_annotates_sampled_nodes() {
         target_ci: Some(0.05),
         ..ApproxQuerySpec::default()
     };
-    let report = db.explain_with(Q, Some(&spec)).unwrap();
+    let explain = |approx: Option<ApproxQuerySpec>| {
+        db.execute(&QueryRequest {
+            approx,
+            ..QueryRequest::new(Q, QueryMode::Explain)
+        })
+    };
+    let report = explain(Some(spec)).unwrap().into_plan().unwrap();
     assert_eq!(report.rows.len(), 1);
     let row = &report.rows[0];
     assert_eq!(row.scheme_kind, "sampled");
@@ -167,7 +190,42 @@ fn explain_annotates_sampled_nodes() {
     assert!(text.contains("budget 32"), "{text}");
     // Without the spec, EXPLAIN is the exact planner (and errors here,
     // since the empty configuration has no scheme for the top node).
-    assert!(db.explain(Q).is_err());
+    assert!(explain(None).is_err());
+}
+
+#[test]
+fn node_filter_applies_to_sampled_plans() {
+    let ds = highcard();
+    let empty = Configuration::new(ds.node_count());
+    let db = F2db::load(ds, &empty)
+        .unwrap()
+        .with_approx(ApproxOptions {
+            min_population: 10,
+            ..approx_options()
+        })
+        .unwrap();
+    let by_group = "SELECT time, SUM(v) FROM facts GROUP BY time, group AS OF now() + '3 steps'";
+    let explain = |nodes: Option<Vec<NodeId>>| {
+        db.execute(&QueryRequest {
+            nodes,
+            approx: Some(ApproxQuerySpec::default()),
+            ..QueryRequest::new(by_group, QueryMode::Explain)
+        })
+    };
+    let full = explain(None).unwrap().into_plan().unwrap();
+    assert_eq!(full.rows.len(), 25);
+    assert!(full.rows.iter().all(|r| r.scheme_kind == "sampled"));
+    // The filter keeps resolve order, whatever order it is given in,
+    // and ignores ids the query does not resolve to.
+    let keep = vec![full.rows[7].node, NodeId::MAX, full.rows[2].node];
+    let trimmed = explain(Some(keep)).unwrap().into_plan().unwrap();
+    assert_eq!(trimmed.rows, [full.rows[2].clone(), full.rows[7].clone()]);
+    // An empty intersection is the router's mistake, not an empty plan.
+    let err = explain(Some(vec![NodeId::MAX])).unwrap_err();
+    assert_eq!(
+        err,
+        F2dbError::Semantic("node filter excludes every node the query resolves to".into())
+    );
 }
 
 #[test]
@@ -183,7 +241,7 @@ fn plane_survives_persistence_bit_for_bit() {
         .with_approx(approx_options())
         .unwrap();
     let spec = ApproxQuerySpec::default();
-    let before = db.query_with(Q, Some(&spec)).unwrap();
+    let before = approx_query(&db, Q, &spec);
     db.save_approx(&path).unwrap();
 
     let ds2 = highcard();
@@ -192,7 +250,7 @@ fn plane_survives_persistence_bit_for_bit() {
     assert!(!restored.approx_enabled());
     restored.load_approx(&path).unwrap();
     assert!(restored.approx_enabled());
-    let after = restored.query_with(Q, Some(&spec)).unwrap();
+    let after = approx_query(&restored, Q, &spec);
     assert_eq!(before.fingerprint(), after.fingerprint());
     let (b, a) = (
         before.rows[0].approx.as_ref().unwrap(),
@@ -229,7 +287,7 @@ fn coverage_plan_drives_registration() {
     assert_eq!(info.population, 500);
     // Plan-sized reservoirs: 100 affordable cells over 8 strata → 12
     // per stratum (clamped), times default strata count.
-    let res = db.query_with(Q, Some(&ApproxQuerySpec::default())).unwrap();
+    let res = approx_query(&db, Q, &ApproxQuerySpec::default());
     assert!(res.rows[0].approx.is_some());
 }
 
@@ -247,7 +305,7 @@ fn advance_path_maintains_sampled_models() {
         .with_approx(approx_options())
         .unwrap();
     let spec = ApproxQuerySpec::default();
-    let before = db.query_with(Q, Some(&spec)).unwrap();
+    let before = approx_query(&db, Q, &spec);
     // Commit one full time stamp with every cell tripled: sampled
     // models absorb the new level and the estimate moves up.
     let batch: Vec<(NodeId, f64)> = bases
@@ -256,7 +314,7 @@ fn advance_path_maintains_sampled_models() {
         .map(|(&b, &v)| (b, v * 3.0))
         .collect();
     db.insert_batch(&batch).unwrap();
-    let after = db.query_with(Q, Some(&spec)).unwrap();
+    let after = approx_query(&db, Q, &spec);
     let (b0, a0) = (before.rows[0].values[0].1, after.rows[0].values[0].1);
     assert!(
         a0 > b0 * 1.2,

@@ -4,7 +4,9 @@
 
 use fdc_core::{Advisor, AdvisorOptions};
 use fdc_datagen::tourism_proxy;
-use fdc_f2db::{F2db, F2dbError, MaintenancePolicy, SourceModelState};
+use fdc_f2db::{
+    ExplainReport, F2db, F2dbError, MaintenancePolicy, QueryMode, QueryRequest, SourceModelState,
+};
 
 fn small_db() -> F2db {
     let ds = tourism_proxy(1);
@@ -20,15 +22,20 @@ fn small_db() -> F2db {
     F2db::load(ds, &outcome.configuration).unwrap()
 }
 
+fn explain_analyze(db: &F2db, sql: &str) -> ExplainReport {
+    db.execute(&QueryRequest::new(sql, QueryMode::ExplainAnalyze))
+        .unwrap()
+        .into_plan()
+        .unwrap()
+}
+
 const QUERY: &str =
     "SELECT time, SUM(visitors) FROM facts GROUP BY time AS OF now() + '4 quarters'";
 
 #[test]
 fn explain_analyze_reports_per_node_timings_and_values() {
     let db = small_db();
-    let report = db
-        .explain_analyze(&format!("EXPLAIN ANALYZE {QUERY}"))
-        .unwrap();
+    let report = explain_analyze(&db, &format!("EXPLAIN ANALYZE {QUERY}"));
     assert!(!report.rows.is_empty());
     let total = report.total_elapsed.expect("analyzed plan has a total");
     assert!(total.as_nanos() > 0);
@@ -47,14 +54,14 @@ fn explain_analyze_reports_per_node_timings_and_values() {
 #[test]
 fn explain_analyze_accepts_query_without_explain_prefix() {
     let db = small_db();
-    let report = db.explain_analyze(QUERY).unwrap();
+    let report = explain_analyze(&db, QUERY);
     assert!(report.rows.iter().all(|r| r.analysis.is_some()));
 }
 
 #[test]
 fn fresh_catalog_reports_all_sources_cached() {
     let db = small_db();
-    let report = db.explain_analyze(QUERY).unwrap();
+    let report = explain_analyze(&db, QUERY);
     for row in &report.rows {
         let analysis = row.analysis.as_ref().unwrap();
         assert!(analysis
@@ -77,7 +84,7 @@ fn query_after_insert_reports_reestimated_models() {
     assert_eq!(db.stats().time_advances, 1);
     let reest_before = db.stats().reestimations;
 
-    let report = db.explain_analyze(QUERY).unwrap();
+    let report = explain_analyze(&db, QUERY);
     let reestimated: usize = report
         .rows
         .iter()
@@ -93,7 +100,7 @@ fn query_after_insert_reports_reestimated_models() {
     assert!(rendered.contains("re-estimated"), "{rendered}");
 
     // The very next analyzed query finds everything cached again.
-    let report2 = db.explain_analyze(QUERY).unwrap();
+    let report2 = explain_analyze(&db, QUERY);
     for row in &report2.rows {
         assert!(row
             .analysis
@@ -108,20 +115,24 @@ fn query_after_insert_reports_reestimated_models() {
 #[test]
 fn plain_explain_does_not_execute() {
     let db = small_db();
-    let report = db.explain(&format!("EXPLAIN {QUERY}")).unwrap();
+    let explain = |sql: String| db.execute(&QueryRequest::new(sql, QueryMode::Explain));
+    let report = explain(format!("EXPLAIN {QUERY}"))
+        .unwrap()
+        .into_plan()
+        .unwrap();
     assert!(report.rows.iter().all(|r| r.analysis.is_none()));
     assert!(report.total_elapsed.is_none());
-    // EXPLAIN ANALYZE via the read-only entry point is a semantic error
-    // pointing at explain_analyze.
-    let err = db.explain(&format!("EXPLAIN ANALYZE {QUERY}")).unwrap_err();
+    // EXPLAIN ANALYZE text under the non-executing mode is a semantic
+    // error pointing at the analyze mode.
+    let err = explain(format!("EXPLAIN ANALYZE {QUERY}")).unwrap_err();
     assert!(matches!(err, F2dbError::Semantic(_)));
-    assert!(err.to_string().contains("explain_analyze"), "{err}");
+    assert!(err.to_string().contains("ExplainAnalyze"), "{err}");
 }
 
 #[test]
 fn analyzed_queries_record_latency_metrics() {
     let db = small_db();
-    db.explain_analyze(QUERY).unwrap();
+    explain_analyze(&db, QUERY);
     let snap = fdc_obs::snapshot();
     let (_, hist) = snap
         .histograms

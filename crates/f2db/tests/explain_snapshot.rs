@@ -7,7 +7,7 @@
 //! maintenance states, forecast values — is deterministic.
 
 use fdc_cube::{Configuration, ConfiguredModel, Coord, CubeSplit, Dataset, Dimension, Schema};
-use fdc_f2db::{F2db, MaintenancePolicy};
+use fdc_f2db::{ExplainReport, F2db, MaintenancePolicy, QueryMode, QueryRequest};
 use fdc_forecast::{FitOptions, Granularity, ModelSpec, TimeSeries};
 
 /// The running example: one `city` dimension with C1/C2/C3; the
@@ -51,6 +51,11 @@ fn fig4_db() -> F2db {
     F2db::load(ds, &cfg).unwrap()
 }
 
+fn explain_analyze(db: &F2db, q: &str) -> ExplainReport {
+    let request = QueryRequest::new(format!("EXPLAIN ANALYZE {q}"), QueryMode::ExplainAnalyze);
+    db.execute(&request).unwrap().into_plan().unwrap()
+}
+
 const QUERY: &str =
     "SELECT time, SUM(visitors) FROM facts GROUP BY time AS OF now() + '2 quarters'";
 
@@ -62,7 +67,7 @@ fn masked_explain_analyze_matches_snapshot() {
     let db = fig4_db();
     let mut rendered = String::new();
     for q in [QUERY, CITY_QUERY] {
-        let report = db.explain_analyze(&format!("EXPLAIN ANALYZE {q}")).unwrap();
+        let report = explain_analyze(&db, q);
         rendered.push_str(&report.to_masked_string());
     }
     let expected = "\
@@ -86,17 +91,13 @@ fn masked_rendering_is_stable_after_maintenance_round() {
     // maintenance last ran: a full insert round plus lazy re-estimation
     // returns the catalog to an all-valid state with identical shape.
     let db = fig4_db().with_policy(MaintenancePolicy::TimeBased { every: 1 });
-    let before = db
-        .explain_analyze(&format!("EXPLAIN ANALYZE {QUERY}"))
-        .unwrap();
+    let before = explain_analyze(&db, QUERY);
     let base: Vec<usize> = db.dataset().graph().base_nodes().to_vec();
     for &b in &base {
         db.insert_value(b, 100.0).unwrap();
     }
     db.maintain().unwrap();
-    let after = db
-        .explain_analyze(&format!("EXPLAIN ANALYZE {QUERY}"))
-        .unwrap();
+    let after = explain_analyze(&db, QUERY);
     assert_eq!(before.rows.len(), after.rows.len());
     for (b, a) in before.rows.iter().zip(&after.rows) {
         assert_eq!(b.label, a.label);

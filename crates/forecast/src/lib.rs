@@ -51,34 +51,24 @@
 
 pub mod accuracy;
 pub mod arima;
-pub mod auto;
-pub mod backtest;
 pub mod decompose;
 pub mod diagnostics;
 pub mod model;
-pub mod naive;
 pub mod optimize;
 pub mod sampling;
-pub mod selection;
 pub mod series;
 pub mod smoothing;
-pub mod transform;
 
 pub use accuracy::{mae, mape, mase, rmse, smape, AccuracyMeasure};
 pub use arima::{Arima, ArimaOrder, Sarima, SeasonalOrder};
-pub use auto::{auto_arima, AutoArimaOptions, AutoArimaReport};
-pub use backtest::{backtest, backtest_select, BacktestOptions, BacktestReport};
 pub use decompose::{decompose, suggest_seasonal_kind, Decomposition};
 pub use diagnostics::{autocorrelation, ljung_box, ResidualDiagnostics};
 pub use model::{FitOptions, ForecastError, ForecastModel, ModelSpec, ModelState, SeasonalKind};
-pub use naive::{NaiveKind, NaiveModel};
 pub use optimize::{
     GridSearch, HillClimbing, NelderMead, Objective, OptimizeResult, Optimizer, SimulatedAnnealing,
 };
 pub use sampling::{stratified_estimate, z_quantile, HtEstimate, StratumSample};
-pub use selection::{select_best_model, SelectionReport};
 pub use series::{Granularity, TimeSeries};
-pub use transform::BoxCox;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ForecastError>;

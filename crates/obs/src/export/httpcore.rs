@@ -182,6 +182,26 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
+/// The status line tail of the codes the forecast server and the
+/// router answer with (anything else reads as a `500`).
+pub fn status_line(status: u16) -> &'static str {
+    match status {
+        200 => "200 OK",
+        202 => "202 Accepted",
+        400 => "400 Bad Request",
+        404 => "404 Not Found",
+        405 => "405 Method Not Allowed",
+        409 => "409 Conflict",
+        410 => "410 Gone",
+        413 => "413 Payload Too Large",
+        421 => "421 Misdirected Request",
+        429 => "429 Too Many Requests",
+        502 => "502 Bad Gateway",
+        503 => "503 Service Unavailable",
+        _ => "500 Internal Server Error",
+    }
+}
+
 /// Writes a complete HTTP/1.1 response with `Connection: close`,
 /// `Content-Type`/`Content-Length` and any `extra_headers`, then the
 /// body. `status` is the full status line tail, e.g. `"200 OK"`.
@@ -192,20 +212,7 @@ pub fn write_response(
     body: &str,
     extra_headers: &[(&str, &str)],
 ) -> std::io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
-        body.len()
-    );
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    write_response_bytes(stream, status, content_type, body.as_bytes(), extra_headers)
 }
 
 /// [`write_response`] for binary payloads (e.g. WAL ship chunks): the
@@ -232,6 +239,27 @@ pub fn write_response_bytes(
     stream.write_all(head.as_bytes())?;
     stream.write_all(body)?;
     stream.flush()
+}
+
+/// Closes a connection whose request was *not* fully read, without
+/// destroying the response: closing with unread bytes in the receive
+/// buffer sends an RST that discards the client's buffered response, so
+/// after writing the response we half-close and drain whatever the
+/// client sent (bounded in bytes and time) before dropping the socket.
+pub fn close_unread(mut stream: TcpStream, timeout: Duration) {
+    stream.shutdown(std::net::Shutdown::Write).ok();
+    stream.set_read_timeout(Some(timeout)).ok();
+    let mut buf = [0u8; 8192];
+    let mut total = 0usize;
+    while let Ok(n) = stream.read(&mut buf) {
+        if n == 0 {
+            break;
+        }
+        total += n;
+        if total > (4 << 20) {
+            break;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -16,9 +16,11 @@
 //! * **forecast queries** scatter-gather: the router asks any shard
 //!   for the query's *placement plan* (`POST /plan` — which node each
 //!   row resolves to and which base cells its derivation needs), maps
-//!   each node to its owning shard, fans `POST /query {sql, nodes}`
-//!   out, and reassembles the per-shard row chunks **byte-identically**
-//!   in plan order — the router never re-serializes a float;
+//!   each node to its owning shard, fans the client's own request out
+//!   with `nodes` narrowed per shard ([`fdc_serve::wire`] decodes the
+//!   body and encodes every sub-request), and reassembles the per-shard
+//!   row chunks **byte-identically** in plan order — the router never
+//!   re-serializes a float of an answer;
 //! * **sketch folding** — each shard's `GET /sketch` bundle (accuracy
 //!   partials + latency t-digests) is folded with the sketches' own
 //!   merge operations ([`fold`]), so the router's `/stats` and
@@ -34,8 +36,8 @@
 //!
 //! | Route | Body | Answer |
 //! |---|---|---|
-//! | `POST /query` | `{"sql": "..."}` | `200` rows, byte-identical to one process |
-//! | `POST /explain` | `{"sql": "...", "analyze": bool?}` | `200` plan, scatter-gathered |
+//! | `POST /query` | a forecast request ([`fdc_serve::wire`]) | `200` rows, byte-identical to one process |
+//! | `POST /explain` | a forecast request ([`fdc_serve::wire`]) | `200` plan, scatter-gathered |
 //! | `POST /insert` | `{"dims": [...], "value": v}` or `{"rows": [...]}` | `202` after owning shard commits |
 //! | `GET /stats` | — | `200` router + folded fleet + per-shard stats |
 //! | `GET /metrics` | — | `200` Prometheus text with fleet-folded series |
@@ -53,9 +55,12 @@ pub mod topology;
 
 pub use topology::{ShardSpec, Topology};
 
-use fdc_obs::httpcore::{read_request, write_response, Request, RequestError};
+use fdc_cube::NodeId;
+use fdc_obs::httpcore::{
+    close_unread, read_request, status_line, write_response, Request, RequestError,
+};
 use fdc_obs::{journal, names, trace, Event, SketchBundle, TraceContext};
-use fdc_serve::json;
+use fdc_serve::{json, wire};
 use std::collections::{HashMap, VecDeque};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -111,7 +116,7 @@ struct ShardState {
 /// One resolved row of a cached placement plan.
 #[derive(Debug, Clone)]
 struct PlanSite {
-    node: u64,
+    node: NodeId,
     label: String,
     /// Index into `Shared::shards`.
     shard: usize,
@@ -309,6 +314,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
                 &[("Retry-After", "1")],
             )
             .ok();
+            close_unread(stream, Duration::from_millis(250));
             continue;
         }
         queue.push_back(Conn {
@@ -355,6 +361,7 @@ fn handle_connection(shared: &Shared, conn: Conn) {
             err_body("deadline exceeded while queued"),
             &[],
         );
+        close_unread(stream, Duration::from_millis(500));
         return;
     }
     let request = match read_request(&mut stream, shared.opts.max_body, shared.opts.read_timeout) {
@@ -367,10 +374,12 @@ fn handle_connection(shared: &Shared, conn: Conn) {
                 err_body("request body too large"),
                 &[],
             );
+            close_unread(stream, Duration::from_millis(500));
             return;
         }
         Err(e) => {
             respond(&mut stream, "malformed", 400, err_body(&e.to_string()), &[]);
+            close_unread(stream, Duration::from_millis(500));
             return;
         }
     };
@@ -389,13 +398,13 @@ fn handle_connection(shared: &Shared, conn: Conn) {
     } else {
         "application/json"
     };
-    let status_line = status_line(status);
     fdc_obs::counter_with(
         names::ROUTER_REQUESTS,
         &[("route", route), ("status", &status.to_string())],
     )
     .incr();
-    write_response(&mut stream, status_line, content_type, &body, &extra_refs).ok();
+    let status = status_line(status);
+    write_response(&mut stream, status, content_type, &body, &extra_refs).ok();
     fdc_obs::histogram_with(names::ROUTER_REQUEST_NS, &[("route", route)])
         .record_duration(started.elapsed());
 }
@@ -406,8 +415,8 @@ fn route_request(shared: &Shared, request: &Request) -> Routed {
     let (path, _query) = request.path_query();
     let no_extra = Vec::new;
     match (request.method.as_str(), path) {
-        ("POST", "/query") => handle_forecast(shared, &request.body, "query"),
-        ("POST", "/explain") => handle_forecast(shared, &request.body, "explain"),
+        ("POST", "/query") => handle_forecast(shared, path, &request.body, "query"),
+        ("POST", "/explain") => handle_forecast(shared, path, &request.body, "explain"),
         ("POST", "/insert") => handle_insert(shared, &request.body),
         ("GET", "/stats") => ("stats", 200, stats_body(shared), no_extra()),
         ("GET", "/metrics") => ("metrics", 200, metrics_body(shared), no_extra()),
@@ -429,23 +438,6 @@ fn route_request(shared: &Shared, request: &Request) -> Routed {
     }
 }
 
-fn status_line(status: u16) -> &'static str {
-    match status {
-        200 => "200 OK",
-        202 => "202 Accepted",
-        400 => "400 Bad Request",
-        404 => "404 Not Found",
-        405 => "405 Method Not Allowed",
-        413 => "413 Payload Too Large",
-        421 => "421 Misdirected Request",
-        429 => "429 Too Many Requests",
-        500 => "500 Internal Server Error",
-        502 => "502 Bad Gateway",
-        503 => "503 Service Unavailable",
-        _ => "500 Internal Server Error",
-    }
-}
-
 fn respond(
     stream: &mut TcpStream,
     route: &'static str,
@@ -458,14 +450,8 @@ fn respond(
         &[("route", route), ("status", &status.to_string())],
     )
     .incr();
-    write_response(
-        stream,
-        status_line(status),
-        "application/json",
-        &body,
-        extra,
-    )
-    .ok();
+    let status = status_line(status);
+    write_response(stream, status, "application/json", &body, extra).ok();
 }
 
 fn err_body(msg: &str) -> String {
@@ -659,7 +645,7 @@ fn parse_plan(shared: &Shared, text: &str) -> Result<Vec<PlanSite>, (u16, String
             .and_then(json::Value::as_f64)
             .filter(|f| f.fract() == 0.0 && *f >= 0.0)
             .ok_or_else(|| bad("bad /plan answer: site without node id".into()))?
-            as u64;
+            as NodeId;
         let label = site
             .get("label")
             .and_then(json::Value::as_str)
@@ -708,65 +694,26 @@ fn parse_plan(shared: &Shared, text: &str) -> Result<Vec<PlanSite>, (u16, String
 // Scatter-gather forecasts
 // ---------------------------------------------------------------------------
 
-/// Re-serializes the optional `"approx"` member of a `/query` or
-/// `/explain` body so each shard sub-request carries the caller's
-/// approximation controls verbatim. Returns an empty string when the
-/// caller did not opt in, or a `,"approx":{...}` fragment otherwise.
-fn approx_fragment(doc: &json::Value) -> Result<String, String> {
-    let Some(v) = doc.get("approx") else {
-        return Ok(String::new());
-    };
-    if !matches!(v, json::Value::Obj(_)) {
-        return Err("\"approx\" must be an object".into());
-    }
-    let mut members = Vec::new();
-    for key in ["budget", "target_ci", "confidence"] {
-        if let Some(m) = v.get(key) {
-            let f = m
-                .as_f64()
-                .filter(|f| f.is_finite())
-                .ok_or_else(|| format!("\"approx.{key}\" must be a number"))?;
-            members.push(format!("\"{key}\":{}", json::num(f)));
-        }
-    }
-    Ok(format!(",\"approx\":{{{}}}", members.join(",")))
-}
-
-/// `POST /query` and `POST /explain`: plan → scatter to owning shards
+/// `POST /query` and `POST /explain`: decode and validate up front (a
+/// malformed or illegal request gets the answer a shard would give,
+/// without costing a shard anything) → plan → scatter to owning shards
 /// → reassemble rows byte-identically in plan order.
-fn handle_forecast(shared: &Shared, body: &[u8], route: &'static str) -> Routed {
+fn handle_forecast(shared: &Shared, path: &str, body: &[u8], route: &'static str) -> Routed {
     let no_extra = Vec::new;
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return (route, 400, err_body("body is not UTF-8"), no_extra()),
-    };
-    let doc = match json::parse(text) {
-        Ok(d) => d,
+    let mut request = match wire::parse_body(body).and_then(|doc| wire::decode(path, &doc)) {
+        Ok(r) => r,
         Err(m) => return (route, 400, err_body(&m), no_extra()),
     };
-    let Some(sql) = doc.get("sql").and_then(json::Value::as_str) else {
-        return (
-            route,
-            400,
-            err_body("body must be a JSON object with a \"sql\" string"),
-            no_extra(),
-        );
-    };
-    let analyze = doc
-        .get("analyze")
-        .and_then(json::Value::as_bool)
-        .unwrap_or(false);
-    let approx = match approx_fragment(&doc) {
-        Ok(a) => a,
-        Err(m) => return (route, 400, err_body(&m), no_extra()),
-    };
-    let plan = match plan_for(shared, sql) {
+    if let Err(e) = request.validate() {
+        return (route, 400, err_body(&e.to_string()), no_extra());
+    }
+    let plan = match plan_for(shared, &request.sql) {
         Ok(p) => p,
         Err(routed) => return routed,
     };
 
     // Group plan sites by owning shard, preserving first-seen order.
-    let mut groups: Vec<(usize, Vec<u64>)> = Vec::new();
+    let mut groups: Vec<(usize, Vec<NodeId>)> = Vec::new();
     for site in plan.iter() {
         match groups.iter_mut().find(|(s, _)| *s == site.shard) {
             Some((_, nodes)) => nodes.push(site.node),
@@ -778,23 +725,15 @@ fn handle_forecast(shared: &Shared, body: &[u8], route: &'static str) -> Routed 
     // Scatter concurrently; each sub-request carries this request's
     // trace context so the whole fan-out is one trace.
     let ctx = trace::current();
-    let shard_path = if route == "explain" {
-        "/explain"
-    } else {
-        "/query"
-    };
+    let shard_path = wire::path(request.mode);
     let results: Vec<(usize, Result<client::ShardResponse, String>)> =
         std::thread::scope(|scope| {
             let handles: Vec<_> = groups
-                .iter()
+                .into_iter()
                 .map(|(shard, nodes)| {
-                    let nodes_json: Vec<String> = nodes.iter().map(|n| n.to_string()).collect();
-                    let sub_body = format!(
-                        "{{\"sql\":\"{}\",\"analyze\":{analyze},\"nodes\":[{}]{approx}}}",
-                        json::escape(sql),
-                        nodes_json.join(",")
-                    );
-                    let shard = *shard;
+                    // The client's request, narrowed to this shard's nodes.
+                    request.nodes = Some(nodes);
+                    let sub_body = wire::encode(&request);
                     scope.spawn(move || {
                         let _g = ctx.map(trace::activate);
                         (
@@ -808,7 +747,7 @@ fn handle_forecast(shared: &Shared, body: &[u8], route: &'static str) -> Routed 
         });
 
     // Gather: every shard must answer 200; collect its raw row chunks.
-    let mut chunks: HashMap<u64, String> = HashMap::new();
+    let mut chunks: HashMap<NodeId, String> = HashMap::new();
     let mut prefix: Option<String> = None;
     for (shard_idx, result) in results {
         let resp = match result {
@@ -885,18 +824,36 @@ fn handle_forecast(shared: &Shared, body: &[u8], route: &'static str) -> Routed 
 
 /// The body prefix up to and including `"rows":[`, plus each verbatim
 /// row chunk keyed by its leading `"node":N`.
-type RowChunks<'a> = (&'a str, Vec<(u64, &'a str)>);
+type RowChunks<'a> = (&'a str, Vec<(NodeId, &'a str)>);
 
 /// Splits a shard's `{"...":...,"rows":[{...},{...}]}` answer into its
 /// verbatim row chunks, keyed by each chunk's leading `"node":N`.
 /// Returns the body prefix up to and including `"rows":[` (horizon and
-/// friends ride along untouched) and the chunks. String-aware — labels
-/// may contain any escaped character.
+/// friends ride along untouched) and the chunks.
 fn split_rows(body: &str) -> Result<RowChunks<'_>, String> {
     let marker = "\"rows\":[";
     let start = body.find(marker).ok_or("answer has no rows array")? + marker.len();
-    let bytes = body.as_bytes();
     let mut rows = Vec::new();
+    for chunk in split_objects(body, start)? {
+        let node = chunk
+            .strip_prefix("{\"node\":")
+            .and_then(|rest| {
+                let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+                digits.parse::<NodeId>().ok()
+            })
+            .ok_or("row chunk has no leading node id")?;
+        rows.push((node, chunk));
+    }
+    Ok((&body[..start], rows))
+}
+
+/// The verbatim `{...}` chunks of the JSON array whose first element
+/// starts at byte `start` of `text` (just past its `[`). String-aware
+/// brace balancing — labels may contain any escaped character — and
+/// never a float through a parser.
+fn split_objects(text: &str, start: usize) -> Result<Vec<&str>, String> {
+    let bytes = text.as_bytes();
+    let mut chunks = Vec::new();
     let mut i = start;
     loop {
         while i < bytes.len() && (bytes[i] as char).is_whitespace() {
@@ -905,15 +862,14 @@ fn split_rows(body: &str) -> Result<RowChunks<'_>, String> {
         if i >= bytes.len() {
             return Err("unterminated rows array".into());
         }
-        if bytes[i] == b']' {
-            break;
-        }
-        if bytes[i] == b',' {
-            i += 1;
-            continue;
-        }
-        if bytes[i] != b'{' {
-            return Err("rows array holds a non-object".into());
+        match bytes[i] {
+            b']' => break,
+            b',' => {
+                i += 1;
+                continue;
+            }
+            b'{' => {}
+            _ => return Err("rows array holds a non-object".into()),
         }
         let chunk_start = i;
         let mut depth = 0usize;
@@ -948,17 +904,9 @@ fn split_rows(body: &str) -> Result<RowChunks<'_>, String> {
         if depth != 0 {
             return Err("unbalanced row object".into());
         }
-        let chunk = &body[chunk_start..i];
-        let node = chunk
-            .strip_prefix("{\"node\":")
-            .and_then(|rest| {
-                let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-                digits.parse::<u64>().ok()
-            })
-            .ok_or("row chunk has no leading node id")?;
-        rows.push((node, chunk));
+        chunks.push(&text[chunk_start..i]);
     }
-    Ok((&body[..start], rows))
+    Ok(chunks)
 }
 
 // ---------------------------------------------------------------------------
@@ -1109,68 +1057,12 @@ fn insert_failure_with(
 }
 
 /// Splits the top-level `"rows"` array of an insert body into verbatim
-/// row chunks (same string-aware scan as [`split_rows`], without the
-/// node-id requirement).
+/// row chunks (value bytes untouched).
 fn split_insert_rows(text: &str) -> Result<Vec<&str>, String> {
     let marker_pos = text.find("\"rows\"").ok_or("body has no rows array")?;
-    let after = &text[marker_pos + "\"rows\"".len()..];
-    let bracket = after.find('[').ok_or("\"rows\" must be an array")?;
-    let start = marker_pos + "\"rows\"".len() + bracket + 1;
-    let bytes = text.as_bytes();
-    let mut rows = Vec::new();
-    let mut i = start;
-    loop {
-        while i < bytes.len() && (bytes[i] as char).is_whitespace() {
-            i += 1;
-        }
-        if i >= bytes.len() {
-            return Err("unterminated rows array".into());
-        }
-        match bytes[i] {
-            b']' => break,
-            b',' => {
-                i += 1;
-                continue;
-            }
-            b'{' => {}
-            _ => return Err("rows array holds a non-object".into()),
-        }
-        let chunk_start = i;
-        let mut depth = 0usize;
-        let mut in_str = false;
-        let mut escaped = false;
-        while i < bytes.len() {
-            let b = bytes[i];
-            if in_str {
-                if escaped {
-                    escaped = false;
-                } else if b == b'\\' {
-                    escaped = true;
-                } else if b == b'"' {
-                    in_str = false;
-                }
-            } else {
-                match b {
-                    b'"' => in_str = true,
-                    b'{' => depth += 1,
-                    b'}' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            i += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            i += 1;
-        }
-        if depth != 0 {
-            return Err("unbalanced row object".into());
-        }
-        rows.push(&text[chunk_start..i]);
-    }
-    Ok(rows)
+    let after = marker_pos + "\"rows\"".len();
+    let bracket = text[after..].find('[').ok_or("\"rows\" must be an array")?;
+    split_objects(text, after + bracket + 1)
 }
 
 /// The placement key of one insert row chunk: its first `key_dims`
@@ -1366,20 +1258,6 @@ mod tests {
             rows.iter().map(|(_, c)| *c).collect::<Vec<_>>().join(",")
         );
         assert_eq!(rebuilt, body);
-    }
-
-    #[test]
-    fn approx_fragment_round_trips_controls() {
-        let doc =
-            json::parse("{\"sql\":\"q\",\"approx\":{\"budget\":128,\"target_ci\":0.05}}").unwrap();
-        let frag = approx_fragment(&doc).unwrap();
-        assert_eq!(frag, ",\"approx\":{\"budget\":128,\"target_ci\":0.05}");
-        let none = json::parse("{\"sql\":\"q\"}").unwrap();
-        assert_eq!(approx_fragment(&none).unwrap(), "");
-        let bad = json::parse("{\"approx\":{\"budget\":\"x\"}}").unwrap();
-        assert!(approx_fragment(&bad).is_err());
-        let not_obj = json::parse("{\"approx\":3}").unwrap();
-        assert!(approx_fragment(&not_obj).is_err());
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Router behavior against scripted fake shards: backpressure
 //! forwarding (`Retry-After` survives the hop instead of collapsing
 //! into an opaque 502), `traceparent` propagation on every shard call,
-//! and `/healthz` quorum transitions with their journal events.
+//! up-front request validation, complete early-reject responses, and
+//! `/healthz` quorum transitions with their journal events.
+
+mod common;
 
 use fdc_router::{Router, RouterOptions, ShardSpec, Topology};
 use std::io::{Read, Write};
@@ -230,6 +233,85 @@ fn query_forwards_plan_backpressure_and_propagates_traceparent() {
         shard.saw_request_containing("traceparent: 00-"),
         "shard hop carried no traceparent"
     );
+    router.shutdown();
+}
+
+#[test]
+fn illegal_requests_get_the_shard_answer_without_reaching_a_shard() {
+    // The reference: what a real shard answers to the same bodies.
+    let oracle = fdc_serve::Server::start(
+        Arc::new(common::own_model_db(1)),
+        0,
+        fdc_serve::ServeOptions::default(),
+    )
+    .unwrap();
+    let shard = FakeShard::start(200, None);
+    let router = Router::start(
+        topology_of(&[("validate", shard.addr)]),
+        0,
+        RouterOptions {
+            probe_interval: Duration::from_secs(3600),
+            ..RouterOptions::default()
+        },
+    )
+    .unwrap();
+
+    let sql = "SELECT time, SUM(visitors) FROM facts GROUP BY time AS OF now() + '1 quarter'";
+    for (path, members) in [
+        ("/query", "\"approx\":{\"budget\":0}"),
+        ("/query", "\"approx\":3"),
+        ("/explain", "\"approx\":{\"confidence\":1.5}"),
+        ("/explain", "\"analyze\":true,\"approx\":{}"),
+        ("/query", "\"nodes\":[-1]"),
+    ] {
+        let body = format!("{{\"sql\":\"{sql}\",{members}}}");
+        let want = router_http(oracle.addr(), "POST", path, Some(&body));
+        let got = router_http(router.addr(), "POST", path, Some(&body));
+        assert_eq!(want.status, 400, "{path} {members}: {}", want.text());
+        assert_eq!(got.status, 400, "{path} {members}: {}", got.text());
+        assert_eq!(got.text(), want.text(), "{path} {members}");
+    }
+    // Not a `/plan` hop, not a scatter: only the boot-time health probe.
+    let reached: Vec<String> = shard
+        .requests
+        .lock()
+        .unwrap()
+        .iter()
+        .filter(|r| !r.starts_with("GET /healthz"))
+        .cloned()
+        .collect();
+    assert!(reached.is_empty(), "shard was reached: {reached:?}");
+    router.shutdown();
+    oracle.shutdown().unwrap();
+}
+
+#[test]
+fn oversized_body_reads_a_complete_413_not_a_reset() {
+    let shard = FakeShard::start(200, None);
+    let router = Router::start(
+        topology_of(&[("too-large", shard.addr)]),
+        0,
+        RouterOptions {
+            max_body: 1024,
+            probe_interval: Duration::from_secs(3600),
+            ..RouterOptions::default()
+        },
+    )
+    .unwrap();
+    // Far more than the router reads before it rejects: without the
+    // drain, closing on the unread rest resets the connection and the
+    // client loses the response it was about to read.
+    let body = format!("{{\"sql\":\"{}\"}}", "x".repeat(1 << 20));
+    let resp = fdc_router::client::request(
+        &router.addr().to_string(),
+        "POST",
+        "/query",
+        Some(&body),
+        Duration::from_secs(10),
+    )
+    .expect("a complete response, not a reset");
+    assert_eq!(resp.status, 413);
+    assert_eq!(resp.text(), "{\"error\":\"request body too large\"}");
     router.shutdown();
 }
 

@@ -25,8 +25,8 @@
 //!
 //! | Route | Body | Answer |
 //! |---|---|---|
-//! | `POST /query` | `{"sql": "...", "nodes": [ids]?, "approx": {...}?}` | `200` forecast rows |
-//! | `POST /explain` | `{"sql": "...", "analyze": bool?, "nodes": [ids]?, "approx": {...}?}` | `200` plan |
+//! | `POST /query` | a forecast request ([`wire`]) | `200` forecast rows |
+//! | `POST /explain` | a forecast request ([`wire`]) | `200` plan |
 //! | `POST /insert` | `{"dims": [...], "value": v}` or `{"rows": [...]}` | `202` after commit |
 //! | `POST /maintain` | — | `200` re-fit count |
 //! | `POST /plan` | `{"sql": "...", "key_dims": n?}` | `200` per-node placement keys |
@@ -49,10 +49,10 @@
 //! follower's apply joins the same trace, and the per-route latency
 //! histograms record the trace id of the worst observation per window
 //! as an OpenMetrics exemplar. Requests slower than
-//! [`ServeOptions::slow_threshold`] are captured — with `EXPLAIN
-//! ANALYZE` output for query routes and a WAL/batcher wait breakdown
-//! for writes — into the bounded [`slow::SlowLog`] served at `GET
-//! /slow`.
+//! [`ServeOptions::slow_threshold`] are captured — with the request's
+//! `EXPLAIN ANALYZE` output for query routes and a WAL/batcher wait
+//! breakdown for writes — into the bounded [`slow::SlowLog`] served at
+//! `GET /slow`.
 //!
 //! ## Replication
 //!
@@ -93,14 +93,19 @@ pub mod batcher;
 pub mod json;
 pub mod replica;
 pub mod slow;
+pub mod wire;
 
 pub use batcher::{Batcher, DepositOutcome};
 pub use replica::{open_follower, replica_marker_path, PromotionReport, Replica};
 pub use slow::{SlowEntry, SlowLog};
 
 use fdc_cube::NodeId;
-use fdc_f2db::{ApproxQuerySpec, F2db, F2dbError, WalRecord};
-use fdc_obs::httpcore::{read_request, write_response, Request, RequestError};
+use fdc_f2db::{
+    ExplainReport, F2db, F2dbError, QueryAnswer, QueryMode, QueryRequest, QueryResult, WalRecord,
+};
+use fdc_obs::httpcore::{
+    close_unread, read_request, status_line, write_response, Request, RequestError,
+};
 use fdc_obs::{journal, names, trace, Event, TraceContext};
 use std::collections::VecDeque;
 use std::io::Read as _;
@@ -734,16 +739,18 @@ fn handle_connection(shared: &Shared, conn: Conn) {
         record_latency("sketch", started.elapsed(), ctx);
         return;
     }
+    // The decoded forecast request, kept for the slow log.
+    let mut forecast = None;
     let (route, status, body, extra) = {
         let _span = fdc_obs::span!("serve.request");
         let remaining = shared.opts.deadline.saturating_sub(queued_for);
-        route_request(shared, &request, remaining)
+        route_request(shared, &request, remaining, &mut forecast)
     };
     let extra_refs: Vec<(&str, &str)> = extra.iter().map(|(n, v)| (*n, v.as_str())).collect();
     respond(&mut stream, route, status, body, &extra_refs);
     let elapsed = started.elapsed();
     record_latency(route, elapsed, ctx);
-    maybe_capture_slow(shared, &request, route, status, elapsed, ctx);
+    maybe_capture_slow(shared, forecast, route, status, elapsed, ctx);
 }
 
 /// Records a request's latency into the per-route histogram; sampled
@@ -759,13 +766,15 @@ fn record_latency(route: &'static str, elapsed: Duration, ctx: TraceContext) {
 }
 
 /// After the response is on the wire: when the request ran past the
-/// slow threshold, capture the investigation context — re-running
-/// `EXPLAIN ANALYZE` for statement routes (off the client's critical
-/// path, on the worker that just went slow), or snapshotting the
-/// WAL/batcher wait state for writes — into the bounded slow log.
+/// slow threshold, capture the investigation context — re-running the
+/// decoded request as `EXPLAIN ANALYZE` (same node filter, so a routed
+/// sub-request on a partitioned shard analyzes exactly the rows it
+/// served; off the client's critical path, on the worker that just went
+/// slow), or snapshotting the WAL/batcher wait state for writes — into
+/// the bounded slow log.
 fn maybe_capture_slow(
     shared: &Shared,
-    request: &Request,
+    forecast: Option<QueryRequest>,
     route: &'static str,
     status: u16,
     elapsed: Duration,
@@ -774,14 +783,18 @@ fn maybe_capture_slow(
     if elapsed < shared.slow.threshold() {
         return;
     }
-    let sql = matches!(route, "query" | "explain")
-        .then(|| sql_of(&request.body).ok())
-        .flatten()
-        .map(|(sql, _)| sql);
-    let explain = sql
-        .as_deref()
-        .and_then(|s| shared.db.explain_analyze(s).ok())
+    // An analyzed plan executes the exact derivation: drop the controls.
+    let analyze = forecast.map(|request| QueryRequest {
+        mode: QueryMode::ExplainAnalyze,
+        approx: None,
+        ..request
+    });
+    let explain = analyze
+        .as_ref()
+        .and_then(|request| shared.db.execute(request).ok())
+        .and_then(QueryAnswer::into_plan)
         .map(|report| report.to_masked_string());
+    let sql = analyze.map(|request| request.sql);
     let wait = (route == "insert").then(|| {
         let queue_len = shared.queue.lock().unwrap().len();
         let wal = match shared.db.wal_stats() {
@@ -817,51 +830,17 @@ fn respond(
     body: String,
     extra: &[(&str, &str)],
 ) {
-    let status_line = match status {
-        200 => "200 OK",
-        202 => "202 Accepted",
-        400 => "400 Bad Request",
-        404 => "404 Not Found",
-        405 => "405 Method Not Allowed",
-        409 => "409 Conflict",
-        410 => "410 Gone",
-        421 => "421 Misdirected Request",
-        413 => "413 Payload Too Large",
-        500 => "500 Internal Server Error",
-        503 => "503 Service Unavailable",
-        _ => "500 Internal Server Error",
-    };
     fdc_obs::counter_with(
         names::SERVE_REQUESTS,
         &[("route", route), ("status", &status.to_string())],
     )
     .incr();
-    write_response(stream, status_line, "application/json", &body, extra).ok();
+    let status = status_line(status);
+    write_response(stream, status, "application/json", &body, extra).ok();
 }
 
 fn err_body(msg: &str) -> String {
     format!("{{\"error\":\"{}\"}}", json::escape(msg))
-}
-
-/// Closes a connection whose request was *not* fully read, without
-/// destroying the response: closing with unread bytes in the receive
-/// buffer sends an RST that discards the client's buffered response, so
-/// after writing the response we half-close and drain whatever the
-/// client sent (bounded in bytes and time) before dropping the socket.
-fn close_unread(mut stream: TcpStream, timeout: Duration) {
-    stream.shutdown(std::net::Shutdown::Write).ok();
-    stream.set_read_timeout(Some(timeout)).ok();
-    let mut buf = [0u8; 8192];
-    let mut total = 0usize;
-    while let Ok(n) = stream.read(&mut buf) {
-        if n == 0 {
-            break;
-        }
-        total += n;
-        if total > (4 << 20) {
-            break;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -870,17 +849,19 @@ fn close_unread(mut stream: TcpStream, timeout: Duration) {
 
 type Routed = (&'static str, u16, String, Vec<(&'static str, String)>);
 
-fn route_request(shared: &Shared, request: &Request, remaining: Duration) -> Routed {
+fn route_request(
+    shared: &Shared,
+    request: &Request,
+    remaining: Duration,
+    forecast: &mut Option<QueryRequest>,
+) -> Routed {
     let (path, _query) = request.path_query();
     let no_extra = Vec::new;
     match (request.method.as_str(), path) {
-        ("POST", "/query") => {
-            let (status, body) = handle_query(shared, &request.body);
-            ("query", status, body, no_extra())
-        }
-        ("POST", "/explain") => {
-            let (status, body) = handle_explain(shared, &request.body);
-            ("explain", status, body, no_extra())
+        ("POST", "/query" | "/explain") => {
+            let (status, body) = handle_forecast(shared, path, &request.body, forecast);
+            let route = if path == "/query" { "query" } else { "explain" };
+            (route, status, body, no_extra())
         }
         ("POST", "/insert") => match follower_write_rejection(shared, "insert") {
             Some(routed) => routed,
@@ -930,243 +911,119 @@ fn f2db_status(e: &F2dbError) -> u16 {
     }
 }
 
-/// Parses the optional `"nodes"` filter of `/query` and `/explain`
-/// bodies: the scatter half of a routed query, restricting execution
-/// to the node ids this shard was asked for.
-fn nodes_of(doc: &json::Value) -> Result<Option<Vec<NodeId>>, String> {
-    let Some(v) = doc.get("nodes") else {
-        return Ok(None);
-    };
-    let arr = v
-        .as_array()
-        .ok_or("\"nodes\" must be an array of node ids")?;
-    let mut out = Vec::with_capacity(arr.len());
-    for item in arr {
-        let n = item
-            .as_f64()
-            .filter(|f| f.fract() == 0.0 && *f >= 0.0 && *f <= (1u64 << 53) as f64)
-            .ok_or("\"nodes\" must be an array of non-negative integers")?;
-        out.push(n as NodeId);
-    }
-    Ok(Some(out))
-}
-
-/// Parses the optional `"approx"` object of `/query` and `/explain`
-/// bodies: per-request approximation controls
-/// (`{"budget": cells?, "target_ci": rel?, "confidence": level?}`).
-/// Absent → the exact path, byte-identical to a plain query.
-fn approx_of(doc: &json::Value) -> Result<Option<ApproxQuerySpec>, String> {
-    let Some(v) = doc.get("approx") else {
-        return Ok(None);
-    };
-    if !matches!(v, json::Value::Obj(_)) {
-        return Err("\"approx\" must be an object".into());
-    }
-    let mut spec = ApproxQuerySpec::default();
-    if let Some(b) = v.get("budget") {
-        let n = b
-            .as_f64()
-            .filter(|f| f.fract() == 0.0 && *f >= 1.0 && *f <= (1u64 << 32) as f64)
-            .ok_or("\"approx.budget\" must be a positive integer")?;
-        spec.budget = Some(n as usize);
-    }
-    if let Some(t) = v.get("target_ci") {
-        let f = t
-            .as_f64()
-            .filter(|f| f.is_finite() && *f > 0.0)
-            .ok_or("\"approx.target_ci\" must be a positive number")?;
-        spec.target_ci = Some(f);
-    }
-    if let Some(c) = v.get("confidence") {
-        let f = c
-            .as_f64()
-            .filter(|f| f.is_finite() && *f > 0.0 && *f < 1.0)
-            .ok_or("\"approx.confidence\" must be in (0, 1)")?;
-        spec.confidence = Some(f);
-    }
-    Ok(Some(spec))
-}
-
-/// Parses a `{"sql": "..."}` body.
-fn sql_of(body: &[u8]) -> Result<(String, json::Value), String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    let doc = json::parse(text)?;
-    let sql = doc
-        .get("sql")
-        .and_then(json::Value::as_str)
-        .ok_or_else(|| "body must be a JSON object with a \"sql\" string".to_string())?
-        .to_string();
-    Ok((sql, doc))
-}
-
-fn handle_query(shared: &Shared, body: &[u8]) -> (u16, String) {
-    let (sql, doc) = match sql_of(body) {
-        Ok(v) => v,
+/// `POST /query` and `POST /explain`: decode → [`F2db::execute`] →
+/// render. The decoded request is left in `forecast` for the slow log.
+fn handle_forecast(
+    shared: &Shared,
+    path: &str,
+    body: &[u8],
+    forecast: &mut Option<QueryRequest>,
+) -> (u16, String) {
+    let request = match wire::parse_body(body).and_then(|doc| wire::decode(path, &doc)) {
+        Ok(request) => forecast.insert(request),
         Err(m) => return (400, err_body(&m)),
     };
-    let nodes = match nodes_of(&doc) {
-        Ok(n) => n,
-        Err(m) => return (400, err_body(&m)),
-    };
-    let approx = match approx_of(&doc) {
-        Ok(a) => a,
-        Err(m) => return (400, err_body(&m)),
-    };
-    match shared
-        .db
-        .query_filtered_with(&sql, nodes.as_deref(), approx.as_ref())
-    {
-        Ok(result) => {
-            let rows: Vec<String> = result
-                .rows
+    match shared.db.execute(request) {
+        Ok(QueryAnswer::Rows(result)) => (200, rows_body(&result)),
+        Ok(QueryAnswer::Plan(report)) => (200, plan_body(&report)),
+        Err(e) => (f2db_status(&e), err_body(&e.to_string())),
+    }
+}
+
+fn rows_body(result: &QueryResult) -> String {
+    let rows: Vec<String> = result
+        .rows
+        .iter()
+        .map(|r| {
+            let values: Vec<String> = r
+                .values
                 .iter()
-                .map(|r| {
-                    let values: Vec<String> = r
-                        .values
-                        .iter()
-                        .map(|(t, v)| format!("[{t},{}]", json::num(*v)))
-                        .collect();
-                    let approx = match &r.approx {
-                        None => String::new(),
-                        Some(a) => {
-                            let half: Vec<String> =
-                                a.ci_half.iter().map(|h| json::num(*h)).collect();
-                            format!(
-                                ",\"approx\":{{\"sampled\":{},\"population\":{},\"confidence\":{},\"ci_half\":[{}]}}",
-                                a.sampled,
-                                a.population,
-                                json::num(a.confidence),
-                                half.join(",")
-                            )
-                        }
-                    };
+                .map(|(t, v)| format!("[{t},{}]", json::num(*v)))
+                .collect();
+            let approx = match &r.approx {
+                None => String::new(),
+                Some(a) => {
+                    let half: Vec<String> = a.ci_half.iter().map(|h| json::num(*h)).collect();
                     format!(
-                        "{{\"node\":{},\"label\":\"{}\",\"values\":[{}]{approx}}}",
-                        r.node,
-                        json::escape(&r.label),
+                        ",\"approx\":{{\"sampled\":{},\"population\":{},\"confidence\":{},\"ci_half\":[{}]}}",
+                        a.sampled,
+                        a.population,
+                        json::num(a.confidence),
+                        half.join(",")
+                    )
+                }
+            };
+            format!(
+                "{{\"node\":{},\"label\":\"{}\",\"values\":[{}]{approx}}}",
+                r.node,
+                json::escape(&r.label),
+                values.join(",")
+            )
+        })
+        .collect();
+    format!("{{\"rows\":[{}]}}", rows.join(","))
+}
+
+fn plan_body(report: &ExplainReport) -> String {
+    let rows: Vec<String> = report
+        .rows
+        .iter()
+        .map(|r| {
+            let sources: Vec<String> = r
+                .sources
+                .iter()
+                .map(|s| {
+                    format!(
+                        "{{\"label\":\"{}\",\"invalid\":{}}}",
+                        json::escape(&s.label),
+                        s.invalid
+                    )
+                })
+                .collect();
+            let analysis = match &r.analysis {
+                None => String::new(),
+                Some(a) => {
+                    let values: Vec<String> = a.values.iter().map(|v| json::num(*v)).collect();
+                    format!(
+                        ",\"elapsed_ns\":{},\"values\":[{}]",
+                        a.elapsed.as_nanos(),
                         values.join(",")
                     )
-                })
-                .collect();
-            (200, format!("{{\"rows\":[{}]}}", rows.join(",")))
-        }
-        Err(e) => (f2db_status(&e), err_body(&e.to_string())),
-    }
-}
-
-fn handle_explain(shared: &Shared, body: &[u8]) -> (u16, String) {
-    let (sql, doc) = match sql_of(body) {
-        Ok(v) => v,
-        Err(m) => return (400, err_body(&m)),
-    };
-    let analyze = doc
-        .get("analyze")
-        .and_then(json::Value::as_bool)
-        .unwrap_or(false);
-    let nodes = match nodes_of(&doc) {
-        Ok(n) => n,
-        Err(m) => return (400, err_body(&m)),
-    };
-    let approx = match approx_of(&doc) {
-        Ok(a) => a,
-        Err(m) => return (400, err_body(&m)),
-    };
-    if approx.is_some() && analyze {
-        return (
-            400,
-            err_body("\"approx\" and \"analyze\" cannot be combined"),
-        );
-    }
-    let report = if analyze {
-        shared.db.explain_analyze_filtered(&sql, nodes.as_deref())
-    } else if let Some(spec) = &approx {
-        shared.db.explain_with(&sql, Some(spec)).and_then(|mut r| {
-            if let Some(f) = &nodes {
-                let keep: std::collections::HashSet<NodeId> = f.iter().copied().collect();
-                r.rows.retain(|row| keep.contains(&row.node));
-                if r.rows.is_empty() {
-                    return Err(F2dbError::Semantic(
-                        "node filter excludes every node the query resolves to".into(),
-                    ));
                 }
-            }
-            Ok(r)
-        })
-    } else {
-        shared.db.explain_filtered(&sql, nodes.as_deref())
-    };
-    match report {
-        Ok(report) => {
-            let rows: Vec<String> = report
-                .rows
-                .iter()
-                .map(|r| {
-                    let sources: Vec<String> = r
-                        .sources
-                        .iter()
-                        .map(|s| {
-                            format!(
-                                "{{\"label\":\"{}\",\"invalid\":{}}}",
-                                json::escape(&s.label),
-                                s.invalid
-                            )
-                        })
-                        .collect();
-                    let analysis = match &r.analysis {
-                        None => String::new(),
-                        Some(a) => {
-                            let values: Vec<String> =
-                                a.values.iter().map(|v| json::num(*v)).collect();
-                            format!(
-                                ",\"elapsed_ns\":{},\"values\":[{}]",
-                                a.elapsed.as_nanos(),
-                                values.join(",")
-                            )
-                        }
-                    };
-                    let sampling = match &r.approx {
-                        None => String::new(),
-                        Some(ap) => {
-                            let budget = ap
-                                .budget
-                                .map_or(String::from("null"), |b| b.to_string());
-                            let target =
-                                ap.target_ci.map_or(String::from("null"), json::num);
-                            format!(
-                                ",\"approx\":{{\"population\":{},\"sampled\":{},\"strata\":{},\"budget\":{budget},\"target_ci\":{target}}}",
-                                ap.population, ap.sampled, ap.strata
-                            )
-                        }
-                    };
+            };
+            let sampling = match &r.approx {
+                None => String::new(),
+                Some(ap) => {
+                    let budget = ap.budget.map_or(String::from("null"), |b| b.to_string());
+                    let target = ap.target_ci.map_or(String::from("null"), json::num);
                     format!(
-                        "{{\"node\":{},\"label\":\"{}\",\"scheme\":\"{}\",\"weight\":{},\"sources\":[{}]{analysis}{sampling}}}",
-                        r.node,
-                        json::escape(&r.label),
-                        r.scheme_kind,
-                        json::num(r.weight),
-                        sources.join(",")
+                        ",\"approx\":{{\"population\":{},\"sampled\":{},\"strata\":{},\"budget\":{budget},\"target_ci\":{target}}}",
+                        ap.population, ap.sampled, ap.strata
                     )
-                })
-                .collect();
-            (
-                200,
-                format!(
-                    "{{\"horizon\":{},\"analyzed\":{},\"rows\":[{}]}}",
-                    report.horizon,
-                    report.total_elapsed.is_some(),
-                    rows.join(",")
-                ),
+                }
+            };
+            format!(
+                "{{\"node\":{},\"label\":\"{}\",\"scheme\":\"{}\",\"weight\":{},\"sources\":[{}]{analysis}{sampling}}}",
+                r.node,
+                json::escape(&r.label),
+                r.scheme_kind,
+                json::num(r.weight),
+                sources.join(",")
             )
-        }
-        Err(e) => (f2db_status(&e), err_body(&e.to_string())),
-    }
+        })
+        .collect();
+    format!(
+        "{{\"horizon\":{},\"analyzed\":{},\"rows\":[{}]}}",
+        report.horizon,
+        report.total_elapsed.is_some(),
+        rows.join(",")
+    )
 }
 
 fn handle_insert(shared: &Shared, body: &[u8], remaining: Duration) -> Routed {
     let no_extra = Vec::new;
     let parsed = (|| -> Result<Vec<(NodeId, f64)>, String> {
-        let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-        let doc = json::parse(text)?;
+        let doc = wire::parse_body(body)?;
         let row_of = |v: &json::Value| -> Result<(NodeId, f64), String> {
             let dims = v
                 .get("dims")
@@ -1267,10 +1124,7 @@ fn handle_promote(shared: &Shared, body: &[u8]) -> Routed {
     let tail = if body.is_empty() {
         None
     } else {
-        let parsed = std::str::from_utf8(body)
-            .map_err(|_| "body is not UTF-8".to_string())
-            .and_then(json::parse);
-        match parsed {
+        match wire::parse_body(body) {
             Ok(doc) => doc
                 .get("tail_wal_dir")
                 .and_then(json::Value::as_str)
@@ -1300,7 +1154,9 @@ fn handle_promote(shared: &Shared, body: &[u8]) -> Routed {
 /// the shards those keys place; a node whose keys straddle shards is a
 /// *split node* the partition cannot serve.
 fn handle_plan(shared: &Shared, body: &[u8]) -> (u16, String) {
-    let (sql, doc) = match sql_of(body) {
+    let decoded =
+        wire::parse_body(body).and_then(|doc| Ok((wire::decode("/plan", &doc)?.sql, doc)));
+    let (sql, doc) = match decoded {
         Ok(v) => v,
         Err(m) => return (400, err_body(&m)),
     };

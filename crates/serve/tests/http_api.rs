@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{base_dims, full_round_body, http, row_json, small_db};
+use common::{base_dims, full_round_body, http, row_json, small_db, small_db_raw};
 use fdc_forecast::FitOptions;
 use fdc_serve::{ServeOptions, Server};
 use std::sync::Arc;
@@ -142,6 +142,57 @@ fn routes_answer_over_a_real_socket() {
     let report = server.shutdown().unwrap();
     assert_eq!(report.flushed_rows, 0);
     assert!(!report.saved_catalog);
+}
+
+#[test]
+fn slow_log_keeps_its_plan_on_a_partitioned_shard() {
+    // One shard of a partitioned deployment: it owns the base cells of
+    // one first-dimension slice.
+    let db = small_db_raw();
+    let bases = db.dataset().graph().base_nodes().to_vec();
+    let key = db.partition_key(bases[0], 1).unwrap();
+    let owned: Vec<_> = bases
+        .into_iter()
+        .filter(|&b| db.partition_key(b, 1).unwrap() == key)
+        .collect();
+    let db = Arc::new(db.with_base_partition(&owned).unwrap());
+    let server = Server::start(
+        Arc::clone(&db),
+        0,
+        ServeOptions {
+            slow_threshold: Duration::ZERO,
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+
+    // The routed sub-request a router would send: the fan-out query,
+    // narrowed to the nodes this shard can serve.
+    let sql = "SELECT time, SUM(visitors) FROM facts GROUP BY time, purpose, state AS OF now() + '2 quarters'";
+    let sites = db.query_derivation(sql).unwrap();
+    let resident: Vec<_> = sites.iter().filter(|s| db.is_resident(s.node)).collect();
+    assert!(!resident.is_empty() && resident.len() < sites.len());
+    let ids: Vec<String> = resident.iter().map(|s| s.node.to_string()).collect();
+    let body = format!("{{\"sql\":\"{sql}\",\"nodes\":[{}]}}", ids.join(","));
+    let r = http(server.addr(), "POST", "/query", &body).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+
+    // The capture re-ran the *same* request as EXPLAIN ANALYZE: exactly
+    // the filtered rows, not a WrongShard on the unfiltered fan-out.
+    let r = http(server.addr(), "GET", "/slow", "").unwrap();
+    assert!(!r.body.contains("\"explain\":null"), "{}", r.body);
+    let entries = server.slow_log().entries();
+    let entry = entries.iter().find(|e| e.route == "query").unwrap();
+    assert_eq!(entry.sql.as_deref(), Some(sql));
+    let plan = entry.explain.as_deref().expect("captured plan");
+    assert_eq!(plan.matches("-> node [").count(), resident.len(), "{plan}");
+    for site in &resident {
+        assert!(
+            plan.contains(&format!("-> node [{}]", site.label)),
+            "{plan}"
+        );
+    }
+    server.shutdown().unwrap();
 }
 
 /// A database whose queries are artificially slow: every model is

@@ -6,7 +6,7 @@
 
 use fdc::advisor::{Advisor, AdvisorOptions};
 use fdc::datagen::{export_csv, import_csv};
-use fdc::f2db::F2db;
+use fdc::f2db::{F2db, QueryAnswer, QueryMode, QueryRequest};
 use fdc::forecast::Granularity;
 
 fn main() {
@@ -59,7 +59,11 @@ fn main() {
 
     // EXPLAIN shows how the query will be answered before running it.
     let sql = "SELECT time, SUM(sales) FROM facts WHERE region = 'North' GROUP BY time AS OF now() + '3 months'";
-    let plan = db.explain(sql).expect("plan");
+    let plan = db
+        .execute(&QueryRequest::new(sql, QueryMode::Explain))
+        .ok()
+        .and_then(QueryAnswer::into_plan)
+        .expect("plan");
     println!("{plan}");
 
     let result = db.query(sql).expect("query");

@@ -41,7 +41,10 @@
 
 use fdc::advisor::{summarize, Advisor, AdvisorOptions};
 use fdc::datagen::{generate_cube, import_csv, GenSpec};
-use fdc::f2db::{ApproxOptions, ApproxQuerySpec, F2db};
+use fdc::f2db::{
+    parse_query, ApproxOptions, ApproxQuerySpec, F2db, QueryAnswer, QueryMode, QueryRequest,
+    Statement,
+};
 use fdc::forecast::Granularity;
 use fdc::obs::{AccuracyOptions, ObsServer, TraceCollector};
 use std::io::{BufRead, Write};
@@ -721,29 +724,38 @@ fn main() {
             }
             continue;
         }
-        let lowered = line.to_ascii_lowercase();
-        if lowered.starts_with("explain") {
-            let analyzed = lowered.starts_with("explain analyze");
-            let plan = if analyzed {
-                db.explain_analyze(line)
-            } else {
-                db.explain(line)
-            };
-            match plan {
-                Ok(plan) => println!("{plan}"),
-                Err(e) => println!("error: {e}"),
+        // One statement, one request: the parser's own classification
+        // picks the mode, the session's `\approx` controls ride along.
+        let mode = match parse_query(line) {
+            Ok(Statement::Insert { values, measure }) => {
+                let inserted = db
+                    .base_node_for(&values)
+                    .and_then(|node| db.insert_value(node, measure));
+                match inserted {
+                    Ok(_) => println!("ok ({} inserts pending)", db.pending_inserts()),
+                    Err(e) => println!("error: {e}"),
+                }
+                continue;
             }
-            continue;
-        }
-        let result = match (&approx_spec, lowered.starts_with("select")) {
-            (Some(spec), true) => db.query_with(line, Some(spec)),
-            _ => db.execute(line),
+            Ok(Statement::Forecast(_)) => QueryMode::Forecast,
+            Ok(Statement::Explain { analyze: false, .. }) => QueryMode::Explain,
+            Ok(Statement::Explain { analyze: true, .. }) => QueryMode::ExplainAnalyze,
+            Err(e) => {
+                println!("error: {e}");
+                continue;
+            }
         };
-        match result {
-            Ok(result) if result.rows.is_empty() => {
-                println!("ok ({} inserts pending)", db.pending_inserts());
-            }
-            Ok(result) => {
+        let request = QueryRequest {
+            // An analyzed plan executes the exact derivation, so the
+            // session-wide controls do not apply to it.
+            approx: approx_spec
+                .clone()
+                .filter(|_| mode != QueryMode::ExplainAnalyze),
+            ..QueryRequest::new(line, mode)
+        };
+        match db.execute(&request) {
+            Ok(QueryAnswer::Plan(plan)) => println!("{plan}"),
+            Ok(QueryAnswer::Rows(result)) => {
                 for row in &result.rows {
                     match &row.approx {
                         None => {
