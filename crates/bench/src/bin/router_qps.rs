@@ -7,7 +7,8 @@
 //! that shared catalog (advisor nondeterminism must never give two
 //! shards different model configurations). It then starts the
 //! `fdc-router` scatter-gather tier in-process over the children and
-//! hammers it with client threads: single-shard reads (`WHERE
+//! hammers it with client threads, each on its own kept-alive
+//! connection: single-shard reads (`WHERE
 //! purpose = …`), fan-out reads (`GROUP BY time, purpose`), and
 //! full-round `/insert` batches whose unique values double as write
 //! identities.
@@ -32,13 +33,14 @@
 use fdc_core::{Advisor, AdvisorOptions};
 use fdc_datagen::tourism_proxy;
 use fdc_f2db::{F2db, WalRecord};
+use fdc_obs::httpcore::client::{Client, Outgoing};
 use fdc_obs::AccuracyOptions;
 use fdc_router::{Router, RouterOptions, ShardSpec, Topology};
 use fdc_serve::{open_engine, open_follower, ServeOptions, Server};
 use fdc_wal::{Wal, WalOptions};
 use std::collections::HashSet;
-use std::io::{BufRead, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{BufRead, Write};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -50,6 +52,8 @@ const KEY_DIMS_ENV: &str = "FDC_RQ_KEY_DIMS";
 const CATALOG_ENV: &str = "FDC_RQ_CATALOG";
 const WAL_ENV: &str = "FDC_RQ_WAL";
 const REPLICA_ENV: &str = "FDC_RQ_REPLICA_OF";
+/// Bounds every client socket wait.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -165,33 +169,27 @@ fn spawn_shard(
     (child, addr)
 }
 
-/// One request against the router over a fresh connection.
-fn http_once(
+/// One request against the router on `client`'s kept-alive connection;
+/// returns `(status, body, latency_ns)`. An `/insert` is never replayed
+/// on a dead connection: the run counts acknowledged rounds.
+fn request(
+    client: &Client,
     addr: SocketAddr,
     method: &str,
     path: &str,
     body: &str,
 ) -> std::io::Result<(u16, String, u64)> {
     let start = Instant::now();
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: fdc\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes())?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))?;
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok((status, body, start.elapsed().as_nanos() as u64))
+    let request = Outgoing {
+        replay: path != "/insert",
+        ..Outgoing::new(method, path, body.as_bytes())
+    };
+    let response = client.send(&addr.to_string(), &request)?;
+    Ok((
+        response.status,
+        response.text(),
+        start.elapsed().as_nanos() as u64,
+    ))
 }
 
 /// Every base series' dimension values, in base-node order.
@@ -464,6 +462,7 @@ fn run_parent(args: &[String]) {
         let dims = dims.clone();
         handles.push(std::thread::spawn(move || {
             let mut rng = fdc_rng::Rng::seed_from_u64(0xbadc0de + t as u64);
+            let client = Client::new(IO_TIMEOUT);
             while !stop.load(Ordering::SeqCst) {
                 let is_insert = rng.f64() < 0.2;
                 if is_insert {
@@ -471,7 +470,7 @@ fn run_parent(args: &[String]) {
                     // cell — `202` means every owning shard committed.
                     let v = 1_000_000.0 + next_value.fetch_add(1, Ordering::SeqCst) as f64;
                     let body = full_round_body(&dims, v);
-                    match http_once(raddr, "POST", "/insert", &body) {
+                    match request(&client, raddr, "POST", "/insert", &body) {
                         Ok((202, _, ns)) => {
                             acked.lock().unwrap().push(v.to_bits());
                             inserts.lock().unwrap().samples.push(ns);
@@ -493,7 +492,7 @@ fn run_parent(args: &[String]) {
                     }
                 } else {
                     let body = &query_pool[(rng.next_u64() as usize) % query_pool.len()];
-                    match http_once(raddr, "POST", "/query", body) {
+                    match request(&client, raddr, "POST", "/query", body) {
                         Ok((200, _, ns)) => queries.lock().unwrap().samples.push(ns),
                         Ok((status, body, _)) => {
                             queries.lock().unwrap().errors += 1;
@@ -527,9 +526,10 @@ fn run_parent(args: &[String]) {
     // Degraded window: kill → first successful routed read of the dead
     // shard's data (served by the replica).
     let probe = probe_body;
+    let client = Client::new(IO_TIMEOUT);
     let mut degraded_window_ms = -1.0f64;
     while kill_at.elapsed() < Duration::from_secs(10) {
-        if let Ok((200, _, _)) = http_once(raddr, "POST", "/query", &probe) {
+        if let Ok((200, _, _)) = request(&client, raddr, "POST", "/query", &probe) {
             degraded_window_ms = kill_at.elapsed().as_secs_f64() * 1e3;
             break;
         }
@@ -545,10 +545,10 @@ fn run_parent(args: &[String]) {
     let total_secs = run_start.elapsed().as_secs_f64();
 
     // Health must reflect the dead shard (1 of 2 up is below quorum).
-    let healthz = http_once(raddr, "GET", "/healthz", "")
+    let healthz = request(&client, raddr, "GET", "/healthz", "")
         .map(|(s, _, _)| s)
         .unwrap_or(0);
-    let stats = http_once(raddr, "GET", "/stats", "")
+    let stats = request(&client, raddr, "GET", "/stats", "")
         .map(|(_, b, _)| b)
         .unwrap_or_default();
     let fleet_folds = stats.contains("\"fleet\"");

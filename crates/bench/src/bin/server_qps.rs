@@ -3,9 +3,12 @@
 //! Spawns an in-process server over the tourism-proxy engine and hammers
 //! it with N client threads (default 8), each running a seeded mixed
 //! workload: ~80 % `POST /query` (SQL from the shared [`QueryWorkload`]
-//! generator) and ~20 % `POST /insert` full-round batches, one TCP
-//! connection per request — the closed loop a forecast dashboard or an
-//! ingest pipeline would present. Reported per route: exact p50/p95/p99
+//! generator) and ~20 % `POST /insert` full-round batches, each thread
+//! on its own kept-alive connection — the closed loop a forecast
+//! dashboard or an ingest pipeline would present. (With more client
+//! threads than server workers the server closes after most responses,
+//! so the run also exercises the reconnect path; `/stats`'
+//! `connections` member shows which regime a run was in.) Reported per route: exact p50/p95/p99
 //! latency and total throughput.
 //!
 //! `--restart` exercises the graceful-drain contract mid-run: the server
@@ -44,17 +47,19 @@ use fdc_bench::{emit_metrics, obs_session, parse_scale_args, QueryWorkload};
 use fdc_core::{Advisor, AdvisorOptions};
 use fdc_datagen::{generate_cube, GenSpec};
 use fdc_f2db::F2db;
+use fdc_obs::httpcore::client::{Client, Outgoing};
 use fdc_obs::names;
 use fdc_rng::Rng;
 use fdc_serve::{restore_pending, ServeOptions, Server};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Fraction of requests that are inserts (the rest are queries).
 const INSERT_MIX: f64 = 0.2;
+/// Bounds every client socket wait.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// What one client thread brings home.
 #[derive(Default)]
@@ -69,24 +74,17 @@ struct ClientStats {
     conn_errors: u64,
 }
 
-/// One request over a fresh connection; returns `(status, latency_ns)`.
-fn http_once(addr: SocketAddr, path: &str, body: &str) -> std::io::Result<(u16, u64)> {
+/// One `POST` on `client`'s kept-alive connection; returns `(status,
+/// latency_ns)`. An `/insert` is never replayed on a dead connection: it
+/// may have been applied, and the run counts acknowledged rounds.
+fn post(client: &Client, addr: SocketAddr, path: &str, body: &str) -> std::io::Result<(u16, u64)> {
     let start = Instant::now();
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let request = format!(
-        "POST {path} HTTP/1.1\r\nHost: fdc\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes())?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))?;
-    Ok((status, start.elapsed().as_nanos() as u64))
+    let request = Outgoing {
+        replay: path != "/insert",
+        ..Outgoing::new("POST", path, body.as_bytes())
+    };
+    let response = client.send(&addr.to_string(), &request)?;
+    Ok((response.status, start.elapsed().as_nanos() as u64))
 }
 
 /// The dimension-value strings of every base series, in base-node order.
@@ -211,10 +209,11 @@ fn durability_phase(
                 let stop = &stop;
                 scope.spawn(move || {
                     let mut rng = Rng::seed_from_u64(0xD04A_B1E0 + t as u64);
+                    let client = Client::new(IO_TIMEOUT);
                     let mut acked = 0u64;
                     while !stop.load(Ordering::Relaxed) {
                         let body = full_round_body(dims, rng.f64_range(10.0, 500.0));
-                        if let Ok((202, _)) = http_once(addr, "/insert", &body) {
+                        if let Ok((202, _)) = post(&client, addr, "/insert", &body) {
                             acked += 1;
                         }
                     }
@@ -346,6 +345,7 @@ fn main() {
                     scope.spawn(move || {
                         let mut rng = Rng::seed_from_u64(0xBE9C_0000 + t as u64);
                         let mut wl = QueryWorkload::new(0x51E0_0000 + t as u64);
+                        let client = Client::new(IO_TIMEOUT);
                         let mut stats = ClientStats::default();
                         while !stop.load(Ordering::Relaxed) {
                             let insert = rng.f64_range(0.0, 1.0) < INSERT_MIX;
@@ -361,7 +361,7 @@ fn main() {
                                 )
                             };
                             let at = *addr.lock().unwrap();
-                            match http_once(at, path, &body) {
+                            match post(&client, at, path, &body) {
                                 Ok((status, ns)) => {
                                     stats.samples.push((route, ns, status));
                                     if insert && status == 202 {

@@ -321,6 +321,12 @@ impl TimeSeriesGraph {
         &self.base
     }
 
+    /// Whether `v` is a base node — O(1): exactly the level-0 nodes are
+    /// base coordinates. An id outside the graph is not.
+    pub fn is_base(&self, v: NodeId) -> bool {
+        self.levels.get(v) == Some(&0)
+    }
+
     /// The top node (all dimensions aggregated).
     pub fn top_node(&self) -> NodeId {
         self.index[&Coord::top(self.schema.dim_count())]
@@ -498,6 +504,10 @@ mod tests {
             assert_eq!(g.level(b), 0);
             assert!(g.edges(b).is_empty());
             assert!(!g.parents(b).is_empty());
+        }
+        // `is_base` is exactly membership in `base_nodes`.
+        for v in 0..g.node_count() + 1 {
+            assert_eq!(g.is_base(v), g.base_nodes().contains(&v), "node {v}");
         }
     }
 

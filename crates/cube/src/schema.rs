@@ -14,14 +14,25 @@ use crate::{CubeError, Result};
 pub struct Dimension {
     name: String,
     values: Vec<String>,
+    /// Value indices ordered by label (first occurrence of a repeated
+    /// label only), so [`Dimension::value_index`] is a binary search
+    /// instead of a scan — an `/insert` resolves one label per
+    /// dimension per row.
+    by_label: Vec<u32>,
 }
 
 impl Dimension {
     /// Creates a dimension from a name and value labels.
     pub fn new(name: impl Into<String>, values: Vec<String>) -> Self {
+        let mut by_label: Vec<u32> = (0..values.len() as u32).collect();
+        // Stable, so among equal labels the lowest index comes first
+        // and is the one `dedup_by` keeps.
+        by_label.sort_by(|&a, &b| values[a as usize].cmp(&values[b as usize]));
+        by_label.dedup_by(|a, b| values[*a as usize] == values[*b as usize]);
         Dimension {
             name: name.into(),
             values,
+            by_label,
         }
     }
 
@@ -40,12 +51,12 @@ impl Dimension {
         self.values.len()
     }
 
-    /// Index of a value label.
+    /// Index of a value label (the first, should a label repeat).
     pub fn value_index(&self, label: &str) -> Option<u32> {
-        self.values
-            .iter()
-            .position(|v| v == label)
-            .map(|i| i as u32)
+        self.by_label
+            .binary_search_by(|&i| self.values[i as usize].as_str().cmp(label))
+            .ok()
+            .map(|pos| self.by_label[pos])
     }
 }
 
@@ -211,6 +222,16 @@ mod tests {
             vec![FunctionalDependency::new(0, 1, vec![0, 0, 1, 1])],
         )
         .unwrap()
+    }
+
+    #[test]
+    fn value_index_agrees_with_a_scan_on_unsorted_and_repeated_labels() {
+        let labels = ["m", "b", "z", "b", "a", "m", ""];
+        let d = Dimension::new("d", labels.iter().map(|l| l.to_string()).collect());
+        for probe in ["a", "b", "m", "z", "", "c", "zz"] {
+            let scan = labels.iter().position(|l| *l == probe).map(|i| i as u32);
+            assert_eq!(d.value_index(probe), scan, "{probe:?}");
+        }
     }
 
     #[test]

@@ -415,7 +415,7 @@ impl F2db {
             let g = ds.graph();
             let mut owned_set = std::collections::BTreeSet::new();
             for &n in owned {
-                if !g.base_nodes().contains(&n) {
+                if !g.is_base(n) {
                     return Err(F2dbError::Semantic(format!(
                         "partition owns node {n}, which is not a base series"
                     )));
@@ -498,7 +498,7 @@ impl F2db {
     pub fn partition_key(&self, base: NodeId, key_dims: usize) -> Result<String> {
         let ds = self.dataset.read().unwrap();
         let g = ds.graph();
-        if !g.base_nodes().contains(&base) {
+        if !g.is_base(base) {
             return Err(F2dbError::Semantic(format!(
                 "node {base} is not a base series"
             )));
@@ -1023,7 +1023,7 @@ impl F2db {
         self.check_writable("INSERT")?;
         let target_count = {
             let ds = self.dataset.read().unwrap();
-            if !ds.graph().base_nodes().contains(&base_node) {
+            if !ds.graph().is_base(base_node) {
                 return Err(F2dbError::Semantic(format!(
                     "node {base_node} is not a base series"
                 )));
@@ -1134,7 +1134,7 @@ impl F2db {
         let target_count = {
             let ds = self.dataset.read().unwrap();
             for &(node, _) in rows {
-                if !ds.graph().base_nodes().contains(&node) {
+                if !ds.graph().is_base(node) {
                     return Err(F2dbError::Semantic(format!(
                         "node {node} is not a base series"
                     )));

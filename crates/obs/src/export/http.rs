@@ -14,8 +14,9 @@
 //! ([`crate::export::httpcore`]) — the same module `fdc-serve` builds
 //! its worker-pool server on, so the two network surfaces cannot drift
 //! apart in how they parse a request. Connections are served
-//! sequentially with short read timeouts — this is a scrape endpoint,
-//! not a web server. Shutdown sets a flag and wakes the accept loop by
+//! sequentially, one request each (every response says `Connection:
+//! close`), with short read timeouts — this is a scrape endpoint, not a
+//! web server. Shutdown sets a flag and wakes the accept loop by
 //! connecting to the listener's own port.
 
 use crate::events::{journal, Event};

@@ -1,19 +1,53 @@
-//! The one hand-rolled HTTP/1.1 request reader of the workspace.
+//! The one hand-rolled HTTP/1.1 layer of the workspace.
 //!
-//! Both network surfaces — the observability exporter
-//! ([`super::http::ObsServer`]) and the forecast-serving subsystem
-//! (`fdc-serve`) — speak a deliberately tiny slice of HTTP/1.1: one
-//! request per connection, explicit `Content-Length` bodies, no chunked
-//! transfer encoding, no keep-alive. Sharing the reader here means the
-//! two servers cannot drift apart in how they parse a request line,
-//! fold headers or bound a body.
+//! Every network surface — the observability exporter
+//! ([`super::http::ObsServer`]), the forecast server (`fdc-serve`) and
+//! the routing tier (`fdc-router`) — speaks the same deliberately tiny
+//! slice of HTTP/1.1: explicit `Content-Length` bodies in both
+//! directions, no chunked transfer encoding, and **persistent
+//! connections**. Sharing the layer here means the servers cannot drift
+//! apart in how they parse a request line, fold headers, bound a body
+//! or decide when a connection ends. Three parts:
+//!
+//! * this module — the request reader and response writer;
+//! * [`server`] — the bounded connection queue and worker loop behind
+//!   `fdc-serve` and `fdc-router`;
+//! * [`client`] — the one HTTP client (router → shard hops, the
+//!   follower's `/wal/fetch` loop, tests and load generators).
+//!
+//! ## Persistence rules
+//!
+//! * A request is persistent unless it says `Connection: close` or is
+//!   HTTP/1.0 without `Connection: keep-alive` ([`Request::persistent`]).
+//! * A response carries `Connection: close` **only when the server is
+//!   going to close** after it ([`write_reply`]); without the header the
+//!   connection stays open for the next request.
+//! * A clean EOF before the first byte of a request is
+//!   [`RequestError::Closed`], a read timeout there is
+//!   [`RequestError::Idle`] — the ordinary ends of a kept-alive
+//!   connection, not malformed traffic.
+//! * Bytes read past one request's `Content-Length` belong to the next
+//!   request: a [`RequestReader`] lives as long as its connection and
+//!   keeps them.
+//! * Head and body leave in **one** write on a `TCP_NODELAY` socket.
+//!   Two writes on a kept-open socket meet Nagle's algorithm and the
+//!   peer's delayed ACK — a 40 ms stall per response that closing the
+//!   socket after every response used to hide.
+//!
+//! [`read_request`] and [`write_response`] are the one-request forms:
+//! the first forgets what it read past the request, the second always
+//! announces `Connection: close`. `ObsServer` is built on them and stays
+//! one request per connection, saying so on the wire.
 //!
 //! The surface is small enough that parsing by hand is simpler and
 //! safer than a dependency: read until the blank line, split the
 //! request line, lower-case header names, then read exactly
 //! `Content-Length` more bytes (bounded by the caller's `max_body`).
 
-use std::io::{Read, Write};
+pub mod client;
+pub mod server;
+
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -32,6 +66,10 @@ pub struct Request {
     pub headers: Vec<(String, String)>,
     /// The request body (empty without a `Content-Length`).
     pub body: Vec<u8>,
+    /// Whether the client expects the connection to stay open after the
+    /// response: HTTP/1.1 without `Connection: close`, or HTTP/1.0 with
+    /// `Connection: keep-alive`.
+    pub persistent: bool,
 }
 
 impl Request {
@@ -50,7 +88,7 @@ impl Request {
         split_target(&self.target)
     }
 
-    /// The caller's [`TraceContext`], parsed from the `traceparent`
+    /// The caller's [`TraceContext`](crate::trace::TraceContext), parsed from the `traceparent`
     /// header. `None` when the header is absent *or malformed* — a bad
     /// caller gets a fresh root trace, never an error.
     pub fn trace_context(&self) -> Option<crate::trace::TraceContext> {
@@ -72,7 +110,13 @@ pub fn split_target(target: &str) -> (&str, &str) {
 /// caller so the two servers can answer malformed traffic uniformly.
 #[derive(Debug)]
 pub enum RequestError {
-    /// Socket-level failure (timeout, reset, EOF mid-head).
+    /// The peer closed the connection cleanly before the first byte of
+    /// a request — how a kept-alive connection normally ends.
+    Closed,
+    /// The read timeout passed before the first byte of a request — an
+    /// idle kept-alive connection, reaped silently.
+    Idle,
+    /// Socket-level failure (timeout mid-request, reset).
     Io(std::io::Error),
     /// The request line or headers were not parseable HTTP/1.1.
     Malformed(&'static str),
@@ -83,6 +127,8 @@ pub enum RequestError {
 impl std::fmt::Display for RequestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            RequestError::Closed => write!(f, "connection closed"),
+            RequestError::Idle => write!(f, "connection idle"),
             RequestError::Io(e) => write!(f, "i/o error: {e}"),
             RequestError::Malformed(m) => write!(f, "malformed request: {m}"),
             RequestError::BodyTooLarge(n) => write!(f, "body of {n} bytes exceeds the limit"),
@@ -98,45 +144,127 @@ impl From<std::io::Error> for RequestError {
     }
 }
 
+/// Reads the requests of one connection, one after the other. Bytes
+/// that arrived past the end of a request (a pipelining client, or two
+/// requests in one segment) are kept for the next [`RequestReader::read`].
+#[derive(Debug, Default)]
+pub struct RequestReader {
+    /// Bytes read from the socket and not yet consumed by a request.
+    buf: Vec<u8>,
+}
+
+impl RequestReader {
+    /// A reader with nothing buffered, for a fresh connection.
+    pub fn new() -> Self {
+        RequestReader::default()
+    }
+
+    /// Whether bytes of a following request are already here — the
+    /// connection is not idle, whatever the socket says.
+    pub fn has_buffered(&self) -> bool {
+        !self.buf.is_empty()
+    }
+
+    /// Reads the next request: the head up to the blank line, then
+    /// exactly `Content-Length` body bytes (rejected beyond `max_body`).
+    /// `timeout` bounds every socket read. After an error the
+    /// connection is out of step and must be closed.
+    pub fn read(
+        &mut self,
+        stream: &mut TcpStream,
+        max_body: usize,
+        timeout: Duration,
+    ) -> Result<Request, RequestError> {
+        stream.set_read_timeout(Some(timeout))?;
+        let mut chunk = [0u8; 4096];
+        let head_end = loop {
+            if let Some(pos) = find_head_end(&self.buf) {
+                break pos;
+            }
+            if self.buf.len() > MAX_HEAD_BYTES {
+                return Err(RequestError::Malformed("request head too large"));
+            }
+            let at_boundary = self.buf.is_empty();
+            match stream.read(&mut chunk) {
+                Ok(0) if at_boundary => return Err(RequestError::Closed),
+                Ok(0) => return Err(RequestError::Malformed("connection closed mid-head")),
+                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Err(e)
+                    if at_boundary
+                        && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+                {
+                    return Err(RequestError::Idle)
+                }
+                Err(e) => return Err(RequestError::Io(e)),
+            }
+        };
+        let mut request = parse_head(&self.buf[..head_end])?;
+        let content_length = request
+            .header("content-length")
+            .map(|v| {
+                v.parse::<usize>()
+                    .map_err(|_| RequestError::Malformed("unparseable content-length"))
+            })
+            .transpose()?
+            .unwrap_or(0);
+        if content_length > max_body {
+            return Err(RequestError::BodyTooLarge(content_length));
+        }
+        let body_start = head_end + 4;
+        let buffered = self.buf.len() - body_start;
+        request.body = if buffered >= content_length {
+            let body = self.buf[body_start..body_start + content_length].to_vec();
+            self.buf.drain(..body_start + content_length);
+            body
+        } else {
+            let mut body = Vec::with_capacity(content_length);
+            body.extend_from_slice(&self.buf[body_start..]);
+            self.buf.clear();
+            body.resize(content_length, 0);
+            stream
+                .read_exact(&mut body[buffered..])
+                .map_err(|e| match e.kind() {
+                    ErrorKind::UnexpectedEof => {
+                        RequestError::Malformed("connection closed mid-body")
+                    }
+                    _ => RequestError::Io(e),
+                })?;
+            body
+        };
+        Ok(request)
+    }
+}
+
 /// Reads one HTTP/1.1 request from `stream`: the head up to the blank
 /// line, then exactly `Content-Length` body bytes (rejected beyond
-/// `max_body`). `timeout` bounds every socket read.
+/// `max_body`). `timeout` bounds every socket read. Whatever arrived
+/// past the request is dropped — a connection that serves more than one
+/// request keeps a [`RequestReader`] instead.
 pub fn read_request(
     stream: &mut TcpStream,
     max_body: usize,
     timeout: Duration,
 ) -> Result<Request, RequestError> {
-    stream.set_read_timeout(Some(timeout))?;
-    // Read until the head terminator, keeping any body bytes that
-    // arrived in the same segments.
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 1024];
-    let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
-        }
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(RequestError::Malformed("request head too large"));
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(RequestError::Malformed("connection closed mid-head"));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
+    RequestReader::new().read(stream, max_body, timeout)
+}
+
+/// Parses the request line and headers of a head (terminator
+/// excluded) into a [`Request`] whose body is still to be read.
+fn parse_head(head: &[u8]) -> Result<Request, RequestError> {
+    let head = String::from_utf8_lossy(head);
     let mut lines = head.lines();
-    let request_line = lines.next().unwrap_or("");
-    let mut parts = request_line.split_whitespace();
+    let mut parts = lines.next().unwrap_or("").split_whitespace();
     let method = parts
         .next()
-        .filter(|m| !m.is_empty())
         .ok_or(RequestError::Malformed("empty request line"))?
         .to_ascii_uppercase();
     let target = parts
         .next()
         .ok_or(RequestError::Malformed("request line has no target"))?
         .to_string();
+    let http10 = parts
+        .next()
+        .is_some_and(|v| v.eq_ignore_ascii_case("HTTP/1.0"));
     let mut headers = Vec::new();
     for line in lines {
         if line.is_empty() {
@@ -147,33 +275,24 @@ pub fn read_request(
             .ok_or(RequestError::Malformed("header line without a colon"))?;
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
-
-    let content_length = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .map(|(_, v)| {
-            v.parse::<usize>()
-                .map_err(|_| RequestError::Malformed("unparseable content-length"))
-        })
-        .transpose()?
-        .unwrap_or(0);
-    if content_length > max_body {
-        return Err(RequestError::BodyTooLarge(content_length));
-    }
-    let mut body = buf[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(RequestError::Malformed("connection closed mid-body"));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
+    let connection_says = |token: &str| {
+        headers
+            .iter()
+            .filter(|(n, _)| n == "connection")
+            .flat_map(|(_, v)| v.split(','))
+            .any(|t| t.trim().eq_ignore_ascii_case(token))
+    };
+    let persistent = if http10 {
+        connection_says("keep-alive")
+    } else {
+        !connection_says("close")
+    };
     Ok(Request {
         method,
         target,
         headers,
-        body,
+        body: Vec::new(),
+        persistent,
     })
 }
 
@@ -202,9 +321,10 @@ pub fn status_line(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete HTTP/1.1 response with `Connection: close`,
-/// `Content-Type`/`Content-Length` and any `extra_headers`, then the
-/// body. `status` is the full status line tail, e.g. `"200 OK"`.
+/// Writes a complete HTTP/1.1 response that ends the connection: it
+/// says `Connection: close`, and the caller closes after it.
+/// `Content-Type`/`Content-Length` and any `extra_headers` ride along.
+/// `status` is the full status line tail, e.g. `"200 OK"`.
 pub fn write_response(
     stream: &mut TcpStream,
     status: &str,
@@ -212,12 +332,18 @@ pub fn write_response(
     body: &str,
     extra_headers: &[(&str, &str)],
 ) -> std::io::Result<()> {
-    write_response_bytes(stream, status, content_type, body.as_bytes(), extra_headers)
+    write_reply(
+        stream,
+        status,
+        content_type,
+        body.as_bytes(),
+        extra_headers,
+        true,
+    )
 }
 
-/// [`write_response`] for binary payloads (e.g. WAL ship chunks): the
-/// body goes out verbatim with its exact `Content-Length`, no string
-/// conversion.
+/// [`write_response`] for binary payloads: the body goes out verbatim
+/// with its exact `Content-Length`, no string conversion.
 pub fn write_response_bytes(
     stream: &mut TcpStream,
     status: &str,
@@ -225,20 +351,36 @@ pub fn write_response_bytes(
     body: &[u8],
     extra_headers: &[(&str, &str)],
 ) -> std::io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
+    write_reply(stream, status, content_type, body, extra_headers, true)
+}
+
+/// Writes a complete HTTP/1.1 response, head and body in **one** write
+/// (see the module docs for why). `close` says whether the server closes
+/// the connection after this response; only then does the response carry
+/// `Connection: close`.
+pub fn write_reply(
+    stream: &mut TcpStream,
+    status: &str,
+    content_type: &str,
+    body: &[u8],
+    extra_headers: &[(&str, &str)],
+    close: bool,
+) -> std::io::Result<()> {
+    let mut out = Vec::with_capacity(256 + body.len());
+    write!(
+        out,
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
         body.len()
-    );
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+    )?;
+    if close {
+        out.extend_from_slice(b"Connection: close\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
+    for (name, value) in extra_headers {
+        write!(out, "{name}: {value}\r\n")?;
+    }
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
+    stream.write_all(&out)
 }
 
 /// Closes a connection whose request was *not* fully read, without

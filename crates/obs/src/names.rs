@@ -137,6 +137,15 @@ pub const SERVE_BATCH_FLUSH_ROWS: &str = "serve.batch.flush_rows";
 /// `ServeOptions::slow_threshold`, with `EXPLAIN ANALYZE` / wait
 /// breakdown attached).
 pub const SERVE_SLOW_CAPTURED: &str = "serve.slow.captured";
+/// Histogram: requests served per connection, recorded when the
+/// connection closes — 1 everywhere means no client reuses connections
+/// (or the server is oversubscribed and closes after every response).
+pub const SERVE_CONN_REQUESTS: &str = "serve.conn.requests";
+/// Counter family (label `reason`): connections closed by the forecast
+/// server — `client` (closed or asked for close), `idle` (read timeout
+/// between requests), `backlog` (given up for a queued connection),
+/// `shutdown`, `error` (malformed/oversized/stale request, I/O error).
+pub const SERVE_CONN_CLOSED: &str = "serve.conn.closed";
 
 // ---- Routing tier (`fdc-router`) -------------------------------------
 
@@ -155,6 +164,11 @@ pub const ROUTER_SHARD_ERRORS: &str = "router.shard.errors";
 /// Counter family (label `shard`): read requests served by a shard's
 /// replica because its primary was unreachable.
 pub const ROUTER_REPLICA_READS: &str = "router.replica.reads";
+/// Counter family (label `outcome`): how the router came by the
+/// connection of a shard call — `hit` (idle pooled connection reused),
+/// `miss` (nothing pooled: fresh connect), `stale` (pooled connection
+/// found dead and replaced).
+pub const ROUTER_POOL: &str = "router.pool";
 /// Counter: fleet-wide sketch folds performed by the router (one per
 /// `/stats` or `/metrics` aggregation over shipped codec bytes).
 pub const ROUTER_SKETCH_FOLDS: &str = "router.sketch.folds";
@@ -289,11 +303,14 @@ mod tests {
             SERVE_BATCH_FLUSHES,
             SERVE_BATCH_FLUSH_ROWS,
             SERVE_SLOW_CAPTURED,
+            SERVE_CONN_REQUESTS,
+            SERVE_CONN_CLOSED,
             ROUTER_REQUESTS,
             ROUTER_REQUEST_NS,
             ROUTER_FANOUT_SIZE,
             ROUTER_SHARD_ERRORS,
             ROUTER_REPLICA_READS,
+            ROUTER_POOL,
             ROUTER_SKETCH_FOLDS,
             WAL_APPENDS,
             WAL_APPENDED_BYTES,

@@ -44,11 +44,14 @@
 //! | `GET /healthz` | — | `200` quorum, `503` degraded |
 //! | `GET /topology` | — | `200` the serving topology + live flags |
 //!
-//! The HTTP layer is the same [`fdc_obs::httpcore`] the shards use;
-//! the router adopts `traceparent` at ingress and propagates it on
-//! every shard hop, so one trace spans the whole fan-out.
+//! The HTTP layer is the same [`fdc_obs::httpcore`] the shards use, on
+//! both sides: clients keep their connections to the router
+//! ([`fdc_obs::httpcore::server`]), and the router keeps a small pool of
+//! connections to every shard ([`fdc_obs::httpcore::client`]), so a
+//! routed request pays no connect on either hop. The router adopts
+//! `traceparent` at ingress and the client propagates it on every shard
+//! hop, so one trace spans the whole fan-out.
 
-pub mod client;
 pub mod fold;
 pub mod placement;
 pub mod topology;
@@ -56,15 +59,15 @@ pub mod topology;
 pub use topology::{ShardSpec, Topology};
 
 use fdc_cube::NodeId;
-use fdc_obs::httpcore::{
-    close_unread, read_request, status_line, write_response, Request, RequestError,
-};
+use fdc_obs::httpcore::client::{send_once, Client, Outgoing, Pooled, Response};
+use fdc_obs::httpcore::server::{ConnQueue, Limits, Reject, Responder, Service};
+use fdc_obs::httpcore::{status_line, Request};
 use fdc_obs::{journal, names, trace, Event, SketchBundle, TraceContext};
 use fdc_serve::{json, wire};
-use std::collections::{HashMap, VecDeque};
-use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -75,13 +78,15 @@ pub struct RouterOptions {
     pub workers: usize,
     /// Bound on connections queued for a worker; beyond it `429`.
     pub queue_depth: usize,
-    /// Per-request deadline (queue wait counts against it).
+    /// Per-request deadline (queue wait counts against it, for a
+    /// connection's first request).
     pub deadline: Duration,
     /// Largest accepted request body, in bytes.
     pub max_body: usize,
-    /// Socket read timeout while parsing a request.
+    /// Socket read timeout while parsing a request — and how long an
+    /// idle kept-alive connection is held before it is closed.
     pub read_timeout: Duration,
-    /// Bound on a single router→shard call.
+    /// Bound on a single router→shard call (connect, write, read).
     pub shard_timeout: Duration,
     /// How often the prober re-checks every shard's `/healthz`.
     pub probe_interval: Duration,
@@ -122,17 +127,14 @@ struct PlanSite {
     shard: usize,
 }
 
-struct Conn {
-    stream: TcpStream,
-    enqueued: Instant,
-}
-
 struct Shared {
     topology: Topology,
     shards: Vec<ShardState>,
     opts: RouterOptions,
-    queue: Mutex<VecDeque<Conn>>,
-    queue_cv: Condvar,
+    /// The bounded connection queue and the keep-alive bookkeeping.
+    conns: ConnQueue,
+    /// Kept-alive connections to the shards, bounded by `shard_timeout`.
+    client: Client,
     stopping: AtomicBool,
     plans: Mutex<HashMap<String, Arc<Vec<PlanSite>>>>,
 }
@@ -165,9 +167,9 @@ impl Router {
             .collect();
         let shared = Arc::new(Shared {
             shards,
+            conns: ConnQueue::new(opts.workers.max(1), opts.queue_depth),
+            client: Client::new(opts.shard_timeout),
             opts,
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
             stopping: AtomicBool::new(false),
             plans: Mutex::new(HashMap::new()),
             topology,
@@ -179,12 +181,17 @@ impl Router {
         });
         let accept_handle = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
+            std::thread::spawn(move || shared.conns.accept_loop(&listener, &*shared))
+        };
+        let limits = Limits {
+            max_body: shared.opts.max_body,
+            read_timeout: shared.opts.read_timeout,
+            deadline: shared.opts.deadline,
         };
         let worker_handles = (0..shared.opts.workers.max(1))
-            .map(|_| {
+            .map(|worker| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
+                std::thread::spawn(move || shared.conns.run_worker(worker, &limits, &*shared))
             })
             .collect();
         let prober_handle = {
@@ -213,14 +220,14 @@ impl Router {
         &self.shared.topology
     }
 
-    /// Stops accepting, drains the queue and joins every thread.
+    /// Stops accepting, gives up idle kept-alive connections, answers
+    /// what is queued or in flight and joins every thread.
     pub fn shutdown(mut self) {
         self.shared.stopping.store(true, Ordering::SeqCst);
-        drop(TcpStream::connect(self.addr));
+        self.shared.conns.stop(self.addr);
         if let Some(h) = self.accept_handle.take() {
             h.join().expect("accept thread panicked");
         }
-        self.shared.queue_cv.notify_all();
         for h in self.worker_handles.drain(..) {
             h.join().expect("worker thread panicked");
         }
@@ -237,9 +244,11 @@ impl Router {
 fn probe_loop(shared: &Shared) {
     while !shared.stopping.load(Ordering::SeqCst) {
         for (i, shard) in shared.shards.iter().enumerate() {
-            let alive = client::get(&shard.spec.addr, "/healthz", shared.opts.shard_timeout)
-                .map(|r| r.status < 500)
-                .unwrap_or(false);
+            // One-shot on purpose: a fresh connection per probe also
+            // proves the shard still accepts.
+            let probe = Outgoing::new("GET", "/healthz", b"");
+            let alive = send_once(&shard.spec.addr, &probe, shared.opts.shard_timeout)
+                .is_ok_and(|r| r.status < 500);
             if alive {
                 mark_up(shared, i);
             } else {
@@ -278,135 +287,52 @@ fn mark_up(shared: &Shared, idx: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Accept / worker loops (the serve pattern, without the write batcher)
+// Connections and requests (the serve pattern, without the write batcher)
 // ---------------------------------------------------------------------------
 
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    loop {
-        let (mut stream, _) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) => {
-                if shared.stopping.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
+impl Service for Shared {
+    fn answer(&self, request: &Request, _budget: Duration, out: &mut Responder<'_>) {
+        let started = Instant::now();
+        let ctx = request
+            .trace_context()
+            .unwrap_or_else(|| TraceContext::root(trace::should_sample(self.opts.trace_sample)));
+        let _ctx_guard = trace::activate(ctx);
+        let (route, status, body, extra) = {
+            let _span = fdc_obs::span!("router.request");
+            route_request(self, request)
         };
-        if shared.stopping.load(Ordering::SeqCst) {
-            return;
-        }
-        let mut queue = shared.queue.lock().unwrap();
-        if queue.len() >= shared.opts.queue_depth {
-            drop(queue);
-            fdc_obs::counter_with(
-                names::ROUTER_REQUESTS,
-                &[("route", "admission"), ("status", "429")],
-            )
-            .incr();
-            stream
-                .set_write_timeout(Some(Duration::from_millis(500)))
-                .ok();
-            write_response(
-                &mut stream,
-                "429 Too Many Requests",
-                "application/json",
-                "{\"error\":\"router queue full\"}",
+        let extra_refs: Vec<(&str, &str)> = extra.iter().map(|(n, v)| (*n, v.as_str())).collect();
+        let content_type = if route == "metrics" {
+            "text/plain; version=0.0.4"
+        } else {
+            "application/json"
+        };
+        respond(out, route, status, content_type, &body, &extra_refs);
+        fdc_obs::histogram_with(names::ROUTER_REQUEST_NS, &[("route", route)])
+            .record_duration(started.elapsed());
+    }
+
+    fn reject(&self, why: &Reject, out: &mut Responder<'_>) {
+        let (route, status, error, extra): (_, _, _, &[(&str, &str)]) = match why {
+            Reject::QueueFull => (
+                "admission",
+                429,
+                "router queue full",
                 &[("Retry-After", "1")],
-            )
-            .ok();
-            close_unread(stream, Duration::from_millis(250));
-            continue;
-        }
-        queue.push_back(Conn {
-            stream,
-            enqueued: Instant::now(),
-        });
-        drop(queue);
-        shared.queue_cv.notify_one();
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let conn = {
-            let mut queue = shared.queue.lock().unwrap();
-            loop {
-                if let Some(conn) = queue.pop_front() {
-                    break conn;
-                }
-                if shared.stopping.load(Ordering::SeqCst) {
-                    return;
-                }
-                let (next, _) = shared
-                    .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(50))
-                    .unwrap();
-                queue = next;
-            }
+            ),
+            Reject::QueuedTooLong => ("admission", 503, "deadline exceeded while queued", &[]),
+            Reject::BodyTooLarge => ("malformed", 413, "request body too large", &[]),
+            Reject::Malformed(m) => ("malformed", 400, m.as_str(), &[]),
         };
-        handle_connection(shared, conn);
-    }
-}
-
-fn handle_connection(shared: &Shared, conn: Conn) {
-    let Conn {
-        mut stream,
-        enqueued,
-    } = conn;
-    if enqueued.elapsed() > shared.opts.deadline {
         respond(
-            &mut stream,
-            "admission",
-            503,
-            err_body("deadline exceeded while queued"),
-            &[],
+            out,
+            route,
+            status,
+            "application/json",
+            &err_body(error),
+            extra,
         );
-        close_unread(stream, Duration::from_millis(500));
-        return;
     }
-    let request = match read_request(&mut stream, shared.opts.max_body, shared.opts.read_timeout) {
-        Ok(r) => r,
-        Err(RequestError::BodyTooLarge(_)) => {
-            respond(
-                &mut stream,
-                "malformed",
-                413,
-                err_body("request body too large"),
-                &[],
-            );
-            close_unread(stream, Duration::from_millis(500));
-            return;
-        }
-        Err(e) => {
-            respond(&mut stream, "malformed", 400, err_body(&e.to_string()), &[]);
-            close_unread(stream, Duration::from_millis(500));
-            return;
-        }
-    };
-    let started = Instant::now();
-    let ctx = request
-        .trace_context()
-        .unwrap_or_else(|| TraceContext::root(trace::should_sample(shared.opts.trace_sample)));
-    let _ctx_guard = trace::activate(ctx);
-    let (route, status, body, extra) = {
-        let _span = fdc_obs::span!("router.request");
-        route_request(shared, &request)
-    };
-    let extra_refs: Vec<(&str, &str)> = extra.iter().map(|(n, v)| (*n, v.as_str())).collect();
-    let content_type = if route == "metrics" {
-        "text/plain; version=0.0.4"
-    } else {
-        "application/json"
-    };
-    fdc_obs::counter_with(
-        names::ROUTER_REQUESTS,
-        &[("route", route), ("status", &status.to_string())],
-    )
-    .incr();
-    let status = status_line(status);
-    write_response(&mut stream, status, content_type, &body, &extra_refs).ok();
-    fdc_obs::histogram_with(names::ROUTER_REQUEST_NS, &[("route", route)])
-        .record_duration(started.elapsed());
 }
 
 type Routed = (&'static str, u16, String, Vec<(&'static str, String)>);
@@ -438,11 +364,13 @@ fn route_request(shared: &Shared, request: &Request) -> Routed {
     }
 }
 
+/// Records the route/status counter and writes the response.
 fn respond(
-    stream: &mut TcpStream,
+    out: &mut Responder<'_>,
     route: &'static str,
     status: u16,
-    body: String,
+    content_type: &str,
+    body: &str,
     extra: &[(&str, &str)],
 ) {
     fdc_obs::counter_with(
@@ -450,8 +378,7 @@ fn respond(
         &[("route", route), ("status", &status.to_string())],
     )
     .incr();
-    let status = status_line(status);
-    write_response(stream, status, "application/json", &body, extra).ok();
+    out.send(status_line(status), content_type, body.as_bytes(), extra);
 }
 
 fn err_body(msg: &str) -> String {
@@ -461,6 +388,14 @@ fn err_body(msg: &str) -> String {
 // ---------------------------------------------------------------------------
 // Shard calls
 // ---------------------------------------------------------------------------
+
+/// One call over the pooled connection to `addr`, counted in
+/// `router.pool` by how the connection was come by.
+fn call(shared: &Shared, addr: &str, request: &Outgoing<'_>) -> std::io::Result<Response> {
+    let response = shared.client.send(addr, request)?;
+    fdc_obs::counter_with(names::ROUTER_POOL, &[("outcome", response.pooled.as_str())]).incr();
+    Ok(response)
+}
 
 /// A read against shard `idx`: primary first; on a transport failure
 /// the shard is marked down and the read fails over to the replica
@@ -472,16 +407,11 @@ fn shard_read(
     idx: usize,
     path: &str,
     body: Option<&str>,
-) -> Result<client::ShardResponse, String> {
+) -> Result<Response, String> {
     let shard = &shared.shards[idx];
     let method = if body.is_some() { "POST" } else { "GET" };
-    match client::request(
-        &shard.spec.addr,
-        method,
-        path,
-        body,
-        shared.opts.shard_timeout,
-    ) {
+    let request = Outgoing::new(method, path, body.unwrap_or("").as_bytes());
+    match call(shared, &shard.spec.addr, &request) {
         Ok(resp) => {
             mark_up(shared, idx);
             Ok(resp)
@@ -494,7 +424,7 @@ fn shard_read(
                     shard.spec.id, shard.spec.addr
                 ));
             };
-            match client::request(replica, method, path, body, shared.opts.shard_timeout) {
+            match call(shared, replica, &request) {
                 Ok(resp) => {
                     fdc_obs::counter(names::ROUTER_REPLICA_READS).incr();
                     Ok(resp)
@@ -510,15 +440,17 @@ fn shard_read(
 }
 
 /// A write against shard `idx`: primary only — the replica is
-/// read-only, failing a write over would fork history.
-fn shard_write(
-    shared: &Shared,
-    idx: usize,
-    path: &str,
-    body: &str,
-) -> Result<client::ShardResponse, String> {
+/// read-only, failing a write over would fork history — and sent at
+/// most once: a write that dies on a reused connection may already have
+/// been applied, so it is never replayed (the caller answers the typed
+/// partial-write failure instead).
+fn shard_write(shared: &Shared, idx: usize, path: &str, body: &str) -> Result<Response, String> {
     let shard = &shared.shards[idx];
-    match client::post(&shard.spec.addr, path, body, shared.opts.shard_timeout) {
+    let request = Outgoing {
+        replay: false,
+        ..Outgoing::new("POST", path, body.as_bytes())
+    };
+    match call(shared, &shard.spec.addr, &request) {
         Ok(resp) => {
             mark_up(shared, idx);
             Ok(resp)
@@ -544,7 +476,7 @@ fn shard_error(shared: &Shared, idx: usize, error: &str) {
 
 /// Propagates a shard's backpressure answer (`429`/`503`) with its
 /// `Retry-After`, instead of wrapping it into an opaque 502.
-fn forward_backpressure(route: &'static str, resp: &client::ShardResponse) -> Option<Routed> {
+fn forward_backpressure(route: &'static str, resp: &Response) -> Option<Routed> {
     if resp.status != 429 && resp.status != 503 {
         return None;
     }
@@ -722,29 +654,36 @@ fn handle_forecast(shared: &Shared, path: &str, body: &[u8], route: &'static str
     }
     fdc_obs::histogram(names::ROUTER_FANOUT_SIZE).record(groups.len() as u64);
 
-    // Scatter concurrently; each sub-request carries this request's
-    // trace context so the whole fan-out is one trace.
-    let ctx = trace::current();
+    // The client's request, narrowed to each shard's nodes.
     let shard_path = wire::path(request.mode);
-    let results: Vec<(usize, Result<client::ShardResponse, String>)> =
+    let subs: Vec<(usize, String)> = groups
+        .into_iter()
+        .map(|(shard, nodes)| {
+            request.nodes = Some(nodes);
+            (shard, wire::encode(&request))
+        })
+        .collect();
+    let results: Vec<(usize, Result<Response, String>)> = if let [(shard, body)] = &subs[..] {
+        // One group — every point query: nothing to overlap, so the
+        // call runs on this worker instead of paying for a thread.
+        vec![(*shard, shard_read(shared, *shard, shard_path, Some(body)))]
+    } else {
+        // Scatter concurrently; each sub-request carries this request's
+        // trace context so the whole fan-out is one trace.
+        let ctx = trace::current();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .map(|(shard, nodes)| {
-                    // The client's request, narrowed to this shard's nodes.
-                    request.nodes = Some(nodes);
-                    let sub_body = wire::encode(&request);
+            let handles: Vec<_> = subs
+                .iter()
+                .map(|(shard, body)| {
                     scope.spawn(move || {
                         let _g = ctx.map(trace::activate);
-                        (
-                            shard,
-                            shard_read(shared, shard, shard_path, Some(&sub_body)),
-                        )
+                        (*shard, shard_read(shared, *shard, shard_path, Some(body)))
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+        })
+    };
 
     // Gather: every shard must answer 200; collect its raw row chunks.
     let mut chunks: HashMap<NodeId, String> = HashMap::new();
@@ -1179,11 +1118,22 @@ fn stats_body(shared: &Shared) -> String {
             _ => shard_docs.push(format!("\"{id}\":null")),
         }
     }
+    // How shard calls came by their connection: mostly `hit` when reuse
+    // works, `stale` climbing when shards give idle connections up.
+    let pool: Vec<String> = Pooled::ALL
+        .iter()
+        .map(|outcome| {
+            let label = outcome.as_str();
+            let n = fdc_obs::counter_with(names::ROUTER_POOL, &[("outcome", label)]).get();
+            format!("\"{label}\":{n}")
+        })
+        .collect();
     format!(
-        "{{\"router\":{{\"topology_version\":{},\"shards\":{},\"healthy\":{healthy}}},\
-         \"fleet\":{fleet},\"shards\":{{{}}}}}",
+        "{{\"router\":{{\"topology_version\":{},\"shards\":{},\"healthy\":{healthy},\
+         \"pool\":{{{}}}}},\"fleet\":{fleet},\"shards\":{{{}}}}}",
         shared.topology.version,
         shared.shards.len(),
+        pool.join(","),
         shard_docs.join(",")
     )
 }

@@ -9,6 +9,7 @@ use fdc_cube::{Configuration, ConfiguredModel, CubeSplit, NodeEstimate, Scheme};
 use fdc_datagen::tourism_proxy;
 use fdc_f2db::F2db;
 use fdc_forecast::{FitOptions, ModelSpec};
+use fdc_obs::httpcore::client::{send_once, Outgoing, Response};
 use std::io::BufRead;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -94,26 +95,28 @@ pub fn spawn_child(child_test: &str, envs: &[(&str, String)]) -> (Child, SocketA
     (child, addr)
 }
 
-/// One request over a fresh connection; returns `(status, body)`.
+/// One request over a fresh connection that asks for `Connection:
+/// close`.
+pub fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> Response {
+    let request = Outgoing::new(method, path, body.unwrap_or("").as_bytes());
+    send_once(&addr.to_string(), &request, Duration::from_secs(30))
+        .expect("request against a live server")
+}
+
+/// [`request`], as `(status, body)`.
 pub fn http(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    let resp = fdc_router::client::request(
-        &addr.to_string(),
-        method,
-        path,
-        body,
-        Duration::from_secs(30),
-    )
-    .expect("request against a live server");
+    let resp = request(addr, method, path, body);
     (resp.status, resp.text())
 }
 
 /// Retries `GET path` until `status` (or panics after `tries`).
 pub fn await_status(addr: SocketAddr, path: &str, status: u16, tries: usize) {
     for _ in 0..tries {
-        if let Ok(resp) = fdc_router::client::get(&addr.to_string(), path, Duration::from_secs(2)) {
-            if resp.status == status {
-                return;
-            }
+        let probe = Outgoing::new("GET", path, b"");
+        if send_once(&addr.to_string(), &probe, Duration::from_secs(2))
+            .is_ok_and(|resp| resp.status == status)
+        {
+            return;
         }
         std::thread::sleep(Duration::from_millis(100));
     }

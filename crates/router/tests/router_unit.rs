@@ -1,8 +1,11 @@
 //! Router behavior against scripted fake shards: backpressure
 //! forwarding (`Retry-After` survives the hop instead of collapsing
 //! into an opaque 502), `traceparent` propagation on every shard call,
-//! up-front request validation, complete early-reject responses, and
-//! `/healthz` quorum transitions with their journal events.
+//! up-front request validation, complete early-reject responses,
+//! `/healthz` quorum transitions with their journal events, and — against
+//! a fake shard that keeps connections alive — connection reuse across
+//! `/plan` + `/query`, the transparent replay of a read on a connection
+//! that died, and the rule that an `/insert` is never replayed.
 
 mod common;
 
@@ -148,22 +151,6 @@ fn topology_of(shards: &[(&str, SocketAddr)]) -> Topology {
     }
 }
 
-fn router_http(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> fdc_router::client::ShardResponse {
-    fdc_router::client::request(
-        &addr.to_string(),
-        method,
-        path,
-        body,
-        Duration::from_secs(10),
-    )
-    .expect("router answers")
-}
-
 #[test]
 fn insert_forwards_shard_backpressure_with_retry_after() {
     let shard = FakeShard::start(503, Some("7"));
@@ -177,7 +164,7 @@ fn insert_forwards_shard_backpressure_with_retry_after() {
     )
     .unwrap();
 
-    let resp = router_http(
+    let resp = common::request(
         router.addr(),
         "POST",
         "/insert",
@@ -210,7 +197,7 @@ fn query_forwards_plan_backpressure_and_propagates_traceparent() {
     )
     .unwrap();
 
-    let resp = router_http(
+    let resp = common::request(
         router.addr(),
         "POST",
         "/query",
@@ -265,8 +252,8 @@ fn illegal_requests_get_the_shard_answer_without_reaching_a_shard() {
         ("/query", "\"nodes\":[-1]"),
     ] {
         let body = format!("{{\"sql\":\"{sql}\",{members}}}");
-        let want = router_http(oracle.addr(), "POST", path, Some(&body));
-        let got = router_http(router.addr(), "POST", path, Some(&body));
+        let want = common::request(oracle.addr(), "POST", path, Some(&body));
+        let got = common::request(router.addr(), "POST", path, Some(&body));
         assert_eq!(want.status, 400, "{path} {members}: {}", want.text());
         assert_eq!(got.status, 400, "{path} {members}: {}", got.text());
         assert_eq!(got.text(), want.text(), "{path} {members}");
@@ -302,14 +289,8 @@ fn oversized_body_reads_a_complete_413_not_a_reset() {
     // drain, closing on the unread rest resets the connection and the
     // client loses the response it was about to read.
     let body = format!("{{\"sql\":\"{}\"}}", "x".repeat(1 << 20));
-    let resp = fdc_router::client::request(
-        &router.addr().to_string(),
-        "POST",
-        "/query",
-        Some(&body),
-        Duration::from_secs(10),
-    )
-    .expect("a complete response, not a reset");
+    // `request` panics on a reset: a complete response is the point.
+    let resp = common::request(router.addr(), "POST", "/query", Some(&body));
     assert_eq!(resp.status, 413);
     assert_eq!(resp.text(), "{\"error\":\"request body too large\"}");
     router.shutdown();
@@ -330,7 +311,7 @@ fn healthz_tracks_quorum_transitions() {
     .unwrap();
     let await_health = |status: u16| {
         for _ in 0..100 {
-            if router_http(router.addr(), "GET", "/healthz", None).status == status {
+            if common::request(router.addr(), "GET", "/healthz", None).status == status {
                 return;
             }
             std::thread::sleep(Duration::from_millis(50));
@@ -343,7 +324,7 @@ fn healthz_tracks_quorum_transitions() {
     // One of two shards failing breaks the majority quorum...
     shard_b.status.store(500, Ordering::SeqCst);
     await_health(503);
-    let text = router_http(router.addr(), "GET", "/healthz", None).text();
+    let text = common::request(router.addr(), "GET", "/healthz", None).text();
     assert!(
         text.contains("\"degraded\""),
         "not the degraded body: {text}"
@@ -368,5 +349,203 @@ fn healthz_tracks_quorum_transitions() {
         .count();
     assert!(down >= 1, "no ShardDown event for the failed shard");
     assert!(up >= 1, "no ShardRecovered event after recovery");
+    router.shutdown();
+}
+
+/// A shard that keeps connections alive and answers just enough of the
+/// protocol (`/plan`, `/query`, `/insert`, `/healthz`) for a one-node
+/// cube. It records the requests of every connection, and when
+/// `drop_next` is armed it reads one more routed request and closes the
+/// connection without a byte of response — a shard that gave the idle
+/// connection up just as the router reused it.
+struct KeepAliveShard {
+    addr: SocketAddr,
+    /// `"METHOD /path"` of every request, per accepted connection.
+    conns: Arc<Mutex<Vec<Vec<String>>>>,
+    drop_next: Arc<AtomicBool>,
+    stop: Arc<AtomicBool>,
+    acceptor: Option<std::thread::JoinHandle<()>>,
+}
+
+impl KeepAliveShard {
+    fn start() -> KeepAliveShard {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let conns = Arc::new(Mutex::new(Vec::<Vec<String>>::new()));
+        let drop_next = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
+        let acceptor = {
+            let (conns, drop_next, stop) = (conns.clone(), drop_next.clone(), stop.clone());
+            std::thread::spawn(move || {
+                for stream in listener.incoming() {
+                    if stop.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    let Ok(stream) = stream else { continue };
+                    let (conns, drop_next) = (conns.clone(), drop_next.clone());
+                    // Ends when the router lets go of the connection.
+                    std::thread::spawn(move || Self::serve(stream, &conns, &drop_next));
+                }
+            })
+        };
+        KeepAliveShard {
+            addr,
+            conns,
+            drop_next,
+            stop,
+            acceptor: Some(acceptor),
+        }
+    }
+
+    fn serve(mut stream: TcpStream, conns: &Mutex<Vec<Vec<String>>>, drop_next: &AtomicBool) {
+        use fdc_obs::httpcore::{status_line, write_reply, RequestReader};
+        let id = {
+            let mut conns = conns.lock().unwrap();
+            conns.push(Vec::new());
+            conns.len() - 1
+        };
+        let mut reader = RequestReader::new();
+        while let Ok(request) = reader.read(&mut stream, 1 << 20, Duration::from_secs(10)) {
+            let path = request.path_query().0;
+            conns.lock().unwrap()[id].push(format!("{} {path}", request.method));
+            if path != "/healthz" && drop_next.swap(false, Ordering::SeqCst) {
+                return;
+            }
+            let (status, body) = match path {
+                "/plan" => (
+                    200,
+                    "{\"key_dims\":1,\"sites\":[{\"node\":3,\"label\":\"x\",\"keys\":[\"k\"]}]}",
+                ),
+                "/query" => (
+                    200,
+                    "{\"rows\":[{\"node\":3,\"label\":\"x\",\"values\":[[1,2.5]]}]}",
+                ),
+                "/insert" => (202, "{\"accepted\":1}"),
+                _ => (200, "{\"status\":\"ok\"}"),
+            };
+            let close = !request.persistent;
+            let written = write_reply(
+                &mut stream,
+                status_line(status),
+                "application/json",
+                body.as_bytes(),
+                &[],
+                close,
+            );
+            if close || written.is_err() {
+                return;
+            }
+        }
+    }
+
+    /// The connections that carried routed traffic (not only probes).
+    fn routed_conns(&self) -> Vec<Vec<String>> {
+        self.conns
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|paths| paths.iter().any(|p| p != "GET /healthz"))
+            .cloned()
+            .collect()
+    }
+}
+
+impl Drop for KeepAliveShard {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        drop(TcpStream::connect(self.addr));
+        if let Some(h) = self.acceptor.take() {
+            h.join().ok();
+        }
+    }
+}
+
+const ANY_QUERY: &str = "{\"sql\":\"SELECT time, v FROM facts AS OF now() + '1 quarter'\"}";
+const ANY_ROW: &str = "{\"dims\":[\"k\"],\"value\":1.5}";
+
+fn router_over(shard: &KeepAliveShard, id: &str) -> Router {
+    Router::start(
+        topology_of(&[(id, shard.addr)]),
+        0,
+        RouterOptions {
+            probe_interval: Duration::from_secs(3600),
+            ..RouterOptions::default()
+        },
+    )
+    .unwrap()
+}
+
+#[test]
+fn plan_and_query_share_one_shard_connection() {
+    let shard = KeepAliveShard::start();
+    let router = router_over(&shard, "reuse");
+    let hits_before =
+        fdc_obs::counter_with(fdc_obs::names::ROUTER_POOL, &[("outcome", "hit")]).get();
+    for _ in 0..3 {
+        let resp = common::request(router.addr(), "POST", "/query", Some(ANY_QUERY));
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        assert_eq!(
+            resp.text(),
+            "{\"rows\":[{\"node\":3,\"label\":\"x\",\"values\":[[1,2.5]]}]}"
+        );
+    }
+    // One accept for the plan (first query only) and all three queries.
+    assert_eq!(
+        shard.routed_conns(),
+        [["POST /plan", "POST /query", "POST /query", "POST /query"]]
+    );
+    let stats = common::request(router.addr(), "GET", "/stats", None).text();
+    assert!(stats.contains("\"pool\":{\"hit\":"), "{stats}");
+    let hits = fdc_obs::counter_with(fdc_obs::names::ROUTER_POOL, &[("outcome", "hit")]).get();
+    assert!(hits >= hits_before + 3, "{hits_before} -> {hits}");
+    router.shutdown();
+}
+
+#[test]
+fn a_dead_connection_replays_a_read_but_never_an_insert() {
+    let shard = KeepAliveShard::start();
+    let router = router_over(&shard, "replay");
+    let query = || common::request(router.addr(), "POST", "/query", Some(ANY_QUERY));
+    let insert = || common::request(router.addr(), "POST", "/insert", Some(ANY_ROW));
+    assert_eq!(query().status, 200);
+
+    // The shard swallows the next request and hangs up. For a read the
+    // router tries once more on a fresh connection; the client sees 200.
+    shard.drop_next.store(true, Ordering::SeqCst);
+    let replayed = query();
+    assert_eq!(replayed.status, 200, "{}", replayed.text());
+    assert_eq!(
+        shard.routed_conns(),
+        [
+            vec!["POST /plan", "POST /query", "POST /query"],
+            vec!["POST /query"]
+        ]
+    );
+
+    // For a write the same death is an answer, not a retry: the shard may
+    // have applied the rows, so the router reports the typed partial
+    // failure and the shard has seen the insert exactly once.
+    shard.drop_next.store(true, Ordering::SeqCst);
+    let failed = insert();
+    assert_eq!(failed.status, 503, "{}", failed.text());
+    let text = failed.text();
+    assert!(
+        text.contains("partial write failure") && text.contains("\"failed_shard\":\"replay\""),
+        "{text}"
+    );
+    let inserts = |shard: &KeepAliveShard| {
+        shard
+            .routed_conns()
+            .concat()
+            .iter()
+            .filter(|p| *p == "POST /insert")
+            .count()
+    };
+    assert_eq!(inserts(&shard), 1, "{:?}", shard.routed_conns());
+
+    // The next insert finds the pool empty, connects and commits.
+    let ok = insert();
+    assert_eq!((ok.status, ok.text().as_str()), (202, "{\"accepted\":1}"));
+    assert_eq!(inserts(&shard), 2);
     router.shutdown();
 }

@@ -11,9 +11,13 @@
 //! * a fixed pool of **worker threads** pops connections, enforces the
 //!   per-request deadline (a connection that waited in the queue longer
 //!   than the deadline is answered `503` without doing the work), parses
-//!   the request with the same [`fdc_obs::httpcore`] reader the
+//!   each request with the same [`fdc_obs::httpcore`] reader the
 //!   observability exporter uses, and dispatches on the route table
-//!   below;
+//!   below. Connections are **persistent**: a worker serves its
+//!   connection request after request until the client closes, nothing
+//!   arrives for `read_timeout`, or another connection needs the worker
+//!   ([`fdc_obs::httpcore::server`] has the rules; the accept thread and
+//!   worker loop live there and are shared with `fdc-router`);
 //! * a **flusher thread** micro-batches writes: concurrent `POST
 //!   /insert` requests deposit resolved rows into the [`Batcher`] and
 //!   block; after one coalescing window the flusher commits everything
@@ -66,8 +70,9 @@
 //!
 //! ## Graceful drain
 //!
-//! [`Server::shutdown`] stops accepting, answers everything already
-//! queued, joins the workers, commits any still-buffered insert rows,
+//! [`Server::shutdown`] stops accepting, closes idle connections at
+//! once, answers everything already queued or in flight, joins the
+//! workers, commits any still-buffered insert rows,
 //! runs [`F2db::maintain`], and — when a catalog path is configured —
 //! persists the catalog (crash-safely) plus a *pending sidecar* holding
 //! the rows of the incomplete next time stamp, so **every acknowledged
@@ -103,16 +108,13 @@ use fdc_cube::NodeId;
 use fdc_f2db::{
     ExplainReport, F2db, F2dbError, QueryAnswer, QueryMode, QueryRequest, QueryResult, WalRecord,
 };
-use fdc_obs::httpcore::{
-    close_unread, read_request, status_line, write_response, Request, RequestError,
-};
+use fdc_obs::httpcore::server::{CloseReason, ConnQueue, Limits, Reject, Responder, Service};
+use fdc_obs::httpcore::{status_line, Request};
 use fdc_obs::{journal, names, trace, Event, TraceContext};
-use std::collections::VecDeque;
 use std::io::Read as _;
-use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -127,12 +129,14 @@ pub struct ServeOptions {
     /// How long the flusher lingers after the first deposited row so
     /// concurrent inserts coalesce into one engine commit.
     pub coalesce_window: Duration,
-    /// Per-request deadline: time in the queue counts against it, and an
-    /// insert waits at most this long for its flush.
+    /// Per-request deadline: time in the queue counts against it (for a
+    /// connection's first request), and an insert waits at most this
+    /// long for its flush.
     pub deadline: Duration,
     /// Largest accepted request body, in bytes.
     pub max_body: usize,
-    /// Socket read timeout while parsing a request.
+    /// Socket read timeout while parsing a request — and how long an
+    /// idle kept-alive connection is held before it is closed.
     pub read_timeout: Duration,
     /// When set, [`Server::shutdown`] persists the catalog here and the
     /// pending rows next to it (see [`pending_sidecar_path`]).
@@ -312,20 +316,12 @@ pub fn open_engine(
     ))
 }
 
-/// A connection waiting for a worker.
-struct Conn {
-    stream: TcpStream,
-    enqueued: Instant,
-}
-
 /// State shared by the accept thread, workers and flusher.
 struct Shared {
     db: Arc<F2db>,
     opts: ServeOptions,
-    queue: Mutex<VecDeque<Conn>>,
-    queue_cv: Condvar,
-    stopping: AtomicBool,
-    drained: AtomicU64,
+    /// The bounded connection queue and the keep-alive bookkeeping.
+    conns: ConnQueue,
     batcher: Batcher,
     /// The slow-request ring behind `GET /slow`.
     slow: SlowLog,
@@ -377,11 +373,8 @@ impl Server {
         let slow = SlowLog::new(opts.slow_threshold, opts.slow_log_cap);
         let shared = Arc::new(Shared {
             db,
+            conns: ConnQueue::new(opts.workers.max(1), opts.queue_depth),
             opts,
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            stopping: AtomicBool::new(false),
-            drained: AtomicU64::new(0),
             batcher: Batcher::default(),
             slow,
             replica,
@@ -392,12 +385,17 @@ impl Server {
 
         let accept_handle = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
+            std::thread::spawn(move || shared.conns.accept_loop(&listener, &*shared))
+        };
+        let limits = Limits {
+            max_body: shared.opts.max_body,
+            read_timeout: shared.opts.read_timeout,
+            deadline: shared.opts.deadline,
         };
         let worker_handles = (0..shared.opts.workers.max(1))
-            .map(|_| {
+            .map(|worker| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
+                std::thread::spawn(move || shared.conns.run_worker(worker, &limits, &*shared))
             })
             .collect();
         let flusher_handle = {
@@ -433,19 +431,17 @@ impl Server {
         &self.shared.slow
     }
 
-    /// Gracefully drains and stops the server: stop accepting → answer
-    /// every queued request → join the workers → commit buffered insert
+    /// Gracefully drains and stops the server: stop accepting and give
+    /// up idle kept-alive connections → answer every queued and
+    /// in-flight request → join the workers → commit buffered insert
     /// rows → `maintain` → persist catalog + pending sidecar (when
     /// configured) → publish the `ServeShutdown` journal event.
     pub fn shutdown(mut self) -> Result<ShutdownReport, F2dbError> {
-        self.shared.stopping.store(true, Ordering::SeqCst);
-        // Unblock the accept thread with a no-op connection.
-        drop(TcpStream::connect(self.addr));
+        self.shared.conns.stop(self.addr);
         if let Some(h) = self.accept_handle.take() {
             h.join().expect("accept thread panicked");
         }
-        // Workers drain the queue, then observe `stopping` and exit.
-        self.shared.queue_cv.notify_all();
+        // Workers drain the queue, then exit.
         for h in self.worker_handles.drain(..) {
             h.join().expect("worker thread panicked");
         }
@@ -462,7 +458,7 @@ impl Server {
             replica.seal();
         }
         if self.shared.db.is_read_only() {
-            let drained_requests = self.shared.drained.load(Ordering::SeqCst);
+            let drained_requests = self.shared.conns.drained();
             journal().publish(Event::ServeShutdown {
                 addr: self.addr.to_string(),
                 drained_requests,
@@ -498,7 +494,7 @@ impl Server {
             saved_catalog = true;
         }
         let wal_checkpoint_seq = self.shared.db.wal_stats().map(|s| s.checkpoint_seq);
-        let drained_requests = self.shared.drained.load(Ordering::SeqCst);
+        let drained_requests = self.shared.conns.drained();
         journal().publish(Event::ServeShutdown {
             addr: self.addr.to_string(),
             drained_requests,
@@ -594,163 +590,97 @@ pub fn restore_pending(db: &F2db, catalog_path: &Path) -> Result<usize, F2dbErro
 }
 
 // ---------------------------------------------------------------------------
-// Accept / worker loops
+// Connections and requests
 // ---------------------------------------------------------------------------
 
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    loop {
-        let (mut stream, _) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) => {
-                if shared.stopping.load(Ordering::SeqCst) {
-                    return;
+impl Service for Shared {
+    fn reject(&self, why: &Reject, out: &mut Responder<'_>) {
+        let rejected = |reason| fdc_obs::counter_with(names::SERVE_REJECTED, &[("reason", reason)]);
+        let (route, status, error, extra): (_, _, _, &[(&str, &str)]) = match why {
+            Reject::QueueFull => {
+                rejected("queue_full").incr();
+                (
+                    "admission",
+                    429,
+                    "connection queue full",
+                    &[("Retry-After", "1")],
+                )
+            }
+            Reject::QueuedTooLong => {
+                rejected("deadline").incr();
+                ("admission", 503, "deadline exceeded while queued", &[])
+            }
+            Reject::BodyTooLarge => ("malformed", 413, "request body too large", &[]),
+            Reject::Malformed(m) => ("malformed", 400, m.as_str(), &[]),
+        };
+        let body = Body::Json(err_body(error));
+        respond(out, route, status, &body, extra);
+    }
+
+    fn closed(&self, reason: CloseReason, requests: u64) {
+        fdc_obs::histogram(names::SERVE_CONN_REQUESTS).record(requests);
+        fdc_obs::counter_with(names::SERVE_CONN_CLOSED, &[("reason", reason.as_str())]).incr();
+    }
+
+    fn answer(&self, request: &Request, budget: Duration, out: &mut Responder<'_>) {
+        fdc_obs::gauge(names::SERVE_QUEUE_DEPTH).set(self.conns.len() as i64);
+        let started = Instant::now();
+        // Request ingress is where a trace is born (or adopted): a valid
+        // `traceparent` header continues the caller's trace with the
+        // caller's sampling decision; anything else mints a fresh root,
+        // head-sampled at `ServeOptions::trace_sample`. The guard scopes
+        // the context to this request on this worker thread.
+        let ctx = request
+            .trace_context()
+            .unwrap_or_else(|| TraceContext::root(trace::should_sample(self.opts.trace_sample)));
+        let _ctx_guard = trace::activate(ctx);
+        // The decoded forecast request, kept for the slow log.
+        let mut forecast = None;
+        let (route, status, body, extra) = {
+            let _span = fdc_obs::span!("serve.request");
+            match (request.method.as_str(), request.path_query()) {
+                // The binary routes: ship chunks, and the mergeable-sketch
+                // bundle a router folds into a fleet-wide view.
+                ("GET", ("/wal/fetch", query)) => {
+                    let (status, body) = handle_wal_fetch(self, query);
+                    ("wal_fetch", status, body, Vec::new())
                 }
-                continue;
+                ("GET", ("/sketch", _)) => {
+                    ("sketch", 200, Body::Binary(sketch_bundle(self)), Vec::new())
+                }
+                _ => {
+                    let (route, status, body, extra) =
+                        route_request(self, request, budget, &mut forecast);
+                    (route, status, Body::Json(body), extra)
+                }
             }
         };
-        if shared.stopping.load(Ordering::SeqCst) {
-            // The shutdown wake-up connection (or a late client); the
-            // listener closes when this loop returns.
-            return;
-        }
-        let mut queue = shared.queue.lock().unwrap();
-        if queue.len() >= shared.opts.queue_depth {
-            drop(queue);
-            fdc_obs::counter_with(names::SERVE_REJECTED, &[("reason", "queue_full")]).incr();
-            fdc_obs::counter_with(
-                names::SERVE_REQUESTS,
-                &[("route", "admission"), ("status", "429")],
-            )
-            .incr();
-            stream
-                .set_write_timeout(Some(Duration::from_millis(500)))
-                .ok();
-            write_response(
-                &mut stream,
-                "429 Too Many Requests",
-                "application/json",
-                "{\"error\":\"connection queue full\"}",
-                &[("Retry-After", "1")],
-            )
-            .ok();
-            close_unread(stream, Duration::from_millis(250));
-            continue;
-        }
-        queue.push_back(Conn {
-            stream,
-            enqueued: Instant::now(),
-        });
-        fdc_obs::gauge(names::SERVE_QUEUE_DEPTH).set(queue.len() as i64);
-        drop(queue);
-        shared.queue_cv.notify_one();
+        let extra_refs: Vec<(&str, &str)> = extra.iter().map(|(n, v)| (*n, v.as_str())).collect();
+        respond(out, route, status, &body, &extra_refs);
+        let elapsed = started.elapsed();
+        record_latency(route, elapsed, ctx);
+        maybe_capture_slow(self, forecast, route, status, elapsed, ctx);
     }
 }
 
-fn worker_loop(shared: &Shared) {
-    loop {
-        let conn = {
-            let mut queue = shared.queue.lock().unwrap();
-            loop {
-                if let Some(conn) = queue.pop_front() {
-                    fdc_obs::gauge(names::SERVE_QUEUE_DEPTH).set(queue.len() as i64);
-                    break conn;
-                }
-                if shared.stopping.load(Ordering::SeqCst) {
-                    return;
-                }
-                let (next, _) = shared
-                    .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(50))
-                    .unwrap();
-                queue = next;
-            }
-        };
-        if shared.stopping.load(Ordering::SeqCst) {
-            shared.drained.fetch_add(1, Ordering::SeqCst);
-        }
-        handle_connection(shared, conn);
-    }
-}
-
-fn handle_connection(shared: &Shared, conn: Conn) {
-    let Conn {
-        mut stream,
-        enqueued,
-    } = conn;
-    let queued_for = enqueued.elapsed();
-    if queued_for > shared.opts.deadline {
-        fdc_obs::counter_with(names::SERVE_REJECTED, &[("reason", "deadline")]).incr();
-        respond(
-            &mut stream,
-            "admission",
-            503,
-            err_body("deadline exceeded while queued"),
-            &[],
-        );
-        close_unread(stream, Duration::from_millis(500));
-        return;
-    }
-    let request = match read_request(&mut stream, shared.opts.max_body, shared.opts.read_timeout) {
-        Ok(r) => r,
-        Err(RequestError::BodyTooLarge(_)) => {
-            respond(
-                &mut stream,
-                "malformed",
-                413,
-                err_body("request body too large"),
-                &[],
-            );
-            close_unread(stream, Duration::from_millis(500));
-            return;
-        }
-        Err(e) => {
-            respond(&mut stream, "malformed", 400, err_body(&e.to_string()), &[]);
-            close_unread(stream, Duration::from_millis(500));
-            return;
-        }
+/// Records the route/status counter and writes the response.
+fn respond(
+    out: &mut Responder<'_>,
+    route: &'static str,
+    status: u16,
+    body: &Body,
+    extra: &[(&str, &str)],
+) {
+    fdc_obs::counter_with(
+        names::SERVE_REQUESTS,
+        &[("route", route), ("status", &status.to_string())],
+    )
+    .incr();
+    let (content_type, bytes) = match body {
+        Body::Json(text) => ("application/json", text.as_bytes()),
+        Body::Binary(bytes) => ("application/octet-stream", bytes.as_slice()),
     };
-    let started = Instant::now();
-    // Request ingress is where a trace is born (or adopted): a valid
-    // `traceparent` header continues the caller's trace with the
-    // caller's sampling decision; anything else mints a fresh root,
-    // head-sampled at `ServeOptions::trace_sample`. The guard scopes
-    // the context to this request on this worker thread.
-    let ctx = request
-        .trace_context()
-        .unwrap_or_else(|| TraceContext::root(trace::should_sample(shared.opts.trace_sample)));
-    let _ctx_guard = trace::activate(ctx);
-    // The one binary route: ship chunks go out via
-    // `write_response_bytes`, outside the string-bodied route table.
-    if request.method == "GET" && request.path_query().0 == "/wal/fetch" {
-        {
-            let _span = fdc_obs::span!("serve.request");
-            handle_wal_fetch(shared, &mut stream, request.path_query().1);
-        }
-        record_latency("wal_fetch", started.elapsed(), ctx);
-        return;
-    }
-    // The other binary route: the mergeable-sketch bundle a router
-    // folds into a fleet-wide view.
-    if request.method == "GET" && request.path_query().0 == "/sketch" {
-        {
-            let _span = fdc_obs::span!("serve.request");
-            handle_sketch(shared, &mut stream);
-        }
-        record_latency("sketch", started.elapsed(), ctx);
-        return;
-    }
-    // The decoded forecast request, kept for the slow log.
-    let mut forecast = None;
-    let (route, status, body, extra) = {
-        let _span = fdc_obs::span!("serve.request");
-        let remaining = shared.opts.deadline.saturating_sub(queued_for);
-        route_request(shared, &request, remaining, &mut forecast)
-    };
-    let extra_refs: Vec<(&str, &str)> = extra.iter().map(|(n, v)| (*n, v.as_str())).collect();
-    respond(&mut stream, route, status, body, &extra_refs);
-    let elapsed = started.elapsed();
-    record_latency(route, elapsed, ctx);
-    maybe_capture_slow(shared, forecast, route, status, elapsed, ctx);
+    out.send(status_line(status), content_type, bytes, extra);
 }
 
 /// Records a request's latency into the per-route histogram; sampled
@@ -796,7 +726,7 @@ fn maybe_capture_slow(
         .map(|report| report.to_masked_string());
     let sql = analyze.map(|request| request.sql);
     let wait = (route == "insert").then(|| {
-        let queue_len = shared.queue.lock().unwrap().len();
+        let queue_len = shared.conns.len();
         let wal = match shared.db.wal_stats() {
             Some(w) => format!(
                 "{{\"last_seq\":{},\"durable_seq\":{}}}",
@@ -822,21 +752,11 @@ fn maybe_capture_slow(
     fdc_obs::counter(names::SERVE_SLOW_CAPTURED).incr();
 }
 
-/// Writes the response and records the route/status counter.
-fn respond(
-    stream: &mut TcpStream,
-    route: &'static str,
-    status: u16,
-    body: String,
-    extra: &[(&str, &str)],
-) {
-    fdc_obs::counter_with(
-        names::SERVE_REQUESTS,
-        &[("route", route), ("status", &status.to_string())],
-    )
-    .incr();
-    let status = status_line(status);
-    write_response(stream, status, "application/json", &body, extra).ok();
+/// What a route answers with.
+enum Body {
+    Json(String),
+    /// `application/octet-stream`: ship chunks and sketch bundles.
+    Binary(Vec<u8>),
 }
 
 fn err_body(msg: &str) -> String {
@@ -1211,7 +1131,7 @@ fn handle_plan(shared: &Shared, body: &[u8]) -> (u16, String) {
 /// disjoint union) and the t-digest behind every per-route latency
 /// histogram. The router folds one bundle per shard into `/stats` and
 /// `/metrics` views no single process could compute from quantiles.
-fn handle_sketch(shared: &Shared, stream: &mut TcpStream) {
+fn sketch_bundle(shared: &Shared) -> Vec<u8> {
     let accuracy = match shared.db.drift_monitor() {
         Some(acc) => acc
             .summaries()
@@ -1233,20 +1153,7 @@ fn handle_sketch(shared: &Shared, stream: &mut TcpStream) {
             ));
         }
     }
-    let bundle = fdc_obs::SketchBundle { accuracy, digests };
-    fdc_obs::counter_with(
-        names::SERVE_REQUESTS,
-        &[("route", "sketch"), ("status", "200")],
-    )
-    .incr();
-    fdc_obs::httpcore::write_response_bytes(
-        stream,
-        "200 OK",
-        "application/octet-stream",
-        &bundle.encode(),
-        &[],
-    )
-    .ok();
+    fdc_obs::SketchBundle { accuracy, digests }.encode()
 }
 
 /// `GET /healthz` — degrades to `503` on a follower whose replication
@@ -1281,26 +1188,16 @@ const SHIP_MAX_BYTES_CAP: usize = 4 << 20;
 /// shipping. Answers a binary [`fdc_wal::ShipChunk`] of durable frames
 /// past `after`; a fetch below the checkpoint watermark is `410 Gone`
 /// (the frames were truncated — re-bootstrap the follower).
-fn handle_wal_fetch(shared: &Shared, stream: &mut TcpStream, query: &str) {
+fn handle_wal_fetch(shared: &Shared, query: &str) -> (u16, Body) {
     let Some(wal) = shared.db.wal() else {
-        respond(
-            stream,
-            "wal_fetch",
-            404,
-            err_body("no write-ahead log attached"),
-            &[],
-        );
-        return;
+        return (404, Body::Json(err_body("no write-ahead log attached")));
     };
     let (after, max_bytes) = match (query_u64(query, "after"), query_u64(query, "max_bytes")) {
         (Ok(after), Ok(max)) => (
             after.unwrap_or(0),
             (max.unwrap_or(256 << 10) as usize).clamp(1, SHIP_MAX_BYTES_CAP),
         ),
-        (Err(m), _) | (_, Err(m)) => {
-            respond(stream, "wal_fetch", 400, err_body(&m), &[]);
-            return;
-        }
+        (Err(m), _) | (_, Err(m)) => return (400, Body::Json(err_body(&m))),
     };
     match wal.ship_chunk(after, max_bytes) {
         Ok(chunk) => {
@@ -1321,25 +1218,12 @@ fn handle_wal_fetch(shared: &Shared, stream: &mut TcpStream, query: &str) {
                 });
             let _ship_span = fdc_obs::span!("serve.wal_ship");
             fdc_obs::gauge(names::WAL_DURABLE_SEQ).set(chunk.durable_seq as i64);
-            let body = fdc_wal::encode_chunk(&chunk);
-            fdc_obs::counter_with(
-                names::SERVE_REQUESTS,
-                &[("route", "wal_fetch"), ("status", "200")],
-            )
-            .incr();
-            fdc_obs::httpcore::write_response_bytes(
-                stream,
-                "200 OK",
-                "application/octet-stream",
-                &body,
-                &[],
-            )
-            .ok();
+            (200, Body::Binary(fdc_wal::encode_chunk(&chunk)))
         }
         Err(e @ fdc_wal::ShipError::WatermarkGap { .. }) => {
-            respond(stream, "wal_fetch", 410, err_body(&e.to_string()), &[]);
+            (410, Body::Json(err_body(&e.to_string())))
         }
-        Err(e) => respond(stream, "wal_fetch", 500, err_body(&e.to_string()), &[]),
+        Err(e) => (500, Body::Json(err_body(&e.to_string()))),
     }
 }
 
@@ -1439,9 +1323,34 @@ fn drift_json(shared: &Shared) -> String {
     }
 }
 
+/// How connections are being used: requests served per connection and
+/// why connections closed — the server-side view of client reuse (a
+/// mean of 1 with `backlog` closes rising means more active clients
+/// than workers).
+fn connections_json() -> String {
+    let closed: Vec<String> = CloseReason::ALL
+        .iter()
+        .map(|reason| {
+            let label = reason.as_str();
+            let n = fdc_obs::counter_with(names::SERVE_CONN_CLOSED, &[("reason", label)]).get();
+            format!("\"{label}\":{n}")
+        })
+        .collect();
+    let requests = fdc_obs::histogram(names::SERVE_CONN_REQUESTS).snapshot();
+    format!(
+        "{{\"closed\":{{{}}},\"requests_per_connection\":{{\"count\":{},\"mean\":{},\
+         \"p50\":{},\"max\":{}}}}}",
+        closed.join(","),
+        requests.count,
+        json::num(requests.mean()),
+        requests.p50,
+        requests.max
+    )
+}
+
 fn stats_body(shared: &Shared) -> String {
     let stats = shared.db.stats();
-    let queue_len = shared.queue.lock().unwrap().len();
+    let queue_len = shared.conns.len();
     let wal = match shared.db.wal_stats() {
         Some(w) => format!(
             "{{\"last_seq\":{},\"durable_seq\":{},\"checkpoint_seq\":{},\"segments\":{},\
@@ -1485,7 +1394,7 @@ fn stats_body(shared: &Shared) -> String {
          \"model_updates\":{},\"invalidations\":{},\"reestimations\":{},\
          \"pending_inserts\":{},\"buffered_rows\":{},\"queue_depth\":{},\
          \"series_len\":{},\"models\":{},\"wal\":{},\"replication\":{},\"latency\":{},\
-         \"drift\":{},\"partition\":{partition}}}",
+         \"connections\":{},\"drift\":{},\"partition\":{partition}}}",
         stats.queries,
         stats.inserts,
         stats.insert_batches,
@@ -1501,6 +1410,7 @@ fn stats_body(shared: &Shared) -> String {
         wal,
         replication,
         latency_json(),
+        connections_json(),
         drift_json(shared),
     )
 }

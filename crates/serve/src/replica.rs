@@ -34,10 +34,9 @@
 
 use crate::ServeOptions;
 use fdc_f2db::{F2db, F2dbError, WalRecord};
+use fdc_obs::httpcore::client::{Client, Outgoing};
 use fdc_obs::{journal, names, Event, TraceContext};
 use fdc_wal::{decode_chunk, ShipChunk, Wal, WalOptions};
-use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -90,6 +89,9 @@ pub struct PromotionReport {
 /// report and act on. Created by [`open_follower`].
 pub struct Replica {
     primary: String,
+    /// The fetch loop's connection to the primary, kept between polls;
+    /// an active trace context rides every fetch as `traceparent`.
+    client: Client,
     db: Arc<F2db>,
     /// The local log. `None` after promotion hands it to the engine.
     wal: Mutex<Option<Wal>>,
@@ -239,14 +241,18 @@ impl Replica {
         let _span = traced.then(|| fdc_obs::span!("replica.round"));
         let after = self.applied_seq();
         let path = format!("/wal/fetch?after={after}&max_bytes={FETCH_MAX_BYTES}");
-        let (status, body) = http_fetch(&self.primary, &path).map_err(|e| e.to_string())?;
-        if status != 200 {
+        let response = self
+            .client
+            .send(&self.primary, &Outgoing::new("GET", &path, b""))
+            .map_err(|e| e.to_string())?;
+        if response.status != 200 {
             return Err(format!(
-                "primary answered {status} to /wal/fetch: {}",
-                String::from_utf8_lossy(&body)
+                "primary answered {} to /wal/fetch: {}",
+                response.status,
+                response.text()
             ));
         }
-        let chunk = decode_chunk(&body).map_err(|e| e.to_string())?;
+        let chunk = decode_chunk(&response.body).map_err(|e| e.to_string())?;
         self.primary_durable_seq
             .store(chunk.durable_seq, Ordering::Release);
         let advanced = if chunk.frames.is_empty() {
@@ -355,6 +361,7 @@ pub fn open_follower(
     let applied = recovery.last_seq;
     let replica = Arc::new(Replica {
         primary: primary.clone(),
+        client: Client::new(FETCH_TIMEOUT),
         db: Arc::clone(&db),
         wal: Mutex::new(Some(wal)),
         marker,
@@ -380,42 +387,4 @@ pub fn open_follower(
     };
     *replica.fetcher.lock().unwrap() = Some(fetcher);
     Ok((db, replica))
-}
-
-/// Minimal HTTP/1.1 GET for the fetch loop: one request, `Connection:
-/// close`, read to EOF, split head from the binary body. Returns
-/// `(status, body)`. When a trace context is active on this thread it
-/// rides along as a `traceparent` header, so the primary's request
-/// span joins the follower's trace.
-fn http_fetch(addr: &str, path: &str) -> std::io::Result<(u16, Vec<u8>)> {
-    let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
-    let sock = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| bad("primary address resolves to nothing"))?;
-    let mut stream = TcpStream::connect_timeout(&sock, FETCH_TIMEOUT)?;
-    stream.set_read_timeout(Some(FETCH_TIMEOUT))?;
-    stream.set_write_timeout(Some(FETCH_TIMEOUT))?;
-    let traceparent = match fdc_obs::trace::current() {
-        Some(ctx) => format!("{}: {}\r\n", fdc_obs::TRACEPARENT_HEADER, ctx.traceparent()),
-        None => String::new(),
-    };
-    stream.write_all(
-        format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\n{traceparent}Connection: close\r\n\r\n")
-            .as_bytes(),
-    )?;
-    let mut buf = Vec::new();
-    stream.read_to_end(&mut buf)?;
-    let head_end = buf
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| bad("response has no head terminator"))?;
-    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-    let status = head
-        .lines()
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| bad("response has no parseable status"))?;
-    Ok((status, buf[head_end + 4..].to_vec()))
 }

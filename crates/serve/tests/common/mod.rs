@@ -1,13 +1,13 @@
-//! Shared fixture and a minimal blocking HTTP client for the server
-//! integration tests.
+//! Shared fixture for the server integration tests, and the one-shot
+//! form of the workspace's HTTP client.
 
 #![allow(dead_code)]
 
 use fdc_core::{Advisor, AdvisorOptions};
 use fdc_datagen::tourism_proxy;
 use fdc_f2db::F2db;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use fdc_obs::httpcore::client::{self, send_once, Outgoing};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -81,8 +81,19 @@ impl Response {
     }
 }
 
-/// Performs one request over a fresh connection (the server speaks one
-/// request per connection) and parses the response.
+impl From<client::Response> for Response {
+    fn from(r: client::Response) -> Self {
+        Response {
+            status: r.status,
+            body: r.text(),
+            headers: r.headers,
+        }
+    }
+}
+
+/// Performs one request over a fresh connection that asks for
+/// `Connection: close` — each call also proves the accept path. Tests of
+/// connection reuse hold a [`fdc_obs::httpcore::client::Client`].
 pub fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> std::io::Result<Response> {
     http_with_headers(addr, method, path, body, &[])
 }
@@ -96,35 +107,9 @@ pub fn http_with_headers(
     body: &str,
     extra: &[(&str, &str)],
 ) -> std::io::Result<Response> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let extra_lines: String = extra.iter().map(|(n, v)| format!("{n}: {v}\r\n")).collect();
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: fdc\r\nContent-Type: application/json\r\n{extra_lines}Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes())?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "no response head"))?;
-    let mut lines = head.lines();
-    let status_line = lines.next().unwrap_or("");
-    let status = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))?;
-    let headers = lines
-        .filter_map(|l| {
-            l.split_once(':')
-                .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_string()))
-        })
-        .collect();
-    Ok(Response {
-        status,
-        headers,
-        body: body.to_string(),
-    })
+    let request = Outgoing {
+        headers: extra,
+        ..Outgoing::new(method, path, body.as_bytes())
+    };
+    send_once(&addr.to_string(), &request, Duration::from_secs(30)).map(Response::from)
 }

@@ -1,14 +1,18 @@
 //! Route-level integration tests: every endpoint over a real socket,
-//! plus the two admission-control rejections (`429` queue-full, `503`
-//! deadline) provoked deterministically with artificially slow queries.
+//! the two admission-control rejections (`429` queue-full, `503`
+//! deadline) provoked deterministically with artificially slow queries,
+//! and the life of a kept-alive connection: reuse, idle reap, backlog
+//! and shutdown.
 
 mod common;
 
 use common::{base_dims, full_round_body, http, row_json, small_db, small_db_raw};
 use fdc_forecast::FitOptions;
+use fdc_obs::httpcore::client::{Client, Outgoing, Pooled};
+use fdc_obs::names;
 use fdc_serve::{ServeOptions, Server};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[test]
 fn routes_answer_over_a_real_socket() {
@@ -277,4 +281,200 @@ fn stale_queued_request_answers_503() {
     // The 503 request never reached the query processor.
     assert_eq!(db.stats().queries, queries_before + 1);
     server.shutdown().unwrap();
+}
+
+const POINT_QUERY: &str =
+    r#"{"sql": "SELECT time, SUM(visitors) FROM facts GROUP BY time AS OF now() + '2 quarters'"}"#;
+
+fn closed(reason: &str) -> u64 {
+    fdc_obs::counter_with(names::SERVE_CONN_CLOSED, &[("reason", reason)]).get()
+}
+
+#[test]
+fn one_connection_serves_many_requests_and_large_answers_arrive_whole() {
+    let server = Server::start(small_db(), 0, ServeOptions::default()).unwrap();
+    let addr = server.addr().to_string();
+    let client = Client::new(Duration::from_secs(30));
+    let first = client
+        .send(
+            &addr,
+            &Outgoing::new("POST", "/query", POINT_QUERY.as_bytes()),
+        )
+        .unwrap();
+    assert_eq!(first.pooled, Pooled::Miss);
+    for _ in 0..10 {
+        let r = client
+            .send(
+                &addr,
+                &Outgoing::new("POST", "/query", POINT_QUERY.as_bytes()),
+            )
+            .unwrap();
+        assert_eq!((r.status, r.pooled), (200, Pooled::Hit));
+        assert_eq!(r.body, first.body, "answers on one connection drifted");
+        assert_eq!(r.header("connection"), None, "server announced a close");
+    }
+    // A response far beyond one socket buffer, on the same connection:
+    // every cell of the cube, a long horizon.
+    let big = r#"{"sql": "SELECT time, SUM(visitors) FROM facts GROUP BY time, purpose, state AS OF now() + '400 quarters'"}"#;
+    let r = client
+        .send(&addr, &Outgoing::new("POST", "/query", big.as_bytes()))
+        .unwrap();
+    assert_eq!((r.status, r.pooled), (200, Pooled::Hit));
+    assert!(r.body.len() > 64 * 1024, "only {} bytes", r.body.len());
+    let doc = fdc_serve::json::parse(&r.text()).expect("the large answer is whole JSON");
+    let rows = doc.get("rows").and_then(|v| v.as_array()).unwrap();
+    assert!(rows.len() > 8, "{} rows", rows.len());
+    assert!(rows
+        .iter()
+        .all(|row| row.get("values").and_then(|v| v.as_array()).unwrap().len() == 400));
+    // …and the connection is still in step afterwards.
+    let r = client
+        .send(&addr, &Outgoing::new("GET", "/stats", b""))
+        .unwrap();
+    assert_eq!((r.status, r.pooled), (200, Pooled::Hit));
+    assert!(
+        r.text()
+            .contains("\"connections\":{\"closed\":{\"client\":"),
+        "{}",
+        r.text()
+    );
+    // A request that asks for it still gets the one-shot connection.
+    let r = http(server.addr(), "GET", "/healthz", "").unwrap();
+    assert_eq!(r.header("connection"), Some("close"));
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn idle_connection_is_reaped_silently() {
+    let server = Server::start(
+        small_db(),
+        0,
+        ServeOptions {
+            read_timeout: Duration::from_millis(100),
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr().to_string();
+    let malformed = || {
+        fdc_obs::counter_with(
+            names::SERVE_REQUESTS,
+            &[("route", "malformed"), ("status", "400")],
+        )
+        .get()
+    };
+    let (reaped_before, malformed_before) = (closed("idle"), malformed());
+    let client = Client::new(Duration::from_secs(30));
+    let healthz = Outgoing::new("GET", "/healthz", b"");
+    assert_eq!(client.send(&addr, &healthz).unwrap().status, 200);
+    let waited = Instant::now();
+    while closed("idle") == reaped_before {
+        assert!(waited.elapsed() < Duration::from_secs(10), "never reaped");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(
+        malformed(),
+        malformed_before,
+        "the reap was counted as a 400"
+    );
+    // The client notices the reaped connection before using it.
+    let again = client.send(&addr, &healthz).unwrap();
+    assert_eq!((again.status, again.pooled), (200, Pooled::Stale));
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn more_persistent_clients_than_workers_are_all_served_promptly() {
+    let workers = 2;
+    let server = Server::start(
+        small_db(),
+        0,
+        ServeOptions {
+            workers,
+            read_timeout: Duration::from_secs(5),
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr().to_string();
+    let backlog_before = closed("backlog");
+    let clients: Vec<Client> = (0..workers + 1)
+        .map(|_| Client::new(Duration::from_secs(30)))
+        .collect();
+    let started = Instant::now();
+    for _ in 0..5 {
+        for client in &clients {
+            let r = client
+                .send(
+                    &addr,
+                    &Outgoing::new("POST", "/query", POINT_QUERY.as_bytes()),
+                )
+                .unwrap();
+            assert_eq!(r.status, 200);
+        }
+    }
+    // Fifteen requests; a single wait for the 5 s read timeout of a
+    // connection parked on a worker would show.
+    assert!(
+        started.elapsed() < Duration::from_secs(3),
+        "{:?}",
+        started.elapsed()
+    );
+    assert!(
+        closed("backlog") > backlog_before,
+        "no idle connection was given up"
+    );
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn shutdown_closes_idle_connections_at_once_and_answers_the_insert_in_flight() {
+    let db = small_db();
+    let dims = base_dims(&db);
+    let server = Server::start(
+        Arc::clone(&db),
+        0,
+        ServeOptions {
+            read_timeout: Duration::from_secs(10),
+            // The insert below sits in the coalescing window while the
+            // server shuts down around it.
+            coalesce_window: Duration::from_millis(300),
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr().to_string();
+    let idle = Client::new(Duration::from_secs(30));
+    assert_eq!(
+        idle.send(&addr, &Outgoing::new("GET", "/healthz", b""))
+            .unwrap()
+            .status,
+        200
+    );
+    let writer = Client::new(Duration::from_secs(30));
+    let row = row_json(&dims[0], 7.0);
+    let (acked, elapsed) = std::thread::scope(|scope| {
+        let in_flight = scope.spawn(|| {
+            let insert = Outgoing {
+                replay: false,
+                ..Outgoing::new("POST", "/insert", row.as_bytes())
+            };
+            writer.send(&addr, &insert)
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        let started = Instant::now();
+        server.shutdown().unwrap();
+        (in_flight.join().unwrap(), started.elapsed())
+    });
+    let acked = acked.expect("the in-flight insert is answered");
+    assert_eq!(
+        (acked.status, acked.text().as_str()),
+        (202, "{\"accepted\":1}")
+    );
+    assert_eq!(acked.header("connection"), Some("close"));
+    assert_eq!(db.pending_inserts(), 1);
+    assert!(
+        elapsed < Duration::from_secs(3),
+        "shutdown took {elapsed:?}"
+    );
 }
