@@ -32,8 +32,6 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Upper bound on a response head.
-const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a response body (a ship chunk is at most 4 MB).
 const MAX_BODY_BYTES: usize = 64 << 20;
 /// Idle connections kept per address; one more is closed instead.
@@ -291,7 +289,7 @@ fn exchange(
         if let Some(pos) = super::find_head_end(&buf) {
             break pos;
         }
-        if buf.len() > MAX_HEAD_BYTES {
+        if buf.len() > super::MAX_HEAD_BYTES {
             return Err(invalid("response head too large"));
         }
         let n = stream.read(&mut chunk)?;

@@ -51,7 +51,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// Upper bound on the request head (request line + headers).
+/// Upper bound on a request or response head (first line + headers).
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// A parsed HTTP/1.1 request: the request line, lower-cased header
@@ -146,7 +146,7 @@ impl From<std::io::Error> for RequestError {
 
 /// Reads the requests of one connection, one after the other. Bytes
 /// that arrived past the end of a request (a pipelining client, or two
-/// requests in one segment) are kept for the next [`RequestReader::read`].
+/// requests in one segment) are kept for the next request.
 #[derive(Debug, Default)]
 pub struct RequestReader {
     /// Bytes read from the socket and not yet consumed by a request.
@@ -175,7 +175,37 @@ impl RequestReader {
         max_body: usize,
         timeout: Duration,
     ) -> Result<Request, RequestError> {
+        self.wait(stream, timeout)?;
+        self.finish(stream, max_body)
+    }
+
+    /// Waits until the first byte of the next request is buffered: the
+    /// part of a read during which a kept-alive connection is *idle*.
+    /// Ends with [`RequestError::Closed`] or [`RequestError::Idle`] when
+    /// no request is coming. Sets the read timeout [`Self::finish`] runs
+    /// under.
+    fn wait(&mut self, stream: &mut TcpStream, timeout: Duration) -> Result<(), RequestError> {
         stream.set_read_timeout(Some(timeout))?;
+        if !self.buf.is_empty() {
+            return Ok(());
+        }
+        let mut chunk = [0u8; 4096];
+        match stream.read(&mut chunk) {
+            Ok(0) => Err(RequestError::Closed),
+            Ok(n) => {
+                self.buf.extend_from_slice(&chunk[..n]);
+                Ok(())
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                Err(RequestError::Idle)
+            }
+            Err(e) => Err(RequestError::Io(e)),
+        }
+    }
+
+    /// Reads the rest of a request that [`Self::wait`] saw begin, from
+    /// `source` — the connection itself, or a wrapper around it.
+    fn finish(&mut self, source: &mut impl Read, max_body: usize) -> Result<Request, RequestError> {
         let mut chunk = [0u8; 4096];
         let head_end = loop {
             if let Some(pos) = find_head_end(&self.buf) {
@@ -184,18 +214,9 @@ impl RequestReader {
             if self.buf.len() > MAX_HEAD_BYTES {
                 return Err(RequestError::Malformed("request head too large"));
             }
-            let at_boundary = self.buf.is_empty();
-            match stream.read(&mut chunk) {
-                Ok(0) if at_boundary => return Err(RequestError::Closed),
-                Ok(0) => return Err(RequestError::Malformed("connection closed mid-head")),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if at_boundary
-                        && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
-                {
-                    return Err(RequestError::Idle)
-                }
-                Err(e) => return Err(RequestError::Io(e)),
+            match source.read(&mut chunk)? {
+                0 => return Err(RequestError::Malformed("connection closed mid-head")),
+                n => self.buf.extend_from_slice(&chunk[..n]),
             }
         };
         let mut request = parse_head(&self.buf[..head_end])?;
@@ -221,7 +242,7 @@ impl RequestReader {
             body.extend_from_slice(&self.buf[body_start..]);
             self.buf.clear();
             body.resize(content_length, 0);
-            stream
+            source
                 .read_exact(&mut body[buffered..])
                 .map_err(|e| match e.kind() {
                     ErrorKind::UnexpectedEof => {
@@ -340,18 +361,6 @@ pub fn write_response(
         extra_headers,
         true,
     )
-}
-
-/// [`write_response`] for binary payloads: the body goes out verbatim
-/// with its exact `Content-Length`, no string conversion.
-pub fn write_response_bytes(
-    stream: &mut TcpStream,
-    status: &str,
-    content_type: &str,
-    body: &[u8],
-    extra_headers: &[(&str, &str)],
-) -> std::io::Result<()> {
-    write_reply(stream, status, content_type, body, extra_headers, true)
 }
 
 /// Writes a complete HTTP/1.1 response, head and body in **one** write

@@ -24,13 +24,19 @@
 //!   `Connection: close`; and the moment a connection becomes
 //!   backlogged the accept thread gives up the longest-idle parked
 //!   connection, by shutting down the read half of a handle the
-//!   worker registered — the blocked read returns immediately, with the
-//!   request if one raced in (it is answered, with `Connection: close`),
-//!   with end-of-stream otherwise. With more active clients than workers
-//!   the server thus degrades to one request per connection and no
-//!   further. Only this case closes a connection the client was not told
-//!   about; a client that reuses connections must check them and may
-//!   replay a read ([`super::client`]).
+//!   worker registered — the blocked read returns immediately. A
+//!   connection is *idle* only until the first byte of its next request:
+//!   one whose request is still arriving is never given up. If the
+//!   give-up and the first byte cross, the request is read whole all the
+//!   same (`AfterShutdown`) and answered with `Connection: close`;
+//!   otherwise the read returns end-of-stream and the connection is
+//!   closed. With more active clients than workers the server thus
+//!   degrades to one request per connection and no further. Only this
+//!   case closes a connection the client was not told about, and only a
+//!   request that reaches the socket after that close is lost — the
+//!   keep-alive race of every HTTP/1.1 server; a client that reuses
+//!   connections must check them and may replay a read
+//!   ([`super::client`]).
 //! * Shutdown ([`CloseReason::Shutdown`]): idle connections are given up
 //!   the same way, at once; queued and in-flight requests are answered
 //!   (with `Connection: close`) before the workers exit.
@@ -40,6 +46,7 @@
 
 use super::{close_unread, write_reply, Request, RequestError, RequestReader};
 use std::collections::VecDeque;
+use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -119,6 +126,10 @@ pub trait Service: Sync {
 
     /// A connection ended after `requests` answered requests.
     fn closed(&self, _reason: CloseReason, _requests: u64) {}
+
+    /// The queue now holds `depth` connections: one was admitted or
+    /// popped.
+    fn queued(&self, _depth: usize) {}
 }
 
 /// Where a [`Service`] writes the one response of a request. Whether the
@@ -220,7 +231,8 @@ impl State {
 
 /// What [`ConnQueue::offer`] did with a connection.
 enum Offer {
-    Queued,
+    /// Admitted; the queue now holds this many.
+    Queued(usize),
     Full(TcpStream),
     Stopping,
 }
@@ -307,7 +319,7 @@ impl ConnQueue {
             // still hold a small one back for the peer's delayed ACK.
             stream.set_nodelay(true).ok();
             match self.offer(stream) {
-                Offer::Queued => {}
+                Offer::Queued(depth) => service.queued(depth),
                 // The shutdown wake-up connection (or a late client);
                 // the listener closes when this loop returns.
                 Offer::Stopping => return,
@@ -335,18 +347,21 @@ impl ConnQueue {
         });
         s.reclaim_for_queue();
         self.ready.notify_one();
-        Offer::Queued
+        Offer::Queued(s.queue.len())
     }
 
-    /// Blocks until a connection is queued; `None` once the queue is
-    /// empty and the server is stopping.
-    fn next(&self) -> Option<Queued> {
+    /// Blocks until a connection is queued and pops it; `None` once the
+    /// queue is empty and the server is stopping.
+    fn next(&self, service: &impl Service) -> Option<Queued> {
         let mut s = self.lock();
         loop {
             if let Some(conn) = s.queue.pop_front() {
                 if s.stopping {
                     self.drained.fetch_add(1, Ordering::SeqCst);
                 }
+                let depth = s.queue.len();
+                drop(s);
+                service.queued(depth);
                 return Some(conn);
             }
             if s.stopping {
@@ -439,7 +454,7 @@ impl ConnQueue {
     /// [`ConnQueue::new`]): serves queued connections until the queue is
     /// empty and the server is stopping.
     pub fn run_worker(&self, worker: usize, limits: &Limits, service: &impl Service) {
-        while let Some(conn) = self.next() {
+        while let Some(conn) = self.next(service) {
             let (reason, requests) = self.serve_connection(worker, conn, limits, service);
             self.lock().slots[worker] = None;
             service.closed(reason, requests);
@@ -465,24 +480,37 @@ impl ConnQueue {
         let mut reader = RequestReader::new();
         let mut served = 0u64;
         loop {
-            // From the second request on, the wait for the next one is an
-            // idle park the accept thread may cut short. A park that is
-            // refused is cut short by the worker itself: either way the
-            // read below returns at once, with a request that raced in or
-            // with end-of-stream.
+            // From the second request on, the wait for the first byte of
+            // the next one is an idle park the accept thread may cut
+            // short. A park that is refused is cut short by the worker
+            // itself: either way the wait returns at once, with the
+            // beginning of a request that raced in or with end-of-stream.
             let mut given_up = None;
-            let mut parked = false;
-            if served > 0 && !reader.has_buffered() {
+            let begun = if served > 0 && !reader.has_buffered() {
                 given_up = self.park(worker, &stream);
-                parked = given_up.is_none();
+                let parked = given_up.is_none();
                 if !parked {
                     stream.shutdown(Shutdown::Read).ok();
                 }
-            }
-            let result = reader.read(&mut stream, limits.max_body, limits.read_timeout);
-            if parked {
-                given_up = self.unpark(worker);
-            }
+                let begun = reader.wait(&mut stream, limits.read_timeout);
+                if parked {
+                    given_up = self.unpark(worker);
+                }
+                begun
+            } else {
+                reader.wait(&mut stream, limits.read_timeout)
+            };
+            // A request that has begun is read to its end, given up or not.
+            let result = begun.and_then(|()| match given_up {
+                None => reader.finish(&mut stream, limits.max_body),
+                Some(_) => reader.finish(
+                    &mut AfterShutdown {
+                        stream: &stream,
+                        until: Instant::now() + limits.read_timeout,
+                    },
+                    limits.max_body,
+                ),
+            });
             let request = match result {
                 Ok(request) => request,
                 Err(RequestError::Closed) => {
@@ -520,6 +548,31 @@ impl ConnQueue {
     }
 }
 
+/// Reads on from a connection whose read half was shut down just as a
+/// request began to arrive: the give-up and the first byte crossed. The
+/// request must still be read whole. Linux keeps delivering what arrives
+/// on such a socket but reports end-of-stream instead of blocking while
+/// nothing has; this waits those gaps out, until `until`. (Where the
+/// kernel discards what arrives after the shutdown, the wait runs out and
+/// the request ends as a `400`.)
+struct AfterShutdown<'a> {
+    stream: &'a TcpStream,
+    until: Instant,
+}
+
+impl Read for AfterShutdown<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            match self.stream.read(buf)? {
+                0 if Instant::now() < self.until => {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                n => return Ok(n),
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,6 +587,7 @@ mod tests {
     struct Echo {
         closed: Mutex<Vec<(CloseReason, u64)>>,
         rejected: Mutex<Vec<String>>,
+        depths: Mutex<Vec<usize>>,
     }
 
     impl Service for Echo {
@@ -551,6 +605,10 @@ mod tests {
 
         fn closed(&self, reason: CloseReason, requests: u64) {
             self.closed.lock().unwrap().push((reason, requests));
+        }
+
+        fn queued(&self, depth: usize) {
+            self.depths.lock().unwrap().push(depth);
         }
     }
 
@@ -723,6 +781,75 @@ mod tests {
     }
 
     #[test]
+    fn a_request_still_arriving_is_not_idle_and_is_never_cut() {
+        let server = start(1, LONG);
+        let addr = server.addr.to_string();
+        let mut a = TcpStream::connect(server.addr).unwrap();
+        a.write_all(b"GET /first HTTP/1.1\r\n\r\n").unwrap();
+        read_response(&mut a);
+        // The only worker is now parked on A. A's next request arrives in
+        // two pieces; between them B queues up. A is mid-request, not
+        // idle: B waits for it instead of having it given up.
+        let body = vec![b'x'; 100_000];
+        write!(
+            a,
+            "POST /big HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .unwrap();
+        a.write_all(&body[..50_000]).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        let b = std::thread::spawn(move || {
+            send_once(&addr, &Outgoing::new("GET", "/b", b""), LONG).unwrap()
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        a.write_all(&body[50_000..]).unwrap();
+        let answer = read_response(&mut a);
+        assert!(
+            answer.starts_with("HTTP/1.1 200") && answer.ends_with("/big"),
+            "{answer}"
+        );
+        assert!(
+            answer.contains("Connection: close"),
+            "B is waiting: {answer}"
+        );
+        assert_eq!(b.join().unwrap().text(), "/b");
+        assert!(server.echo.rejected.lock().unwrap().is_empty());
+        let closed = server.stop();
+        assert!(closed.contains(&(CloseReason::Backlog, 2)), "{closed:?}");
+    }
+
+    #[test]
+    fn a_request_that_crossed_the_give_up_is_still_read_whole() {
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut stream, _) = listener.accept().unwrap();
+        // The first half is on its way when the read half is shut down;
+        // the second half arrives well after.
+        client
+            .write_all(b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\n01234")
+            .unwrap();
+        stream.shutdown(Shutdown::Read).unwrap();
+        let mut reader = RequestReader::new();
+        reader.wait(&mut stream, LONG).unwrap();
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            client.write_all(b"56789").unwrap();
+            client
+        });
+        let mut source = AfterShutdown {
+            stream: &stream,
+            until: Instant::now() + LONG,
+        };
+        let request = reader.finish(&mut source, 1 << 20).unwrap();
+        assert_eq!(request.body, b"0123456789");
+        // A peer that really is gone ends the wait at `until`.
+        drop(late.join().unwrap());
+        source.until = Instant::now() + Duration::from_millis(20);
+        assert_eq!(source.read(&mut [0u8; 8]).unwrap(), 0);
+    }
+
+    #[test]
     fn a_queued_connection_makes_the_running_response_say_close() {
         let server = start(1, LONG);
         let addr = server.addr.to_string();
@@ -740,6 +867,9 @@ mod tests {
             slow.join().unwrap()
         });
         assert_eq!(slow.header("connection"), Some("close"));
+        // The service heard the queue fill while its worker was busy, and
+        // empty again: admitted, popped, admitted, popped.
+        assert_eq!(*server.echo.depths.lock().unwrap(), [1, 0, 1, 0]);
         let closed = server.stop();
         assert!(closed.contains(&(CloseReason::Backlog, 1)), "{closed:?}");
     }

@@ -622,8 +622,11 @@ impl Service for Shared {
         fdc_obs::counter_with(names::SERVE_CONN_CLOSED, &[("reason", reason.as_str())]).incr();
     }
 
+    fn queued(&self, depth: usize) {
+        fdc_obs::gauge(names::SERVE_QUEUE_DEPTH).set(depth as i64);
+    }
+
     fn answer(&self, request: &Request, budget: Duration, out: &mut Responder<'_>) {
-        fdc_obs::gauge(names::SERVE_QUEUE_DEPTH).set(self.conns.len() as i64);
         let started = Instant::now();
         // Request ingress is where a trace is born (or adopted): a valid
         // `traceparent` header continues the caller's trace with the

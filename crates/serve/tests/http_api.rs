@@ -181,6 +181,18 @@ fn slow_log_keeps_its_plan_on_a_partitioned_shard() {
     let r = http(server.addr(), "POST", "/query", &body).unwrap();
     assert_eq!(r.status, 200, "{}", r.body);
 
+    // The capture runs after the response is on the wire, and a
+    // length-framed client has its answer before the worker is done.
+    let waited = Instant::now();
+    while !server
+        .slow_log()
+        .entries()
+        .iter()
+        .any(|e| e.route == "query")
+    {
+        assert!(waited.elapsed() < Duration::from_secs(10), "never captured");
+        std::thread::sleep(Duration::from_millis(5));
+    }
     // The capture re-ran the *same* request as EXPLAIN ANALYZE: exactly
     // the filtered rows, not a WrongShard on the unfiltered fan-out.
     let r = http(server.addr(), "GET", "/slow", "").unwrap();
