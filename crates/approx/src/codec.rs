@@ -2,9 +2,9 @@
 //!
 //! The plane lives in a sidecar file next to the F²DB catalog (the
 //! catalog bytes themselves never change when approximation is enabled
-//! — exact results stay byte-identical). Same hand-rolled little-endian
-//! style as the catalog codec: no serialization crates, explicit
-//! layout, versioned magic header.
+//! — exact results stay byte-identical). Written and read with the
+//! workspace's byte-codec kit (`fdc-codec`); specs and model states use
+//! the one encoding `fdc-forecast` defines for them.
 //!
 //! Layout (v1):
 //!
@@ -26,10 +26,17 @@
 use crate::plane::{ApproxOptions, ApproxPlane};
 use crate::sampler::{NodeSample, ScaleStrata, StratumReservoir};
 use crate::{ApproxError, Result};
+use fdc_codec::{DecodeError, Reader, Writer};
 use fdc_cube::NodeId;
 use fdc_forecast::model::restore_model;
-use fdc_forecast::{ForecastModel, ModelSpec, ModelState, SeasonalKind};
+use fdc_forecast::{ForecastModel, ModelSpec, ModelState};
 use std::collections::HashMap;
+
+impl From<DecodeError> for ApproxError {
+    fn from(e: DecodeError) -> Self {
+        ApproxError::Codec(e.to_string())
+    }
+}
 
 /// Magic bytes identifying a plane file.
 pub const MAGIC: &[u8; 4] = b"FDCA";
@@ -39,108 +46,104 @@ pub const VERSION: u16 = 1;
 /// Serializes a plane.
 pub fn encode_plane(plane: &ApproxPlane) -> Vec<u8> {
     let (options, spec, strata, nodes, models) = plane.parts();
-    let mut buf = Vec::with_capacity(4096);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
+    let mut w = Writer::with_capacity(4096);
+    w.header(MAGIC, VERSION);
 
-    put_u64(&mut buf, options.strata as u64);
-    put_u64(&mut buf, options.samples_per_stratum as u64);
-    put_u64(&mut buf, options.seed);
-    put_u64(&mut buf, options.min_population as u64);
-    put_u64(&mut buf, options.max_nodes as u64);
-    put_f64(&mut buf, options.confidence);
+    w.len(options.strata);
+    w.len(options.samples_per_stratum);
+    w.u64(options.seed);
+    w.len(options.min_population);
+    w.len(options.max_nodes);
+    w.f64(options.confidence);
 
-    put_spec(&mut buf, spec);
-    put_f64_slice(&mut buf, strata.bounds());
+    spec.encode_into(&mut w);
+    w.f64s(strata.bounds());
 
     // Deterministic node order so equal planes encode to equal bytes.
     let mut node_ids: Vec<NodeId> = nodes.keys().copied().collect();
     node_ids.sort_unstable();
-    put_u64(&mut buf, node_ids.len() as u64);
+    w.len(node_ids.len());
     for id in node_ids {
         let ns = &nodes[&id];
-        put_u64(&mut buf, id as u64);
-        put_u64(&mut buf, ns.strata().len() as u64);
+        w.u64(id as u64);
+        w.len(ns.strata().len());
         for s in ns.strata() {
-            put_u64(&mut buf, s.cap() as u64);
-            put_u64(&mut buf, s.population());
-            put_u64(&mut buf, s.members().len() as u64);
+            w.len(s.cap());
+            w.u64(s.population());
+            w.len(s.members().len());
             for &(priority, cell) in s.members() {
-                put_u64(&mut buf, priority);
-                put_u64(&mut buf, cell as u64);
+                w.u64(priority);
+                w.u64(cell as u64);
             }
         }
     }
 
     let mut cells: Vec<NodeId> = models.keys().copied().collect();
     cells.sort_unstable();
-    put_u64(&mut buf, cells.len() as u64);
+    w.len(cells.len());
     for cell in cells {
-        put_u64(&mut buf, cell as u64);
-        put_model_state(&mut buf, &models[&cell].state());
+        w.u64(cell as u64);
+        models[&cell].state().encode_into(&mut w);
     }
-    buf
+    w.finish()
 }
 
 /// Restores a plane. The caller supplies the fit options the restored
 /// plane should use for future refits (not persisted — see module docs).
 pub fn decode_plane(bytes: &[u8], fit: fdc_forecast::FitOptions) -> Result<ApproxPlane> {
-    let mut d = Cursor { buf: bytes };
-    let magic = d.take(4)?;
-    if magic != MAGIC {
-        return Err(ApproxError::Codec("bad plane magic".into()));
-    }
-    let version = u16::from_le_bytes(d.take(2)?.try_into().unwrap());
-    if version != VERSION {
-        return Err(ApproxError::Codec(format!(
-            "unsupported plane version {version} (this build reads {VERSION})"
-        )));
-    }
+    let mut r = Reader::new(bytes);
+    r.header(MAGIC, VERSION..=VERSION)?;
 
-    let strata_opt = d.get_u64()? as usize;
-    let samples_per_stratum = d.get_u64()? as usize;
-    let seed = d.get_u64()?;
-    let min_population = d.get_u64()? as usize;
-    let max_nodes = d.get_u64()? as usize;
-    let confidence = d.get_f64()?;
+    let strata_opt = r.u64()? as usize;
+    let samples_per_stratum = r.u64()? as usize;
+    let seed = r.u64()?;
+    let min_population = r.u64()? as usize;
+    let max_nodes = r.u64()? as usize;
+    let confidence = r.f64()?;
 
-    let spec = get_spec(&mut d)?;
-    let bounds = d.get_f64_vec()?;
-    let strata = ScaleStrata::from_bounds(bounds);
+    let spec = ModelSpec::decode(&mut r)?;
+    let strata = ScaleStrata::from_bounds(r.f64s()?);
 
-    let node_count = d.get_len()?;
+    // Smallest encodings: a node is its id and an empty strata list, a
+    // stratum its cap, population and an empty member list, a member
+    // its priority and cell.
+    let node_count = r.count(8 + 8)?;
     let mut nodes = HashMap::with_capacity(node_count);
     for _ in 0..node_count {
-        let id = d.get_u64()? as NodeId;
-        let stratum_count = d.get_len()?;
+        let id = r.u64()? as NodeId;
+        let stratum_count = r.count(8 + 8 + 8)?;
         let mut reservoirs = Vec::with_capacity(stratum_count);
         for _ in 0..stratum_count {
-            let cap = d.get_u64()? as usize;
-            let population = d.get_u64()?;
-            let member_count = d.get_len()?;
+            let cap = r.u64()? as usize;
+            let population = r.u64()?;
+            let member_count = r.count(8 + 8)?;
             let mut members = Vec::with_capacity(member_count);
             for _ in 0..member_count {
-                let priority = d.get_u64()?;
-                let cell = d.get_u64()? as NodeId;
-                members.push((priority, cell));
+                members.push((r.u64()?, r.u64()? as NodeId));
             }
             if !members.windows(2).all(|w| w[0] <= w[1]) {
                 return Err(ApproxError::Codec("reservoir members out of order".into()));
             }
             reservoirs.push(StratumReservoir::from_parts(cap, population, members));
         }
+        // A node's population is the sum of its strata's.
+        reservoirs
+            .iter()
+            .try_fold(0u64, |sum, s| sum.checked_add(s.population()))
+            .ok_or_else(|| ApproxError::Codec("stratum populations overflow".into()))?;
         nodes.insert(id, NodeSample::from_strata(reservoirs));
     }
 
-    let model_count = d.get_len()?;
+    let model_count = r.count(8 + ModelState::MIN_ENCODED_BYTES)?;
     let mut models: HashMap<NodeId, Box<dyn ForecastModel>> = HashMap::with_capacity(model_count);
     for _ in 0..model_count {
-        let cell = d.get_u64()? as NodeId;
-        let state = get_model_state(&mut d)?;
+        let cell = r.u64()? as NodeId;
+        let state = ModelState::decode(&mut r)?;
         let model =
             restore_model(&state).map_err(|e| ApproxError::Codec(format!("cell {cell}: {e}")))?;
         models.insert(cell, model);
     }
+    r.finish()?;
 
     let options = ApproxOptions {
         strata: strata_opt,
@@ -155,155 +158,6 @@ pub fn decode_plane(bytes: &[u8], fit: fdc_forecast::FitOptions) -> Result<Appro
     Ok(ApproxPlane::from_parts(
         options, spec, strata, nodes, models,
     ))
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64_slice(buf: &mut Vec<u8>, vs: &[f64]) {
-    put_u64(buf, vs.len() as u64);
-    for &v in vs {
-        put_f64(buf, v);
-    }
-}
-
-fn put_spec(buf: &mut Vec<u8>, spec: &ModelSpec) {
-    match spec {
-        ModelSpec::Ses => buf.push(0),
-        ModelSpec::Holt => buf.push(1),
-        ModelSpec::HoltWinters { period, seasonal } => {
-            buf.push(2);
-            put_u64(buf, *period as u64);
-            buf.push(match seasonal {
-                SeasonalKind::Additive => 0,
-                SeasonalKind::Multiplicative => 1,
-            });
-        }
-        ModelSpec::Arima { p, d, q } => {
-            buf.push(3);
-            put_u64(buf, *p as u64);
-            put_u64(buf, *d as u64);
-            put_u64(buf, *q as u64);
-        }
-        ModelSpec::Sarima {
-            order,
-            seasonal,
-            period,
-        } => {
-            buf.push(4);
-            put_u64(buf, order.0 as u64);
-            put_u64(buf, order.1 as u64);
-            put_u64(buf, order.2 as u64);
-            put_u64(buf, seasonal.0 as u64);
-            put_u64(buf, seasonal.1 as u64);
-            put_u64(buf, seasonal.2 as u64);
-            put_u64(buf, *period as u64);
-        }
-        ModelSpec::HoltDamped => buf.push(5),
-    }
-}
-
-fn put_model_state(buf: &mut Vec<u8>, state: &ModelState) {
-    put_spec(buf, &state.spec);
-    put_f64_slice(buf, &state.params);
-    put_f64_slice(buf, &state.state);
-    put_u64(buf, state.observations as u64);
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.buf.len() < n {
-            return Err(ApproxError::Codec("truncated plane file".into()));
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
-    }
-
-    fn get_u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn get_f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn get_len(&mut self) -> Result<usize> {
-        let v = self.get_u64()?;
-        if v > (1 << 40) {
-            return Err(ApproxError::Codec(
-                "implausible length in plane file".into(),
-            ));
-        }
-        Ok(v as usize)
-    }
-
-    fn get_f64_vec(&mut self) -> Result<Vec<f64>> {
-        let n = self.get_len()?;
-        if self.buf.len() < n * 8 {
-            return Err(ApproxError::Codec("truncated f64 vector".into()));
-        }
-        (0..n).map(|_| self.get_f64()).collect()
-    }
-}
-
-fn get_spec(d: &mut Cursor<'_>) -> Result<ModelSpec> {
-    let tag = d.take(1)?[0];
-    Ok(match tag {
-        0 => ModelSpec::Ses,
-        1 => ModelSpec::Holt,
-        5 => ModelSpec::HoltDamped,
-        2 => {
-            let period = d.get_u64()? as usize;
-            let seasonal = match d.take(1)?[0] {
-                0 => SeasonalKind::Additive,
-                1 => SeasonalKind::Multiplicative,
-                k => return Err(ApproxError::Codec(format!("bad seasonal kind {k}"))),
-            };
-            ModelSpec::HoltWinters { period, seasonal }
-        }
-        3 => ModelSpec::Arima {
-            p: d.get_u64()? as usize,
-            d: d.get_u64()? as usize,
-            q: d.get_u64()? as usize,
-        },
-        4 => ModelSpec::Sarima {
-            order: (
-                d.get_u64()? as usize,
-                d.get_u64()? as usize,
-                d.get_u64()? as usize,
-            ),
-            seasonal: (
-                d.get_u64()? as usize,
-                d.get_u64()? as usize,
-                d.get_u64()? as usize,
-            ),
-            period: d.get_u64()? as usize,
-        },
-        t => return Err(ApproxError::Codec(format!("bad model spec tag {t}"))),
-    })
-}
-
-fn get_model_state(d: &mut Cursor<'_>) -> Result<ModelState> {
-    let spec = get_spec(d)?;
-    let params = d.get_f64_vec()?;
-    let state = d.get_f64_vec()?;
-    let observations = d.get_u64()? as usize;
-    Ok(ModelState {
-        spec,
-        params,
-        state,
-        observations,
-    })
 }
 
 #[cfg(test)]

@@ -13,9 +13,11 @@
 //!
 //! `--restart` exercises the graceful-drain contract mid-run: the server
 //! shuts down under full load (drain queue, flush the coalescing buffer,
-//! maintain, persist catalog + pending sidecar), the engine is reopened
-//! with `open_catalog` + `restore_pending`, and a fresh server takes
-//! over while the clients retry through the gap. The run then proves
+//! maintain, persist the `F2CK` checkpoint container), the engine is
+//! reopened with `open_catalog` from the container and the *original*
+//! data set — the container carries the grown base series and the
+//! pending rows — and a fresh server takes over while the clients retry
+//! through the gap. The run then proves
 //! the headline acceptance number: zero dropped acknowledged writes —
 //! every `202` full round is a committed time stamp on one engine or
 //! the other.
@@ -50,7 +52,7 @@ use fdc_f2db::F2db;
 use fdc_obs::httpcore::client::{Client, Outgoing};
 use fdc_obs::names;
 use fdc_rng::Rng;
-use fdc_serve::{restore_pending, ServeOptions, Server};
+use fdc_serve::{ServeOptions, Server};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -312,7 +314,7 @@ fn main() {
     let outcome = Advisor::new(&cube.dataset, AdvisorOptions::default())
         .expect("advisor construction")
         .run();
-    let db = Arc::new(F2db::load(cube.dataset, &outcome.configuration).expect("load"));
+    let db = Arc::new(F2db::load(cube.dataset.clone(), &outcome.configuration).expect("load"));
     let dims = base_dims(&db);
     let graph = db.dataset().graph().clone();
     let initial_len = db.dataset().series_len();
@@ -388,14 +390,19 @@ fn main() {
                 let report = server.shutdown().expect("graceful shutdown");
                 flushed_rows += report.flushed_rows;
                 committed += (db.dataset().series_len() - initial_len) as u64;
-                // "Restart": reopen the persisted catalog against the
-                // drained data set, re-apply the pending sidecar, serve
-                // again on a fresh port.
+                // "Restart": a new process has only the original data
+                // set; the container brings back the series the first
+                // life grew and its pending rows. Serve again on a
+                // fresh port.
                 let db2 = Arc::new(
-                    F2db::open_catalog(db.dataset().clone(), &catalog_path).expect("open_catalog"),
+                    F2db::open_catalog(cube.dataset.clone(), &catalog_path).expect("open_catalog"),
                 );
-                restore_pending(&db2, &catalog_path).expect("restore pending");
                 let len2 = db2.dataset().series_len();
+                assert_eq!(
+                    (len2, db2.pending_inserts()),
+                    (db.dataset().series_len(), db.pending_inserts()),
+                    "the container lost committed rounds or pending rows"
+                );
                 let server2 = Server::start(Arc::clone(&db2), 0, serve_options(&catalog_path))
                     .expect("server restart");
                 *addr.lock().unwrap() = server2.addr();

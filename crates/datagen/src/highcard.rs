@@ -19,6 +19,7 @@
 //! around 1.1–1.5 gives the heavy tail where a 0.1 % cell minority
 //! carries a double-digit share of the total.
 
+use fdc_codec::hash::{fnv1a, FNV_OFFSET};
 use fdc_cube::{Coord, Dataset, Dimension, FunctionalDependency, Schema};
 use fdc_forecast::{Granularity, TimeSeries};
 use fdc_rng::Rng;
@@ -139,15 +140,8 @@ pub fn generate_highcard(spec: &HighCardSpec) -> GeneratedCube {
 /// FNV-1a fingerprint over every base series' exact bit patterns —
 /// byte-identity of two generated cubes without holding both in memory.
 pub fn cube_fingerprint(cube: &GeneratedCube) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = FNV_OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
+    let mut eat = |bytes: &[u8]| h = fnv1a(h, bytes);
     let ds = &cube.dataset;
     let g = ds.graph();
     eat(&(g.base_nodes().len() as u64).to_le_bytes());

@@ -6,7 +6,7 @@
 //! weights), and the second table stores the forecast models itself
 //! including state and parameter values." Here the first table is the
 //! per-node [`CatalogEntry`] map, the second the [`StoredModel`] map;
-//! both serialize through the binary [`crate::codec`].
+//! both serialize into one `F2DB` file (see [`Catalog::encode`]).
 //!
 //! ## Concurrency
 //!
@@ -36,16 +36,23 @@
 //! advance pass detects this (via the model's observation count) and
 //! skips its incremental update, so no observation is ever applied twice.
 
-use crate::codec::{Decoder, Encoder};
 use crate::maintenance::MaintenancePolicy;
 use crate::{F2dbError, Result};
+use fdc_codec::{Reader, Writer};
 use fdc_cube::{derive_forecast, Configuration, Dataset, NodeId};
 use fdc_forecast::model::restore_model;
-use fdc_forecast::{FitOptions, ForecastModel};
+use fdc_forecast::{FitOptions, ForecastModel, ModelState};
 use fdc_obs::{journal, names, Event, RollingAccuracy};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// Magic bytes identifying a catalog file.
+pub const MAGIC: &[u8; 4] = b"F2DB";
+/// On-disk format version, the only one this build reads or writes.
+/// (Version 2 added the per-model invalidation epoch; no build since
+/// has written version 1.)
+pub const VERSION: u16 = 2;
 
 /// Default number of catalog shards. A modest power of two: enough that 8
 /// reader threads rarely collide, small enough that whole-catalog
@@ -458,7 +465,9 @@ impl Catalog {
         policy: &MaintenancePolicy,
         accuracy: Option<&RollingAccuracy>,
     ) -> AdvanceOutcome {
-        let advances = self.advances.fetch_add(1, Ordering::SeqCst) + 1;
+        // Wrapping, as `fetch_add` itself is: a decoded counter may sit
+        // at the top of its range.
+        let advances = self.advances.fetch_add(1, Ordering::SeqCst).wrapping_add(1);
         let time_due = match policy {
             MaintenancePolicy::TimeBased { every } => {
                 *every > 0 && advances.is_multiple_of(*every as u64)
@@ -678,29 +687,33 @@ impl Catalog {
         let entry_of = |v: NodeId| guards[self.shard_of(v)].entries.get(&v);
         let model_of = |v: NodeId| guards[self.shard_of(v)].models.get(&v);
 
-        let mut e = Encoder::with_header();
-        e.put_len(self.node_count);
+        let mut w = Writer::with_capacity(1024);
+        w.header(MAGIC, VERSION);
+        w.len(self.node_count);
         for v in 0..self.node_count {
             match entry_of(v) {
-                None => e.put_u8(0),
+                None => w.u8(0),
                 Some(en) => {
-                    e.put_u8(1);
-                    e.put_usize_slice(&en.scheme_sources);
-                    e.put_f64(en.weight);
+                    w.u8(1);
+                    w.len(en.scheme_sources.len());
+                    for &source in &en.scheme_sources {
+                        w.u64(source as u64);
+                    }
+                    w.f64(en.weight);
                 }
             }
         }
         let model_nodes: Vec<NodeId> = (0..self.node_count)
             .filter(|&v| model_of(v).is_some())
             .collect();
-        e.put_len(model_nodes.len());
+        w.len(model_nodes.len());
         for &node in &model_nodes {
             let stored = model_of(node).expect("model listed above");
-            e.put_u64(node as u64);
-            e.put_u8(stored.invalid as u8);
-            e.put_f64(stored.rolling_error);
-            e.put_u64(stored.epoch);
-            e.put_model_state(&stored.model.state());
+            w.u64(node as u64);
+            w.u8(stored.invalid as u8);
+            w.f64(stored.rolling_error);
+            w.u64(stored.epoch);
+            stored.model.state().encode_into(&mut w);
         }
         let sums: Vec<f64> = (0..self.node_count)
             .map(|v| {
@@ -711,9 +724,9 @@ impl Catalog {
                     .unwrap_or(0.0)
             })
             .collect();
-        e.put_f64_slice(&sums);
-        e.put_u64(self.advances.load(Ordering::SeqCst));
-        e.finish()
+        w.f64s(&sums);
+        w.u64(self.advances.load(Ordering::SeqCst));
+        w.finish()
     }
 
     /// Deserializes a catalog into the default shard count.
@@ -723,15 +736,20 @@ impl Catalog {
 
     /// Deserializes a catalog into an explicit shard count.
     pub fn decode_sharded(bytes: &[u8], shard_count: usize) -> Result<Self> {
-        let mut d = Decoder::with_header(bytes)?;
-        let n = d.get_len()?;
+        let mut r = Reader::new(bytes);
+        r.header(MAGIC, VERSION..=VERSION)?;
+        // The smallest entry is its tag byte alone.
+        let n = r.count(1)?;
         let mut entries: Vec<Option<CatalogEntry>> = Vec::with_capacity(n);
         for _ in 0..n {
-            match d.get_u8()? {
+            match r.u8()? {
                 0 => entries.push(None),
                 1 => {
-                    let scheme_sources = d.get_usize_vec()?;
-                    let weight = d.get_f64()?;
+                    let sources = r.count(8)?;
+                    let scheme_sources = (0..sources)
+                        .map(|_| r.u64().map(|v| v as NodeId))
+                        .collect::<std::result::Result<_, _>>()?;
+                    let weight = r.f64()?;
                     entries.push(Some(CatalogEntry {
                         scheme_sources,
                         weight,
@@ -740,16 +758,15 @@ impl Catalog {
                 t => return Err(F2dbError::Storage(format!("bad entry tag {t}"))),
             }
         }
-        let m = d.get_len()?;
+        // Node, invalid flag, rolling error and epoch precede the state.
+        let m = r.count(8 + 1 + 8 + 8 + ModelState::MIN_ENCODED_BYTES)?;
         let mut models = BTreeMap::new();
         for _ in 0..m {
-            let node = d.get_u64()? as usize;
-            let invalid = d.get_u8()? != 0;
-            let rolling_error = d.get_f64()?;
-            // Version 1 predates invalidation epochs; migrate to epoch 0
-            // (the counter restarts, the model state is unaffected).
-            let epoch = if d.version() >= 2 { d.get_u64()? } else { 0 };
-            let state = d.get_model_state()?;
+            let node = r.u64()? as NodeId;
+            let invalid = r.u8()? != 0;
+            let rolling_error = r.f64()?;
+            let epoch = r.u64()?;
+            let state = ModelState::decode(&mut r)?;
             let model = restore_model(&state)
                 .map_err(|e| F2dbError::Storage(format!("restoring model: {e}")))?;
             models.insert(
@@ -762,10 +779,19 @@ impl Catalog {
                 },
             );
         }
-        let history_sums = d.get_f64_vec()?;
-        let advances = d.get_u64()?;
+        let history_sums = r.f64s()?;
+        let advances = r.u64()?;
+        r.finish()?;
         if history_sums.len() != entries.len() {
             return Err(F2dbError::Storage("inconsistent catalog arrays".into()));
+        }
+        // Weights are refreshed by indexing the per-node sums with every
+        // scheme source.
+        let mut sources = entries.iter().flatten().flat_map(|e| &e.scheme_sources);
+        if let Some(source) = sources.find(|&&s| s >= n) {
+            return Err(F2dbError::Storage(format!(
+                "scheme source {source} outside catalog of {n} nodes"
+            )));
         }
         let catalog = Catalog::empty(n, shard_count);
         catalog.advances.store(advances, Ordering::SeqCst);

@@ -1,8 +1,7 @@
 //! Durability formats: the WAL record payloads and the `F2CK`
 //! checkpoint container.
 //!
-//! Two codecs live here, both on the catalog [`codec`](crate::codec)
-//! primitives:
+//! Two formats live here:
 //!
 //! * [`WalRecord`] — what one write-ahead-log record carries. Today a
 //!   single variant, `InsertBatch`: the rows of one committed
@@ -10,8 +9,10 @@
 //!   order. Replaying records in sequence order reproduces the exact
 //!   in-memory commit order, because the engine appends the record
 //!   under the same mutex that serializes the applies.
-//! * the **checkpoint container** — what `save_catalog` writes when a
-//!   WAL is attached. A catalog file alone is not enough to restart
+//! * the **checkpoint container** — what
+//!   [`F2db::save_checkpoint`](crate::F2db::save_checkpoint) writes: a
+//!   server's shutdown, and `save_catalog` whenever a WAL is attached.
+//!   A catalog file alone is not enough to restart
 //!   from: replay also needs the durable WAL position the snapshot
 //!   corresponds to, the pending (incomplete-time-stamp) rows, and the
 //!   base series the advances have grown — the caller's data set on
@@ -20,11 +21,12 @@
 //!   can never tear them apart: magic `F2CK`, then the WAL sequence
 //!   number, the pending rows, a base-series snapshot (aggregates are
 //!   recomputed deterministically by [`Dataset::from_base`]), and the
-//!   ordinary `F2DB`-encoded catalog bytes. Legacy plain-catalog files
-//!   still open: [`is_checkpoint_container`] dispatches on the magic.
+//!   ordinary `F2DB`-encoded catalog bytes. Plain catalog files (an
+//!   engine saved without a log) still open: [`is_checkpoint_container`]
+//!   dispatches on the magic.
 
-use crate::codec::{Decoder, Encoder};
 use crate::{F2dbError, Result};
+use fdc_codec::{Reader, Writer};
 use fdc_cube::{Coord, Dataset, NodeId};
 use fdc_forecast::{Granularity, TimeSeries};
 
@@ -57,57 +59,38 @@ impl WalRecord {
     /// Encodes the record payload (framing — length, checksum, sequence
     /// number — is the WAL's job, not ours).
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::default();
-        match self {
-            WalRecord::InsertBatch { rows, trace } => {
-                match trace {
-                    Some((trace_id, span_id)) => {
-                        e.put_u8(TAG_INSERT_BATCH_TRACED);
-                        e.put_u64((trace_id >> 64) as u64);
-                        e.put_u64(*trace_id as u64);
-                        e.put_u64(*span_id);
-                    }
-                    None => e.put_u8(TAG_INSERT_BATCH),
-                }
-                e.put_len(rows.len());
-                for &(node, value) in rows {
-                    e.put_u64(node as u64);
-                    e.put_f64(value);
-                }
+        let WalRecord::InsertBatch { rows, trace } = self;
+        let mut w = Writer::with_capacity(1 + 24 + 8 + rows.len() * ROW_BYTES);
+        match trace {
+            Some((trace_id, span_id)) => {
+                w.u8(TAG_INSERT_BATCH_TRACED);
+                w.u64((trace_id >> 64) as u64);
+                w.u64(*trace_id as u64);
+                w.u64(*span_id);
             }
+            None => w.u8(TAG_INSERT_BATCH),
         }
-        e.finish()
+        write_rows(&mut w, rows);
+        w.finish()
     }
 
     /// Decodes a record payload. A payload that does not parse is a
     /// versioned hard error: the WAL's checksum already passed, so this
     /// is a format mismatch, not a torn write.
     pub fn decode(bytes: &[u8]) -> Result<WalRecord> {
-        let mut d = Decoder::raw(bytes);
-        let tag = d.get_u8()?;
-        match tag {
-            TAG_INSERT_BATCH | TAG_INSERT_BATCH_TRACED => {
-                let trace = if tag == TAG_INSERT_BATCH_TRACED {
-                    let hi = d.get_u64()?;
-                    let lo = d.get_u64()?;
-                    let span_id = d.get_u64()?;
-                    Some(((u128::from(hi) << 64) | u128::from(lo), span_id))
-                } else {
-                    None
-                };
-                let n = d.get_len()?;
-                let mut rows = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    let node = d.get_u64()? as NodeId;
-                    let value = d.get_f64()?;
-                    rows.push((node, value));
-                }
-                Ok(WalRecord::InsertBatch { rows, trace })
+        let mut r = Reader::new(bytes);
+        let trace = match r.u8()? {
+            TAG_INSERT_BATCH => None,
+            TAG_INSERT_BATCH_TRACED => Some(read_trace(&mut r)?),
+            t => {
+                return Err(F2dbError::Storage(format!(
+                    "unknown wal record tag {t} (this build reads wal record format v{CONTAINER_VERSION})"
+                )))
             }
-            t => Err(F2dbError::Storage(format!(
-                "unknown wal record tag {t} (this build reads wal record format v{CONTAINER_VERSION})"
-            ))),
-        }
+        };
+        let rows = read_rows(&mut r)?;
+        r.finish()?;
+        Ok(WalRecord::InsertBatch { rows, trace })
     }
 
     /// Reads just the trace identity off an encoded record, without
@@ -115,21 +98,43 @@ impl WalRecord {
     /// to let a `/wal/fetch` span join the originating insert's trace.
     /// `None` for untraced records or anything that does not parse.
     pub fn peek_trace(bytes: &[u8]) -> Option<(u128, u64)> {
-        let mut d = Decoder::raw(bytes);
-        if d.get_u8().ok()? != TAG_INSERT_BATCH_TRACED {
+        let mut r = Reader::new(bytes);
+        if r.u8().ok()? != TAG_INSERT_BATCH_TRACED {
             return None;
         }
-        let hi = d.get_u64().ok()?;
-        let lo = d.get_u64().ok()?;
-        let span_id = d.get_u64().ok()?;
-        Some(((u128::from(hi) << 64) | u128::from(lo), span_id))
+        read_trace(&mut r).ok()
     }
 }
 
-/// Whether `bytes` is a checkpoint container (as opposed to a legacy
-/// plain `F2DB` catalog file).
+/// One encoded `(node, value)` row.
+const ROW_BYTES: usize = 8 + 8;
+
+fn write_rows(w: &mut Writer, rows: &[(NodeId, f64)]) {
+    w.len(rows.len());
+    for &(node, value) in rows {
+        w.u64(node as u64);
+        w.f64(value);
+    }
+}
+
+fn read_rows(r: &mut Reader<'_>) -> Result<Vec<(NodeId, f64)>> {
+    let n = r.count(ROW_BYTES)?;
+    let mut rows = Vec::with_capacity(n);
+    for _ in 0..n {
+        rows.push((r.u64()? as NodeId, r.f64()?));
+    }
+    Ok(rows)
+}
+
+fn read_trace(r: &mut Reader<'_>) -> Result<(u128, u64)> {
+    let (hi, lo, span_id) = (r.u64()?, r.u64()?, r.u64()?);
+    Ok(((u128::from(hi) << 64) | u128::from(lo), span_id))
+}
+
+/// Whether `bytes` is a checkpoint container (as opposed to a plain
+/// `F2DB` catalog file).
 pub fn is_checkpoint_container(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && &bytes[..4] == CONTAINER_MAGIC
+    bytes.starts_with(CONTAINER_MAGIC)
 }
 
 fn granularity_tag(g: Granularity) -> u8 {
@@ -169,35 +174,26 @@ pub fn encode_checkpoint(
     dataset: &Dataset,
     catalog_bytes: &[u8],
 ) -> Vec<u8> {
-    let mut e = Encoder::default();
-    // Header by hand — Encoder::with_header writes the F2DB magic.
-    let mut buf = Vec::with_capacity(64 + catalog_bytes.len());
-    buf.extend_from_slice(CONTAINER_MAGIC);
-    buf.extend_from_slice(&CONTAINER_VERSION.to_le_bytes());
-
-    e.put_u64(wal_seq);
-    e.put_len(pending.len());
-    for &(node, value) in pending {
-        e.put_u64(node as u64);
-        e.put_f64(value);
-    }
+    let mut w = Writer::with_capacity(64 + catalog_bytes.len());
+    w.header(CONTAINER_MAGIC, CONTAINER_VERSION);
+    w.u64(wal_seq);
+    write_rows(&mut w, pending);
     let base = dataset.graph().base_nodes();
-    e.put_len(base.len());
+    w.len(base.len());
     for &b in base {
         let coord = dataset.graph().coord(b);
-        e.put_len(coord.values().len());
+        w.len(coord.values().len());
         for &v in coord.values() {
-            e.put_u32(v);
+            w.u32(v);
         }
         let series = dataset.series(b);
-        e.put_u64(series.start() as u64);
-        e.put_u8(granularity_tag(series.granularity()));
-        e.put_f64_slice(series.values());
+        w.u64(series.start() as u64);
+        w.u8(granularity_tag(series.granularity()));
+        w.f64s(series.values());
     }
-    e.put_len(catalog_bytes.len());
-    buf.extend_from_slice(&e.finish());
-    buf.extend_from_slice(catalog_bytes);
-    buf
+    w.len(catalog_bytes.len());
+    w.bytes(catalog_bytes);
+    w.finish()
 }
 
 /// A decoded checkpoint container.
@@ -216,46 +212,31 @@ pub struct DecodedCheckpoint {
 
 /// Decodes a checkpoint container written by [`encode_checkpoint`].
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<DecodedCheckpoint> {
-    if !is_checkpoint_container(bytes) {
-        return Err(F2dbError::Storage("bad checkpoint container magic".into()));
-    }
-    if bytes.len() < 6 {
-        return Err(F2dbError::Storage("truncated checkpoint container".into()));
-    }
-    let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
-    if version != CONTAINER_VERSION {
-        return Err(F2dbError::Storage(format!(
-            "unsupported checkpoint container version {version} (this build reads v{CONTAINER_VERSION})"
-        )));
-    }
-    let mut d = Decoder::raw(&bytes[6..]);
-    let wal_seq = d.get_u64()?;
-    let n_pending = d.get_len()?;
-    let mut pending = Vec::with_capacity(n_pending.min(1 << 16));
-    for _ in 0..n_pending {
-        let node = d.get_u64()? as NodeId;
-        let value = d.get_f64()?;
-        pending.push((node, value));
-    }
-    let n_base = d.get_len()?;
-    let mut base = Vec::with_capacity(n_base.min(1 << 16));
+    let mut r = Reader::new(bytes);
+    r.header(CONTAINER_MAGIC, CONTAINER_VERSION..=CONTAINER_VERSION)?;
+    let wal_seq = r.u64()?;
+    let pending = read_rows(&mut r)?;
+    // The smallest base series: no dimensions, a start, a granularity
+    // and an empty run of values.
+    let n_base = r.count(8 + 8 + 1 + 8)?;
+    let mut base = Vec::with_capacity(n_base);
     for _ in 0..n_base {
-        let n_dims = d.get_len()?;
-        let mut coord = Vec::with_capacity(n_dims.min(64));
+        let n_dims = r.count(4)?;
+        let mut coord = Vec::with_capacity(n_dims);
         for _ in 0..n_dims {
-            coord.push(d.get_u32()?);
+            coord.push(r.u32()?);
         }
-        let start = d.get_u64()? as i64;
-        let granularity = granularity_from_tag(d.get_u8()?)?;
-        let values = d.get_f64_vec()?;
+        let start = r.u64()? as i64;
+        let granularity = granularity_from_tag(r.u8()?)?;
+        let values = r.f64s()?;
         base.push((
             Coord::new(coord),
             TimeSeries::with_start(values, start, granularity),
         ));
     }
-    let catalog_len = d.get_len()?;
-    let catalog_bytes = d.take_remaining();
-    if catalog_bytes.len() != catalog_len {
+    let catalog_len = r.u64()?;
+    let catalog_bytes = r.rest();
+    if catalog_bytes.len() as u64 != catalog_len {
         return Err(F2dbError::Storage(format!(
             "checkpoint container declares {catalog_len} catalog bytes, {} present",
             catalog_bytes.len()
@@ -344,6 +325,39 @@ mod tests {
                 "cut at {cut} decoded"
             );
         }
+    }
+
+    #[test]
+    fn checkpoint_round_trips_exact_bits() {
+        let ds = fdc_datagen::tourism_proxy(1);
+        // The third value's decimal rendering would lose bits in any
+        // format that stored decimals instead of bit patterns.
+        let pending = vec![
+            (3usize, 1.5),
+            (7, -0.0),
+            (11, f64::from_bits(0x3FF0_0000_0000_0001)),
+        ];
+        let bytes = encode_checkpoint(41, &pending, &ds, b"catalog bytes");
+        let cp = decode_checkpoint(&bytes).unwrap();
+        assert_eq!(cp.wal_seq, 41);
+        assert_eq!(cp.catalog_bytes, b"catalog bytes");
+        let bits = |vs: &[f64]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(cp.pending.len(), pending.len());
+        for ((n1, v1), (n2, v2)) in pending.iter().zip(&cp.pending) {
+            assert_eq!((n1, v1.to_bits()), (n2, v2.to_bits()));
+        }
+        let base = ds.graph().base_nodes();
+        assert_eq!(cp.base.len(), base.len());
+        for ((coord, series), &b) in cp.base.iter().zip(base) {
+            assert_eq!(coord, ds.graph().coord(b));
+            assert_eq!(series.start(), ds.series(b).start());
+            assert_eq!(bits(series.values()), bits(ds.series(b).values()));
+        }
+        // A catalog shorter or longer than declared is refused.
+        assert!(decode_checkpoint(&bytes[..bytes.len() - 1]).is_err());
+        let mut longer = bytes;
+        longer.push(0);
+        assert!(decode_checkpoint(&longer).is_err());
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! * **Configuration storage** ([`catalog`]) — two catalog tables: one for
 //!   the time series graph + configuration (model assignments, derivation
 //!   schemes, weights), one for the forecast models themselves (state and
-//!   parameter values), persisted with a compact binary [`codec`];
+//!   parameter values), persisted as one `F2DB` file on the workspace's
+//!   byte-codec kit (`fdc-codec`);
 //! * **Forecast query processor** ([`parser`], [`query`], and
 //!   [`F2db::query`]) — a SQL dialect with the paper's `… AS OF now() +
 //!   '1 day'` horizon clause; a query is rewritten to nodes of the time
@@ -55,7 +56,6 @@
 //! ```
 
 pub mod catalog;
-pub mod codec;
 pub mod durability;
 pub mod explain;
 pub mod maintenance;
@@ -126,6 +126,12 @@ impl std::error::Error for F2dbError {}
 impl From<fdc_cube::CubeError> for F2dbError {
     fn from(e: fdc_cube::CubeError) -> Self {
         F2dbError::Cube(e.to_string())
+    }
+}
+
+impl From<fdc_codec::DecodeError> for F2dbError {
+    fn from(e: fdc_codec::DecodeError) -> Self {
+        F2dbError::Storage(e.to_string())
     }
 }
 
@@ -1182,10 +1188,8 @@ impl F2db {
     }
 
     /// Snapshot of the inserts waiting for a complete time stamp, sorted
-    /// by node id. A server draining for shutdown persists these alongside
-    /// the catalog and re-applies them (via [`F2db::insert_batch`]) after
-    /// restart, so acknowledged writes of an incomplete time stamp are not
-    /// lost.
+    /// by node id — the rows [`F2db::save_checkpoint`] persists, so
+    /// acknowledged writes of an incomplete time stamp survive a restart.
     pub fn pending_rows(&self) -> Vec<(NodeId, f64)> {
         let pending = self.pending.lock().unwrap();
         let mut rows: Vec<(NodeId, f64)> = pending.iter().map(|(&n, &v)| (n, v)).collect();
@@ -1309,66 +1313,63 @@ impl F2db {
     /// rename itself survives power failure.
     ///
     /// Without a WAL this writes the plain catalog (configuration +
-    /// model states), as before. With a WAL attached this is a
-    /// **checkpoint**: one `F2CK` container holding the durable WAL
-    /// position, the pending rows, the base-series snapshot and the
-    /// catalog — then fully-checkpointed WAL segments are truncated.
+    /// model states). With a WAL attached it is a **checkpoint**
+    /// ([`F2db::save_checkpoint`]).
     pub fn save_catalog(&self, path: &std::path::Path) -> Result<()> {
-        let io = |e: std::io::Error| F2dbError::Storage(e.to_string());
-        match self.wal.get() {
-            None => {
-                let bytes = self.catalog.encode();
-                fdc_obs::counter(names::F2DB_CATALOG_ENCODED_BYTES).add(bytes.len() as u64);
-                journal().publish(Event::CatalogSave {
-                    bytes: bytes.len() as u64,
-                });
-                fdc_wal::atomic_write_durable(path, &bytes).map_err(io)
-            }
-            Some(wal) => {
-                // Hold `pending` *and* `advance_lock` across the
-                // snapshot. Inserts submit their WAL record under
-                // `pending`, but `insert_value` drops `pending` before
-                // its advance runs — holding `pending` alone could
-                // observe a `last_seq` whose drained rows are neither
-                // in the pending map nor applied to the dataset yet,
-                // and the checkpoint below would truncate the only
-                // durable copy of an acknowledged write. Taking the
-                // advance lock too (same `pending → advance_lock →
-                // dataset → shard` order as the write path) waits out
-                // any in-flight advance: with both held, `last_seq`
-                // names exactly the state the snapshot captures.
-                let pending = self.pending.lock().unwrap();
-                let serial = self.advance_lock.lock().unwrap();
-                let wal_seq = wal.stats().last_seq;
-                let mut rows: Vec<(NodeId, f64)> = pending.iter().map(|(&n, &v)| (n, v)).collect();
-                rows.sort_by_key(|&(n, _)| n);
-                let catalog_bytes = self.catalog.encode();
-                let container = {
-                    let ds = self.dataset.read().unwrap();
-                    durability::encode_checkpoint(wal_seq, &rows, &ds, &catalog_bytes)
-                };
-                // The snapshot bytes are captured; later advances only
-                // add records past `wal_seq`, which the checkpoint
-                // below leaves in the log.
-                drop(serial);
-                fdc_obs::counter(names::F2DB_CATALOG_ENCODED_BYTES).add(container.len() as u64);
-                journal().publish(Event::CatalogSave {
-                    bytes: container.len() as u64,
-                });
-                fdc_wal::atomic_write_durable(path, &container).map_err(io)?;
-                drop(pending);
-                // The snapshot is durable; segments at or below wal_seq
-                // are now dead weight.
-                wal.checkpoint(wal_seq)
-                    .map_err(|e| F2dbError::Storage(e.to_string()))?;
-                Ok(())
-            }
+        if self.wal.get().is_some() {
+            return self.save_checkpoint(path);
         }
+        write_saved(path, &self.catalog.encode())
+    }
+
+    /// Persists everything a restart needs as one `F2CK` container,
+    /// written like [`F2db::save_catalog`] writes: the catalog, the
+    /// pending rows of the incomplete time stamp, the base-series
+    /// snapshot (the caller's data set on disk predates every advance)
+    /// and the durable WAL position the three correspond to — `0` when
+    /// no log is attached. With a log, its fully-checkpointed segments
+    /// are then truncated. [`F2db::open_catalog`] restores all of it.
+    pub fn save_checkpoint(&self, path: &std::path::Path) -> Result<()> {
+        let wal = self.wal.get();
+        // Hold `pending` *and* `advance_lock` across the snapshot.
+        // Inserts submit their WAL record under `pending`, but
+        // `insert_value` drops `pending` before its advance runs —
+        // holding `pending` alone could observe a `last_seq` whose
+        // drained rows are neither in the pending map nor applied to
+        // the dataset yet, and the checkpoint below would truncate the
+        // only durable copy of an acknowledged write. Taking the
+        // advance lock too (same `pending → advance_lock → dataset →
+        // shard` order as the write path) waits out any in-flight
+        // advance: with both held, `last_seq` names exactly the state
+        // the snapshot captures.
+        let pending = self.pending.lock().unwrap();
+        let serial = self.advance_lock.lock().unwrap();
+        let wal_seq = wal.map_or(0, |w| w.stats().last_seq);
+        let mut rows: Vec<(NodeId, f64)> = pending.iter().map(|(&n, &v)| (n, v)).collect();
+        rows.sort_by_key(|&(n, _)| n);
+        let catalog_bytes = self.catalog.encode();
+        let container = {
+            let ds = self.dataset.read().unwrap();
+            durability::encode_checkpoint(wal_seq, &rows, &ds, &catalog_bytes)
+        };
+        // The snapshot bytes are captured; later advances only add
+        // records past `wal_seq`, which the checkpoint below leaves in
+        // the log.
+        drop(serial);
+        write_saved(path, &container)?;
+        drop(pending);
+        if let Some(wal) = wal {
+            // The snapshot is durable; segments at or below wal_seq
+            // are now dead weight.
+            wal.checkpoint(wal_seq)
+                .map_err(|e| F2dbError::Storage(e.to_string()))?;
+        }
+        Ok(())
     }
 
     /// Restores a database from a persisted file and the (current) data
-    /// set. Reads both formats: a legacy plain catalog uses the caller's
-    /// data set as-is; an `F2CK` checkpoint container additionally
+    /// set. Reads both formats: a plain catalog uses the caller's data
+    /// set as-is; an `F2CK` checkpoint container additionally
     /// restores the base series the checkpoint snapshotted (recomputing
     /// aggregates), the pending rows, and the WAL watermark that
     /// [`F2db::attach_wal`] will resume replay from. Stale `*.tmp.*`
@@ -1535,6 +1536,16 @@ impl F2db {
         }
         Ok(())
     }
+}
+
+/// Writes a saved catalog or checkpoint durably (temporary sibling,
+/// fsync, atomic rename, parent-directory fsync) and accounts for it.
+fn write_saved(path: &std::path::Path, bytes: &[u8]) -> Result<()> {
+    fdc_obs::counter(names::F2DB_CATALOG_ENCODED_BYTES).add(bytes.len() as u64);
+    journal().publish(Event::CatalogSave {
+        bytes: bytes.len() as u64,
+    });
+    fdc_wal::atomic_write_durable(path, bytes).map_err(|e| F2dbError::Storage(e.to_string()))
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@
 use crate::explain::ExplainReport;
 use crate::{F2dbError, Result};
 use fdc_approx::ApproxQuerySpec;
+use fdc_codec::hash::{fnv1a, FNV_OFFSET};
 use fdc_cube::NodeId;
 use fdc_forecast::Granularity;
 
@@ -263,15 +264,8 @@ impl QueryResult {
     /// must fingerprint identically whether or not a sampling plane is
     /// attached to the engine.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut eat = |bytes: &[u8]| h = fnv1a(h, bytes);
         eat(&(self.rows.len() as u64).to_le_bytes());
         for row in &self.rows {
             eat(&(row.node as u64).to_le_bytes());

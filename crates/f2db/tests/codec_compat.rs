@@ -1,12 +1,13 @@
-//! Backward compatibility of the catalog's on-disk format.
+//! Version gate of the catalog's on-disk format.
 //!
-//! VERSION 1 files (pre-invalidation-epoch) must keep loading: the bytes
-//! here are hand-built to the exact v1 layout, so this test pins the
-//! migration path independently of the current encoder. Unknown future
-//! versions must fail with a clear, versioned error rather than a
-//! truncation mess.
+//! This build reads and writes exactly one catalog version. Older files
+//! (version 1, pre-invalidation-epoch — no build since the epoch landed
+//! has written one) and unknown future versions must both fail with a
+//! clear, versioned error rather than a truncation mess. The bytes here
+//! are hand-built to the version 1 layout, independently of the current
+//! encoder.
 
-use fdc_f2db::codec::{MAGIC, MIN_VERSION, VERSION};
+use fdc_f2db::catalog::{MAGIC, VERSION};
 use fdc_f2db::{Catalog, F2dbError};
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
@@ -45,66 +46,38 @@ fn v1_fixture() -> Vec<u8> {
     b
 }
 
-#[test]
-fn version_constants_cover_the_legacy_format() {
-    assert_eq!(MIN_VERSION, 1);
-    // The epoch field came with VERSION 2; a lower current version would
-    // make the fixture below meaningless.
-    const { assert!(VERSION >= 2) }
-}
-
-#[test]
-fn v1_bytes_decode_with_epoch_migrated_to_zero() {
-    let catalog = Catalog::decode(&v1_fixture()).expect("v1 catalog must keep loading");
-    assert_eq!(catalog.node_count(), 1);
-    assert_eq!(catalog.model_count(), 1);
-    // The invalid flag and rolling error survive; the epoch (which v1
-    // never stored) restarts at 0.
-    assert!(catalog.is_invalid(0));
-    assert_eq!(catalog.epoch(0), Some(0));
-    // The model state itself is intact: SES forecasts its level.
-    let forecast = catalog.forecast(0, 3).expect("node 0 has a scheme");
-    assert_eq!(forecast, vec![42.0, 42.0, 42.0]);
-}
-
-#[test]
-fn v1_decode_then_encode_upgrades_to_current_version() {
-    let catalog = Catalog::decode(&v1_fixture()).unwrap();
-    let upgraded = catalog.encode();
-    assert_eq!(&upgraded[..4], MAGIC);
-    assert_eq!(
-        u16::from_le_bytes([upgraded[4], upgraded[5]]),
-        VERSION,
-        "re-encoding a migrated catalog writes the current version"
-    );
-    let reloaded = Catalog::decode(&upgraded).unwrap();
-    assert!(reloaded.is_invalid(0));
-    assert_eq!(reloaded.epoch(0), Some(0));
-    assert_eq!(reloaded.forecast(0, 2), Some(vec![42.0, 42.0]));
-}
-
-#[test]
-fn future_version_fails_with_clear_versioned_error() {
+/// The storage error `version` is refused with; panics if it decodes.
+fn refusal(version: u16) -> String {
     let mut bytes = v1_fixture();
-    bytes[4..6].copy_from_slice(&99u16.to_le_bytes());
-    let err = Catalog::decode(&bytes).unwrap_err();
-    match &err {
-        F2dbError::Storage(msg) => {
-            assert!(
-                msg.contains("unsupported catalog version 99"),
-                "error must name the offending version: {msg}"
-            );
-            assert!(
-                msg.contains(&format!("through {VERSION}")),
-                "error must name the supported range: {msg}"
-            );
-        }
-        other => panic!("expected a storage error, got {other:?}"),
+    bytes[4..6].copy_from_slice(&version.to_le_bytes());
+    match Catalog::decode(&bytes) {
+        Err(F2dbError::Storage(msg)) => msg,
+        Err(other) => panic!("expected a storage error, got {other:?}"),
+        Ok(_) => panic!("a version {version} catalog decoded"),
     }
 }
 
 #[test]
-fn v1_truncation_is_still_detected() {
-    let bytes = v1_fixture();
-    assert!(Catalog::decode(&bytes[..bytes.len() - 6]).is_err());
+fn future_version_fails_with_clear_versioned_error() {
+    let msg = refusal(99);
+    assert!(
+        msg.contains("unsupported version 99"),
+        "error must name the offending version: {msg}"
+    );
+    assert!(
+        msg.contains(&format!("through {VERSION}")),
+        "error must name the supported range: {msg}"
+    );
+}
+
+#[test]
+fn version_1_is_refused_not_migrated() {
+    // A complete, well-formed version 1 file: the refusal is about the
+    // version, not about its bytes.
+    let msg = refusal(1);
+    assert!(msg.contains("unsupported version 1 "), "{msg}");
+    assert!(
+        msg.contains(&format!("versions {VERSION} through {VERSION}")),
+        "{msg}"
+    );
 }

@@ -1,9 +1,9 @@
 //! Randomized property tests of the catalog codec and the SQL parser,
 //! driven by the deterministic workspace RNG.
 
+use fdc_codec::{Reader, Writer};
 use fdc_cube::{Configuration, ConfiguredModel, CubeSplit, Dataset, NodeId};
 use fdc_datagen::{generate_cube, GenSpec};
-use fdc_f2db::codec::{Decoder, Encoder};
 use fdc_f2db::parser::{parse_horizon, parse_query};
 use fdc_f2db::query::{HorizonSpec, Statement};
 use fdc_f2db::{Catalog, MaintenancePolicy};
@@ -33,10 +33,23 @@ fn random_model_state(rng: &mut Rng) -> ModelState {
             period: 2 + rng.usize_below(11),
         },
     };
-    let params: Vec<f64> = (0..rng.usize_below(8))
+    // The decoder refuses orders and periods the vectors cannot back, so
+    // the vectors are at least as long as the spec's sizes — and
+    // otherwise arbitrary.
+    let (min_params, min_state) = match spec {
+        ModelSpec::HoltWinters { period, .. } => (0, period),
+        ModelSpec::Arima { p, d, q } => (p.max(q), d),
+        ModelSpec::Sarima {
+            order: (p, d, q),
+            seasonal: (sp, sd, sq),
+            period,
+        } => (p.max(q).max(sp).max(sq), d.max(sp.max(sd).max(sq) * period)),
+        _ => (0, 0),
+    };
+    let params: Vec<f64> = (0..min_params + rng.usize_below(8))
         .map(|_| rng.f64_range(-1e6, 1e6))
         .collect();
-    let state: Vec<f64> = (0..rng.usize_below(32))
+    let state: Vec<f64> = (0..min_state + rng.usize_below(32))
         .map(|_| rng.f64_range(-1e6, 1e6))
         .collect();
     ModelState {
@@ -55,16 +68,16 @@ fn model_state_codec_round_trip() {
         let states: Vec<ModelState> = (0..1 + rng.usize_below(7))
             .map(|_| random_model_state(&mut rng))
             .collect();
-        let mut e = Encoder::with_header();
+        let mut w = Writer::new();
         for s in &states {
-            e.put_model_state(s);
+            s.encode_into(&mut w);
         }
-        let bytes = e.finish();
-        let mut d = Decoder::with_header(&bytes).unwrap();
+        let bytes = w.finish();
+        let mut r = Reader::new(&bytes);
         for s in &states {
-            assert_eq!(&d.get_model_state().unwrap(), s, "case {case}");
+            assert_eq!(&ModelState::decode(&mut r).unwrap(), s, "case {case}");
         }
-        assert!(d.is_empty());
+        assert!(r.finish().is_ok());
     }
 }
 
@@ -199,18 +212,12 @@ fn truncated_streams_error_gracefully() {
     let mut rng = Rng::seed_from_u64(0xc0dec2);
     for _ in 0..128 {
         let state = random_model_state(&mut rng);
-        let mut e = Encoder::with_header();
-        e.put_model_state(&state);
-        let bytes = e.finish();
+        let mut w = Writer::new();
+        state.encode_into(&mut w);
+        let bytes = w.finish();
         let cut = rng.usize_below(64).min(bytes.len().saturating_sub(1));
-        match Decoder::with_header(&bytes[..cut]) {
-            Err(_) => {}
-            Ok(mut d) => {
-                // Must not panic; may error or (for cuts beyond the state)
-                // succeed.
-                let _ = d.get_model_state();
-            }
-        }
+        // Must not panic; every proper prefix is an error.
+        assert!(ModelState::decode(&mut Reader::new(&bytes[..cut])).is_err());
     }
 }
 

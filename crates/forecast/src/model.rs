@@ -4,6 +4,7 @@
 use crate::arima::{Arima, ArimaOrder, Sarima, SeasonalOrder};
 use crate::series::TimeSeries;
 use crate::smoothing::{DampedHolt, Holt, HoltWinters, SimpleExponentialSmoothing};
+use fdc_codec::{DecodeError, Reader, Writer};
 
 /// Errors raised while fitting or using forecast models.
 #[derive(Debug, Clone, PartialEq)]
@@ -230,6 +231,125 @@ impl ModelSpec {
     }
 }
 
+// Spec tags of the binary encoding. Tags are wire format: never reuse
+// or renumber one.
+const TAG_SES: u8 = 0;
+const TAG_HOLT: u8 = 1;
+const TAG_HOLT_WINTERS: u8 = 2;
+const TAG_ARIMA: u8 = 3;
+const TAG_SARIMA: u8 = 4;
+const TAG_HOLT_DAMPED: u8 = 5;
+
+fn read_usize(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
+    usize::try_from(r.u64()?).map_err(|_| DecodeError::Corrupt("model size exceeds usize"))
+}
+
+fn read_period(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
+    match read_usize(r)? {
+        // Every seasonal recursion indexes modulo the period.
+        0 => Err(DecodeError::Corrupt("seasonal period 0")),
+        period => Ok(period),
+    }
+}
+
+impl ModelSpec {
+    /// Appends the spec's binary encoding — a tag byte, then the
+    /// structural hyper-parameters as `u64`s. Shared by every format
+    /// that stores a spec (catalog model states, sampling planes).
+    pub fn encode_into(&self, w: &mut Writer) {
+        match self {
+            ModelSpec::Ses => w.u8(TAG_SES),
+            ModelSpec::Holt => w.u8(TAG_HOLT),
+            ModelSpec::HoltDamped => w.u8(TAG_HOLT_DAMPED),
+            ModelSpec::HoltWinters { period, seasonal } => {
+                w.u8(TAG_HOLT_WINTERS);
+                w.len(*period);
+                w.u8(match seasonal {
+                    SeasonalKind::Additive => 0,
+                    SeasonalKind::Multiplicative => 1,
+                });
+            }
+            ModelSpec::Arima { p, d, q } => {
+                w.u8(TAG_ARIMA);
+                for n in [p, d, q] {
+                    w.len(*n);
+                }
+            }
+            ModelSpec::Sarima {
+                order,
+                seasonal,
+                period,
+            } => {
+                w.u8(TAG_SARIMA);
+                for n in [order.0, order.1, order.2] {
+                    w.len(n);
+                }
+                for n in [seasonal.0, seasonal.1, seasonal.2] {
+                    w.len(n);
+                }
+                w.len(*period);
+            }
+        }
+    }
+
+    /// Reads a spec written by [`ModelSpec::encode_into`]. A seasonal
+    /// period of 0 is refused here; orders are only checked against the
+    /// state they size, in [`ModelState::decode`].
+    pub fn decode(r: &mut Reader<'_>) -> Result<ModelSpec, DecodeError> {
+        Ok(match r.u8()? {
+            TAG_SES => ModelSpec::Ses,
+            TAG_HOLT => ModelSpec::Holt,
+            TAG_HOLT_DAMPED => ModelSpec::HoltDamped,
+            TAG_HOLT_WINTERS => {
+                let period = read_period(r)?;
+                let seasonal = match r.u8()? {
+                    0 => SeasonalKind::Additive,
+                    1 => SeasonalKind::Multiplicative,
+                    _ => return Err(DecodeError::Corrupt("seasonal kind")),
+                };
+                ModelSpec::HoltWinters { period, seasonal }
+            }
+            TAG_ARIMA => ModelSpec::Arima {
+                p: read_usize(r)?,
+                d: read_usize(r)?,
+                q: read_usize(r)?,
+            },
+            TAG_SARIMA => ModelSpec::Sarima {
+                order: (read_usize(r)?, read_usize(r)?, read_usize(r)?),
+                seasonal: (read_usize(r)?, read_usize(r)?, read_usize(r)?),
+                period: read_period(r)?,
+            },
+            _ => return Err(DecodeError::Corrupt("model spec tag")),
+        })
+    }
+
+    /// Whether every length `from_state` derives from this spec — the
+    /// coefficient and lag-buffer sizes it splits, indexes and
+    /// allocates by — is backed by a state of `params` parameters and
+    /// `state` state values. The exact shape stays `from_state`'s
+    /// check; this one only has to make that arithmetic safe.
+    fn fits(&self, params: usize, state: usize) -> bool {
+        match *self {
+            ModelSpec::Ses | ModelSpec::Holt | ModelSpec::HoltDamped => true,
+            ModelSpec::HoltWinters { period, .. } => period <= state,
+            ModelSpec::Arima { p, d, q } => p.max(q) <= params && d <= state,
+            ModelSpec::Sarima {
+                order: (p, d, q),
+                seasonal: (sp, sd, sq),
+                period,
+            } => {
+                p.max(q).max(sp).max(sq) <= params
+                    && d <= state
+                    && sp
+                        .max(sd)
+                        .max(sq)
+                        .checked_mul(period)
+                        .is_some_and(|lags| lags <= state)
+            }
+        }
+    }
+}
+
 /// Burns roughly `us` microseconds of CPU. Deliberately a busy loop (not a
 /// sleep) so it contributes to measured model *creation time* the way real
 /// parameter estimation would.
@@ -257,6 +377,50 @@ pub struct ModelState {
     pub state: Vec<f64>,
     /// Number of observations the model has absorbed.
     pub observations: usize,
+}
+
+impl ModelState {
+    /// The smallest encoding of a state — a bare spec tag, two empty
+    /// runs and the observation count: what a decoder of a format that
+    /// embeds states passes to `Reader::count`.
+    pub const MIN_ENCODED_BYTES: usize = 1 + 8 + 8 + 8;
+
+    /// Appends the state's binary encoding: the spec, the parameters
+    /// and the state values as count-prefixed `f64` runs, then the
+    /// observation count. The one model-state layout of the workspace —
+    /// catalog files and sampling planes both embed it.
+    pub fn encode_into(&self, w: &mut Writer) {
+        self.spec.encode_into(w);
+        w.f64s(&self.params);
+        w.f64s(&self.state);
+        w.len(self.observations);
+    }
+
+    /// Reads a state written by [`ModelState::encode_into`], refusing
+    /// what a model restored from it would divide, index or allocate
+    /// by: an order or period the decoded vectors cannot back, and an
+    /// observation count with the top bit set (no series is that long,
+    /// and `observations + horizon` must not wrap).
+    pub fn decode(r: &mut Reader<'_>) -> Result<ModelState, DecodeError> {
+        let spec = ModelSpec::decode(r)?;
+        let params = r.f64s()?;
+        let state = r.f64s()?;
+        let observations = read_usize(r)?;
+        if !spec.fits(params.len(), state.len()) {
+            return Err(DecodeError::Corrupt(
+                "model order or period exceeds its state",
+            ));
+        }
+        if observations > isize::MAX as usize {
+            return Err(DecodeError::Corrupt("observation count"));
+        }
+        Ok(ModelState {
+            spec,
+            params,
+            state,
+            observations,
+        })
+    }
 }
 
 /// A fitted forecast model over a single time series of a node (§II-B).
@@ -388,6 +552,119 @@ mod tests {
         let restored = restore_model(&state).unwrap();
         assert_eq!(restored.forecast(5), model.forecast(5));
         assert_eq!(restored.observations(), model.observations());
+    }
+
+    fn encode(state: &ModelState) -> Vec<u8> {
+        let mut w = Writer::new();
+        state.encode_into(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn model_states_round_trip_through_the_codec() {
+        let states = vec![
+            ModelState {
+                spec: ModelSpec::Ses,
+                params: vec![0.4],
+                state: vec![10.0],
+                observations: 20,
+            },
+            ModelState {
+                spec: ModelSpec::HoltWinters {
+                    period: 12,
+                    seasonal: SeasonalKind::Multiplicative,
+                },
+                params: vec![0.3, 0.1, 0.2],
+                state: vec![1.0; 14],
+                observations: 48,
+            },
+            ModelState {
+                spec: ModelSpec::Sarima {
+                    order: (1, 1, 1),
+                    seasonal: (0, 1, 0),
+                    period: 4,
+                },
+                params: vec![0.5, -0.2],
+                state: vec![0.1; 9],
+                observations: 60,
+            },
+        ];
+        let mut w = Writer::new();
+        for s in &states {
+            s.encode_into(&mut w);
+        }
+        let bytes = w.finish();
+        let mut r = Reader::new(&bytes);
+        for s in &states {
+            assert_eq!(&ModelState::decode(&mut r).unwrap(), s);
+        }
+        assert_eq!(r.finish(), Ok(()));
+    }
+
+    #[test]
+    fn decode_refuses_sizes_the_state_cannot_back() {
+        let corrupt = |spec: ModelSpec, params: usize, state: usize, observations: usize| {
+            let bytes = encode(&ModelState {
+                spec,
+                params: vec![0.5; params],
+                state: vec![1.0; state],
+                observations,
+            });
+            matches!(
+                ModelState::decode(&mut Reader::new(&bytes)),
+                Err(DecodeError::Corrupt(_))
+            )
+        };
+        let hw = |period| ModelSpec::HoltWinters {
+            period,
+            seasonal: SeasonalKind::Additive,
+        };
+        // A zero period decoded fine and divided by it on the first
+        // forecast; a huge one overflowed `2 + period`.
+        assert!(corrupt(hw(0), 3, 2, 8));
+        assert!(corrupt(hw(usize::MAX), 3, 2, 8));
+        assert!(!corrupt(hw(4), 3, 6, 8));
+        // Orders summed unchecked: p = MAX, q = 1 wrapped to 0.
+        let arima = |p, d, q| ModelSpec::Arima { p, d, q };
+        assert!(corrupt(arima(usize::MAX, 0, 1), 0, 1, 8));
+        assert!(corrupt(arima(0, usize::MAX, 0), 0, 1, 8));
+        assert!(!corrupt(arima(1, 1, 1), 2, 4, 8));
+        // Seasonal lags are orders times the period; the product must
+        // be backed too, and must not wrap.
+        let sarima = |seasonal, period| ModelSpec::Sarima {
+            order: (1, 0, 0),
+            seasonal,
+            period,
+        };
+        assert!(corrupt(sarima((1, 0, 0), 1 << 40), 2, 4, 8));
+        assert!(corrupt(sarima((2, 0, 0), usize::MAX / 2 + 1), 2, 4, 8));
+        assert!(corrupt(sarima((0, 1, 0), 0), 1, 2, 8));
+        // An unused period (all seasonal orders zero) sizes nothing.
+        assert!(!corrupt(sarima((0, 0, 0), 1 << 40), 1, 2, 8));
+        // The top bit of an observation count is never set.
+        assert!(corrupt(ModelSpec::Ses, 1, 1, usize::MAX));
+        assert!(!corrupt(ModelSpec::Ses, 1, 1, isize::MAX as usize));
+    }
+
+    #[test]
+    fn decode_refuses_unknown_tags_and_truncation() {
+        assert_eq!(
+            ModelSpec::decode(&mut Reader::new(&[9])),
+            Err(DecodeError::Corrupt("model spec tag"))
+        );
+        let bytes = encode(&ModelState {
+            spec: ModelSpec::Holt,
+            params: vec![0.5, 0.1],
+            state: vec![3.0, 0.2],
+            observations: 12,
+        });
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                ModelState::decode(&mut Reader::new(&bytes[..cut])),
+                Err(DecodeError::Truncated),
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]

@@ -30,7 +30,8 @@
 
 use crate::metrics::registry;
 use crate::names;
-use crate::sketch::{MomentSummary, SketchDecodeError};
+use crate::sketch::{expect_version, MomentSummary, SketchDecodeError};
+use fdc_codec::{Reader, Writer};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
@@ -150,41 +151,38 @@ impl KeyAccuracy {
     /// using the [`MomentSummary`] codec for each member — the wire
     /// format a shard ships alongside WAL frames.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(2 + 8 + 3 * 57);
-        out.push(KEY_ACCURACY_CODEC_VERSION);
-        out.extend_from_slice(&self.key.to_le_bytes());
-        out.push(self.drifting as u8);
+        let mut w = Writer::with_capacity(KeyAccuracy::ENCODED_BYTES);
+        w.u8(KEY_ACCURACY_CODEC_VERSION);
+        w.u64(self.key);
+        w.u8(self.drifting as u8);
         for s in [&self.smape, &self.err, &self.baseline_err] {
-            out.extend_from_slice(&s.encode());
+            w.bytes(&s.encode());
         }
-        out
+        w.finish()
     }
+
+    /// The fixed size of an encoded partial.
+    pub(crate) const ENCODED_BYTES: usize = 1 + 8 + 1 + 3 * MomentSummary::ENCODED_BYTES;
 
     /// Decodes a partial produced by [`KeyAccuracy::encode`].
     pub fn decode(bytes: &[u8]) -> Result<KeyAccuracy, SketchDecodeError> {
-        if bytes.len() < 10 {
-            return Err(SketchDecodeError::Truncated);
-        }
-        if bytes[0] != KEY_ACCURACY_CODEC_VERSION {
-            return Err(SketchDecodeError::UnsupportedVersion(bytes[0]));
-        }
-        let key = u64::from_le_bytes(bytes[1..9].try_into().unwrap());
-        let drifting = match bytes[9] {
+        let mut r = Reader::new(bytes);
+        expect_version(&mut r, KEY_ACCURACY_CODEC_VERSION)?;
+        let key = r.u64()?;
+        let drifting = match r.u8()? {
             0 => false,
             1 => true,
             _ => return Err(SketchDecodeError::Corrupt("drift flag")),
         };
-        let rest = &bytes[10..];
-        let part = rest.len() / 3;
-        if !rest.len().is_multiple_of(3) || part == 0 {
-            return Err(SketchDecodeError::Truncated);
-        }
+        let mut summary = || MomentSummary::decode(r.take(MomentSummary::ENCODED_BYTES)?);
+        let (smape, err, baseline_err) = (summary()?, summary()?, summary()?);
+        r.finish()?;
         Ok(KeyAccuracy {
             key,
             drifting,
-            smape: MomentSummary::decode(&rest[..part])?,
-            err: MomentSummary::decode(&rest[part..2 * part])?,
-            baseline_err: MomentSummary::decode(&rest[2 * part..])?,
+            smape,
+            err,
+            baseline_err,
         })
     }
 }

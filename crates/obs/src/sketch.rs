@@ -28,6 +28,7 @@
 //! Everything here is `std`-only and deterministic: no clocks, no
 //! randomness, total-order float comparisons.
 
+use fdc_codec::{DecodeError, Reader, Writer};
 use std::fmt;
 
 // ---------------------------------------------------------------------
@@ -65,58 +66,25 @@ impl fmt::Display for SketchDecodeError {
 
 impl std::error::Error for SketchDecodeError {}
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+impl From<DecodeError> for SketchDecodeError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => SketchDecodeError::Truncated,
+            DecodeError::Corrupt(what) => SketchDecodeError::Corrupt(what),
+            // Sketches lead with a one-byte version their decoders
+            // check themselves; the kit's header errors cannot arise.
+            DecodeError::BadMagic | DecodeError::UnsupportedVersion { .. } => {
+                SketchDecodeError::Corrupt("header")
+            }
+        }
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn u8(&mut self) -> Result<u8, SketchDecodeError> {
-        let b = *self.buf.get(self.pos).ok_or(SketchDecodeError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u64(&mut self) -> Result<u64, SketchDecodeError> {
-        let end = self
-            .pos
-            .checked_add(8)
-            .ok_or(SketchDecodeError::Truncated)?;
-        let bytes = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(SketchDecodeError::Truncated)?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(bytes.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, SketchDecodeError> {
-        let end = self
-            .pos
-            .checked_add(4)
-            .ok_or(SketchDecodeError::Truncated)?;
-        let bytes = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(SketchDecodeError::Truncated)?;
-        self.pos = end;
-        Ok(u32::from_le_bytes(bytes.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, SketchDecodeError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn done(&self) -> Result<(), SketchDecodeError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(SketchDecodeError::Corrupt("trailing bytes"))
-        }
+/// Reads and checks the leading one-byte codec version of a sketch.
+pub(crate) fn expect_version(r: &mut Reader<'_>, version: u8) -> Result<(), SketchDecodeError> {
+    match r.u8()? {
+        found if found == version => Ok(()),
+        found => Err(SketchDecodeError::UnsupportedVersion(found)),
     }
 }
 
@@ -212,7 +180,7 @@ impl MomentSummary {
             + delta * delta * delta * na * nb * (na - nb) / (n * n)
             + 3.0 * delta * (na * other.m2 - nb * self.m2) / n;
         MomentSummary {
-            n: self.n + other.n,
+            n: self.n.saturating_add(other.n),
             mean,
             m2,
             m3,
@@ -310,9 +278,9 @@ impl MomentSummary {
     /// Serializes as `[version][n][mean][m2][m3][min][max][abs_sum]`
     /// (little-endian, f64 bit patterns — exact round-trip).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1 + 7 * 8);
-        out.push(MOMENT_CODEC_VERSION);
-        out.extend_from_slice(&self.n.to_le_bytes());
+        let mut w = Writer::with_capacity(MomentSummary::ENCODED_BYTES);
+        w.u8(MOMENT_CODEC_VERSION);
+        w.u64(self.n);
         for v in [
             self.mean,
             self.m2,
@@ -321,18 +289,18 @@ impl MomentSummary {
             self.max,
             self.abs_sum,
         ] {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
+            w.f64(v);
         }
-        out
+        w.finish()
     }
+
+    /// The fixed size of an encoded summary.
+    pub(crate) const ENCODED_BYTES: usize = 1 + 7 * 8;
 
     /// Decodes a summary produced by [`MomentSummary::encode`].
     pub fn decode(bytes: &[u8]) -> Result<MomentSummary, SketchDecodeError> {
         let mut r = Reader::new(bytes);
-        let version = r.u8()?;
-        if version != MOMENT_CODEC_VERSION {
-            return Err(SketchDecodeError::UnsupportedVersion(version));
-        }
+        expect_version(&mut r, MOMENT_CODEC_VERSION)?;
         let s = MomentSummary {
             n: r.u64()?,
             mean: r.f64()?,
@@ -342,9 +310,14 @@ impl MomentSummary {
             max: r.f64()?,
             abs_sum: r.f64()?,
         };
-        r.done()?;
+        r.finish()?;
         if s.n > 0 && (!s.mean.is_finite() || s.m2 < 0.0 || s.min > s.max) {
             return Err(SketchDecodeError::Corrupt("moment invariants"));
+        }
+        // No stream is that long, and the headroom keeps `n + 1` and a
+        // pairwise merge from wrapping.
+        if s.n > i64::MAX as u64 {
+            return Err(SketchDecodeError::Corrupt("count"));
         }
         Ok(s)
     }
@@ -363,6 +336,10 @@ struct Centroid {
 
 /// Default compression δ (≈ the retained centroid budget).
 pub const DEFAULT_COMPRESSION: f64 = 200.0;
+/// Largest compression δ a digest is built or decoded with. The
+/// compression sizes the sample buffer and every compression pass, so a
+/// decoded one must be bounded; real digests use 50–1000.
+pub const MAX_COMPRESSION: f64 = 10_000.0;
 
 /// A merging t-digest (Dunning): a constant-space quantile sketch whose
 /// rank error shrinks towards the distribution tails — exactly where
@@ -414,10 +391,11 @@ fn q_of(k: f64, compression: f64) -> f64 {
 
 impl TDigest {
     /// Creates an empty digest with the given compression δ (clamped to
-    /// ≥ 20; higher δ → more centroids → lower rank error).
+    /// `20..=`[`MAX_COMPRESSION`]; higher δ → more centroids → lower
+    /// rank error).
     pub fn new(compression: f64) -> Self {
         let compression = if compression.is_finite() {
-            compression.max(20.0)
+            compression.clamp(20.0, MAX_COMPRESSION)
         } else {
             DEFAULT_COMPRESSION
         };
@@ -426,7 +404,9 @@ impl TDigest {
         TDigest {
             compression,
             centroids: Vec::new(),
-            buffer: Vec::with_capacity(buffer_limit),
+            // Grown on first use: a decoded digest may never see an
+            // insert, and a bundle can carry very many of them.
+            buffer: Vec::new(),
             buffer_limit,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
@@ -608,38 +588,38 @@ impl TDigest {
             flushed = f;
             &flushed
         };
-        let mut out = Vec::with_capacity(1 + 4 * 8 + 4 + d.centroids.len() * 16);
-        out.push(DIGEST_CODEC_VERSION);
+        let mut w = Writer::with_capacity(TDigest::MIN_ENCODED_BYTES + d.centroids.len() * 16);
+        w.u8(DIGEST_CODEC_VERSION);
         for v in [d.compression, d.weight, d.min, d.max] {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
+            w.f64(v);
         }
-        out.extend_from_slice(&(d.centroids.len() as u32).to_le_bytes());
+        w.u32(d.centroids.len() as u32);
         for c in &d.centroids {
-            out.extend_from_slice(&c.mean.to_bits().to_le_bytes());
-            out.extend_from_slice(&c.weight.to_bits().to_le_bytes());
+            w.f64(c.mean);
+            w.f64(c.weight);
         }
-        out
+        w.finish()
     }
+
+    /// The size of an encoded digest with no centroids.
+    pub(crate) const MIN_ENCODED_BYTES: usize = 1 + 4 * 8 + 4;
 
     /// Decodes a digest produced by [`TDigest::encode`].
     pub fn decode(bytes: &[u8]) -> Result<TDigest, SketchDecodeError> {
         let mut r = Reader::new(bytes);
-        let version = r.u8()?;
-        if version != DIGEST_CODEC_VERSION {
-            return Err(SketchDecodeError::UnsupportedVersion(version));
-        }
+        expect_version(&mut r, DIGEST_CODEC_VERSION)?;
         let compression = r.f64()?;
         let weight = r.f64()?;
         let min = r.f64()?;
         let max = r.f64()?;
-        let n = r.u32()? as usize;
-        if !compression.is_finite() || compression < 20.0 {
+        let n = r.count_u32(8 + 8)?;
+        if !(20.0..=MAX_COMPRESSION).contains(&compression) {
             return Err(SketchDecodeError::Corrupt("compression"));
         }
         if !weight.is_finite() || weight < 0.0 {
             return Err(SketchDecodeError::Corrupt("weight"));
         }
-        let mut centroids = Vec::with_capacity(n.min(4096));
+        let mut centroids = Vec::with_capacity(n);
         let mut sum = 0.0;
         let mut prev = f64::NEG_INFINITY;
         for _ in 0..n {
@@ -655,9 +635,14 @@ impl TDigest {
             sum += w;
             centroids.push(Centroid { mean, weight: w });
         }
-        r.done()?;
-        if weight > 0.0 && (min > max || (sum - weight).abs() > weight * 1e-9) {
+        r.finish()?;
+        if weight > 0.0 && (sum - weight).abs() > weight * 1e-9 {
             return Err(SketchDecodeError::Corrupt("weight total"));
+        }
+        // `quantile` clamps into `[min, max]`, which panics on a NaN or
+        // inverted range.
+        if weight > 0.0 && (min.is_nan() || max.is_nan() || min > max) {
+            return Err(SketchDecodeError::Corrupt("min/max"));
         }
         let mut d = TDigest::new(compression);
         d.centroids = centroids;

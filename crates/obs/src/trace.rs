@@ -28,6 +28,7 @@
 //! on one machine without any shared state, `std`-only, and cheap
 //! enough to mint on every request.
 
+use fdc_codec::hash::splitmix64;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -45,14 +46,6 @@ pub struct TraceContext {
     pub span_id: u64,
     /// Whether spans under this context should be recorded/exported.
     pub sampled: bool,
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 thread_local! {

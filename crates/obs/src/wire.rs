@@ -12,18 +12,15 @@
 //!
 //! The container is length-prefixed throughout, so a corrupt or
 //! truncated shard response fails decoding loudly instead of smearing
-//! garbage into the fold.
+//! garbage into the fold; counts and lengths are trusted only as far
+//! as the bytes that follow them (`fdc_codec::Reader::count`).
 
 use crate::accuracy::KeyAccuracy;
-use crate::sketch::{SketchDecodeError, TDigest};
+use crate::sketch::{expect_version, SketchDecodeError, TDigest};
+use fdc_codec::{Reader, Writer};
 
 /// Codec version written by [`SketchBundle::encode`].
 pub const SKETCH_BUNDLE_CODEC_VERSION: u8 = 1;
-
-/// Upper bound on counts and lengths a decode will accept — far above
-/// any real bundle, low enough that a corrupt length prefix cannot ask
-/// for gigabytes.
-const MAX_ITEMS: u32 = 1 << 20;
 
 /// Everything mergeable one process ships to an aggregator: accuracy
 /// partials (sorted by key on encode) and named latency digests.
@@ -41,80 +38,48 @@ impl SketchBundle {
     /// [name_len,name,len,bytes]*` (all lengths little-endian `u32`),
     /// each item using its own sketch codec.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.accuracy.len() * 180);
-        out.push(SKETCH_BUNDLE_CODEC_VERSION);
-        out.extend_from_slice(&(self.accuracy.len() as u32).to_le_bytes());
+        let mut w = Writer::with_capacity(64 + self.accuracy.len() * 180);
+        let run = |w: &mut Writer, bytes: &[u8]| {
+            w.u32(bytes.len() as u32);
+            w.bytes(bytes);
+        };
+        w.u8(SKETCH_BUNDLE_CODEC_VERSION);
+        w.u32(self.accuracy.len() as u32);
         for a in &self.accuracy {
-            let bytes = a.encode();
-            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(&bytes);
+            run(&mut w, &a.encode());
         }
-        out.extend_from_slice(&(self.digests.len() as u32).to_le_bytes());
+        w.u32(self.digests.len() as u32);
         for (name, d) in &self.digests {
-            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            let bytes = d.encode();
-            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(&bytes);
+            run(&mut w, name.as_bytes());
+            run(&mut w, &d.encode());
         }
-        out
+        w.finish()
     }
 
     /// Decodes a bundle produced by [`SketchBundle::encode`].
     pub fn decode(bytes: &[u8]) -> Result<SketchBundle, SketchDecodeError> {
-        let mut pos = 0usize;
-        let u8_at = |pos: &mut usize| -> Result<u8, SketchDecodeError> {
-            let b = *bytes.get(*pos).ok_or(SketchDecodeError::Truncated)?;
-            *pos += 1;
-            Ok(b)
-        };
-        let u32_at = |pos: &mut usize| -> Result<u32, SketchDecodeError> {
-            let end = pos.checked_add(4).ok_or(SketchDecodeError::Truncated)?;
-            let b = bytes.get(*pos..end).ok_or(SketchDecodeError::Truncated)?;
-            *pos = end;
-            Ok(u32::from_le_bytes(b.try_into().unwrap()))
-        };
-        let slice_at = |pos: &mut usize, len: u32| -> Result<&[u8], SketchDecodeError> {
-            if len > MAX_ITEMS {
-                return Err(SketchDecodeError::Corrupt("length prefix"));
-            }
-            let end = pos
-                .checked_add(len as usize)
-                .ok_or(SketchDecodeError::Truncated)?;
-            let s = bytes.get(*pos..end).ok_or(SketchDecodeError::Truncated)?;
-            *pos = end;
-            Ok(s)
-        };
-
-        let version = u8_at(&mut pos)?;
-        if version != SKETCH_BUNDLE_CODEC_VERSION {
-            return Err(SketchDecodeError::UnsupportedVersion(version));
+        fn run<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], SketchDecodeError> {
+            let len = r.count_u32(1)?;
+            Ok(r.take(len)?)
         }
-        let n_acc = u32_at(&mut pos)?;
-        if n_acc > MAX_ITEMS {
-            return Err(SketchDecodeError::Corrupt("accuracy count"));
-        }
-        let mut accuracy = Vec::with_capacity(n_acc.min(1024) as usize);
+        let mut r = Reader::new(bytes);
+        expect_version(&mut r, SKETCH_BUNDLE_CODEC_VERSION)?;
+        // Smallest items: a length-prefixed partial (fixed size), and an
+        // empty name with an empty digest.
+        let n_acc = r.count_u32(4 + KeyAccuracy::ENCODED_BYTES)?;
+        let mut accuracy = Vec::with_capacity(n_acc);
         for _ in 0..n_acc {
-            let len = u32_at(&mut pos)?;
-            accuracy.push(KeyAccuracy::decode(slice_at(&mut pos, len)?)?);
+            accuracy.push(KeyAccuracy::decode(run(&mut r)?)?);
         }
-        let n_dig = u32_at(&mut pos)?;
-        if n_dig > MAX_ITEMS {
-            return Err(SketchDecodeError::Corrupt("digest count"));
-        }
-        let mut digests = Vec::with_capacity(n_dig.min(1024) as usize);
+        let n_dig = r.count_u32(4 + 4 + TDigest::MIN_ENCODED_BYTES)?;
+        let mut digests = Vec::with_capacity(n_dig);
         for _ in 0..n_dig {
-            let name_len = u32_at(&mut pos)?;
-            let name = std::str::from_utf8(slice_at(&mut pos, name_len)?)
+            let name = std::str::from_utf8(run(&mut r)?)
                 .map_err(|_| SketchDecodeError::Corrupt("digest name utf-8"))?
                 .to_string();
-            let len = u32_at(&mut pos)?;
-            digests.push((name, TDigest::decode(slice_at(&mut pos, len)?)?));
+            digests.push((name, TDigest::decode(run(&mut r)?)?));
         }
-        if pos != bytes.len() {
-            return Err(SketchDecodeError::Corrupt("trailing bytes"));
-        }
+        r.finish()?;
         Ok(SketchBundle { accuracy, digests })
     }
 }

@@ -1,4 +1,4 @@
-//! # fdc-rng — deterministic pseudo-random numbers without dependencies
+//! # fdc-rng — deterministic pseudo-random numbers, std-only
 //!
 //! Every stochastic component of the workspace (synthetic data
 //! generation, simulated annealing, multi-source proposal sampling,
@@ -10,6 +10,8 @@
 //! The generator is *not* cryptographically secure and must never be
 //! used for anything security-sensitive.
 
+use fdc_codec::hash::splitmix64;
+
 /// A deterministic xoshiro256\*\* pseudo-random number generator.
 ///
 /// State is seeded via splitmix64 so that any `u64` seed (including 0)
@@ -17,15 +19,6 @@
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rng {
     s: [u64; 4],
-}
-
-/// Expands a seed into one 64-bit state word (splitmix64 step).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl Rng {

@@ -15,24 +15,7 @@
 //! but the determinism contract must not depend on luck) break toward
 //! the lexicographically smallest shard id.
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
-    let mut h = state;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use fdc_codec::hash::{fnv1a, splitmix64, FNV_OFFSET};
 
 /// The rendezvous score of placing `key` on `shard_id`. Deterministic
 /// across processes, platforms and runs.
@@ -41,7 +24,8 @@ pub fn score(key: &str, shard_id: &str) -> u64 {
     // A separator byte that cannot appear in UTF-8 text keeps
     // ("ab", "c") and ("a", "bc") from colliding.
     let h = fnv1a(h, &[0xff]);
-    splitmix64(fnv1a(h, shard_id.as_bytes()))
+    let mut h = fnv1a(h, shard_id.as_bytes());
+    splitmix64(&mut h)
 }
 
 /// Picks the owner of `key` among `shard_ids`: highest [`score`],

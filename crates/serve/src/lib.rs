@@ -74,11 +74,12 @@
 //! once, answers everything already queued or in flight, joins the
 //! workers, commits any still-buffered insert rows,
 //! runs [`F2db::maintain`], and — when a catalog path is configured —
-//! persists the catalog (crash-safely) plus a *pending sidecar* holding
-//! the rows of the incomplete next time stamp, so **every acknowledged
-//! write survives a restart** ([`restore_pending`] re-applies the
-//! sidecar after [`F2db::open_catalog`]). The drain is observable: a
-//! `ServeShutdown` journal event records what was drained and flushed.
+//! persists one `F2CK` checkpoint container (crash-safely): catalog,
+//! base series and the rows of the incomplete next time stamp, so
+//! **every acknowledged write survives a restart** and
+//! [`F2db::open_catalog`] alone brings all of it back. The drain is
+//! observable: a `ServeShutdown` journal event records what was drained
+//! and flushed.
 //!
 //! ## Durability
 //!
@@ -87,12 +88,10 @@
 //! only sent after its rows are fsynced (group-committed — concurrent
 //! requests coalesce into one fsync via the [`Batcher`] *and* one WAL
 //! append), so acknowledged writes survive a SIGKILL, not just a
-//! graceful drain. `save_catalog` then writes an `F2CK` checkpoint
-//! container (catalog + base series + pending rows + WAL position) and
-//! truncates the log behind it; on restart [`open_engine`] replays the
-//! suffix. The legacy pending sidecar is consulted read-only, exactly
-//! once, on the migration boot. `GET /stats` reports the log's
-//! position under the `"wal"` key.
+//! graceful drain. A checkpoint then also records the WAL position it
+//! covers and truncates the log behind it; on restart [`open_engine`]
+//! replays the suffix. `GET /stats` reports the log's position under
+//! the `"wal"` key.
 
 pub mod batcher;
 pub mod json;
@@ -111,9 +110,8 @@ use fdc_f2db::{
 use fdc_obs::httpcore::server::{CloseReason, ConnQueue, Limits, Reject, Responder, Service};
 use fdc_obs::httpcore::{status_line, Request};
 use fdc_obs::{journal, names, trace, Event, TraceContext};
-use std::io::Read as _;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -138,8 +136,8 @@ pub struct ServeOptions {
     /// Socket read timeout while parsing a request — and how long an
     /// idle kept-alive connection is held before it is closed.
     pub read_timeout: Duration,
-    /// When set, [`Server::shutdown`] persists the catalog here and the
-    /// pending rows next to it (see [`pending_sidecar_path`]).
+    /// When set, [`Server::shutdown`] persists the engine here as one
+    /// `F2CK` checkpoint container, and [`open_engine`] opens it.
     pub catalog_path: Option<PathBuf>,
     /// When set, [`open_engine`] attaches a write-ahead log in this
     /// directory: every acknowledged insert is durable *before* its
@@ -216,11 +214,9 @@ pub struct ShutdownReport {
     pub flushed_rows: u64,
     /// Models re-estimated by the shutdown `maintain` pass.
     pub refitted: usize,
-    /// Whether a catalog (and pending sidecar) was persisted.
+    /// Whether a checkpoint container was persisted.
     pub saved_catalog: bool,
-    /// Rows of the incomplete next time stamp persisted — in the
-    /// checkpoint container when a WAL is attached, in the sidecar
-    /// otherwise.
+    /// Rows of the incomplete next time stamp persisted in it.
     pub saved_pending_rows: usize,
     /// The WAL position the persisted checkpoint covers; `None` when no
     /// write-ahead log is attached.
@@ -235,9 +231,6 @@ pub struct EngineRecovery {
     pub opened_catalog: bool,
     /// WAL replay report, when [`ServeOptions::wal_dir`] is set.
     pub wal: Option<fdc_f2db::RecoveryReport>,
-    /// Rows re-applied from a legacy pending sidecar (migration only —
-    /// once the WAL owns the rows the sidecar is never consulted again).
-    pub sidecar_rows: usize,
     /// Whether a [`replica::REPLICA_MARKER`] was found in the WAL
     /// directory: the engine opened read-only and every write answers
     /// [`F2dbError::ReadOnly`] until the follower is promoted.
@@ -247,15 +240,12 @@ pub struct EngineRecovery {
 /// Builds the engine a server should front, according to `opts`:
 ///
 /// 1. when [`ServeOptions::catalog_path`] points at an existing file it
-///    is opened (either format — a legacy plain catalog or an `F2CK`
-///    checkpoint container) in place of the caller's `fresh` engine;
+///    is opened (either format — an `F2CK` checkpoint container, which
+///    also restores the base series and the pending rows, or a plain
+///    catalog) in place of the caller's `fresh` engine;
 /// 2. when [`ServeOptions::wal_dir`] is set the write-ahead log there is
 ///    replayed and attached, so every previously acknowledged insert is
-///    recovered and every future one is durable before its `202`;
-/// 3. a legacy pending sidecar is re-applied **read-only and only while
-///    the WAL is still empty** — the one migration boot. After that the
-///    log (or the container) owns every acknowledged row, and replaying
-///    the sidecar again would duplicate them.
+///    recovered and every future one is durable before its `202`.
 pub fn open_engine(
     fresh: F2db,
     opts: &ServeOptions,
@@ -285,15 +275,6 @@ pub fn open_engine(
         }
         None => None,
     };
-    // The sidecar predates the WAL: it only carries rows neither the
-    // log nor a checkpoint container has seen, which is exactly "the
-    // log is empty and the catalog is the legacy format". Re-applying
-    // it past that point would insert the rows a second time.
-    let wal_is_fresh = wal.as_ref().is_none_or(|r| r.wal.last_seq == 0);
-    let sidecar_rows = match &opts.catalog_path {
-        Some(path) if wal_is_fresh && !catalog_is_container(path) => restore_pending(&db, path)?,
-        _ => 0,
-    };
     // A WAL directory still carrying a follower's REPLICA marker must
     // not come up writable: its log is a replicated prefix owned by the
     // promotion protocol, and writing past it here would fork history.
@@ -310,7 +291,6 @@ pub fn open_engine(
         EngineRecovery {
             opened_catalog,
             wal,
-            sidecar_rows,
             replica_marker,
         },
     ))
@@ -434,7 +414,7 @@ impl Server {
     /// Gracefully drains and stops the server: stop accepting and give
     /// up idle kept-alive connections → answer every queued and
     /// in-flight request → join the workers → commit buffered insert
-    /// rows → `maintain` → persist catalog + pending sidecar (when
+    /// rows → `maintain` → persist the checkpoint container (when
     /// configured) → publish the `ServeShutdown` journal event.
     pub fn shutdown(mut self) -> Result<ShutdownReport, F2dbError> {
         self.shared.conns.stop(self.addr);
@@ -477,20 +457,9 @@ impl Server {
         let refitted = self.shared.db.maintain()?;
         let mut saved_catalog = false;
         let mut saved_pending_rows = 0;
-        if let Some(path) = self.shared.opts.catalog_path.clone() {
-            self.shared.db.save_catalog(&path)?;
-            let pending = self.shared.db.pending_rows();
-            saved_pending_rows = pending.len();
-            if self.shared.db.wal().is_some() {
-                // The checkpoint container already carries the pending
-                // rows; a sidecar would only invite a double apply. An
-                // old one left over from the pre-WAL era is folded into
-                // this save, so it can go.
-                std::fs::remove_file(pending_sidecar_path(&path)).ok();
-            } else {
-                write_pending_sidecar(&pending_sidecar_path(&path), &pending)
-                    .map_err(|e| F2dbError::Storage(e.to_string()))?;
-            }
+        if let Some(path) = &self.shared.opts.catalog_path {
+            self.shared.db.save_checkpoint(path)?;
+            saved_pending_rows = self.shared.db.pending_rows().len();
             saved_catalog = true;
         }
         let wal_checkpoint_seq = self.shared.db.wal_stats().map(|s| s.checkpoint_seq);
@@ -510,83 +479,6 @@ impl Server {
             wal_checkpoint_seq,
         })
     }
-}
-
-// ---------------------------------------------------------------------------
-// Pending-rows sidecar
-// ---------------------------------------------------------------------------
-
-/// Where the pending rows of an incomplete time stamp are persisted,
-/// next to the catalog: `<catalog>.pending`.
-pub fn pending_sidecar_path(catalog: &Path) -> PathBuf {
-    let mut p = catalog.as_os_str().to_owned();
-    p.push(".pending");
-    PathBuf::from(p)
-}
-
-/// Writes pending rows to the sidecar (atomically *and* durably: temp
-/// sibling, fsync, rename, parent-directory fsync). Values are stored
-/// as f64 bit patterns so the restore is exact.
-pub fn write_pending_sidecar(path: &Path, rows: &[(NodeId, f64)]) -> std::io::Result<()> {
-    let mut text = String::from("fdc-pending v1\n");
-    for &(node, value) in rows {
-        text.push_str(&format!("{node} {:016x}\n", value.to_bits()));
-    }
-    fdc_wal::atomic_write_durable(path, text.as_bytes())
-}
-
-/// Whether the catalog file at `path` is an `F2CK` checkpoint container
-/// (as opposed to a legacy plain catalog, or missing/unreadable).
-fn catalog_is_container(path: &Path) -> bool {
-    let mut magic = [0u8; 4];
-    std::fs::File::open(path)
-        .and_then(|mut f| f.read_exact(&mut magic))
-        .map(|()| fdc_f2db::durability::is_checkpoint_container(&magic))
-        .unwrap_or(false)
-}
-
-/// Reads a pending sidecar back. A missing file is an empty pending set
-/// (a pre-sidecar shutdown or a clean one).
-pub fn read_pending_sidecar(path: &Path) -> std::io::Result<Vec<(NodeId, f64)>> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
-    let mut lines = text.lines();
-    if lines.next() != Some("fdc-pending v1") {
-        return Err(bad("bad pending sidecar header"));
-    }
-    let mut rows = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (node, bits) = line
-            .split_once(' ')
-            .ok_or_else(|| bad("malformed pending sidecar line"))?;
-        let node: NodeId = node
-            .parse()
-            .map_err(|_| bad("bad node id in pending sidecar"))?;
-        let bits =
-            u64::from_str_radix(bits, 16).map_err(|_| bad("bad value bits in pending sidecar"))?;
-        rows.push((node, f64::from_bits(bits)));
-    }
-    Ok(rows)
-}
-
-/// Re-applies the pending sidecar written by a graceful shutdown to a
-/// freshly re-opened database: the counterpart of [`F2db::open_catalog`]
-/// for the rows of the incomplete next time stamp. Returns how many rows
-/// were restored.
-pub fn restore_pending(db: &F2db, catalog_path: &Path) -> Result<usize, F2dbError> {
-    let rows = read_pending_sidecar(&pending_sidecar_path(catalog_path))
-        .map_err(|e| F2dbError::Storage(e.to_string()))?;
-    if !rows.is_empty() {
-        db.insert_batch(&rows)?;
-    }
-    Ok(rows.len())
 }
 
 // ---------------------------------------------------------------------------
@@ -1416,36 +1308,4 @@ fn stats_body(shared: &Shared) -> String {
         connections_json(),
         drift_json(shared),
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sidecar_round_trips_exact_bits() {
-        let dir = std::env::temp_dir().join(format!("fdc_sidecar_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let catalog = dir.join("catalog.bin");
-        let sidecar = pending_sidecar_path(&catalog);
-        // The third value's decimal rendering would lose bits if the
-        // sidecar stored decimals instead of bit patterns.
-        let rows = vec![
-            (3usize, 1.5),
-            (7, -0.0),
-            (11, f64::from_bits(0x3FF0_0000_0000_0001)),
-        ];
-        write_pending_sidecar(&sidecar, &rows).unwrap();
-        let restored = read_pending_sidecar(&sidecar).unwrap();
-        assert_eq!(restored.len(), rows.len());
-        for ((n1, v1), (n2, v2)) in rows.iter().zip(&restored) {
-            assert_eq!(n1, n2);
-            assert_eq!(v1.to_bits(), v2.to_bits());
-        }
-        // Missing sidecar reads as empty, malformed one errors.
-        assert!(read_pending_sidecar(&dir.join("nope")).unwrap().is_empty());
-        std::fs::write(&sidecar, "not a sidecar\n").unwrap();
-        assert!(read_pending_sidecar(&sidecar).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
 }

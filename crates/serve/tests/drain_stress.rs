@@ -4,9 +4,10 @@
 //! The contract under test (ISSUE 4, satellite 3): a `202 Accepted` is
 //! only sent after the rows are committed into the engine, the shutdown
 //! drains the queue and flushes the coalescing buffer before persisting,
-//! and the pending sidecar carries rows of the incomplete next time
-//! stamp across the restart. So after `open_catalog` + sidecar restore,
-//! every acknowledged row must be accounted for.
+//! and the `F2CK` container written at shutdown carries the grown base
+//! series and the rows of the incomplete next time stamp across the
+//! restart. So a restart handed only the *original* data set must
+//! account for every acknowledged row.
 //!
 //! Client workloads are seeded (`fdc-rng`, `concurrency_stress.rs`
 //! style) so the values — and therefore any mismatch — are reproducible;
@@ -16,12 +17,23 @@
 mod common;
 
 use common::{base_dims, full_round_body, http, row_json, small_db};
+use fdc_cube::Configuration;
+use fdc_datagen::tourism_proxy;
 use fdc_f2db::F2db;
 use fdc_rng::Rng;
-use fdc_serve::{restore_pending, ServeOptions, Server};
+use fdc_serve::{open_engine, ServeOptions, Server};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// What a restarted process has before it reads anything back: the
+/// data set as it was before any insert (the fixture's, regenerated)
+/// and no configuration.
+fn fresh_engine() -> F2db {
+    let ds = tourism_proxy(1);
+    let empty = Configuration::new(ds.node_count());
+    F2db::load(ds, &empty).unwrap()
+}
 
 #[test]
 fn concurrent_inserts_racing_shutdown_lose_no_acked_write() {
@@ -106,15 +118,21 @@ fn concurrent_inserts_racing_shutdown_lose_no_acked_write() {
         report.saved_pending_rows as u64
     );
 
-    // Restart: open the persisted catalog against the final data set and
-    // re-apply the sidecar. The advance counter — persisted in the
-    // catalog — must account for every acknowledged round.
-    let restored = F2db::open_catalog(db.dataset().clone(), &catalog_path).unwrap();
+    // Restart through `open_engine` with the original, pre-insert data
+    // set: the container alone must bring back every committed round
+    // (base series and the persisted advance counter) and the pending
+    // rows.
+    let opts = ServeOptions {
+        catalog_path: Some(catalog_path.clone()),
+        ..ServeOptions::default()
+    };
+    let (restored, recovery) = open_engine(fresh_engine(), &opts).unwrap();
+    assert!(recovery.opened_catalog);
     assert_eq!(restored.model_count(), db.model_count());
+    assert_eq!(restored.dataset().series_len(), db.dataset().series_len());
     assert_eq!(restored.catalog().advances(), initial_advances + committed);
     assert!(restored.catalog().advances() >= initial_advances + acked);
-    let restored_rows = restore_pending(&restored, &catalog_path).unwrap();
-    assert_eq!(restored_rows, report.saved_pending_rows);
+    assert_eq!(restored.pending_inserts(), db.pending_inserts());
     assert_eq!(restored.pending_inserts(), report.saved_pending_rows);
 
     // The restored engine answers queries.
@@ -125,9 +143,9 @@ fn concurrent_inserts_racing_shutdown_lose_no_acked_write() {
 }
 
 /// Deterministic variant: acknowledged single-row inserts that do *not*
-/// complete a time stamp survive the restart via the pending sidecar.
+/// complete a time stamp survive the restart in the container.
 #[test]
-fn acked_partial_rows_survive_restart_via_sidecar() {
+fn acked_partial_rows_survive_restart_in_the_container() {
     let db = small_db();
     let dims = base_dims(&db);
     assert!(dims.len() >= 3, "fixture must have several base series");
@@ -165,9 +183,9 @@ fn acked_partial_rows_survive_restart_via_sidecar() {
 
     // … yet after a restart every acknowledged row is back in pending,
     // and completing the round commits them.
-    let restored = F2db::open_catalog(db.dataset().clone(), &catalog_path).unwrap();
-    assert_eq!(restore_pending(&restored, &catalog_path).unwrap(), keep);
+    let restored = F2db::open_catalog(tourism_proxy(1), &catalog_path).unwrap();
     assert_eq!(restored.pending_inserts(), keep);
+    assert_eq!(restored.pending_rows(), db.pending_rows());
     let last = restored.base_node_for(&dims[keep]).unwrap();
     assert!(restored.insert_value(last, 5.0).unwrap());
     assert_eq!(restored.dataset().series_len(), len_before + 1);

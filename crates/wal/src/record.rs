@@ -15,6 +15,9 @@
 //! start at 1 and are contiguous — a gap or repeat is corruption, not a
 //! torn write.
 
+use fdc_codec::hash::Crc32;
+use fdc_codec::{DecodeError, Reader, Writer};
+
 /// Frame header size: len (4) + crc (4) + seq (8).
 pub const FRAME_HEADER: usize = 16;
 
@@ -23,50 +26,25 @@ pub const FRAME_HEADER: usize = 16;
 /// allocation.
 pub const MAX_PAYLOAD: u32 = 1 << 28;
 
-/// CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the zlib/PNG
-/// checksum, computed over a small const-generated table.
+/// CRC32 (IEEE 802.3, reflected — the zlib/PNG checksum) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        let idx = ((crc ^ b as u32) & 0xFF) as usize;
-        crc = (crc >> 8) ^ TABLE[idx];
-    }
-    !crc
-}
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
 }
 
 /// Encodes one frame (header + payload) into a fresh buffer.
 pub fn encode_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
     debug_assert!(payload.len() as u64 <= MAX_PAYLOAD as u64);
-    let mut buf = Vec::with_capacity(FRAME_HEADER + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let mut crc_input = Vec::with_capacity(8 + payload.len());
-    crc_input.extend_from_slice(&seq.to_le_bytes());
-    crc_input.extend_from_slice(payload);
-    buf.extend_from_slice(&crc32(&crc_input).to_le_bytes());
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf
+    let mut crc = Crc32::new();
+    crc.update(&seq.to_le_bytes());
+    crc.update(payload);
+    let mut w = Writer::with_capacity(FRAME_HEADER + payload.len());
+    w.u32(payload.len() as u32);
+    w.u32(crc.finish());
+    w.u64(seq);
+    w.bytes(payload);
+    w.finish()
 }
 
 /// Why a frame could not be decoded at some offset.
@@ -101,25 +79,35 @@ pub struct Frame {
     pub encoded_len: usize,
 }
 
+impl From<DecodeError> for FrameError {
+    /// A frame has no magic, version or counts: all the kit can report
+    /// while reading one is that the bytes ran out.
+    fn from(_: DecodeError) -> Self {
+        FrameError::TruncatedHeader
+    }
+}
+
 /// Decodes the frame at the start of `buf`, verifying length, checksum
 /// and (when `expected_seq` is `Some`) the sequence number.
 pub fn decode_frame(buf: &[u8], expected_seq: Option<u64>) -> Result<Frame, FrameError> {
-    if buf.len() < FRAME_HEADER {
+    let mut r = Reader::new(buf);
+    if r.remaining() < FRAME_HEADER {
         return Err(FrameError::TruncatedHeader);
     }
-    let len = u32::from_le_bytes(buf[0..4].try_into().unwrap());
+    let len = r.u32()?;
     if len > MAX_PAYLOAD {
         return Err(FrameError::ImplausibleLength(len));
     }
-    let total = FRAME_HEADER + len as usize;
-    if buf.len() < total {
-        return Err(FrameError::TruncatedBody);
-    }
-    let crc = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-    if crc32(&buf[8..total]) != crc {
+    let crc = r.u32()?;
+    // The checksum covers `seq ‖ payload`, contiguous in the frame.
+    let checked = r
+        .take(8 + len as usize)
+        .map_err(|_| FrameError::TruncatedBody)?;
+    if crc32(checked) != crc {
         return Err(FrameError::BadChecksum);
     }
-    let seq = u64::from_le_bytes(buf[8..16].try_into().unwrap());
+    let mut body = Reader::new(checked);
+    let seq = body.u64()?;
     if let Some(expected) = expected_seq {
         if seq != expected {
             return Err(FrameError::SequenceGap {
@@ -130,8 +118,8 @@ pub fn decode_frame(buf: &[u8], expected_seq: Option<u64>) -> Result<Frame, Fram
     }
     Ok(Frame {
         seq,
-        payload: buf[16..total].to_vec(),
-        encoded_len: total,
+        payload: body.rest().to_vec(),
+        encoded_len: FRAME_HEADER + len as usize,
     })
 }
 

@@ -29,6 +29,8 @@ use std::fmt;
 use std::fs;
 use std::io;
 
+use fdc_codec::{DecodeError, Reader, Writer};
+
 use crate::record;
 use crate::wal::{segment_path, Wal, WalError, SEGMENT_HEADER};
 
@@ -172,6 +174,20 @@ impl From<WalError> for ShipError {
     }
 }
 
+impl From<DecodeError> for ShipError {
+    fn from(e: DecodeError) -> ShipError {
+        match e {
+            DecodeError::Truncated => truncated("the bytes end inside the chunk header"),
+            DecodeError::UnsupportedVersion { found, .. } => ShipError::UnsupportedVersion {
+                version: SHIP_VERSION,
+                found,
+            },
+            DecodeError::BadMagic => corrupt("chunk has bad magic"),
+            DecodeError::Corrupt(what) => corrupt(what),
+        }
+    }
+}
+
 fn corrupt(detail: impl Into<String>) -> ShipError {
     ShipError::Corrupt {
         version: SHIP_VERSION,
@@ -216,7 +232,7 @@ impl ShipChunk {
 /// each frame in the standard CRC wal-frame encoding. Deterministic —
 /// the same frames always produce the same bytes.
 pub fn encode_chunk(chunk: &ShipChunk) -> Vec<u8> {
-    let mut out = Vec::with_capacity(
+    let mut w = Writer::with_capacity(
         CHUNK_HEADER
             + chunk
                 .frames
@@ -224,17 +240,15 @@ pub fn encode_chunk(chunk: &ShipChunk) -> Vec<u8> {
                 .map(|(_, p)| record::FRAME_HEADER + p.len())
                 .sum::<usize>(),
     );
-    out.extend_from_slice(CHUNK_MAGIC);
-    out.extend_from_slice(&SHIP_VERSION.to_le_bytes());
-    out.extend_from_slice(&chunk.durable_seq.to_le_bytes());
-    out.extend_from_slice(&chunk.checkpoint_seq.to_le_bytes());
-    let first = chunk.first_seq().unwrap_or(0);
-    out.extend_from_slice(&first.to_le_bytes());
-    out.extend_from_slice(&(chunk.frames.len() as u32).to_le_bytes());
+    w.header(CHUNK_MAGIC, SHIP_VERSION);
+    w.u64(chunk.durable_seq);
+    w.u64(chunk.checkpoint_seq);
+    w.u64(chunk.first_seq().unwrap_or(0));
+    w.u32(chunk.frames.len() as u32);
     for (seq, payload) in &chunk.frames {
-        out.extend_from_slice(&record::encode_frame(*seq, payload));
+        w.bytes(&record::encode_frame(*seq, payload));
     }
-    out
+    w.finish()
 }
 
 /// Decodes and fully verifies a chunk: header magic and version, every
@@ -243,31 +257,25 @@ pub fn encode_chunk(chunk: &ShipChunk) -> Vec<u8> {
 /// [`ShipError::Truncated`]; trailing bytes past the advertised count
 /// are [`ShipError::Corrupt`].
 pub fn decode_chunk(bytes: &[u8]) -> Result<ShipChunk, ShipError> {
-    if bytes.len() < CHUNK_HEADER {
-        return Err(truncated(format!(
-            "{} bytes is shorter than the {CHUNK_HEADER}-byte chunk header",
-            bytes.len()
-        )));
-    }
-    if &bytes[..8] != CHUNK_MAGIC {
-        return Err(corrupt("chunk has bad magic"));
-    }
-    let found = u16::from_le_bytes(bytes[8..10].try_into().unwrap());
-    if found != SHIP_VERSION {
-        return Err(ShipError::UnsupportedVersion {
-            version: SHIP_VERSION,
-            found,
-        });
-    }
-    let durable_seq = u64::from_le_bytes(bytes[10..18].try_into().unwrap());
-    let checkpoint_seq = u64::from_le_bytes(bytes[18..26].try_into().unwrap());
-    let first_seq = u64::from_le_bytes(bytes[26..34].try_into().unwrap());
-    let count = u32::from_le_bytes(bytes[34..38].try_into().unwrap()) as usize;
+    let mut r = Reader::new(bytes);
+    r.header(CHUNK_MAGIC, SHIP_VERSION..=SHIP_VERSION)?;
+    let durable_seq = r.u64()?;
+    let checkpoint_seq = r.u64()?;
+    let first_seq = r.u64()?;
+    // A frame is at least its header; a count the bytes cannot hold is
+    // a response cut short.
+    let count = r
+        .count_u32(record::FRAME_HEADER)
+        .map_err(|_| truncated("the chunk advertises more frames than its bytes can hold"))?;
     let mut frames = Vec::with_capacity(count);
-    let mut offset = CHUNK_HEADER;
     for i in 0..count {
-        let seq = first_seq + i as u64;
-        let frame = record::decode_frame(&bytes[offset..], Some(seq)).map_err(|e| match e {
+        let seq = first_seq.checked_add(i as u64).ok_or_else(|| {
+            corrupt(format!(
+                "frame {i} of {count} has no sequence number after {first_seq}"
+            ))
+        })?;
+        let offset = bytes.len() - r.remaining();
+        let frame = record::decode_frame(r.clone().rest(), Some(seq)).map_err(|e| match e {
             record::FrameError::TruncatedHeader | record::FrameError::TruncatedBody => truncated(
                 format!("chunk ends mid-frame at offset {offset} (frame {i} of {count})"),
             ),
@@ -275,13 +283,13 @@ pub fn decode_chunk(bytes: &[u8]) -> Result<ShipChunk, ShipError> {
                 "frame {i} of {count} at offset {offset} (seq {seq}): {other:?}"
             )),
         })?;
-        offset += frame.encoded_len;
+        r.take(frame.encoded_len)?;
         frames.push((seq, frame.payload));
     }
-    if offset != bytes.len() {
+    if r.remaining() != 0 {
         return Err(corrupt(format!(
             "{} trailing bytes after the {count} advertised frames",
-            bytes.len() - offset
+            r.remaining()
         )));
     }
     Ok(ShipChunk {

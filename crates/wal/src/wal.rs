@@ -51,6 +51,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Instant;
 
+use fdc_codec::{DecodeError, Reader, Writer};
+
 use crate::record::{self, MAX_PAYLOAD};
 use crate::storage::{StdWalStorage, WalFile, WalStorage};
 use crate::{atomic_write_durable, sweep_stale_tmp, sync_dir};
@@ -284,11 +286,10 @@ fn parse_segment_name(name: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-fn segment_header_bytes() -> [u8; SEGMENT_HEADER] {
-    let mut h = [0u8; SEGMENT_HEADER];
-    h[..6].copy_from_slice(SEGMENT_MAGIC);
-    h[6..].copy_from_slice(&WAL_VERSION.to_le_bytes());
-    h
+fn segment_header_bytes() -> Vec<u8> {
+    let mut w = Writer::with_capacity(SEGMENT_HEADER);
+    w.header(SEGMENT_MAGIC, WAL_VERSION);
+    w.finish()
 }
 
 fn read_checkpoint_marker(dir: &Path) -> Result<u64, WalError> {
@@ -385,15 +386,15 @@ impl Wal {
                     path.display()
                 )));
             }
-            if &bytes[..6] != SEGMENT_MAGIC {
-                return Err(corrupt(format!("segment {} has bad magic", path.display())));
-            }
-            let ver = u16::from_le_bytes(bytes[6..8].try_into().unwrap());
-            if ver != WAL_VERSION {
-                return Err(corrupt(format!(
-                    "segment {} has format version {ver}, reader speaks {WAL_VERSION}",
-                    path.display()
-                )));
+            match Reader::new(&bytes).header(SEGMENT_MAGIC, WAL_VERSION..=WAL_VERSION) {
+                Ok(_) => {}
+                Err(DecodeError::UnsupportedVersion { found, .. }) => {
+                    return Err(corrupt(format!(
+                        "segment {} has format version {found}, reader speaks {WAL_VERSION}",
+                        path.display()
+                    )))
+                }
+                Err(_) => return Err(corrupt(format!("segment {} has bad magic", path.display()))),
             }
             let mut offset = SEGMENT_HEADER;
             let mut seq = *first;

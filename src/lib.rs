@@ -31,6 +31,8 @@
 //!   crash recovery.
 //! * [`rng`] — the deterministic xoshiro256** random number generator
 //!   shared by data generation, stochastic optimizers and sampling.
+//! * [`codec`] — the byte-codec kit every binary format is written and
+//!   read with, and the workspace's hashes.
 //!
 //! ## Quickstart
 //!
@@ -47,6 +49,7 @@
 //! ```
 
 pub use fdc_approx as approx;
+pub use fdc_codec as codec;
 pub use fdc_core as advisor;
 pub use fdc_cube as cube;
 pub use fdc_datagen as datagen;

@@ -1,0 +1,694 @@
+//! Every decoder and parser is total: arbitrary bytes give a typed
+//! error or a value that survives use — never a panic, never an abort.
+//!
+//! One seeded mutation driver runs over every binary format (the
+//! samples `format_goldens.rs` pins, plus a WAL segment as `Wal::open`
+//! reads it) and then over every text parser. A format gets, per
+//! sample: every truncation prefix, bit flips, every 4- and 8-byte
+//! window overwritten with `0`, `1`, a power of two and `MAX`, single
+//! bytes replaced by structural characters, splices with another
+//! sample, and appended garbage. The inputs that crashed a decoder
+//! before the formats moved onto `fdc-codec` are kept as named cases.
+
+mod common;
+
+use fdc::approx::{decode_plane, encode_plane, ApproxQuerySpec};
+use fdc::codec::Writer;
+use fdc::cube::Dataset;
+use fdc::f2db::durability::{decode_checkpoint, encode_checkpoint};
+use fdc::f2db::{parse_query, Catalog, MaintenancePolicy, WalRecord};
+use fdc::forecast::FitOptions;
+use fdc::obs::httpcore::{RequestError, RequestReader};
+use fdc::obs::{KeyAccuracy, MomentSummary, SketchBundle, TDigest, TraceContext};
+use fdc::rng::Rng;
+use fdc::router::Topology;
+use fdc::serve::{json, wire};
+use fdc::wal::{decode_chunk, decode_frame, encode_chunk, encode_frame, Wal, WalOptions};
+use std::io::Write as _;
+use std::net::{Ipv4Addr, Shutdown, TcpListener, TcpStream};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::time::Duration;
+
+// ---------------------------------------------------------------------
+// The mutation driver
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone, Copy)]
+enum Mutation {
+    /// Keep the first `n` bytes.
+    Truncate(usize),
+    /// Flip one bit.
+    Flip { bit: usize },
+    /// Overwrite `width` bytes at `at` with `value`, little-endian.
+    Window { at: usize, width: usize, value: u64 },
+    /// Replace the byte at `at`.
+    Byte { at: usize, value: u8 },
+    /// The first `head` bytes, then sample `other` from `tail` on.
+    Splice {
+        other: usize,
+        head: usize,
+        tail: usize,
+    },
+    /// Append `len` seeded random bytes.
+    Append { seed: u64, len: usize },
+}
+
+/// Bytes that mean something to at least one text format.
+const STRUCTURAL: &[u8] = b"\0\"'\\{}[](),:;=-+.eE09 \r\n\xff";
+
+/// Offsets to mutate: every one of a small sample; the first 256 (where
+/// headers, tags and counts live), the last 64 and a seeded scatter of
+/// a large one.
+fn offsets(len: usize, rng: &mut Rng) -> Vec<usize> {
+    if len <= 640 {
+        return (0..len).collect();
+    }
+    let mut at: Vec<usize> = (0..256).chain(len - 64..len).collect();
+    at.extend((0..320).map(|_| 256 + rng.usize_below(len - 320)));
+    at
+}
+
+fn mutations(samples: &[Vec<u8>], index: usize, rng: &mut Rng) -> Vec<Mutation> {
+    let len = samples[index].len();
+    let mut out: Vec<Mutation> = (0..len).map(Mutation::Truncate).collect();
+    for at in offsets(len, rng) {
+        // Every bit of a small sample, one seeded bit per offset of a
+        // large one.
+        let bits = if len <= 640 {
+            0..8
+        } else {
+            let bit = rng.usize_below(8);
+            bit..bit + 1
+        };
+        out.extend(bits.map(|bit| Mutation::Flip { bit: at * 8 + bit }));
+        out.push(Mutation::Byte {
+            at,
+            value: STRUCTURAL[rng.usize_below(STRUCTURAL.len())],
+        });
+        for width in [4, 8] {
+            let max = if width == 4 {
+                u32::MAX.into()
+            } else {
+                u64::MAX
+            };
+            let power = 1u64 << rng.usize_below(width * 8);
+            for value in [0, 1, power, max] {
+                out.push(Mutation::Window { at, width, value });
+            }
+        }
+    }
+    for _ in 0..200 {
+        let other = rng.usize_below(samples.len());
+        out.push(Mutation::Splice {
+            other,
+            head: rng.usize_below(len + 1),
+            tail: rng.usize_below(samples[other].len() + 1),
+        });
+    }
+    for len in [1, 2, 7, 8, 64] {
+        for _ in 0..10 {
+            out.push(Mutation::Append {
+                seed: rng.next_u64(),
+                len,
+            });
+        }
+    }
+    out
+}
+
+fn apply(samples: &[Vec<u8>], index: usize, mutation: Mutation) -> Vec<u8> {
+    let mut bytes = samples[index].clone();
+    match mutation {
+        Mutation::Truncate(n) => bytes.truncate(n),
+        Mutation::Flip { bit } => bytes[bit / 8] ^= 1 << (bit % 8),
+        Mutation::Window { at, width, value } => {
+            for (slot, byte) in bytes[at..].iter_mut().zip(&value.to_le_bytes()[..width]) {
+                *slot = *byte;
+            }
+        }
+        Mutation::Byte { at, value } => bytes[at] = value,
+        Mutation::Splice { other, head, tail } => {
+            bytes.truncate(head);
+            bytes.extend_from_slice(&samples[other][tail..]);
+        }
+        Mutation::Append { seed, len } => {
+            let mut rng = Rng::seed_from_u64(seed);
+            bytes.extend((0..len).map(|_| rng.next_u64() as u8));
+        }
+    }
+    bytes
+}
+
+/// Runs `check` on every sample and on every mutation of every sample.
+/// `check` decodes and uses what decoded; a panic inside it fails the
+/// test, naming the mutation.
+fn drive(name: &str, samples: &[Vec<u8>], check: &mut dyn FnMut(&[u8])) {
+    let mut rng = Rng::seed_from_u64(samples.iter().map(|s| s.len() as u64).sum());
+    let mut ran = 0;
+    for index in 0..samples.len() {
+        check(&samples[index]);
+        for mutation in mutations(samples, index, &mut rng) {
+            let bytes = apply(samples, index, mutation);
+            if let Err(panic) = catch_unwind(AssertUnwindSafe(|| check(&bytes))) {
+                eprintln!("{name}: sample {index} panicked under {mutation:?}");
+                resume_unwind(panic);
+            }
+            ran += 1;
+        }
+    }
+    assert!(ran >= 2000, "{name}: only {ran} mutations ran");
+}
+
+// ---------------------------------------------------------------------
+// Binary formats
+// ---------------------------------------------------------------------
+
+/// Uses a decoded catalog the way the engine does: re-encode, forecast
+/// every node, and — when it covers `dataset` — absorb one time stamp,
+/// which updates every model and refreshes every weight.
+fn use_catalog(catalog: &Catalog, dataset: &Dataset) {
+    let _ = catalog.encode();
+    for v in 0..catalog.node_count().min(64) {
+        let _ = catalog.forecast(v, 3);
+    }
+    if catalog.node_count() == dataset.node_count() && dataset.series_len() > 0 {
+        catalog.advance_time(dataset, dataset.series_len() - 1, &MaintenancePolicy::None);
+    }
+}
+
+#[test]
+fn catalog_decoder_is_total() {
+    let (ds, big) = common::catalog();
+    let (_, small) = common::small_catalog();
+    let samples = [big.encode(), small.encode()];
+    assert!(Catalog::decode(&samples[0]).is_ok() && Catalog::decode(&samples[1]).is_ok());
+    drive("F2DB catalog", &samples, &mut |bytes| {
+        if let Ok(catalog) = Catalog::decode_sharded(bytes, 3) {
+            use_catalog(&catalog, &ds);
+        }
+    });
+}
+
+#[test]
+fn checkpoint_decoder_is_total() {
+    // Small cubes: most mutations land in series values, decode, and
+    // pay for rebuilding the data set.
+    let samples = [
+        common::small_checkpoint(),
+        common::small_checkpoint_with_pending(),
+    ];
+    let schema = common::small_catalog().0.graph().schema().clone();
+    assert!(decode_checkpoint(&samples[0]).is_ok() && decode_checkpoint(&samples[1]).is_ok());
+    assert!(decode_checkpoint(&common::checkpoint()).is_ok());
+    // What `F2db::open_catalog` does with a container, in memory.
+    drive("F2CK checkpoint", &samples, &mut |bytes| {
+        let Ok(cp) = decode_checkpoint(bytes) else {
+            return;
+        };
+        let catalog = Catalog::decode(&cp.catalog_bytes);
+        let Ok(ds) = Dataset::from_base(schema.clone(), cp.base) else {
+            return;
+        };
+        let _ = encode_checkpoint(cp.wal_seq, &cp.pending, &ds, &cp.catalog_bytes);
+        if let Ok(catalog) = catalog {
+            use_catalog(&catalog, &ds);
+        }
+    });
+}
+
+#[test]
+fn wal_record_decoder_is_total() {
+    let samples = [
+        common::record_untraced().encode(),
+        common::record_traced().encode(),
+    ];
+    drive("WalRecord", &samples, &mut |bytes| {
+        let _ = WalRecord::peek_trace(bytes);
+        if let Ok(record) = WalRecord::decode(bytes) {
+            assert_eq!(
+                record.encode(),
+                bytes,
+                "a decoded record re-encodes to itself"
+            );
+        }
+    });
+}
+
+#[test]
+fn frame_decoder_is_total() {
+    let samples = [common::frame(), encode_frame(1, b"")];
+    drive("WAL frame", &samples, &mut |bytes| {
+        let _ = decode_frame(bytes, Some(9));
+        if let Ok(frame) = decode_frame(bytes, None) {
+            assert_eq!(
+                encode_frame(frame.seq, &frame.payload),
+                bytes[..frame.encoded_len]
+            );
+            let _ = WalRecord::decode(&frame.payload);
+        }
+    });
+}
+
+#[test]
+fn chunk_decoder_is_total() {
+    let mut empty = common::chunk();
+    empty.frames.clear();
+    let samples = [common::chunk_bytes(), encode_chunk(&empty)];
+    drive("FDCSHIP chunk", &samples, &mut |bytes| {
+        if let Ok(chunk) = decode_chunk(bytes) {
+            // (Not byte-for-byte: an empty chunk's first-sequence field
+            // is ignored.)
+            assert_eq!(decode_chunk(&encode_chunk(&chunk)), Ok(chunk.clone()));
+            for (_, payload) in &chunk.frames {
+                let _ = WalRecord::decode(payload);
+            }
+        }
+    });
+}
+
+#[test]
+fn plane_decoder_is_total() {
+    let samples = [
+        common::small_seasonal_plane_bytes(),
+        common::small_plane_bytes(),
+    ];
+    assert!(decode_plane(&common::plane_bytes(), FitOptions::default()).is_ok());
+    let exact = ApproxQuerySpec::default();
+    let budgeted = ApproxQuerySpec {
+        budget: Some(3),
+        target_ci: Some(0.05),
+        ..ApproxQuerySpec::default()
+    };
+    drive("FDCA plane", &samples, &mut |bytes| {
+        let Ok(mut plane) = decode_plane(bytes, FitOptions::default()) else {
+            return;
+        };
+        let _ = encode_plane(&plane);
+        for node in plane.registered_nodes().into_iter().take(8) {
+            let _ = plane.node_info(node);
+            let _ = plane.estimate(node, 3, &exact);
+            let _ = plane.estimate(node, 3, &budgeted);
+        }
+        for cell in 0..64 {
+            plane.observe(cell, 1.0);
+        }
+    });
+}
+
+#[test]
+fn sketch_decoders_are_total() {
+    let (valid_moments, valid_digest) = (common::moments(), common::digest());
+    let moments = [valid_moments.encode(), MomentSummary::new().encode()];
+    drive("MomentSummary", &moments, &mut |bytes| {
+        if let Ok(mut s) = MomentSummary::decode(bytes) {
+            assert_eq!(s.encode(), bytes);
+            s.insert(1.0);
+            let _ = (s.merge(&valid_moments), s.stddev(), s.skewness());
+        }
+    });
+
+    let accuracy: Vec<Vec<u8>> = common::accuracy().iter().map(|a| a.encode()).collect();
+    drive("KeyAccuracy", &accuracy, &mut |bytes| {
+        if let Ok(a) = KeyAccuracy::decode(bytes) {
+            assert_eq!(a.encode(), bytes);
+            let _ = (a.merge(&a), a.total());
+        }
+    });
+
+    let digests = [valid_digest.encode(), TDigest::default().encode()];
+    drive("TDigest", &digests, &mut |bytes| {
+        if let Ok(mut d) = TDigest::decode(bytes) {
+            let _ = d.encode();
+            let _ = (d.quantile(0.5), d.quantile(0.999), d.count());
+            d.insert(1.0);
+            d.merge(&valid_digest);
+            let _ = d.quantile(0.5);
+        }
+    });
+
+    let bundles = [common::bundle().encode(), SketchBundle::default().encode()];
+    drive("SketchBundle", &bundles, &mut |bytes| {
+        if let Ok(bundle) = SketchBundle::decode(bytes) {
+            // (Not byte-for-byte: an empty digest's min and max are
+            // normalised.) Re-encoding is a fixed point.
+            let encoded = bundle.encode();
+            let again = SketchBundle::decode(&encoded).map(|b| b.encode());
+            assert!(
+                again.as_ref() == Ok(&encoded),
+                "re-encoding is not a fixed point"
+            );
+        }
+    });
+}
+
+#[test]
+fn wal_segment_replay_is_total() {
+    let dir = std::env::temp_dir().join(format!("fdc_total_wal_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let options = || WalOptions {
+        fsync: false,
+        ..WalOptions::default()
+    };
+    let segment = |payloads: &[Vec<u8>]| {
+        let (wal, _) = Wal::open(&dir, options()).expect("fresh log");
+        for p in payloads {
+            wal.append(p).expect("append");
+        }
+        drop(wal);
+        let path = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().is_some_and(|e| e == "log"))
+            .expect("one segment");
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        (path, bytes)
+    };
+    let (path, three) = segment(&[b"first".to_vec(), Vec::new(), b"the third".to_vec()]);
+    let (_, one) = segment(&[b"only".to_vec()]);
+    drive("WAL segment", &[three, one], &mut |bytes| {
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&path, bytes).unwrap();
+        if let Ok((wal, recovery)) = Wal::open(&dir, options()) {
+            assert!(recovery.records.len() <= 3);
+            let seq = wal
+                .append(b"after recovery")
+                .expect("a recovered log appends");
+            assert_eq!(seq, recovery.last_seq + 1);
+            let _ = wal.ship_chunk(0, 1 << 20);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    });
+}
+
+// ---------------------------------------------------------------------
+// The inputs that crashed a decoder before this harness existed
+// ---------------------------------------------------------------------
+
+fn chunk_header(first_seq: u64, count: u32) -> Writer {
+    let mut w = Writer::new();
+    w.header(b"FDCSHIP\0", 1);
+    w.u64(0);
+    w.u64(0);
+    w.u64(first_seq);
+    w.u32(count);
+    w
+}
+
+/// 38 bytes asking for `u32::MAX` frames: a 137 GB `with_capacity`.
+#[test]
+fn crash_case_chunk_count_max() {
+    let bytes = chunk_header(1, u32::MAX).finish();
+    assert_eq!(bytes.len(), 38);
+    assert!(matches!(
+        decode_chunk(&bytes),
+        Err(fdc::wal::ShipError::Truncated { .. })
+    ));
+}
+
+/// Frame sequence numbers running past `u64::MAX`: `first_seq + i`
+/// overflowed (a panic in debug, a silent wrap to seq 0 in release).
+#[test]
+fn crash_case_chunk_first_seq_max() {
+    let mut w = chunk_header(u64::MAX, 2);
+    w.bytes(&encode_frame(u64::MAX, b""));
+    w.bytes(&encode_frame(0, b""));
+    assert!(matches!(
+        decode_chunk(&w.finish()),
+        Err(fdc::wal::ShipError::Corrupt { .. })
+    ));
+}
+
+/// A 14-byte catalog declaring 2^39 nodes: a 16 TiB `with_capacity`.
+#[test]
+fn crash_case_catalog_count_2_39() {
+    let mut w = Writer::new();
+    w.header(b"F2DB", 2);
+    w.u64(1 << 39);
+    let bytes = w.finish();
+    assert_eq!(bytes.len(), 14);
+    assert!(Catalog::decode(&bytes).is_err());
+}
+
+/// A 71-byte plane declaring 2^39 nodes: a 36 TB `HashMap`.
+#[test]
+fn crash_case_plane_count_2_39() {
+    let mut w = Writer::new();
+    w.header(b"FDCA", 1);
+    for v in [4, 16, 7, 100, 64] {
+        w.u64(v);
+    }
+    w.f64(0.95);
+    w.u8(0); // spec: SES
+    w.f64s(&[]);
+    w.u64(1 << 39);
+    let bytes = w.finish();
+    assert_eq!(bytes.len(), 71);
+    assert!(decode_plane(&bytes, FitOptions::default()).is_err());
+}
+
+/// A one-node catalog whose only model has the given encoded spec,
+/// parameters and state.
+fn one_model_catalog(spec: impl FnOnce(&mut Writer), params: &[f64], state: &[f64]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.header(b"F2DB", 2);
+    w.len(1); // nodes
+    w.u8(1); // node 0 has an entry
+    w.len(1);
+    w.u64(0); // derived from itself
+    w.f64(1.0);
+    w.len(1); // models
+    w.u64(0);
+    w.u8(0);
+    w.f64(0.0);
+    w.u64(0);
+    spec(&mut w);
+    w.f64s(params);
+    w.f64s(state);
+    w.len(20); // observations
+    w.f64s(&[840.0]);
+    w.u64(0);
+    w.finish()
+}
+
+/// Holt-Winters with period 0 decoded fine, then took `% 0` on its
+/// first forecast.
+#[test]
+fn crash_case_holt_winters_period_zero() {
+    let bytes = one_model_catalog(
+        |w| {
+            w.u8(2);
+            w.u64(0);
+            w.u8(0);
+        },
+        &[0.3, 0.1, 0.2],
+        &[10.0, 1.0],
+    );
+    assert!(Catalog::decode(&bytes).is_err());
+    // The same bytes with a real period decode and forecast.
+    let bytes = one_model_catalog(
+        |w| {
+            w.u8(2);
+            w.u64(2);
+            w.u8(0);
+        },
+        &[0.3, 0.1, 0.2],
+        &[10.0, 1.0, 0.5, -0.5],
+    );
+    let catalog = Catalog::decode(&bytes).expect("a well-formed Holt-Winters state");
+    assert_eq!(catalog.forecast(0, 3).map(|f| f.len()), Some(3));
+}
+
+/// ARIMA orders summed unchecked: `p = usize::MAX, q = 1` wrapped to 0
+/// (a panic in debug; in release a slice split past its end).
+#[test]
+fn crash_case_arima_order_overflow() {
+    let bytes = one_model_catalog(
+        |w| {
+            w.u8(3);
+            w.u64(u64::MAX);
+            w.u64(0);
+            w.u64(1);
+        },
+        &[],
+        &[0.0],
+    );
+    assert!(Catalog::decode(&bytes).is_err());
+}
+
+/// A 37-byte digest with compression 1e18 passed the `>= 20` check and
+/// asked `TDigest::new` for a 4e18-element buffer.
+#[test]
+fn crash_case_digest_compression_1e18() {
+    let mut w = Writer::new();
+    w.u8(1);
+    for v in [1e18, 0.0, 0.0, 0.0] {
+        w.f64(v);
+    }
+    w.u32(0);
+    let bytes = w.finish();
+    assert_eq!(bytes.len(), 37);
+    assert_eq!(
+        TDigest::decode(&bytes),
+        Err(fdc::obs::SketchDecodeError::Corrupt("compression"))
+    );
+}
+
+// ---------------------------------------------------------------------
+// Text parsers
+// ---------------------------------------------------------------------
+
+fn texts(samples: &[&str]) -> Vec<Vec<u8>> {
+    samples.iter().map(|s| s.as_bytes().to_vec()).collect()
+}
+
+#[test]
+fn sql_parser_is_total() {
+    let samples = texts(&[
+        "SELECT time, SUM(sales) FROM facts WHERE product = 'prod0' AND country = 'DE' \
+         GROUP BY time, category AS OF now() + '3 months'",
+        "EXPLAIN ANALYZE SELECT time, v FROM t AS OF now() + '12 steps'",
+        "INSERT INTO facts VALUES ('L0V16', 'L1V3', 250.0), ('a', 'b', -1e3)",
+    ]);
+    drive("SQL", &samples, &mut |bytes| {
+        if let Ok(statement) = parse_query(&String::from_utf8_lossy(bytes)) {
+            let _ = format!("{statement:?}");
+        }
+    });
+}
+
+const QUERY_BODY: &str = r#"{"sql": "SELECT time, SUM(v) FROM facts GROUP BY time AS OF now() + '4 steps'", "nodes": [0, 3, 17], "approx": {"budget": 32, "target_ci": 0.05, "confidence": 0.9}}"#;
+const EXPLAIN_BODY: &str = r#"{"sql": "SELECT time, v FROM t", "analyze": true, "nodes": []}"#;
+const INSERT_BODY: &str = r#"{"rows": [{"dims": ["p0", "région 😀"], "value": -1.5e-3}, {"dims": [], "value": 0}], "x": [null, true, false, "\"\\\/\b\f\n\r\t"]}"#;
+
+#[test]
+fn json_and_request_parsers_are_total() {
+    let samples = texts(&[QUERY_BODY, EXPLAIN_BODY, INSERT_BODY]);
+    drive("JSON", &samples, &mut |bytes| {
+        if let Ok(doc) = json::parse(&String::from_utf8_lossy(bytes)) {
+            let _ = (doc.get("sql"), doc.as_array(), doc.as_f64(), doc.as_str());
+            let _ = format!("{doc:?}");
+        }
+        let Ok(doc) = wire::parse_body(bytes) else {
+            return;
+        };
+        for path in ["/query", "/explain", "/plan"] {
+            if let Ok(request) = wire::decode(path, &doc) {
+                let again = wire::parse_body(wire::encode(&request).as_bytes())
+                    .and_then(|doc| wire::decode(wire::path(request.mode), &doc));
+                assert_eq!(
+                    again.as_ref(),
+                    Ok(&request),
+                    "encode does not invert decode"
+                );
+            }
+        }
+    });
+    // Nesting is bounded, so a body of brackets cannot exhaust the stack.
+    assert!(json::parse(&"[".repeat(1 << 20)).is_err());
+    assert!(json::parse(&"{\"a\":".repeat(1 << 16)).is_err());
+}
+
+#[test]
+fn topology_parser_is_total() {
+    let samples = texts(&[
+        r#"{"version": 7, "key_dims": 1, "shards": [{"id": "s0", "addr": "127.0.0.1:9000", "replica": "127.0.0.1:9100"}, {"id": "s1", "addr": "h:1"}]}"#,
+        r#"{"version": 0, "key_dims": 0, "shards": [{"id": "only", "addr": "a"}]}"#,
+    ]);
+    drive("topology", &samples, &mut |bytes| {
+        if let Ok(topology) = Topology::parse(&String::from_utf8_lossy(bytes)) {
+            assert_eq!(Topology::parse(&topology.encode()).as_ref(), Ok(&topology));
+            let _ = topology.place("Germany");
+        }
+    });
+    // Numbers no integer holds are refused or saturate — never wrap.
+    for version in ["1e400", "-0", "1.5", "18446744073709551616"] {
+        let text = format!(
+            r#"{{"version": {version}, "key_dims": 0, "shards": [{{"id": "s", "addr": "a"}}]}}"#
+        );
+        let _ = Topology::parse(&text);
+    }
+}
+
+#[test]
+fn traceparent_parser_is_total() {
+    let samples = texts(&[
+        "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+        "  cc-ffffffffffffffffffffffffffffffff-ffffffffffffffff-00 ",
+    ]);
+    drive("traceparent", &samples, &mut |bytes| {
+        if let Some(context) = TraceContext::parse_traceparent(&String::from_utf8_lossy(bytes)) {
+            assert_eq!(
+                TraceContext::parse_traceparent(&context.traceparent()),
+                Some(context)
+            );
+        }
+    });
+}
+
+const MAX_BODY: usize = 4096;
+
+/// Sends `bytes` down a fresh loopback connection, closes the sending
+/// side, and reads requests off the other end until the reader reports
+/// the connection is done. Returns the requests read and the error
+/// that ended the connection.
+fn read_connection(listener: &TcpListener, bytes: &[u8]) -> (usize, RequestError) {
+    let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let (mut server, _) = listener.accept().unwrap();
+    client.write_all(bytes).unwrap();
+    client.shutdown(Shutdown::Write).unwrap();
+    let mut reader = RequestReader::new();
+    let mut requests = 0;
+    loop {
+        match reader.read(&mut server, MAX_BODY, Duration::from_secs(5)) {
+            Ok(request) => {
+                assert!(request.body.len() <= MAX_BODY);
+                let _ = (request.path_query(), request.trace_context());
+                requests += 1;
+            }
+            Err(e) => return (requests, e),
+        }
+    }
+}
+
+#[test]
+fn http_request_reader_is_total() {
+    let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+    let post = format!(
+        "POST /query?x=1 HTTP/1.1\r\nHost: h\r\nContent-Type: application/json\r\n\
+         traceparent: 00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01\r\n\
+         Content-Length: {}\r\n\r\n{EXPLAIN_BODY}",
+        EXPLAIN_BODY.len()
+    );
+    let get = "GET /healthz HTTP/1.0\r\nConnection: keep-alive, x\r\n\r\n";
+    let pipelined = format!("{post}{get}");
+
+    // The unmutated inputs, with what they must read as.
+    assert!(matches!(
+        read_connection(&listener, post.as_bytes()),
+        (1, RequestError::Closed)
+    ));
+    assert!(matches!(
+        read_connection(&listener, pipelined.as_bytes()),
+        (2, RequestError::Closed)
+    ));
+    let oversized = format!(
+        "POST /insert HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        MAX_BODY + 1
+    );
+    assert!(matches!(
+        read_connection(&listener, oversized.as_bytes()),
+        (0, RequestError::BodyTooLarge(n)) if n == MAX_BODY + 1
+    ));
+    let unparseable = "POST /insert HTTP/1.1\r\nContent-Length: 18446744073709551616\r\n\r\n";
+    assert!(matches!(
+        read_connection(&listener, unparseable.as_bytes()),
+        (0, RequestError::Malformed(_))
+    ));
+
+    let samples = texts(&[&pipelined, get, &oversized]);
+    drive("HTTP", &samples, &mut |bytes| {
+        let (requests, _) = read_connection(&listener, bytes);
+        assert!(requests <= 3, "{requests} requests out of at most three");
+    });
+}
