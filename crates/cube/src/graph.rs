@@ -34,6 +34,15 @@ pub type NodeId = usize;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Coord(Box<[u32]>);
 
+/// A coordinate hashes and compares as its values, so the graph's index
+/// can be asked about a slice (`#[derive(Hash)]` on the one-field struct
+/// hashes exactly the boxed slice).
+impl std::borrow::Borrow<[u32]> for Coord {
+    fn borrow(&self) -> &[u32] {
+        &self.0
+    }
+}
+
 impl Coord {
     /// Creates a coordinate from per-dimension value indices.
     pub fn new(values: Vec<u32>) -> Self {
@@ -76,18 +85,21 @@ impl Coord {
 
     /// Renders the coordinate with schema labels, e.g. `C1,R1,*`.
     pub fn display(&self, schema: &Schema) -> String {
-        self.0
-            .iter()
-            .enumerate()
-            .map(|(d, &v)| {
-                if v == STAR {
-                    "*".to_string()
-                } else {
-                    schema.dimensions()[d].values()[v as usize].clone()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join(",")
+        let label = |(d, &v): (usize, &u32)| match v {
+            STAR => "*",
+            _ => schema.dimensions()[d].values()[v as usize].as_str(),
+        };
+        // Sized first: one allocation for a label every query row makes.
+        let commas = self.0.len().saturating_sub(1);
+        let len: usize = self.0.iter().enumerate().map(label).map(str::len).sum();
+        let mut out = String::with_capacity(len + commas);
+        for at in self.0.iter().enumerate() {
+            if at.0 > 0 {
+                out.push(',');
+            }
+            out.push_str(label(at));
+        }
+        out
     }
 }
 
@@ -98,6 +110,12 @@ impl Coord {
 /// C1 combined with a region other than C1's region).
 pub fn canonicalize(schema: &Schema, coord: &Coord) -> Option<Coord> {
     let mut vals: Vec<u32> = coord.values().to_vec();
+    canonicalize_in_place(schema, &mut vals).then(|| Coord::new(vals))
+}
+
+/// [`canonicalize`] on the caller's buffer; `false` on a contradiction
+/// (the buffer is then partly canonicalized).
+fn canonicalize_in_place(schema: &Schema, vals: &mut [u32]) -> bool {
     // Dependencies may chain (city → region → country); iterate to a
     // fixpoint. Chains are acyclic by schema validation, so at most
     // dim_count passes are needed.
@@ -115,12 +133,12 @@ pub fn canonicalize(schema: &Schema, coord: &Coord) -> Option<Coord> {
                     vals[fd.dependent] = forced;
                     changed = true;
                 }
-                v if v != forced => return None,
+                v if v != forced => return false,
                 _ => {}
             }
         }
     }
-    Some(Coord::new(vals))
+    true
 }
 
 /// A hyperedge: instantiating dimension `dim` of a node yields the set of
@@ -313,7 +331,17 @@ impl TimeSeriesGraph {
     /// Resolves a possibly non-canonical coordinate by canonicalizing
     /// first.
     pub fn resolve(&self, coord: &Coord) -> Option<NodeId> {
-        canonicalize(&self.schema, coord).and_then(|c| self.node(&c))
+        self.resolve_in_place(&mut coord.values().to_vec())
+    }
+
+    /// [`TimeSeriesGraph::resolve`] for a caller that resolves many
+    /// coordinates: canonicalizes `vals` where they are and looks the
+    /// result up by slice, so a resolution allocates nothing.
+    pub(crate) fn resolve_in_place(&self, vals: &mut [u32]) -> Option<NodeId> {
+        if !canonicalize_in_place(&self.schema, vals) {
+            return None;
+        }
+        self.index.get(&*vals).copied()
     }
 
     /// Base node ids (insertion order of the base coordinates).

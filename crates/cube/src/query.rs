@@ -6,7 +6,7 @@
 //! node per value. This module is the logical layer; the SQL-ish surface
 //! syntax lives in `fdc-f2db`.
 
-use crate::graph::{Coord, NodeId, TimeSeriesGraph, STAR};
+use crate::graph::{NodeId, TimeSeriesGraph, STAR};
 use crate::{CubeError, Result};
 
 /// Per-dimension selector of a node query.
@@ -21,104 +21,108 @@ pub enum DimSelector {
     GroupBy,
 }
 
-/// A declarative node query: one selector per dimension.
+/// A declarative node query: one selector per dimension of the graph
+/// it was built for, value labels already looked up.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeQuery {
-    selectors: Vec<DimSelector>,
+    selectors: Vec<Selector>,
+}
+
+/// A [`DimSelector`] against one graph: a label that names a value is
+/// kept as that value's index, so building a query copies no label.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Selector {
+    All,
+    Value(u32),
+    /// A label the dimension does not have; [`NodeQuery::resolve`]
+    /// reports it.
+    Unknown(String),
+    GroupBy,
 }
 
 impl NodeQuery {
     /// A query aggregating over every dimension (the top node).
     pub fn all(dim_count: usize) -> Self {
         NodeQuery {
-            selectors: vec![DimSelector::All; dim_count],
+            selectors: vec![Selector::All; dim_count],
         }
     }
 
     /// Builds a query from named predicates: `(dimension, selector)`
-    /// pairs; unmentioned dimensions default to [`DimSelector::All`].
+    /// pairs; unmentioned dimensions default to [`DimSelector::All`],
+    /// and of two predicates on one dimension the later one counts.
     pub fn from_predicates(
         graph: &TimeSeriesGraph,
         predicates: &[(&str, DimSelector)],
     ) -> Result<Self> {
-        let mut selectors = vec![DimSelector::All; graph.schema().dim_count()];
+        let schema = graph.schema();
+        let mut selectors = vec![Selector::All; schema.dim_count()];
         for (name, sel) in predicates {
-            let d = graph
-                .schema()
+            let d = schema
                 .dim_index(name)
                 .ok_or_else(|| CubeError::NotFound(format!("dimension {name}")))?;
-            selectors[d] = sel.clone();
+            selectors[d] = match sel {
+                DimSelector::All => Selector::All,
+                DimSelector::GroupBy => Selector::GroupBy,
+                DimSelector::Value(label) => match schema.dimensions()[d].value_index(label) {
+                    Some(idx) => Selector::Value(idx),
+                    None => Selector::Unknown(label.clone()),
+                },
+            };
         }
         Ok(NodeQuery { selectors })
     }
 
-    /// Sets the selector of one dimension by index.
-    pub fn with(mut self, dim: usize, selector: DimSelector) -> Self {
-        self.selectors[dim] = selector;
-        self
-    }
-
-    /// The selectors per dimension.
-    pub fn selectors(&self) -> &[DimSelector] {
-        &self.selectors
-    }
-
-    /// Resolves the query to its node set.
+    /// Resolves the query to its node set, against the graph it was
+    /// built for.
     ///
     /// Without GROUP BY selectors the result has exactly one entry.
     /// Each GROUP BY dimension multiplies the result by its (present)
-    /// values; nodes without data are skipped.
+    /// values, the last such dimension varying fastest; nodes without
+    /// data are skipped.
     pub fn resolve(&self, graph: &TimeSeriesGraph) -> Result<Vec<NodeId>> {
-        if self.selectors.len() != graph.schema().dim_count() {
+        let dimensions = graph.schema().dimensions();
+        if self.selectors.len() != dimensions.len() {
             return Err(CubeError::InvalidCoordinate(format!(
                 "query has {} selectors, schema has {} dimensions",
                 self.selectors.len(),
-                graph.schema().dim_count()
+                dimensions.len()
             )));
         }
-        // Translate fixed selectors, collect group-by dims.
-        let mut fixed = vec![STAR; self.selectors.len()];
-        let mut group_dims = Vec::new();
-        for (d, sel) in self.selectors.iter().enumerate() {
+        // How many coordinates the GROUP BYs span (one without any).
+        let mut count = 1usize;
+        for (sel, dim) in self.selectors.iter().zip(dimensions) {
             match sel {
-                DimSelector::All => {}
-                DimSelector::Value(label) => {
-                    let idx = graph.schema().dimensions()[d]
-                        .value_index(label)
-                        .ok_or_else(|| {
-                            CubeError::NotFound(format!(
-                                "value {label} in dimension {}",
-                                graph.schema().dimensions()[d].name()
-                            ))
-                        })?;
-                    fixed[d] = idx;
+                Selector::Unknown(label) => {
+                    return Err(CubeError::NotFound(format!(
+                        "value {label} in dimension {}",
+                        dim.name()
+                    )));
                 }
-                DimSelector::GroupBy => group_dims.push(d),
+                Selector::GroupBy => count *= dim.cardinality(),
+                Selector::All | Selector::Value(_) => {}
             }
         }
-        // Expand group-by dimensions over their value domains.
-        let mut coords = vec![fixed];
-        for &d in &group_dims {
-            let card = graph.schema().dimensions()[d].cardinality() as u32;
-            let mut next = Vec::with_capacity(coords.len() * card as usize);
-            for c in &coords {
-                for v in 0..card {
-                    let mut cc = c.clone();
-                    cc[d] = v;
-                    next.push(cc);
-                }
-            }
-            coords = next;
-        }
+        // One buffer serves every candidate. It is filled anew each
+        // time, because canonicalizing writes the dependent dimensions
+        // into it; `i` is the candidate's number, its digits the values
+        // of the GROUP BY dimensions.
         let mut nodes = Vec::new();
-        for vals in coords {
-            if let Some(id) = graph.resolve(&Coord::new(vals)) {
-                nodes.push(id);
-            } else if group_dims.is_empty() {
-                return Err(CubeError::NotFound(
-                    "query does not match any node with data".into(),
-                ));
+        let mut candidate = vec![STAR; self.selectors.len()];
+        for mut i in 0..count {
+            for (d, sel) in self.selectors.iter().enumerate().rev() {
+                candidate[d] = match sel {
+                    Selector::Value(idx) => *idx,
+                    Selector::GroupBy => {
+                        let cardinality = dimensions[d].cardinality();
+                        let value = i % cardinality;
+                        i /= cardinality;
+                        value as u32
+                    }
+                    Selector::All | Selector::Unknown(_) => STAR,
+                };
             }
+            nodes.extend(graph.resolve_in_place(&mut candidate));
         }
         if nodes.is_empty() {
             return Err(CubeError::NotFound(
@@ -132,6 +136,7 @@ impl NodeQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Coord;
     use crate::schema::{Dimension, FunctionalDependency, Schema};
 
     fn graph() -> TimeSeriesGraph {
@@ -216,6 +221,62 @@ mod tests {
             assert_eq!(g.coord(n).values()[2], 0);
             assert_ne!(g.coord(n).values()[1], STAR);
         }
+    }
+
+    #[test]
+    fn two_group_bys_enumerate_with_the_last_dimension_fastest() {
+        let g = graph();
+        let q = NodeQuery::from_predicates(
+            &g,
+            &[
+                ("product", DimSelector::GroupBy),
+                ("region", DimSelector::GroupBy),
+            ],
+        )
+        .unwrap();
+        let coords: Vec<&[u32]> = q
+            .resolve(&g)
+            .unwrap()
+            .into_iter()
+            .map(|n| g.coord(n).values())
+            .collect();
+        let expected: [&[u32]; 4] = [&[STAR, 0, 0], &[STAR, 0, 1], &[STAR, 1, 0], &[STAR, 1, 1]];
+        assert_eq!(coords, expected);
+        // City forces its region: the combinations that contradict the
+        // dependency have no node and are skipped.
+        let q = NodeQuery::from_predicates(
+            &g,
+            &[
+                ("region", DimSelector::GroupBy),
+                ("city", DimSelector::GroupBy),
+            ],
+        )
+        .unwrap();
+        let cities: Vec<u32> = q
+            .resolve(&g)
+            .unwrap()
+            .into_iter()
+            .map(|n| g.coord(n).values()[0])
+            .collect();
+        assert_eq!(cities, [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn the_later_predicate_on_a_dimension_counts_and_errors_follow_schema_order() {
+        let g = graph();
+        let value = |label: &str| DimSelector::Value(label.into());
+        // An unknown label is only an error if it is still selected.
+        let q = NodeQuery::from_predicates(&g, &[("city", value("C9")), ("city", value("C2"))])
+            .unwrap();
+        assert_eq!(g.coord(q.resolve(&g).unwrap()[0]).values(), &[1, 0, STAR]);
+        // Two unknown labels: the dimension that comes first in the
+        // schema is reported, whatever the order of the predicates.
+        let q = NodeQuery::from_predicates(&g, &[("product", value("P9")), ("city", value("C9"))])
+            .unwrap();
+        assert_eq!(
+            q.resolve(&g).unwrap_err().to_string(),
+            CubeError::NotFound("value C9 in dimension city".into()).to_string()
+        );
     }
 
     #[test]

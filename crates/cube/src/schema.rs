@@ -8,32 +8,61 @@
 //! encode functional dependencies" (property 3 of the graph).
 
 use crate::{CubeError, Result};
+use std::hash::{BuildHasher, RandomState};
 
 /// A categorical dimension: a name plus its value domain.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Dimension {
     name: String,
     values: Vec<String>,
-    /// Value indices ordered by label (first occurrence of a repeated
-    /// label only), so [`Dimension::value_index`] is a binary search
-    /// instead of a scan — an `/insert` resolves one label per
-    /// dimension per row.
-    by_label: Vec<u32>,
+    /// Hash index over `values`, so [`Dimension::value_index`] is one
+    /// hash and (nearly always) one comparison — a query resolves one
+    /// label per predicate, an `/insert` one per dimension per row. An
+    /// open-addressing table of value indices, at most half full, a
+    /// power of two long: 8 bytes a label, where a map keyed by copies
+    /// of the labels took 90. A repeated label keeps its first index.
+    slots: Vec<u32>,
+    /// Randomly keyed, as for any map over strings from outside.
+    hasher: RandomState,
 }
+
+const EMPTY: u32 = u32::MAX;
+
+/// The index is derived from the values and keyed per instance.
+impl PartialEq for Dimension {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.values == other.values
+    }
+}
+
+impl Eq for Dimension {}
 
 impl Dimension {
     /// Creates a dimension from a name and value labels.
     pub fn new(name: impl Into<String>, values: Vec<String>) -> Self {
-        let mut by_label: Vec<u32> = (0..values.len() as u32).collect();
-        // Stable, so among equal labels the lowest index comes first
-        // and is the one `dedup_by` keeps.
-        by_label.sort_by(|&a, &b| values[a as usize].cmp(&values[b as usize]));
-        by_label.dedup_by(|a, b| values[*a as usize] == values[*b as usize]);
-        Dimension {
+        let mut dimension = Dimension {
             name: name.into(),
+            slots: vec![EMPTY; (values.len() * 2).next_power_of_two()],
             values,
-            by_label,
+            hasher: RandomState::new(),
+        };
+        for i in 0..dimension.values.len() {
+            let at = dimension.slot_of(&dimension.values[i]);
+            if dimension.slots[at] == EMPTY {
+                dimension.slots[at] = i as u32;
+            }
         }
+        dimension
+    }
+
+    /// Where `label`'s index is, or the empty slot where it would go.
+    fn slot_of(&self, label: &str) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = self.hasher.hash_one(label) as usize & mask;
+        while self.slots[at] != EMPTY && self.values[self.slots[at] as usize] != label {
+            at = (at + 1) & mask;
+        }
+        at
     }
 
     /// Dimension name.
@@ -53,10 +82,7 @@ impl Dimension {
 
     /// Index of a value label (the first, should a label repeat).
     pub fn value_index(&self, label: &str) -> Option<u32> {
-        self.by_label
-            .binary_search_by(|&i| self.values[i as usize].as_str().cmp(label))
-            .ok()
-            .map(|pos| self.by_label[pos])
+        Some(self.slots[self.slot_of(label)]).filter(|&index| index != EMPTY)
     }
 }
 

@@ -17,6 +17,14 @@
 //! write lock at a time instead of a global lock, so readers of other
 //! shards keep flowing while maintenance runs.
 //!
+//! Lock rule: **a reader holds one shard lock at a time.** `std`'s
+//! `RwLock` turns new readers away while a writer waits, so two readers
+//! that each hold one shard and ask for the other's, with a re-fit
+//! waiting on each, would never finish. [`Catalog::forecast`] therefore
+//! copies the node's row out and releases its shard before it visits a
+//! source. ([`Catalog::encode`] takes every shard, in ascending order;
+//! it is the only holder of several.)
+//!
 //! Lazy parameter re-estimation is **single-flight**: when a maintenance
 //! policy has invalidated a model and many concurrent queries reference
 //! it, exactly one thread re-fits (the *leader*); the others wait on the
@@ -81,7 +89,8 @@ pub struct StoredModel {
     /// Invalidation epoch: incremented every time the model is marked
     /// invalid. Lets the stress suite assert that one epoch never pays
     /// for more than one re-estimation. Persisted by the codec (format
-    /// version 2), so the count survives a save/restore.
+    /// version 2), so the count survives a save/restore — and saturates,
+    /// because a decoded count may sit at the top of its range.
     pub epoch: u64,
 }
 
@@ -189,7 +198,7 @@ impl Catalog {
         match self.shards[i].try_read() {
             Ok(g) => g,
             Err(_) => {
-                fdc_obs::counter(names::F2DB_SHARD_READ_CONTENTION).incr();
+                fdc_obs::counter!(names::F2DB_SHARD_READ_CONTENTION).incr();
                 self.shards[i].read().unwrap()
             }
         }
@@ -201,7 +210,7 @@ impl Catalog {
         match self.shards[i].try_write() {
             Ok(g) => g,
             Err(_) => {
-                fdc_obs::counter(names::F2DB_SHARD_WRITE_CONTENTION).incr();
+                fdc_obs::counter!(names::F2DB_SHARD_WRITE_CONTENTION).incr();
                 self.shards[i].write().unwrap()
             }
         }
@@ -396,7 +405,7 @@ impl Catalog {
         match shard.models.get_mut(&node) {
             Some(m) if !m.invalid => {
                 m.invalid = true;
-                m.epoch += 1;
+                m.epoch = m.epoch.saturating_add(1);
                 true
             }
             _ => false,
@@ -411,7 +420,7 @@ impl Catalog {
             for m in shard.models.values_mut() {
                 if !m.invalid {
                     m.invalid = true;
-                    m.epoch += 1;
+                    m.epoch = m.epoch.saturating_add(1);
                     changed += 1;
                 }
             }
@@ -423,14 +432,52 @@ impl Catalog {
     /// models. `None` when the node has no scheme or a source model is
     /// missing.
     pub fn forecast(&self, node: NodeId, horizon: usize) -> Option<Vec<f64>> {
+        Some(self.derive(node, horizon, false)?.0)
+    }
+
+    /// [`Catalog::forecast`] for a query that has not looked at the
+    /// node's sources yet: the visit that forecasts a source checks it.
+    /// The forecast and the number of sources it was derived from — or
+    /// `None` unless every source is present, valid and strictly above
+    /// the one before it: anything else is for the lazy re-estimation
+    /// pass to sort, deduplicate, re-fit and count the way it does.
+    pub(crate) fn forecast_if_settled(
+        &self,
+        node: NodeId,
+        horizon: usize,
+    ) -> Option<(Vec<f64>, usize)> {
+        self.derive(node, horizon, true)
+    }
+
+    /// The row is copied out and its shard released before any source
+    /// is visited, each under its own shard's lock: a reader never holds
+    /// two shard locks (`a_reader_waiting_for_a_source_holds_no_other_shard`).
+    fn derive(
+        &self,
+        node: NodeId,
+        horizon: usize,
+        settled_only: bool,
+    ) -> Option<(Vec<f64>, usize)> {
         let entry = self.entry(node)?;
-        let mut forecasts = Vec::with_capacity(entry.scheme_sources.len());
-        for &s in &entry.scheme_sources {
+        let sources = &entry.scheme_sources;
+        let mut forecasts = Vec::with_capacity(sources.len());
+        for (i, &s) in sources.iter().enumerate() {
             let shard = self.read_shard(self.shard_of(s));
-            forecasts.push(shard.models.get(&s)?.model.forecast(horizon));
+            let stored = shard.models.get(&s)?;
+            if settled_only && (stored.invalid || (i > 0 && sources[i - 1] >= s)) {
+                return None;
+            }
+            forecasts.push(stored.model.forecast(horizon));
         }
         let refs: Vec<&[f64]> = forecasts.iter().map(|f| f.as_slice()).collect();
-        Some(derive_forecast(&refs, entry.weight))
+        Some((derive_forecast(&refs, entry.weight), sources.len()))
+    }
+
+    /// Appends the scheme sources of `node` (none without a scheme).
+    pub(crate) fn extend_with_sources(&self, node: NodeId, out: &mut Vec<NodeId>) {
+        if let Some(entry) = self.read_shard(self.shard_of(node)).entries.get(&node) {
+            out.extend_from_slice(&entry.scheme_sources);
+        }
     }
 
     /// Advances the catalog by one time stamp after the data set grew:
@@ -492,7 +539,7 @@ impl Catalog {
                 // skip the update, the rolling-error step and the policy
                 // (whose invalidation that refit already consumed).
                 if stored.model.observations() > last_index {
-                    fdc_obs::counter(names::F2DB_ADVANCE_SKIPPED_UPDATES).incr();
+                    fdc_obs::counter!(names::F2DB_ADVANCE_SKIPPED_UPDATES).incr();
                     continue;
                 }
                 let actual = dataset.series(node).values()[last_index];
@@ -517,7 +564,7 @@ impl Catalog {
                     if let Some(alert) = acc.record(node as u64, actual, predicted) {
                         out.drift_alerts += 1;
                         invalidate = true;
-                        fdc_obs::counter(names::F2DB_DRIFT_ALERTS).incr();
+                        fdc_obs::counter!(names::F2DB_DRIFT_ALERTS).incr();
                         journal().publish(Event::DriftAlert {
                             node: node as u64,
                             smape: alert.smape,
@@ -529,7 +576,7 @@ impl Catalog {
                 }
                 if invalidate && !stored.invalid {
                     stored.invalid = true;
-                    stored.epoch += 1;
+                    stored.epoch = stored.epoch.saturating_add(1);
                     out.invalidations += 1;
                 }
             }
@@ -824,6 +871,7 @@ mod tests {
     use fdc_cube::{ConfiguredModel, CubeSplit};
     use fdc_datagen::tourism_proxy;
     use fdc_forecast::ModelSpec;
+    use std::time::{Duration, Instant};
 
     fn catalog_fixture() -> (Dataset, Catalog) {
         let ds = tourism_proxy(1);
@@ -854,6 +902,168 @@ mod tests {
             assert_eq!(fc.len(), 4);
             assert!(fc.iter().all(|x| x.is_finite()));
         }
+    }
+
+    #[test]
+    fn the_checking_visit_forecasts_only_a_settled_scheme() {
+        // Two base models; the top derives from both, once with its
+        // sources ascending and once the other way round.
+        let ds = tourism_proxy(1);
+        let split = CubeSplit::new(&ds, 0.8);
+        let (a, b) = (ds.graph().base_nodes()[0], ds.graph().base_nodes()[1]);
+        let top = ds.graph().top_node();
+        let catalog_with = |sources: Vec<NodeId>| {
+            let mut cfg = Configuration::new(ds.node_count());
+            for v in [a, b] {
+                let spec = ModelSpec::default_for_period(4);
+                let model = ConfiguredModel::fit(&split, v, &spec, &FitOptions::default());
+                cfg.insert_model(v, model.unwrap());
+            }
+            let scheme = fdc_cube::Scheme {
+                sources,
+                weight: 1.0,
+            };
+            cfg.set_estimate(
+                top,
+                fdc_cube::NodeEstimate {
+                    error: 0.5,
+                    scheme: Some(scheme),
+                },
+            );
+            Catalog::from_configuration(&ds, &cfg, &FitOptions::default()).unwrap()
+        };
+        let (low, high) = (a.min(b), a.max(b));
+
+        let catalog = catalog_with(vec![low, high]);
+        let plain = catalog.forecast(top, 3).unwrap();
+        let settled = Some((plain.clone(), 2));
+        assert_eq!(catalog.forecast_if_settled(top, 3), settled);
+        // A stale source: nothing to forecast from until it is re-fitted;
+        // the plain forecast never asked.
+        catalog.invalidate(high);
+        assert_eq!(catalog.forecast_if_settled(top, 3), None);
+        assert_eq!(catalog.forecast(top, 3), Some(plain));
+        catalog
+            .reestimate(high, &ds, &FitOptions::default())
+            .unwrap();
+        assert_eq!(catalog.forecast_if_settled(top, 3), settled);
+
+        // Out of order, or one source twice: left to the pass that
+        // sorts and deduplicates what it counts.
+        for sources in [vec![high, low], vec![low, low]] {
+            let catalog = catalog_with(sources);
+            assert_eq!(catalog.forecast_if_settled(top, 3), None);
+            assert!(catalog.forecast(top, 3).is_some());
+        }
+    }
+
+    /// A two-shard catalog whose schemes cross the shards both ways:
+    /// `x` lives on shard 1 and derives from model `m0` on shard 0, `y`
+    /// lives on shard 0 and derives from `m1` on shard 1. Returns
+    /// `(dataset, catalog, [m0, m1], [x, y])`.
+    fn crossing_fixture() -> (Dataset, Catalog, [NodeId; 2], [NodeId; 2]) {
+        let ds = tourism_proxy(1);
+        let split = CubeSplit::new(&ds, 0.8);
+        let probe = Catalog::empty(ds.node_count(), 2);
+        let on_shard = |i: usize, skip: usize| {
+            (0..ds.node_count())
+                .filter(|&v| probe.shard_of(v) == i)
+                .nth(skip)
+                .expect("both shards hold several nodes")
+        };
+        let (m0, y) = (on_shard(0, 0), on_shard(0, 1));
+        let (m1, x) = (on_shard(1, 0), on_shard(1, 1));
+        let mut cfg = Configuration::new(ds.node_count());
+        for m in [m0, m1] {
+            let spec = ModelSpec::default_for_period(4);
+            let model = ConfiguredModel::fit(&split, m, &spec, &FitOptions::default());
+            cfg.insert_model(m, model.unwrap());
+        }
+        for (node, source) in [(x, m0), (y, m1)] {
+            let scheme = fdc_cube::Scheme {
+                sources: vec![source],
+                weight: 1.0,
+            };
+            cfg.set_estimate(
+                node,
+                fdc_cube::NodeEstimate {
+                    error: 0.5,
+                    scheme: Some(scheme),
+                },
+            );
+        }
+        let fit = FitOptions::default();
+        let catalog = Catalog::from_configuration_sharded(&ds, &cfg, &fit, 2).unwrap();
+        (ds, catalog, [m0, m1], [x, y])
+    }
+
+    /// `std`'s `RwLock` turns new readers away while a writer waits, so
+    /// a reader that held its node's shard while asking for a source's
+    /// could close a cycle with a reader nesting the other way and a
+    /// re-fit waiting on each shard. Pinned directly: while a source's
+    /// shard is write-held, the reader waiting for it holds nothing.
+    #[test]
+    fn a_reader_waiting_for_a_source_holds_no_other_shard() {
+        let (_ds, catalog, _, [x, _]) = crossing_fixture();
+        let refit_in_progress = catalog.shards[0].write().unwrap();
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| catalog.forecast(x, 2));
+            // The reader needs microseconds to reach shard 0 and block.
+            let waited = Instant::now();
+            while !reader.is_finished() && waited.elapsed() < Duration::from_millis(300) {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            assert!(!reader.is_finished(), "shard 0 is write-held");
+            let home_is_free = catalog.shards[1].try_write().is_ok();
+            drop(refit_in_progress);
+            assert!(reader.join().unwrap().is_some());
+            assert!(home_is_free, "the reader kept x's shard while waiting");
+        });
+    }
+
+    /// The same under load: readers of both crossing schemes against
+    /// back-to-back re-fits (each holds its shard's write lock for the
+    /// whole fit) on both shards.
+    #[test]
+    fn crossing_readers_and_refits_all_finish() {
+        let (ds, catalog, models, nodes) = crossing_fixture();
+        let shared = Arc::new((ds, catalog, std::sync::atomic::AtomicBool::new(false)));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        // Detached on purpose: a deadlocked thread cannot be joined.
+        for model in models {
+            let (shared, done) = (Arc::clone(&shared), done_tx.clone());
+            std::thread::spawn(move || {
+                let (ds, catalog, _) = &*shared;
+                for _ in 0..1_000 {
+                    catalog.invalidate(model);
+                    let fit = FitOptions::default();
+                    catalog.reestimate_single_flight(model, ds, &fit).unwrap();
+                }
+                done.send(()).unwrap();
+            });
+        }
+        for reader in 0..8 {
+            let (shared, done) = (Arc::clone(&shared), done_tx.clone());
+            std::thread::spawn(move || {
+                let (_, catalog, stop) = &*shared;
+                while !stop.load(Ordering::Relaxed) {
+                    assert!(catalog.forecast(nodes[reader % 2], 2).is_some());
+                    // `None` while the source is stale.
+                    let _ = catalog.forecast_if_settled(nodes[reader % 2], 2);
+                }
+                done.send(()).unwrap();
+            });
+        }
+        let finished = |threads: usize| {
+            for _ in 0..threads {
+                done_rx
+                    .recv_timeout(Duration::from_secs(60))
+                    .expect("no lock cycle between readers and re-fits");
+            }
+        };
+        finished(2);
+        shared.2.store(true, Ordering::Relaxed);
+        finished(8);
     }
 
     #[test]

@@ -536,9 +536,7 @@ impl F2db {
         let q = Self::forecast_statement(sql, QueryMode::ExplainAnalyze)?;
         let ds = self.dataset.read().unwrap();
         let g = ds.graph();
-        let nodes = Self::node_query(&ds, &q)?
-            .resolve(g)
-            .map_err(|e| F2dbError::Semantic(e.to_string()))?;
+        let nodes = Self::resolve_nodes(&ds, q.predicates, &q.group_dims)?;
         let mut sites = Vec::with_capacity(nodes.len());
         for n in nodes {
             let label = g.coord(n).display(g.schema());
@@ -664,24 +662,30 @@ impl F2db {
         approx: Option<&ApproxQuerySpec>,
         mode: QueryMode,
     ) -> Result<QueryAnswer> {
-        let q = Self::forecast_statement(sql, mode)?;
         let executes = mode != QueryMode::Explain;
+        // Span and clock open before the parse: it is part of what the
+        // query cost. A statement that does not parse (or any other
+        // error) leaves through `?` and is counted nowhere below.
         let _span = match mode {
             QueryMode::Forecast => Some(fdc_obs::span!("f2db.query")),
             QueryMode::ExplainAnalyze => Some(fdc_obs::span!("f2db.explain_analyze")),
             QueryMode::Explain => None,
         };
         let started = Instant::now();
+        let ForecastQuery {
+            predicates,
+            group_dims,
+            horizon,
+            aggregate,
+            ..
+        } = Self::forecast_statement(sql, mode)?;
         let ds = self.dataset.read().unwrap();
-        let horizon = q.horizon.steps(ds.series(0).granularity()).ok_or_else(|| {
+        let horizon = horizon.steps(ds.series(0).granularity()).ok_or_else(|| {
             F2dbError::Semantic(format!(
-                "horizon unit {:?} is finer than the data granularity",
-                q.horizon
+                "horizon unit {horizon:?} is finer than the data granularity"
             ))
         })?;
-        let nodes = Self::node_query(&ds, &q)?
-            .resolve(ds.graph())
-            .map_err(|e| F2dbError::Semantic(e.to_string()))?;
+        let nodes = Self::resolve_nodes(&ds, predicates, &group_dims)?;
         let nodes = self.apply_node_filter(nodes, filter, executes)?;
         // Without an approx spec the plane lock is never taken — the
         // exact path is untouched.
@@ -690,12 +694,12 @@ impl F2db {
 
         let mut answer = match mode {
             QueryMode::Forecast => {
-                QueryAnswer::Rows(self.forecast_rows(&ds, &q, horizon, &nodes, sampling)?)
+                QueryAnswer::Rows(self.forecast_rows(&ds, aggregate, horizon, &nodes, sampling)?)
             }
             QueryMode::Explain | QueryMode::ExplainAnalyze => {
-                let mut report = self.plan_report(&ds, &q, horizon, &nodes, sampling)?;
+                let mut report = self.plan_report(&ds, aggregate, horizon, &nodes, sampling)?;
                 if executes {
-                    self.analyze(&ds, &q, &mut report)?;
+                    self.analyze(&ds, &mut report)?;
                 }
                 QueryAnswer::Plan(report)
             }
@@ -705,32 +709,50 @@ impl F2db {
             let elapsed = started.elapsed();
             if let QueryAnswer::Plan(report) = &mut answer {
                 report.total_elapsed = Some(elapsed);
-                fdc_obs::counter(names::F2DB_EXPLAIN_ANALYZE).incr();
+                fdc_obs::counter!(names::F2DB_EXPLAIN_ANALYZE).incr();
             }
             self.stats.record_query(elapsed);
-            fdc_obs::counter(names::F2DB_QUERIES).incr();
-            fdc_obs::histogram(names::F2DB_QUERY_NS).record_duration(elapsed);
+            fdc_obs::counter!(names::F2DB_QUERIES).incr();
+            fdc_obs::histogram!(names::F2DB_QUERY_NS).record_duration(elapsed);
         }
         Ok(answer)
     }
 
     /// The exact forecast of `n`: the catalog derivation, divided by the
     /// number of base series under the node for AVG (series are aligned,
-    /// so the count is constant over time).
+    /// so the count is constant over time). `lazy` says nobody has
+    /// looked at the node's sources yet: the visit that forecasts them
+    /// checks them, and only when it finds something to settle does
+    /// [`F2db::reestimate_referenced`] run first.
     fn exact_forecast(
         &self,
         ds: &Dataset,
-        q: &ForecastQuery,
+        aggregate: AggregateFn,
         n: NodeId,
         horizon: usize,
+        lazy: bool,
     ) -> Result<Vec<f64>> {
-        let mut values = self.catalog.forecast(n, horizon).ok_or_else(|| {
+        let settled = lazy.then(|| self.catalog.forecast_if_settled(n, horizon));
+        let values = match settled.flatten() {
+            Some((values, sources)) => {
+                // What `reestimate_referenced` counts for valid sources.
+                fdc_obs::counter!(names::F2DB_MODELS_CACHED).add(sources as u64);
+                Some(values)
+            }
+            None => {
+                if lazy {
+                    self.reestimate_referenced(ds, [n])?;
+                }
+                self.catalog.forecast(n, horizon)
+            }
+        };
+        let mut values = values.ok_or_else(|| {
             F2dbError::Semantic(format!(
                 "node {} has no derivation scheme in the configuration",
                 ds.graph().coord(n).display(ds.graph().schema())
             ))
         })?;
-        if q.aggregate == AggregateFn::Avg {
+        if aggregate == AggregateFn::Avg {
             let count = ds.graph().base_descendants(n).len().max(1) as f64;
             for v in &mut values {
                 *v /= count;
@@ -745,32 +767,33 @@ impl F2db {
     fn forecast_rows(
         &self,
         ds: &Dataset,
-        q: &ForecastQuery,
+        aggregate: AggregateFn,
         horizon: usize,
         nodes: &[NodeId],
         sampling: Sampling<'_>,
     ) -> Result<QueryResult> {
         let sampled = |n: NodeId| sampling.filter(|(_, plane)| plane.is_registered(n));
-        // Only exactly-answered nodes reference catalog models.
-        let exact_nodes: Vec<NodeId> = nodes
-            .iter()
-            .copied()
-            .filter(|&n| sampled(n).is_none())
-            .collect();
-        self.reestimate_referenced(ds, &exact_nodes)?;
+        // Only exactly-answered nodes reference catalog models. A lone
+        // node's are checked by the visit that forecasts it; several
+        // nodes may share sources, which count once per query.
+        let lazy = nodes.len() == 1;
+        if !lazy {
+            let exact = nodes.iter().copied().filter(|&n| sampled(n).is_none());
+            self.reestimate_referenced(ds, exact)?;
+        }
 
         let g = ds.graph();
         let now = ds.series(0).end();
         let mut rows = Vec::with_capacity(nodes.len());
         for &n in nodes {
             let (values, approx) = match sampled(n) {
-                None => (self.exact_forecast(ds, q, n, horizon)?, None),
+                None => (self.exact_forecast(ds, aggregate, n, horizon, lazy)?, None),
                 Some((spec, plane)) => {
                     let mut fc = plane
                         .estimate(n, horizon, spec)
                         .expect("is_registered implies an estimate");
-                    fdc_obs::counter(names::F2DB_APPROX_ROWS).incr();
-                    if q.aggregate == AggregateFn::Avg {
+                    fdc_obs::counter!(names::F2DB_APPROX_ROWS).incr();
+                    if aggregate == AggregateFn::Avg {
                         // AVG = SUM / population; the plane knows the exact
                         // population without an O(cells) descendant scan.
                         let count = fc.population.max(1) as f64;
@@ -807,7 +830,7 @@ impl F2db {
     fn plan_report(
         &self,
         ds: &Dataset,
-        q: &ForecastQuery,
+        aggregate: AggregateFn,
         horizon: usize,
         nodes: &[NodeId],
         sampling: Sampling<'_>,
@@ -868,7 +891,7 @@ impl F2db {
         }
         Ok(ExplainReport {
             horizon,
-            aggregate: q.aggregate,
+            aggregate,
             rows,
             total_elapsed: None,
         })
@@ -879,12 +902,12 @@ impl F2db {
     /// annotates each row with the wall-clock time spent deriving its
     /// forecast, the state of each source model (cached, or re-estimated
     /// by this very query) and the values produced.
-    fn analyze(&self, ds: &Dataset, q: &ForecastQuery, report: &mut ExplainReport) -> Result<()> {
-        let nodes: Vec<NodeId> = report.rows.iter().map(|r| r.node).collect();
-        let reestimated = self.reestimate_referenced(ds, &nodes)?;
+    fn analyze(&self, ds: &Dataset, report: &mut ExplainReport) -> Result<()> {
+        let reestimated = self.reestimate_referenced(ds, report.rows.iter().map(|r| r.node))?;
         for row in &mut report.rows {
             let node_started = Instant::now();
-            let values = self.exact_forecast(ds, q, row.node, report.horizon)?;
+            let values =
+                self.exact_forecast(ds, report.aggregate, row.node, report.horizon, false)?;
             let elapsed = node_started.elapsed();
             let entry = self
                 .catalog
@@ -915,33 +938,30 @@ impl F2db {
     /// catalog's single-flight slot per node, so under concurrency each
     /// invalidation epoch pays for exactly one re-fit. Returns the
     /// sources this call was the leader for, sorted ascending.
-    fn reestimate_referenced(&self, ds: &Dataset, nodes: &[NodeId]) -> Result<Vec<NodeId>> {
+    fn reestimate_referenced(
+        &self,
+        ds: &Dataset,
+        nodes: impl IntoIterator<Item = NodeId>,
+    ) -> Result<Vec<NodeId>> {
         let mut referenced: Vec<NodeId> = Vec::new();
-        for &n in nodes {
-            if let Some(entry) = self.catalog.entry(n) {
-                referenced.extend(entry.scheme_sources.iter().copied());
-            }
+        for n in nodes {
+            self.catalog.extend_with_sources(n, &mut referenced);
         }
         referenced.sort_unstable();
         referenced.dedup();
         let mut refitted = Vec::new();
         for s in referenced {
-            if self.catalog.is_invalid(s) {
-                match self.catalog.reestimate_single_flight(s, ds, &self.fit)? {
-                    Reestimation::Refit => {
-                        self.stats.record_reestimation();
-                        fdc_obs::counter(names::F2DB_MODELS_REESTIMATED).incr();
-                        if let Some(acc) = &self.accuracy {
-                            acc.reset_key(s as u64);
-                        }
-                        refitted.push(s);
-                    }
-                    Reestimation::AlreadyValid | Reestimation::Waited => {
-                        fdc_obs::counter(names::F2DB_MODELS_CACHED).incr();
-                    }
+            let refit = self.catalog.is_invalid(s)
+                && self.catalog.reestimate_single_flight(s, ds, &self.fit)? == Reestimation::Refit;
+            if refit {
+                self.stats.record_reestimation();
+                fdc_obs::counter!(names::F2DB_MODELS_REESTIMATED).incr();
+                if let Some(acc) = &self.accuracy {
+                    acc.reset_key(s as u64);
                 }
+                refitted.push(s);
             } else {
-                fdc_obs::counter(names::F2DB_MODELS_CACHED).incr();
+                fdc_obs::counter!(names::F2DB_MODELS_CACHED).incr();
             }
         }
         Ok(refitted)
@@ -979,16 +999,25 @@ impl F2db {
         Ok(nodes)
     }
 
-    fn node_query(ds: &Dataset, q: &ForecastQuery) -> Result<NodeQuery> {
+    /// The nodes a query's predicates and GROUP BY dimensions select,
+    /// in row order. The value labels move into the selectors: a query
+    /// is resolved once, and nothing after that reads its predicates.
+    fn resolve_nodes(
+        ds: &Dataset,
+        mut predicates: Vec<(String, String)>,
+        group_dims: &[String],
+    ) -> Result<Vec<NodeId>> {
         use fdc_cube::DimSelector;
-        let mut predicates: Vec<(&str, DimSelector)> = Vec::new();
-        for (dim, value) in &q.predicates {
-            predicates.push((dim.as_str(), DimSelector::Value(value.clone())));
+        let mut selectors: Vec<(&str, DimSelector)> =
+            Vec::with_capacity(predicates.len() + group_dims.len());
+        for (dim, value) in &mut predicates {
+            selectors.push((dim.as_str(), DimSelector::Value(std::mem::take(value))));
         }
-        for dim in &q.group_dims {
-            predicates.push((dim.as_str(), DimSelector::GroupBy));
+        for dim in group_dims {
+            selectors.push((dim.as_str(), DimSelector::GroupBy));
         }
-        NodeQuery::from_predicates(ds.graph(), &predicates)
+        NodeQuery::from_predicates(ds.graph(), &selectors)
+            .and_then(|query| query.resolve(ds.graph()))
             .map_err(|e| F2dbError::Semantic(e.to_string()))
     }
 
@@ -1043,7 +1072,7 @@ impl F2db {
         let ticket = self.wal_submit(&[(base_node, measure)])?;
         pending.insert(base_node, measure);
         self.stats.record_insert();
-        fdc_obs::counter(names::F2DB_INSERTS).incr();
+        fdc_obs::counter!(names::F2DB_INSERTS).incr();
         if pending.len() < target_count {
             drop(pending);
             // Wait outside every lock — this is what lets the sync
@@ -1157,7 +1186,7 @@ impl F2db {
         for &(node, measure) in rows {
             pending.insert(node, measure);
             self.stats.record_insert();
-            fdc_obs::counter(names::F2DB_INSERTS).incr();
+            fdc_obs::counter!(names::F2DB_INSERTS).incr();
             if pending.len() < target_count {
                 continue;
             }
@@ -1174,8 +1203,8 @@ impl F2db {
         }
         drop(pending);
         self.stats.record_insert_batch();
-        fdc_obs::counter(names::F2DB_INSERT_BATCHES).incr();
-        fdc_obs::histogram(names::F2DB_INSERT_BATCH_ROWS).record(rows.len() as u64);
+        fdc_obs::counter!(names::F2DB_INSERT_BATCHES).incr();
+        fdc_obs::histogram!(names::F2DB_INSERT_BATCH_ROWS).record(rows.len() as u64);
         // Ack only once durable. Waiting after the locks drop lets the
         // sync thread coalesce concurrent committers into one fsync.
         self.wal_wait(ticket)?;
@@ -1214,7 +1243,7 @@ impl F2db {
                 == Reestimation::Refit
             {
                 self.stats.record_reestimation();
-                fdc_obs::counter(names::F2DB_MODELS_REESTIMATED).incr();
+                fdc_obs::counter!(names::F2DB_MODELS_REESTIMATED).incr();
                 if let Some(acc) = &self.accuracy {
                     acc.reset_key(node as u64);
                 }
@@ -1297,7 +1326,7 @@ impl F2db {
             .advance_time_with(&ds, last, &self.policy, self.accuracy.as_ref());
         self.stats
             .record_advance(out.model_updates, out.invalidations);
-        fdc_obs::counter(names::F2DB_TIME_ADVANCES).incr();
+        fdc_obs::counter!(names::F2DB_TIME_ADVANCES).incr();
         journal().publish(Event::BatchAdvance {
             time_index: last as u64,
             model_updates: out.model_updates,

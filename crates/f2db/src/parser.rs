@@ -22,10 +22,13 @@
 use crate::query::{AggregateFn, ForecastQuery, HorizonSpec, Statement, TimeUnit};
 use crate::{F2dbError, Result};
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Ident(String),
-    Str(String),
+/// One lexical token. Identifiers and string literals borrow from the
+/// statement: owned `String`s are made once, for the fields of the
+/// [`Statement`] a successful parse returns.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Token<'a> {
+    Ident(&'a str),
+    Str(&'a str),
     Number(f64),
     Comma,
     LParen,
@@ -34,103 +37,125 @@ enum Token {
     Plus,
 }
 
-fn tokenize(sql: &str) -> Result<Vec<Token>> {
-    let mut tokens = Vec::new();
-    let mut chars = sql.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        match c {
-            c if c.is_whitespace() => {
-                chars.next();
-            }
-            ',' => {
-                chars.next();
-                tokens.push(Token::Comma);
-            }
-            '(' => {
-                chars.next();
-                tokens.push(Token::LParen);
-            }
-            ')' => {
-                chars.next();
-                tokens.push(Token::RParen);
-            }
-            '=' => {
-                chars.next();
-                tokens.push(Token::Equals);
-            }
-            '+' => {
-                chars.next();
-                tokens.push(Token::Plus);
-            }
-            ';' => {
-                chars.next();
-            }
-            '\'' => {
-                chars.next();
-                let mut s = String::new();
-                loop {
-                    match chars.next() {
-                        Some('\'') => break,
-                        Some(c) => s.push(c),
-                        None => {
-                            return Err(F2dbError::Parse("unterminated string literal".into()));
-                        }
-                    }
-                }
-                tokens.push(Token::Str(s));
-            }
-            c if c.is_ascii_digit() || c == '-' || c == '.' => {
-                let mut s = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' {
-                        s.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                let v: f64 = s
-                    .parse()
-                    .map_err(|_| F2dbError::Parse(format!("bad number literal: {s}")))?;
-                tokens.push(Token::Number(v));
-            }
-            c if c.is_alphanumeric() || c == '_' => {
-                let mut s = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_alphanumeric() || c == '_' {
-                        s.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                tokens.push(Token::Ident(s));
-            }
-            other => {
-                return Err(F2dbError::Parse(format!("unexpected character `{other}`")));
-            }
-        }
-    }
-    Ok(tokens)
+/// The character starting at byte `at`, a char boundary inside `sql`.
+fn char_at(sql: &str, at: usize) -> char {
+    sql[at..]
+        .chars()
+        .next()
+        .expect("a char boundary before the end")
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// Scans a statement token by token. ASCII bytes are classified
+/// directly; the `char` classes (Unicode white space, alphanumerics)
+/// are consulted only at a byte ≥ 0x80.
+struct Lexer<'a> {
+    sql: &'a str,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+impl<'a> Lexer<'a> {
+    /// The next token, `None` at the end of the statement. A lexical
+    /// error leaves the position where it was, so asking again answers
+    /// the same error.
+    fn next(&mut self) -> Result<Option<Token<'a>>> {
+        let sql = self.sql;
+        let bytes = sql.as_bytes();
+        // White space and `;` separate tokens and mean nothing else.
+        let mut start = self.pos;
+        let first = loop {
+            match bytes.get(start) {
+                None => {
+                    self.pos = start;
+                    return Ok(None);
+                }
+                Some(b' ' | b'\t'..=b'\r' | b';') => start += 1,
+                Some(&b) => {
+                    if !b.is_ascii() {
+                        let c = char_at(sql, start);
+                        if c.is_whitespace() {
+                            start += c.len_utf8();
+                            continue;
+                        }
+                    }
+                    break b;
+                }
+            }
+        };
+        let (token, end) = match first {
+            b',' => (Token::Comma, start + 1),
+            b'(' => (Token::LParen, start + 1),
+            b')' => (Token::RParen, start + 1),
+            b'=' => (Token::Equals, start + 1),
+            b'+' => (Token::Plus, start + 1),
+            b'\'' => {
+                // The quote is ASCII, so it is never a byte of a longer
+                // character and both cuts fall on char boundaries.
+                let len = bytes[start + 1..]
+                    .iter()
+                    .position(|&b| b == b'\'')
+                    .ok_or_else(|| F2dbError::Parse("unterminated string literal".into()))?;
+                let close = start + 1 + len;
+                (Token::Str(&sql[start + 1..close]), close + 1)
+            }
+            b'0'..=b'9' | b'-' | b'.' => {
+                let mut end = start + 1;
+                while matches!(
+                    bytes.get(end),
+                    Some(b'0'..=b'9' | b'.' | b'-' | b'e' | b'E')
+                ) {
+                    end += 1;
+                }
+                let literal = &sql[start..end];
+                let value = literal
+                    .parse()
+                    .map_err(|_| F2dbError::Parse(format!("bad number literal: {literal}")))?;
+                (Token::Number(value), end)
+            }
+            _ => {
+                let mut end = start;
+                loop {
+                    match bytes.get(end) {
+                        Some(&b) if b.is_ascii_alphanumeric() || b == b'_' => end += 1,
+                        Some(&b) if !b.is_ascii() => {
+                            let c = char_at(sql, end);
+                            if !c.is_alphanumeric() {
+                                break;
+                            }
+                            end += c.len_utf8();
+                        }
+                        _ => break,
+                    }
+                }
+                if end == start {
+                    let other = char_at(sql, start);
+                    return Err(F2dbError::Parse(format!("unexpected character `{other}`")));
+                }
+                (Token::Ident(&sql[start..end]), end)
+            }
+        };
+        self.pos = end;
+        Ok(Some(token))
+    }
+}
+
+/// The lexer plus one token of lookahead.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    lookahead: Option<Token<'a>>,
+}
+
+impl<'a> Parser<'a> {
+    fn new(sql: &'a str) -> Result<Self> {
+        let mut lexer = Lexer { sql, pos: 0 };
+        let lookahead = lexer.next()?;
+        Ok(Parser { lexer, lookahead })
     }
 
-    fn next(&mut self) -> Result<Token> {
+    fn next(&mut self) -> Result<Token<'a>> {
         let t = self
-            .tokens
-            .get(self.pos)
-            .cloned()
+            .lookahead
             .ok_or_else(|| F2dbError::Parse("unexpected end of statement".into()))?;
-        self.pos += 1;
+        self.lookahead = self.lexer.next()?;
         Ok(t)
     }
 
@@ -151,10 +176,19 @@ impl Parser {
     }
 
     fn peek_keyword(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(Token::Ident(s)) if s.eq_ignore_ascii_case(kw))
+        matches!(self.lookahead, Some(Token::Ident(s)) if s.eq_ignore_ascii_case(kw))
     }
 
-    fn ident(&mut self) -> Result<String> {
+    /// Consumes the next token when it is `token`.
+    fn eat(&mut self, token: Token) -> Result<bool> {
+        let found = self.lookahead == Some(token);
+        if found {
+            self.next()?;
+        }
+        Ok(found)
+    }
+
+    fn ident(&mut self) -> Result<&'a str> {
         match self.next()? {
             Token::Ident(s) => Ok(s),
             other => Err(F2dbError::Parse(format!(
@@ -163,7 +197,7 @@ impl Parser {
         }
     }
 
-    fn string(&mut self) -> Result<String> {
+    fn string(&mut self) -> Result<&'a str> {
         match self.next()? {
             Token::Str(s) => Ok(s),
             other => Err(F2dbError::Parse(format!(
@@ -175,22 +209,29 @@ impl Parser {
 
 /// Parses one SQL statement of the dialect.
 pub fn parse_query(sql: &str) -> Result<Statement> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(sql)?;
+    let parsed = parse_statement(&mut p);
+    // A lexical error anywhere in the text is the statement's error,
+    // also one behind the token a grammar error stopped at or behind
+    // an INSERT's closing parenthesis: scan what the parser left. (When
+    // the parser itself stopped at one, the lexer repeats it here.)
+    while p.lexer.next()?.is_some() {}
+    parsed
+}
+
+fn parse_statement(p: &mut Parser) -> Result<Statement> {
     if p.peek_keyword("insert") {
-        parse_insert(&mut p)
+        parse_insert(p)
     } else if p.peek_keyword("explain") {
         p.next()?;
         let analyze = p.peek_keyword("analyze");
         if analyze {
             p.next()?;
         }
-        match parse_forecast(&mut p)? {
-            Statement::Forecast(q) => Ok(Statement::Explain { query: q, analyze }),
-            other => Ok(other),
-        }
+        let query = parse_forecast(p)?;
+        Ok(Statement::Explain { query, analyze })
     } else {
-        parse_forecast(&mut p)
+        parse_forecast(p).map(Statement::Forecast)
     }
 }
 
@@ -204,7 +245,7 @@ fn parse_insert(p: &mut Parser) -> Result<Statement> {
     let measure = loop {
         match p.next()? {
             Token::Str(s) => {
-                values.push(s);
+                values.push(s.to_string());
                 match p.next()? {
                     Token::Comma => continue,
                     Token::RParen => {
@@ -236,32 +277,31 @@ fn parse_insert(p: &mut Parser) -> Result<Statement> {
     Ok(Statement::Insert { values, measure })
 }
 
-fn parse_forecast(p: &mut Parser) -> Result<Statement> {
+fn parse_forecast(p: &mut Parser) -> Result<ForecastQuery> {
     p.expect_keyword("select")?;
     let mut select = Vec::new();
     let mut aggregate = AggregateFn::Sum;
     loop {
         let item = p.ident()?;
-        if item.eq_ignore_ascii_case("sum") || item.eq_ignore_ascii_case("avg") {
+        let avg = item.eq_ignore_ascii_case("avg");
+        if avg || item.eq_ignore_ascii_case("sum") {
             p.expect(Token::LParen)?;
             let inner = p.ident()?;
             p.expect(Token::RParen)?;
-            if item.eq_ignore_ascii_case("avg") {
+            if avg {
                 aggregate = AggregateFn::Avg;
             }
-            select.push(format!("{}({inner})", item.to_ascii_uppercase()));
+            let function = if avg { "AVG" } else { "SUM" };
+            select.push([function, "(", inner, ")"].concat());
         } else {
-            select.push(item);
+            select.push(item.to_string());
         }
-        match p.peek() {
-            Some(Token::Comma) => {
-                p.next()?;
-            }
-            _ => break,
+        if !p.eat(Token::Comma)? {
+            break;
         }
     }
     p.expect_keyword("from")?;
-    let table = p.ident()?;
+    let table = p.ident()?.to_string();
 
     let mut predicates = Vec::new();
     if p.peek_keyword("where") {
@@ -270,7 +310,7 @@ fn parse_forecast(p: &mut Parser) -> Result<Statement> {
             let dim = p.ident()?;
             p.expect(Token::Equals)?;
             let value = p.string()?;
-            predicates.push((dim, value));
+            predicates.push((dim.to_string(), value.to_string()));
             if p.peek_keyword("and") {
                 p.next()?;
             } else {
@@ -286,13 +326,10 @@ fn parse_forecast(p: &mut Parser) -> Result<Statement> {
         loop {
             let g = p.ident()?;
             if !g.eq_ignore_ascii_case("time") {
-                group_dims.push(g);
+                group_dims.push(g.to_string());
             }
-            match p.peek() {
-                Some(Token::Comma) => {
-                    p.next()?;
-                }
-                _ => break,
+            if !p.eat(Token::Comma)? {
+                break;
             }
         }
     }
@@ -303,22 +340,21 @@ fn parse_forecast(p: &mut Parser) -> Result<Statement> {
     p.expect(Token::LParen)?;
     p.expect(Token::RParen)?;
     p.expect(Token::Plus)?;
-    let horizon_str = p.string()?;
-    let horizon = parse_horizon(&horizon_str)?;
+    let horizon = parse_horizon(p.string()?)?;
 
-    if p.peek().is_some() {
+    if p.lookahead.is_some() {
         return Err(F2dbError::Parse(
             "trailing tokens after AS OF clause".into(),
         ));
     }
-    Ok(Statement::Forecast(ForecastQuery {
+    Ok(ForecastQuery {
         select,
         table,
         predicates,
         group_dims,
         horizon,
         aggregate,
-    }))
+    })
 }
 
 /// Parses the horizon string of the AS OF clause, e.g. `1 day`,
@@ -333,27 +369,40 @@ pub fn parse_horizon(s: &str) -> Result<HorizonSpec> {
     if n == 0 {
         return Err(F2dbError::Parse("horizon must be positive".into()));
     }
-    let unit_word = parts
+    let word = parts
         .next()
-        .ok_or_else(|| F2dbError::Parse(format!("missing horizon unit in `{s}`")))?
-        .to_ascii_lowercase();
+        .ok_or_else(|| F2dbError::Parse(format!("missing horizon unit in `{s}`")))?;
     if parts.next().is_some() {
         return Err(F2dbError::Parse(format!("malformed horizon `{s}`")));
     }
-    let unit = match unit_word.trim_end_matches('s') {
-        "step" => return Ok(HorizonSpec::Steps(n)),
-        "hour" => TimeUnit::Hour,
-        "day" => TimeUnit::Day,
-        "week" => TimeUnit::Week,
-        "month" => TimeUnit::Month,
-        "quarter" => TimeUnit::Quarter,
-        "year" => TimeUnit::Year,
-        other => {
-            return Err(F2dbError::Parse(format!("unknown horizon unit `{other}`")));
+    // A unit may be plural: one `s`, not any number of them.
+    let singular = word.strip_suffix(['s', 'S']).unwrap_or(word);
+    let unit = match UNITS
+        .iter()
+        .find(|(name, _)| singular.eq_ignore_ascii_case(name))
+    {
+        Some((_, None)) => return Ok(HorizonSpec::Steps(n)),
+        Some((_, Some(unit))) => *unit,
+        None => {
+            return Err(F2dbError::Parse(format!(
+                "unknown horizon unit `{}`",
+                singular.to_ascii_lowercase()
+            )));
         }
     };
     Ok(HorizonSpec::Units { n, unit })
 }
+
+/// Horizon unit words, singular; `None` is a plain number of steps.
+const UNITS: [(&str, Option<TimeUnit>); 7] = [
+    ("step", None),
+    ("hour", Some(TimeUnit::Hour)),
+    ("day", Some(TimeUnit::Day)),
+    ("week", Some(TimeUnit::Week)),
+    ("month", Some(TimeUnit::Month)),
+    ("quarter", Some(TimeUnit::Quarter)),
+    ("year", Some(TimeUnit::Year)),
+];
 
 #[cfg(test)]
 mod tests {
@@ -460,6 +509,38 @@ mod tests {
             }
         );
         assert_eq!(parse_horizon("10 steps").unwrap(), HorizonSpec::Steps(10));
+        assert_eq!(parse_horizon("10 STEPS").unwrap(), HorizonSpec::Steps(10));
+    }
+
+    #[test]
+    fn a_horizon_unit_loses_at_most_one_plural_s() {
+        for (horizon, left) in [
+            ("3 dayssss", "daysss"),
+            ("2 stepss", "steps"),
+            ("1 monthsS", "months"),
+            ("1 glass", "glas"),
+        ] {
+            assert_eq!(
+                parse_horizon(horizon),
+                Err(F2dbError::Parse(format!("unknown horizon unit `{left}`"))),
+                "{horizon}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_lexical_error_anywhere_outranks_the_grammar() {
+        // The lexer is lazy, the precedence is the eager tokenizer's:
+        // behind the token the grammar gave up at, behind an INSERT's `)`.
+        assert_eq!(
+            parse_query("SELECT time FROM facts AS OF now() + '1 day' extra @"),
+            Err(F2dbError::Parse("unexpected character `@`".into()))
+        );
+        assert_eq!(
+            parse_query("INSERT INTO t VALUES ('a', 1) 'open"),
+            Err(F2dbError::Parse("unterminated string literal".into()))
+        );
+        assert!(parse_query("INSERT INTO t VALUES ('a', 1) whatever").is_ok());
     }
 
     #[test]

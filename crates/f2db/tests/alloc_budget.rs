@@ -1,0 +1,114 @@
+//! Heap allocations per warm forecast query, counted — a budget that
+//! cannot flake the way a timing can.
+//!
+//! The cube is a seeded GenX cube of 1000 base series (dimensions of
+//! 1000, 100 and 10 values, 1111 nodes) under a `benchcfg`-style
+//! configuration as `perfbench` serves it: a model at every aggregated
+//! node and at every eighth base node, schemes recomputed over all
+//! nodes, so direct, aggregation and disaggregation schemes all occur.
+//! The statements are the benchmark pool's shapes.
+//!
+//! | statement                        | budget | at 1a0d4da |
+//! |----------------------------------|-------:|-----------:|
+//! | point query, three predicates    |     28 |         84 |
+//! | `GROUP BY time, level2` (10 rows)  |    100 |        197 |
+//! | `GROUP BY time, level1` (100 rows) |    900 |       1466 |
+//!
+//! The right column is what this file counted on the parent commit,
+//! where every token was an owned `String`, every node resolution
+//! cloned its labels and a `Coord` per candidate, and a catalog read
+//! cloned the node's entry twice.
+
+#[path = "../../obs/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::allocations;
+use fdc_cube::{Configuration, ConfiguredModel, CubeSplit, Dataset, NodeId};
+use fdc_datagen::{generate_cube, GenSpec};
+use fdc_f2db::F2db;
+use fdc_forecast::{FitOptions, ModelSpec};
+
+/// `perfbench`'s `benchcfg` over `dataset`.
+fn bench_config(dataset: &Dataset) -> Configuration {
+    let split = CubeSplit::new(dataset, 0.8);
+    let spec = ModelSpec::default_for_history(
+        dataset.series(0).granularity().seasonal_period(),
+        split.train_len(),
+    );
+    let fit = FitOptions::default();
+    let mut cfg = Configuration::new(dataset.node_count());
+    for v in 0..dataset.node_count() {
+        if !dataset.graph().coord(v).is_base() || v % 8 == 0 {
+            let model = ConfiguredModel::fit(&split, v, &spec, &fit).expect("benchcfg model fits");
+            cfg.insert_model(v, model);
+        }
+    }
+    let all: Vec<NodeId> = (0..dataset.node_count()).collect();
+    cfg.recompute_nodes(dataset, &split, &all);
+    cfg
+}
+
+/// Median allocation count of 100 consecutive calls, after warm-up
+/// (the first calls resolve metric handles and learn the span path).
+fn median_allocations(db: &F2db, sql: &str, rows: usize) -> u64 {
+    for _ in 0..10 {
+        assert_eq!(
+            db.query(sql).expect("the statement answers").rows.len(),
+            rows
+        );
+    }
+    let mut counts: Vec<u64> = (0..100)
+        .map(|_| {
+            let before = allocations();
+            let answer = db.query(sql);
+            let after = allocations();
+            drop(answer);
+            after - before
+        })
+        .collect();
+    counts.sort_unstable();
+    counts[counts.len() / 2]
+}
+
+#[test]
+fn a_warm_query_stays_inside_its_allocation_budget() {
+    let dataset = generate_cube(&GenSpec::new(1000, 48, 0xA110C)).dataset;
+    assert_eq!(dataset.node_count(), 1111);
+    let cfg = bench_config(&dataset);
+    // A base node served by disaggregation: three predicates, the most
+    // a point statement of this cube carries.
+    let g = dataset.graph();
+    let base = *g
+        .base_nodes()
+        .iter()
+        .find(|&&b| !cfg.has_model(b))
+        .expect("seven of eight base nodes have no model");
+    let predicates: Vec<String> = g
+        .coord(base)
+        .values()
+        .iter()
+        .zip(g.schema().dimensions())
+        .map(|(&v, dim)| format!("{} = '{}'", dim.name(), dim.values()[v as usize]))
+        .collect();
+    let point = format!(
+        "SELECT time, SUM(value) FROM facts WHERE {} GROUP BY time AS OF now() + '4 steps'",
+        predicates.join(" AND ")
+    );
+    let group_by = |dim: &str| {
+        format!("SELECT time, SUM(value) FROM facts GROUP BY time, {dim} AS OF now() + '4 steps'")
+    };
+    let db = F2db::load(dataset, &cfg).expect("the configuration loads");
+
+    let counted = [
+        median_allocations(&db, &point, 1),
+        median_allocations(&db, &group_by("level2"), 10),
+        median_allocations(&db, &group_by("level1"), 100),
+    ];
+    println!("allocations per warm query (point, 10 rows, 100 rows): {counted:?}");
+    for (count, budget) in counted.into_iter().zip([28, 100, 900]) {
+        assert!(
+            count <= budget,
+            "{counted:?} against budgets [28, 100, 900]"
+        );
+    }
+}

@@ -122,6 +122,31 @@ pub fn histogram_with(name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
     registry().histogram_with(name, labels)
 }
 
+/// The counter registered under `$name`, as a `&'static Counter` this
+/// call site resolves on its first pass and keeps: a per-request path
+/// pays the registry's lock and name walk once, not per request. The
+/// name is read on that first pass only, so it must not vary.
+/// [`Registry::reset`] zeroes what the handle points at, as for any
+/// other handle.
+#[macro_export]
+macro_rules! counter {
+    ($name:expr) => {{
+        static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::Counter>> =
+            ::std::sync::OnceLock::new();
+        &**HANDLE.get_or_init(|| $crate::counter($name))
+    }};
+}
+
+/// [`counter!`] for the histogram registered under `$name`.
+#[macro_export]
+macro_rules! histogram {
+    ($name:expr) => {{
+        static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::Histogram>> =
+            ::std::sync::OnceLock::new();
+        &**HANDLE.get_or_init(|| $crate::histogram($name))
+    }};
+}
+
 /// Takes a consistent snapshot of the global registry.
 pub fn snapshot() -> Snapshot {
     registry().snapshot()

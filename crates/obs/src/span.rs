@@ -11,18 +11,22 @@
 //! [`FlameCollector`] is the built-in subscriber: it aggregates
 //! count/total/self time per path and renders an indented flame-style
 //! summary. Span collection is cheap (two `Instant::now()` calls and
-//! one histogram record per span) and can be disabled globally with
-//! [`set_spans_enabled`] — disabled spans cost one relaxed atomic load.
+//! one histogram record per span; each thread remembers the paths it
+//! has entered and the histogram each closes into, so a span on a path
+//! its thread has closed before builds no string and takes no registry
+//! lock) and can be disabled globally with [`set_spans_enabled`] —
+//! disabled spans cost one relaxed atomic load.
 //! Threads running under an **unsampled** [`TraceContext`] skip span
 //! collection too (one thread-local read): the head-sampling decision
 //! made at request ingress covers every span under that request, which
 //! is what keeps tracing affordable at high sampling-out rates.
 
-use crate::metrics::registry;
+use crate::metrics::{registry, Histogram};
 use crate::trace::{self, TraceContext};
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
@@ -90,9 +94,81 @@ pub fn take_subscriber() -> Option<Arc<dyn SpanSubscriber>> {
     subscriber_slot().write().unwrap().take()
 }
 
+/// What closing a span on one path needs: the slash-joined path and —
+/// resolved by the first close, as before — its `span.<path>.ns`
+/// histogram. Behind an `Rc` so a close can use it after letting go of
+/// the thread's span state (a subscriber may open spans of its own).
+struct PathClose {
+    path: String,
+    histogram: OnceCell<Arc<Histogram>>,
+}
+
+/// One path this thread has entered before.
+struct KnownPath {
+    close: Rc<PathClose>,
+    /// Where the path's last segment, the span's own name, begins.
+    name_at: usize,
+    /// The known paths one level below this one.
+    children: Vec<usize>,
+}
+
+impl KnownPath {
+    fn name(&self) -> &str {
+        &self.close.path[self.name_at..]
+    }
+}
+
+/// A thread's span state: the tree of paths it has entered so far —
+/// bounded by the span names in the code, like the registry's
+/// `span.*` series — and the spans open right now.
+#[derive(Default)]
+struct ThreadSpans {
+    known: Vec<KnownPath>,
+    roots: Vec<usize>,
+    /// Indices into `known`, outermost first.
+    open: Vec<usize>,
+}
+
+impl ThreadSpans {
+    /// Opens `name` under the innermost open span — a path learnt on
+    /// the thread's first visit — and returns its nesting depth.
+    fn enter(&mut self, name: &str) -> usize {
+        let parent = self.open.last().copied();
+        let siblings = match parent {
+            Some(p) => &self.known[p].children,
+            None => &self.roots,
+        };
+        let known = siblings
+            .iter()
+            .copied()
+            .find(|&id| self.known[id].name() == name);
+        let id = known.unwrap_or_else(|| {
+            let path = match parent {
+                Some(p) => format!("{}/{name}", self.known[p].close.path),
+                None => name.to_string(),
+            };
+            let id = self.known.len();
+            self.known.push(KnownPath {
+                name_at: path.len() - name.len(),
+                close: Rc::new(PathClose {
+                    path,
+                    histogram: OnceCell::new(),
+                }),
+                children: Vec::new(),
+            });
+            match parent {
+                Some(p) => self.known[p].children.push(id),
+                None => self.roots.push(id),
+            }
+            id
+        });
+        self.open.push(id);
+        self.open.len() - 1
+    }
+}
+
 thread_local! {
-    /// Stack of full paths of the spans currently open on this thread.
-    static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    static SPANS: RefCell<ThreadSpans> = RefCell::new(ThreadSpans::default());
 }
 
 /// RAII guard for an open span; created by [`crate::span!`] or
@@ -138,21 +214,7 @@ impl SpanGuard {
                 prev_ctx: None,
             };
         }
-        let depth = SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let path = match stack.last() {
-                Some(parent) => {
-                    let mut p = String::with_capacity(parent.len() + 1 + name.len());
-                    p.push_str(parent);
-                    p.push('/');
-                    p.push_str(name);
-                    p
-                }
-                None => name.to_string(),
-            };
-            stack.push(path);
-            stack.len() - 1
-        });
+        let depth = SPANS.with(|spans| spans.borrow_mut().enter(name));
         let (trace, prev_ctx) = match active {
             Some(ctx) if ctx.sampled => {
                 let child = ctx.child();
@@ -186,13 +248,18 @@ impl Drop for SpanGuard {
         if let Some(prev) = self.prev_ctx.take() {
             trace::swap_current(prev);
         }
-        let path = SPAN_STACK.with(|stack| stack.borrow_mut().pop());
-        let Some(path) = path else { return };
-        registry()
-            .histogram(&format!("span.{path}.ns"))
+        let close = SPANS.with(|spans| {
+            let mut spans = spans.borrow_mut();
+            let id = spans.open.pop()?;
+            Some(Rc::clone(&spans.known[id].close))
+        });
+        let Some(close) = close else { return };
+        close
+            .histogram
+            .get_or_init(|| registry().histogram(&format!("span.{}.ns", close.path)))
             .record_duration(elapsed);
         if let Some(sub) = subscriber_slot().read().unwrap().as_ref() {
-            sub.on_close_traced(&path, self.depth, elapsed, self.trace.as_ref());
+            sub.on_close_traced(&close.path, self.depth, elapsed, self.trace.as_ref());
         }
     }
 }

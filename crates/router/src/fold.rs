@@ -36,7 +36,7 @@ pub fn fold(bundles: &[SketchBundle]) -> FleetSketch {
         }
     }
     digests.sort_by(|(a, _), (b, _)| a.cmp(b));
-    fdc_obs::counter(names::ROUTER_SKETCH_FOLDS).incr();
+    fdc_obs::counter!(names::ROUTER_SKETCH_FOLDS).incr();
     FleetSketch { accuracy, digests }
 }
 

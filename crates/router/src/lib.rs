@@ -426,7 +426,7 @@ fn shard_read(
             };
             match call(shared, replica, &request) {
                 Ok(resp) => {
-                    fdc_obs::counter(names::ROUTER_REPLICA_READS).incr();
+                    fdc_obs::counter!(names::ROUTER_REPLICA_READS).incr();
                     Ok(resp)
                 }
                 Err(replica_err) => Err(format!(
@@ -652,7 +652,7 @@ fn handle_forecast(shared: &Shared, path: &str, body: &[u8], route: &'static str
             None => groups.push((site.shard, vec![site.node])),
         }
     }
-    fdc_obs::histogram(names::ROUTER_FANOUT_SIZE).record(groups.len() as u64);
+    fdc_obs::histogram!(names::ROUTER_FANOUT_SIZE).record(groups.len() as u64);
 
     // The client's request, narrowed to each shard's nodes.
     let shard_path = wire::path(request.mode);
@@ -902,7 +902,7 @@ fn handle_insert(shared: &Shared, body: &[u8]) -> Routed {
             None => groups.push((idx, vec![chunk])),
         }
     }
-    fdc_obs::histogram(names::ROUTER_FANOUT_SIZE).record(groups.len() as u64);
+    fdc_obs::histogram!(names::ROUTER_FANOUT_SIZE).record(groups.len() as u64);
 
     let mut accepted = 0u64;
     let mut committed: Vec<&str> = Vec::new();

@@ -165,8 +165,8 @@ impl Batcher {
         state.errors.retain(|&g, _| g + 1024 > gen);
         drop(state);
         self.flushed.notify_all();
-        fdc_obs::counter(names::SERVE_BATCH_FLUSHES).incr();
-        fdc_obs::histogram(names::SERVE_BATCH_FLUSH_ROWS).record(rows.len() as u64);
+        fdc_obs::counter!(names::SERVE_BATCH_FLUSHES).incr();
+        fdc_obs::histogram!(names::SERVE_BATCH_FLUSH_ROWS).record(rows.len() as u64);
         rows.len() as u64
     }
 

@@ -510,7 +510,7 @@ impl Service for Shared {
     }
 
     fn closed(&self, reason: CloseReason, requests: u64) {
-        fdc_obs::histogram(names::SERVE_CONN_REQUESTS).record(requests);
+        fdc_obs::histogram!(names::SERVE_CONN_REQUESTS).record(requests);
         fdc_obs::counter_with(names::SERVE_CONN_CLOSED, &[("reason", reason.as_str())]).incr();
     }
 
@@ -644,7 +644,7 @@ fn maybe_capture_slow(
         explain,
         wait,
     });
-    fdc_obs::counter(names::SERVE_SLOW_CAPTURED).incr();
+    fdc_obs::counter!(names::SERVE_SLOW_CAPTURED).incr();
 }
 
 /// What a route answers with.
@@ -1231,7 +1231,7 @@ fn connections_json() -> String {
             format!("\"{label}\":{n}")
         })
         .collect();
-    let requests = fdc_obs::histogram(names::SERVE_CONN_REQUESTS).snapshot();
+    let requests = fdc_obs::histogram!(names::SERVE_CONN_REQUESTS).snapshot();
     format!(
         "{{\"closed\":{{{}}},\"requests_per_connection\":{{\"count\":{},\"mean\":{},\
          \"p50\":{},\"max\":{}}}}}",

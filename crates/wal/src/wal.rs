@@ -319,6 +319,17 @@ fn read_checkpoint_marker(dir: &Path) -> Result<u64, WalError> {
         .map_err(|_| corrupt(format!("checkpoint marker has bad sequence {seq_line:?}")))
 }
 
+/// The sequence number after `seq`. A marker or a frame that decodes
+/// may still claim the top of the range, where there is none: that is
+/// corruption, not an overflow to panic on (or, in release, to wrap).
+fn next_after(seq: u64, what: &str) -> Result<u64, WalError> {
+    seq.checked_add(1).ok_or_else(|| {
+        corrupt(format!(
+            "{what} has sequence number {seq}, the last there is"
+        ))
+    })
+}
+
 impl Wal {
     /// Opens (creating if necessary) the log in `dir`, replays it, and
     /// returns the live log plus everything recovery found. Torn tails
@@ -350,8 +361,9 @@ impl Wal {
         // segment holding acknowledged, uncheckpointed records vanished
         // (external deletion, restore from a partial backup) — replay
         // must not silently resume past the gap.
+        let resume_at = next_after(checkpoint_seq, "the checkpoint marker")?;
         if let Some((first, path)) = seg_list.first() {
-            if *first > checkpoint_seq + 1 {
+            if *first > resume_at {
                 return Err(corrupt(format!(
                     "first live segment {} starts at seq {first}, but the durable watermark \
                      is {checkpoint_seq}: a segment holding acknowledged records is missing",
@@ -405,7 +417,7 @@ impl Wal {
                             records.push((seq, frame.payload));
                         }
                         offset += frame.encoded_len;
-                        seq += 1;
+                        seq = next_after(seq, "a logged record")?;
                     }
                     Err(err) => {
                         let at = format!("{} offset {offset} (seq {seq}): {err:?}", path.display());
@@ -450,7 +462,7 @@ impl Wal {
             .filter(|first| segment_path(dir, *first).exists())
             .collect();
 
-        let next_seq = last_seq + 1;
+        let next_seq = next_after(last_seq, "the last logged record")?;
         let file = match live.last() {
             Some(first) => opts.storage.open_append(&segment_path(dir, *first))?,
             None => {
@@ -540,6 +552,7 @@ impl Wal {
                 return Err(WalError::Io(msg.clone()));
             }
             seq = inner.next_seq;
+            let next_seq = next_after(seq, "the record being appended")?;
             let frame = record::encode_frame(seq, payload);
             if inner.segment_written + frame.len() as u64 > self.shared.opts.segment_bytes
                 && inner.segment_written > SEGMENT_HEADER as u64
@@ -550,7 +563,7 @@ impl Wal {
                 inner.failed = Some(e.to_string());
                 return Err(e.into());
             }
-            inner.next_seq = seq + 1;
+            inner.next_seq = next_seq;
             inner.segment_written += frame.len() as u64;
             inner.appends += 1;
             inner.appended_bytes += frame.len() as u64;
@@ -624,6 +637,7 @@ impl Wal {
             }
             upto
         };
+        let uncovered_from = next_after(upto, "the checkpointed record")?;
         // The marker must be durable *before* any segment it covers is
         // deleted; the reverse order would leave a log whose first
         // segment starts past the (old) watermark — corruption to the
@@ -637,7 +651,7 @@ impl Wal {
             let mut inner = self.shared.inner.lock().unwrap();
             inner.checkpoint_seq = upto;
             let mut to_remove = Vec::new();
-            while inner.segments.len() > 1 && inner.segments[1] <= upto + 1 {
+            while inner.segments.len() > 1 && inner.segments[1] <= uncovered_from {
                 to_remove.push(inner.segments.remove(0));
             }
             (to_remove, inner.next_seq - 1, inner.segments.len() as i64)

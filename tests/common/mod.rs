@@ -8,6 +8,8 @@
 
 #![allow(dead_code)] // each test target uses its own subset
 
+pub mod mutate;
+
 use fdc::approx::{encode_plane, ApproxOptions, ApproxPlane};
 use fdc::cube::{
     Configuration, ConfiguredModel, Coord, CubeSplit, Dataset, Dimension, NodeId, Schema,

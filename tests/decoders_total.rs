@@ -12,9 +12,10 @@
 
 mod common;
 
+use common::mutate::{apply, mutations};
 use fdc::approx::{decode_plane, encode_plane, ApproxQuerySpec};
 use fdc::codec::Writer;
-use fdc::cube::Dataset;
+use fdc::cube::{Dataset, NodeId};
 use fdc::f2db::durability::{decode_checkpoint, encode_checkpoint};
 use fdc::f2db::{parse_query, Catalog, MaintenancePolicy, WalRecord};
 use fdc::forecast::FitOptions;
@@ -30,114 +31,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------
-// The mutation driver
+// The mutation driver (the mutations themselves: `common/mutate.rs`)
 // ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy)]
-enum Mutation {
-    /// Keep the first `n` bytes.
-    Truncate(usize),
-    /// Flip one bit.
-    Flip { bit: usize },
-    /// Overwrite `width` bytes at `at` with `value`, little-endian.
-    Window { at: usize, width: usize, value: u64 },
-    /// Replace the byte at `at`.
-    Byte { at: usize, value: u8 },
-    /// The first `head` bytes, then sample `other` from `tail` on.
-    Splice {
-        other: usize,
-        head: usize,
-        tail: usize,
-    },
-    /// Append `len` seeded random bytes.
-    Append { seed: u64, len: usize },
-}
-
-/// Bytes that mean something to at least one text format.
-const STRUCTURAL: &[u8] = b"\0\"'\\{}[](),:;=-+.eE09 \r\n\xff";
-
-/// Offsets to mutate: every one of a small sample; the first 256 (where
-/// headers, tags and counts live), the last 64 and a seeded scatter of
-/// a large one.
-fn offsets(len: usize, rng: &mut Rng) -> Vec<usize> {
-    if len <= 640 {
-        return (0..len).collect();
-    }
-    let mut at: Vec<usize> = (0..256).chain(len - 64..len).collect();
-    at.extend((0..320).map(|_| 256 + rng.usize_below(len - 320)));
-    at
-}
-
-fn mutations(samples: &[Vec<u8>], index: usize, rng: &mut Rng) -> Vec<Mutation> {
-    let len = samples[index].len();
-    let mut out: Vec<Mutation> = (0..len).map(Mutation::Truncate).collect();
-    for at in offsets(len, rng) {
-        // Every bit of a small sample, one seeded bit per offset of a
-        // large one.
-        let bits = if len <= 640 {
-            0..8
-        } else {
-            let bit = rng.usize_below(8);
-            bit..bit + 1
-        };
-        out.extend(bits.map(|bit| Mutation::Flip { bit: at * 8 + bit }));
-        out.push(Mutation::Byte {
-            at,
-            value: STRUCTURAL[rng.usize_below(STRUCTURAL.len())],
-        });
-        for width in [4, 8] {
-            let max = if width == 4 {
-                u32::MAX.into()
-            } else {
-                u64::MAX
-            };
-            let power = 1u64 << rng.usize_below(width * 8);
-            for value in [0, 1, power, max] {
-                out.push(Mutation::Window { at, width, value });
-            }
-        }
-    }
-    for _ in 0..200 {
-        let other = rng.usize_below(samples.len());
-        out.push(Mutation::Splice {
-            other,
-            head: rng.usize_below(len + 1),
-            tail: rng.usize_below(samples[other].len() + 1),
-        });
-    }
-    for len in [1, 2, 7, 8, 64] {
-        for _ in 0..10 {
-            out.push(Mutation::Append {
-                seed: rng.next_u64(),
-                len,
-            });
-        }
-    }
-    out
-}
-
-fn apply(samples: &[Vec<u8>], index: usize, mutation: Mutation) -> Vec<u8> {
-    let mut bytes = samples[index].clone();
-    match mutation {
-        Mutation::Truncate(n) => bytes.truncate(n),
-        Mutation::Flip { bit } => bytes[bit / 8] ^= 1 << (bit % 8),
-        Mutation::Window { at, width, value } => {
-            for (slot, byte) in bytes[at..].iter_mut().zip(&value.to_le_bytes()[..width]) {
-                *slot = *byte;
-            }
-        }
-        Mutation::Byte { at, value } => bytes[at] = value,
-        Mutation::Splice { other, head, tail } => {
-            bytes.truncate(head);
-            bytes.extend_from_slice(&samples[other][tail..]);
-        }
-        Mutation::Append { seed, len } => {
-            let mut rng = Rng::seed_from_u64(seed);
-            bytes.extend((0..len).map(|_| rng.next_u64() as u8));
-        }
-    }
-    bytes
-}
 
 /// Runs `check` on every sample and on every mutation of every sample.
 /// `check` decodes and uses what decoded; a panic inside it fails the
@@ -514,6 +409,77 @@ fn crash_case_arima_order_overflow() {
         &[0.0],
     );
     assert!(Catalog::decode(&bytes).is_err());
+}
+
+/// A stored model whose invalidation epoch decodes as `u64::MAX`: the
+/// next invalidation's `epoch += 1` overflowed (a panic in debug, a wrap
+/// to epoch 0 in release) at each of the three places that invalidate.
+#[test]
+fn crash_case_epoch_max() {
+    let (mut ds, catalog) = common::small_catalog();
+    let top = ds.graph().top_node();
+    // Invalidating flips the model's flag and takes its epoch from 0 to
+    // 1: the two bytes that differ are the flag and, behind the rolling
+    // error, the epoch's lowest byte.
+    let plain = catalog.encode();
+    assert!(catalog.invalidate(top));
+    let changed: Vec<usize> = (0..plain.len())
+        .filter(|&i| plain[i] != catalog.encode()[i])
+        .collect();
+    let [flag, epoch] = changed[..] else {
+        panic!("expected the flag and the epoch to differ, found {changed:?}");
+    };
+    assert_eq!(epoch, flag + 9);
+    let mut bytes = plain;
+    bytes[epoch..epoch + 8].fill(0xff);
+
+    // One more time stamp, for the advance to absorb.
+    let round: Vec<(NodeId, f64)> = ds.graph().base_nodes().iter().map(|&b| (b, 50.0)).collect();
+    ds.advance_time(&round).expect("a full round");
+    let policy = MaintenancePolicy::TimeBased { every: 1 };
+    let invalidations: [&dyn Fn(&Catalog) -> bool; 3] =
+        [&|c| c.invalidate(top), &|c| c.invalidate_all() == 1, &|c| {
+            c.advance_time(&ds, ds.series_len() - 1, &policy)
+                .invalidations
+                == 1
+        }];
+    for invalidate in invalidations {
+        let catalog = Catalog::decode(&bytes).expect("the epoch is any u64");
+        assert_eq!(catalog.epoch(top), Some(u64::MAX));
+        assert!(invalidate(&catalog), "the model was valid");
+        assert!(catalog.is_invalid(top));
+        assert_eq!(catalog.epoch(top), Some(u64::MAX), "the epoch saturates");
+    }
+}
+
+/// A checkpoint marker holding `u64::MAX`: `Wal::open` computed the
+/// sequence number to resume at with `+ 1` — `checkpoint_seq + 1` with
+/// a segment in the directory, `last_seq + 1` without one.
+#[test]
+fn crash_case_checkpoint_seq_max() {
+    let dir = std::env::temp_dir().join(format!("fdc_total_marker_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let options = || WalOptions {
+        fsync: false,
+        ..WalOptions::default()
+    };
+    let marker = format!("fdc-wal-checkpoint v1\n{}\n", u64::MAX);
+    let open_is_corrupt = || {
+        std::fs::write(dir.join(fdc::wal::CHECKPOINT_FILE), &marker).unwrap();
+        assert!(matches!(
+            Wal::open(&dir, options()),
+            Err(fdc::wal::WalError::Corrupt { .. })
+        ));
+    };
+    // The marker alone, then beside a segment holding one record.
+    std::fs::create_dir_all(&dir).unwrap();
+    open_is_corrupt();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let (wal, _) = Wal::open(&dir, options()).expect("fresh log");
+    wal.append(b"a record").expect("append");
+    drop(wal);
+    open_is_corrupt();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A 37-byte digest with compression 1e18 passed the `>= 20` check and
