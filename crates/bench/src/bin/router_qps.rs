@@ -101,7 +101,6 @@ fn run_shard(id: &str) {
     let replica_of = std::env::var(REPLICA_ENV).ok();
     let opts = ServeOptions {
         wal_dir: Some(wal),
-        coalesce_window: Duration::from_millis(1),
         replica_of: replica_of.clone(),
         partition_bases: Some(owned.clone()),
         ..ServeOptions::default()

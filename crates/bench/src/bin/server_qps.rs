@@ -263,7 +263,6 @@ fn serve_options(catalog_path: &std::path::Path) -> ServeOptions {
     ServeOptions {
         workers: 4,
         queue_depth: 256,
-        coalesce_window: Duration::from_millis(2),
         deadline: Duration::from_secs(30),
         catalog_path: Some(catalog_path.to_path_buf()),
         ..ServeOptions::default()

@@ -325,7 +325,13 @@ impl TimeSeriesGraph {
 
     /// Looks a coordinate up (must be canonical).
     pub fn node(&self, coord: &Coord) -> Option<NodeId> {
-        self.index.get(coord).copied()
+        self.node_at(coord.values())
+    }
+
+    /// [`TimeSeriesGraph::node`] by the coordinate's values, for a
+    /// caller that resolves many rows through one buffer.
+    pub fn node_at(&self, values: &[u32]) -> Option<NodeId> {
+        self.index.get(values).copied()
     }
 
     /// Resolves a possibly non-canonical coordinate by canonicalizing

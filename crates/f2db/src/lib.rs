@@ -258,6 +258,60 @@ pub struct RecoveryReport {
     pub swept_tmp: usize,
 }
 
+/// Resolves rows of dimension labels to base nodes under one read of
+/// the data set; made by [`F2db::base_resolver`]. A row is its labels
+/// [`push`](BaseResolver::push)ed in schema order, then
+/// [`finish`](BaseResolver::finish).
+pub struct BaseResolver<'a> {
+    dataset: RwLockReadGuard<'a, Dataset>,
+    /// Value indices of the current row's leading labels.
+    coord: Vec<u32>,
+    /// Labels pushed for the current row.
+    seen: usize,
+    /// The first label of the current row its dimension does not have.
+    unknown: Option<F2dbError>,
+}
+
+impl BaseResolver<'_> {
+    /// The next dimension's label of the current row.
+    pub fn push(&mut self, label: &str) {
+        let dimensions = self.dataset.graph().schema().dimensions();
+        if let (Some(dimension), None) = (dimensions.get(self.seen), &self.unknown) {
+            match dimension.value_index(label) {
+                Some(index) => self.coord.push(index),
+                None => {
+                    self.unknown = Some(F2dbError::Semantic(format!(
+                        "unknown value {label} for dimension {}",
+                        dimension.name()
+                    )))
+                }
+            }
+        }
+        self.seen += 1;
+    }
+
+    /// The base node of the labels pushed since the last `finish`; the
+    /// next `push` begins another row.
+    pub fn finish(&mut self) -> Result<NodeId> {
+        let graph = self.dataset.graph();
+        let dim_count = graph.schema().dim_count();
+        let (seen, unknown) = (std::mem::take(&mut self.seen), self.unknown.take());
+        let result = if seen != dim_count {
+            Err(F2dbError::Semantic(format!(
+                "INSERT carries {seen} dimension values, schema has {dim_count}"
+            )))
+        } else if let Some(unknown) = unknown {
+            Err(unknown)
+        } else {
+            graph
+                .node_at(&self.coord)
+                .ok_or_else(|| F2dbError::Semantic("no base series for these values".into()))
+        };
+        self.coord.clear();
+        result
+    }
+}
+
 impl F2db {
     /// Loads a configuration produced by the advisor (or a baseline) into
     /// the database: schemes and weights are stored, and each model is
@@ -1025,29 +1079,25 @@ impl F2db {
     /// identify, for callers (a network server, the shell's `INSERT`)
     /// that resolve rows up front and commit them through
     /// [`F2db::insert_value`] or [`F2db::insert_batch`].
-    pub fn base_node_for(&self, dim_values: &[String]) -> Result<NodeId> {
-        let ds = self.dataset.read().unwrap();
-        let schema = ds.graph().schema();
-        if dim_values.len() != schema.dim_count() {
-            return Err(F2dbError::Semantic(format!(
-                "INSERT carries {} dimension values, schema has {}",
-                dim_values.len(),
-                schema.dim_count()
-            )));
+    pub fn base_node_for(&self, dim_values: &[impl AsRef<str>]) -> Result<NodeId> {
+        let mut resolver = self.base_resolver();
+        for value in dim_values {
+            resolver.push(value.as_ref());
         }
-        let mut coord = Vec::with_capacity(dim_values.len());
-        for (d, value) in dim_values.iter().enumerate() {
-            let idx = schema.dimensions()[d].value_index(value).ok_or_else(|| {
-                F2dbError::Semantic(format!(
-                    "unknown value {value} for dimension {}",
-                    schema.dimensions()[d].name()
-                ))
-            })?;
-            coord.push(idx);
+        resolver.finish()
+    }
+
+    /// [`F2db::base_node_for`] for a caller that resolves many rows
+    /// (one `/insert` body): one read of the data set and one
+    /// coordinate buffer serve all of them, and the labels are taken
+    /// one at a time, as a pull parser hands them out.
+    pub fn base_resolver(&self) -> BaseResolver<'_> {
+        BaseResolver {
+            dataset: self.dataset.read().unwrap(),
+            coord: Vec::new(),
+            seen: 0,
+            unknown: None,
         }
-        ds.graph()
-            .node(&fdc_cube::Coord::new(coord))
-            .ok_or_else(|| F2dbError::Semantic("no base series for these values".into()))
     }
 
     /// Inserts one new observation for a base node id. Inserts are

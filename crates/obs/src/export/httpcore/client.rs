@@ -16,6 +16,10 @@
 //!   end-of-stream, an error or unexpected bytes mean the server gave the
 //!   connection up (idle reap, restart) — it is discarded and a fresh
 //!   connection made ([`Pooled::Stale`]).
+//! * A reused socket that answers with the server's close notice
+//!   ([`CLOSE_NOTICE`]: it gave the idle connection up as the request was
+//!   on its way, and read none of it) has the request sent again on a
+//!   fresh connection — **any** request, since none of it was taken.
 //! * A request that dies on a **reused** socket before any response byte
 //!   — the server closed between the check and the write — is sent once
 //!   more on a fresh connection, *if* the caller marked it
@@ -26,6 +30,7 @@
 //!   as a W3C `traceparent` header, so the callee's request span joins
 //!   the caller's trace.
 
+use super::CLOSE_NOTICE;
 use std::collections::HashMap;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -151,6 +156,13 @@ impl Client {
         loop {
             let mut answered = false;
             match exchange(&mut stream, addr, request, false, &mut answered) {
+                Ok((response, _)) if response.status == CLOSE_NOTICE && pooled == Pooled::Hit => {
+                    // Not an answer: the server gave the idle connection
+                    // up and read nothing of this request, so any
+                    // request, replayable or not, goes out again.
+                    stream = connect(addr, self.timeout)?;
+                    pooled = Pooled::Stale;
+                }
                 Ok((mut response, keep)) => {
                     response.pooled = pooled;
                     if keep {
@@ -281,7 +293,14 @@ fn exchange(
     head.push_str("\r\n");
     let mut out = head.into_bytes();
     out.extend_from_slice(request.body);
-    stream.write_all(&out)?;
+    // A peer that closed while the request was on its way may have left
+    // its close notice behind: what was received before the reset can
+    // still be read, so a write that finds the peer gone reads on, and
+    // stays the error only if no response is there.
+    let unsent = match stream.write_all(&out) {
+        Err(e) if peer_gone(&e) => Some(e),
+        wrote => wrote.map(|()| None)?,
+    };
 
     let mut buf = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
@@ -292,13 +311,19 @@ fn exchange(
         if buf.len() > super::MAX_HEAD_BYTES {
             return Err(invalid("response head too large"));
         }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                ErrorKind::UnexpectedEof,
-                "connection closed mid-head",
-            ));
-        }
+        let n = match stream.read(&mut chunk) {
+            Ok(n) if n > 0 => n,
+            read => {
+                if let Some(unsent) = unsent {
+                    return Err(unsent);
+                }
+                read?;
+                return Err(io::Error::new(
+                    ErrorKind::UnexpectedEof,
+                    "connection closed mid-head",
+                ));
+            }
+        };
         *answered = true;
         buf.extend_from_slice(&chunk[..n]);
     };
@@ -328,16 +353,17 @@ fn exchange(
     if content_length > MAX_BODY_BYTES {
         return Err(invalid("response body too large"));
     }
-    let have = response.body.len();
-    if have > content_length {
-        return Err(invalid("more bytes than Content-Length"));
-    }
+    // Bytes past the body are something the server said unasked — its
+    // close notice, in the same segment. The response stands; the
+    // connection is not kept.
+    let have = response.body.len().min(content_length);
+    let unasked = response.body.len() > content_length;
     response.body.resize(content_length, 0);
     stream.read_exact(&mut response.body[have..])?;
     let says_close = response
         .header("connection")
         .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-    Ok((response, !close && !says_close))
+    Ok((response, !close && !says_close && !unasked))
 }
 
 #[cfg(test)]
@@ -493,6 +519,84 @@ mod tests {
             2,
             "the insert was sent again"
         );
+    }
+
+    /// A server whose first connection answers one request and gives the
+    /// connection up just as the next one arrives: it waits for the first
+    /// bytes, reads none of them, writes the close notice and closes.
+    /// Later connections answer; counts the requests read.
+    fn gives_up_as_second_request_arrives() -> (String, Arc<AtomicUsize>) {
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let requests = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&requests);
+        std::thread::spawn(move || {
+            for (conn, stream) in listener.incoming().enumerate() {
+                let mut stream = stream.unwrap();
+                let mut reader = crate::httpcore::RequestReader::new();
+                while reader.read(&mut stream, 8 << 20, TIMEOUT).is_ok() {
+                    seen.fetch_add(1, Ordering::SeqCst);
+                    crate::httpcore::write_reply(
+                        &mut stream,
+                        "200 OK",
+                        "text/plain",
+                        b"ok",
+                        &[],
+                        false,
+                    )
+                    .unwrap();
+                    if conn == 0 {
+                        stream.peek(&mut [0u8; 1]).unwrap();
+                        let notice = crate::httpcore::status_line(CLOSE_NOTICE);
+                        crate::httpcore::write_reply(
+                            &mut stream,
+                            notice,
+                            "text/plain",
+                            b"",
+                            &[],
+                            true,
+                        )
+                        .unwrap();
+                        break;
+                    }
+                }
+            }
+        });
+        (addr, requests)
+    }
+
+    #[test]
+    fn a_request_that_crosses_the_close_notice_is_sent_again_even_an_insert() {
+        // A small body is written whole before the reset comes back; a
+        // large one has its write fail half-way. Either way the notice is
+        // found, and the request the server never read goes out again.
+        for body in [vec![b'x'; 2], vec![b'x'; 4 << 20]] {
+            let (addr, requests) = gives_up_as_second_request_arrives();
+            let client = Client::new(TIMEOUT);
+            let insert = Outgoing {
+                replay: false,
+                ..Outgoing::new("POST", "/insert", &body)
+            };
+            assert_eq!(client.send(&addr, &insert).unwrap().pooled, Pooled::Miss);
+            let second = client.send(&addr, &insert).unwrap();
+            assert_eq!((second.status, second.pooled), (200, Pooled::Stale));
+            assert_eq!(requests.load(Ordering::SeqCst), 2, "read twice, or never");
+        }
+
+        // On a fresh connection the status is an answer like any other.
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            crate::httpcore::read_request(&mut stream, 1024, TIMEOUT).unwrap();
+            let notice = crate::httpcore::status_line(CLOSE_NOTICE);
+            crate::httpcore::write_reply(&mut stream, notice, "text/plain", b"", &[], true)
+                .unwrap();
+        });
+        let fresh = Client::new(TIMEOUT)
+            .send(&addr, &Outgoing::new("GET", "/", b""))
+            .unwrap();
+        assert_eq!((fresh.status, fresh.pooled), (CLOSE_NOTICE, Pooled::Miss));
     }
 
     #[test]

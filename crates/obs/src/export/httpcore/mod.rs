@@ -26,6 +26,10 @@
 //!   [`RequestError::Closed`], a read timeout there is
 //!   [`RequestError::Idle`] — the ordinary ends of a kept-alive
 //!   connection, not malformed traffic.
+//! * A server that closes a connection the client was not told about —
+//!   an idle one given up for a queued connection or at shutdown — first
+//!   writes the [`CLOSE_NOTICE`]. A request that crosses the close is
+//!   then known not to have been read, and [`client`] sends it again.
 //! * Bytes read past one request's `Content-Length` belong to the next
 //!   request: a [`RequestReader`] lives as long as its connection and
 //!   keeps them.
@@ -53,6 +57,14 @@ use std::time::Duration;
 
 /// Upper bound on a request or response head (first line + headers).
 const MAX_HEAD_BYTES: usize = 16 * 1024;
+
+/// Status of the *close notice*: the bodiless `Connection: close`
+/// response a server writes, unasked, on an idle kept-alive connection it
+/// gives up ([`server`]), and nowhere else. It has read nothing of a next
+/// request and will not, so a client that finds the notice where it
+/// expected its response may repeat the request on a new connection —
+/// whatever the request is (RFC 9110 §15.5.9).
+pub const CLOSE_NOTICE: u16 = 408;
 
 /// A parsed HTTP/1.1 request: the request line, lower-cased header
 /// names, and the raw body bytes.
@@ -331,6 +343,7 @@ pub fn status_line(status: u16) -> &'static str {
         400 => "400 Bad Request",
         404 => "404 Not Found",
         405 => "405 Method Not Allowed",
+        408 => "408 Request Timeout",
         409 => "409 Conflict",
         410 => "410 Gone",
         413 => "413 Payload Too Large",

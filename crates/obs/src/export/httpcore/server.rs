@@ -31,12 +31,14 @@
 //!   same (`AfterShutdown`) and answered with `Connection: close`;
 //!   otherwise the read returns end-of-stream and the connection is
 //!   closed. With more active clients than workers the server thus
-//!   degrades to one request per connection and no further. Only this
-//!   case closes a connection the client was not told about, and only a
-//!   request that reaches the socket after that close is lost — the
-//!   keep-alive race of every HTTP/1.1 server; a client that reuses
-//!   connections must check them and may replay a read
-//!   ([`super::client`]).
+//!   degrades to one request per connection and no further. Only a
+//!   give-up closes a connection the client was not told about, so it
+//!   tells it on the way out: the worker writes the
+//!   [`CLOSE_NOTICE`](super::CLOSE_NOTICE) — an unasked `408` with
+//!   `Connection: close` — before it drops the socket. A request that
+//!   reaches the socket after that was never read; its sender finds the
+//!   notice where it expected a response and repeats the request on a
+//!   new connection, an `/insert` included ([`super::client`]).
 //! * Shutdown ([`CloseReason::Shutdown`]): idle connections are given up
 //!   the same way, at once; queued and in-flight requests are answered
 //!   (with `Connection: close`) before the workers exit.
@@ -44,7 +46,9 @@
 //!   in the queue past the deadline ([`CloseReason::Error`]): answered,
 //!   then closed through [`close_unread`].
 
-use super::{close_unread, write_reply, Request, RequestError, RequestReader};
+use super::{
+    close_unread, status_line, write_reply, Request, RequestError, RequestReader, CLOSE_NOTICE,
+};
 use std::collections::VecDeque;
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -511,12 +515,20 @@ impl ConnQueue {
                     limits.max_body,
                 ),
             });
+            if let (Some(reason), Err(RequestError::Closed | RequestError::Idle)) =
+                (given_up, &result)
+            {
+                // Nothing of a next request was read and nothing will be:
+                // say so before closing, so that a request already on
+                // the wire can be repeated on another connection.
+                let notice = status_line(CLOSE_NOTICE);
+                write_reply(&mut stream, notice, "text/plain", b"", &[], true).ok();
+                return (reason, served);
+            }
             let request = match result {
                 Ok(request) => request,
-                Err(RequestError::Closed) => {
-                    return (given_up.unwrap_or(CloseReason::Client), served)
-                }
-                Err(RequestError::Idle) => return (given_up.unwrap_or(CloseReason::Idle), served),
+                Err(RequestError::Closed) => return (CloseReason::Client, served),
+                Err(RequestError::Idle) => return (CloseReason::Idle, served),
                 Err(e) => {
                     let why = match e {
                         RequestError::BodyTooLarge(_) => Reject::BodyTooLarge,
@@ -847,6 +859,53 @@ mod tests {
         drop(late.join().unwrap());
         source.until = Instant::now() + Duration::from_millis(20);
         assert_eq!(source.read(&mut [0u8; 8]).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_given_up_connection_is_told_so_and_a_write_that_crosses_is_sent_again() {
+        let server = start(1, LONG);
+        let addr = server.addr.to_string();
+        let mut a = TcpStream::connect(server.addr).unwrap();
+        a.write_all(b"GET /first HTTP/1.1\r\n\r\n").unwrap();
+        read_response(&mut a);
+        // The only worker is parked on A when B arrives: A is given up,
+        // and hears it — the close notice, then end-of-stream.
+        let keeper = Client::new(LONG);
+        fn write(path: &str) -> Outgoing<'_> {
+            Outgoing {
+                replay: false,
+                ..Outgoing::new("POST", path, b"{}")
+            }
+        }
+        assert_eq!(keeper.send(&addr, &write("/b")).unwrap().text(), "/b");
+        let notice = read_response(&mut a);
+        assert!(
+            notice.starts_with("HTTP/1.1 408 ") && notice.contains("Connection: close"),
+            "{notice}"
+        );
+        assert_eq!(a.read(&mut [0u8; 1]).unwrap(), 0);
+
+        // Three writers that keep their connections, one worker: idle
+        // connections are given up all the time, and some give-ups cross
+        // a request already on its way. None may be replayed blindly, yet
+        // every one is answered, and read exactly once.
+        let per_client = 300;
+        std::thread::scope(|scope| {
+            for c in 0..3 {
+                let addr = &addr;
+                scope.spawn(move || {
+                    let client = Client::new(LONG);
+                    for i in 0..per_client {
+                        let path = format!("/{c}/{i}");
+                        let r = client.send(addr, &write(&path)).unwrap();
+                        assert_eq!((r.status, r.text()), (200, path));
+                    }
+                });
+            }
+        });
+        let closed = server.stop();
+        let answered: u64 = closed.iter().map(|(_, requests)| requests).sum();
+        assert_eq!(answered, 2 + 3 * per_client, "{closed:?}");
     }
 
     #[test]

@@ -768,138 +768,114 @@ type RowChunks<'a> = (&'a str, Vec<(NodeId, &'a str)>);
 /// Splits a shard's `{"...":...,"rows":[{...},{...}]}` answer into its
 /// verbatim row chunks, keyed by each chunk's leading `"node":N`.
 /// Returns the body prefix up to and including `"rows":[` (horizon and
-/// friends ride along untouched) and the chunks.
+/// friends ride along untouched) and the chunks. The reader checks
+/// every chunk against the grammar and hands back its bytes as they
+/// stand — labels may contain any escaped character, and no float is
+/// ever re-rendered.
 fn split_rows(body: &str) -> Result<RowChunks<'_>, String> {
-    let marker = "\"rows\":[";
-    let start = body.find(marker).ok_or("answer has no rows array")? + marker.len();
-    let mut rows = Vec::new();
-    for chunk in split_objects(body, start)? {
-        let node = chunk
-            .strip_prefix("{\"node\":")
-            .and_then(|rest| {
-                let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-                digits.parse::<NodeId>().ok()
-            })
-            .ok_or("row chunk has no leading node id")?;
-        rows.push((node, chunk));
+    let mut r = json::Reader::new(body);
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        if key != "rows" {
+            r.skip_value()?;
+            continue;
+        }
+        r.begin_array()?;
+        let head = r.since(0);
+        let mut rows = Vec::new();
+        while r.next_element()? {
+            let start = r.offset();
+            r.skip_value()?;
+            let chunk = r.since(start);
+            let node = chunk
+                .strip_prefix("{\"node\":")
+                .and_then(|rest| {
+                    let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+                    rest[..digits].parse::<NodeId>().ok()
+                })
+                .ok_or("row chunk has no leading node id")?;
+            rows.push((node, chunk));
+        }
+        return Ok((head, rows));
     }
-    Ok((&body[..start], rows))
-}
-
-/// The verbatim `{...}` chunks of the JSON array whose first element
-/// starts at byte `start` of `text` (just past its `[`). String-aware
-/// brace balancing — labels may contain any escaped character — and
-/// never a float through a parser.
-fn split_objects(text: &str, start: usize) -> Result<Vec<&str>, String> {
-    let bytes = text.as_bytes();
-    let mut chunks = Vec::new();
-    let mut i = start;
-    loop {
-        while i < bytes.len() && (bytes[i] as char).is_whitespace() {
-            i += 1;
-        }
-        if i >= bytes.len() {
-            return Err("unterminated rows array".into());
-        }
-        match bytes[i] {
-            b']' => break,
-            b',' => {
-                i += 1;
-                continue;
-            }
-            b'{' => {}
-            _ => return Err("rows array holds a non-object".into()),
-        }
-        let chunk_start = i;
-        let mut depth = 0usize;
-        let mut in_str = false;
-        let mut escaped = false;
-        while i < bytes.len() {
-            let b = bytes[i];
-            if in_str {
-                if escaped {
-                    escaped = false;
-                } else if b == b'\\' {
-                    escaped = true;
-                } else if b == b'"' {
-                    in_str = false;
-                }
-            } else {
-                match b {
-                    b'"' => in_str = true,
-                    b'{' => depth += 1,
-                    b'}' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            i += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            i += 1;
-        }
-        if depth != 0 {
-            return Err("unbalanced row object".into());
-        }
-        chunks.push(&text[chunk_start..i]);
-    }
-    Ok(chunks)
+    Err("answer has no rows array".into())
 }
 
 // ---------------------------------------------------------------------------
 // Routed inserts
 // ---------------------------------------------------------------------------
 
-/// `POST /insert`: split the rows array into verbatim chunks, place
-/// each row by its leading `key_dims` dimension values, forward every
+/// A row's placement, worked out while its labels are read: the first
+/// `key_dims` of them joined with `|` — the same string the shard-side
+/// `F2db::partition_key` computes, so router and shards agree on
+/// ownership without the router knowing the schema — hashed to the
+/// index of the owning shard. One key buffer serves every row.
+struct Placer<'t> {
+    topology: &'t Topology,
+    key: String,
+    /// Labels seen of the current row.
+    seen: usize,
+}
+
+impl wire::RowDims for Placer<'_> {
+    type Out = usize;
+
+    fn label(&mut self, label: &str) {
+        if self.topology.key_dims == 0 || self.seen < self.topology.key_dims {
+            if self.seen > 0 {
+                self.key.push('|');
+            }
+            self.key.push_str(label);
+        }
+        self.seen += 1;
+    }
+
+    fn end(&mut self) -> Result<usize, String> {
+        let placed = if self.seen == 0 {
+            Err("row needs a non-empty \"dims\" array".to_string())
+        } else {
+            let owner = &self.topology.place(&self.key).id;
+            let shards = &self.topology.shards;
+            Ok(shards
+                .iter()
+                .position(|s| s.id == *owner)
+                .expect("placement returns a topology shard"))
+        };
+        self.key.clear();
+        self.seen = 0;
+        placed
+    }
+}
+
+/// The rows of an `/insert` body, each as it stands in the body (value
+/// bytes untouched) with the index of the shard that owns it. One pass:
+/// the body is refused exactly when a shard would refuse it whole.
+fn place_rows<'a>(topology: &Topology, body: &'a [u8]) -> Result<Vec<(usize, &'a str)>, String> {
+    let mut placer = Placer {
+        topology,
+        key: String::new(),
+        seen: 0,
+    };
+    wire::decode_insert(body, &mut placer, |shard, _, row| (shard, row))
+}
+
+/// `POST /insert`: read the body once, placing each row by its leading
+/// `key_dims` dimension values and keeping its bytes; forward every
 /// group whole to its owning shard's primary. All-or-error per shard;
 /// a failure names what already committed — the caller decides whether
 /// to retry the rest (inserts are idempotent per (cell, stamp) only
 /// until the stamp completes, so the answer is explicit, not hidden).
 fn handle_insert(shared: &Shared, body: &[u8]) -> Routed {
     let no_extra = Vec::new;
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return ("insert", 400, err_body("body is not UTF-8"), no_extra()),
-    };
-    let doc = match json::parse(text) {
-        Ok(d) => d,
+    let placed = match place_rows(&shared.topology, body) {
+        Ok(placed) => placed,
         Err(m) => return ("insert", 400, err_body(&m), no_extra()),
     };
-    // Raw chunks: the single-row form is itself the one chunk.
-    let chunks: Vec<&str> = if doc.get("rows").is_some() {
-        match split_insert_rows(text) {
-            Ok(c) => c,
-            Err(m) => return ("insert", 400, err_body(&m), no_extra()),
-        }
-    } else {
-        vec![text.trim()]
-    };
-    if chunks.is_empty() {
-        return (
-            "insert",
-            400,
-            err_body("\"rows\" must not be empty"),
-            no_extra(),
-        );
-    }
     let mut groups: Vec<(usize, Vec<&str>)> = Vec::new();
-    for chunk in chunks {
-        let key = match insert_key(chunk, shared.topology.key_dims) {
-            Ok(k) => k,
-            Err(m) => return ("insert", 400, err_body(&m), no_extra()),
-        };
-        let owner = &shared.topology.place(&key).id;
-        let idx = shared
-            .shards
-            .iter()
-            .position(|s| s.spec.id == *owner)
-            .expect("placement returns a topology shard");
+    for (idx, row) in placed {
         match groups.iter_mut().find(|(s, _)| *s == idx) {
-            Some((_, rows)) => rows.push(chunk),
-            None => groups.push((idx, vec![chunk])),
+            Some((_, rows)) => rows.push(row),
+            None => groups.push((idx, vec![row])),
         }
     }
     fdc_obs::histogram!(names::ROUTER_FANOUT_SIZE).record(groups.len() as u64);
@@ -993,40 +969,6 @@ fn insert_failure_with(
         ),
         extra,
     )
-}
-
-/// Splits the top-level `"rows"` array of an insert body into verbatim
-/// row chunks (value bytes untouched).
-fn split_insert_rows(text: &str) -> Result<Vec<&str>, String> {
-    let marker_pos = text.find("\"rows\"").ok_or("body has no rows array")?;
-    let after = marker_pos + "\"rows\"".len();
-    let bracket = text[after..].find('[').ok_or("\"rows\" must be an array")?;
-    split_objects(text, after + bracket + 1)
-}
-
-/// The placement key of one insert row chunk: its first `key_dims`
-/// dimension values joined with `|` — the same string the shard-side
-/// `F2db::partition_key` computes, so router and shards agree on
-/// ownership without the router knowing the schema.
-fn insert_key(chunk: &str, key_dims: usize) -> Result<String, String> {
-    let doc = json::parse(chunk)?;
-    let dims = doc
-        .get("dims")
-        .and_then(json::Value::as_array)
-        .ok_or("row needs a \"dims\" array")?;
-    let mut values = Vec::with_capacity(dims.len());
-    for d in dims {
-        values.push(d.as_str().ok_or("dims must be strings")?);
-    }
-    if values.is_empty() {
-        return Err("row needs a non-empty \"dims\" array".into());
-    }
-    let take = if key_dims == 0 {
-        values.len()
-    } else {
-        key_dims.min(values.len())
-    };
-    Ok(values[..take].join("|"))
 }
 
 // ---------------------------------------------------------------------------
@@ -1222,21 +1164,84 @@ mod tests {
         }
     }
 
-    #[test]
-    fn insert_key_takes_leading_dims() {
-        let chunk = "{\"dims\":[\"Germany\",\"holiday\"],\"value\":1.25}";
-        assert_eq!(insert_key(chunk, 1).unwrap(), "Germany");
-        assert_eq!(insert_key(chunk, 0).unwrap(), "Germany|holiday");
-        assert_eq!(insert_key(chunk, 9).unwrap(), "Germany|holiday");
-        assert!(insert_key("{\"value\":1}", 1).is_err());
+    fn topology(key_dims: usize) -> Topology {
+        let shard = |id: &str| ShardSpec {
+            id: id.into(),
+            addr: "127.0.0.1:1".into(),
+            replica: None,
+        };
+        Topology {
+            version: 1,
+            key_dims,
+            shards: vec![shard("s0"), shard("s1"), shard("s2")],
+        }
+    }
+
+    /// The shard index the topology gives `key`.
+    fn owner(topology: &Topology, key: &str) -> usize {
+        let id = &topology.place(key).id;
+        topology.shards.iter().position(|s| s.id == *id).unwrap()
     }
 
     #[test]
-    fn split_insert_rows_keeps_value_bytes() {
-        let body = "{\"rows\":[{\"dims\":[\"a\"],\"value\":0.30000000000000004},{\"dims\":[\"b\"],\"value\":1e-12}]}";
-        let chunks = split_insert_rows(body).unwrap();
-        assert_eq!(chunks.len(), 2);
-        assert!(chunks[0].contains("0.30000000000000004"));
-        assert!(chunks[1].contains("1e-12"));
+    fn place_rows_keys_by_leading_dims() {
+        let body = b"{\"rows\":[{\"dims\":[\"Germany\",\"holiday\"],\"value\":1.25}]}";
+        for (key_dims, key) in [
+            (1, "Germany"),
+            (0, "Germany|holiday"),
+            (9, "Germany|holiday"),
+        ] {
+            let topology = topology(key_dims);
+            let placed = place_rows(&topology, body).unwrap();
+            assert_eq!(
+                placed,
+                [(
+                    owner(&topology, key),
+                    "{\"dims\":[\"Germany\",\"holiday\"],\"value\":1.25}"
+                )]
+            );
+        }
+        let topology = topology(1);
+        assert!(place_rows(&topology, b"{\"value\":1}").is_err());
+        assert!(place_rows(&topology, b"{\"dims\":[],\"value\":1}").is_err());
+        assert!(place_rows(&topology, b"{\"rows\":[]}").is_err());
+    }
+
+    #[test]
+    fn place_rows_keeps_value_bytes() {
+        let body = b" {\"rows\": [{\"dims\":[\"a\"],\"value\":0.30000000000000004} , {\"value\":1e-12,\"dims\":[\"b\"]}]} ";
+        let topology = topology(1);
+        let placed = place_rows(&topology, body).unwrap();
+        assert_eq!(
+            placed,
+            [
+                (
+                    owner(&topology, "a"),
+                    "{\"dims\":[\"a\"],\"value\":0.30000000000000004}"
+                ),
+                (owner(&topology, "b"), "{\"value\":1e-12,\"dims\":[\"b\"]}"),
+            ]
+        );
+        // The bare-row form is its own one chunk.
+        let placed = place_rows(&topology, b" {\"dims\":[\"a\"],\"value\":-0} \n").unwrap();
+        assert_eq!(
+            placed,
+            [(owner(&topology, "a"), "{\"dims\":[\"a\"],\"value\":-0}")]
+        );
+    }
+
+    #[test]
+    fn place_rows_finds_the_rows_member_not_the_word() {
+        // A "rows" at another depth, and labels that look like structure:
+        // the split is by grammar, and every row survives byte for byte.
+        let tricky = r#"{"dims":["a\"rows\":[{","}]\\"],"value":1}"#;
+        let body = format!(
+            r#"{{"meta":{{"rows":[1]}},"rows":[{tricky},{{"dims":["b","c"],"value":2}}]}}"#
+        );
+        let topology = topology(0);
+        let placed = place_rows(&topology, body.as_bytes()).unwrap();
+        assert_eq!(placed.len(), 2);
+        assert_eq!(placed[0], (owner(&topology, "a\"rows\":[{|}]\\"), tricky));
+        assert_eq!(placed[1].1, r#"{"dims":["b","c"],"value":2}"#);
     }
 }

@@ -54,7 +54,6 @@ fn failover_child() {
     let owned = topo.owned_bases(&db, &shard_id).expect("owned bases");
     let opts = ServeOptions {
         wal_dir: Some(wal),
-        coalesce_window: Duration::from_millis(1),
         replica_of: std::env::var(PRIMARY_ENV).ok(),
         partition_bases: Some(owned.clone()),
         ..ServeOptions::default()

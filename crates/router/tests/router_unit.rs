@@ -273,6 +273,108 @@ fn illegal_requests_get_the_shard_answer_without_reaching_a_shard() {
 }
 
 #[test]
+fn insert_bodies_get_the_status_an_unrouted_server_gives_them() {
+    let serve = || {
+        fdc_serve::Server::start(
+            Arc::new(common::own_model_db(1)),
+            0,
+            fdc_serve::ServeOptions::default(),
+        )
+        .unwrap()
+    };
+    let (oracle, shard) = (serve(), serve());
+    let router = Router::start(
+        topology_of(&[("only", shard.addr())]),
+        0,
+        RouterOptions {
+            probe_interval: Duration::from_secs(3600),
+            ..RouterOptions::default()
+        },
+    )
+    .unwrap();
+    let row = "{\"dims\":[\"holiday\",\"NSW\"],\"value\":1}";
+    for (body, status, routers_own) in [
+        // A "rows" that is not the body's: the split used to find the
+        // first one at any depth and refuse what a server accepts.
+        (
+            format!("{{\"meta\":{{\"rows\":[1]}},\"rows\":[{row}]}}"),
+            202,
+            false,
+        ),
+        (
+            format!("{{\"note\":\"\\\"rows\\\":[{{\",\"rows\":[{row},{row}]}}"),
+            202,
+            false,
+        ),
+        (
+            "{\"rows\":5,\"dims\":[\"holiday\",\"NSW\"],\"value\":2}".to_string(),
+            202,
+            false,
+        ),
+        (format!(" {row} "), 202, false),
+        // Refused by the router as the server refuses them, word for word.
+        ("{\"rows\":[]}".to_string(), 400, true),
+        ("{\"rows\":[7]}".to_string(), 400, true),
+        (
+            "{\"rows\":[{\"dims\":[\"holiday\",\"NSW\"]}]}".to_string(),
+            400,
+            true,
+        ),
+        (format!("{{\"rows\":[{row}]"), 400, true),
+        // Only a shard knows the labels: its refusal comes back wrapped.
+        (
+            "{\"rows\":[{\"dims\":[\"nope\",\"NSW\"],\"value\":1}]}".to_string(),
+            400,
+            false,
+        ),
+    ] {
+        let want = common::request(oracle.addr(), "POST", "/insert", Some(&body));
+        let got = common::request(router.addr(), "POST", "/insert", Some(&body));
+        assert_eq!(want.status, status, "{body}: {}", want.text());
+        assert_eq!(got.status, status, "{body}: {}", got.text());
+        if routers_own || status == 202 {
+            assert_eq!(got.text(), want.text(), "{body}");
+        }
+    }
+    router.shutdown();
+    shard.shutdown().unwrap();
+    oracle.shutdown().unwrap();
+}
+
+#[test]
+fn a_routed_row_reaches_its_shard_byte_for_byte() {
+    let shard = FakeShard::start(202, None);
+    let router = Router::start(
+        topology_of(&[("bytes", shard.addr)]),
+        0,
+        RouterOptions {
+            probe_interval: Duration::from_secs(3600),
+            ..RouterOptions::default()
+        },
+    )
+    .unwrap();
+    // Labels that look like the rows member, braces, escaped quotes and
+    // backslashes; a value no f64 round trip would keep.
+    let rows = [
+        r#"{"dims":["a\"rows\":[{","}]\\"],"value":0.1000000000000000055511151231257827}"#,
+        r#"{ "value" : 1e-12 , "dims" : [ "{\"dims\":[]}" , "éé" ] }"#,
+    ];
+    let body = format!(r#"{{"rows": [{} ,{}]}}"#, rows[0], rows[1]);
+    let resp = common::request(router.addr(), "POST", "/insert", Some(&body));
+    assert_eq!(
+        (resp.status, resp.text().as_str()),
+        (202, "{\"accepted\":2}")
+    );
+    let forwarded = format!("{{\"rows\":[{},{}]}}", rows[0], rows[1]);
+    assert!(
+        shard.saw_request_containing(&forwarded),
+        "{:?}",
+        shard.requests.lock().unwrap()
+    );
+    router.shutdown();
+}
+
+#[test]
 fn oversized_body_reads_a_complete_413_not_a_reset() {
     let shard = FakeShard::start(200, None);
     let router = Router::start(

@@ -1,13 +1,16 @@
-//! The insert coalescer: micro-batches concurrent `/insert` requests
+//! The insert coalescer: group-commits concurrent `/insert` requests
 //! into single [`F2db::insert_batch`] commits.
 //!
 //! Workers *deposit* resolved rows and block until the flush generation
-//! that contains them completes; a dedicated flusher thread wakes when
-//! rows arrive, sleeps one coalescing window so concurrent requests pile
-//! up, then commits everything deposited so far in one engine call. The
-//! result is the write-path economics the engine's `insert_batch`
-//! documents: `n` coalesced rows cost one pending-mutex pass instead of
-//! `n`, and full time stamps advance inline.
+//! that contains them completes; a dedicated flusher thread commits
+//! whatever is buffered the moment there is anything, in one engine
+//! call. Rows deposited while a commit runs form the next generation,
+//! so the group is sized by how long a commit takes (an fsync, a time
+//! advance) — the way `fdc-wal`'s sync thread groups its appenders —
+//! not by a timer: a lone writer waits for its own commit and nothing
+//! else, and under contention `n` coalesced rows still cost one
+//! pending-mutex pass instead of `n`, with full time stamps advancing
+//! inline.
 //!
 //! Acknowledgement contract: a depositor is only released (and the
 //! server only answers `202`) after its rows are **committed into the
@@ -109,10 +112,9 @@ impl Batcher {
         }
     }
 
-    /// The flusher thread's main loop: wake on deposits, linger one
-    /// coalescing window, commit. Returns (flushes, rows) totals when
-    /// asked to stop.
-    pub fn run_flusher(&self, db: &F2db, window: Duration) -> (u64, u64) {
+    /// The flusher thread's main loop: commit whenever rows are
+    /// buffered. Returns (flushes, rows) totals when asked to stop.
+    pub fn run_flusher(&self, db: &F2db) -> (u64, u64) {
         let mut flushes = 0u64;
         let mut total_rows = 0u64;
         loop {
@@ -124,11 +126,6 @@ impl Batcher {
                 if state.rows.is_empty() && state.stop {
                     return (flushes, total_rows);
                 }
-            }
-            // Linger outside the lock so concurrent requests can pile
-            // their rows into this flush's generation.
-            if !window.is_zero() {
-                std::thread::sleep(window);
             }
             total_rows += self.flush_once(db);
             flushes += 1;
@@ -189,7 +186,7 @@ mod tests {
     use fdc_datagen::tourism_proxy;
     use std::sync::Arc;
 
-    fn small_db() -> Arc<F2db> {
+    fn small_db_raw() -> F2db {
         let ds = tourism_proxy(1);
         let outcome = Advisor::new(
             &ds,
@@ -200,7 +197,11 @@ mod tests {
         )
         .unwrap()
         .run();
-        Arc::new(F2db::load(ds, &outcome.configuration).unwrap())
+        F2db::load(ds, &outcome.configuration).unwrap()
+    }
+
+    fn small_db() -> Arc<F2db> {
+        Arc::new(small_db_raw())
     }
 
     #[test]
@@ -212,10 +213,9 @@ mod tests {
         let flusher = {
             let batcher = Arc::clone(&batcher);
             let db = Arc::clone(&db);
-            std::thread::spawn(move || batcher.run_flusher(&db, Duration::from_millis(5)))
+            std::thread::spawn(move || batcher.run_flusher(&db))
         };
-        // 8 threads each deposit one full round concurrently; the
-        // coalescing window merges them into far fewer engine commits.
+        // 8 threads each deposit one full round concurrently.
         std::thread::scope(|scope| {
             for round in 0..8 {
                 let rows: Vec<(usize, f64)> =
@@ -243,6 +243,84 @@ mod tests {
     }
 
     #[test]
+    fn deposits_during_a_commit_share_the_next_one() {
+        // A synced log makes a commit long enough for the other writers
+        // to arrive while it runs: the group is sized by the commit.
+        let dir = std::env::temp_dir().join(format!("fdc_batcher_wal_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal_opts = fdc_wal::WalOptions {
+            fsync: true,
+            ..fdc_wal::WalOptions::default()
+        };
+        let db = Arc::new(small_db_raw().attach_wal(&dir, wal_opts).unwrap().0);
+        let base: Vec<usize> = db.dataset().graph().base_nodes().to_vec();
+        let len_before = db.dataset().series_len();
+        let batcher = Arc::new(Batcher::default());
+        let flusher = {
+            let batcher = Arc::clone(&batcher);
+            let db = Arc::clone(&db);
+            std::thread::spawn(move || batcher.run_flusher(&db))
+        };
+        // 8 threads × 20 single-row deposits: 5 rounds of the 32 base
+        // series, each thread writing its own 4 cells of every round.
+        let (threads, rounds) = (8, 5);
+        let round_done = std::sync::Barrier::new(threads);
+        std::thread::scope(|scope| {
+            for cells in base.chunks(base.len() / threads) {
+                let (batcher, round_done) = (&batcher, &round_done);
+                scope.spawn(move || {
+                    for round in 0..rounds {
+                        for &cell in cells {
+                            assert_eq!(
+                                batcher.deposit_and_wait(
+                                    &[(cell, round as f64)],
+                                    Duration::from_secs(30)
+                                ),
+                                DepositOutcome::Committed
+                            );
+                        }
+                        // A cell's next value must not overwrite this one.
+                        round_done.wait();
+                    }
+                });
+            }
+        });
+        batcher.stop();
+        let (flushes, rows) = flusher.join().unwrap();
+        let deposits = (base.len() * rounds) as u64;
+        assert_eq!(rows, deposits);
+        assert!(flushes < deposits, "{flushes} flushes of {deposits} rows");
+        // Every acknowledged row is in the engine, and in the log.
+        assert_eq!(db.dataset().series_len(), len_before + rounds);
+        assert_eq!(db.pending_inserts(), 0);
+        let wal = db.wal_stats().unwrap();
+        assert_eq!((wal.appends, wal.durable_seq), (flushes, wal.last_seq));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_lone_deposit_commits_on_its_own() {
+        let db = small_db();
+        let b = db.dataset().graph().base_nodes()[0];
+        let batcher = Arc::new(Batcher::default());
+        let flusher = {
+            let batcher = Arc::clone(&batcher);
+            let db = Arc::clone(&db);
+            std::thread::spawn(move || batcher.run_flusher(&db))
+        };
+        // No second deposit and no timer: the row's own arrival is what
+        // commits it. (The totals are what `serve.batch.flushes` and
+        // `serve.batch.flush_rows` count, for this batcher alone.)
+        assert_eq!(
+            batcher.deposit_and_wait(&[(b, 1.0)], Duration::from_secs(30)),
+            DepositOutcome::Committed
+        );
+        assert_eq!(db.pending_inserts(), 1);
+        batcher.stop();
+        assert_eq!(flusher.join().unwrap(), (1, 1));
+    }
+
+    #[test]
     fn engine_rejection_reaches_the_depositor() {
         let db = small_db();
         let top = db.dataset().graph().top_node();
@@ -250,7 +328,7 @@ mod tests {
         let flusher = {
             let batcher = Arc::clone(&batcher);
             let db = Arc::clone(&db);
-            std::thread::spawn(move || batcher.run_flusher(&db, Duration::ZERO))
+            std::thread::spawn(move || batcher.run_flusher(&db))
         };
         match batcher.deposit_and_wait(&[(top, 1.0)], Duration::from_secs(10)) {
             DepositOutcome::Failed(msg) => assert!(msg.contains("not a base series"), "{msg}"),

@@ -18,12 +18,14 @@
 //!   arrives for `read_timeout`, or another connection needs the worker
 //!   ([`fdc_obs::httpcore::server`] has the rules; the accept thread and
 //!   worker loop live there and are shared with `fdc-router`);
-//! * a **flusher thread** micro-batches writes: concurrent `POST
-//!   /insert` requests deposit resolved rows into the [`Batcher`] and
-//!   block; after one coalescing window the flusher commits everything
-//!   deposited in a single [`F2db::insert_batch`] call, so `n`
-//!   concurrent inserts cost one pass over the engine's write path
-//!   instead of `n`. A `202 Accepted` is only sent *after* the commit.
+//! * a **flusher thread** group-commits writes: `POST /insert` requests
+//!   deposit resolved rows into the [`Batcher`] and block; the flusher
+//!   commits what is buffered the moment there is any, in a single
+//!   [`F2db::insert_batch`] call, and whatever is deposited while that
+//!   commit runs goes in the next one — so a lone insert waits for its
+//!   own commit and nothing else, and `n` concurrent ones cost one pass
+//!   over the engine's write path instead of `n`. A `202 Accepted` is
+//!   only sent *after* the commit.
 //!
 //! ## Routes
 //!
@@ -124,9 +126,6 @@ pub struct ServeOptions {
     /// Bound on connections queued for a worker; beyond it the accept
     /// thread answers `429`.
     pub queue_depth: usize,
-    /// How long the flusher lingers after the first deposited row so
-    /// concurrent inserts coalesce into one engine commit.
-    pub coalesce_window: Duration,
     /// Per-request deadline: time in the queue counts against it (for a
     /// connection's first request), and an insert waits at most this
     /// long for its flush.
@@ -184,7 +183,6 @@ impl Default for ServeOptions {
         ServeOptions {
             workers: 4,
             queue_depth: 64,
-            coalesce_window: Duration::from_millis(2),
             deadline: Duration::from_secs(5),
             max_body: 1 << 20,
             read_timeout: Duration::from_secs(2),
@@ -380,11 +378,7 @@ impl Server {
             .collect();
         let flusher_handle = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                shared
-                    .batcher
-                    .run_flusher(&shared.db, shared.opts.coalesce_window)
-            })
+            std::thread::spawn(move || shared.batcher.run_flusher(&shared.db))
         };
         Ok(Server {
             addr,
@@ -837,35 +831,14 @@ fn plan_body(report: &ExplainReport) -> String {
 
 fn handle_insert(shared: &Shared, body: &[u8], remaining: Duration) -> Routed {
     let no_extra = Vec::new;
-    let parsed = (|| -> Result<Vec<(NodeId, f64)>, String> {
-        let doc = wire::parse_body(body)?;
-        let row_of = |v: &json::Value| -> Result<(NodeId, f64), String> {
-            let dims = v
-                .get("dims")
-                .and_then(json::Value::as_array)
-                .ok_or("row needs a \"dims\" array")?;
-            let dims: Vec<String> = dims
-                .iter()
-                .map(|d| d.as_str().map(str::to_string).ok_or("dims must be strings"))
-                .collect::<Result<_, _>>()?;
-            let value = v
-                .get("value")
-                .and_then(json::Value::as_f64)
-                .ok_or("row needs a numeric \"value\"")?;
-            let node = shared.db.base_node_for(&dims).map_err(|e| e.to_string())?;
-            Ok((node, value))
-        };
-        match doc.get("rows").and_then(json::Value::as_array) {
-            Some(rows) => {
-                if rows.is_empty() {
-                    return Err("\"rows\" must not be empty".into());
-                }
-                rows.iter().map(row_of).collect()
-            }
-            None => Ok(vec![row_of(&doc)?]),
-        }
-    })();
-    let rows = match parsed {
+    // Each row's labels are resolved to its base node as they are read.
+    // The resolver holds the data set's read lock and is gone with this
+    // statement: it must be, before `deposit_and_wait` — the commit the
+    // deposit waits for takes the write lock.
+    let decoded = wire::decode_insert(body, &mut shared.db.base_resolver(), |node, value, _| {
+        (node, value)
+    });
+    let rows = match decoded {
         Ok(rows) => rows,
         Err(m) => return ("insert", 400, err_body(&m), no_extra()),
     };

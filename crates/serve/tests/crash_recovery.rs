@@ -58,7 +58,6 @@ fn engine_opts(dir: &Path) -> ServeOptions {
     ServeOptions {
         catalog_path: Some(dir.join("catalog.f2db")),
         wal_dir: Some(dir.join("wal")),
-        coalesce_window: Duration::from_millis(1),
         ..ServeOptions::default()
     }
 }
@@ -362,7 +361,6 @@ fn replica_child() {
         wal_dir: Some(dir.join("wal")),
         replica_of: Some(primary),
         replica_poll: Duration::from_millis(2),
-        coalesce_window: Duration::from_millis(1),
         ..ServeOptions::default()
     };
     let (db, replica) = fdc_serve::open_follower(build_engine(), &opts).expect("open_follower");

@@ -51,7 +51,6 @@ fn concurrent_inserts_racing_shutdown_lose_no_acked_write() {
         ServeOptions {
             workers: 4,
             queue_depth: 64,
-            coalesce_window: Duration::from_millis(1),
             deadline: Duration::from_secs(10),
             catalog_path: Some(catalog_path.clone()),
             ..ServeOptions::default()
@@ -158,7 +157,6 @@ fn acked_partial_rows_survive_restart_in_the_container() {
         Arc::clone(&db),
         0,
         ServeOptions {
-            coalesce_window: Duration::from_millis(1),
             catalog_path: Some(catalog_path.clone()),
             ..ServeOptions::default()
         },

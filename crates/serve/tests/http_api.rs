@@ -11,6 +11,8 @@ use fdc_forecast::FitOptions;
 use fdc_obs::httpcore::client::{Client, Outgoing, Pooled};
 use fdc_obs::names;
 use fdc_serve::{ServeOptions, Server};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -24,7 +26,6 @@ fn routes_answer_over_a_real_socket() {
         0,
         ServeOptions {
             max_body: 64 * 1024,
-            coalesce_window: Duration::from_millis(1),
             ..ServeOptions::default()
         },
     )
@@ -439,6 +440,34 @@ fn more_persistent_clients_than_workers_are_all_served_promptly() {
     server.shutdown().unwrap();
 }
 
+/// Reads one response off a raw kept-alive connection: the head, then
+/// `Content-Length` bytes.
+fn read_raw_response(stream: &mut TcpStream) -> String {
+    let mut bytes = Vec::new();
+    let mut buf = [0u8; 1024];
+    loop {
+        let text = String::from_utf8_lossy(&bytes);
+        if let Some(head_end) = text.find("\r\n\r\n") {
+            let length: usize = text[..head_end]
+                .lines()
+                .find_map(|l| {
+                    l.to_ascii_lowercase()
+                        .strip_prefix("content-length:")?
+                        .trim()
+                        .parse()
+                        .ok()
+                })
+                .unwrap_or(0);
+            if bytes.len() >= head_end + 4 + length {
+                return text.into_owned();
+            }
+        }
+        let n = stream.read(&mut buf).unwrap();
+        assert!(n > 0, "connection closed mid-response");
+        bytes.extend_from_slice(&buf[..n]);
+    }
+}
+
 #[test]
 fn shutdown_closes_idle_connections_at_once_and_answers_the_insert_in_flight() {
     let db = small_db();
@@ -448,42 +477,47 @@ fn shutdown_closes_idle_connections_at_once_and_answers_the_insert_in_flight() {
         0,
         ServeOptions {
             read_timeout: Duration::from_secs(10),
-            // The insert below sits in the coalescing window while the
-            // server shuts down around it.
-            coalesce_window: Duration::from_millis(300),
             ..ServeOptions::default()
         },
     )
     .unwrap();
-    let addr = server.addr().to_string();
-    let idle = Client::new(Duration::from_secs(30));
-    assert_eq!(
-        idle.send(&addr, &Outgoing::new("GET", "/healthz", b""))
-            .unwrap()
-            .status,
-        200
-    );
-    let writer = Client::new(Duration::from_secs(30));
-    let row = row_json(&dims[0], 7.0);
-    let (acked, elapsed) = std::thread::scope(|scope| {
-        let in_flight = scope.spawn(|| {
-            let insert = Outgoing {
-                replay: false,
-                ..Outgoing::new("POST", "/insert", row.as_bytes())
-            };
-            writer.send(&addr, &insert)
-        });
-        std::thread::sleep(Duration::from_millis(100));
-        let started = Instant::now();
-        server.shutdown().unwrap();
-        (in_flight.join().unwrap(), started.elapsed())
+    // Two kept-alive connections, each accepted and held by a worker.
+    let [mut idle, mut writer] = [(); 2].map(|()| {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        assert!(read_raw_response(&mut stream).starts_with("HTTP/1.1 200"));
+        stream
     });
-    let acked = acked.expect("the in-flight insert is answered");
-    assert_eq!(
-        (acked.status, acked.text().as_str()),
-        (202, "{\"accepted\":1}")
-    );
-    assert_eq!(acked.header("connection"), Some("close"));
+    // The insert is in flight for as long as this test holds back the
+    // second half of its body; the server shuts down around it.
+    let row = row_json(&dims[0], 7.0);
+    let (first, second) = row.as_bytes().split_at(row.len() / 2);
+    write!(
+        writer,
+        "POST /insert HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        row.len()
+    )
+    .unwrap();
+    writer.write_all(first).unwrap();
+    let (answer, elapsed) = std::thread::scope(|scope| {
+        let stopping = scope.spawn(move || {
+            let started = Instant::now();
+            server.shutdown().unwrap();
+            started.elapsed()
+        });
+        // The idle connection is closed at once — while the insert is
+        // still arriving, not after it or after `read_timeout` — and is
+        // told so first: the close notice, then end-of-stream.
+        let notice = read_raw_response(&mut idle);
+        assert!(notice.starts_with("HTTP/1.1 408 "), "{notice}");
+        assert!(notice.contains("Connection: close"), "{notice}");
+        assert_eq!(idle.read(&mut [0u8; 16]).unwrap(), 0);
+        writer.write_all(second).unwrap();
+        (read_raw_response(&mut writer), stopping.join().unwrap())
+    });
+    assert!(answer.starts_with("HTTP/1.1 202"), "{answer}");
+    assert!(answer.ends_with("{\"accepted\":1}"), "{answer}");
+    assert!(answer.contains("Connection: close"), "{answer}");
     assert_eq!(db.pending_inserts(), 1);
     assert!(
         elapsed < Duration::from_secs(3),

@@ -14,11 +14,14 @@ mod common;
 
 use common::mutate::{apply, mutations};
 use fdc::approx::{decode_plane, encode_plane, ApproxQuerySpec};
+use fdc::codec::hash::{fnv1a, FNV_OFFSET};
 use fdc::codec::Writer;
-use fdc::cube::{Dataset, NodeId};
+use fdc::cube::{
+    Configuration, ConfiguredModel, Coord, CubeSplit, Dataset, Dimension, NodeId, Schema,
+};
 use fdc::f2db::durability::{decode_checkpoint, encode_checkpoint};
-use fdc::f2db::{parse_query, Catalog, MaintenancePolicy, WalRecord};
-use fdc::forecast::FitOptions;
+use fdc::f2db::{parse_query, Catalog, F2db, MaintenancePolicy, WalRecord};
+use fdc::forecast::{FitOptions, Granularity, ModelSpec, TimeSeries};
 use fdc::obs::httpcore::{RequestError, RequestReader};
 use fdc::obs::{KeyAccuracy, MomentSummary, SketchBundle, TDigest, TraceContext};
 use fdc::rng::Rng;
@@ -553,6 +556,139 @@ fn json_and_request_parsers_are_total() {
     // Nesting is bounded, so a body of brackets cannot exhaust the stack.
     assert!(json::parse(&"[".repeat(1 << 20)).is_err());
     assert!(json::parse(&"{\"a\":".repeat(1 << 16)).is_err());
+}
+
+/// `/insert` bodies: several rows, the bare-row form, `value` before
+/// `dims`, repeated keys (the last one counts), escaped and non-ASCII
+/// labels, numbers at the edges of f64, an empty `rows`, members no
+/// decoder reads and `"rows"` where it does not mean the rows.
+const INSERT_SEEDS: &[&str] = &[
+    r#"{"rows": [{"dims": ["p0", "r0"], "value": 1.5}, {"dims": ["région 😀", "1e3"], "value": -2}, {"dims":["p1","r0"],"value":3}]}"#,
+    r#" {"dims": ["p1", "r0"], "value": 7} "#,
+    r#"{"rows":[{"value": 0.25, "dims": ["p0", "r0"]}]}"#,
+    r#"{"rows":[{"dims":["nope"],"dims":["p0","r0"],"value":"x","value":4}],"rows":[{"dims":["p1","r0"],"value":5,"value":6}]}"#,
+    r#"{"rows":[{"dims":["a\"b\\c","{\"rows\":["],"value":1},{"dims":["région 😀","r0"],"value":2}]}"#,
+    r#"{"rows":[{"dims":["p0","r0"],"value":1e3},{"dims":["p0","1e3"],"value":-0},{"dims":["p1","r0"],"value":1e400},{"dims":["p1","1e3"],"value":-1E-400},{"dims":["a\"b\\c","r0"],"value":123456789012345678901234567890}]}"#,
+    r#"{"rows": []}"#,
+    r#"{"meta":{"rows":[1]},"rows":[{"dims":["p0","r0"],"value":1,"rows":[],"x":{"dims":[1]}}],"dims":["zz"],"value":null}"#,
+    r#"{"rows": 5, "dims": ["p0", "r0"], "value": 9}"#,
+];
+
+/// What `json::parse` makes of every sample and every mutant of it,
+/// error strings included, folded into one number.
+fn parse_fingerprint(name: &str, samples: &[&str]) -> (usize, usize, u64) {
+    let (mut ran, mut accepted, mut hash) = (0, 0, FNV_OFFSET);
+    drive(name, &texts(samples), &mut |bytes| {
+        let parsed = json::parse(&String::from_utf8_lossy(bytes));
+        ran += 1;
+        accepted += usize::from(parsed.is_ok());
+        hash = fnv1a(hash, format!("{parsed:?}\n").as_bytes());
+    });
+    (ran, accepted, hash)
+}
+
+/// `json::parse` is a fold over `json::Reader`; these numbers were made
+/// by the recursive-descent parser it replaced (commit cbf1666) and are
+/// never edited: same trees, same refusals, same messages.
+#[test]
+fn json_parse_answers_as_the_tree_parser_did() {
+    assert_eq!(
+        parse_fingerprint("JSON trees", &[QUERY_BODY, EXPLAIN_BODY, INSERT_BODY]),
+        PINNED_REQUEST_TREES
+    );
+    assert_eq!(
+        parse_fingerprint("insert trees", INSERT_SEEDS),
+        PINNED_INSERT_TREES
+    );
+}
+
+const PINNED_REQUEST_TREES: (usize, usize, u64) = (7233, 1934, 7472503709916600527);
+const PINNED_INSERT_TREES: (usize, usize, u64) = (16893, 3378, 12233575075467892018);
+
+/// A 4 × 3 cube whose labels need escaping, are not ASCII, or look
+/// like JSON structure or a number, behind a one-model engine.
+fn insert_engine() -> F2db {
+    let labels = |l: &[&str]| l.iter().map(|s| s.to_string()).collect();
+    let schema = Schema::flat(vec![
+        Dimension::new("product", labels(&["p0", "p1", "a\"b\\c", "région 😀"])),
+        Dimension::new("region", labels(&["r0", "{\"rows\":[", "1e3"])),
+    ])
+    .expect("flat schema");
+    let mut base = Vec::new();
+    for p in 0..4u32 {
+        for r in 0..3u32 {
+            let values = (0..12).map(|t| f64::from(10 + p * 3 + r + t)).collect();
+            base.push((
+                Coord::new(vec![p, r]),
+                TimeSeries::new(values, Granularity::Quarterly),
+            ));
+        }
+    }
+    let ds = Dataset::from_base(schema, base).expect("base data is valid");
+    let split = CubeSplit::new(&ds, 0.8);
+    let top = ds.graph().top_node();
+    let mut cfg = Configuration::new(ds.node_count());
+    let fit = FitOptions::default();
+    let model = ConfiguredModel::fit(&split, top, &ModelSpec::Ses, &fit).expect("sample fits");
+    cfg.insert_model(top, model);
+    let all: Vec<NodeId> = (0..ds.node_count()).collect();
+    cfg.recompute_nodes(&ds, &split, &all);
+    F2db::load(ds, &cfg).expect("engine loads")
+}
+
+/// The `/insert` decode as `fdc-serve` did it before the one-pass
+/// reader (commit cbf1666): the whole body to a tree, then row by row.
+/// Kept as the reference the reader-based decode must agree with.
+fn tree_insert_rows(db: &F2db, body: &[u8]) -> Result<Vec<(NodeId, f64)>, String> {
+    let doc = wire::parse_body(body)?;
+    let row_of = |v: &json::Value| -> Result<(NodeId, f64), String> {
+        let dims = v
+            .get("dims")
+            .and_then(json::Value::as_array)
+            .ok_or("row needs a \"dims\" array")?;
+        let dims: Vec<String> = dims
+            .iter()
+            .map(|d| d.as_str().map(str::to_string).ok_or("dims must be strings"))
+            .collect::<Result<_, _>>()?;
+        let value = v
+            .get("value")
+            .and_then(json::Value::as_f64)
+            .ok_or("row needs a numeric \"value\"")?;
+        let node = db.base_node_for(&dims).map_err(|e| e.to_string())?;
+        Ok((node, value))
+    };
+    match doc.get("rows").and_then(json::Value::as_array) {
+        Some(rows) => {
+            if rows.is_empty() {
+                return Err("\"rows\" must not be empty".into());
+            }
+            rows.iter().map(row_of).collect()
+        }
+        None => Ok(vec![row_of(&doc)?]),
+    }
+}
+
+#[test]
+fn one_pass_insert_decode_agrees_with_the_tree_decode() {
+    let db = insert_engine();
+    let samples: Vec<&str> = INSERT_SEEDS.iter().copied().chain([INSERT_BODY]).collect();
+    let bits = |rows: Result<Vec<(NodeId, f64)>, String>| {
+        rows.map(|rows| Vec::from_iter(rows.into_iter().map(|(n, v)| (n, v.to_bits()))))
+    };
+    let mut accepted = 0;
+    drive("insert bodies", &texts(&samples), &mut |bytes| {
+        // The server's own decode, as its `handle_insert` calls it.
+        let one_pass = bits(fdc::serve::wire::decode_insert(
+            bytes,
+            &mut db.base_resolver(),
+            |node, value, _| (node, value),
+        ));
+        // Accept or refuse, the rows bit for bit — and the message.
+        assert_eq!(one_pass, bits(tree_insert_rows(&db, bytes)));
+        accepted += usize::from(one_pass.is_ok());
+    });
+    // Most seeds and a fair share of their mutants are whole batches.
+    assert!(accepted >= 500, "only {accepted} bodies decoded");
 }
 
 #[test]
