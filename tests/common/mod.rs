@@ -27,17 +27,28 @@ use fdc::wal::{encode_chunk, encode_frame, ShipChunk};
 /// a seasonal profile plus uniform noise, scaled per cell.
 pub fn cube(products: usize, regions: usize, length: usize, seed: u64) -> Dataset {
     let labels = |prefix: &str, n: usize| (0..n).map(|i| format!("{prefix}{i}")).collect();
+    labelled_cube(labels("p", products), labels("r", regions), length, seed)
+}
+
+/// [`cube`] over the given dimension values.
+pub fn labelled_cube(
+    products: Vec<String>,
+    regions: Vec<String>,
+    length: usize,
+    seed: u64,
+) -> Dataset {
+    let (n_products, n_regions) = (products.len(), regions.len());
     let schema = Schema::flat(vec![
-        Dimension::new("product", labels("p", products)),
-        Dimension::new("region", labels("r", regions)),
+        Dimension::new("product", products),
+        Dimension::new("region", regions),
     ])
     .expect("flat schema");
     let mut rng = Rng::seed_from_u64(seed);
     let season = [1.12, 0.94, 0.78, 1.16];
     let mut base = Vec::new();
-    for p in 0..products {
-        for r in 0..regions {
-            let scale = 1.0 + (p * regions + r) as f64 * 0.75;
+    for p in 0..n_products {
+        for r in 0..n_regions {
+            let scale = 1.0 + (p * n_regions + r) as f64 * 0.75;
             let values = (0..length)
                 .map(|t| {
                     let trend = 40.0 + 1.5 * t as f64;
