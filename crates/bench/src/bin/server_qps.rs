@@ -48,7 +48,7 @@
 use fdc_bench::{emit_metrics, obs_session, parse_scale_args, QueryWorkload};
 use fdc_core::{Advisor, AdvisorOptions};
 use fdc_datagen::{generate_cube, GenSpec};
-use fdc_f2db::F2db;
+use fdc_f2db::{F2db, QueryMode, QueryRequest};
 use fdc_obs::httpcore::client::{Client, Outgoing};
 use fdc_obs::names;
 use fdc_rng::Rng;
@@ -355,11 +355,8 @@ fn main() {
                                 (1u8, "/insert", full_round_body(dims, v))
                             } else {
                                 let sql = wl.next_query(graph);
-                                (
-                                    0u8,
-                                    "/query",
-                                    format!("{{\"sql\":\"{}\"}}", fdc_serve::json::escape(&sql)),
-                                )
+                                let request = QueryRequest::new(sql, QueryMode::Forecast);
+                                (0u8, "/query", fdc_serve::wire::encode(&request))
                             };
                             let at = *addr.lock().unwrap();
                             match post(&client, at, path, &body) {

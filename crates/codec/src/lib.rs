@@ -22,6 +22,7 @@
 //! enter: a request's `max_body`, the client's response cap, a file).
 
 pub mod hash;
+pub mod json;
 
 use std::fmt;
 use std::ops::RangeInclusive;

@@ -13,10 +13,6 @@
 //! * [`combine`](mod@crate::combine) — Hyndman et al.'s optimal combination \[17\]: independent
 //!   forecasts at *all* nodes reconciled by the OLS projection
 //!   `ŷ̃ = S (SᵀS)⁻¹ Sᵀ ŷ`;
-//! * [`middle_out`](mod@crate::middle_out) — models at one intermediate level, aggregating up
-//!   and disaggregating down (not in the paper's evaluation; the third
-//!   classic strategy of the literature it cites, included as an
-//!   extension);
 //! * [`greedy`](mod@crate::greedy) — the empirical greedy selection of \[19\]: prefit all
 //!   models, repeatedly add the model with the highest accuracy benefit
 //!   under the traditional schemes (direct / aggregation /
@@ -43,14 +39,12 @@ pub mod bottom_up;
 pub mod combine;
 pub mod direct;
 pub mod greedy;
-pub mod middle_out;
 pub mod top_down;
 
 pub use bottom_up::bottom_up;
 pub use combine::combine;
 pub use direct::direct;
 pub use greedy::greedy;
-pub use middle_out::middle_out;
 pub use top_down::top_down;
 
 use fdc_cube::{Configuration, CubeSplit, Dataset};

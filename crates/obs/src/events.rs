@@ -15,6 +15,7 @@
 //! hot path. The global journal is process-wide ([`journal`]), matching
 //! the metrics registry.
 
+use fdc_codec::json::Writer;
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs::File;
@@ -192,16 +193,9 @@ impl Event {
         }
     }
 
-    /// Serializes the payload fields (without the envelope) as the
-    /// inside of a JSON object, e.g. `"node":3,"smape":0.61`.
-    fn payload_json(&self) -> String {
-        fn f(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            }
-        }
+    /// Writes the payload fields (without the envelope) as members of
+    /// the object `w` is in, e.g. `"node":3,"smape":0.61`.
+    fn write_payload(&self, w: &mut Writer) {
         match self {
             Event::DriftAlert {
                 node,
@@ -209,96 +203,101 @@ impl Event {
                 mae,
                 threshold,
                 trigger,
-            } => format!(
-                "\"node\":{node},\"smape\":{},\"mae\":{},\"threshold\":{},\"trigger\":\"{trigger}\"",
-                f(*smape),
-                f(*mae),
-                f(*threshold)
-            ),
+            } => {
+                w.key("node").u64(*node).key("smape").f64(*smape);
+                w.key("mae").f64(*mae).key("threshold").f64(*threshold);
+                w.key("trigger").str(trigger);
+            }
             Event::ReEstimation {
                 node,
                 epoch,
                 outcome,
-            } => format!("\"node\":{node},\"epoch\":{epoch},\"outcome\":\"{outcome}\""),
+            } => {
+                w.key("node").u64(*node).key("epoch").u64(*epoch);
+                w.key("outcome").str(outcome);
+            }
             Event::BatchAdvance {
                 time_index,
                 model_updates,
                 invalidations,
                 drift_alerts,
-            } => format!(
-                "\"time_index\":{time_index},\"model_updates\":{model_updates},\"invalidations\":{invalidations},\"drift_alerts\":{drift_alerts}"
-            ),
-            Event::CatalogSave { bytes } => format!("\"bytes\":{bytes}"),
-            Event::CatalogLoad { bytes } => format!("\"bytes\":{bytes}"),
+            } => {
+                w.key("time_index").u64(*time_index);
+                w.key("model_updates").u64(*model_updates);
+                w.key("invalidations").u64(*invalidations);
+                w.key("drift_alerts").u64(*drift_alerts);
+            }
+            Event::CatalogSave { bytes } | Event::CatalogLoad { bytes } => {
+                w.key("bytes").u64(*bytes);
+            }
             Event::WalCheckpoint {
                 checkpoint_seq,
                 last_seq,
                 truncated_segments,
-            } => format!(
-                "\"checkpoint_seq\":{checkpoint_seq},\"last_seq\":{last_seq},\"truncated_segments\":{truncated_segments}"
-            ),
+            } => {
+                w.key("checkpoint_seq").u64(*checkpoint_seq);
+                w.key("last_seq").u64(*last_seq);
+                w.key("truncated_segments").u64(*truncated_segments);
+            }
             Event::WalRecovery {
                 replayed_records,
                 truncated_bytes,
                 last_seq,
                 checkpoint_seq,
-            } => format!(
-                "\"replayed_records\":{replayed_records},\"truncated_bytes\":{truncated_bytes},\"last_seq\":{last_seq},\"checkpoint_seq\":{checkpoint_seq}"
-            ),
+            } => {
+                w.key("replayed_records").u64(*replayed_records);
+                w.key("truncated_bytes").u64(*truncated_bytes);
+                w.key("last_seq").u64(*last_seq);
+                w.key("checkpoint_seq").u64(*checkpoint_seq);
+            }
             Event::ServeStart { addr } => {
-                // Addresses contain no characters needing JSON escapes.
-                format!("\"addr\":\"{addr}\"")
+                w.key("addr").str(addr);
             }
             Event::ServeShutdown {
                 addr,
                 drained_requests,
                 flushed_rows,
-            } => format!(
-                "\"addr\":\"{addr}\",\"drained_requests\":{drained_requests},\"flushed_rows\":{flushed_rows}"
-            ),
+            } => {
+                w.key("addr").str(addr);
+                w.key("drained_requests").u64(*drained_requests);
+                w.key("flushed_rows").u64(*flushed_rows);
+            }
             Event::ReplicaStart {
                 primary,
                 applied_seq,
-            } => format!("\"primary\":\"{primary}\",\"applied_seq\":{applied_seq}"),
+            } => {
+                w.key("primary").str(primary);
+                w.key("applied_seq").u64(*applied_seq);
+            }
             Event::SeriesOverflow { family } => {
-                // Family names are code-controlled dotted paths — no
-                // characters needing JSON escapes.
-                format!("\"family\":\"{family}\"")
+                w.key("family").str(family);
             }
             Event::RouterStart {
                 addr,
                 shards,
                 topology_version,
-            } => format!(
-                "\"addr\":\"{addr}\",\"shards\":{shards},\"topology_version\":{topology_version}"
-            ),
+            } => {
+                w.key("addr").str(addr).key("shards").u64(*shards);
+                w.key("topology_version").u64(*topology_version);
+            }
             Event::ShardDown { shard, addr, error } => {
-                // Error text comes from arbitrary io errors — escape it.
-                let escaped: String = error
-                    .chars()
-                    .flat_map(|c| match c {
-                        '"' => "\\\"".chars().collect::<Vec<_>>(),
-                        '\\' => "\\\\".chars().collect(),
-                        '\n' => "\\n".chars().collect(),
-                        '\r' => "\\r".chars().collect(),
-                        '\t' => "\\t".chars().collect(),
-                        c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                        c => vec![c],
-                    })
-                    .collect();
-                format!("\"shard\":\"{shard}\",\"addr\":\"{addr}\",\"error\":\"{escaped}\"")
+                w.key("shard").str(shard).key("addr").str(addr);
+                w.key("error").str(error);
             }
             Event::ShardRecovered { shard, addr } => {
-                format!("\"shard\":\"{shard}\",\"addr\":\"{addr}\"")
+                w.key("shard").str(shard).key("addr").str(addr);
             }
             Event::ReplicaPromoted {
                 applied_seq,
                 tail_records,
                 last_seq,
                 promotion_ns,
-            } => format!(
-                "\"applied_seq\":{applied_seq},\"tail_records\":{tail_records},\"last_seq\":{last_seq},\"promotion_ns\":{promotion_ns}"
-            ),
+            } => {
+                w.key("applied_seq").u64(*applied_seq);
+                w.key("tail_records").u64(*tail_records);
+                w.key("last_seq").u64(*last_seq);
+                w.key("promotion_ns").u64(*promotion_ns);
+            }
         }
     }
 }
@@ -323,19 +322,17 @@ pub struct TimedEvent {
 impl TimedEvent {
     /// One JSON object per event — the JSONL line format.
     pub fn to_json(&self) -> String {
-        let trace = match (self.trace_id, self.span_id) {
-            (Some(t), Some(s)) => {
-                format!("\"trace_id\":\"{t:032x}\",\"span_id\":\"{s:016x}\",")
-            }
-            _ => String::new(),
-        };
-        format!(
-            "{{\"seq\":{},\"unix_ms\":{},{trace}\"type\":\"{}\",{}}}",
-            self.seq,
-            self.unix_ms,
-            self.event.kind(),
-            self.event.payload_json()
-        )
+        let mut w = Writer::new();
+        w.begin_object().key("seq").u64(self.seq);
+        w.key("unix_ms").u64(self.unix_ms);
+        if let (Some(t), Some(s)) = (self.trace_id, self.span_id) {
+            w.key("trace_id").str(&format!("{t:032x}"));
+            w.key("span_id").str(&format!("{s:016x}"));
+        }
+        w.key("type").str(self.event.kind());
+        self.event.write_payload(&mut w);
+        w.end_object();
+        w.finish()
     }
 }
 
@@ -451,16 +448,13 @@ impl Journal {
     /// Renders the most recent `n` events as a JSON array (oldest
     /// first) — the `/events` response body.
     pub fn recent_json(&self, n: usize) -> String {
-        let events = self.recent(n);
-        let mut out = String::from("[");
-        for (i, e) in events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&e.to_json());
+        let mut w = Writer::new();
+        w.begin_array();
+        for event in self.recent(n) {
+            w.raw(&event.to_json());
         }
-        out.push(']');
-        out
+        w.end_array();
+        w.finish()
     }
 }
 
@@ -602,15 +596,71 @@ mod tests {
         assert_eq!(j.recent(1)[0].trace_id, None);
     }
 
+    /// Every string of an event is an operator's or the network's (a
+    /// shard id is any non-empty string of the topology file): each line
+    /// stays one JSON document and reads back what went in.
     #[test]
-    fn series_overflow_event_renders_family() {
-        let j = Journal::with_capacity(8);
-        j.publish(Event::SeriesOverflow {
-            family: "f2db.node.smape".to_string(),
-        });
-        let json = j.recent_json(1);
-        assert!(json.contains("\"type\":\"SeriesOverflow\""), "{json}");
-        assert!(json.contains("\"family\":\"f2db.node.smape\""), "{json}");
+    fn every_string_field_survives_a_round_trip() {
+        const ODD: &str = "a\"b\\c\nd\u{1}\t é";
+        let odd = || ODD.to_string();
+        let events = [
+            Event::ServeStart { addr: odd() },
+            Event::ServeShutdown {
+                addr: odd(),
+                drained_requests: 1,
+                flushed_rows: 2,
+            },
+            Event::ReplicaStart {
+                primary: odd(),
+                applied_seq: 3,
+            },
+            Event::SeriesOverflow { family: odd() },
+            Event::RouterStart {
+                addr: odd(),
+                shards: 2,
+                topology_version: 1,
+            },
+            Event::ShardDown {
+                shard: odd(),
+                addr: odd(),
+                error: odd(),
+            },
+            Event::ShardRecovered {
+                shard: odd(),
+                addr: odd(),
+            },
+            Event::DriftAlert {
+                node: 1,
+                smape: 0.5,
+                mae: 1.0,
+                threshold: 0.25,
+                trigger: ODD,
+            },
+            Event::ReEstimation {
+                node: 1,
+                epoch: 2,
+                outcome: ODD,
+            },
+        ];
+        let j = Journal::with_capacity(16);
+        for event in events {
+            j.publish(event);
+        }
+        let strings = [
+            "addr", "primary", "family", "shard", "error", "trigger", "outcome",
+        ];
+        let mut read = 0;
+        for event in j.recent(16) {
+            let line = event.to_json();
+            let doc = fdc_codec::json::parse(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            assert_eq!(doc.get("type").unwrap().as_str(), Some(event.event.kind()));
+            for value in strings.iter().filter_map(|member| doc.get(member)) {
+                assert_eq!(value.as_str(), Some(ODD), "{line}");
+                read += 1;
+            }
+        }
+        assert_eq!(read, 12);
+        assert!(fdc_codec::json::parse(&j.recent_json(16)).is_ok());
     }
 
     #[test]

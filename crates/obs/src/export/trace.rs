@@ -25,6 +25,7 @@
 //! `trace_id` shows a single request crossing the process boundary.
 
 use crate::span::{SpanSubscriber, SpanTrace};
+use fdc_codec::json::Writer;
 use std::cell::Cell;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -114,39 +115,30 @@ impl TraceCollector {
     /// document (`{"traceEvents":[...]}`).
     pub fn to_json(&self) -> String {
         let events = self.events.lock().unwrap();
-        let mut out = String::with_capacity(64 + events.len() * 128);
-        out.push_str("{\"traceEvents\":[");
-        let mut first = true;
+        let mut w = Writer::with_capacity(64 + events.len() * 128);
+        w.begin_object().key("traceEvents").begin_array();
         if let Some(name) = self.process_name.lock().unwrap().as_deref() {
-            out.push_str(&format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\"args\":{{\"name\":",
-                self.pid
-            ));
-            push_json_str(&mut out, name);
-            out.push_str("}}");
-            first = false;
+            w.begin_object().key("name").str("process_name");
+            w.key("ph").str("M").key("pid").u64(self.pid);
+            w.key("tid").u64(0).key("args").begin_object();
+            w.key("name").str(name).end_object().end_object();
         }
         for e in events.iter() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("{\"name\":");
-            push_json_str(&mut out, &e.name);
-            out.push_str(&format!(
-                ",\"cat\":\"span\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{{\"depth\":{}",
-                e.ts_us, e.dur_us, self.pid, e.tid, e.depth
-            ));
+            w.begin_object().key("name").str(&e.name);
+            w.key("cat").str("span").key("ph").str("X");
+            w.key("ts").u64(e.ts_us).key("dur").u64(e.dur_us);
+            w.key("pid").u64(self.pid).key("tid").u64(e.tid);
+            w.key("args").begin_object().key("depth").usize(e.depth);
             if let Some(t) = &e.trace {
-                out.push_str(&format!(
-                    ",\"trace_id\":\"{:032x}\",\"span_id\":\"{:016x}\",\"parent_span_id\":\"{:016x}\"",
-                    t.trace_id, t.span_id, t.parent_span_id
-                ));
+                w.key("trace_id").str(&format!("{:032x}", t.trace_id));
+                w.key("span_id").str(&format!("{:016x}", t.span_id));
+                w.key("parent_span_id");
+                w.str(&format!("{:016x}", t.parent_span_id));
             }
-            out.push_str("}}");
+            w.end_object().end_object();
         }
-        out.push_str("]}");
-        out
+        w.end_array().end_object();
+        w.finish()
     }
 
     /// Writes the JSON document to `path` (Perfetto-loadable).
@@ -177,22 +169,6 @@ impl TraceCollector {
         };
         self.events.lock().unwrap().push(event);
     }
-}
-
-/// JSON string escaping (span paths are code-controlled, but a correct
-/// encoder costs nothing).
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl SpanSubscriber for TraceCollector {

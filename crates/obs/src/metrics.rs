@@ -9,6 +9,7 @@
 use crate::labels::{overflow_series, series_key, MAX_SERIES_PER_FAMILY};
 use crate::names;
 use crate::sketch::TDigest;
+use fdc_codec::json::Writer;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -664,77 +665,31 @@ impl Snapshot {
     /// escaping of names is load-bearing: quotes and backslashes inside
     /// label values must round-trip.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, name);
-            out.push(':');
-            out.push_str(&v.to_string());
+        let mut w = Writer::with_capacity(256);
+        w.begin_object().key("counters").begin_object();
+        for (name, v) in &self.counters {
+            w.key(name).u64(*v);
         }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, name);
-            out.push(':');
-            out.push_str(&v.to_string());
+        w.end_object().key("gauges").begin_object();
+        for (name, v) in &self.gauges {
+            w.key(name).i64(*v);
         }
-        out.push_str("},\"float_gauges\":{");
-        for (i, (name, v)) in self.float_gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, name);
-            out.push(':');
-            push_json_f64(&mut out, *v);
+        w.end_object().key("float_gauges").begin_object();
+        for (name, v) in &self.float_gauges {
+            w.key(name).f64(*v);
         }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, name);
-            out.push_str(&format!(
-                ":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"p999\":{}}}",
-                h.count, h.sum, h.min, h.max, h.p50, h.p95, h.p99, h.p999
-            ));
+        w.end_object().key("histograms").begin_object();
+        for (name, h) in &self.histograms {
+            w.key(name).begin_object();
+            w.key("count").u64(h.count).key("sum").u64(h.sum);
+            w.key("min").u64(h.min).key("max").u64(h.max);
+            w.key("p50").u64(h.p50).key("p95").u64(h.p95);
+            w.key("p99").u64(h.p99).key("p999").u64(h.p999);
+            w.end_object();
         }
-        out.push_str("}}");
-        out
+        w.end_object().end_object();
+        w.finish()
     }
-}
-
-/// Appends an `f64` as a JSON number. JSON has no NaN/Infinity; those
-/// (never produced by well-behaved gauges) serialize as `null`.
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // `{}` on f64 round-trips (shortest representation) and never
-        // produces exponents JSON cannot parse.
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Appends `s` as a JSON string literal (quotes + escapes).
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl fmt::Display for Snapshot {
@@ -1022,13 +977,6 @@ mod tests {
         let open = json.matches('{').count();
         let close = json.matches('}').count();
         assert_eq!(open, close);
-    }
-
-    #[test]
-    fn json_escapes_special_characters() {
-        let mut out = String::new();
-        push_json_str(&mut out, "a\"b\\c\nd");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\"");
     }
 
     #[test]

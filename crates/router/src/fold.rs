@@ -10,6 +10,7 @@
 //! as if one process had seen every sample. Averaging per-shard
 //! quantiles could not do this; merging the sketches can.
 
+use fdc_codec::json::Writer;
 use fdc_obs::{names, KeyAccuracy, SketchBundle, TDigest};
 
 /// The fleet-wide fold of every live shard's bundle.
@@ -45,38 +46,24 @@ impl FleetSketch {
     /// `/stats`: per-key accuracy (count/SMAPE-mean/drifting) and
     /// per-series latency quantiles.
     pub fn to_json(&self) -> String {
-        let accuracy: Vec<String> = self
-            .accuracy
-            .iter()
-            .map(|a| {
-                format!(
-                    "{{\"key\":{},\"count\":{},\"mean_smape\":{},\"drifting\":{}}}",
-                    a.key,
-                    a.smape.count(),
-                    fdc_serve::json::num(a.smape.mean()),
-                    a.drifting
-                )
-            })
-            .collect();
-        let digests: Vec<String> = self
-            .digests
-            .iter()
-            .map(|(name, d)| {
-                format!(
-                    "{{\"series\":\"{}\",\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                    fdc_serve::json::escape(name),
-                    d.count(),
-                    fdc_serve::json::num(d.quantile(0.50)),
-                    fdc_serve::json::num(d.quantile(0.95)),
-                    fdc_serve::json::num(d.quantile(0.99)),
-                )
-            })
-            .collect();
-        format!(
-            "{{\"accuracy\":[{}],\"latency\":[{}]}}",
-            accuracy.join(","),
-            digests.join(",")
-        )
+        let mut w = Writer::new();
+        w.begin_object().key("accuracy").begin_array();
+        for a in &self.accuracy {
+            w.begin_object().key("key").u64(a.key);
+            w.key("count").u64(a.smape.count());
+            w.key("mean_smape").f64(a.smape.mean());
+            w.key("drifting").bool(a.drifting).end_object();
+        }
+        w.end_array().key("latency").begin_array();
+        for (name, d) in &self.digests {
+            w.begin_object().key("series").str(name);
+            w.key("count").u64(d.count());
+            w.key("p50").f64(d.quantile(0.50));
+            w.key("p95").f64(d.quantile(0.95));
+            w.key("p99").f64(d.quantile(0.99)).end_object();
+        }
+        w.end_array().end_object();
+        w.finish()
     }
 }
 

@@ -58,12 +58,14 @@ pub mod topology;
 
 pub use topology::{ShardSpec, Topology};
 
+use fdc_codec::json::{self, Writer};
 use fdc_cube::NodeId;
 use fdc_obs::httpcore::client::{send_once, Client, Outgoing, Pooled, Response};
 use fdc_obs::httpcore::server::{ConnQueue, Limits, Reject, Responder, Service};
 use fdc_obs::httpcore::{status_line, Request};
 use fdc_obs::{journal, names, trace, Event, SketchBundle, TraceContext};
-use fdc_serve::{json, wire};
+use fdc_serve::wire::{self, count_body, err_body};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -381,10 +383,6 @@ fn respond(
     out.send(status_line(status), content_type, body.as_bytes(), extra);
 }
 
-fn err_body(msg: &str) -> String {
-    format!("{{\"error\":\"{}\"}}", json::escape(msg))
-}
-
 // ---------------------------------------------------------------------------
 // Shard calls
 // ---------------------------------------------------------------------------
@@ -499,11 +497,11 @@ fn plan_for(shared: &Shared, sql: &str) -> Result<Arc<Vec<PlanSite>>, Routed> {
     if let Some(plan) = shared.plans.lock().unwrap().get(sql) {
         return Ok(Arc::clone(plan));
     }
-    let body = format!(
-        "{{\"sql\":\"{}\",\"key_dims\":{}}}",
-        json::escape(sql),
-        shared.topology.key_dims
-    );
+    let mut w = Writer::new();
+    w.begin_object().key("sql").str(sql);
+    w.key("key_dims").usize(shared.topology.key_dims);
+    w.end_object();
+    let body = w.finish();
     // Any live shard can plan — the static plan depends only on the
     // shared catalog, not on the shard's partition.
     let mut last_err = String::from("no shard available for planning");
@@ -685,9 +683,8 @@ fn handle_forecast(shared: &Shared, path: &str, body: &[u8], route: &'static str
         })
     };
 
-    // Gather: every shard must answer 200; collect its raw row chunks.
-    let mut chunks: HashMap<NodeId, String> = HashMap::new();
-    let mut prefix: Option<String> = None;
+    // Gather: every shard must answer 200.
+    let mut bodies = Vec::with_capacity(results.len());
     for (shard_idx, result) in results {
         let resp = match result {
             Ok(r) => r,
@@ -709,15 +706,17 @@ fn handle_forecast(shared: &Shared, path: &str, body: &[u8], route: &'static str
             let status = if resp.status == 421 { 500 } else { resp.status };
             return (route, status, resp.text(), no_extra());
         }
-        let body = resp.text();
-        match split_rows(&body) {
-            Ok((head, rows)) => {
-                if prefix.is_none() {
-                    prefix = Some(head.to_string());
-                }
-                for (node, chunk) in rows {
-                    chunks.insert(node, chunk.to_string());
-                }
+        bodies.push((shard_idx, resp.text()));
+    }
+    // Every answer's row chunks by node; what stands before `"rows"` (an
+    // explain's horizon) is the same in all of them: the first one's.
+    let mut chunks: HashMap<NodeId, &str> = HashMap::new();
+    let mut head = None;
+    for (shard_idx, body) in &bodies {
+        match split_rows(body) {
+            Ok((members, rows)) => {
+                head.get_or_insert(members);
+                chunks.extend(rows);
             }
             Err(m) => {
                 return (
@@ -725,7 +724,7 @@ fn handle_forecast(shared: &Shared, path: &str, body: &[u8], route: &'static str
                     500,
                     err_body(&format!(
                         "unparseable answer from shard {}: {m}",
-                        shared.shards[shard_idx].spec.id
+                        shared.shards[*shard_idx].spec.id
                     )),
                     no_extra(),
                 )
@@ -737,8 +736,8 @@ fn handle_forecast(shared: &Shared, path: &str, body: &[u8], route: &'static str
     // unpartitioned process would have produced, bytes untouched.
     let mut ordered = Vec::with_capacity(plan.len());
     for site in plan.iter() {
-        match chunks.remove(&site.node) {
-            Some(chunk) => ordered.push(chunk),
+        match chunks.get(&site.node) {
+            Some(chunk) => ordered.push(*chunk),
             None => {
                 return (
                     route,
@@ -752,36 +751,50 @@ fn handle_forecast(shared: &Shared, path: &str, body: &[u8], route: &'static str
             }
         }
     }
-    let prefix = prefix.unwrap_or_else(|| "{\"rows\":[".to_string());
-    (
-        route,
-        200,
-        format!("{prefix}{}]}}", ordered.join(",")),
-        no_extra(),
-    )
+    let body = join_rows(&head.unwrap_or_default(), &ordered);
+    (route, 200, body, no_extra())
 }
 
-/// The body prefix up to and including `"rows":[`, plus each verbatim
-/// row chunk keyed by its leading `"node":N`.
-type RowChunks<'a> = (&'a str, Vec<(NodeId, &'a str)>);
+/// The answer [`split_rows`] takes apart, put together: the members
+/// that stood before `"rows"`, then the row chunks as they are.
+fn join_rows(head: &[(Cow<'_, str>, &str)], rows: &[&str]) -> String {
+    let rows_len: usize = rows.iter().map(|row| row.len() + 1).sum();
+    let mut w = Writer::with_capacity(rows_len + 64);
+    w.begin_object();
+    for (key, value) in head {
+        w.key(key).raw(value);
+    }
+    w.key("rows").begin_array();
+    for row in rows {
+        w.raw(row);
+    }
+    w.end_array().end_object();
+    w.finish()
+}
+
+/// The members that stand before `"rows"`, each key with its value as
+/// it stands, plus each verbatim row chunk keyed by its leading
+/// `"node":N`.
+type RowChunks<'a> = (Vec<(Cow<'a, str>, &'a str)>, Vec<(NodeId, &'a str)>);
 
 /// Splits a shard's `{"...":...,"rows":[{...},{...}]}` answer into its
-/// verbatim row chunks, keyed by each chunk's leading `"node":N`.
-/// Returns the body prefix up to and including `"rows":[` (horizon and
-/// friends ride along untouched) and the chunks. The reader checks
-/// every chunk against the grammar and hands back its bytes as they
-/// stand — labels may contain any escaped character, and no float is
-/// ever re-rendered.
+/// verbatim row chunks, keyed by each chunk's leading `"node":N`, and
+/// the members before them (horizon and friends ride along untouched).
+/// The reader checks every chunk against the grammar and hands back its
+/// bytes as they stand — labels may contain any escaped character, and
+/// no float is ever re-rendered.
 fn split_rows(body: &str) -> Result<RowChunks<'_>, String> {
     let mut r = json::Reader::new(body);
+    let mut head = Vec::new();
     r.begin_object()?;
     while let Some(key) = r.next_key()? {
+        let start = r.offset();
         if key != "rows" {
             r.skip_value()?;
+            head.push((key, r.since(start)));
             continue;
         }
         r.begin_array()?;
-        let head = r.since(0);
         let mut rows = Vec::new();
         while r.next_element()? {
             let start = r.offset();
@@ -880,16 +893,22 @@ fn handle_insert(shared: &Shared, body: &[u8]) -> Routed {
     }
     fdc_obs::histogram!(names::ROUTER_FANOUT_SIZE).record(groups.len() as u64);
 
-    let mut accepted = 0u64;
+    let mut accepted = 0;
     let mut committed: Vec<&str> = Vec::new();
     for (idx, rows) in &groups {
-        let sub_body = format!("{{\"rows\":[{}]}}", rows.join(","));
+        let mut w = Writer::with_capacity(body.len());
+        w.begin_object().key("rows").begin_array();
+        for row in rows {
+            w.raw(row);
+        }
+        w.end_array().end_object();
+        let sub_body = w.finish();
         let resp = match shard_write(shared, *idx, "/insert", &sub_body) {
             Ok(r) => r,
             Err(e) => return insert_failure(shared, *idx, &committed, &e, None),
         };
         if resp.status == 202 {
-            accepted += rows.len() as u64;
+            accepted += rows.len();
             committed.push(&shared.shards[*idx].spec.id);
             continue;
         }
@@ -914,12 +933,7 @@ fn handle_insert(shared: &Shared, body: &[u8]) -> Routed {
             Vec::new(),
         );
     }
-    (
-        "insert",
-        202,
-        format!("{{\"accepted\":{accepted}}}"),
-        no_extra(),
-    )
+    ("insert", 202, count_body("accepted", accepted), no_extra())
 }
 
 /// Extracts the `"error"` text of a shard answer (or passes the body
@@ -956,19 +970,15 @@ fn insert_failure_with(
     status: u16,
     extra: Vec<(&'static str, String)>,
 ) -> Routed {
-    let committed_json: Vec<String> = committed.iter().map(|c| format!("\"{c}\"")).collect();
-    (
-        "insert",
-        status,
-        format!(
-            "{{\"error\":\"partial write failure\",\"failed_shard\":\"{}\",\
-             \"committed_shards\":[{}],\"detail\":\"{}\"}}",
-            json::escape(&shared.shards[failed].spec.id),
-            committed_json.join(","),
-            json::escape(detail)
-        ),
-        extra,
-    )
+    let mut w = Writer::new();
+    w.begin_object().key("error").str("partial write failure");
+    w.key("failed_shard").str(&shared.shards[failed].spec.id);
+    w.key("committed_shards").begin_array();
+    for shard in committed {
+        w.str(shard);
+    }
+    w.end_array().key("detail").str(detail).end_object();
+    ("insert", status, w.finish(), extra)
 }
 
 // ---------------------------------------------------------------------------
@@ -1004,40 +1014,24 @@ fn handle_healthz(shared: &Shared) -> Routed {
     } else {
         (503, "degraded")
     };
-    (
-        "healthz",
-        status,
-        format!(
-            "{{\"status\":\"{state}\",\"healthy\":{healthy},\"shards\":{total},\
-             \"topology_version\":{}}}",
-            shared.topology.version
-        ),
-        Vec::new(),
-    )
+    let mut w = Writer::new();
+    w.begin_object().key("status").str(state);
+    w.key("healthy").usize(healthy).key("shards").usize(total);
+    w.key("topology_version").u64(shared.topology.version);
+    w.end_object();
+    ("healthz", status, w.finish(), Vec::new())
 }
 
 fn handle_topology(shared: &Shared) -> Routed {
-    let live: Vec<String> = shared
-        .shards
-        .iter()
-        .map(|s| {
-            format!(
-                "\"{}\":{}",
-                json::escape(&s.spec.id),
-                s.up.load(Ordering::SeqCst)
-            )
-        })
-        .collect();
-    (
-        "topology",
-        200,
-        format!(
-            "{{\"topology\":{},\"live\":{{{}}}}}",
-            shared.topology.encode(),
-            live.join(",")
-        ),
-        Vec::new(),
-    )
+    let mut w = Writer::new();
+    w.begin_object();
+    w.key("topology").raw(&shared.topology.encode());
+    w.key("live").begin_object();
+    for s in &shared.shards {
+        w.key(&s.spec.id).bool(s.up.load(Ordering::SeqCst));
+    }
+    w.end_object().end_object();
+    ("topology", 200, w.finish(), Vec::new())
 }
 
 /// `GET /stats` — the fleet view: router health, the folded sketch
@@ -1049,35 +1043,30 @@ fn stats_body(shared: &Shared) -> String {
         .iter()
         .filter(|s| s.up.load(Ordering::SeqCst))
         .count();
-    let fleet = fold::fold(&gather_bundles(shared)).to_json();
-    let mut shard_docs = Vec::with_capacity(shared.shards.len());
-    for idx in 0..shared.shards.len() {
-        let id = json::escape(&shared.shards[idx].spec.id);
-        match shard_read(shared, idx, "/stats", None) {
-            Ok(resp) if resp.status == 200 => {
-                shard_docs.push(format!("\"{id}\":{}", resp.text()));
-            }
-            _ => shard_docs.push(format!("\"{id}\":null")),
-        }
-    }
+    let mut w = Writer::with_capacity(4096);
+    w.begin_object().key("router").begin_object();
+    w.key("topology_version").u64(shared.topology.version);
+    w.key("shards").usize(shared.shards.len());
+    w.key("healthy").usize(healthy).key("pool").begin_object();
     // How shard calls came by their connection: mostly `hit` when reuse
     // works, `stale` climbing when shards give idle connections up.
-    let pool: Vec<String> = Pooled::ALL
-        .iter()
-        .map(|outcome| {
-            let label = outcome.as_str();
-            let n = fdc_obs::counter_with(names::ROUTER_POOL, &[("outcome", label)]).get();
-            format!("\"{label}\":{n}")
-        })
-        .collect();
-    format!(
-        "{{\"router\":{{\"topology_version\":{},\"shards\":{},\"healthy\":{healthy},\
-         \"pool\":{{{}}}}},\"fleet\":{fleet},\"shards\":{{{}}}}}",
-        shared.topology.version,
-        shared.shards.len(),
-        pool.join(","),
-        shard_docs.join(",")
-    )
+    for outcome in Pooled::ALL {
+        let label = outcome.as_str();
+        let n = fdc_obs::counter_with(names::ROUTER_POOL, &[("outcome", label)]).get();
+        w.key(label).u64(n);
+    }
+    let fleet = fold::fold(&gather_bundles(shared)).to_json();
+    w.end_object().end_object().key("fleet").raw(&fleet);
+    w.key("shards").begin_object();
+    for idx in 0..shared.shards.len() {
+        w.key(&shared.shards[idx].spec.id);
+        match shard_read(shared, idx, "/stats", None) {
+            Ok(resp) if resp.status == 200 => w.raw(&resp.text()),
+            _ => w.null(),
+        };
+    }
+    w.end_object().end_object();
+    w.finish()
 }
 
 /// `GET /metrics` — the router's own registry in Prometheus text form,
@@ -1121,18 +1110,15 @@ mod tests {
     #[test]
     fn split_rows_preserves_bytes_and_keys_by_node() {
         let body = "{\"rows\":[{\"node\":3,\"label\":\"a \\\"x{\\\" b\",\"values\":[[1,0.1000000000000000055511151231257827]]},{\"node\":12,\"label\":\"(*, *)\",\"values\":[]}]}";
-        let (prefix, rows) = split_rows(body).unwrap();
-        assert_eq!(prefix, "{\"rows\":[");
+        let (head, rows) = split_rows(body).unwrap();
+        assert!(head.is_empty());
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].0, 3);
         assert!(rows[0].1.contains("0.1000000000000000055511151231257827"));
         assert_eq!(rows[1].0, 12);
         // Reassembly of all chunks reproduces the body bytes exactly.
-        let rebuilt = format!(
-            "{prefix}{}]}}",
-            rows.iter().map(|(_, c)| *c).collect::<Vec<_>>().join(",")
-        );
-        assert_eq!(rebuilt, body);
+        let chunks: Vec<&str> = rows.iter().map(|(_, c)| *c).collect();
+        assert_eq!(join_rows(&head, &chunks), body);
     }
 
     #[test]
@@ -1140,16 +1126,26 @@ mod tests {
         // An approximate row carries a nested "approx" object; the
         // scatter-gather reassembly must keep its bytes untouched.
         let body = "{\"rows\":[{\"node\":7,\"label\":\"(*, *)\",\"values\":[[1,12.5]],\"approx\":{\"sampled\":96,\"population\":100000,\"confidence\":0.95,\"ci_half\":[0.30000000000000004]}},{\"node\":9,\"label\":\"x\",\"values\":[]}]}";
-        let (prefix, rows) = split_rows(body).unwrap();
+        let (head, rows) = split_rows(body).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].0, 7);
         assert!(rows[0].1.contains("\"population\":100000"));
         assert!(rows[0].1.contains("0.30000000000000004"));
-        let rebuilt = format!(
-            "{prefix}{}]}}",
-            rows.iter().map(|(_, c)| *c).collect::<Vec<_>>().join(",")
+        let chunks: Vec<&str> = rows.iter().map(|(_, c)| *c).collect();
+        assert_eq!(join_rows(&head, &chunks), body);
+    }
+
+    #[test]
+    fn split_rows_keeps_the_members_before_the_rows() {
+        let body = "{\"horizon\":3,\"an\\\"alyzed\":{\"x\":[1e0,false]},\"rows\":[{\"node\":1,\"weight\":0.1}]}";
+        let (head, rows) = split_rows(body).unwrap();
+        assert_eq!(head.len(), 2);
+        assert_eq!(
+            head[1],
+            (Cow::Borrowed("an\"alyzed"), "{\"x\":[1e0,false]}")
         );
-        assert_eq!(rebuilt, body);
+        assert_eq!(join_rows(&head, &[rows[0].1]), body);
+        assert_eq!(join_rows(&[], &[]), "{\"rows\":[]}");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! the deterministic [`crate::placement`] function maps key →
 //! shard id on any process that agrees on these two facts).
 
-use fdc_serve::json;
+use fdc_codec::json::{self, Writer};
 
 /// One shard of the deployment: a stable id (the rendezvous hash
 /// input — never reuse an id for different data), its primary address
@@ -111,27 +111,20 @@ impl Topology {
 
     /// Renders the canonical JSON form (reparses to an equal value).
     pub fn encode(&self) -> String {
-        let shards: Vec<String> = self
-            .shards
-            .iter()
-            .map(|s| {
-                let replica = match &s.replica {
-                    Some(r) => format!(",\"replica\":\"{}\"", json::escape(r)),
-                    None => String::new(),
-                };
-                format!(
-                    "{{\"id\":\"{}\",\"addr\":\"{}\"{replica}}}",
-                    json::escape(&s.id),
-                    json::escape(&s.addr)
-                )
-            })
-            .collect();
-        format!(
-            "{{\"version\":{},\"key_dims\":{},\"shards\":[{}]}}",
-            self.version,
-            self.key_dims,
-            shards.join(",")
-        )
+        let mut w = Writer::new();
+        w.begin_object().key("version").u64(self.version);
+        w.key("key_dims").usize(self.key_dims);
+        w.key("shards").begin_array();
+        for s in &self.shards {
+            w.begin_object().key("id").str(&s.id);
+            w.key("addr").str(&s.addr);
+            if let Some(replica) = &s.replica {
+                w.key("replica").str(replica);
+            }
+            w.end_object();
+        }
+        w.end_array().end_object();
+        w.finish()
     }
 
     /// The base cells of `db` this topology's placement assigns to

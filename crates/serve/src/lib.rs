@@ -112,11 +112,13 @@ use fdc_f2db::{
 use fdc_obs::httpcore::server::{CloseReason, ConnQueue, Limits, Reject, Responder, Service};
 use fdc_obs::httpcore::{status_line, Request};
 use fdc_obs::{journal, names, trace, Event, TraceContext};
+use json::Writer;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use wire::{count_body, err_body};
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -615,18 +617,19 @@ fn maybe_capture_slow(
         .map(|report| report.to_masked_string());
     let sql = analyze.map(|request| request.sql);
     let wait = (route == "insert").then(|| {
-        let queue_len = shared.conns.len();
-        let wal = match shared.db.wal_stats() {
-            Some(w) => format!(
-                "{{\"last_seq\":{},\"durable_seq\":{}}}",
-                w.last_seq, w.durable_seq
-            ),
-            None => "null".to_string(),
+        let mut w = Writer::new();
+        w.begin_object();
+        w.key("buffered_rows").usize(shared.batcher.buffered());
+        w.key("queue_depth").usize(shared.conns.len()).key("wal");
+        match shared.db.wal_stats() {
+            Some(wal) => {
+                w.begin_object().key("last_seq").u64(wal.last_seq);
+                w.key("durable_seq").u64(wal.durable_seq).end_object()
+            }
+            None => w.null(),
         };
-        format!(
-            "{{\"buffered_rows\":{},\"queue_depth\":{queue_len},\"wal\":{wal}}}",
-            shared.batcher.buffered()
-        )
+        w.end_object();
+        w.finish()
     });
     shared.slow.push(SlowEntry {
         unix_ms: slow::unix_ms(),
@@ -646,10 +649,6 @@ enum Body {
     Json(String),
     /// `application/octet-stream`: ship chunks and sketch bundles.
     Binary(Vec<u8>),
-}
-
-fn err_body(msg: &str) -> String {
-    format!("{{\"error\":\"{}\"}}", json::escape(msg))
 }
 
 // ---------------------------------------------------------------------------
@@ -680,7 +679,7 @@ fn route_request(
             Some(routed) => routed,
             None => {
                 let (status, body) = match shared.db.maintain() {
-                    Ok(refitted) => (200, format!("{{\"refitted\":{refitted}}}")),
+                    Ok(refitted) => (200, count_body("refitted", refitted)),
                     Err(e) => (500, err_body(&e.to_string())),
                 };
                 ("maintain", status, body, no_extra())
@@ -740,93 +739,79 @@ fn handle_forecast(
 }
 
 fn rows_body(result: &QueryResult) -> String {
-    let rows: Vec<String> = result
-        .rows
-        .iter()
-        .map(|r| {
-            let values: Vec<String> = r
-                .values
-                .iter()
-                .map(|(t, v)| format!("[{t},{}]", json::num(*v)))
-                .collect();
-            let approx = match &r.approx {
-                None => String::new(),
-                Some(a) => {
-                    let half: Vec<String> = a.ci_half.iter().map(|h| json::num(*h)).collect();
-                    format!(
-                        ",\"approx\":{{\"sampled\":{},\"population\":{},\"confidence\":{},\"ci_half\":[{}]}}",
-                        a.sampled,
-                        a.population,
-                        json::num(a.confidence),
-                        half.join(",")
-                    )
-                }
-            };
-            format!(
-                "{{\"node\":{},\"label\":\"{}\",\"values\":[{}]{approx}}}",
-                r.node,
-                json::escape(&r.label),
-                values.join(",")
-            )
-        })
-        .collect();
-    format!("{{\"rows\":[{}]}}", rows.join(","))
+    // Room for every row — its label, and some thirty bytes a value —
+    // so the answer is written without growing.
+    let room = |r: &fdc_f2db::QueryRow| r.label.len() + 48 + 32 * r.values.len();
+    let mut w = Writer::with_capacity(16 + result.rows.iter().map(room).sum::<usize>());
+    w.begin_object().key("rows").begin_array();
+    for r in &result.rows {
+        w.begin_object().key("node").usize(r.node);
+        w.key("label").str(&r.label).key("values").begin_array();
+        for (t, v) in &r.values {
+            w.begin_array().i64(*t).f64(*v).end_array();
+        }
+        w.end_array();
+        if let Some(a) = &r.approx {
+            w.key("approx").begin_object().key("sampled").u64(a.sampled);
+            w.key("population").u64(a.population);
+            w.key("confidence").f64(a.confidence).key("ci_half");
+            f64_array(&mut w, &a.ci_half);
+            w.end_object();
+        }
+        w.end_object();
+    }
+    w.end_array().end_object();
+    w.finish()
+}
+
+fn f64_array(w: &mut Writer, values: &[f64]) {
+    w.begin_array();
+    for v in values {
+        w.f64(*v);
+    }
+    w.end_array();
 }
 
 fn plan_body(report: &ExplainReport) -> String {
-    let rows: Vec<String> = report
-        .rows
-        .iter()
-        .map(|r| {
-            let sources: Vec<String> = r
-                .sources
-                .iter()
-                .map(|s| {
-                    format!(
-                        "{{\"label\":\"{}\",\"invalid\":{}}}",
-                        json::escape(&s.label),
-                        s.invalid
-                    )
-                })
-                .collect();
-            let analysis = match &r.analysis {
-                None => String::new(),
-                Some(a) => {
-                    let values: Vec<String> = a.values.iter().map(|v| json::num(*v)).collect();
-                    format!(
-                        ",\"elapsed_ns\":{},\"values\":[{}]",
-                        a.elapsed.as_nanos(),
-                        values.join(",")
-                    )
-                }
+    let mut w = Writer::with_capacity(256);
+    w.begin_object().key("horizon").usize(report.horizon);
+    w.key("analyzed").bool(report.total_elapsed.is_some());
+    w.key("rows").begin_array();
+    for r in &report.rows {
+        w.begin_object().key("node").usize(r.node);
+        w.key("label").str(&r.label);
+        w.key("scheme")
+            .str(r.scheme_kind)
+            .key("weight")
+            .f64(r.weight);
+        w.key("sources").begin_array();
+        for s in &r.sources {
+            w.begin_object().key("label").str(&s.label);
+            w.key("invalid").bool(s.invalid).end_object();
+        }
+        w.end_array();
+        if let Some(a) = &r.analysis {
+            w.key("elapsed_ns").u64(a.elapsed.as_nanos() as u64);
+            w.key("values");
+            f64_array(&mut w, &a.values);
+        }
+        if let Some(ap) = &r.approx {
+            w.key("approx").begin_object();
+            w.key("population").u64(ap.population);
+            w.key("sampled").u64(ap.sampled);
+            w.key("strata").usize(ap.strata).key("budget");
+            match ap.budget {
+                Some(b) => w.usize(b),
+                None => w.null(),
             };
-            let sampling = match &r.approx {
-                None => String::new(),
-                Some(ap) => {
-                    let budget = ap.budget.map_or(String::from("null"), |b| b.to_string());
-                    let target = ap.target_ci.map_or(String::from("null"), json::num);
-                    format!(
-                        ",\"approx\":{{\"population\":{},\"sampled\":{},\"strata\":{},\"budget\":{budget},\"target_ci\":{target}}}",
-                        ap.population, ap.sampled, ap.strata
-                    )
-                }
-            };
-            format!(
-                "{{\"node\":{},\"label\":\"{}\",\"scheme\":\"{}\",\"weight\":{},\"sources\":[{}]{analysis}{sampling}}}",
-                r.node,
-                json::escape(&r.label),
-                r.scheme_kind,
-                json::num(r.weight),
-                sources.join(",")
-            )
-        })
-        .collect();
-    format!(
-        "{{\"horizon\":{},\"analyzed\":{},\"rows\":[{}]}}",
-        report.horizon,
-        report.total_elapsed.is_some(),
-        rows.join(",")
-    )
+            // No target is `null`, as a number that is none.
+            w.key("target_ci").f64(ap.target_ci.unwrap_or(f64::NAN));
+            w.end_object();
+        }
+        w.end_object();
+    }
+    w.end_array().end_object();
+    w.finish()
 }
 
 fn handle_insert(shared: &Shared, body: &[u8], remaining: Duration) -> Routed {
@@ -857,12 +842,7 @@ fn handle_insert(shared: &Shared, body: &[u8], remaining: Duration) -> Routed {
     }
     let accepted = rows.len();
     match shared.batcher.deposit_and_wait(&rows, remaining) {
-        DepositOutcome::Committed => (
-            "insert",
-            202,
-            format!("{{\"accepted\":{accepted}}}"),
-            no_extra(),
-        ),
+        DepositOutcome::Committed => ("insert", 202, count_body("accepted", accepted), no_extra()),
         DepositOutcome::Failed(msg) => ("insert", 500, err_body(&msg), no_extra()),
         DepositOutcome::TimedOut => {
             fdc_obs::counter_with(names::SERVE_REJECTED, &[("reason", "deadline")]).incr();
@@ -921,16 +901,16 @@ fn handle_promote(shared: &Shared, body: &[u8]) -> Routed {
         }
     };
     match replica.promote(tail.as_deref()) {
-        Ok(report) => (
-            "promote",
-            200,
-            format!(
-                "{{\"promoted\":true,\"applied_seq\":{},\"tail_records\":{},\
-                 \"last_seq\":{},\"promotion_ns\":{}}}",
-                report.applied_seq, report.tail_records, report.last_seq, report.promotion_ns
-            ),
-            no_extra(),
-        ),
+        Ok(report) => {
+            let mut w = Writer::new();
+            w.begin_object().key("promoted").bool(true);
+            w.key("applied_seq").u64(report.applied_seq);
+            w.key("tail_records").u64(report.tail_records);
+            w.key("last_seq").u64(report.last_seq);
+            w.key("promotion_ns").u64(report.promotion_ns);
+            w.end_object();
+            ("promote", 200, w.finish(), no_extra())
+        }
         Err(e) => ("promote", 409, err_body(&e.to_string()), no_extra()),
     }
 }
@@ -959,7 +939,9 @@ fn handle_plan(shared: &Shared, body: &[u8]) -> (u16, String) {
         Ok(s) => s,
         Err(e) => return (f2db_status(&e), err_body(&e.to_string())),
     };
-    let mut rendered = Vec::with_capacity(sites.len());
+    let mut w = Writer::new();
+    w.begin_object().key("key_dims").usize(key_dims);
+    w.key("sites").begin_array();
     for site in &sites {
         let mut keys: Vec<String> = Vec::new();
         for &b in &site.closure_base {
@@ -973,24 +955,15 @@ fn handle_plan(shared: &Shared, body: &[u8]) -> (u16, String) {
             }
         }
         keys.sort_unstable();
-        let keys: Vec<String> = keys
-            .iter()
-            .map(|k| format!("\"{}\"", json::escape(k)))
-            .collect();
-        rendered.push(format!(
-            "{{\"node\":{},\"label\":\"{}\",\"keys\":[{}]}}",
-            site.node,
-            json::escape(&site.label),
-            keys.join(",")
-        ));
+        w.begin_object().key("node").usize(site.node);
+        w.key("label").str(&site.label).key("keys").begin_array();
+        for key in &keys {
+            w.str(key);
+        }
+        w.end_array().end_object();
     }
-    (
-        200,
-        format!(
-            "{{\"key_dims\":{key_dims},\"sites\":[{}]}}",
-            rendered.join(",")
-        ),
-    )
+    w.end_array().end_object();
+    (200, w.finish())
 }
 
 /// `GET /sketch` — this process's mergeable observability state as one
@@ -1037,12 +1010,10 @@ fn handle_healthz(shared: &Shared) -> Routed {
             } else {
                 (200, "ok")
             };
-            (
-                "healthz",
-                status,
-                format!("{{\"status\":\"{state}\",\"replication_lag_seq\":{lag}}}"),
-                no_extra(),
-            )
+            let mut w = Writer::new();
+            w.begin_object().key("status").str(state);
+            w.key("replication_lag_seq").u64(lag).end_object();
+            ("healthz", status, w.finish(), no_extra())
         }
         None => ("healthz", 200, "{\"status\":\"ok\"}".into(), no_extra()),
     }
@@ -1114,10 +1085,10 @@ fn query_u64(query: &str, name: &str) -> Result<Option<u64>, String> {
 /// Per-route request-latency quantiles from the digest-backed
 /// `serve.request.ns{route=...}` histograms, as a JSON object keyed by
 /// route. Empty object until the first request is recorded.
-fn latency_json() -> String {
+fn write_latency(w: &mut Writer) {
     let snap = fdc_obs::snapshot();
     let prefix = format!("{}{{route=\"", names::SERVE_REQUEST_NS);
-    let mut out = String::from("{");
+    w.begin_object();
     for (key, h) in &snap.histograms {
         let Some(rest) = key.strip_prefix(&prefix) else {
             continue;
@@ -1125,26 +1096,23 @@ fn latency_json() -> String {
         let Some(route) = rest.strip_suffix("\"}") else {
             continue;
         };
-        if out.len() > 1 {
-            out.push(',');
-        }
+        w.key(route).begin_object().key("count").u64(h.count);
+        w.key("p50").u64(h.p50).key("p95").u64(h.p95);
+        w.key("p99").u64(h.p99).key("p999").u64(h.p999);
         // The exemplar ties the route's worst recent observation to a
         // trace id — the "what was that p999 spike" jump-off point.
-        let exemplar = match h.exemplar {
-            Some(ex) => format!(
-                "{{\"trace_id\":\"{:032x}\",\"value\":{}}}",
-                ex.trace_id, ex.value
-            ),
-            None => "null".to_string(),
+        w.key("exemplar");
+        match h.exemplar {
+            Some(ex) => {
+                w.begin_object().key("trace_id");
+                w.str(&format!("{:032x}", ex.trace_id));
+                w.key("value").u64(ex.value).end_object()
+            }
+            None => w.null(),
         };
-        out.push_str(&format!(
-            "\"{route}\":{{\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"p999\":{},\
-             \"exemplar\":{exemplar}}}",
-            h.count, h.p50, h.p95, h.p99, h.p999
-        ));
+        w.end_object();
     }
-    out.push('}');
-    out
+    w.end_object();
 }
 
 /// Drift-monitor summary: totals plus per-key rows keyed by the
@@ -1152,133 +1120,117 @@ fn latency_json() -> String {
 /// meaningless without a graph dump). Rows are capped at 50; the
 /// `"more"` member counts what was cut, so the footer renders as
 /// `… (N more)`. `null` when drift monitoring is disabled.
-fn drift_json(shared: &Shared) -> String {
+fn write_drift(w: &mut Writer, shared: &Shared) {
     const MAX_ROWS: usize = 50;
-    match shared.db.drift_monitor() {
-        Some(acc) => {
-            let summaries = acc.summaries();
-            let drifting = summaries.iter().filter(|s| s.drifting).count();
-            let ds = shared.db.dataset();
-            let g = ds.graph();
-            let keys: Vec<String> = summaries
-                .iter()
-                .take(MAX_ROWS)
-                .map(|s| {
-                    let label = if (s.key as usize) < ds.node_count() {
-                        g.coord(s.key as usize).display(g.schema())
-                    } else {
-                        format!("node {}", s.key)
-                    };
-                    format!(
-                        "{{\"cell\":\"{}\",\"n\":{},\"mae\":{},\"smape\":{},\"drifting\":{}}}",
-                        json::escape(&label),
-                        s.total(),
-                        json::num(s.err.abs_mean()),
-                        json::num(s.smape.mean()),
-                        s.drifting
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"tracked\":{},\"drifting\":{},\"keys\":[{}],\"more\":{}}}",
-                summaries.len(),
-                drifting,
-                keys.join(","),
-                summaries.len().saturating_sub(MAX_ROWS)
-            )
-        }
-        None => "null".to_string(),
+    let Some(acc) = shared.db.drift_monitor() else {
+        w.null();
+        return;
+    };
+    let summaries = acc.summaries();
+    let drifting = summaries.iter().filter(|s| s.drifting).count();
+    let ds = shared.db.dataset();
+    let g = ds.graph();
+    w.begin_object().key("tracked").usize(summaries.len());
+    w.key("drifting").usize(drifting).key("keys").begin_array();
+    for s in summaries.iter().take(MAX_ROWS) {
+        let label = if (s.key as usize) < ds.node_count() {
+            g.coord(s.key as usize).display(g.schema())
+        } else {
+            format!("node {}", s.key)
+        };
+        w.begin_object().key("cell").str(&label);
+        w.key("n").u64(s.total()).key("mae").f64(s.err.abs_mean());
+        w.key("smape").f64(s.smape.mean());
+        w.key("drifting").bool(s.drifting).end_object();
     }
+    let more = summaries.len().saturating_sub(MAX_ROWS);
+    w.end_array().key("more").usize(more).end_object();
 }
 
 /// How connections are being used: requests served per connection and
 /// why connections closed — the server-side view of client reuse (a
 /// mean of 1 with `backlog` closes rising means more active clients
 /// than workers).
-fn connections_json() -> String {
-    let closed: Vec<String> = CloseReason::ALL
-        .iter()
-        .map(|reason| {
-            let label = reason.as_str();
-            let n = fdc_obs::counter_with(names::SERVE_CONN_CLOSED, &[("reason", label)]).get();
-            format!("\"{label}\":{n}")
-        })
-        .collect();
+fn write_connections(w: &mut Writer) {
+    w.begin_object().key("closed").begin_object();
+    for reason in CloseReason::ALL {
+        let label = reason.as_str();
+        let n = fdc_obs::counter_with(names::SERVE_CONN_CLOSED, &[("reason", label)]).get();
+        w.key(label).u64(n);
+    }
     let requests = fdc_obs::histogram!(names::SERVE_CONN_REQUESTS).snapshot();
-    format!(
-        "{{\"closed\":{{{}}},\"requests_per_connection\":{{\"count\":{},\"mean\":{},\
-         \"p50\":{},\"max\":{}}}}}",
-        closed.join(","),
-        requests.count,
-        json::num(requests.mean()),
-        requests.p50,
-        requests.max
-    )
+    w.end_object().key("requests_per_connection").begin_object();
+    w.key("count").u64(requests.count);
+    w.key("mean").f64(requests.mean());
+    w.key("p50").u64(requests.p50).key("max").u64(requests.max);
+    w.end_object().end_object();
 }
 
 fn stats_body(shared: &Shared) -> String {
     let stats = shared.db.stats();
-    let queue_len = shared.conns.len();
-    let wal = match shared.db.wal_stats() {
-        Some(w) => format!(
-            "{{\"last_seq\":{},\"durable_seq\":{},\"checkpoint_seq\":{},\"segments\":{},\
-             \"appends\":{},\"fsyncs\":{}}}",
-            w.last_seq, w.durable_seq, w.checkpoint_seq, w.segments, w.appends, w.fsyncs,
-        ),
-        None => "null".to_string(),
+    let mut w = Writer::with_capacity(2048);
+    w.begin_object();
+    w.key("queries").usize(stats.queries);
+    w.key("inserts").usize(stats.inserts);
+    w.key("insert_batches").usize(stats.insert_batches);
+    w.key("time_advances").usize(stats.time_advances);
+    w.key("model_updates").usize(stats.model_updates);
+    w.key("invalidations").usize(stats.invalidations);
+    w.key("reestimations").usize(stats.reestimations);
+    w.key("pending_inserts").usize(shared.db.pending_inserts());
+    w.key("buffered_rows").usize(shared.batcher.buffered());
+    w.key("queue_depth").usize(shared.conns.len());
+    w.key("series_len").usize(shared.db.dataset().series_len());
+    w.key("models").usize(shared.db.model_count());
+    w.key("wal");
+    match shared.db.wal_stats() {
+        Some(wal) => {
+            w.begin_object().key("last_seq").u64(wal.last_seq);
+            w.key("durable_seq").u64(wal.durable_seq);
+            w.key("checkpoint_seq").u64(wal.checkpoint_seq);
+            w.key("segments").u64(wal.segments);
+            w.key("appends").u64(wal.appends);
+            w.key("fsyncs").u64(wal.fsyncs).end_object()
+        }
+        None => w.null(),
     };
-    let replication = match &shared.replica {
+    w.key("replication");
+    match &shared.replica {
         Some(r) => {
-            let last_error = match r.last_error() {
-                Some(e) => format!("\"{}\"", json::escape(&e)),
-                None => "null".to_string(),
+            let role = if r.is_promoted() {
+                "promoted"
+            } else {
+                "follower"
             };
-            format!(
-                "{{\"role\":\"{}\",\"primary\":\"{}\",\"applied_seq\":{},\
-                 \"primary_durable_seq\":{},\"lag_seq\":{},\"fetch_errors\":{},\
-                 \"last_error\":{last_error}}}",
-                if r.is_promoted() {
-                    "promoted"
-                } else {
-                    "follower"
-                },
-                json::escape(r.primary()),
-                r.applied_seq(),
-                r.primary_durable_seq(),
-                r.lag(),
-                r.fetch_errors(),
-            )
+            w.begin_object().key("role").str(role);
+            w.key("primary").str(r.primary());
+            w.key("applied_seq").u64(r.applied_seq());
+            w.key("primary_durable_seq").u64(r.primary_durable_seq());
+            w.key("lag_seq").u64(r.lag());
+            w.key("fetch_errors").u64(r.fetch_errors());
+            w.key("last_error");
+            match r.last_error() {
+                Some(e) => w.str(&e),
+                None => w.null(),
+            };
+            w.end_object()
         }
-        None => "null".to_string(),
+        None => w.null(),
     };
-    let partition = match shared.db.partition_summary() {
+    w.key("latency");
+    write_latency(&mut w);
+    w.key("connections");
+    write_connections(&mut w);
+    w.key("drift");
+    write_drift(&mut w, shared);
+    w.key("partition");
+    match shared.db.partition_summary() {
         Some((owned, resident)) => {
-            format!("{{\"owned_bases\":{owned},\"resident_nodes\":{resident}}}")
+            w.begin_object().key("owned_bases").usize(owned);
+            w.key("resident_nodes").usize(resident).end_object()
         }
-        None => "null".to_string(),
+        None => w.null(),
     };
-    format!(
-        "{{\"queries\":{},\"inserts\":{},\"insert_batches\":{},\"time_advances\":{},\
-         \"model_updates\":{},\"invalidations\":{},\"reestimations\":{},\
-         \"pending_inserts\":{},\"buffered_rows\":{},\"queue_depth\":{},\
-         \"series_len\":{},\"models\":{},\"wal\":{},\"replication\":{},\"latency\":{},\
-         \"connections\":{},\"drift\":{},\"partition\":{partition}}}",
-        stats.queries,
-        stats.inserts,
-        stats.insert_batches,
-        stats.time_advances,
-        stats.model_updates,
-        stats.invalidations,
-        stats.reestimations,
-        shared.db.pending_inserts(),
-        shared.batcher.buffered(),
-        queue_len,
-        shared.db.dataset().series_len(),
-        shared.db.model_count(),
-        wal,
-        replication,
-        latency_json(),
-        connections_json(),
-        drift_json(shared),
-    )
+    w.end_object();
+    w.finish()
 }

@@ -16,7 +16,7 @@
 //! A threshold of zero turns the log into a sampler that captures every
 //! request — useful in tests and short diagnostic sessions.
 
-use crate::json;
+use crate::json::Writer;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -50,25 +50,28 @@ pub struct SlowEntry {
 impl SlowEntry {
     /// Renders the entry as a JSON object.
     pub fn to_json(&self) -> String {
-        let opt_str = |v: &Option<String>| match v {
-            Some(s) => format!("\"{}\"", json::escape(s)),
-            None => "null".to_string(),
-        };
-        let trace = match self.trace_id {
-            Some(t) => format!("\"{t:032x}\""),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"unix_ms\":{},\"route\":\"{}\",\"status\":{},\"latency_ns\":{},\
-             \"trace_id\":{trace},\"sql\":{},\"explain\":{},\"wait\":{}}}",
-            self.unix_ms,
-            self.route,
-            self.status,
-            self.latency_ns,
-            opt_str(&self.sql),
-            opt_str(&self.explain),
-            self.wait.as_deref().unwrap_or("null"),
-        )
+        fn opt_str(w: &mut Writer, v: Option<&str>) {
+            match v {
+                Some(s) => w.str(s),
+                None => w.null(),
+            };
+        }
+        let mut w = Writer::new();
+        w.begin_object().key("unix_ms").u64(self.unix_ms);
+        w.key("route").str(self.route);
+        w.key("status").u64(u64::from(self.status));
+        w.key("latency_ns").u64(self.latency_ns).key("trace_id");
+        opt_str(
+            &mut w,
+            self.trace_id.map(|t| format!("{t:032x}")).as_deref(),
+        );
+        w.key("sql");
+        opt_str(&mut w, self.sql.as_deref());
+        w.key("explain");
+        opt_str(&mut w, self.explain.as_deref());
+        w.key("wait").raw(self.wait.as_deref().unwrap_or("null"));
+        w.end_object();
+        w.finish()
     }
 }
 
@@ -119,13 +122,16 @@ impl SlowLog {
 
     /// The `GET /slow` response body.
     pub fn to_json(&self) -> String {
-        let entries: Vec<String> = self.entries().iter().map(SlowEntry::to_json).collect();
-        format!(
-            "{{\"threshold_ms\":{},\"captured\":{},\"entries\":[{}]}}",
-            self.threshold.as_millis(),
-            self.captured(),
-            entries.join(",")
-        )
+        let mut w = Writer::new();
+        w.begin_object();
+        w.key("threshold_ms").u64(self.threshold.as_millis() as u64);
+        w.key("captured").u64(self.captured());
+        w.key("entries").begin_array();
+        for entry in self.ring.lock().unwrap().iter() {
+            w.raw(&entry.to_json());
+        }
+        w.end_array().end_object();
+        w.finish()
     }
 }
 

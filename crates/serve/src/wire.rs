@@ -26,7 +26,7 @@
 //! node as they are read, the router hashes them to a shard and keeps
 //! the row's bytes.
 
-use crate::json::{self, Kind, Reader};
+use crate::json::{self, Kind, Reader, Writer};
 use fdc_cube::NodeId;
 use fdc_f2db::{ApproxQuerySpec, BaseResolver, QueryMode, QueryRequest};
 
@@ -126,29 +126,50 @@ pub fn decode(path: &str, doc: &json::Value) -> Result<QueryRequest, String> {
 /// [`decode`] on that route gives `request` back. Absent members are
 /// omitted, so an exact request never mentions approximation.
 pub fn encode(request: &QueryRequest) -> String {
-    let mut out = format!("{{\"sql\":\"{}\"", json::escape(&request.sql));
+    // Room for the statement and a node id's digits apiece, so a wide
+    // scatter's body is written without growing.
+    let ids = request.nodes.as_ref().map_or(0, Vec::len);
+    let mut w = Writer::with_capacity(request.sql.len() + 8 * ids + 96);
+    w.begin_object().key("sql").str(&request.sql);
     if request.mode == QueryMode::ExplainAnalyze {
-        out.push_str(",\"analyze\":true");
+        w.key("analyze").bool(true);
     }
     if let Some(nodes) = &request.nodes {
-        let ids: Vec<String> = nodes.iter().map(NodeId::to_string).collect();
-        out.push_str(&format!(",\"nodes\":[{}]", ids.join(",")));
+        w.key("nodes").begin_array();
+        for node in nodes {
+            w.usize(*node);
+        }
+        w.end_array();
     }
     if let Some(spec) = &request.approx {
-        let members: Vec<String> = [
-            spec.budget.map(|b| format!("\"budget\":{b}")),
-            spec.target_ci
-                .map(|t| format!("\"target_ci\":{}", json::num(t))),
-            spec.confidence
-                .map(|c| format!("\"confidence\":{}", json::num(c))),
-        ]
-        .into_iter()
-        .flatten()
-        .collect();
-        out.push_str(&format!(",\"approx\":{{{}}}", members.join(",")));
+        w.key("approx").begin_object();
+        if let Some(budget) = spec.budget {
+            w.key("budget").usize(budget);
+        }
+        if let Some(target) = spec.target_ci {
+            w.key("target_ci").f64(target);
+        }
+        if let Some(confidence) = spec.confidence {
+            w.key("confidence").f64(confidence);
+        }
+        w.end_object();
     }
-    out.push('}');
-    out
+    w.end_object();
+    w.finish()
+}
+
+/// The body of every refusal, on both tiers: `{"error":"<msg>"}`.
+pub fn err_body(msg: &str) -> String {
+    let mut w = Writer::new();
+    w.begin_object().key("error").str(msg).end_object();
+    w.finish()
+}
+
+/// `{"<key>":<n>}` — what a write route answers with.
+pub fn count_body(key: &str, n: usize) -> String {
+    let mut w = Writer::new();
+    w.begin_object().key(key).usize(n).end_object();
+    w.finish()
 }
 
 /// What a caller of [`decode_insert`] makes of one row's `dims`: it is

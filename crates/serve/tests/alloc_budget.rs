@@ -11,13 +11,18 @@
 //! | 1000 rows, round |     16 |       11 |     12,020 |
 //! | 100 rows         |     16 |        8 |      1,214 |
 //!
-//! The right column is what this harness counted on the parent commit
+//! The right column is what this harness counted on that commit
 //! for `handle_insert`'s decode, twelve a row: the body parsed to a
 //! tree (a `BTreeMap` node and two key `String`s a row, a `String` a
 //! label), the labels cloned into a `Vec<String>`, and a coordinate
 //! `Vec` and `Box` per `base_node_for`. What is left is the output
 //! `Vec`'s doublings, the resolver's one coordinate buffer and the
 //! unused refusal of the body as a bare row.
+//!
+//! And per `wire::encode` of a request — the body the router writes a
+//! shard, that shard's node ids in it: one buffer sized from the
+//! request, 1 allocation for 100 ids against a budget of 3 (111 at
+//! 02ccc07, which made a `String` of every id before joining them).
 
 #[path = "../../obs/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -25,7 +30,7 @@ mod counting_alloc;
 use counting_alloc::allocations;
 use fdc_cube::Configuration;
 use fdc_datagen::{generate_cube, GenSpec};
-use fdc_f2db::F2db;
+use fdc_f2db::{F2db, QueryMode, QueryRequest};
 use fdc_serve::wire;
 
 /// `{"rows":[...]}` for the first `rows` base series of `db`.
@@ -75,4 +80,21 @@ fn an_insert_decode_allocates_for_its_output_and_nothing_per_row() {
     assert!(counted.iter().all(|&n| n <= 16), "{counted:?} against 16");
     // Ten times the rows: the output `Vec` doubles a few more times.
     assert!(counted[0] - counted[1] <= 4, "{counted:?}");
+}
+
+#[test]
+fn a_request_encode_allocates_for_its_body_and_nothing_per_node() {
+    let request = QueryRequest {
+        nodes: Some((0..100).map(|n| n * 37).collect()),
+        ..QueryRequest::new(
+            "SELECT time, SUM(v) FROM facts GROUP BY time, product AS OF now() + '4 steps'",
+            QueryMode::Forecast,
+        )
+    };
+    let before = allocations();
+    let body = wire::encode(&request);
+    let counted = allocations() - before;
+    println!("allocations per 100-node encode: {counted}");
+    assert!(body.ends_with(",3626,3663]}"), "{body}");
+    assert!(counted <= 3, "{counted} against 3");
 }

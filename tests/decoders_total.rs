@@ -15,7 +15,7 @@ mod common;
 use common::mutate::{apply, mutations};
 use fdc::approx::{decode_plane, encode_plane, ApproxQuerySpec};
 use fdc::codec::hash::{fnv1a, FNV_OFFSET};
-use fdc::codec::Writer;
+use fdc::codec::{json, Writer};
 use fdc::cube::{
     Configuration, ConfiguredModel, Coord, CubeSplit, Dataset, Dimension, NodeId, Schema,
 };
@@ -26,7 +26,7 @@ use fdc::obs::httpcore::{RequestError, RequestReader};
 use fdc::obs::{KeyAccuracy, MomentSummary, SketchBundle, TDigest, TraceContext};
 use fdc::rng::Rng;
 use fdc::router::Topology;
-use fdc::serve::{json, wire};
+use fdc::serve::wire;
 use fdc::wal::{decode_chunk, decode_frame, encode_chunk, encode_frame, Wal, WalOptions};
 use std::io::Write as _;
 use std::net::{Ipv4Addr, Shutdown, TcpListener, TcpStream};
@@ -556,6 +556,58 @@ fn json_and_request_parsers_are_total() {
     // Nesting is bounded, so a body of brackets cannot exhaust the stack.
     assert!(json::parse(&"[".repeat(1 << 20)).is_err());
     assert!(json::parse(&"{\"a\":".repeat(1 << 16)).is_err());
+}
+
+/// What `json::Writer` writes, `json::parse` reads back: every mutant
+/// of the corpus as a key and as a string, and `f64`s by bit pattern —
+/// the edges of the format, subnormals and a seeded scatter of all 64
+/// bits (a number that is not finite is written, and read, as `null`).
+#[test]
+fn json_writer_output_reads_back() {
+    let samples = texts(&[QUERY_BODY, EXPLAIN_BODY, INSERT_BODY]);
+    drive("JSON writer", &samples, &mut |bytes| {
+        let text = String::from_utf8_lossy(bytes);
+        let mut w = json::Writer::new();
+        w.begin_object().key(&text).str(&text).end_object();
+        let doc = json::parse(&w.finish()).expect("a written string parses");
+        assert_eq!(doc.get(&text).and_then(json::Value::as_str), Some(&*text));
+    });
+    let edges = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        f64::from_bits(1),
+        f64::MAX,
+        f64::MIN,
+        f64::EPSILON,
+        1e21,
+        1e-7,
+        0.1 + 0.2,
+    ];
+    let mut rng = Rng::seed_from_u64(0xF64);
+    let scatter: Vec<f64> = (0..20_000)
+        .map(|i| match i % 4 {
+            // A zero exponent: subnormal, of either sign.
+            0 => f64::from_bits(rng.next_u64() & 0x800f_ffff_ffff_ffff),
+            _ => f64::from_bits(rng.next_u64()),
+        })
+        .collect();
+    for v in edges.into_iter().chain(scatter) {
+        let mut w = json::Writer::new();
+        w.begin_array().f64(v).end_array();
+        let text = w.finish();
+        let doc = json::parse(&text).expect("a written number parses");
+        match doc.as_array() {
+            Some([json::Value::Num(read)]) if v.is_finite() => {
+                assert_eq!(read.to_bits(), v.to_bits(), "{text}")
+            }
+            Some([json::Value::Null]) if !v.is_finite() => {}
+            _ => panic!("{v:?} written as {text} read back as {doc:?}"),
+        }
+    }
 }
 
 /// `/insert` bodies: several rows, the bare-row form, `value` before
