@@ -7,9 +7,6 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Re-exported so benches can `use fdc_bench::timing::black_box`.
-pub use std::hint::black_box as bb;
-
 /// Runs `f` repeatedly and prints one result line. The return value of
 /// `f` is passed through [`black_box`] so the work cannot be optimized
 /// away. Timings are also recorded into the `bench.<name>.ns` histogram

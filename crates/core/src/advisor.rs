@@ -262,53 +262,6 @@ impl<'a> Advisor<'a> {
         Ok(advisor)
     }
 
-    /// Creates an advisor that resumes from an existing configuration —
-    /// e.g. one produced by an earlier run before new data arrived, or by
-    /// a baseline whose configuration should be refined. Local indicators
-    /// are rebuilt for every model node, node estimates are recomputed on
-    /// the (new) split, and the iterative process continues from there.
-    pub fn with_configuration(
-        dataset: &'a Dataset,
-        options: AdvisorOptions,
-        configuration: &Configuration,
-    ) -> fdc_cube::Result<Self> {
-        if configuration.node_count() != dataset.node_count() {
-            return Err(fdc_cube::CubeError::InvalidData(format!(
-                "configuration covers {} nodes, data set has {}",
-                configuration.node_count(),
-                dataset.node_count()
-            )));
-        }
-        let mut advisor = Advisor::new(
-            dataset,
-            AdvisorOptions {
-                seed_top_model: false,
-                ..options
-            },
-        )?;
-        // Re-fit each configured model spec on the new training split so
-        // the resumed search evaluates against current data.
-        for (node, cm) in configuration.models() {
-            let Ok(model) = ConfiguredModel::fit(&advisor.split, node, &cm.spec, &advisor.fit)
-            else {
-                continue; // series now too short for this spec — drop it
-            };
-            advisor.criterion.observe_creation(model.creation_time);
-            advisor.built_cache.insert(node, model.clone());
-            advisor.configuration.insert_model(node, model);
-            let local = LocalIndicator::compute(dataset, node, &advisor.indicator_options);
-            advisor.local_cache.insert(node, local.clone());
-            advisor.store.insert(local);
-        }
-        let all: Vec<NodeId> = (0..dataset.node_count()).collect();
-        advisor
-            .configuration
-            .recompute_nodes(dataset, &advisor.split, &all);
-        advisor.initial_error = advisor.configuration.overall_error();
-        advisor.criterion.set_error_scale(advisor.initial_error);
-        Ok(advisor)
-    }
-
     /// Installs the initial model at the top node (Fig. 4a) so every node
     /// is derivable by disaggregation from the start.
     fn seed_top(&mut self) {
@@ -335,11 +288,6 @@ impl<'a> Advisor<'a> {
     /// The current configuration (valid at any time).
     pub fn configuration(&self) -> &Configuration {
         &self.configuration
-    }
-
-    /// The current global indicator store.
-    pub fn indicator_store(&self) -> &IndicatorStore {
-        &self.store
     }
 
     /// The iteration history so far.
@@ -916,42 +864,6 @@ mod tests {
             .configuration
             .forecast_node(ds.graph().top_node(), 3)
             .is_some());
-    }
-
-    #[test]
-    fn warm_start_resumes_from_configuration() {
-        let ds = tourism_proxy(6);
-        // First run with a tight budget.
-        let first = Advisor::new(
-            &ds,
-            AdvisorOptions {
-                stop: StopCriteria {
-                    max_models: Some(3),
-                    ..StopCriteria::default()
-                },
-                ..quick_options()
-            },
-        )
-        .unwrap()
-        .run();
-        assert!(first.model_count >= 3);
-
-        // Resume without the budget: the warm-started advisor keeps the
-        // old models and only improves from there.
-        let mut resumed =
-            Advisor::with_configuration(&ds, quick_options(), &first.configuration).unwrap();
-        let start_models = resumed.configuration().model_count();
-        assert_eq!(start_models, first.model_count);
-        let outcome = resumed.run();
-        assert!(outcome.error <= first.error + 1e-9);
-        assert!(outcome.model_count >= 1);
-    }
-
-    #[test]
-    fn warm_start_rejects_mismatched_configuration() {
-        let ds = tourism_proxy(1);
-        let other = Configuration::new(3);
-        assert!(Advisor::with_configuration(&ds, quick_options(), &other).is_err());
     }
 
     #[test]

@@ -162,11 +162,6 @@ impl IndicatorStore {
         &self.global
     }
 
-    /// Whether a local indicator for `source` is installed.
-    pub fn has_local(&self, source: NodeId) -> bool {
-        self.locals.iter().any(|l| l.source == source)
-    }
-
     /// Installs a local indicator and folds it into the global array.
     pub fn insert(&mut self, local: LocalIndicator) {
         for (&t, &v) in local.targets.iter().zip(&local.values) {

@@ -48,8 +48,21 @@ fn bench_config(dataset: &Dataset) -> Configuration {
     cfg
 }
 
-/// Median allocation count of 100 consecutive calls, after warm-up
-/// (the first calls resolve metric handles and learn the span path).
+/// Median allocation count of 100 consecutive calls.
+fn median_of_100(mut call: impl FnMut()) -> u64 {
+    let mut counts: Vec<u64> = (0..100)
+        .map(|_| {
+            let before = allocations();
+            call();
+            allocations() - before
+        })
+        .collect();
+    counts.sort_unstable();
+    counts[counts.len() / 2]
+}
+
+/// [`median_of_100`] for a statement, after warm-up (the first calls
+/// resolve metric handles and learn the span path).
 fn median_allocations(db: &F2db, sql: &str, rows: usize) -> u64 {
     for _ in 0..10 {
         assert_eq!(
@@ -57,17 +70,7 @@ fn median_allocations(db: &F2db, sql: &str, rows: usize) -> u64 {
             rows
         );
     }
-    let mut counts: Vec<u64> = (0..100)
-        .map(|_| {
-            let before = allocations();
-            let answer = db.query(sql);
-            let after = allocations();
-            drop(answer);
-            after - before
-        })
-        .collect();
-    counts.sort_unstable();
-    counts[counts.len() / 2]
+    median_of_100(|| drop(db.query(sql)))
 }
 
 #[test]
@@ -111,4 +114,29 @@ fn a_warm_query_stays_inside_its_allocation_budget() {
             "{counted:?} against budgets [28, 100, 900]"
         );
     }
+
+    // Leaving tracing on is free, as a count: under an unsampled root
+    // context, with a collector installed, a 100-row insert allocates
+    // no more than with spans switched off, and nothing is collected.
+    // Every row goes to one node, so no round completes and each call
+    // does the same work.
+    let rows = vec![(base, 1.0); 100];
+    let insert = || {
+        db.insert_batch(&rows).expect("the batch is accepted");
+    };
+    fdc_obs::set_spans_enabled(false);
+    let spans_off = median_of_100(insert);
+    fdc_obs::set_spans_enabled(true);
+    let collector = fdc_obs::TraceCollector::new();
+    fdc_obs::set_subscriber(collector.clone());
+    let unsampled = {
+        let _ctx = fdc_obs::trace::activate(fdc_obs::TraceContext::root(false));
+        median_of_100(insert)
+    };
+    fdc_obs::take_subscriber();
+    println!(
+        "allocations per 100-row insert (spans off, unsampled context): {spans_off}, {unsampled}"
+    );
+    assert!(unsampled <= spans_off, "{unsampled} > {spans_off}");
+    assert_eq!(collector.len(), 0, "an unsampled insert was collected");
 }

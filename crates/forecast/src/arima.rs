@@ -418,11 +418,6 @@ impl Sarima {
         self.order
     }
 
-    /// Seasonal order.
-    pub fn seasonal_order(&self) -> SeasonalOrder {
-        self.seasonal
-    }
-
     /// Raw (unexpanded) coefficient estimates.
     pub fn raw_params(&self) -> &[f64] {
         &self.raw

@@ -51,8 +51,6 @@
 
 pub mod accuracy;
 pub mod arima;
-pub mod decompose;
-pub mod diagnostics;
 pub mod model;
 pub mod optimize;
 pub mod sampling;
@@ -61,8 +59,6 @@ pub mod smoothing;
 
 pub use accuracy::{mae, mape, mase, rmse, smape, AccuracyMeasure};
 pub use arima::{Arima, ArimaOrder, Sarima, SeasonalOrder};
-pub use decompose::{decompose, suggest_seasonal_kind, Decomposition};
-pub use diagnostics::{autocorrelation, ljung_box, ResidualDiagnostics};
 pub use model::{FitOptions, ForecastError, ForecastModel, ModelSpec, ModelState, SeasonalKind};
 pub use optimize::{
     GridSearch, HillClimbing, NelderMead, Objective, OptimizeResult, Optimizer, SimulatedAnnealing,

@@ -152,11 +152,6 @@ pub fn snapshot() -> Snapshot {
     registry().snapshot()
 }
 
-/// Opens a span; prefer the [`span!`] macro.
-pub fn enter_span(name: &str) -> SpanGuard {
-    SpanGuard::enter(name)
-}
-
 /// Opens a hierarchical tracing span that closes when the returned
 /// guard is dropped:
 ///

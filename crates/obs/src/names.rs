@@ -224,19 +224,6 @@ pub const WAL_REPLICATION_ERRORS: &str = "wal.replication.errors";
 
 // ---- Bench harness ---------------------------------------------------
 
-/// Gauge family for the concurrent-QPS bench (labels `phase`, `engine`,
-/// `threads`): measured queries per second.
-pub const BENCH_CONCURRENT_QPS: &str = "bench.concurrent_qps.qps";
-/// Gauge family for the concurrent-QPS bench (labels `phase`,
-/// `threads`): sharded-vs-single-lock speedup × 100.
-pub const BENCH_CONCURRENT_SPEEDUP_X100: &str = "bench.concurrent_qps.speedup_x100";
-/// Gauge family for the `server_qps` load generator (label `stat`):
-/// closed-loop throughput and latency percentiles against `fdc-serve`.
-pub const BENCH_SERVER_QPS: &str = "bench.server_qps";
-/// Gauge family for the `router_qps` load generator (label `stat`):
-/// closed-loop throughput and latency percentiles against `fdc-router`.
-pub const BENCH_ROUTER_QPS: &str = "bench.router_qps";
-
 /// Histogram name for a micro-benchmark's per-iteration samples.
 pub fn bench_ns(name: &str) -> String {
     format!("bench.{name}.ns")
@@ -330,10 +317,6 @@ mod tests {
             WAL_REPLICATION_LAG_SEQ,
             WAL_REPLICATION_APPLIED_SEQ,
             WAL_REPLICATION_ERRORS,
-            BENCH_CONCURRENT_QPS,
-            BENCH_CONCURRENT_SPEEDUP_X100,
-            BENCH_SERVER_QPS,
-            BENCH_ROUTER_QPS,
         ];
         let mut seen = std::collections::BTreeSet::new();
         for n in all {

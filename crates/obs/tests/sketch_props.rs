@@ -169,7 +169,9 @@ fn merge_is_associative_up_to_rank_error() {
         assert_eq!(d.count(), pooled.len() as u64);
         for q in [0.05, 0.5, 0.95, 0.99, 0.999] {
             let err = rank_error(&pooled, d.quantile(q), q);
-            assert!(err <= 0.01, "merge order broke q={q}: rank error {err:.5}");
+            // The tails keep the single digest's 0.5 % through a merge.
+            let tol = if q >= 0.99 { 0.005 } else { 0.01 };
+            assert!(err <= tol, "merge order broke q={q}: rank error {err:.5}");
         }
     }
     // And the orders agree with each other within the same bound.

@@ -15,6 +15,7 @@ mod common;
 use common::*;
 use fdc_datagen::tourism_proxy;
 use fdc_f2db::{F2db, WalRecord};
+use fdc_obs::httpcore::client::{Client, Outgoing};
 use fdc_router::{placement, Router, RouterOptions, ShardSpec, Topology};
 use fdc_serve::{open_engine, open_follower, ServeOptions, Server};
 use fdc_wal::{Wal, WalOptions};
@@ -201,25 +202,6 @@ fn killed_primary_degrades_gracefully_and_loses_nothing() {
     .expect("router");
     await_status(router.addr(), "/healthz", 200, 50);
 
-    // Healthy phase: full rounds through the router, every row value
-    // unique — a value doubles as the identity of its write.
-    let mut acked: Vec<u64> = Vec::new();
-    for round in 0..5u64 {
-        let rows: Vec<String> = dims
-            .iter()
-            .enumerate()
-            .map(|(i, d)| {
-                let quoted: Vec<String> = d.iter().map(|v| format!("\"{v}\"")).collect();
-                let value = (round * 1000 + i as u64) as f64 + 0.5;
-                format!("{{\"dims\":[{}],\"value\":{value}}}", quoted.join(","))
-            })
-            .collect();
-        let body = format!("{{\"rows\":[{}]}}", rows.join(","));
-        let (status, text) = http(router.addr(), "POST", "/insert", Some(&body));
-        assert_eq!(status, 202, "healthy insert failed: {text}");
-        assert!(text.contains(&format!("\"accepted\":{}", dims.len())));
-        acked.extend((0..dims.len()).map(|i| (((round * 1000 + i as u64) as f64) + 0.5).to_bits()));
-    }
     let probe = format!(
         "{{\"sql\":\"SELECT time, SUM(visitors) FROM facts WHERE purpose = '{doomed_purpose}' \
          GROUP BY time AS OF now() + '2 quarters'\"}}"
@@ -228,8 +210,73 @@ fn killed_primary_degrades_gracefully_and_loses_nothing() {
         "{{\"sql\":\"SELECT time, SUM(visitors) FROM facts WHERE purpose = '{survivor_purpose}' \
          GROUP BY time AS OF now() + '2 quarters'\"}}"
     );
+    // A full round: row `i` carries `value_of(i)`.
+    let round_body = |value_of: &dyn Fn(usize) -> f64| {
+        let rows: Vec<String> = dims
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let quoted: Vec<String> = d.iter().map(|v| format!("\"{v}\"")).collect();
+                format!(
+                    "{{\"dims\":[{}],\"value\":{}}}",
+                    quoted.join(","),
+                    value_of(i)
+                )
+            })
+            .collect();
+        format!("{{\"rows\":[{}]}}", rows.join(","))
+    };
+
+    // Healthy phase: 4 clients, each on its own kept-alive connection,
+    // send full rounds through the router between the two probe reads.
+    // The router's 4 workers, the follower and the prober are more
+    // peers than a shard has workers, so the shards give idle
+    // connections up all along — the load under which an `/insert`
+    // that crossed a give-up once came back a 503. Every row value is
+    // unique: a value doubles as the identity of its write.
+    let (raddr, cells) = (router.addr().to_string(), dims.len());
+    let acked: Vec<u64> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..4u64)
+            .map(|t| {
+                let (raddr, round_body) = (&raddr, &round_body);
+                let (probe, survivor_probe) = (&probe, &survivor_probe);
+                scope.spawn(move || {
+                    let client = Client::new(Duration::from_secs(30));
+                    let mut acked = Vec::new();
+                    for round in 0..200u64 {
+                        let value = |i: usize| ((t * 1000 + round) * 1000 + i as u64) as f64 + 0.5;
+                        let body = round_body(&value);
+                        // Never replayed: an acknowledged round is counted once.
+                        let insert = Outgoing {
+                            replay: false,
+                            ..Outgoing::new("POST", "/insert", body.as_bytes())
+                        };
+                        let r = client.send(raddr, &insert).expect("healthy insert");
+                        assert_eq!(r.status, 202, "healthy insert failed: {}", r.text());
+                        assert!(r.text().contains(&format!("\"accepted\":{cells}")));
+                        acked.extend((0..cells).map(|i| value(i).to_bits()));
+                        for sql in [probe, survivor_probe] {
+                            let query = Outgoing::new("POST", "/query", sql.as_bytes());
+                            let r = client.send(raddr, &query).expect("healthy query");
+                            assert_eq!(r.status, 200, "healthy query failed: {}", r.text());
+                        }
+                    }
+                    acked
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect()
+    });
     let (status, _) = http(router.addr(), "POST", "/query", Some(&probe));
     assert_eq!(status, 200);
+    let (_, shard_stats) = http(addr0, "GET", "/stats", None);
+    assert!(
+        !shard_stats.contains("\"backlog\":0,"),
+        "the shard never gave an idle connection up — as many workers as peers?"
+    );
 
     // The axe: SIGKILL the doomed primary, no drain, no flush.
     let replica_reads_before = fdc_obs::counter(fdc_obs::names::ROUTER_REPLICA_READS).get();
@@ -262,19 +309,7 @@ fn killed_primary_degrades_gracefully_and_loses_nothing() {
     );
 
     // Writes touching the dead shard are typed partial failures.
-    let rows: Vec<String> = dims
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            let quoted: Vec<String> = d.iter().map(|v| format!("\"{v}\"")).collect();
-            format!(
-                "{{\"dims\":[{}],\"value\":{}}}",
-                quoted.join(","),
-                900_000 + i
-            )
-        })
-        .collect();
-    let body = format!("{{\"rows\":[{}]}}", rows.join(","));
+    let body = round_body(&|i| (900_000 + i) as f64);
     let (status, text) = http(router.addr(), "POST", "/insert", Some(&body));
     assert_ne!(status, 202, "a write to a dead shard was acknowledged");
     assert!(

@@ -693,11 +693,6 @@ impl Wal {
         )
     }
 
-    /// Whether acknowledgements wait for fsync.
-    pub fn fsync_enabled(&self) -> bool {
-        self.shared.opts.fsync
-    }
-
     /// A snapshot of the log's counters.
     pub fn stats(&self) -> WalStats {
         let inner = self.shared.inner.lock().unwrap();
@@ -1104,9 +1099,10 @@ mod tests {
         }
         let stats = wal.stats();
         assert_eq!(stats.appends, (threads * per_thread) as u64);
+        // Group commit working: some flush covered more than one append.
         assert!(
-            stats.fsyncs <= stats.appends,
-            "fsyncs {} > appends {}",
+            stats.fsyncs < stats.appends,
+            "{} fsyncs for {} appends",
             stats.fsyncs,
             stats.appends
         );
