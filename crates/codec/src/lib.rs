@@ -104,6 +104,11 @@ impl Writer {
         }
     }
 
+    /// The bytes written so far, for a format that hashes itself.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
     /// The bytes written so far.
     pub fn finish(self) -> Vec<u8> {
         self.buf

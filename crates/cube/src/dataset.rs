@@ -10,11 +10,13 @@ use crate::graph::{Coord, NodeId, TimeSeriesGraph};
 use crate::schema::Schema;
 use crate::{CubeError, Result};
 use fdc_forecast::TimeSeries;
+use std::sync::Arc;
 
 /// The full multi-dimensional data set: graph + per-node series.
 #[derive(Debug, Clone)]
 pub struct Dataset {
-    graph: TimeSeriesGraph,
+    /// Never changes once built, so clones share it.
+    graph: Arc<TimeSeriesGraph>,
     series: Vec<TimeSeries>,
 }
 
@@ -75,12 +77,21 @@ impl Dataset {
             series[v] = TimeSeries::with_start(values, first_start, first_gran);
         }
 
-        Ok(Dataset { graph, series })
+        Ok(Dataset {
+            graph: Arc::new(graph),
+            series,
+        })
     }
 
     /// The underlying hyper graph.
     pub fn graph(&self) -> &TimeSeriesGraph {
         &self.graph
+    }
+
+    /// The underlying hyper graph, for a holder that outlives this
+    /// borrow — the same graph, not a copy.
+    pub fn shared_graph(&self) -> Arc<TimeSeriesGraph> {
+        Arc::clone(&self.graph)
     }
 
     /// The (materialized) series of node `v`.

@@ -189,19 +189,20 @@ impl TimeSeriesGraph {
                     c.values().len()
                 )));
             }
-            if !c.is_base() {
-                return Err(CubeError::InvalidCoordinate(format!(
-                    "base coordinate {} contains aggregated dimensions",
-                    c.display(&schema)
-                )));
-            }
+            // Ranges first: the messages below display the coordinate.
             for (d, &v) in c.values().iter().enumerate() {
-                if v as usize >= schema.dimensions()[d].cardinality() {
+                if v != STAR && v as usize >= schema.dimensions()[d].cardinality() {
                     return Err(CubeError::InvalidCoordinate(format!(
                         "value index {v} out of range for dimension {}",
                         schema.dimensions()[d].name()
                     )));
                 }
+            }
+            if !c.is_base() {
+                return Err(CubeError::InvalidCoordinate(format!(
+                    "base coordinate {} contains aggregated dimensions",
+                    c.display(&schema)
+                )));
             }
             match canonicalize(&schema, c) {
                 Some(canon) if &canon == c => {}

@@ -60,6 +60,7 @@ pub mod durability;
 pub mod explain;
 pub mod maintenance;
 pub mod parser;
+pub mod placement;
 pub mod query;
 
 pub use catalog::{
@@ -71,6 +72,7 @@ pub use explain::{
 };
 pub use maintenance::{MaintenancePolicy, MaintenanceStats, SharedMaintenanceStats};
 pub use parser::parse_query;
+pub use placement::Placement;
 pub use query::{
     AggregateFn, ForecastQuery, HorizonSpec, QueryAnswer, QueryMode, QueryRequest, QueryResult,
     QueryRow, RowApprox, Statement,
@@ -80,7 +82,7 @@ pub use query::{
 pub use fdc_approx::{ApproxOptions, ApproxQuerySpec, CoverageOptions, CoveragePlan};
 
 use fdc_approx::ApproxPlane;
-use fdc_cube::{Configuration, Dataset, NodeId, NodeQuery};
+use fdc_cube::{Configuration, Dataset, NodeId};
 use fdc_forecast::FitOptions;
 use fdc_obs::{journal, names, AccuracyOptions, Event, RollingAccuracy};
 use std::collections::HashMap;
@@ -204,6 +206,9 @@ pub struct F2db {
     /// taken *after* `dataset` on the advance path (lock order:
     /// `pending` → `advance_lock` → `dataset` → shard → `approx`).
     approx: RwLock<Option<ApproxPlane>>,
+    /// The placement map ([`F2db::placement`]), built on first use: the
+    /// graph and the scheme sources it copies never change.
+    placement: std::sync::OnceLock<Placement>,
 }
 
 /// Partition state of one shard: which base nodes it owns, and which
@@ -220,23 +225,6 @@ struct Partition {
     /// contributing child is genuine (zero-padding only touches
     /// subtrees outside the closure).
     resident: std::collections::BTreeSet<NodeId>,
-}
-
-/// One resolved row of a query's placement plan (see
-/// [`F2db::query_derivation`]): the node a row will come from, the
-/// scheme sources its forecast is derived through, and the base nodes
-/// (`closure_base`) a shard must own for the forecast to be computable
-/// locally.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DerivationSite {
-    /// The resolved node (one query row).
-    pub node: NodeId,
-    /// Human-readable coordinate label, e.g. `(Germany, *)`.
-    pub label: String,
-    /// Scheme sources the forecast is derived from (empty for direct).
-    pub sources: Vec<NodeId>,
-    /// Base nodes the derivation transitively depends on, ascending.
-    pub closure_base: Vec<NodeId>,
 }
 
 /// What [`F2db::attach_wal`] (and [`F2db::recover`]) replayed.
@@ -333,6 +321,7 @@ impl F2db {
             read_only: std::sync::atomic::AtomicBool::new(false),
             partition: None,
             approx: RwLock::new(None),
+            placement: std::sync::OnceLock::new(),
         })
     }
 
@@ -489,10 +478,10 @@ impl F2db {
             }
             let mut resident = std::collections::BTreeSet::new();
             for v in 0..g.node_count() {
-                if self.catalog.entry(v).is_none() {
+                let Some(entry) = self.catalog.entry(v) else {
                     continue;
-                }
-                let closure = self.derivation_closure(g, v);
+                };
+                let closure = placement::closure(g, &entry.scheme_sources, v);
                 if closure.iter().all(|b| owned_set.contains(b)) {
                     resident.insert(v);
                 }
@@ -504,22 +493,6 @@ impl F2db {
         };
         self.partition = Some(partition);
         Ok(self)
-    }
-
-    /// Base nodes the forecast at `v` transitively depends on: `v`'s own
-    /// base descendants plus those of every scheme source (sorted,
-    /// deduplicated). This is the node set a router must co-locate for
-    /// the forecast to be computable on one shard.
-    fn derivation_closure(&self, g: &fdc_cube::TimeSeriesGraph, v: NodeId) -> Vec<NodeId> {
-        let mut closure = g.base_descendants(v);
-        if let Some(entry) = self.catalog.entry(v) {
-            for &s in &entry.scheme_sources {
-                closure.extend(g.base_descendants(s));
-            }
-        }
-        closure.sort_unstable();
-        closure.dedup();
-        closure
     }
 
     /// Whether this engine accepts inserts for `base` — always true on
@@ -549,64 +522,30 @@ impl F2db {
             .map(|p| (p.owned.len(), p.resident.len()))
     }
 
-    /// The placement key of a base node: its first `key_dims` dimension
-    /// *values* (schema order) joined with `|` — the deterministic
-    /// string a consistent-hash placement function scores. `key_dims`
-    /// of 0 (or more dimensions than the schema has) uses every
-    /// dimension, i.e. one key per base cell; `key_dims = 1` co-locates
-    /// the entire sub-hierarchy under each first-dimension value.
+    /// The placement key of base node `base` (see
+    /// [`Placement::key`]): its first `key_dims` dimension values joined
+    /// with `|`.
     pub fn partition_key(&self, base: NodeId, key_dims: usize) -> Result<String> {
         let ds = self.dataset.read().unwrap();
-        let g = ds.graph();
-        if !g.is_base(base) {
+        if !ds.graph().is_base(base) {
             return Err(F2dbError::Semantic(format!(
                 "node {base} is not a base series"
             )));
         }
-        let schema = g.schema();
-        let coord = g.coord(base);
-        let take = if key_dims == 0 {
-            schema.dim_count()
-        } else {
-            key_dims.min(schema.dim_count())
-        };
-        let mut parts = Vec::with_capacity(take);
-        for d in 0..take {
-            let idx = coord.values()[d] as usize;
-            parts.push(schema.dimensions()[d].values()[idx].as_str());
-        }
-        Ok(parts.join("|"))
+        Ok(placement::key(ds.graph(), base, key_dims))
     }
 
-    /// The placement plan of a query: which node each resolved row maps
-    /// to, the scheme sources behind it, and the base-node closure a
-    /// shard must own to serve it. Routers use this (via a shard's
-    /// `/plan` endpoint) to decide which shard serves which row of a
-    /// scatter-gathered forecast. Accepts forecast queries with or
-    /// without a leading `EXPLAIN [ANALYZE]`; order matches resolve
-    /// order, i.e. the row order of [`F2db::query`].
-    pub fn query_derivation(&self, sql: &str) -> Result<Vec<DerivationSite>> {
-        // The most permissive mode: any `EXPLAIN` prefix is accepted.
-        let q = Self::forecast_statement(sql, QueryMode::ExplainAnalyze)?;
-        let ds = self.dataset.read().unwrap();
-        let g = ds.graph();
-        let nodes = Self::resolve_nodes(&ds, q.predicates, &q.group_dims)?;
-        let mut sites = Vec::with_capacity(nodes.len());
-        for n in nodes {
-            let label = g.coord(n).display(g.schema());
-            let entry = self.catalog.entry(n).ok_or_else(|| {
-                F2dbError::Semantic(format!(
-                    "node {label} has no derivation scheme in the configuration"
-                ))
-            })?;
-            sites.push(DerivationSite {
-                node: n,
-                label,
-                sources: entry.scheme_sources.clone(),
-                closure_base: self.derivation_closure(g, n),
-            });
-        }
-        Ok(sites)
+    /// This engine's placement map: its graph and its configuration's
+    /// scheme sources, which a router plans routed queries over. Built
+    /// on first use and kept — neither part ever changes.
+    pub fn placement(&self) -> &Placement {
+        self.placement.get_or_init(|| {
+            let graph = self.dataset.read().unwrap().shared_graph();
+            let sources = (0..graph.node_count())
+                .map(|v| self.catalog.entry(v).map(|entry| entry.scheme_sources))
+                .collect();
+            Placement::new(graph, sources)
+        })
     }
 
     /// Redistributes the catalog over `shards` shards. `1` reproduces a
@@ -688,27 +627,6 @@ impl F2db {
             .map(|answer| answer.into_rows().expect("Forecast mode answers rows"))
     }
 
-    /// Parses `sql` and classifies it against `mode` — the one place a
-    /// statement becomes a [`ForecastQuery`].
-    fn forecast_statement(sql: &str, mode: QueryMode) -> Result<ForecastQuery> {
-        match (parse_query(sql)?, mode) {
-            (Statement::Insert { .. }, _) => Err(F2dbError::Semantic(
-                "expected a forecast query, got an INSERT".into(),
-            )),
-            (Statement::Explain { .. }, QueryMode::Forecast) => Err(F2dbError::Semantic(
-                "EXPLAIN statements return a plan; use QueryMode::Explain or \
-                 QueryMode::ExplainAnalyze"
-                    .into(),
-            )),
-            (Statement::Explain { analyze: true, .. }, QueryMode::Explain) => {
-                Err(F2dbError::Semantic(
-                    "EXPLAIN ANALYZE executes the query; use QueryMode::ExplainAnalyze".into(),
-                ))
-            }
-            (Statement::Forecast(q) | Statement::Explain { query: q, .. }, _) => Ok(q),
-        }
-    }
-
     fn run(
         &self,
         sql: &str,
@@ -732,15 +650,20 @@ impl F2db {
             horizon,
             aggregate,
             ..
-        } = Self::forecast_statement(sql, mode)?;
+        } = placement::statement(sql, mode)?;
         let ds = self.dataset.read().unwrap();
+        // The planner a router runs over this engine's placement map,
+        // so a statement is refused the same way on both tiers; only
+        // what the map does not hold is checked after it.
+        let nodes = placement::resolve(ds.graph(), predicates, &group_dims, filter)?;
         let horizon = horizon.steps(ds.series(0).granularity()).ok_or_else(|| {
             F2dbError::Semantic(format!(
                 "horizon unit {horizon:?} is finer than the data granularity"
             ))
         })?;
-        let nodes = Self::resolve_nodes(&ds, predicates, &group_dims)?;
-        let nodes = self.apply_node_filter(nodes, filter, executes)?;
+        if executes {
+            self.check_resident(&nodes)?;
+        }
         // Without an approx spec the plane lock is never taken — the
         // exact path is untouched.
         let plane = approx.map(|_| self.approx.read().unwrap());
@@ -1021,58 +944,18 @@ impl F2db {
         Ok(refitted)
     }
 
-    /// Restricts resolved nodes to `filter` (keeping resolve order) and,
-    /// for a request that `executes` models, enforces residency on a
-    /// partitioned engine: executing a forecast for a node whose
-    /// derivation closure leaves this shard would silently mix
-    /// zero-padded series into the answer, so it is a
+    /// On a partitioned engine, refuses to execute a forecast for a
+    /// node whose derivation closure leaves this shard: it would
+    /// silently mix zero-padded series into the answer, so it is a
     /// [`F2dbError::WrongShard`] instead.
-    fn apply_node_filter(
-        &self,
-        mut nodes: Vec<NodeId>,
-        filter: Option<&[NodeId]>,
-        executes: bool,
-    ) -> Result<Vec<NodeId>> {
-        if let Some(f) = filter {
-            let keep: std::collections::HashSet<NodeId> = f.iter().copied().collect();
-            nodes.retain(|n| keep.contains(n));
-            if nodes.is_empty() {
-                return Err(F2dbError::Semantic(
-                    "node filter excludes every node the query resolves to".into(),
-                ));
-            }
+    fn check_resident(&self, nodes: &[NodeId]) -> Result<()> {
+        match nodes.iter().find(|&&n| !self.is_resident(n)) {
+            Some(n) => Err(F2dbError::WrongShard(format!(
+                "node {n} is not resident on this shard (its derivation \
+                 closure spans base nodes owned elsewhere)"
+            ))),
+            None => Ok(()),
         }
-        if executes && self.partition.is_some() {
-            if let Some(&n) = nodes.iter().find(|&&n| !self.is_resident(n)) {
-                return Err(F2dbError::WrongShard(format!(
-                    "node {n} is not resident on this shard (its derivation \
-                     closure spans base nodes owned elsewhere)"
-                )));
-            }
-        }
-        Ok(nodes)
-    }
-
-    /// The nodes a query's predicates and GROUP BY dimensions select,
-    /// in row order. The value labels move into the selectors: a query
-    /// is resolved once, and nothing after that reads its predicates.
-    fn resolve_nodes(
-        ds: &Dataset,
-        mut predicates: Vec<(String, String)>,
-        group_dims: &[String],
-    ) -> Result<Vec<NodeId>> {
-        use fdc_cube::DimSelector;
-        let mut selectors: Vec<(&str, DimSelector)> =
-            Vec::with_capacity(predicates.len() + group_dims.len());
-        for (dim, value) in &mut predicates {
-            selectors.push((dim.as_str(), DimSelector::Value(std::mem::take(value))));
-        }
-        for dim in group_dims {
-            selectors.push((dim.as_str(), DimSelector::GroupBy));
-        }
-        NodeQuery::from_predicates(ds.graph(), &selectors)
-            .and_then(|query| query.resolve(ds.graph()))
-            .map_err(|e| F2dbError::Semantic(e.to_string()))
     }
 
     /// Resolves dimension values (in schema order) to the base node they
@@ -1492,6 +1375,7 @@ impl F2db {
             read_only: std::sync::atomic::AtomicBool::new(false),
             partition: None,
             approx: RwLock::new(None),
+            placement: std::sync::OnceLock::new(),
         })
     }
 
@@ -2120,14 +2004,14 @@ mod tests {
         // produce byte-identical forecasts on both engines.
         let sql = "SELECT time, SUM(visitors) FROM facts \
                    GROUP BY time, purpose, state AS OF now() + '3 quarters'";
-        let sites = oracle.query_derivation(sql).unwrap();
+        let map = oracle.placement();
         let mut compared = 0;
-        for site in &sites {
+        for node in map.plan(sql, QueryMode::Forecast, None).unwrap() {
             let only = QueryRequest {
-                nodes: Some(vec![site.node]),
+                nodes: Some(vec![node]),
                 ..QueryRequest::new(sql, QueryMode::Forecast)
             };
-            if !shard.is_resident(site.node) {
+            if !shard.is_resident(node) {
                 assert!(matches!(
                     shard.execute(&only).unwrap_err(),
                     F2dbError::WrongShard(_)
@@ -2140,41 +2024,12 @@ mod tests {
             assert_eq!(got.rows[0].label, want.rows[0].label);
             for (g, w) in got.rows[0].values.iter().zip(&want.rows[0].values) {
                 assert_eq!(g.0, w.0);
-                assert_eq!(g.1.to_bits(), w.1.to_bits(), "node {}", site.label);
+                assert_eq!(g.1.to_bits(), w.1.to_bits(), "node {}", map.label(node));
             }
             compared += 1;
         }
         assert!(compared >= 1, "no resident node was compared");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn query_derivation_aligns_with_query_rows() {
-        let db = small_db();
-        let sql = "SELECT time, SUM(visitors) FROM facts \
-                   GROUP BY time, purpose AS OF now() + '2 quarters'";
-        let sites = db.query_derivation(sql).unwrap();
-        let result = db.query(sql).unwrap();
-        assert_eq!(sites.len(), result.rows.len());
-        for (site, row) in sites.iter().zip(&result.rows) {
-            assert_eq!(site.node, row.node);
-            assert_eq!(site.label, row.label);
-            let mut sorted = site.closure_base.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, site.closure_base, "closure is sorted");
-            let g_bases = db.dataset().graph().base_descendants(site.node);
-            for b in g_bases {
-                assert!(site.closure_base.contains(&b), "closure covers own bases");
-            }
-        }
-        // EXPLAIN prefix is accepted; INSERT is not.
-        assert_eq!(
-            db.query_derivation(&format!("EXPLAIN {sql}")).unwrap(),
-            sites
-        );
-        assert!(db
-            .query_derivation("INSERT INTO facts VALUES ('holiday', 'NSW', 1.0)")
-            .is_err());
     }
 
     #[test]

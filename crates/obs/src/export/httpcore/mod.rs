@@ -87,10 +87,9 @@ pub struct Request {
 impl Request {
     /// First value of the header named `name` (case-insensitive).
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
         self.headers
             .iter()
-            .find(|(n, _)| *n == name)
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 

@@ -172,6 +172,10 @@ pub const ROUTER_POOL: &str = "router.pool";
 /// Counter: fleet-wide sketch folds performed by the router (one per
 /// `/stats` or `/metrics` aggregation over shipped codec bytes).
 pub const ROUTER_SKETCH_FOLDS: &str = "router.sketch.folds";
+/// Counter family (label `reason`): placement maps the router fetched
+/// from a shard — `boot` (the first), `stale` (after a shard refused a
+/// sub-request planned over another map with `421`).
+pub const ROUTER_PLACEMENT_LOADS: &str = "router.placement.loads";
 
 // ---- Write-ahead log (`fdc-wal`) -------------------------------------
 
@@ -299,6 +303,7 @@ mod tests {
             ROUTER_REPLICA_READS,
             ROUTER_POOL,
             ROUTER_SKETCH_FOLDS,
+            ROUTER_PLACEMENT_LOADS,
             WAL_APPENDS,
             WAL_APPENDED_BYTES,
             WAL_FSYNCS,

@@ -3,8 +3,9 @@
 //! A stateless routing tier in front of N [`fdc-serve`] shard
 //! processes, each owning a disjoint set of base cells of the data
 //! cube (see `F2db::with_base_partition`). The router holds no cube
-//! state at all — only the [`Topology`] (shard id → address, optional
-//! replica) and pure functions:
+//! data — only the [`Topology`] (shard id → address, optional replica),
+//! a placement map it fetches from a shard and can fetch again at any
+//! time, and pure functions:
 //!
 //! * **placement** — a base cell's key (its leading `key_dims`
 //!   dimension values) is mapped to a shard by rendezvous hashing
@@ -13,14 +14,19 @@
 //! * **inserts** are routed whole to the owning shard (single-shard
 //!   writes — no distributed transaction), preserving the row bytes
 //!   verbatim so values survive bit-exactly;
-//! * **forecast queries** scatter-gather: the router asks any shard
-//!   for the query's *placement plan* (`POST /plan` — which node each
-//!   row resolves to and which base cells its derivation needs), maps
-//!   each node to its owning shard, fans the client's own request out
-//!   with `nodes` narrowed per shard ([`fdc_serve::wire`] decodes the
-//!   body and encodes every sub-request), and reassembles the per-shard
-//!   row chunks **byte-identically** in plan order — the router never
-//!   re-serializes a float of an answer;
+//! * **forecast queries** scatter-gather in one shard hop: the router
+//!   plans the statement itself, with the planner the shards run
+//!   ([`fdc_f2db::Placement::plan`]) over the shards' placement map
+//!   (`GET /placement` — the graph and every node's scheme sources,
+//!   fetched once), maps each node to the shard owning its derivation
+//!   closure (worked out once per map), fans the client's own request
+//!   out with `nodes` narrowed per shard ([`fdc_serve::wire`] decodes
+//!   the body and encodes every sub-request), and reassembles the
+//!   per-shard row chunks **byte-identically** in plan order — the
+//!   router never re-serializes a float of an answer. Every
+//!   sub-request names the map's fingerprint; a shard holding another
+//!   map answers `421`, and the router fetches the map again and
+//!   re-plans, once;
 //! * **sketch folding** — each shard's `GET /sketch` bundle (accuracy
 //!   partials + latency t-digests) is folded with the sketches' own
 //!   merge operations ([`fold`]), so the router's `/stats` and
@@ -60,6 +66,7 @@ pub use topology::{ShardSpec, Topology};
 
 use fdc_codec::json::{self, Writer};
 use fdc_cube::NodeId;
+use fdc_f2db::{Placement, QueryRequest};
 use fdc_obs::httpcore::client::{send_once, Client, Outgoing, Pooled, Response};
 use fdc_obs::httpcore::server::{ConnQueue, Limits, Reject, Responder, Service};
 use fdc_obs::httpcore::{status_line, Request};
@@ -94,8 +101,6 @@ pub struct RouterOptions {
     pub probe_interval: Duration,
     /// Head-sampling rate for traces minted at ingress.
     pub trace_sample: f64,
-    /// Distinct SQL plans cached before the cache is cleared.
-    pub plan_cache_cap: usize,
 }
 
 impl Default for RouterOptions {
@@ -109,7 +114,6 @@ impl Default for RouterOptions {
             shard_timeout: Duration::from_secs(2),
             probe_interval: Duration::from_millis(250),
             trace_sample: 1.0,
-            plan_cache_cap: 256,
         }
     }
 }
@@ -120,13 +124,25 @@ struct ShardState {
     up: AtomicBool,
 }
 
-/// One resolved row of a cached placement plan.
-#[derive(Debug, Clone)]
-struct PlanSite {
-    node: NodeId,
-    label: String,
-    /// Index into `Shared::shards`.
-    shard: usize,
+/// The shards' placement map as the router plans with it.
+struct RouterMap {
+    placement: Placement,
+    /// The map's fingerprint, as [`wire::PLACEMENT_HEADER`] carries it.
+    header: String,
+    /// `owners[v]`: the index (into `Shared::shards`) of the shard that
+    /// owns node `v`'s whole derivation closure under this router's
+    /// topology, or the split-node refusal.
+    owners: Vec<Result<usize, String>>,
+}
+
+/// Where the router's map stands.
+enum MapSlot {
+    /// Nothing fetched yet.
+    Unfetched,
+    /// The map every request plans over.
+    Held(Arc<RouterMap>),
+    /// Dropped after a shard refused a sub-request planned over it.
+    Stale,
 }
 
 struct Shared {
@@ -138,7 +154,9 @@ struct Shared {
     /// Kept-alive connections to the shards, bounded by `shard_timeout`.
     client: Client,
     stopping: AtomicBool,
-    plans: Mutex<HashMap<String, Arc<Vec<PlanSite>>>>,
+    /// Held while a map is fetched, so one request fetches it and the
+    /// others wait for it.
+    map: Mutex<MapSlot>,
 }
 
 /// The running router. Stop it with [`Router::shutdown`].
@@ -173,7 +191,7 @@ impl Router {
             client: Client::new(opts.shard_timeout),
             opts,
             stopping: AtomicBool::new(false),
-            plans: Mutex::new(HashMap::new()),
+            map: Mutex::new(MapSlot::Unfetched),
             topology,
         });
         journal().publish(Event::RouterStart {
@@ -405,10 +423,14 @@ fn shard_read(
     idx: usize,
     path: &str,
     body: Option<&str>,
+    headers: &[(&str, &str)],
 ) -> Result<Response, String> {
     let shard = &shared.shards[idx];
     let method = if body.is_some() { "POST" } else { "GET" };
-    let request = Outgoing::new(method, path, body.unwrap_or("").as_bytes());
+    let request = Outgoing {
+        headers,
+        ..Outgoing::new(method, path, body.unwrap_or("").as_bytes())
+    };
     match call(shared, &shard.spec.addr, &request) {
         Ok(resp) => {
             mark_up(shared, idx);
@@ -486,62 +508,102 @@ fn forward_backpressure(route: &'static str, resp: &Response) -> Option<Routed> 
 }
 
 // ---------------------------------------------------------------------------
-// Placement plans
+// The placement map
 // ---------------------------------------------------------------------------
 
-/// Resolves the placement plan of `sql`: which shard serves which
-/// resolved node. Plans are computed by a live shard (`POST /plan` —
-/// the shard knows the cube, the router knows the topology) and cached
-/// by SQL text.
-fn plan_for(shared: &Shared, sql: &str) -> Result<Arc<Vec<PlanSite>>, Routed> {
-    if let Some(plan) = shared.plans.lock().unwrap().get(sql) {
-        return Ok(Arc::clone(plan));
+impl RouterMap {
+    /// Works out, under `topology`, the shard that owns each node's
+    /// derivation closure: every base cell's key placed once, then each
+    /// node's closure checked against one owner.
+    fn new(placement: Placement, topology: &Topology) -> RouterMap {
+        let g = placement.graph();
+        let mut base_owner = vec![usize::MAX; g.node_count()];
+        for &b in g.base_nodes() {
+            base_owner[b] = topology.owner(&placement.key(b, topology.key_dims));
+        }
+        let owners = (0..g.node_count())
+            .map(|v| {
+                let closure = placement.closure(v);
+                let owner = base_owner[closure[0]];
+                if closure.iter().all(|&b| base_owner[b] == owner) {
+                    Ok(owner)
+                } else {
+                    Err(split_refusal(&placement, topology, v, &closure))
+                }
+            })
+            .collect();
+        RouterMap {
+            header: wire::placement_header(placement.fingerprint()),
+            placement,
+            owners,
+        }
     }
-    let mut w = Writer::new();
-    w.begin_object().key("sql").str(sql);
-    w.key("key_dims").usize(shared.topology.key_dims);
-    w.end_object();
-    let body = w.finish();
-    // Any live shard can plan — the static plan depends only on the
-    // shared catalog, not on the shard's partition.
+}
+
+/// The refusal of a *split node* — one whose placement keys straddle
+/// shards, so no shard owns every base cell its forecast needs: the
+/// query asks for something this deployment's key granularity cannot
+/// co-locate. Names the owners of the smallest key and of the first key
+/// after it that lands elsewhere.
+fn split_refusal(
+    placement: &Placement,
+    topology: &Topology,
+    node: NodeId,
+    closure: &[NodeId],
+) -> String {
+    let mut keys: Vec<String> = closure
+        .iter()
+        .map(|&b| placement.key(b, topology.key_dims))
+        .collect();
+    keys.sort_unstable();
+    let first = &topology.place(&keys[0]).id;
+    let other = keys
+        .iter()
+        .map(|key| &topology.place(key).id)
+        .find(|id| *id != first)
+        .expect("a split closure has a second owner");
+    format!(
+        "node {} is split across shards {first} and {other}: its derivation needs base cells \
+         from both; raise key_dims granularity or co-locate the hierarchy",
+        placement.label(node)
+    )
+}
+
+/// The map in use; fetched first when there is none. Any live shard
+/// serves it — the map depends on the shared catalog, not on a shard's
+/// partition — tried up shards first. A busy shard's `429`/`503` is
+/// kept, with its `Retry-After`, in case every shard is busy.
+fn current_map(shared: &Shared) -> Result<Arc<RouterMap>, Routed> {
+    let mut slot = shared
+        .map
+        .lock()
+        .expect("no request panics holding the map");
+    let reason = match &*slot {
+        MapSlot::Held(map) => return Ok(Arc::clone(map)),
+        MapSlot::Unfetched => "boot",
+        MapSlot::Stale => "stale",
+    };
+    let up = |i: &usize| shared.shards[*i].up.load(Ordering::SeqCst);
+    let (live, down): (Vec<usize>, Vec<usize>) = (0..shared.shards.len()).partition(up);
     let mut last_err = String::from("no shard available for planning");
     let mut last_backpressure: Option<Routed> = None;
-    let order: Vec<usize> = {
-        let up: Vec<usize> = (0..shared.shards.len())
-            .filter(|&i| shared.shards[i].up.load(Ordering::SeqCst))
-            .collect();
-        let down: Vec<usize> = (0..shared.shards.len())
-            .filter(|i| !up.contains(i))
-            .collect();
-        up.into_iter().chain(down).collect()
-    };
-    for idx in order {
-        match shard_read(shared, idx, "/plan", Some(&body)) {
-            Ok(resp) if resp.status == 200 => {
-                let plan = match parse_plan(shared, &resp.text()) {
-                    Ok(p) => p,
-                    Err((status, m)) => return Err(("plan", status, err_body(&m), Vec::new())),
-                };
-                let mut cache = shared.plans.lock().unwrap();
-                if cache.len() >= shared.opts.plan_cache_cap {
-                    cache.clear();
+    for idx in live.into_iter().chain(down) {
+        let id = &shared.shards[idx].spec.id;
+        match shard_read(shared, idx, "/placement", None, &[]) {
+            Ok(resp) if resp.status == 200 => match Placement::decode(&resp.body) {
+                Ok(placement) => {
+                    fdc_obs::counter_with(names::ROUTER_PLACEMENT_LOADS, &[("reason", reason)])
+                        .incr();
+                    let map = Arc::new(RouterMap::new(placement, &shared.topology));
+                    *slot = MapSlot::Held(Arc::clone(&map));
+                    return Ok(map);
                 }
-                let plan = Arc::new(plan);
-                cache.insert(sql.to_string(), Arc::clone(&plan));
-                return Ok(plan);
-            }
-            Ok(resp) => {
-                // Backpressure is this shard's problem, not the query's:
-                // another shard may still plan. Keep the typed answer
-                // (with its Retry-After) in case every shard is busy.
-                if let Some(routed) = forward_backpressure("plan", &resp) {
-                    last_backpressure = Some(routed);
-                    continue;
-                }
-                // A 400 is the query's fault, not the shard's: the
-                // oracle-grade answer is the shard's own error body.
-                return Err(("plan", resp.status, resp.text(), Vec::new()));
-            }
+                Err(e) => last_err = format!("shard {id} served a bad placement map: {e}"),
+            },
+            Ok(resp) => match forward_backpressure("plan", &resp) {
+                Some(routed) => last_backpressure = Some(routed),
+                None => last_err = format!("shard {id} answered /placement with {}", resp.status),
+            },
             Err(e) => last_err = e,
         }
     }
@@ -555,69 +617,15 @@ fn plan_for(shared: &Shared, sql: &str) -> Result<Arc<Vec<PlanSite>>, Routed> {
     }))
 }
 
-/// Parses a shard's `/plan` answer and maps every site to its owning
-/// shard. A site whose placement keys straddle shards is a *split
-/// node* this partitioning cannot serve — a typed `400` (the query
-/// asks for something the deployment's key granularity cannot
-/// co-locate), distinct from a malformed answer (`500`, a router/shard
-/// protocol bug).
-fn parse_plan(shared: &Shared, text: &str) -> Result<Vec<PlanSite>, (u16, String)> {
-    let bad = |m: String| (500u16, m);
-    let doc = json::parse(text).map_err(|e| bad(format!("bad /plan answer: {e}")))?;
-    let sites = doc
-        .get("sites")
-        .and_then(json::Value::as_array)
-        .ok_or_else(|| bad("bad /plan answer: no sites".into()))?;
-    let mut plan = Vec::with_capacity(sites.len());
-    for site in sites {
-        let node = site
-            .get("node")
-            .and_then(json::Value::as_f64)
-            .filter(|f| f.fract() == 0.0 && *f >= 0.0)
-            .ok_or_else(|| bad("bad /plan answer: site without node id".into()))?
-            as NodeId;
-        let label = site
-            .get("label")
-            .and_then(json::Value::as_str)
-            .unwrap_or("")
-            .to_string();
-        let keys = site
-            .get("keys")
-            .and_then(json::Value::as_array)
-            .ok_or_else(|| bad("bad /plan answer: site without keys".into()))?;
-        if keys.is_empty() {
-            return Err(bad(format!("node {label} has no placement keys")));
-        }
-        let mut owner: Option<&str> = None;
-        for key in keys {
-            let key = key
-                .as_str()
-                .ok_or_else(|| bad("bad /plan answer: non-string key".into()))?;
-            let id = &shared.topology.place(key).id;
-            match owner {
-                None => owner = Some(id),
-                Some(prev) if prev == id => {}
-                Some(prev) => {
-                    return Err((
-                        400,
-                        format!(
-                            "node {label} is split across shards {prev} and {id}: its derivation \
-                             needs base cells from both; raise key_dims granularity or co-locate \
-                             the hierarchy"
-                        ),
-                    ));
-                }
-            }
-        }
-        let owner = owner.expect("non-empty keys set an owner");
-        let shard = shared
-            .shards
-            .iter()
-            .position(|s| s.spec.id == *owner)
-            .expect("placement returns a topology shard");
-        plan.push(PlanSite { node, label, shard });
+/// Drops `stale` — unless another request has already replaced it.
+fn drop_map(shared: &Shared, stale: &Arc<RouterMap>) {
+    let mut slot = shared
+        .map
+        .lock()
+        .expect("no request panics holding the map");
+    if matches!(&*slot, MapSlot::Held(map) if Arc::ptr_eq(map, stale)) {
+        *slot = MapSlot::Stale;
     }
-    Ok(plan)
 }
 
 // ---------------------------------------------------------------------------
@@ -626,28 +634,72 @@ fn parse_plan(shared: &Shared, text: &str) -> Result<Vec<PlanSite>, (u16, String
 
 /// `POST /query` and `POST /explain`: decode and validate up front (a
 /// malformed or illegal request gets the answer a shard would give,
-/// without costing a shard anything) → plan → scatter to owning shards
-/// → reassemble rows byte-identically in plan order.
+/// without costing a shard anything) → plan locally → scatter to owning
+/// shards → reassemble rows byte-identically in plan order. A shard's
+/// `421` says the map is not its own: the router fetches the map again
+/// and plans and sends the query once more; a second `421` is a `500`.
 fn handle_forecast(shared: &Shared, path: &str, body: &[u8], route: &'static str) -> Routed {
-    let no_extra = Vec::new;
     let mut request = match wire::parse_body(body).and_then(|doc| wire::decode(path, &doc)) {
         Ok(r) => r,
-        Err(m) => return (route, 400, err_body(&m), no_extra()),
+        Err(m) => return (route, 400, err_body(&m), Vec::new()),
     };
     if let Err(e) = request.validate() {
-        return (route, 400, err_body(&e.to_string()), no_extra());
+        return (route, 400, err_body(&e.to_string()), Vec::new());
     }
-    let plan = match plan_for(shared, &request.sql) {
-        Ok(p) => p,
-        Err(routed) => return routed,
+    // The client's own filter narrows the plan; each sub-request's
+    // `nodes` is then its shard's share of what is left.
+    let filter = request.nodes.take();
+    let mut resent = false;
+    loop {
+        let map = match current_map(shared) {
+            Ok(map) => map,
+            Err(routed) => return routed,
+        };
+        match scatter_gather(shared, &map, &mut request, filter.as_deref(), route) {
+            Gathered::Misdirected(_) if !resent => {
+                drop_map(shared, &map);
+                resent = true;
+            }
+            Gathered::Misdirected(refusal) => return (route, 500, refusal, Vec::new()),
+            Gathered::Answer(routed) => return routed,
+        }
+    }
+}
+
+/// What one planned scatter came to.
+enum Gathered {
+    /// The answer for the client.
+    Answer(Routed),
+    /// A shard refused a sub-request with `421`; its body.
+    Misdirected(String),
+}
+
+/// Plans `request` over `map`, keeping `filter`'s nodes, sends each
+/// owning shard its share and reassembles the answers.
+fn scatter_gather(
+    shared: &Shared,
+    map: &RouterMap,
+    request: &mut QueryRequest,
+    filter: Option<&[NodeId]>,
+    route: &'static str,
+) -> Gathered {
+    let no_extra = Vec::new;
+    let refused = |message: &str| Gathered::Answer(("plan", 400, err_body(message), no_extra()));
+    let nodes = match map.placement.plan(&request.sql, request.mode, filter) {
+        Ok(nodes) => nodes,
+        Err(e) => return refused(&e.to_string()),
     };
 
-    // Group plan sites by owning shard, preserving first-seen order.
+    // Group nodes by owning shard, preserving first-seen order.
     let mut groups: Vec<(usize, Vec<NodeId>)> = Vec::new();
-    for site in plan.iter() {
-        match groups.iter_mut().find(|(s, _)| *s == site.shard) {
-            Some((_, nodes)) => nodes.push(site.node),
-            None => groups.push((site.shard, vec![site.node])),
+    for &node in &nodes {
+        let shard = match &map.owners[node] {
+            Ok(shard) => *shard,
+            Err(split) => return refused(split),
+        };
+        match groups.iter_mut().find(|(s, _)| *s == shard) {
+            Some((_, group)) => group.push(node),
+            None => groups.push((shard, vec![node])),
         }
     }
     fdc_obs::histogram!(names::ROUTER_FANOUT_SIZE).record(groups.len() as u64);
@@ -656,15 +708,18 @@ fn handle_forecast(shared: &Shared, path: &str, body: &[u8], route: &'static str
     let shard_path = wire::path(request.mode);
     let subs: Vec<(usize, String)> = groups
         .into_iter()
-        .map(|(shard, nodes)| {
-            request.nodes = Some(nodes);
-            (shard, wire::encode(&request))
+        .map(|(shard, group)| {
+            request.nodes = Some(group);
+            (shard, wire::encode(request))
         })
         .collect();
+    let headers = [(wire::PLACEMENT_HEADER, map.header.as_str())];
+    let send =
+        |shard: usize, body: &str| shard_read(shared, shard, shard_path, Some(body), &headers);
     let results: Vec<(usize, Result<Response, String>)> = if let [(shard, body)] = &subs[..] {
         // One group — every point query: nothing to overlap, so the
         // call runs on this worker instead of paying for a thread.
-        vec![(*shard, shard_read(shared, *shard, shard_path, Some(body)))]
+        vec![(*shard, send(*shard, body))]
     } else {
         // Scatter concurrently; each sub-request carries this request's
         // trace context so the whole fan-out is one trace.
@@ -675,7 +730,7 @@ fn handle_forecast(shared: &Shared, path: &str, body: &[u8], route: &'static str
                 .map(|(shard, body)| {
                     scope.spawn(move || {
                         let _g = ctx.map(trace::activate);
-                        (*shard, shard_read(shared, *shard, shard_path, Some(body)))
+                        (*shard, send(*shard, body))
                     })
                 })
                 .collect();
@@ -689,22 +744,23 @@ fn handle_forecast(shared: &Shared, path: &str, body: &[u8], route: &'static str
         let resp = match result {
             Ok(r) => r,
             Err(e) => {
-                return (
+                return Gathered::Answer((
                     route,
                     503,
                     err_body(&e),
                     vec![("Retry-After", "1".to_string())],
-                )
+                ))
             }
         };
         if resp.status != 200 {
             if let Some(routed) = forward_backpressure(route, &resp) {
-                return routed;
+                return Gathered::Answer(routed);
             }
-            // A 421 here is a router bug (placement and shard partition
-            // disagree); anything else is the query's own error.
-            let status = if resp.status == 421 { 500 } else { resp.status };
-            return (route, status, resp.text(), no_extra());
+            if resp.status == 421 {
+                return Gathered::Misdirected(resp.text());
+            }
+            // Anything else is the query's own error.
+            return Gathered::Answer((route, resp.status, resp.text(), no_extra()));
         }
         bodies.push((shard_idx, resp.text()));
     }
@@ -719,7 +775,7 @@ fn handle_forecast(shared: &Shared, path: &str, body: &[u8], route: &'static str
                 chunks.extend(rows);
             }
             Err(m) => {
-                return (
+                return Gathered::Answer((
                     route,
                     500,
                     err_body(&format!(
@@ -727,32 +783,32 @@ fn handle_forecast(shared: &Shared, path: &str, body: &[u8], route: &'static str
                         shared.shards[*shard_idx].spec.id
                     )),
                     no_extra(),
-                )
+                ))
             }
         }
     }
 
     // Reassemble in plan order — the exact row order a single
     // unpartitioned process would have produced, bytes untouched.
-    let mut ordered = Vec::with_capacity(plan.len());
-    for site in plan.iter() {
-        match chunks.get(&site.node) {
+    let mut ordered = Vec::with_capacity(nodes.len());
+    for &node in &nodes {
+        match chunks.get(&node) {
             Some(chunk) => ordered.push(*chunk),
             None => {
-                return (
+                return Gathered::Answer((
                     route,
                     500,
                     err_body(&format!(
-                        "shard answer is missing planned node {} ({})",
-                        site.node, site.label
+                        "shard answer is missing planned node {node} ({})",
+                        map.placement.label(node)
                     )),
                     no_extra(),
-                )
+                ))
             }
         }
     }
     let body = join_rows(&head.unwrap_or_default(), &ordered);
-    (route, 200, body, no_extra())
+    Gathered::Answer((route, 200, body, no_extra()))
 }
 
 /// The answer [`split_rows`] takes apart, put together: the members
@@ -847,12 +903,7 @@ impl wire::RowDims for Placer<'_> {
         let placed = if self.seen == 0 {
             Err("row needs a non-empty \"dims\" array".to_string())
         } else {
-            let owner = &self.topology.place(&self.key).id;
-            let shards = &self.topology.shards;
-            Ok(shards
-                .iter()
-                .position(|s| s.id == *owner)
-                .expect("placement returns a topology shard"))
+            Ok(self.topology.owner(&self.key))
         };
         self.key.clear();
         self.seen = 0;
@@ -989,7 +1040,7 @@ fn insert_failure_with(
 fn gather_bundles(shared: &Shared) -> Vec<SketchBundle> {
     let mut bundles = Vec::new();
     for idx in 0..shared.shards.len() {
-        if let Ok(resp) = shard_read(shared, idx, "/sketch", None) {
+        if let Ok(resp) = shard_read(shared, idx, "/sketch", None, &[]) {
             if resp.status == 200 {
                 if let Ok(bundle) = SketchBundle::decode(&resp.body) {
                     bundles.push(bundle);
@@ -1060,7 +1111,7 @@ fn stats_body(shared: &Shared) -> String {
     w.key("shards").begin_object();
     for idx in 0..shared.shards.len() {
         w.key(&shared.shards[idx].spec.id);
-        match shard_read(shared, idx, "/stats", None) {
+        match shard_read(shared, idx, "/stats", None, &[]) {
             Ok(resp) if resp.status == 200 => w.raw(&resp.text()),
             _ => w.null(),
         };

@@ -151,11 +151,16 @@ impl Topology {
 
     /// The shard a placement key lands on (rendezvous over the ids).
     pub fn place(&self, key: &str) -> &ShardSpec {
+        &self.shards[self.owner(key)]
+    }
+
+    /// [`Topology::place`], as the shard's index in [`Topology::shards`].
+    pub fn owner(&self, key: &str) -> usize {
         let id = crate::placement::place(key, self.shards.iter().map(|s| s.id.as_str()))
             .expect("a parsed topology has at least one shard");
         self.shards
             .iter()
-            .find(|s| s.id == id)
+            .position(|s| s.id == id)
             .expect("placement returns an existing id")
     }
 }

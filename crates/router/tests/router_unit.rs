@@ -3,18 +3,42 @@
 //! into an opaque 502), `traceparent` propagation on every shard call,
 //! up-front request validation, complete early-reject responses,
 //! `/healthz` quorum transitions with their journal events, and — against
-//! a fake shard that keeps connections alive — connection reuse across
-//! `/plan` + `/query`, the transparent replay of a read on a connection
-//! that died, and the rule that an `/insert` is never replayed.
+//! a fake shard that keeps connections alive — one placement map
+//! fetch for any number of queries, one refetch and resend on a stale
+//! map's `421`, connection reuse across `/placement` + `/query`, the
+//! transparent replay of a read on a connection that died, and the rule
+//! that an `/insert` is never replayed. The fakes serve the placement
+//! map of a real engine.
 
 mod common;
 
+use fdc_obs::names::ROUTER_PLACEMENT_LOADS;
 use fdc_router::{Router, RouterOptions, ShardSpec, Topology};
+use fdc_serve::{ServeOptions, Server};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU16, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU16, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
+
+/// The encoded placement map of `common::own_model_db(1)`, and the top
+/// node — what every query the fakes are sent resolves to.
+fn map() -> &'static (Vec<u8>, usize) {
+    static MAP: OnceLock<(Vec<u8>, usize)> = OnceLock::new();
+    MAP.get_or_init(|| {
+        let db = common::own_model_db(1);
+        let top = db.dataset().graph().top_node();
+        (db.placement().encode().to_vec(), top)
+    })
+}
+
+/// The one row a fake answers `/query` with.
+fn top_row() -> String {
+    format!(
+        "{{\"rows\":[{{\"node\":{},\"label\":\"x\",\"values\":[[1,2.5]]}}]}}",
+        map().1
+    )
+}
 
 /// A scripted shard: answers every request with the current status
 /// (plus an optional `Retry-After`) and records the raw requests it
@@ -46,29 +70,28 @@ impl FakeShard {
                     stream
                         .set_read_timeout(Some(Duration::from_millis(500)))
                         .ok();
-                    if let Some(raw) = read_http_request(&mut stream) {
-                        requests.lock().unwrap().push(raw);
-                    }
-                    let status = status.load(Ordering::SeqCst);
-                    let body = if status < 400 {
-                        "{\"status\":\"ok\"}"
-                    } else {
-                        "{\"error\":\"shard overloaded\"}"
+                    let Some(raw) = read_http_request(&mut stream) else {
+                        continue;
                     };
+                    let status = status.load(Ordering::SeqCst);
+                    let body: &[u8] = if status >= 400 {
+                        b"{\"error\":\"shard overloaded\"}"
+                    } else if raw.starts_with("GET /placement") {
+                        &map().0
+                    } else {
+                        b"{\"status\":\"ok\"}"
+                    };
+                    requests.lock().unwrap().push(raw);
                     let retry = retry_after
                         .as_deref()
                         .map(|v| format!("Retry-After: {v}\r\n"))
                         .unwrap_or_default();
-                    stream
-                        .write_all(
-                            format!(
-                                "HTTP/1.1 {status} X\r\nContent-Type: application/json\r\n\
-                                 {retry}Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                                body.len()
-                            )
-                            .as_bytes(),
-                        )
-                        .ok();
+                    let head = format!(
+                        "HTTP/1.1 {status} X\r\nContent-Type: application/json\r\n\
+                         {retry}Content-Length: {}\r\nConnection: close\r\n\r\n",
+                        body.len()
+                    );
+                    stream.write_all(&[head.as_bytes(), body].concat()).ok();
                 }
             })
         };
@@ -211,10 +234,10 @@ fn query_forwards_plan_backpressure_and_propagates_traceparent() {
     );
 
     // The router minted a trace at ingress and carried it on the shard
-    // hop: the /plan request the fake saw has a traceparent header.
+    // hop: the map request the fake saw has a traceparent header.
     assert!(
-        shard.saw_request_containing("/plan"),
-        "router never asked the shard to plan"
+        shard.saw_request_containing("GET /placement"),
+        "router never asked the shard for its map"
     );
     assert!(
         shard.saw_request_containing("traceparent: 00-"),
@@ -258,7 +281,7 @@ fn illegal_requests_get_the_shard_answer_without_reaching_a_shard() {
         assert_eq!(got.status, 400, "{path} {members}: {}", got.text());
         assert_eq!(got.text(), want.text(), "{path} {members}");
     }
-    // Not a `/plan` hop, not a scatter: only the boot-time health probe.
+    // Not a map fetch, not a scatter: only the boot-time health probe.
     let reached: Vec<String> = shard
         .requests
         .lock()
@@ -455,16 +478,19 @@ fn healthz_tracks_quorum_transitions() {
 }
 
 /// A shard that keeps connections alive and answers just enough of the
-/// protocol (`/plan`, `/query`, `/insert`, `/healthz`) for a one-node
-/// cube. It records the requests of every connection, and when
-/// `drop_next` is armed it reads one more routed request and closes the
-/// connection without a byte of response — a shard that gave the idle
-/// connection up just as the router reused it.
+/// protocol (`/placement`, `/query`, `/insert`, `/healthz`) for a cube
+/// whose every query is its top node. It records the requests of every
+/// connection. When `drop_next` is armed it reads one more routed
+/// request and closes the connection without a byte of response — a
+/// shard that gave the idle connection up just as the router reused it;
+/// while `misdirect` is above zero it answers `/query` with the `421` of
+/// a shard that holds another placement map.
 struct KeepAliveShard {
     addr: SocketAddr,
     /// `"METHOD /path"` of every request, per accepted connection.
     conns: Arc<Mutex<Vec<Vec<String>>>>,
     drop_next: Arc<AtomicBool>,
+    misdirect: Arc<AtomicUsize>,
     stop: Arc<AtomicBool>,
     acceptor: Option<std::thread::JoinHandle<()>>,
 }
@@ -475,18 +501,25 @@ impl KeepAliveShard {
         let addr = listener.local_addr().unwrap();
         let conns = Arc::new(Mutex::new(Vec::<Vec<String>>::new()));
         let drop_next = Arc::new(AtomicBool::new(false));
+        let misdirect = Arc::new(AtomicUsize::new(0));
         let stop = Arc::new(AtomicBool::new(false));
         let acceptor = {
-            let (conns, drop_next, stop) = (conns.clone(), drop_next.clone(), stop.clone());
+            let (conns, drop_next, misdirect, stop) = (
+                conns.clone(),
+                drop_next.clone(),
+                misdirect.clone(),
+                stop.clone(),
+            );
             std::thread::spawn(move || {
                 for stream in listener.incoming() {
                     if stop.load(Ordering::SeqCst) {
                         return;
                     }
                     let Ok(stream) = stream else { continue };
-                    let (conns, drop_next) = (conns.clone(), drop_next.clone());
+                    let (conns, drop_next, misdirect) =
+                        (conns.clone(), drop_next.clone(), misdirect.clone());
                     // Ends when the router lets go of the connection.
-                    std::thread::spawn(move || Self::serve(stream, &conns, &drop_next));
+                    std::thread::spawn(move || Self::serve(stream, &conns, &drop_next, &misdirect));
                 }
             })
         };
@@ -494,12 +527,18 @@ impl KeepAliveShard {
             addr,
             conns,
             drop_next,
+            misdirect,
             stop,
             acceptor: Some(acceptor),
         }
     }
 
-    fn serve(mut stream: TcpStream, conns: &Mutex<Vec<Vec<String>>>, drop_next: &AtomicBool) {
+    fn serve(
+        mut stream: TcpStream,
+        conns: &Mutex<Vec<Vec<String>>>,
+        drop_next: &AtomicBool,
+        misdirect: &AtomicUsize,
+    ) {
         use fdc_obs::httpcore::{status_line, write_reply, RequestReader};
         let id = {
             let mut conns = conns.lock().unwrap();
@@ -507,30 +546,30 @@ impl KeepAliveShard {
             conns.len() - 1
         };
         let mut reader = RequestReader::new();
+        let row = top_row();
         while let Ok(request) = reader.read(&mut stream, 1 << 20, Duration::from_secs(10)) {
             let path = request.path_query().0;
             conns.lock().unwrap()[id].push(format!("{} {path}", request.method));
             if path != "/healthz" && drop_next.swap(false, Ordering::SeqCst) {
                 return;
             }
-            let (status, body) = match path {
-                "/plan" => (
-                    200,
-                    "{\"key_dims\":1,\"sites\":[{\"node\":3,\"label\":\"x\",\"keys\":[\"k\"]}]}",
-                ),
-                "/query" => (
-                    200,
-                    "{\"rows\":[{\"node\":3,\"label\":\"x\",\"values\":[[1,2.5]]}]}",
-                ),
-                "/insert" => (202, "{\"accepted\":1}"),
-                _ => (200, "{\"status\":\"ok\"}"),
+            let stale = path == "/query"
+                && misdirect
+                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                    .is_ok();
+            let (status, body): (u16, &[u8]) = match path {
+                "/query" if stale => (421, b"{\"error\":\"another placement map\"}"),
+                "/placement" => (200, &map().0),
+                "/query" => (200, row.as_bytes()),
+                "/insert" => (202, b"{\"accepted\":1}"),
+                _ => (200, b"{\"status\":\"ok\"}"),
             };
             let close = !request.persistent;
             let written = write_reply(
                 &mut stream,
                 status_line(status),
                 "application/json",
-                body.as_bytes(),
+                body,
                 &[],
                 close,
             );
@@ -549,6 +588,12 @@ impl KeepAliveShard {
             .filter(|paths| paths.iter().any(|p| p != "GET /healthz"))
             .cloned()
             .collect()
+    }
+
+    /// How many routed requests were `request` (`"METHOD /path"`).
+    fn count(&self, request: &str) -> usize {
+        let conns = self.routed_conns();
+        conns.concat().iter().filter(|r| *r == request).count()
     }
 }
 
@@ -578,6 +623,108 @@ fn router_over(shard: &KeepAliveShard, id: &str) -> Router {
 }
 
 #[test]
+fn one_map_fetch_plans_every_horizon() {
+    let shard = KeepAliveShard::start();
+    let router = router_over(&shard, "horizons");
+    for h in 1..=50 {
+        let body =
+            format!("{{\"sql\":\"SELECT time, v FROM facts AS OF now() + '{h} quarters'\"}}");
+        let resp = common::request(router.addr(), "POST", "/query", Some(&body));
+        assert_eq!((resp.status, resp.text()), (200, top_row()));
+    }
+    // Fifty statements, one map: the shard is asked for it once and
+    // never asked to plan.
+    assert_eq!(shard.count("GET /placement"), 1);
+    assert_eq!(shard.count("POST /query"), 50);
+    assert_eq!(shard.count("POST /plan"), 0);
+    router.shutdown();
+}
+
+#[test]
+fn a_stale_map_is_fetched_again_and_the_query_sent_once_more() {
+    let shard = KeepAliveShard::start();
+    let router = router_over(&shard, "stale");
+    let loads = |reason| fdc_obs::counter_with(ROUTER_PLACEMENT_LOADS, &[("reason", reason)]).get();
+    let stale_before = loads("stale");
+    // The shard refuses the first sub-request: the router fetches the
+    // map again, plans again and sends again, and the client sees 200.
+    shard.misdirect.store(1, Ordering::SeqCst);
+    let resp = common::request(router.addr(), "POST", "/query", Some(ANY_QUERY));
+    assert_eq!((resp.status, resp.text()), (200, top_row()));
+    assert_eq!(
+        shard.routed_conns().concat(),
+        [
+            "GET /placement",
+            "POST /query",
+            "GET /placement",
+            "POST /query"
+        ]
+    );
+    assert!(loads("boot") >= 1 && loads("stale") > stale_before);
+
+    // Refused twice, the query is a 500 carrying the shard's refusal.
+    shard.misdirect.store(2, Ordering::SeqCst);
+    let resp = common::request(router.addr(), "POST", "/query", Some(ANY_QUERY));
+    assert_eq!(
+        (resp.status, resp.text().as_str()),
+        (500, "{\"error\":\"another placement map\"}")
+    );
+    assert_eq!(shard.count("GET /placement"), 3);
+    assert_eq!(shard.count("POST /query"), 4);
+    router.shutdown();
+}
+
+/// Tourism with one model, at the top: every node derives from it — a
+/// configuration whose scheme sources differ from `own_model_db`'s.
+fn top_model_db(seed: u64) -> fdc_f2db::F2db {
+    use fdc_cube::{Configuration, ConfiguredModel, CubeSplit};
+    let ds = fdc_datagen::tourism_proxy(seed);
+    let split = CubeSplit::new(&ds, 0.8);
+    let top = ds.graph().top_node();
+    let fit = fdc_forecast::FitOptions::default();
+    let model = ConfiguredModel::fit(&split, top, &fdc_forecast::ModelSpec::Ses, &fit).unwrap();
+    let mut cfg = Configuration::new(ds.node_count());
+    cfg.insert_model(top, model);
+    let all: Vec<usize> = (0..ds.node_count()).collect();
+    cfg.recompute_nodes(&ds, &split, &all);
+    fdc_f2db::F2db::load(ds, &cfg).unwrap()
+}
+
+#[test]
+fn a_shard_reopened_on_another_configuration_is_planned_anew() {
+    let serve = |db, port| Server::start(Arc::new(db), port, ServeOptions::default()).unwrap();
+    let first = serve(common::own_model_db(1), 0);
+    let addr = first.addr();
+    let router = Router::start(
+        topology_of(&[("reopened", addr)]),
+        0,
+        RouterOptions {
+            probe_interval: Duration::from_secs(3600),
+            ..RouterOptions::default()
+        },
+    )
+    .unwrap();
+    let body = "{\"sql\":\"SELECT time, SUM(visitors) FROM facts GROUP BY time, purpose AS OF now() + '2 quarters'\"}";
+    let ask = |at| common::http(at, "POST", "/query", Some(body));
+    let before = ask(router.addr());
+    assert_eq!(before, ask(addr));
+
+    // Same port, another configuration: the map the router holds is not
+    // the shard's any more.
+    first.shutdown().unwrap();
+    let second = serve(top_model_db(1), addr.port());
+    let stale = || fdc_obs::counter_with(ROUTER_PLACEMENT_LOADS, &[("reason", "stale")]).get();
+    let stale_before = stale();
+    let after = ask(router.addr());
+    assert_eq!(after.0, 200, "{}", after.1);
+    assert_eq!(after, ask(addr), "the router answered from the old map");
+    assert_ne!(after, before);
+    assert!(stale() > stale_before, "the router kept the old map");
+    router.shutdown();
+    second.shutdown().unwrap();
+}
+
+#[test]
 fn plan_and_query_share_one_shard_connection() {
     let shard = KeepAliveShard::start();
     let router = router_over(&shard, "reuse");
@@ -585,16 +732,17 @@ fn plan_and_query_share_one_shard_connection() {
         fdc_obs::counter_with(fdc_obs::names::ROUTER_POOL, &[("outcome", "hit")]).get();
     for _ in 0..3 {
         let resp = common::request(router.addr(), "POST", "/query", Some(ANY_QUERY));
-        assert_eq!(resp.status, 200, "{}", resp.text());
-        assert_eq!(
-            resp.text(),
-            "{\"rows\":[{\"node\":3,\"label\":\"x\",\"values\":[[1,2.5]]}]}"
-        );
+        assert_eq!((resp.status, resp.text()), (200, top_row()));
     }
-    // One accept for the plan (first query only) and all three queries.
+    // One accept for the map (first query only) and all three queries.
     assert_eq!(
         shard.routed_conns(),
-        [["POST /plan", "POST /query", "POST /query", "POST /query"]]
+        [[
+            "GET /placement",
+            "POST /query",
+            "POST /query",
+            "POST /query"
+        ]]
     );
     let stats = common::request(router.addr(), "GET", "/stats", None).text();
     assert!(stats.contains("\"pool\":{\"hit\":"), "{stats}");
@@ -619,7 +767,7 @@ fn a_dead_connection_replays_a_read_but_never_an_insert() {
     assert_eq!(
         shard.routed_conns(),
         [
-            vec!["POST /plan", "POST /query", "POST /query"],
+            vec!["GET /placement", "POST /query", "POST /query"],
             vec!["POST /query"]
         ]
     );

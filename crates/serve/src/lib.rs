@@ -36,6 +36,7 @@
 //! | `POST /insert` | `{"dims": [...], "value": v}` or `{"rows": [...]}` | `202` after commit |
 //! | `POST /maintain` | — | `200` re-fit count |
 //! | `POST /plan` | `{"sql": "...", "key_dims": n?}` | `200` per-node placement keys |
+//! | `GET /placement` | — | `200` binary placement map ([`fdc_f2db::Placement`]) |
 //! | `GET /sketch` | — | `200` binary mergeable-sketch bundle |
 //! | `GET /stats` | — | `200` engine + server counters |
 //! | `GET /healthz` | — | `200` (`503` on a lagging follower) |
@@ -539,6 +540,12 @@ impl Service for Shared {
                 ("GET", ("/sketch", _)) => {
                     ("sketch", 200, Body::Binary(sketch_bundle(self)), Vec::new())
                 }
+                // The map a router plans over — counted with `/plan`,
+                // the other half of planning.
+                ("GET", ("/placement", _)) => {
+                    let map = self.db.placement().encode().to_vec();
+                    ("plan", 200, Body::Binary(map), Vec::new())
+                }
                 _ => {
                     let (route, status, body, extra) =
                         route_request(self, request, budget, &mut forecast);
@@ -667,7 +674,10 @@ fn route_request(
     let no_extra = Vec::new;
     match (request.method.as_str(), path) {
         ("POST", "/query" | "/explain") => {
-            let (status, body) = handle_forecast(shared, path, &request.body, forecast);
+            let (status, body) = match stale_placement(shared, request) {
+                Some(refusal) => (421, refusal),
+                None => handle_forecast(shared, path, &request.body, forecast),
+            };
             let route = if path == "/query" { "query" } else { "explain" };
             (route, status, body, no_extra())
         }
@@ -699,7 +709,7 @@ fn route_request(
             err_body("use POST"),
             vec![("Allow", "POST".to_string())],
         ),
-        (_, "/stats" | "/healthz" | "/slow" | "/wal/fetch" | "/sketch") => (
+        (_, "/stats" | "/healthz" | "/slow" | "/wal/fetch" | "/sketch" | "/placement") => (
             "method",
             405,
             err_body("use GET"),
@@ -717,6 +727,21 @@ fn f2db_status(e: &F2dbError) -> u16 {
         F2dbError::WrongShard(_) => 421,
         _ => 400,
     }
+}
+
+/// A routed forecast planned over another placement map than this
+/// engine's: the refusal, when the request's [`wire::PLACEMENT_HEADER`]
+/// names another fingerprint. A request without the header (a client,
+/// not a router) is never refused here.
+fn stale_placement(shared: &Shared, request: &Request) -> Option<String> {
+    let seen = request.header(wire::PLACEMENT_HEADER)?;
+    let own = shared.db.placement().fingerprint();
+    (u64::from_str_radix(seen, 16).ok() != Some(own)).then(|| {
+        err_body(&format!(
+            "placement map {seen} is not this shard's ({}): fetch GET /placement again",
+            wire::placement_header(own)
+        ))
+    })
 }
 
 /// `POST /query` and `POST /explain`: decode → [`F2db::execute`] →
@@ -915,12 +940,12 @@ fn handle_promote(shared: &Shared, body: &[u8]) -> Routed {
     }
 }
 
-/// `POST /plan` — the placement plan of a query: for every node the
-/// query resolves to, the consistent-hash placement keys of its
-/// derivation closure under `key_dims` leading dimensions. A router
-/// calls this once per distinct query, then scatters the node ids to
-/// the shards those keys place; a node whose keys straddle shards is a
-/// *split node* the partition cannot serve.
+/// `POST /plan` — the placement plan of a query, from this engine's
+/// placement map: for every node the query resolves to, the
+/// consistent-hash placement keys of its derivation closure under
+/// `key_dims` leading dimensions (sorted, each once). A router plans
+/// the same way from the map itself (`GET /placement`); this route is
+/// for operators and the benchmark's probe.
 fn handle_plan(shared: &Shared, body: &[u8]) -> (u16, String) {
     let decoded =
         wire::parse_body(body).and_then(|doc| Ok((wire::decode("/plan", &doc)?.sql, doc)));
@@ -935,28 +960,28 @@ fn handle_plan(shared: &Shared, body: &[u8]) -> (u16, String) {
             None => return (400, err_body("\"key_dims\" must be a non-negative integer")),
         },
     };
-    let sites = match shared.db.query_derivation(&sql) {
-        Ok(s) => s,
+    let map = shared.db.placement();
+    // The most permissive mode: any `EXPLAIN` prefix is accepted.
+    let nodes = match map.plan(&sql, QueryMode::ExplainAnalyze, None) {
+        Ok(nodes) => nodes,
         Err(e) => return (f2db_status(&e), err_body(&e.to_string())),
     };
     let mut w = Writer::new();
     w.begin_object().key("key_dims").usize(key_dims);
     w.key("sites").begin_array();
-    for site in &sites {
-        let mut keys: Vec<String> = Vec::new();
-        for &b in &site.closure_base {
-            match shared.db.partition_key(b, key_dims) {
-                Ok(k) => {
-                    if !keys.contains(&k) {
-                        keys.push(k);
-                    }
-                }
-                Err(e) => return (500, err_body(&e.to_string())),
-            }
-        }
+    for node in nodes {
+        let mut keys: Vec<String> = map
+            .closure(node)
+            .into_iter()
+            .map(|b| map.key(b, key_dims))
+            .collect();
         keys.sort_unstable();
-        w.begin_object().key("node").usize(site.node);
-        w.key("label").str(&site.label).key("keys").begin_array();
+        keys.dedup();
+        w.begin_object().key("node").usize(node);
+        w.key("label")
+            .str(&map.label(node))
+            .key("keys")
+            .begin_array();
         for key in &keys {
             w.str(key);
         }

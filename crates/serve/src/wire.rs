@@ -30,6 +30,16 @@ use crate::json::{self, Kind, Reader, Writer};
 use fdc_cube::NodeId;
 use fdc_f2db::{ApproxQuerySpec, BaseResolver, QueryMode, QueryRequest};
 
+/// The request header a routed forecast carries: the fingerprint of the
+/// placement map the router planned it over, as 16 hex digits. A shard
+/// whose own map has another fingerprint answers `421`.
+pub const PLACEMENT_HEADER: &str = "fdc-placement";
+
+/// `fingerprint` as [`PLACEMENT_HEADER`] carries it.
+pub fn placement_header(fingerprint: u64) -> String {
+    format!("{fingerprint:016x}")
+}
+
 /// The route a request of `mode` travels on.
 pub fn path(mode: QueryMode) -> &'static str {
     match mode {

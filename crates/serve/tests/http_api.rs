@@ -6,11 +6,14 @@
 
 mod common;
 
-use common::{base_dims, full_round_body, http, row_json, small_db, small_db_raw};
+use common::{
+    base_dims, full_round_body, http, http_with_headers, row_json, small_db, small_db_raw,
+};
+use fdc_f2db::{Placement, QueryMode};
 use fdc_forecast::FitOptions;
-use fdc_obs::httpcore::client::{Client, Outgoing, Pooled};
+use fdc_obs::httpcore::client::{send_once, Client, Outgoing, Pooled};
 use fdc_obs::names;
-use fdc_serve::{ServeOptions, Server};
+use fdc_serve::{wire, ServeOptions, Server};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -150,6 +153,48 @@ fn routes_answer_over_a_real_socket() {
 }
 
 #[test]
+fn a_forecast_planned_over_another_placement_map_is_misdirected() {
+    let db = small_db();
+    let server = Server::start(Arc::clone(&db), 0, ServeOptions::default()).unwrap();
+    let addr = server.addr();
+    // The map a router fetches is the engine's own.
+    let get = Outgoing::new("GET", "/placement", b"");
+    let map = send_once(&addr.to_string(), &get, Duration::from_secs(30)).unwrap();
+    assert_eq!(map.status, 200);
+    let map = Placement::decode(&map.body).unwrap();
+    assert_eq!(map.fingerprint(), db.placement().fingerprint());
+
+    // A request naming it is answered as one without the header; one
+    // naming another map is refused with 421 and the two fingerprints.
+    let body = r#"{"sql": "SELECT time, SUM(visitors) FROM facts GROUP BY time AS OF now() + '1 quarter'"}"#;
+    let ask = |fingerprint: Option<u64>| {
+        let value = fingerprint.map(wire::placement_header);
+        let headers: Vec<(&str, &str)> = value
+            .iter()
+            .map(|v| (wire::PLACEMENT_HEADER, v.as_str()))
+            .collect();
+        http_with_headers(addr, "POST", "/query", body, &headers).unwrap()
+    };
+    let plain = ask(None);
+    assert_eq!(plain.status, 200, "{}", plain.body);
+    let routed = ask(Some(map.fingerprint()));
+    assert_eq!((routed.status, &routed.body), (200, &plain.body));
+    let stale = ask(Some(!map.fingerprint()));
+    assert_eq!(stale.status, 421, "{}", stale.body);
+    assert!(
+        stale
+            .body
+            .contains(&wire::placement_header(!map.fingerprint()))
+            && stale
+                .body
+                .contains(&wire::placement_header(map.fingerprint())),
+        "{}",
+        stale.body
+    );
+    server.shutdown().unwrap();
+}
+
+#[test]
 fn slow_log_keeps_its_plan_on_a_partitioned_shard() {
     // One shard of a partitioned deployment: it owns the base cells of
     // one first-dimension slice.
@@ -174,10 +219,11 @@ fn slow_log_keeps_its_plan_on_a_partitioned_shard() {
     // The routed sub-request a router would send: the fan-out query,
     // narrowed to the nodes this shard can serve.
     let sql = "SELECT time, SUM(visitors) FROM facts GROUP BY time, purpose, state AS OF now() + '2 quarters'";
-    let sites = db.query_derivation(sql).unwrap();
-    let resident: Vec<_> = sites.iter().filter(|s| db.is_resident(s.node)).collect();
-    assert!(!resident.is_empty() && resident.len() < sites.len());
-    let ids: Vec<String> = resident.iter().map(|s| s.node.to_string()).collect();
+    let map = db.placement();
+    let nodes = map.plan(sql, QueryMode::Forecast, None).unwrap();
+    let resident: Vec<_> = nodes.iter().filter(|&&n| db.is_resident(n)).collect();
+    assert!(!resident.is_empty() && resident.len() < nodes.len());
+    let ids: Vec<String> = resident.iter().map(|n| n.to_string()).collect();
     let body = format!("{{\"sql\":\"{sql}\",\"nodes\":[{}]}}", ids.join(","));
     let r = http(server.addr(), "POST", "/query", &body).unwrap();
     assert_eq!(r.status, 200, "{}", r.body);
@@ -203,9 +249,9 @@ fn slow_log_keeps_its_plan_on_a_partitioned_shard() {
     assert_eq!(entry.sql.as_deref(), Some(sql));
     let plan = entry.explain.as_deref().expect("captured plan");
     assert_eq!(plan.matches("-> node [").count(), resident.len(), "{plan}");
-    for site in &resident {
+    for &&node in &resident {
         assert!(
-            plan.contains(&format!("-> node [{}]", site.label)),
+            plan.contains(&format!("-> node [{}]", map.label(node))),
             "{plan}"
         );
     }

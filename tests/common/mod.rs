@@ -12,10 +12,11 @@ pub mod mutate;
 
 use fdc::approx::{encode_plane, ApproxOptions, ApproxPlane};
 use fdc::cube::{
-    Configuration, ConfiguredModel, Coord, CubeSplit, Dataset, Dimension, NodeId, Schema,
+    Configuration, ConfiguredModel, Coord, CubeSplit, Dataset, Dimension, FunctionalDependency,
+    NodeEstimate, NodeId, Schema, Scheme,
 };
 use fdc::f2db::durability::encode_checkpoint;
-use fdc::f2db::{Catalog, MaintenancePolicy, WalRecord};
+use fdc::f2db::{Catalog, F2db, MaintenancePolicy, Placement, WalRecord};
 use fdc::forecast::{FitOptions, Granularity, ModelSpec, SeasonalKind, TimeSeries};
 use fdc::obs::{
     AccuracyOptions, KeyAccuracy, MomentSummary, RollingAccuracy, SketchBundle, TDigest,
@@ -322,4 +323,50 @@ pub fn small_plane_bytes() -> Vec<u8> {
         ..ApproxOptions::default()
     };
     small_plane(3, 2, options)
+}
+
+/// A placement map over a `city → region` × product cube (a functional
+/// dependency, a label outside ASCII): a third of the nodes unserved,
+/// the others derived from themselves or from themselves and one more
+/// node, picked by id — no model is fitted, so no float decides a byte.
+pub fn placement() -> Placement {
+    let labels = |names: &[&str]| names.iter().map(|n| n.to_string()).collect();
+    let schema = Schema::new(
+        vec![
+            Dimension::new("city", labels(&["Zürich", "Basel", "Lyon", "Nice"])),
+            Dimension::new("region", labels(&["CH", "FR"])),
+            Dimension::new("product", labels(&["p0", "p1", "p2"])),
+        ],
+        vec![FunctionalDependency::new(0, 1, vec![0, 0, 1, 1])],
+    )
+    .expect("schema is valid");
+    let mut base = Vec::new();
+    for city in 0..4u32 {
+        for product in 0..3u32 {
+            let values = (0..8).map(|t| (city * 3 + product + t) as f64).collect();
+            base.push((
+                Coord::new(vec![city, city / 2, product]),
+                TimeSeries::new(values, Granularity::Quarterly),
+            ));
+        }
+    }
+    let ds = Dataset::from_base(schema, base).expect("base data is valid");
+    let n = ds.node_count();
+    let mut cfg = Configuration::new(n);
+    for v in 0..n {
+        let sources = match v % 3 {
+            0 => continue,
+            1 => vec![v],
+            _ => vec![v, (v * 7 + 3) % n],
+        };
+        let scheme = Some(Scheme {
+            sources,
+            weight: 1.0,
+        });
+        cfg.set_estimate(v, NodeEstimate { error: 0.5, scheme });
+    }
+    F2db::load(ds, &cfg)
+        .expect("a configuration without models loads")
+        .placement()
+        .clone()
 }

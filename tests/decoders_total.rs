@@ -20,7 +20,7 @@ use fdc::cube::{
     Configuration, ConfiguredModel, Coord, CubeSplit, Dataset, Dimension, NodeId, Schema,
 };
 use fdc::f2db::durability::{decode_checkpoint, encode_checkpoint};
-use fdc::f2db::{parse_query, Catalog, F2db, MaintenancePolicy, WalRecord};
+use fdc::f2db::{parse_query, Catalog, F2db, MaintenancePolicy, Placement, QueryMode, WalRecord};
 use fdc::forecast::{FitOptions, Granularity, ModelSpec, TimeSeries};
 use fdc::obs::httpcore::{RequestError, RequestReader};
 use fdc::obs::{KeyAccuracy, MomentSummary, SketchBundle, TDigest, TraceContext};
@@ -239,6 +239,53 @@ fn sketch_decoders_are_total() {
     });
 }
 
+/// Uses a decoded placement map the way a router does: plans, labels,
+/// closures and keys of every node, and the encoding read back.
+fn use_placement(map: &Placement) {
+    assert_eq!(
+        Placement::decode(map.encode()).unwrap().encode(),
+        map.encode()
+    );
+    let g = map.graph();
+    for v in 0..g.node_count() {
+        let _ = (map.label(v), map.closure(v));
+    }
+    for &b in g.base_nodes() {
+        let _ = (map.key(b, 0), map.key(b, 1));
+    }
+    let dims = g.schema().dimensions();
+    let group = format!("GROUP BY time, {}", dims[dims.len() - 1].name());
+    for sql in ["GROUP BY time", group.as_str()] {
+        let sql = format!("SELECT time, SUM(v) FROM facts {sql} AS OF now() + '1 steps'");
+        let _ = map.plan(&sql, QueryMode::Forecast, None);
+        let _ = map.plan(&sql, QueryMode::Explain, Some(&[0, 3]));
+    }
+}
+
+#[test]
+fn placement_decoder_is_total() {
+    let samples = [common::placement().encode().to_vec()];
+    // Sealed: the fingerprint refuses every change, so whatever decodes
+    // is a sample (a mutation that rewrote a byte to itself).
+    drive("FDCP placement", &samples, &mut |bytes| {
+        if let Ok(map) = Placement::decode(bytes) {
+            assert!(samples.iter().any(|s| s == bytes), "a changed map decoded");
+            use_placement(&map);
+        }
+    });
+    // Resealed: the same mutations with the fingerprint recomputed, so
+    // the structure under it is what is tried.
+    drive("FDCP placement, resealed", &samples, &mut |bytes| {
+        let body = &bytes[..bytes.len().saturating_sub(8)];
+        let mut w = Writer::new();
+        w.bytes(body);
+        w.u64(fnv1a(FNV_OFFSET, body));
+        if let Ok(map) = Placement::decode(&w.finish()) {
+            use_placement(&map);
+        }
+    });
+}
+
 #[test]
 fn wal_segment_replay_is_total() {
     let dir = std::env::temp_dir().join(format!("fdc_total_wal_{}", std::process::id()));
@@ -343,6 +390,66 @@ fn crash_case_plane_count_2_39() {
     let bytes = w.finish();
     assert_eq!(bytes.len(), 71);
     assert!(decode_plane(&bytes, FitOptions::default()).is_err());
+}
+
+/// A sealed placement map over the flat schema `d0 ∈ {a, b}` ×
+/// `d1 ∈ {x, y}` with the given base coordinates and `rows` source rows,
+/// none of them serving its node.
+fn placement_map(bases: &[[u32; 2]], rows: usize) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.header(b"FDCP", 1);
+    w.len(2);
+    let text = |w: &mut Writer, text: &str| {
+        w.len(text.len());
+        w.bytes(text.as_bytes());
+    };
+    for (name, labels) in [("d0", ["a", "b"]), ("d1", ["x", "y"])] {
+        text(&mut w, name);
+        w.len(labels.len());
+        for label in labels {
+            text(&mut w, label);
+        }
+    }
+    w.len(0); // dependencies
+    w.len(bases.len());
+    for base in bases {
+        w.u32(base[0]);
+        w.u32(base[1]);
+    }
+    w.len(rows);
+    for _ in 0..rows {
+        w.u8(0);
+    }
+    let body = w.finish();
+    let mut w = Writer::new();
+    w.bytes(&body);
+    w.u64(fnv1a(FNV_OFFSET, &body));
+    w.finish()
+}
+
+/// Two bases on the diagonal make a graph of seven nodes: themselves,
+/// both values of each dimension aggregated, and the top.
+#[test]
+fn placement_with_a_source_row_per_node_decodes() {
+    let map = Placement::decode(&placement_map(&[[0, 0], [1, 1]], 7)).unwrap();
+    assert_eq!(map.graph().node_count(), 7);
+}
+
+/// A map whose graph does not build — a base coordinate twice — is an
+/// error, fingerprint and all.
+#[test]
+fn placement_whose_graph_does_not_build_is_an_error() {
+    let err = Placement::decode(&placement_map(&[[0, 0], [0, 0]], 7)).unwrap_err();
+    assert!(err.to_string().contains("placement graph"), "{err}");
+}
+
+/// A source table that is not one row per graph node is an error.
+#[test]
+fn placement_whose_source_table_disagrees_is_an_error() {
+    for rows in [6, 8] {
+        let err = Placement::decode(&placement_map(&[[0, 0], [1, 1]], rows)).unwrap_err();
+        assert!(err.to_string().contains("its graph has 7"), "{rows}: {err}");
+    }
 }
 
 /// A one-node catalog whose only model has the given encoded spec,

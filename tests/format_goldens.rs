@@ -40,10 +40,11 @@ fn encodings() -> Vec<(&'static str, Vec<u8>)> {
         ("KeyAccuracy filling", accuracy[1].encode()),
         ("TDigest", common::digest().encode()),
         ("SketchBundle", common::bundle().encode()),
+        ("FDCP placement", common::placement().encode().to_vec()),
     ]
 }
 
-const ENCODINGS: [(&str, usize, u64); 12] = [
+const ENCODINGS: [(&str, usize, u64); 13] = [
     ("F2DB catalog", 1522, 0x929f_0f58_165e_8f7d),
     ("F2CK checkpoint", 6020, 0x1127_efac_1c6a_3b41),
     ("WalRecord untraced", 201, 0x471d_5e0f_c17c_d879),
@@ -56,6 +57,8 @@ const ENCODINGS: [(&str, usize, u64); 12] = [
     ("KeyAccuracy filling", 181, 0x37f5_9418_b6ed_80eb),
     ("TDigest", 597, 0x71ac_ed84_5054_dca7),
     ("SketchBundle", 1126, 0x008f_45b0_dc02_4a93),
+    // Pinned when the format was introduced, not by the commit above.
+    ("FDCP placement", 785, 0x2ffe_ca4f_eb59_8874),
 ];
 
 #[test]
