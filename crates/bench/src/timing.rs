@@ -41,47 +41,19 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
     println!("{name:<44} {iters:>5} iters   mean {mean:>12.1?}   min {min:>12.1?}");
 }
 
-/// Export-plane session for a bench binary, driven by environment
-/// variables so no bench needs its own flag parsing:
-///
-/// * `FDC_SERVE=<port>` — serve `/metrics`, `/healthz`, `/events` and
-///   `/snapshot` on `127.0.0.1:<port>` for the lifetime of the run
-///   (`0` picks an ephemeral port; the bound address is printed).
-/// * `FDC_TRACE=<file.json>` — record spans into a Chrome
-///   `trace_event` file written when the session drops.
+/// Span recording for a bench binary, driven by the environment so no
+/// bench needs its own flag parsing: with `FDC_TRACE=<file.json>` set,
+/// every span is recorded into a Chrome `trace_event` file written when
+/// the session drops; without it this is free.
 ///
 /// Construct one at the top of `main` and keep it alive:
 /// `let _obs = fdc_bench::obs_session();`.
 pub struct ObsSession {
-    server: Option<fdc_obs::ObsServer>,
     trace: Option<(std::sync::Arc<fdc_obs::TraceCollector>, String)>,
 }
 
-/// Reads `FDC_SERVE` / `FDC_TRACE` and starts the requested pieces of
-/// the export plane. Both are optional; with neither set this is free.
+/// Reads `FDC_TRACE` and, when it names a file, starts recording spans.
 pub fn obs_session() -> ObsSession {
-    let server = std::env::var("FDC_SERVE").ok().and_then(|v| {
-        let port: u16 = match v.trim().parse() {
-            Ok(p) => p,
-            Err(_) => {
-                eprintln!("FDC_SERVE={v}: not a port number, exporter disabled");
-                return None;
-            }
-        };
-        match fdc_obs::ObsServer::bind(port) {
-            Ok(s) => {
-                eprintln!(
-                    "obs: serving http://{} (/metrics /healthz /events /snapshot)",
-                    s.addr()
-                );
-                Some(s)
-            }
-            Err(e) => {
-                eprintln!("obs: cannot bind port {port}: {e}");
-                None
-            }
-        }
-    });
     let trace = std::env::var("FDC_TRACE").ok().and_then(|path| {
         let path = path.trim().to_string();
         if path.is_empty() {
@@ -92,7 +64,7 @@ pub fn obs_session() -> ObsSession {
         eprintln!("obs: recording spans to {path}");
         Some((collector, path))
     });
-    ObsSession { server, trace }
+    ObsSession { trace }
 }
 
 impl Drop for ObsSession {
@@ -104,8 +76,6 @@ impl Drop for ObsSession {
                 Err(e) => eprintln!("obs: cannot write trace to {path}: {e}"),
             }
         }
-        // ObsServer::drop stops the accept loop and joins its thread.
-        self.server.take();
     }
 }
 

@@ -45,7 +45,6 @@
 pub mod advisor;
 pub mod candidate;
 pub mod control;
-pub mod coverage;
 pub mod evaluation;
 pub mod indicator;
 pub mod multisource;
@@ -56,7 +55,6 @@ pub use advisor::{
 };
 pub use candidate::{CandidateSet, RankedCandidate};
 pub use control::ControlState;
-pub use coverage::{advise_coverage, pilot_forecast_cost, LatencyBudget};
 pub use evaluation::AcceptanceCriterion;
 pub use indicator::{IndicatorOptions, IndicatorStore, LocalIndicator};
 pub use multisource::MultiSourceSearch;

@@ -313,23 +313,19 @@ fn stress_seed_3_concurrent_matches_serial() {
 }
 
 /// The export plane must be pure observation: running one stress seed
-/// with the HTTP exporter live (and a scraper thread hammering
-/// `/metrics` throughout) plus the journal sinking JSONL must leave the
-/// byte-identical serial-equivalence intact. When
-/// `FDC_STRESS_ARTIFACT_DIR` is set (as in CI), the final scrape and
-/// the journal land there as build artifacts.
+/// with a scraper thread rendering `/metrics` every 5 ms throughout
+/// (the registry and journal read concurrently with the engine writing
+/// them) plus the journal sinking JSONL must leave the byte-identical
+/// serial-equivalence intact. When `FDC_STRESS_ARTIFACT_DIR` is set (as
+/// in CI), the final scrape and the journal land there as build
+/// artifacts.
 #[test]
 fn stress_with_exporter_and_journal_is_byte_identical() {
-    use std::io::{Read, Write};
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    fn scrape(addr: std::net::SocketAddr) -> String {
-        let mut s = std::net::TcpStream::connect(addr).unwrap();
-        s.write_all(b"GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n")
-            .unwrap();
-        let mut out = String::new();
-        s.read_to_string(&mut out).unwrap();
-        out.split_once("\r\n\r\n").expect("body").1.to_string()
+    // What a server answers `GET /metrics` with, rendered in process.
+    fn scrape() -> String {
+        fdc_obs::encode_prometheus(&fdc_obs::snapshot())
     }
 
     let artifact_dir = std::env::var("FDC_STRESS_ARTIFACT_DIR")
@@ -343,17 +339,13 @@ fn stress_with_exporter_and_journal_is_byte_identical() {
             .expect("journal sink");
     }
 
-    let server = fdc_obs::ObsServer::bind(0).expect("exporter binds");
-    let addr = server.addr();
     let stop = AtomicBool::new(false);
     let body = std::thread::scope(|scope| {
-        // Scrape continuously while the stress schedule runs: the
-        // exporter reads the registry and journal concurrently with the
-        // engine writing them.
+        // Scrape continuously while the stress schedule runs.
         let scraper = scope.spawn(|| {
             let mut scrapes = 0u64;
             while !stop.load(Ordering::Relaxed) {
-                let _ = scrape(addr);
+                let _ = scrape();
                 scrapes += 1;
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
@@ -362,7 +354,7 @@ fn stress_with_exporter_and_journal_is_byte_identical() {
         run_stress(0xF2DB_0001);
         stop.store(true, Ordering::Relaxed);
         assert!(scraper.join().unwrap() >= 1, "scraper never ran");
-        scrape(addr)
+        scrape()
     });
 
     // The final scrape reflects the run just executed.
@@ -377,7 +369,6 @@ fn stress_with_exporter_and_journal_is_byte_identical() {
         let journal = std::fs::read_to_string(dir.join("stress-journal.jsonl")).unwrap();
         assert!(journal.lines().count() > 0, "journal artifact is empty");
     }
-    server.shutdown();
 }
 
 /// A single-shard engine must behave identically too (the shard count is

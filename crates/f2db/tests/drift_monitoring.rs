@@ -2,9 +2,9 @@
 //! abruptly changes level and assert the full observable story — the
 //! journal records a `DriftAlert` for the node and then (strictly later
 //! in sequence order) the `ReEstimation` that heals it, the node's
-//! windowed SMAPE is exported on a live `/metrics` scrape as the
-//! `f2db_node_smape` gauge family, and the alert marks the model
-//! invalid so lazy maintenance actually re-fits it.
+//! windowed SMAPE is exported in the Prometheus text a `/metrics` scrape
+//! answers with, as the `f2db_node_smape` gauge family, and the alert
+//! marks the model invalid so lazy maintenance actually re-fits it.
 //!
 //! Single `#[test]` on purpose: the journal and metrics registry are
 //! process-global, and one linear story keeps the assertions exact.
@@ -12,18 +12,7 @@
 use fdc_core::{Advisor, AdvisorOptions};
 use fdc_datagen::tourism_proxy;
 use fdc_f2db::{F2db, MaintenancePolicy};
-use fdc_obs::{journal, AccuracyOptions, Event, ObsServer};
-use std::io::{Read, Write};
-
-fn scrape_metrics(addr: std::net::SocketAddr) -> String {
-    let mut stream = std::net::TcpStream::connect(addr).unwrap();
-    stream
-        .write_all(b"GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n")
-        .unwrap();
-    let mut out = String::new();
-    stream.read_to_string(&mut out).unwrap();
-    out.split_once("\r\n\r\n").expect("body").1.to_string()
-}
+use fdc_obs::{encode_prometheus, journal, AccuracyOptions, Event};
 
 #[test]
 fn drift_alert_then_reestimation_heals_the_node() {
@@ -107,9 +96,8 @@ fn drift_alert_then_reestimation_heals_the_node() {
         );
     }
 
-    // The node's windowed SMAPE is live on a real /metrics scrape.
-    let server = ObsServer::bind(0).unwrap();
-    let body = scrape_metrics(server.addr());
+    // The node's windowed SMAPE is in what a /metrics scrape reads.
+    let body = encode_prometheus(&fdc_obs::snapshot());
     let (_, alert_node, alert_smape, _, _) = alerts[0];
     assert!(
         body.contains(&format!("f2db_node_smape{{node=\"{alert_node}\"}}")),
@@ -125,7 +113,6 @@ fn drift_alert_then_reestimation_heals_the_node() {
         monitor.smape(alert_node).expect("window populated") >= alert_smape,
         "window should still be at or above the alerting level"
     );
-    server.shutdown();
 
     // Maintenance pays the re-fits; each one lands in the journal with
     // a sequence number strictly after the alert that caused it, and

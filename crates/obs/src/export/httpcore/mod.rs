@@ -1,8 +1,8 @@
 //! The one hand-rolled HTTP/1.1 layer of the workspace.
 //!
-//! Every network surface — the observability exporter
-//! ([`super::http::ObsServer`]), the forecast server (`fdc-serve`) and
-//! the routing tier (`fdc-router`) — speaks the same deliberately tiny
+//! Every network surface — the forecast server (`fdc-serve`, which also
+//! answers a process's `/metrics`, `/events` and `/snapshot`) and the
+//! routing tier (`fdc-router`) — speaks the same deliberately tiny
 //! slice of HTTP/1.1: explicit `Content-Length` bodies in both
 //! directions, no chunked transfer encoding, and **persistent
 //! connections**. Sharing the layer here means the servers cannot drift
@@ -40,8 +40,9 @@
 //!
 //! [`read_request`] and [`write_response`] are the one-request forms:
 //! the first forgets what it read past the request, the second always
-//! announces `Connection: close`. `ObsServer` is built on them and stays
-//! one request per connection, saying so on the wire.
+//! announces `Connection: close`. No server in the workspace answers with
+//! them: tests and the benchmark's probes use them to time and check the
+//! reader and the writer on their own.
 //!
 //! The surface is small enough that parsing by hand is simpler and
 //! safer than a dependency: read until the blank line, split the
@@ -110,7 +111,7 @@ impl Request {
 }
 
 /// Splits a request target into `(path, query)`.
-pub fn split_target(target: &str) -> (&str, &str) {
+fn split_target(target: &str) -> (&str, &str) {
     match target.split_once('?') {
         Some((p, q)) => (p, q),
         None => (target, ""),

@@ -1,8 +1,8 @@
 //! Prometheus text-format exposition (version 0.0.4).
 //!
-//! One encoder renders a [`Snapshot`] for both consumers: the shell's
-//! `\metrics` command and the HTTP `/metrics` route, so the two can
-//! never drift apart.
+//! One encoder renders a [`Snapshot`] for every consumer: the shell's
+//! `\metrics` command and the `/metrics` routes of the forecast server
+//! and the router, so they can never drift apart.
 //!
 //! Series keys in the registry already carry their labels in Prometheus
 //! syntax (`name{k="v"}`, canonical order, escaped values — see
@@ -15,6 +15,10 @@
 use crate::labels::{prometheus_name, split_series};
 use crate::metrics::Snapshot;
 use std::collections::BTreeMap;
+
+/// The `Content-Type` of every `GET /metrics` answer: the text format,
+/// version 0.0.4, in UTF-8.
+pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 
 /// Groups a section's series by sanitized family name, preserving the
 /// snapshot's sorted order within each family. Prometheus requires all

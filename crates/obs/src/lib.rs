@@ -40,10 +40,10 @@
 //!   [`DriftAlert`]s (SMAPE threshold or variance-aware);
 //! * **event journal** — [`journal`] is a bounded ring of typed
 //!   [`Event`]s with an optional JSONL sink;
-//! * **export plane** — [`encode_prometheus`] (text exposition),
-//!   [`ObsServer`] (std-only HTTP `/metrics`, `/healthz`, `/events`,
-//!   `/snapshot`), and [`TraceCollector`] (Chrome `trace_event` JSON
-//!   for Perfetto).
+//! * **export plane** — [`encode_prometheus`] (text exposition, which
+//!   `fdc-serve` and `fdc-router` answer `GET /metrics` with),
+//!   [`httpcore`] (the one HTTP/1.1 layer), and [`TraceCollector`]
+//!   (Chrome `trace_event` JSON for Perfetto).
 
 pub mod accuracy;
 pub mod events;
@@ -58,7 +58,6 @@ pub mod wire;
 
 pub use accuracy::{AccuracyOptions, DriftAlert, DriftTrigger, KeyAccuracy, RollingAccuracy};
 pub use events::{journal, Event, Journal, TimedEvent};
-pub use export::http::ObsServer;
 pub use export::httpcore;
 pub use export::prom::encode_prometheus;
 pub use export::trace::{

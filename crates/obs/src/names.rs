@@ -105,8 +105,6 @@ pub const OBS_SERIES_DROPPED: &str = "obs.series.dropped";
 /// the family that overflowed — unlike [`OBS_SERIES_DROPPED`], this
 /// keeps the overflowed family's name.
 pub const OBS_LABELS_OVERFLOW: &str = "obs.labels.overflow";
-/// Counter: HTTP requests served by the exporter.
-pub const OBS_HTTP_REQUESTS: &str = "obs.http.requests";
 /// Counter: events pushed into the journal.
 pub const OBS_JOURNAL_EVENTS: &str = "obs.journal.events";
 /// Counter: t-digest shard merges performed by registry snapshots (each
@@ -283,7 +281,6 @@ mod tests {
             ADVISOR_INDICATOR_CACHE_MISS,
             OBS_SERIES_DROPPED,
             OBS_LABELS_OVERFLOW,
-            OBS_HTTP_REQUESTS,
             OBS_JOURNAL_EVENTS,
             OBS_SKETCH_MERGES,
             OBS_SKETCH_ACCURACY_MERGES,

@@ -323,7 +323,7 @@ impl Service for Shared {
         };
         let extra_refs: Vec<(&str, &str)> = extra.iter().map(|(n, v)| (*n, v.as_str())).collect();
         let content_type = if route == "metrics" {
-            "text/plain; version=0.0.4"
+            fdc_obs::export::prom::CONTENT_TYPE
         } else {
             "application/json"
         };

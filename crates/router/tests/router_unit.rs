@@ -474,6 +474,13 @@ fn healthz_tracks_quorum_transitions() {
         .count();
     assert!(down >= 1, "no ShardDown event for the failed shard");
     assert!(up >= 1, "no ShardRecovered event after recovery");
+
+    // A fleet scrape goes out under the one Prometheus content type.
+    let metrics = common::request(router.addr(), "GET", "/metrics", None);
+    assert_eq!(
+        metrics.header("content-type"),
+        Some(fdc_obs::export::prom::CONTENT_TYPE)
+    );
     router.shutdown();
 }
 

@@ -11,11 +11,11 @@
 //! * a fixed pool of **worker threads** pops connections, enforces the
 //!   per-request deadline (a connection that waited in the queue longer
 //!   than the deadline is answered `503` without doing the work), parses
-//!   each request with the same [`fdc_obs::httpcore`] reader the
-//!   observability exporter uses, and dispatches on the route table
-//!   below. Connections are **persistent**: a worker serves its
-//!   connection request after request until the client closes, nothing
-//!   arrives for `read_timeout`, or another connection needs the worker
+//!   each request with the shared [`fdc_obs::httpcore`] reader, and
+//!   dispatches on the route table below. Connections are
+//!   **persistent**: a worker serves its connection request after
+//!   request until the client closes, nothing arrives for
+//!   `read_timeout`, or another connection needs the worker
 //!   ([`fdc_obs::httpcore::server`] has the rules; the accept thread and
 //!   worker loop live there and are shared with `fdc-router`);
 //! * a **flusher thread** group-commits writes: `POST /insert` requests
@@ -41,8 +41,16 @@
 //! | `GET /stats` | — | `200` engine + server counters |
 //! | `GET /healthz` | — | `200` (`503` on a lagging follower) |
 //! | `GET /slow` | — | `200` slow-query journal (auto-`EXPLAIN` capture) |
+//! | `GET /metrics` | — | `200` the process registry as Prometheus text, with exemplars |
+//! | `GET /events?n=N` | — | `200` the journal's last `N` events (default 64) |
+//! | `GET /snapshot` | — | `200` the process registry as JSON |
 //! | `GET /wal/fetch?after=N` | — | `200` binary ship chunk (primary side of replication) |
 //! | `POST /promote` | `{"tail_wal_dir": "..."}?` | `200` promotion report (follower only) |
+//!
+//! `/metrics`, `/events` and `/snapshot` are the process's own
+//! observability: whatever it records — engine, server, replica — is
+//! read on the port that serves its forecasts, and it has no second
+//! listener.
 //!
 //! ## Distributed tracing
 //!
@@ -110,6 +118,7 @@ use fdc_cube::NodeId;
 use fdc_f2db::{
     ExplainReport, F2db, F2dbError, QueryAnswer, QueryMode, QueryRequest, QueryResult, WalRecord,
 };
+use fdc_obs::export::prom;
 use fdc_obs::httpcore::server::{CloseReason, ConnQueue, Limits, Reject, Responder, Service};
 use fdc_obs::httpcore::{status_line, Request};
 use fdc_obs::{journal, names, trace, Event, TraceContext};
@@ -546,6 +555,10 @@ impl Service for Shared {
                     let map = self.db.placement().encode().to_vec();
                     ("plan", 200, Body::Binary(map), Vec::new())
                 }
+                ("GET", ("/metrics", _)) => {
+                    let text = fdc_obs::encode_prometheus(&fdc_obs::snapshot());
+                    ("metrics", 200, Body::Prometheus(text), Vec::new())
+                }
                 _ => {
                     let (route, status, body, extra) =
                         route_request(self, request, budget, &mut forecast);
@@ -576,6 +589,7 @@ fn respond(
     .incr();
     let (content_type, bytes) = match body {
         Body::Json(text) => ("application/json", text.as_bytes()),
+        Body::Prometheus(text) => (prom::CONTENT_TYPE, text.as_bytes()),
         Body::Binary(bytes) => ("application/octet-stream", bytes.as_slice()),
     };
     out.send(status_line(status), content_type, bytes, extra);
@@ -654,6 +668,8 @@ fn maybe_capture_slow(
 /// What a route answers with.
 enum Body {
     Json(String),
+    /// The Prometheus text exposition of `GET /metrics`.
+    Prometheus(String),
     /// `application/octet-stream`: ship chunks and sketch bundles.
     Binary(Vec<u8>),
 }
@@ -664,13 +680,17 @@ enum Body {
 
 type Routed = (&'static str, u16, String, Vec<(&'static str, String)>);
 
+/// How many of the journal's newest events `GET /events` answers with
+/// when the request names no `n`.
+const EVENTS: usize = 64;
+
 fn route_request(
     shared: &Shared,
     request: &Request,
     remaining: Duration,
     forecast: &mut Option<QueryRequest>,
 ) -> Routed {
-    let (path, _query) = request.path_query();
+    let (path, query) = request.path_query();
     let no_extra = Vec::new;
     match (request.method.as_str(), path) {
         ("POST", "/query" | "/explain") => {
@@ -703,13 +723,25 @@ fn route_request(
         ("GET", "/stats") => ("stats", 200, stats_body(shared), no_extra()),
         ("GET", "/healthz") => handle_healthz(shared),
         ("GET", "/slow") => ("slow", 200, shared.slow.to_json(), no_extra()),
+        ("GET", "/events") => {
+            let (status, body) = match query_u64(query, "n") {
+                Ok(n) => (200, journal().recent_json(n.map_or(EVENTS, |n| n as usize))),
+                Err(m) => (400, err_body(&m)),
+            };
+            ("events", status, body, no_extra())
+        }
+        ("GET", "/snapshot") => ("snapshot", 200, fdc_obs::snapshot().to_json(), no_extra()),
         (_, "/query" | "/explain" | "/insert" | "/maintain" | "/promote" | "/plan") => (
             "method",
             405,
             err_body("use POST"),
             vec![("Allow", "POST".to_string())],
         ),
-        (_, "/stats" | "/healthz" | "/slow" | "/wal/fetch" | "/sketch" | "/placement") => (
+        (
+            _,
+            "/stats" | "/healthz" | "/slow" | "/wal/fetch" | "/sketch" | "/placement" | "/metrics"
+            | "/events" | "/snapshot",
+        ) => (
             "method",
             405,
             err_body("use GET"),

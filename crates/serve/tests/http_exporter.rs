@@ -1,20 +1,30 @@
-//! End-to-end exporter test: scrape a live [`ObsServer`] with a raw
-//! `TcpStream` GET and assert the Prometheus text exposition is
-//! well-formed — correct content type, one `# TYPE` line per family,
+//! End-to-end scrape test: scrape a live forecast server's `/metrics`
+//! with a raw `TcpStream` GET and assert the Prometheus text exposition
+//! is well-formed — correct content type, one `# TYPE` line per family,
 //! canonical label ordering, and monotone cumulative histogram buckets.
 //!
 //! Runs as its own process, so the global registry contains only what
-//! this file records (plus the exporter's own `obs_http_requests`).
+//! this file records, what the served engine registers, and the
+//! server's own `serve_http_requests`.
 
-use fdc_obs::ObsServer;
+use fdc_cube::Configuration;
+use fdc_f2db::F2db;
+use fdc_obs::httpcore::client::{Client, Outgoing, Pooled};
+use fdc_serve::{ServeOptions, Server};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
+use std::time::Duration;
 
-/// One-shot HTTP GET, returning `(status_line, headers, body)`.
+/// One-shot HTTP GET, returning `(status_line, headers, body)`. It asks
+/// for `Connection: close`, so reading to EOF ends with the response.
 fn get(addr: SocketAddr, target: &str) -> (String, String, String) {
     let mut stream = TcpStream::connect(addr).unwrap();
     stream
-        .write_all(format!("GET {target} HTTP/1.1\r\nHost: localhost\r\n\r\n").as_bytes())
+        .write_all(
+            format!("GET {target} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n")
+                .as_bytes(),
+        )
         .unwrap();
     let mut raw = String::new();
     stream.read_to_string(&mut raw).unwrap();
@@ -42,7 +52,10 @@ fn metrics_scrape_is_well_formed() {
         hist.record(v);
     }
 
-    let server = ObsServer::bind(0).unwrap();
+    // An engine with no model is enough: the scrape reads the registry.
+    let ds = fdc_datagen::tourism_proxy(1);
+    let db = F2db::load(ds.clone(), &Configuration::new(ds.node_count())).unwrap();
+    let server = Server::start(Arc::new(db), 0, ServeOptions::default()).unwrap();
     let addr = server.addr();
 
     let (status, headers, _) = get(addr, "/healthz");
@@ -52,7 +65,7 @@ fn metrics_scrape_is_well_formed() {
     let (status, headers, body) = get(addr, "/metrics");
     assert!(status.starts_with("HTTP/1.1 200"), "{status}");
     assert!(
-        headers.contains("text/plain; version=0.0.4; charset=utf-8"),
+        headers.contains(fdc_obs::export::prom::CONTENT_TYPE),
         "{headers}"
     );
 
@@ -123,14 +136,14 @@ fn metrics_scrape_is_well_formed() {
         .expect("_sum sample");
     assert!(parse_sample(sum_line).1 >= 1_000_000.0);
 
-    // The exporter counts its own scrapes under a bounded route label.
+    // The server counts its own scrapes under a bounded route label.
     let (_, _, body2) = get(addr, "/metrics");
     assert!(
-        body2.contains("obs_http_requests{path=\"/metrics\"}"),
+        body2.contains("serve_http_requests{route=\"metrics\",status=\"200\"}"),
         "{body2}"
     );
     assert!(
-        body2.contains("obs_http_requests{path=\"/healthz\"} 1"),
+        body2.contains("serve_http_requests{route=\"healthz\",status=\"200\"} 1"),
         "{body2}"
     );
 
@@ -143,5 +156,26 @@ fn metrics_scrape_is_well_formed() {
     assert!(status.starts_with("HTTP/1.1 200"));
     assert!(snap.trim_start().starts_with('{'), "{snap}");
 
-    server.shutdown();
+    // The scrape routes are ordinary routes of the keep-alive server:
+    // one connection carries them all, and anything but GET is a 405.
+    let client = Client::new(Duration::from_secs(10));
+    let at = addr.to_string();
+    let send = |method, path| client.send(&at, &Outgoing::new(method, path, b"")).unwrap();
+    assert_eq!(send("GET", "/healthz").pooled, Pooled::Miss);
+    for path in ["/metrics", "/events?n=3", "/snapshot"] {
+        let response = send("GET", path);
+        assert_eq!(
+            (response.status, response.pooled),
+            (200, Pooled::Hit),
+            "{path}"
+        );
+    }
+    for path in ["/metrics", "/events", "/snapshot"] {
+        let response = send("POST", path);
+        assert_eq!(response.status, 405, "{path}");
+        assert_eq!(response.header("allow"), Some("GET"), "{path}");
+    }
+    assert_eq!(send("GET", "/events?n=three").status, 400);
+
+    server.shutdown().unwrap();
 }

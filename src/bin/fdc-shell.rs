@@ -5,10 +5,11 @@
 //! or a built-in demo cube), runs the model configuration advisor, and
 //! then reads SQL statements from stdin: forecast queries, inserts,
 //! `EXPLAIN` and `EXPLAIN ANALYZE`, plus the meta commands `\report`,
-//! `\stats`, `\accuracy`, `\metrics`, `\events`, `\serve`, `\listen`,
-//! `\wal`, `\trace` and `\quit`. `\listen <port>` starts the `fdc-serve`
+//! `\stats`, `\accuracy`, `\metrics`, `\events`, `\listen`, `\wal`,
+//! `\trace` and `\quit`. `\listen <port>` starts the `fdc-serve`
 //! forecast server on the session's engine, so the same catalog answers
-//! both the prompt and HTTP clients.
+//! both the prompt and HTTP clients — and the same port answers
+//! `/metrics`, `/events` and `/snapshot`.
 //!
 //! `--wal <dir>` attaches a write-ahead log: acknowledged inserts are
 //! fsynced before `ok` and replayed onto the freshly advised engine at
@@ -46,7 +47,7 @@ use fdc::f2db::{
     Statement,
 };
 use fdc::forecast::Granularity;
-use fdc::obs::{AccuracyOptions, ObsServer, TraceCollector};
+use fdc::obs::{AccuracyOptions, TraceCollector};
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -314,16 +315,13 @@ fn main() {
     eprintln!(
         "     EXPLAIN [ANALYZE] <query> | \\report | \\stats | \\accuracy | \\maintain | \\metrics [human|json]"
     );
-    eprintln!(
-        "     \\events [n] | \\serve <port> | \\listen <port> | \\topology | \\wal | \\slow | \\quit"
-    );
+    eprintln!("     \\events [n] | \\listen <port> | \\topology | \\wal | \\slow | \\quit");
     eprintln!("     \\approx [on|off|budget <cells>|target <rel> [conf]]");
     eprintln!("     \\trace <file.json> | \\trace | \\trace --merge <out.json> <in.json>...\n");
 
-    // Export-plane state owned by the session: a running HTTP exporter,
-    // an in-progress Chrome trace recording, and/or a forecast server
-    // answering HTTP clients from the same engine.
-    let mut server: Option<ObsServer> = None;
+    // Export-plane state owned by the session: an in-progress Chrome
+    // trace recording, and/or a forecast server answering HTTP clients
+    // (and scrapes) from the same engine.
     let mut forecast_server: Option<fdc::serve::Server> = None;
     let mut trace: Option<(Arc<TraceCollector>, PathBuf)> = None;
     // Per-session approximation controls: `\approx on` attaches a
@@ -503,24 +501,6 @@ fn main() {
             }
             continue;
         }
-        if let Some(rest) = line.strip_prefix("\\serve") {
-            if let Some(s) = &server {
-                println!("exporter already running on {}", s.addr());
-                continue;
-            }
-            let port = rest.trim().parse::<u16>().unwrap_or(0);
-            match ObsServer::bind(port) {
-                Ok(s) => {
-                    println!(
-                        "serving http://{} — /metrics /healthz /events?n= /snapshot",
-                        s.addr()
-                    );
-                    server = Some(s);
-                }
-                Err(e) => println!("error: cannot bind port {port}: {e}"),
-            }
-            continue;
-        }
         if let Some(rest) = line.strip_prefix("\\listen") {
             if let Some(s) = &forecast_server {
                 println!("forecast server already listening on {}", s.addr());
@@ -543,7 +523,7 @@ fn main() {
             match started {
                 Ok(s) => {
                     println!(
-                        "forecast server on http://{} — POST /query /explain /insert /maintain, GET /stats /healthz{}",
+                        "forecast server on http://{} — POST /query /explain /insert /maintain, GET /stats /healthz /metrics /events?n= /snapshot{}",
                         s.addr(),
                         if replica.is_some() {
                             " (follower: writes 409 until POST /promote)"
@@ -796,7 +776,6 @@ fn main() {
         // replicated and the next start resumes from it.
         r.seal();
     }
-    drop(server);
 }
 
 /// `--router <topology>`: the stateless scatter-gather tier. No data

@@ -55,7 +55,14 @@ fn mask(doc: &str) -> String {
 /// Starts the server that answers the scrapes and returns its address.
 /// It runs for the rest of the process.
 fn serve() -> String {
-    let server = fdc::obs::ObsServer::bind(0).expect("the exporter binds");
+    // A forecast server over an engine with no model: a scrape reads the
+    // process's registry and journal, not the engine.
+    let ds = fdc::datagen::tourism_proxy(1);
+    let none = fdc::cube::Configuration::new(ds.node_count());
+    let db = fdc::f2db::F2db::load(ds, &none).expect("the engine loads");
+    let options = fdc::serve::ServeOptions::default();
+    let server =
+        fdc::serve::Server::start(std::sync::Arc::new(db), 0, options).expect("the server starts");
     let addr = server.addr().to_string();
     std::mem::forget(server);
     addr
