@@ -52,6 +52,15 @@ fn metric(result: Option<&Value>, name: &str) -> Option<f64> {
     result?.get("metrics")?.get(name)?.get("value")?.as_f64()
 }
 
+/// `change / parent − 1`; two equal values (two zeros too) differ by 0.
+fn delta(parent: f64, change: f64) -> f64 {
+    if parent == change {
+        0.0
+    } else {
+        change / parent - 1.0
+    }
+}
+
 /// The failed share of a result line.
 fn failed_share(result: Option<&Value>) -> Option<f64> {
     let count = |member| result?.get(member)?.as_f64();
@@ -82,7 +91,7 @@ fn run() -> Result<bool, String> {
     // `within` is `None` for a metric without a bound.
     let row = |workload: &str, name: &str, p, c, bound: &str, within: Option<bool>| {
         let delta = match (p, c) {
-            (Some(p), Some(c)) => format!("{:+.1}%", (c / p - 1.0) * 100.0),
+            (Some(p), Some(c)) => format!("{:+.1}%", delta(p, c) * 100.0),
             _ => "-".to_string(),
         };
         let shown = |v: Option<f64>| v.map_or("missing".to_string(), |v| format!("{v:.4}"));
@@ -98,18 +107,13 @@ fn run() -> Result<bool, String> {
             let name = text(m, "name");
             let bound = m.get("bound").and_then(Value::as_f64).unwrap_or(0.0);
             let (p, c) = (metric(p_run, name), metric(c_run, name));
-            let within = match (p, c) {
-                (Some(p), Some(c)) => {
-                    let delta = c / p - 1.0;
-                    let worse = if text(m, "better") == "higher" {
-                        -delta
-                    } else {
-                        delta
-                    };
-                    worse <= bound
-                }
-                _ => false,
+            // How much worse the change is: Δ itself where lower is better.
+            let worse = if text(m, "better") == "higher" {
+                -1.0
+            } else {
+                1.0
             };
+            let within = matches!((p, c), (Some(p), Some(c)) if worse * delta(p, c) <= bound);
             within_all &= within;
             let shown = format!("{:.0}%", bound * 100.0);
             row(workload, name, p, c, &shown, Some(within));

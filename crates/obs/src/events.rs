@@ -78,9 +78,9 @@ pub enum Event {
         /// Decoded size in bytes.
         bytes: u64,
     },
-    /// The HTTP exporter started serving.
+    /// A forecast server started serving.
     ServeStart {
-        /// The bound address, e.g. `127.0.0.1:9100`.
+        /// The bound address, e.g. `127.0.0.1:8090`.
         addr: String,
     },
     /// A checkpoint recorded the durable WAL position and truncated

@@ -555,6 +555,7 @@ impl Service for Shared {
                     let map = self.db.placement().encode().to_vec();
                     ("plan", 200, Body::Binary(map), Vec::new())
                 }
+                // The one answer that is neither JSON nor binary.
                 ("GET", ("/metrics", _)) => {
                     let text = fdc_obs::encode_prometheus(&fdc_obs::snapshot());
                     ("metrics", 200, Body::Prometheus(text), Vec::new())
