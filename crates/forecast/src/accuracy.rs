@@ -23,11 +23,49 @@ pub enum AccuracyMeasure {
 impl AccuracyMeasure {
     /// Scores `forecast` against `actual` with the selected measure.
     pub fn score(self, actual: &[f64], forecast: &[f64]) -> f64 {
+        if actual.is_empty() {
+            return 0.0;
+        }
+        let sum: f64 = paired(actual, forecast)
+            .map(|(x, f)| self.point_error(x, f))
+            .sum();
+        self.from_sum(sum, actual.len())
+    }
+
+    /// One pair's term of the measure: [`AccuracyMeasure::score`] is
+    /// [`AccuracyMeasure::from_sum`] of these terms summed in order, so a
+    /// caller that produces the forecast on the fly scores it without
+    /// storing it.
+    #[inline]
+    pub fn point_error(self, x: f64, f: f64) -> f64 {
         match self {
-            AccuracyMeasure::Smape => smape(actual, forecast),
-            AccuracyMeasure::Mape => mape(actual, forecast),
-            AccuracyMeasure::Mae => mae(actual, forecast),
-            AccuracyMeasure::Rmse => rmse(actual, forecast),
+            AccuracyMeasure::Smape => {
+                let denom = (x + f).abs();
+                if denom < f64::EPSILON {
+                    0.0
+                } else {
+                    (x - f).abs() / denom
+                }
+            }
+            AccuracyMeasure::Mape => {
+                if x.abs() < f64::EPSILON {
+                    0.0
+                } else {
+                    ((x - f) / x).abs()
+                }
+            }
+            AccuracyMeasure::Mae => (x - f).abs(),
+            AccuracyMeasure::Rmse => (x - f) * (x - f),
+        }
+    }
+
+    /// The measure over `n ≥ 1` pairs whose point errors sum to `sum`.
+    #[inline]
+    pub fn from_sum(self, sum: f64, n: usize) -> f64 {
+        let mean = sum / n as f64;
+        match self {
+            AccuracyMeasure::Rmse => mean.sqrt(),
+            _ => mean,
         }
     }
 }
@@ -51,61 +89,23 @@ fn paired<'a>(actual: &'a [f64], forecast: &'a [f64]) -> impl Iterator<Item = (f
 /// measure) contribute a zero error, keeping the measure defined on sparse
 /// cube cells. Returns 0 for empty input.
 pub fn smape(actual: &[f64], forecast: &[f64]) -> f64 {
-    if actual.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = paired(actual, forecast)
-        .map(|(x, f)| {
-            let denom = (x + f).abs();
-            if denom < f64::EPSILON {
-                0.0
-            } else {
-                (x - f).abs() / denom
-            }
-        })
-        .sum();
-    sum / actual.len() as f64
+    AccuracyMeasure::Smape.score(actual, forecast)
 }
 
 /// Mean absolute percentage error. Zero actual values contribute zero to
 /// keep the measure finite on sparse data.
 pub fn mape(actual: &[f64], forecast: &[f64]) -> f64 {
-    if actual.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = paired(actual, forecast)
-        .map(|(x, f)| {
-            if x.abs() < f64::EPSILON {
-                0.0
-            } else {
-                ((x - f) / x).abs()
-            }
-        })
-        .sum();
-    sum / actual.len() as f64
+    AccuracyMeasure::Mape.score(actual, forecast)
 }
 
 /// Mean absolute error.
 pub fn mae(actual: &[f64], forecast: &[f64]) -> f64 {
-    if actual.is_empty() {
-        return 0.0;
-    }
-    paired(actual, forecast)
-        .map(|(x, f)| (x - f).abs())
-        .sum::<f64>()
-        / actual.len() as f64
+    AccuracyMeasure::Mae.score(actual, forecast)
 }
 
 /// Root mean squared error.
 pub fn rmse(actual: &[f64], forecast: &[f64]) -> f64 {
-    if actual.is_empty() {
-        return 0.0;
-    }
-    (paired(actual, forecast)
-        .map(|(x, f)| (x - f) * (x - f))
-        .sum::<f64>()
-        / actual.len() as f64)
-        .sqrt()
+    AccuracyMeasure::Rmse.score(actual, forecast)
 }
 
 /// Mean absolute scaled error relative to the in-sample naive forecast of
