@@ -5,8 +5,8 @@
 //!
 //! * **indicators** — λ = 0 (historical error only) vs λ = 1 (combined)
 //!   vs λ = 4 (similarity-heavy): validates combining both ingredients;
-//! * **gamma** — adaptive γ vs fixed γ = 0: validates the timing feedback
-//!   loop;
+//! * **gamma** — adaptive γ vs fixed γ = 0: validates the feedback loop
+//!   on the phases' counted work;
 //! * **multisource** — 0 vs 8 vs 32 asynchronous multi-source rounds per
 //!   iteration: validates the §IV-C.2 component;
 //! * **seed** — with vs without the top-node seed model.

@@ -8,18 +8,23 @@
 //!   one array exists per node.
 //! * **`γ` (candidate threshold)** — initialized, assuming normally
 //!   distributed indicator values, so the expected number of positive
-//!   candidates roughly equals the number of processors; afterwards
-//!   adapted each iteration by comparing the time spent in candidate
-//!   selection with the time spent in evaluation. Candidate selection
+//!   candidates roughly equals the models built per iteration; afterwards
+//!   adapted each iteration by comparing the work done in candidate
+//!   selection with the work done in evaluation. Candidate selection
 //!   "should not be more expensive than the evaluation phase, otherwise
 //!   we could just invest the time to directly create forecast models".
+//!   Both sides are *counted*, never timed, so γ — and with it the
+//!   search — is a property of the data and the options, not of the
+//!   machine or the run: selection work is the local indicator entries
+//!   built × (training length + series length), evaluation work the
+//!   effect targets measured × horizon plus every fit's
+//!   [`fdc_cube::ConfiguredModel::creation_work`]. The phases' wall times
+//!   are only reported.
 //! * **`α` (acceptance weight)** — starts low (only high-benefit models
 //!   are accepted) and is increased when (1) a number of rejects
 //!   occurred, (2) the per-α iteration cap is reached, or (3) the error
 //!   improvement became too small; the advisor stops when α exceeds its
 //!   limit.
-
-use std::time::Duration;
 
 /// Mutable control state carried across advisor iterations.
 #[derive(Debug, Clone)]
@@ -32,7 +37,7 @@ pub struct ControlState {
     pub alpha_step: f64,
     /// α value past which the advisor terminates.
     pub alpha_limit: f64,
-    /// Whether γ adapts to phase timings.
+    /// Whether γ adapts to the phases' counted work.
     pub adaptive_gamma: bool,
     /// Rejects since the last α increase.
     rejects: usize,
@@ -74,15 +79,15 @@ impl ControlState {
         self.gamma = inverse_normal_cdf(1.0 - p).clamp(-2.0, 4.0);
     }
 
-    /// Adapts γ from the observed phase timings: if candidate selection
-    /// got more expensive than evaluation, raise γ (fewer candidates);
-    /// if evaluation dominates, lower γ so more candidates are examined
-    /// by the cheap indicators before the expensive model builds.
-    pub fn adapt_gamma(&mut self, selection: Duration, evaluation: Duration) {
+    /// Adapts γ from the phases' counted work: if candidate selection
+    /// did more work than evaluation, raise γ (fewer candidates); if
+    /// evaluation dominates, lower γ so more candidates are examined by
+    /// the cheap indicators before the expensive model builds.
+    pub fn adapt_gamma(&mut self, selection_work: u64, evaluation_work: u64) {
         if !self.adaptive_gamma {
             return;
         }
-        if selection > evaluation {
+        if selection_work > evaluation_work {
             self.gamma = (self.gamma + 0.1).min(4.0);
         } else {
             self.gamma = (self.gamma - 0.1).max(-2.0);
@@ -214,21 +219,24 @@ mod tests {
     }
 
     #[test]
-    fn adapt_gamma_follows_timings() {
+    fn adapt_gamma_follows_counted_work() {
         let mut c = ControlState::new(0.1, 1.0, true);
         c.gamma = 1.0;
-        c.adapt_gamma(Duration::from_millis(10), Duration::from_millis(100));
+        c.adapt_gamma(10, 100);
         assert!(c.gamma < 1.0, "evaluation-heavy → more candidates");
         let g = c.gamma;
-        c.adapt_gamma(Duration::from_millis(100), Duration::from_millis(10));
+        c.adapt_gamma(100, 10);
         assert!(c.gamma > g, "selection-heavy → fewer candidates");
+        let g = c.gamma;
+        c.adapt_gamma(10, 10);
+        assert!(c.gamma < g, "a tie favours more candidates");
     }
 
     #[test]
     fn adapt_gamma_noop_when_disabled() {
         let mut c = ControlState::new(0.1, 1.0, false);
         let g = c.gamma;
-        c.adapt_gamma(Duration::from_millis(100), Duration::from_millis(1));
+        c.adapt_gamma(100, 1);
         assert_eq!(c.gamma, g);
     }
 

@@ -59,7 +59,10 @@ pub mod smoothing;
 
 pub use accuracy::{mae, mape, mase, rmse, smape, AccuracyMeasure};
 pub use arima::{Arima, ArimaOrder, Sarima, SeasonalOrder};
-pub use model::{FitOptions, ForecastError, ForecastModel, ModelSpec, ModelState, SeasonalKind};
+pub use model::{
+    FitOptions, ForecastError, ForecastModel, ModelSpec, ModelState, SeasonalKind,
+    WORK_UNITS_PER_US,
+};
 pub use optimize::{
     GridSearch, HillClimbing, NelderMead, Objective, OptimizeResult, Optimizer, SimulatedAnnealing,
 };

@@ -73,7 +73,21 @@ pub struct FitOptions {
     pub artificial_stall_us: u64,
 }
 
+/// Counted-work units one microsecond of artificial model-creation cost
+/// stands for. A unit is one objective evaluation over one training
+/// point; a Holt-Winters fit on a Gen2000 node (38 points, ≈ 134
+/// evaluations) spends about 127 of them per microsecond on a 2-vCPU
+/// Xeon.
+pub const WORK_UNITS_PER_US: u64 = 128;
+
 impl FitOptions {
+    /// The artificial cost (busy work plus sleep) in counted-work units
+    /// ([`WORK_UNITS_PER_US`]), so a work count grows with it the way a
+    /// wall-clock time does.
+    pub fn artificial_work(&self) -> u64 {
+        (self.artificial_cost_us + self.artificial_stall_us).saturating_mul(WORK_UNITS_PER_US)
+    }
+
     /// Burns the configured artificial model-creation cost: busy work
     /// first, then the I/O-style sleep. Every fit and re-fit entry point
     /// pays this once per model.

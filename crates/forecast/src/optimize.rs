@@ -13,13 +13,27 @@
 //! coefficients constrained to `(-1, 1)`.
 
 use fdc_rng::Rng;
+use std::cell::Cell;
+
+thread_local! {
+    static THREAD_EVALUATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Records one optimizer run into the metrics registry
 /// (`optimize.<algo>.runs` / `optimize.<algo>.evals`), so the advisor's
-/// objective-evaluation budget is observable per algorithm.
+/// objective-evaluation budget is observable per algorithm, and into the
+/// calling thread's [`thread_evaluations`].
 fn record_run(algo: &str, evaluations: usize) {
     fdc_obs::counter(&fdc_obs::names::optimize_runs(algo)).incr();
     fdc_obs::counter(&fdc_obs::names::optimize_evals(algo)).add(evaluations as u64);
+    THREAD_EVALUATIONS.with(|c| c.set(c.get() + evaluations as u64));
+}
+
+/// Objective evaluations every optimizer run on the calling thread has
+/// spent so far. A fit runs on one thread, so the difference across it
+/// is that fit's count.
+pub fn thread_evaluations() -> u64 {
+    THREAD_EVALUATIONS.with(Cell::get)
 }
 
 /// A function to minimize, with box constraints.
