@@ -42,8 +42,8 @@ pub struct ApproachRow {
     pub error: f64,
     /// Number of models kept.
     pub models: usize,
-    /// Total model creation cost.
-    pub cost: Duration,
+    /// Total model creation cost (counted work units).
+    pub cost: u64,
     /// Wall-clock time of configuration construction.
     pub wall_time: Duration,
 }
@@ -129,11 +129,11 @@ pub fn print_table(title: &str, rows: &[ApproachRow]) {
     println!("\n== {title} ==");
     println!(
         "{:<12} {:>10} {:>9} {:>12} {:>12}",
-        "approach", "error", "#models", "cost", "wall time"
+        "approach", "error", "#models", "cost [work]", "wall time"
     );
     for r in rows {
         println!(
-            "{:<12} {:>10.4} {:>9} {:>12.3?} {:>12.3?}",
+            "{:<12} {:>10.4} {:>9} {:>12} {:>12.3?}",
             r.name, r.error, r.models, r.cost, r.wall_time
         );
     }

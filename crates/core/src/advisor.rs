@@ -28,16 +28,15 @@ pub struct StopCriteria {
     pub absolute_error: Option<f64>,
     /// Stop once the error falls to or below `fraction × initial error`.
     pub relative_error: Option<f64>,
-    /// Stop once the total model cost reaches this duration.
-    pub absolute_cost: Option<Duration>,
+    /// Stop once the total model cost reaches this much counted creation
+    /// work ([`Configuration::total_cost`]).
+    pub absolute_cost: Option<u64>,
     /// Stop once this many models are stored.
     pub max_models: Option<usize>,
     /// Stop once `fraction × node count` models are stored.
     pub relative_models: Option<f64>,
     /// Hard iteration cap.
     pub max_iterations: Option<usize>,
-    /// Hard wall-clock cap.
-    pub max_wall_time: Option<Duration>,
 }
 
 /// Why the advisor terminated.
@@ -51,8 +50,6 @@ pub enum StopReason {
     CostReached,
     /// The iteration cap fired.
     IterationLimit,
-    /// The wall-clock cap fired.
-    TimeLimit,
 }
 
 /// Options of the advisor. "Ideally no further parameterization input
@@ -129,8 +126,8 @@ pub struct IterationStats {
     pub error: f64,
     /// Models stored after the iteration.
     pub model_count: usize,
-    /// Total model cost after the iteration.
-    pub cost: Duration,
+    /// Total model cost (counted creation work) after the iteration.
+    pub cost: u64,
     /// Positive candidates selected.
     pub candidates: usize,
     /// Models actually built.
@@ -164,9 +161,9 @@ pub struct AdvisorOutcome {
     pub error: f64,
     /// Final model count.
     pub model_count: usize,
-    /// Final total model cost.
-    pub total_cost: Duration,
-    /// Total wall time of the run.
+    /// Final total model cost (counted creation work).
+    pub total_cost: u64,
+    /// Total wall time of the run (reported only).
     pub wall_time: Duration,
     /// Why the run stopped.
     pub stop_reason: StopReason,
@@ -193,7 +190,6 @@ pub struct Advisor<'a> {
     multisource: MultiSourceSearch,
     history: Vec<IterationStats>,
     iteration: usize,
-    started: Instant,
     initial_error: f64,
     indicator_options: IndicatorOptions,
     spec: ModelSpec,
@@ -248,7 +244,6 @@ impl<'a> Advisor<'a> {
             multisource: MultiSourceSearch::new(options.seed),
             history: Vec::new(),
             iteration: 0,
-            started: Instant::now(),
             initial_error: 1.0,
             indicator_options,
             spec,
@@ -274,7 +269,7 @@ impl<'a> Advisor<'a> {
         let Ok(model) = ConfiguredModel::fit(&self.split, top, &self.spec, &self.fit) else {
             return; // series too short for the spec — start empty
         };
-        self.criterion.observe_creation(model.creation_time);
+        self.criterion.observe_creation(model.creation_work);
         self.configuration.insert_model(top, model);
         for t in 0..self.dataset.node_count() {
             self.configuration
@@ -357,7 +352,7 @@ impl<'a> Advisor<'a> {
                     err_now,
                     cost_now,
                     optimistic_err,
-                    cost_now + self.criterion.avg_creation_time,
+                    cost_now + self.criterion.avg_creation_work as u64,
                 )
             })
             .map(|(_, c)| c.node)
@@ -375,7 +370,7 @@ impl<'a> Advisor<'a> {
             match model {
                 Some(m) => {
                     evaluation_work += m.creation_work;
-                    self.criterion.observe_creation(m.creation_time);
+                    self.criterion.observe_creation(m.creation_work);
                     self.built_cache.insert(node, m);
                 }
                 None => {
@@ -411,7 +406,7 @@ impl<'a> Advisor<'a> {
             evaluation_work += (effect.measured * self.split.horizon()) as u64;
             let err_old = self.configuration.overall_error();
             let cost_old = self.configuration.total_cost();
-            let cost_new = cost_old + model.creation_time;
+            let cost_new = cost_old + model.creation_work;
             if self
                 .criterion
                 .accepts(err_old, cost_old, effect.err_new, cost_new)
@@ -506,7 +501,7 @@ impl<'a> Advisor<'a> {
         let Some(model) = self.configuration.model(victim) else {
             return false;
         };
-        let model_cost = model.creation_time;
+        let model_cost = model.creation_work;
         let Some(err_new) = self
             .configuration
             .deletion_error(self.dataset, &self.split, victim)
@@ -560,11 +555,6 @@ impl<'a> Advisor<'a> {
                 return Some(StopReason::IterationLimit);
             }
         }
-        if let Some(limit) = self.stop.max_wall_time {
-            if self.started.elapsed() >= limit {
-                return Some(StopReason::TimeLimit);
-            }
-        }
         if self.control.schedule_exhausted() {
             return Some(StopReason::ScheduleExhausted);
         }
@@ -575,7 +565,7 @@ impl<'a> Advisor<'a> {
     /// outcome.
     pub fn run(&mut self) -> AdvisorOutcome {
         let _span = fdc_obs::span!("advisor.run");
-        self.started = Instant::now();
+        let started = Instant::now();
         let stop_reason = loop {
             if let Some(reason) = self.stop_reason() {
                 break reason;
@@ -588,7 +578,7 @@ impl<'a> Advisor<'a> {
             error: self.configuration.overall_error(),
             model_count: self.configuration.model_count(),
             total_cost: self.configuration.total_cost(),
-            wall_time: self.started.elapsed(),
+            wall_time: started.elapsed(),
             stop_reason,
         };
         fdc_obs::gauge(fdc_obs::names::ADVISOR_MODEL_COUNT).set(outcome.model_count as i64);
@@ -674,6 +664,32 @@ mod tests {
     }
 
     #[test]
+    fn stop_on_absolute_cost() {
+        let ds = tourism_proxy(1);
+        let with_limit = |limit| AdvisorOptions {
+            stop: StopCriteria {
+                absolute_cost: Some(limit),
+                ..StopCriteria::default()
+            },
+            ..quick_options()
+        };
+        // The seed model alone already costs more than one unit of work.
+        let outcome = Advisor::new(&ds, with_limit(1)).unwrap().run();
+        assert_eq!(outcome.stop_reason, StopReason::CostReached);
+        assert!(outcome.history.is_empty(), "stopped before iterating");
+
+        // One unit above the seed: the run stops at the first iteration
+        // whose kept models cost at least that much.
+        let seed_cost = outcome.total_cost;
+        let outcome = Advisor::new(&ds, with_limit(seed_cost + 1)).unwrap().run();
+        assert_eq!(outcome.stop_reason, StopReason::CostReached);
+        assert!(outcome.total_cost > seed_cost);
+        let (last, earlier) = outcome.history.split_last().unwrap();
+        assert_eq!(last.cost, outcome.total_cost);
+        assert!(earlier.iter().all(|it| it.cost <= seed_cost));
+    }
+
+    #[test]
     fn stop_on_iteration_limit() {
         let ds = tourism_proxy(1);
         let options = AdvisorOptions {
@@ -705,25 +721,13 @@ mod tests {
 
     #[test]
     fn alpha_limit_produces_cheaper_configuration() {
-        // The acceptance objective weighs *measured* model-creation time,
-        // so a scheduler hiccup during one run can distort the kept model
-        // set. A deterministic 500 µs cost floor per fit keeps the jitter
-        // small relative to every model's cost, making the comparison
-        // stable without changing what it asserts.
-        let options = || AdvisorOptions {
-            fit: FitOptions {
-                artificial_cost_us: 500,
-                ..FitOptions::default()
-            },
-            ..quick_options()
-        };
         let ds = tourism_proxy(4);
-        let full = Advisor::new(&ds, options()).unwrap().run();
+        let full = Advisor::new(&ds, quick_options()).unwrap().run();
         let half = Advisor::new(
             &ds,
             AdvisorOptions {
                 alpha_limit: 0.4,
-                ..options()
+                ..quick_options()
             },
         )
         .unwrap()

@@ -9,15 +9,16 @@
 //! α·err_new + (1−α)·cost_new  <  α·err_old + (1−α)·cost_old
 //! ```
 //!
-//! decides admission. Costs are normalized so error and cost are
-//! comparable: a configuration's cost is expressed as its share of the
-//! estimated cost of the *direct* approach (a model at every node), which
-//! maps it into the same `[0, 1]` scale as SMAPE.
+//! decides admission. A cost is counted creation work
+//! ([`ConfiguredModel::creation_work`]), never a measured time, so the
+//! decision is the same on every run and machine. Costs are normalized so
+//! error and cost are comparable: a configuration's cost is expressed as
+//! its share of the estimated cost of the *direct* approach (a model at
+//! every node), which maps it into the same `[0, 1]` scale as SMAPE.
 
 use fdc_cube::{Configuration, ConfiguredModel, CubeSplit, Dataset, NodeId};
-use fdc_forecast::{FitOptions, ModelSpec};
+use fdc_forecast::{FitOptions, ModelSpec, WORK_UNITS_PER_US};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 /// The generalized acceptance criterion (Eq. 8).
 #[derive(Debug, Clone)]
@@ -25,9 +26,9 @@ pub struct AcceptanceCriterion {
     /// The error/cost trade-off weight α ∈ [0, 1]; α = 1 is error-only
     /// (Eq. 7).
     pub alpha: f64,
-    /// Estimated average model creation time, used for cost
+    /// Estimated average model creation work, used for cost
     /// normalization. Updated as models are built.
-    pub avg_creation_time: Duration,
+    pub avg_creation_work: f64,
     /// Number of nodes in the graph (the direct approach would build this
     /// many models).
     pub node_count: usize,
@@ -40,7 +41,8 @@ impl AcceptanceCriterion {
     pub fn new(alpha: f64, node_count: usize) -> Self {
         AcceptanceCriterion {
             alpha,
-            avg_creation_time: Duration::from_millis(1),
+            // One millisecond's worth of work until a fit is observed.
+            avg_creation_work: (1_000 * WORK_UNITS_PER_US) as f64,
             node_count: node_count.max(1),
             error_scale: 1.0,
         }
@@ -53,39 +55,28 @@ impl AcceptanceCriterion {
         self.error_scale = initial_error.max(1e-6);
     }
 
-    /// Folds a newly observed creation time into the running average.
-    pub fn observe_creation(&mut self, t: Duration) {
-        // Exponential moving average with a light smoothing factor.
-        let old = self.avg_creation_time.as_secs_f64();
-        let new = 0.8 * old + 0.2 * t.as_secs_f64();
-        self.avg_creation_time = Duration::from_secs_f64(new.max(1e-9));
+    /// Folds a newly observed creation work into the running average.
+    pub fn observe_creation(&mut self, work: u64) {
+        // Exponential moving average with a light smoothing factor, kept
+        // above zero so a free fit cannot zero the normalization.
+        let new = 0.8 * self.avg_creation_work + 0.2 * work as f64;
+        self.avg_creation_work = new.max(1.0);
     }
 
     /// Normalizes a total configuration cost into `[0, ~1]`: its share of
     /// the projected cost of building a model at every node.
-    pub fn normalized_cost(&self, total: Duration) -> f64 {
-        let direct = self.avg_creation_time.as_secs_f64() * self.node_count as f64;
-        if direct <= 0.0 {
-            0.0
-        } else {
-            total.as_secs_f64() / direct
-        }
+    pub fn normalized_cost(&self, total: u64) -> f64 {
+        total as f64 / (self.avg_creation_work * self.node_count as f64)
     }
 
     /// The weighted objective `α·(err/err₀) + (1−α)·cost_norm`.
-    pub fn objective(&self, error: f64, total_cost: Duration) -> f64 {
+    pub fn objective(&self, error: f64, total_cost: u64) -> f64 {
         self.alpha * (error / self.error_scale)
             + (1.0 - self.alpha) * self.normalized_cost(total_cost)
     }
 
     /// Whether the transition old → new is an improvement under Eq. (8).
-    pub fn accepts(
-        &self,
-        err_old: f64,
-        cost_old: Duration,
-        err_new: f64,
-        cost_new: Duration,
-    ) -> bool {
+    pub fn accepts(&self, err_old: f64, cost_old: u64, err_new: f64, cost_new: u64) -> bool {
         self.objective(err_new, cost_new) < self.objective(err_old, cost_old)
     }
 }
@@ -299,6 +290,7 @@ pub fn commit_model(
 mod tests {
     use super::*;
     use fdc_datagen::tourism_proxy;
+    use std::time::Duration;
 
     fn spec() -> ModelSpec {
         ModelSpec::default_for_period(4)
@@ -307,39 +299,39 @@ mod tests {
     #[test]
     fn criterion_alpha_one_is_error_only() {
         let c = AcceptanceCriterion::new(1.0, 100);
-        assert!(c.accepts(0.5, Duration::ZERO, 0.4, Duration::from_secs(100)));
-        assert!(!c.accepts(0.4, Duration::ZERO, 0.5, Duration::ZERO));
+        assert!(c.accepts(0.5, 0, 0.4, u64::MAX));
+        assert!(!c.accepts(0.4, 0, 0.5, 0));
     }
 
     #[test]
     fn criterion_low_alpha_penalizes_cost() {
         let mut c = AcceptanceCriterion::new(0.1, 10);
-        c.avg_creation_time = Duration::from_millis(10);
+        c.avg_creation_work = 10_000.0;
         // Tiny error improvement, large cost increase → reject.
-        assert!(!c.accepts(0.50, Duration::ZERO, 0.499, Duration::from_millis(50),));
+        assert!(!c.accepts(0.50, 0, 0.499, 50_000));
         // With a balanced α, a large error improvement justifies a modest
         // cost increase (one model ≈ 0.1 of the direct cost here).
         let balanced = AcceptanceCriterion {
             alpha: 0.5,
             ..c.clone()
         };
-        assert!(balanced.accepts(0.50, Duration::ZERO, 0.10, Duration::from_millis(10)));
+        assert!(balanced.accepts(0.50, 0, 0.10, 10_000));
     }
 
     #[test]
     fn observe_creation_moves_average() {
         let mut c = AcceptanceCriterion::new(0.5, 10);
-        let before = c.avg_creation_time;
-        c.observe_creation(Duration::from_millis(100));
-        assert!(c.avg_creation_time > before);
+        assert_eq!(c.avg_creation_work, (1_000 * WORK_UNITS_PER_US) as f64);
+        c.observe_creation(1_000_000);
+        assert_eq!(c.avg_creation_work, 0.8 * 128_000.0 + 0.2 * 1_000_000.0);
     }
 
     #[test]
     fn normalized_cost_is_share_of_direct() {
         let mut c = AcceptanceCriterion::new(0.5, 10);
-        c.avg_creation_time = Duration::from_millis(10);
+        c.avg_creation_work = 10_000.0;
         // 5 models worth of average cost out of 10 nodes → 0.5.
-        assert!((c.normalized_cost(Duration::from_millis(50)) - 0.5).abs() < 1e-9);
+        assert_eq!(c.normalized_cost(50_000), 0.5);
     }
 
     #[test]
@@ -356,15 +348,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_serial_forecasts() {
+    fn parallel_build_matches_serial_fits() {
         let ds = tourism_proxy(1);
         let split = CubeSplit::new(&ds, 0.8);
-        let candidates: Vec<NodeId> = ds.graph().base_nodes()[..3].to_vec();
-        let parallel =
-            build_models_parallel(&split, &candidates, &spec(), &FitOptions::default(), 2);
-        for (v, m) in parallel {
-            let serial = ConfiguredModel::fit(&split, v, &spec(), &FitOptions::default()).unwrap();
-            assert_eq!(m.unwrap().test_forecast, serial.test_forecast);
+        let candidates: Vec<NodeId> = ds.graph().base_nodes()[..8].to_vec();
+        let (spec, fit) = (spec(), FitOptions::default());
+        for threads in [1, 2, 8] {
+            for (v, m) in build_models_parallel(&split, &candidates, &spec, &fit, threads) {
+                let m = m.unwrap();
+                let serial = ConfiguredModel::fit(&split, v, &spec, &fit).unwrap();
+                assert_eq!(m.test_forecast, serial.test_forecast);
+                assert_eq!(m.creation_work, serial.creation_work, "{threads} threads");
+            }
         }
     }
 

@@ -4,7 +4,6 @@
 
 use fdc_cube::{derive::classify_scheme, Configuration, Dataset, SchemeKind};
 use std::fmt::Write as _;
-use std::time::Duration;
 
 /// A structured summary of a model configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,8 +14,8 @@ pub struct ConfigurationReport {
     pub model_count: usize,
     /// Total nodes in the graph.
     pub node_count: usize,
-    /// Total model cost.
-    pub total_cost: Duration,
+    /// Total model cost (counted creation work).
+    pub total_cost: u64,
     /// Models per aggregation level, index = level.
     pub models_per_level: Vec<usize>,
     /// Nodes served per scheme kind: (direct, aggregation,
@@ -89,7 +88,7 @@ impl std::fmt::Display for ConfigurationReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "Configuration: error {:.4}, {} models over {} nodes, cost {:?}",
+            "Configuration: error {:.4}, {} models over {} nodes, cost {} work units",
             self.error, self.model_count, self.node_count, self.total_cost
         )?;
         let mut levels = String::new();

@@ -6,9 +6,10 @@
 //!
 //! * **forecast error** — every node's error under its best known scheme,
 //!   combined into one overall measure (we use the mean node SMAPE);
-//! * **model costs** — the total model creation time over all models, the
-//!   paper's worst-case proxy for maintenance cost, plus the plain model
-//!   count reported in the figures.
+//! * **model costs** — the total model creation work over all models
+//!   (optimizer evaluations × training points, counted rather than timed),
+//!   the paper's worst-case proxy for maintenance cost, plus the plain
+//!   model count reported in the figures.
 //!
 //! Errors are measured on a train/test split of the data
 //! ([`CubeSplit`]): models are created over the training part, forecasts
@@ -22,7 +23,6 @@ use fdc_forecast::accuracy::AccuracyMeasure;
 use fdc_forecast::optimize::thread_evaluations;
 use fdc_forecast::{FitOptions, ForecastModel, ModelSpec, TimeSeries};
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
 
 /// Train/test split of every node series, shared by all evaluation code.
 #[derive(Debug, Clone)]
@@ -118,18 +118,16 @@ pub struct Scheme {
 }
 
 /// A model stored in a configuration, with the bookkeeping the evaluation
-/// needs: its spec, how long it took to create (the cost proxy), how much
-/// work that was, and its cached forecasts over the test window.
+/// needs: its spec, how much work it took to create (the cost proxy), and
+/// its cached forecasts over the test window.
 pub struct ConfiguredModel {
     /// The fitted model (trained on the training split).
     pub model: Box<dyn ForecastModel>,
     /// The specification it was fitted with.
     pub spec: ModelSpec,
-    /// Wall-clock creation time (model cost contribution, §II-D).
-    pub creation_time: Duration,
-    /// Counted creation work: the fit's optimizer objective evaluations
-    /// × the training length, plus [`FitOptions::artificial_work`]. The
-    /// same on every run and machine, unlike `creation_time`.
+    /// Counted creation work, the model's cost (§II-D): the fit's
+    /// optimizer objective evaluations × the training length, plus
+    /// [`FitOptions::artificial_work`]. The same on every run and machine.
     pub creation_work: u64,
     /// Forecasts over the test window, cached for scheme evaluation.
     pub test_forecast: Vec<f64>,
@@ -140,7 +138,6 @@ impl Clone for ConfiguredModel {
         ConfiguredModel {
             model: self.model.clone(),
             spec: self.spec.clone(),
-            creation_time: self.creation_time,
             creation_work: self.creation_work,
             test_forecast: self.test_forecast.clone(),
         }
@@ -151,15 +148,14 @@ impl std::fmt::Debug for ConfiguredModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ConfiguredModel")
             .field("spec", &self.spec)
-            .field("creation_time", &self.creation_time)
             .field("creation_work", &self.creation_work)
             .finish_non_exhaustive()
     }
 }
 
 impl ConfiguredModel {
-    /// Fits a model of `spec` on the training part of node `v`, timing and
-    /// counting the creation and caching the test-window forecasts.
+    /// Fits a model of `spec` on the training part of node `v`, counting
+    /// the creation work and caching the test-window forecasts.
     pub fn fit(
         split: &CubeSplit,
         v: NodeId,
@@ -167,16 +163,13 @@ impl ConfiguredModel {
         options: &FitOptions,
     ) -> fdc_forecast::Result<Self> {
         let evaluations = thread_evaluations();
-        let start = Instant::now();
         let model = spec.fit(split.train(v), options)?;
-        let creation_time = start.elapsed();
         let creation_work = (thread_evaluations() - evaluations) * split.train_len() as u64
             + options.artificial_work();
         let test_forecast = model.forecast(split.horizon());
         Ok(ConfiguredModel {
             model,
             spec: spec.clone(),
-            creation_time,
             creation_work,
             test_forecast,
         })
@@ -257,10 +250,10 @@ impl Configuration {
         &self.estimates[v]
     }
 
-    /// Total model cost: the sum of model creation times (§II-D's
+    /// Total model cost: the sum of model creation work (§II-D's
     /// worst-case maintenance approximation).
-    pub fn total_cost(&self) -> Duration {
-        self.models.values().map(|m| m.creation_time).sum()
+    pub fn total_cost(&self) -> u64 {
+        self.models.values().map(|m| m.creation_work).sum()
     }
 
     /// Overall configuration error: mean node error.
@@ -525,7 +518,7 @@ mod tests {
         let cfg = Configuration::new(ds.node_count());
         assert_eq!(cfg.model_count(), 0);
         assert_eq!(cfg.overall_error(), 1.0);
-        assert_eq!(cfg.total_cost(), Duration::ZERO);
+        assert_eq!(cfg.total_cost(), 0);
         assert!(cfg.forecast_node(0, 4).is_none());
     }
 
@@ -688,19 +681,21 @@ mod tests {
     }
 
     #[test]
-    fn cost_accumulates_creation_times() {
+    fn cost_accumulates_creation_work() {
         let ds = dataset();
         let split = CubeSplit::new(&ds, 0.8);
         let mut cfg = Configuration::new(ds.node_count());
         let top = ds.graph().top_node();
         let c1 = node(&ds, vec![0, 0]);
-        cfg.insert_model(top, fit(&split, top));
-        cfg.insert_model(c1, fit(&split, c1));
+        let (top_model, c1_model) = (fit(&split, top), fit(&split, c1));
+        let (top_work, c1_work) = (top_model.creation_work, c1_model.creation_work);
+        assert!(top_work > 0 && c1_work > 0);
+        cfg.insert_model(top, top_model);
+        cfg.insert_model(c1, c1_model);
         assert_eq!(cfg.model_count(), 2);
-        assert!(cfg.total_cost() > Duration::ZERO);
-        let removed = cfg.remove_model(c1).unwrap();
-        assert!(removed.creation_time > Duration::ZERO);
-        assert!(removed.creation_work > 0);
+        assert_eq!(cfg.total_cost(), top_work + c1_work);
+        cfg.remove_model(c1).unwrap();
+        assert_eq!(cfg.total_cost(), top_work);
         assert_eq!(cfg.model_count(), 1);
     }
 }

@@ -117,10 +117,9 @@ fn build_schedule(seed: u64, graph: &TimeSeriesGraph) -> Vec<Phase> {
 }
 
 /// Two engines over the same seeded cube and the same advised
-/// configuration. The advisor runs ONCE per seed: its cost-aware
-/// objective measures wall-clock model-creation time, so two separate
-/// runs may keep slightly different model sets — the suite compares
-/// engine behavior, not advisor reproducibility.
+/// configuration. The advisor runs once per seed and both engines load
+/// its outcome: the suite compares engine behavior, and advisor
+/// reproducibility is `tests/advisor_determinism.rs`'s concern.
 fn stress_dbs(seed: u64) -> (F2db, F2db) {
     let ds = tourism_proxy(seed);
     let outcome = fdc_core::Advisor::new(

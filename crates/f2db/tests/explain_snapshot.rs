@@ -13,10 +13,10 @@ use fdc_forecast::{FitOptions, Granularity, ModelSpec, TimeSeries};
 /// The running example: one `city` dimension with C1/C2/C3; the
 /// all-star node is the region. 40 quarterly steps of clean linear
 /// trends (C1 trends down, the others up). The configuration is the
-/// paper\'s Fig. 4 outcome, built by hand — a model at the region and
-/// one at the down-trending C1 — so the fixture is fully deterministic
-/// (the advisor\'s cost-aware objective measures wall-clock model
-/// creation time, which would make the kept model set timing-dependent).
+/// paper's Fig. 4 outcome, built by hand — a model at the region and
+/// one at the down-trending C1 — so the snapshot pins the engine's
+/// rendering of exactly that configuration, whatever the advisor would
+/// choose for this data.
 fn fig4_db() -> F2db {
     let schema = Schema::flat(vec![Dimension::new(
         "city",

@@ -30,11 +30,11 @@ pub fn combine(dataset: &Dataset, split: &CubeSplit, options: &BaselineOptions) 
     // Independent forecasts at every node (zeros where fitting fails).
     let mut forecasts = vec![vec![0.0; horizon]; n];
     let mut model_count = 0usize;
-    let mut total_cost = std::time::Duration::ZERO;
+    let mut total_cost = 0u64;
     for (v, slot) in forecasts.iter_mut().enumerate() {
         if let Ok(m) = ConfiguredModel::fit(split, v, &spec, &options.fit) {
             *slot = m.test_forecast.clone();
-            total_cost += m.creation_time;
+            total_cost += m.creation_work;
             model_count += 1;
         }
     }

@@ -88,8 +88,9 @@ pub struct BaselineResult {
     pub node_errors: Vec<f64>,
     /// Number of models created *and kept*.
     pub model_count: usize,
-    /// Total model creation time of the kept models (cost measure §II-D).
-    pub total_cost: Duration,
+    /// Total counted creation work of the kept models (cost measure
+    /// §II-D).
+    pub total_cost: u64,
     /// Wall-clock time of the whole configuration search.
     pub wall_time: Duration,
 }
@@ -189,7 +190,7 @@ mod tests {
             configuration: None,
             node_errors: vec![0.2, 0.4],
             model_count: 1,
-            total_cost: Duration::ZERO,
+            total_cost: 0,
             wall_time: Duration::ZERO,
         };
         assert!((r.overall_error() - 0.3).abs() < 1e-12);

@@ -25,7 +25,7 @@ fn main() {
     let mut advisor = Advisor::new(&dataset, AdvisorOptions::default()).expect("dataset is valid");
     let outcome = advisor.run();
     println!(
-        "advisor: error {:.4}, {} models (of {} possible), cost {:?}, {} iterations, stopped: {:?}",
+        "advisor: error {:.4}, {} models (of {} possible), cost {} work units, {} iterations, stopped: {:?}",
         outcome.error,
         outcome.model_count,
         dataset.node_count(),

@@ -25,7 +25,7 @@ fn main() {
         .expect("valid dataset")
         .run();
     println!(
-        "configuration: error {:.4}, {} models, cost {:?}\n",
+        "configuration: error {:.4}, {} models, cost {} work units\n",
         outcome.error, outcome.model_count, outcome.total_cost
     );
 
