@@ -379,29 +379,20 @@ impl<'a> Advisor<'a> {
                 }
             }
         }
-        let built: Vec<(NodeId, Option<ConfiguredModel>)> = picked
-            .iter()
-            .map(|&v| (v, self.built_cache.get(&v).cloned()))
-            .collect();
-
         let mut accepted = 0usize;
         let mut rejected_now = 0usize;
-        for (node, model) in built {
-            let Some(model) = model else {
-                continue; // marked rejected above
+        for &node in &picked {
+            let Some(model) = self.built_cache.get(&node) else {
+                continue; // unfittable: marked rejected above
             };
-            let neighborhood: Vec<NodeId> = self
-                .local_cache
-                .get(&node)
-                .map(|l| l.targets.clone())
-                .unwrap_or_default();
+            let neighborhood = self.local_cache.get(&node).map_or(&[][..], |l| &l.targets);
             let effect = measure_model_effect(
                 self.dataset,
                 &self.split,
                 &self.configuration,
-                &model,
+                model,
                 node,
-                &neighborhood,
+                neighborhood,
             );
             evaluation_work += (effect.measured * self.split.horizon()) as u64;
             let err_old = self.configuration.overall_error();
@@ -411,11 +402,13 @@ impl<'a> Advisor<'a> {
                 .criterion
                 .accepts(err_old, cost_old, effect.err_new, cost_new)
             {
+                // The cache keeps its copy: a model deleted later returns
+                // as a free candidate.
                 commit_model(
                     self.dataset,
                     &self.split,
                     &mut self.configuration,
-                    model,
+                    model.clone(),
                     &effect,
                 );
                 let local = self.local_cache.get(&node).cloned().unwrap_or_else(|| {

@@ -177,7 +177,9 @@ pub struct ModelEffect {
 /// Targets examined: the candidate itself (direct scheme) plus
 /// `neighborhood` (its indicator array targets), and full-hyperedge
 /// aggregations at its parents ("computing the accuracy of the model at
-/// its own node as well as in derivation schemes", §IV-B.1).
+/// its own node as well as in derivation schemes", §IV-B.1). Every
+/// scheme is scored by [`CubeSplit::derived_error`] straight from the
+/// candidate's and the siblings' cached test forecasts.
 pub fn measure_model_effect(
     dataset: &Dataset,
     split: &CubeSplit,
@@ -186,28 +188,20 @@ pub fn measure_model_effect(
     source: NodeId,
     neighborhood: &[NodeId],
 ) -> ModelEffect {
-    // Evaluate single-source schemes from a scratch configuration holding
-    // just the candidate model — scheme_error only needs source models.
-    let mut probe = Configuration::new(configuration.node_count());
-    probe.insert_model(source, model.clone());
-
+    let forecast = model.test_forecast.as_slice();
     let mut improvements = Vec::new();
     let mut measured = 0usize;
-    let mut consider = |cfg_err: f64, target: NodeId, new_err: Option<f64>| {
+    let mut consider = |target: NodeId, e: f64| {
         measured += 1;
-        if let Some(e) = new_err {
-            if e < cfg_err {
-                improvements.push((target, e));
-            }
+        if e < configuration.estimate(target).error {
+            improvements.push((target, e));
         }
     };
 
-    let mut targets: Vec<NodeId> = Vec::with_capacity(neighborhood.len() + 1);
-    targets.push(source);
-    targets.extend(neighborhood.iter().copied().filter(|&t| t != source));
-    for &t in &targets {
-        let e = probe.scheme_error(dataset, split, &[source], t);
-        consider(configuration.estimate(t).error, t, e);
+    let targets = neighborhood.iter().copied().filter(|&t| t != source);
+    for t in std::iter::once(source).chain(targets) {
+        let k = split.train_weight(dataset, &[source], t);
+        consider(t, split.derived_error(&[forecast], k, t));
     }
 
     // Aggregations at parents whose hyperedge is now fully covered
@@ -217,23 +211,20 @@ pub fn measure_model_effect(
             if !edge.children.contains(&source) {
                 continue;
             }
-            if edge
+            let forecasts: Option<Vec<&[f64]>> = edge
                 .children
                 .iter()
-                .all(|&c| c == source || configuration.has_model(c))
-            {
-                // Assemble a probe with all sibling models present.
-                let mut agg_probe = Configuration::new(configuration.node_count());
-                agg_probe.insert_model(source, model.clone());
-                for &c in &edge.children {
-                    if c != source {
-                        if let Some(m) = configuration.model(c) {
-                            agg_probe.insert_model(c, m.clone());
-                        }
+                .map(|&c| {
+                    if c == source {
+                        Some(forecast)
+                    } else {
+                        configuration.model(c).map(|m| m.test_forecast.as_slice())
                     }
-                }
-                let e = agg_probe.scheme_error(dataset, split, &edge.children, parent);
-                consider(configuration.estimate(parent).error, parent, e);
+                })
+                .collect();
+            if let Some(forecasts) = forecasts {
+                let k = split.train_weight(dataset, &edge.children, parent);
+                consider(parent, split.derived_error(&forecasts, k, parent));
             }
         }
     }
@@ -272,15 +263,10 @@ pub fn commit_model(
         configuration.adopt_if_better(dataset, split, &[source], t);
         // Aggregation improvements carry multi-source schemes; try those
         // too when the target is a parent of the source.
-        let edges: Vec<Vec<NodeId>> = dataset
-            .graph()
-            .edges(t)
-            .iter()
-            .map(|e| e.children.clone())
-            .collect();
-        for children in edges {
+        for edge in dataset.graph().edges(t) {
+            let children = &edge.children;
             if children.contains(&source) && children.iter().all(|&c| configuration.has_model(c)) {
-                configuration.adopt_if_better(dataset, split, &children, t);
+                configuration.adopt_if_better(dataset, split, children, t);
             }
         }
     }

@@ -66,12 +66,13 @@ pub fn scheme_indicator(
     if source == target {
         return 0.0;
     }
-    Kernel::new(dataset, source, options).value(dataset.series(target).values())
+    let [value] = Kernel::new(dataset, source, options).values([dataset.series(target).values()]);
+    value
 }
 
 /// What every indicator entry of one source shares: the source's
-/// history, its training-prefix sum and the options. [`Kernel::value`]
-/// then scores one target in two allocation-free passes.
+/// history, its training-prefix sum and the options. [`Kernel::values`]
+/// then scores `L` targets in two allocation-free passes.
 struct Kernel<'a> {
     source: &'a [f64],
     source_sum: f64,
@@ -94,60 +95,79 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    /// The combined value of `source → target` for the target history
-    /// `target`, read over the training prefix only: the historical
-    /// error of deriving it with `k = h_t / h_s`, and the squared
-    /// coefficient of variation of the per-point shares
+    /// The combined value of `source → target` for each of the `L`
+    /// target histories `targets`, read over the training prefix only:
+    /// the historical error of deriving it with `k = h_t / h_s`, and the
+    /// squared coefficient of variation of the per-point shares
     /// `x_t(τ) / x_s(τ)` at the points with a non-zero source value.
     ///
-    /// Every sum runs in index order from `-0.0`, the start `Iterator::sum`
-    /// uses for `f64`, so the value equals summing stored `derived` and
-    /// weight vectors bit for bit.
-    fn value(&self, target: &[f64]) -> f64 {
-        let (target, source) = (&target[..self.take], &self.source[..self.take]);
+    /// The `L` targets are scored in lockstep, so their sums form `L`
+    /// independent chains instead of one serial chain. Each lane's sums
+    /// still run in index order from `-0.0`, the start `Iterator::sum`
+    /// uses for `f64`, so every value equals summing stored `derived` and
+    /// weight vectors bit for bit, whatever `L` is.
+    fn values<const L: usize>(&self, targets: [&[f64]; L]) -> [f64; L] {
+        let take = self.take;
+        let (targets, source) = (targets.map(|t| &t[..take]), &self.source[..take]);
         let measure = self.options.measure;
-        // Pass 1: the target's training sum, and the share sum and count.
-        let (mut target_sum, mut share_sum, mut shares) = (-0.0, -0.0, 0usize);
-        for (&x, &s) in target.iter().zip(source) {
-            target_sum += x;
-            if s.abs() > ZERO_SHARE {
-                share_sum += x / s;
-                shares += 1;
+        // Pass 1: the targets' training sums, and the share sums and count.
+        let (mut target_sum, mut share_sum, mut shares) = ([-0.0; L], [-0.0; L], 0usize);
+        for (i, &s) in source.iter().enumerate() {
+            let positive = s.abs() > ZERO_SHARE;
+            shares += usize::from(positive);
+            for l in 0..L {
+                let x = targets[l][i];
+                target_sum[l] += x;
+                if positive {
+                    share_sum[l] += x / s;
+                }
             }
         }
-        let k = if self.source_sum.abs() < f64::EPSILON {
-            0.0
-        } else {
-            target_sum / self.source_sum
-        };
-        let share_mean = share_sum / shares as f64;
-        // Pass 2: the derivation's point errors and the shares' squared
+        let k = target_sum.map(|sum| {
+            if self.source_sum.abs() < f64::EPSILON {
+                0.0
+            } else {
+                sum / self.source_sum
+            }
+        });
+        let share_mean = share_sum.map(|sum| sum / shares as f64);
+        // Pass 2: the derivations' point errors and the shares' squared
         // deviations.
-        let (mut error_sum, mut deviation_sum) = (-0.0, -0.0);
-        for (&x, &s) in target.iter().zip(source) {
-            error_sum += measure.point_error(x, (0.0 + s) * k);
-            if s.abs() > ZERO_SHARE {
-                let d = x / s - share_mean;
-                deviation_sum += d * d;
+        let (mut error_sum, mut deviation_sum) = ([-0.0; L], [-0.0; L]);
+        for (i, &s) in source.iter().enumerate() {
+            let positive = s.abs() > ZERO_SHARE;
+            for l in 0..L {
+                let x = targets[l][i];
+                error_sum[l] += measure.point_error(x, (0.0 + s) * k[l]);
+                if positive {
+                    let d = x / s - share_mean[l];
+                    deviation_sum[l] += d * d;
+                }
             }
         }
-        let hist_err = if self.take == 0 {
-            0.0
-        } else {
-            measure.from_sum(error_sum, self.take)
-        };
-        let similarity = if shares < 2 {
-            0.0
-        } else if share_mean.abs() < 1e-12 {
-            1.0
-        } else {
-            let var = deviation_sum / shares as f64;
-            (var / (share_mean * share_mean)).min(1.0)
-        };
         let lambda = self.options.lambda;
-        (hist_err + lambda * similarity) / (1.0 + lambda)
+        std::array::from_fn(|l| {
+            let hist_err = if take == 0 {
+                0.0
+            } else {
+                measure.from_sum(error_sum[l], take)
+            };
+            let mean = share_mean[l];
+            let similarity = if shares < 2 {
+                0.0
+            } else if mean.abs() < 1e-12 {
+                1.0
+            } else {
+                let var = deviation_sum[l] / shares as f64;
+                (var / (mean * mean)).min(1.0)
+            };
+            (hist_err + lambda * similarity) / (1.0 + lambda)
+        })
     }
 }
+
+/// Targets [`Kernel::values`] scores in lockstep when filling an array.
+const LANES: usize = 4;
 
 /// Entries per task when [`LocalIndicator::compute_many`] spreads arrays
 /// over threads.
@@ -257,16 +277,22 @@ impl LocalIndicator {
         options: &IndicatorOptions,
     ) -> Vec<f64> {
         let kernel = Kernel::new(dataset, source, options);
-        targets
-            .iter()
-            .map(|&t| {
-                if t == source {
-                    0.0
-                } else {
-                    kernel.value(dataset.series(t).values())
-                }
-            })
-            .collect()
+        let series = |t: NodeId| dataset.series(t).values();
+        let mut values = Vec::with_capacity(targets.len());
+        let mut lanes = targets.chunks_exact(LANES);
+        for chunk in &mut lanes {
+            values.extend(kernel.values::<LANES>(std::array::from_fn(|l| series(chunk[l]))));
+        }
+        for &t in lanes.remainder() {
+            values.extend(kernel.values([series(t)]));
+        }
+        // The source's own entry is the direct scheme, free of error.
+        for (value, &t) in values.iter_mut().zip(targets) {
+            if t == source {
+                *value = 0.0;
+            }
+        }
+        values
     }
 
     /// The indicator value for `target`, if covered.
@@ -511,6 +537,45 @@ mod tests {
             }
         }
         assert!(LocalIndicator::compute_many(&ds, &[], &opts, 2).is_empty());
+    }
+
+    #[test]
+    fn lane_kernel_equals_the_one_lane_kernel() {
+        let ds = tourism_proxy(1);
+        let opts = options(&ds);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // One value per entry, the source's own entry zero.
+        let one_lane = |s: NodeId, targets: &[NodeId]| -> Vec<f64> {
+            targets
+                .iter()
+                .map(|&t| scheme_indicator(&ds, s, t, &opts))
+                .collect()
+        };
+        let sources = [ds.graph().top_node(), 0, 5];
+        for len in 0..=9 {
+            for &s in &sources {
+                // Every remainder, with and without the source among the
+                // lanes.
+                for start in [s, s + 1] {
+                    let targets: Vec<NodeId> =
+                        (start..start + len).map(|t| t % ds.node_count()).collect();
+                    let lanes = LocalIndicator::values_at(&ds, s, &targets, &opts);
+                    assert_eq!(bits(&lanes), bits(&one_lane(s, &targets)), "{len}");
+                }
+            }
+            let sized = IndicatorOptions::new(len, opts.history_len);
+            for threads in [1, 3] {
+                for local in LocalIndicator::compute_many(&ds, &sources, &sized, threads) {
+                    assert_eq!(local.targets.len(), len.max(1));
+                    let expect = local
+                        .targets
+                        .iter()
+                        .map(|&t| scheme_indicator(&ds, local.source, t, &sized))
+                        .collect::<Vec<_>>();
+                    assert_eq!(bits(&local.values), bits(&expect), "{len}, {threads}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //!    handled symmetrically;
 //! 3. **Control** ([`control`]) — the advisor's parameters (indicator
 //!    size `|I|`, candidate threshold `γ`, acceptance weight `α`) are
-//!    regulated from data characteristics, observed phase timings and
-//!    the hardware;
+//!    regulated from data characteristics and the counted work of the
+//!    selection and evaluation phases, never from a clock or the
+//!    hardware; the models built per iteration (top-n) default to 4 on
+//!    every machine;
 //! 4. **Output** ([`advisor`]) — per-iteration statistics stream out and
 //!    stop criteria (error-, cost- or schedule-based) decide termination,
 //!    so a valid configuration is available at *any* time.

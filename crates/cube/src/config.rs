@@ -105,6 +105,30 @@ impl CubeSplit {
             self.train_sums[target] / h_s
         }
     }
+
+    /// The error of deriving `target` from the source test-window
+    /// `forecasts` with weight `k`: the scheme-error kernel. Each point is
+    /// `(0.0 + f₁[i] + f₂[i] …) · k`, scored as it is formed, so the value
+    /// equals `measure().score(test(target), &derive_forecast(forecasts,
+    /// k))` bit for bit without storing the derived forecast.
+    pub fn derived_error(&self, forecasts: &[&[f64]], k: f64, target: NodeId) -> f64 {
+        let test = &self.test[target];
+        if test.is_empty() {
+            return 0.0;
+        }
+        let horizon = forecasts.first().map_or(0, |f| f.len());
+        let measure = self.measure;
+        let sum: f64 = test
+            .iter()
+            .take(horizon)
+            .enumerate()
+            .map(|(i, &x)| {
+                let derived = forecasts.iter().fold(0.0, |acc, f| acc + f[i]) * k;
+                measure.point_error(x, derived)
+            })
+            .sum();
+        measure.from_sum(sum, test.len())
+    }
 }
 
 /// A derivation scheme assigned to a node: the source nodes whose model
@@ -301,16 +325,16 @@ impl Configuration {
         sources: &[NodeId],
         target: NodeId,
     ) -> Option<f64> {
-        if sources.is_empty() {
-            return None;
+        let forecast = |s: &NodeId| self.models.get(s).map(|m| m.test_forecast.as_slice());
+        let k = || split.train_weight(dataset, sources, target);
+        match sources {
+            [] => None,
+            [s] => Some(split.derived_error(&[forecast(s)?], k(), target)),
+            _ => {
+                let forecasts = sources.iter().map(forecast).collect::<Option<Vec<_>>>()?;
+                Some(split.derived_error(&forecasts, k(), target))
+            }
         }
-        let mut forecasts: Vec<&[f64]> = Vec::with_capacity(sources.len());
-        for s in sources {
-            forecasts.push(&self.models.get(s)?.test_forecast);
-        }
-        let k = split.train_weight(dataset, sources, target);
-        let derived = derive_forecast(&forecasts, k);
-        Some(split.measure().score(split.test(target), &derived))
     }
 
     /// Evaluates `sources → target` and adopts it if it beats the target's
@@ -551,6 +575,57 @@ mod tests {
         assert!(est.error < 0.1, "disagg error {}", est.error);
         // Weight equals C1's share of the total = 1/10.
         assert!((est.scheme.as_ref().unwrap().weight - 0.1).abs() < 1e-6);
+    }
+
+    #[test]
+    fn derived_error_is_the_score_of_the_derived_forecast() {
+        let ds = dataset();
+        let bits = |split: &CubeSplit, fc: &[&[f64]], k: f64, t: NodeId| {
+            let stored = split
+                .measure()
+                .score(split.test(t), &derive_forecast(fc, k));
+            assert_eq!(split.derived_error(fc, k, t).to_bits(), stored.to_bits());
+        };
+        let measures = [
+            AccuracyMeasure::Smape,
+            AccuracyMeasure::Mape,
+            AccuracyMeasure::Mae,
+            AccuracyMeasure::Rmse,
+        ];
+        let f: Vec<Vec<f64>> = (0..4)
+            .map(|s| {
+                (0..8)
+                    .map(|i| 3.7 * s as f64 - 1.3 * i as f64 + 0.1)
+                    .collect()
+            })
+            .collect();
+        let negated: Vec<f64> = f[1].iter().map(|v| -v).collect();
+        for measure in measures {
+            let split = CubeSplit::with_measure(&ds, 0.8, measure);
+            for t in 0..ds.node_count() {
+                for n in [1, 2, 4] {
+                    let fc: Vec<&[f64]> = f[..n].iter().map(Vec::as_slice).collect();
+                    for k in [0.37, 1.0, 0.0] {
+                        bits(&split, &fc, k, t);
+                    }
+                }
+                // Sources summing to zero at every point.
+                bits(&split, &[&f[1], &negated], 0.5, t);
+            }
+            // One observation per series: all training, an empty horizon.
+            let short = Dataset::from_base(
+                Schema::flat(vec![Dimension::new("d", vec!["a".into()])]).unwrap(),
+                vec![(
+                    Coord::new(vec![0]),
+                    TimeSeries::new(vec![2.0], Granularity::Monthly),
+                )],
+            )
+            .unwrap();
+            let empty = CubeSplit::with_measure(&short, 0.8, measure);
+            assert_eq!(empty.horizon(), 0);
+            bits(&empty, &[&[], &[]], 0.5, 0);
+            assert_eq!(empty.derived_error(&[&[]], 0.5, 0), 0.0);
+        }
     }
 
     #[test]
