@@ -1,10 +1,12 @@
 //! Micro-benchmarks of the cube substrate: hyper graph construction,
-//! aggregate materialization, derivation weights and query resolution.
+//! aggregate materialization, the derivation arithmetic (weight,
+//! indicator, derived forecast) and query resolution.
 //!
 //! Run with `cargo bench -p fdc-bench --bench cube`.
 
 use fdc_bench::timing::{bench, emit_metrics};
-use fdc_cube::{derive, DimSelector, NodeQuery};
+use fdc_core::indicator::{scheme_indicator, IndicatorOptions};
+use fdc_cube::{derive_forecast, CubeSplit, DimSelector, NodeQuery};
 use fdc_datagen::{generate_cube, tourism_proxy, GenSpec};
 use std::hint::black_box;
 
@@ -21,14 +23,16 @@ fn bench_derivation() {
     let ds = tourism_proxy(1);
     let top = ds.graph().top_node();
     let base = ds.graph().base_nodes()[0];
-    bench("derivation_weight", || {
-        derive::derivation_weight(&ds, &[top], base)
+    let split = CubeSplit::new(&ds, 0.8);
+    bench("train_weight", || split.train_weight(&ds, &[top], base));
+    let options = IndicatorOptions::new(ds.node_count(), split.train_len());
+    bench("scheme_indicator", || {
+        scheme_indicator(&ds, top, base, &options)
     });
-    bench("weight_variance", || {
-        derive::weight_variance(&ds, &[top], base)
-    });
-    bench("historical_error", || {
-        derive::historical_error(&ds, &[top], base, fdc_forecast::AccuracyMeasure::Smape)
+    let k = split.train_weight(&ds, &[top], base);
+    let forecast = split.test(top);
+    bench("derive_forecast", || {
+        derive_forecast(&[black_box(forecast)], k)
     });
 }
 

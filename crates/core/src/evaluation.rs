@@ -143,12 +143,6 @@ pub fn build_models_parallel(
     options: &FitOptions,
     parallelism: usize,
 ) -> Vec<(NodeId, Option<ConfiguredModel>)> {
-    if candidates.len() <= 1 || parallelism <= 1 {
-        return candidates
-            .iter()
-            .map(|&v| (v, ConfiguredModel::fit(split, v, spec, options).ok()))
-            .collect();
-    }
     let (models, _peak) = run_chunked(candidates, parallelism, |&v| {
         ConfiguredModel::fit(split, v, spec, options).ok()
     });

@@ -6,10 +6,14 @@
 //!
 //! * **historical error** — assume perfect accuracy at the source and use
 //!   its real history as "forecasts"; derive the target with the weight
-//!   `k_{s→t}` and score against the target's real history;
-//! * **similarity** — the variance of the per-time-point derivation
-//!   weights: constant weights indicate a consistent relationship,
-//!   fluctuating weights an unstable scheme.
+//!   `k_{s→t}` and score it by SMAPE against the target's real history;
+//! * **similarity** — the squared coefficient of variation of the
+//!   per-time-point shares `x_t(τ) / x_s(τ)`, capped at 1: constant
+//!   shares indicate a consistent relationship, fluctuating shares an
+//!   unstable scheme.
+//!
+//! Both read the training prefix only (`history_len`), so no indicator
+//! sees test data.
 //!
 //! A *local indicator array* for source `s` holds the combined value for
 //! the `|I|` nodes closest to `s` in the graph; the *global indicator* is
@@ -18,6 +22,7 @@
 //! the node is already well served; high values flag candidates.
 
 use crate::evaluation::run_chunked;
+use fdc_cube::derive::{derived_point, weight};
 use fdc_cube::{Dataset, NodeId};
 use fdc_forecast::accuracy::AccuracyMeasure;
 
@@ -32,20 +37,18 @@ pub struct IndicatorOptions {
     pub size: usize,
     /// Weight λ of the similarity ingredient in the combined value.
     pub lambda: f64,
-    /// Accuracy measure for the historical error.
-    pub measure: AccuracyMeasure,
     /// History prefix used for the indicator computation (the training
     /// length, so indicators never see test data).
     pub history_len: usize,
 }
 
 impl IndicatorOptions {
-    /// Defaults: full graph coverage, λ = 1, SMAPE over the whole history.
+    /// Defaults: λ = 1, `size` entries per array, the first `history_len`
+    /// points of every series.
     pub fn new(size: usize, history_len: usize) -> Self {
         IndicatorOptions {
             size,
             lambda: 1.0,
-            measure: AccuracyMeasure::Smape,
             history_len,
         }
     }
@@ -109,7 +112,7 @@ impl<'a> Kernel<'a> {
     fn values<const L: usize>(&self, targets: [&[f64]; L]) -> [f64; L] {
         let take = self.take;
         let (targets, source) = (targets.map(|t| &t[..take]), &self.source[..take]);
-        let measure = self.options.measure;
+        let measure = AccuracyMeasure::Smape;
         // Pass 1: the targets' training sums, and the share sums and count.
         let (mut target_sum, mut share_sum, mut shares) = ([-0.0; L], [-0.0; L], 0usize);
         for (i, &s) in source.iter().enumerate() {
@@ -123,13 +126,7 @@ impl<'a> Kernel<'a> {
                 }
             }
         }
-        let k = target_sum.map(|sum| {
-            if self.source_sum.abs() < f64::EPSILON {
-                0.0
-            } else {
-                sum / self.source_sum
-            }
-        });
+        let k = target_sum.map(|sum| weight(sum, self.source_sum));
         let share_mean = share_sum.map(|sum| sum / shares as f64);
         // Pass 2: the derivations' point errors and the shares' squared
         // deviations.
@@ -138,7 +135,7 @@ impl<'a> Kernel<'a> {
             let positive = s.abs() > ZERO_SHARE;
             for l in 0..L {
                 let x = targets[l][i];
-                error_sum[l] += measure.point_error(x, (0.0 + s) * k[l]);
+                error_sum[l] += measure.point_error(x, derived_point([s], k[l]));
                 if positive {
                     let d = x / s - share_mean[l];
                     deviation_sum[l] += d * d;
@@ -657,6 +654,18 @@ mod tests {
         .unwrap()
     }
 
+    /// The historical error of `a → b` over the first `take` points,
+    /// formed the stored way: the derived series, then its SMAPE.
+    fn stored_historical_error(ds: &Dataset, a: NodeId, b: NodeId, take: usize) -> f64 {
+        let (a, b) = (
+            &ds.series(a).values()[..take],
+            &ds.series(b).values()[..take],
+        );
+        let k = b.iter().sum::<f64>() / a.iter().sum::<f64>();
+        let derived: Vec<f64> = a.iter().map(|v| v * k).collect();
+        AccuracyMeasure::Smape.score(b, &derived)
+    }
+
     #[test]
     fn similarity_reads_only_the_training_window() {
         let ds = zero_in_training([40.0, 40.0]);
@@ -666,7 +675,7 @@ mod tests {
         // the value is half the historical error. Reading on past the
         // skipped zero would take the test share 40 and cap the
         // similarity at 1.
-        let hist = fdc_cube::derive::historical_error_over(&ds, &[a], b, opts.measure, 8);
+        let hist = stored_historical_error(&ds, a, b, 8);
         assert!(hist > 0.0);
         assert_eq!(scheme_indicator(&ds, a, b, &opts), hist / 2.0);
         // No test value reaches any indicator.

@@ -6,20 +6,12 @@
 //! random number of source nodes from the time series graph, where the
 //! possibility of selecting a source node decreases with increasing
 //! distance from the target node", evaluates the scheme and applies it if
-//! the configuration improves.
-//!
-//! Two modes are provided:
-//!
-//! * [`MultiSourceSearch::step`] — synchronous: one propose/evaluate/adopt
-//!   round, used by the advisor loop (deterministic and easy to test);
-//! * [`spawn_proposer`] — a background thread streaming proposals through
-//!   a bounded `std::sync::mpsc` channel, matching the paper's
-//!   asynchronous design; the consumer evaluates and applies them at its
-//!   own pace.
+//! the configuration improves. [`MultiSourceSearch::step`] runs one
+//! propose/evaluate/adopt round inside the advisor loop, so the search is
+//! deterministic.
 
 use fdc_cube::{Configuration, CubeSplit, Dataset, NodeId};
 use fdc_rng::Rng;
-use std::sync::mpsc::{sync_channel, Receiver};
 
 /// A proposed derivation scheme: derive `target` from `sources`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,42 +115,6 @@ impl MultiSourceSearch {
     }
 }
 
-/// Spawns a background proposer thread that streams `count` proposals
-/// through a bounded channel. `coords` are the graph coordinates (value
-/// vectors) used for the distance decay; `model_nodes` is the frozen set
-/// of nodes carrying models at spawn time.
-pub fn spawn_proposer(
-    coords: Vec<Vec<u32>>,
-    model_nodes: Vec<NodeId>,
-    count: usize,
-    max_sources: usize,
-    seed: u64,
-) -> Receiver<Proposal> {
-    let (tx, rx) = sync_channel(64);
-    std::thread::spawn(move || {
-        let mut rng = Rng::seed_from_u64(seed);
-        let n = coords.len();
-        let distance = |a: NodeId, b: NodeId| -> usize {
-            coords[a]
-                .iter()
-                .zip(&coords[b])
-                .filter(|(x, y)| x != y)
-                .count()
-        };
-        for _ in 0..count {
-            match sample_proposal(&mut rng, n, distance, &model_nodes, max_sources) {
-                Some(p) => {
-                    if tx.send(p).is_err() {
-                        break; // consumer hung up
-                    }
-                }
-                None => break,
-            }
-        }
-    });
-    rx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,28 +201,5 @@ mod tests {
         }
         assert!(improved);
         assert!(cfg.overall_error() < before);
-    }
-
-    #[test]
-    fn background_proposer_streams_requested_count() {
-        let ds = tourism_proxy(1);
-        let coords: Vec<Vec<u32>> = (0..ds.node_count())
-            .map(|v| ds.graph().coord(v).values().to_vec())
-            .collect();
-        let rx = spawn_proposer(coords, vec![0, 1, 2], 25, 3, 11);
-        let proposals: Vec<Proposal> = rx.iter().collect();
-        assert_eq!(proposals.len(), 25);
-        for p in &proposals {
-            assert!(p.target < ds.node_count());
-            assert!(!p.sources.is_empty());
-        }
-    }
-
-    #[test]
-    fn background_proposer_stops_when_receiver_dropped() {
-        let rx = spawn_proposer(vec![vec![0]; 4], vec![0, 1], 1_000_000, 2, 13);
-        let first = rx.recv().unwrap();
-        assert!(first.target < 4);
-        drop(rx); // thread must exit; the test passing at all proves no hang
     }
 }

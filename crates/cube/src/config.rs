@@ -17,7 +17,7 @@
 //! from the training history only.
 
 use crate::dataset::Dataset;
-use crate::derive::derive_forecast;
+use crate::derive::{derive_forecast, derived_point, weight};
 use crate::graph::NodeId;
 use fdc_forecast::accuracy::AccuracyMeasure;
 use fdc_forecast::optimize::thread_evaluations;
@@ -33,18 +33,12 @@ pub struct CubeSplit {
     /// derivation weight.
     train_sums: Vec<f64>,
     train_len: usize,
-    measure: AccuracyMeasure,
 }
 
 impl CubeSplit {
     /// Splits every node series with the given training fraction (the
-    /// paper uses about 0.8, §VI-A).
+    /// paper uses about 0.8, §VI-A). Schemes are scored by SMAPE (§II-D).
     pub fn new(dataset: &Dataset, train_frac: f64) -> Self {
-        Self::with_measure(dataset, train_frac, AccuracyMeasure::Smape)
-    }
-
-    /// Like [`CubeSplit::new`] with an explicit accuracy measure.
-    pub fn with_measure(dataset: &Dataset, train_frac: f64, measure: AccuracyMeasure) -> Self {
         let n = dataset.node_count();
         let mut train = Vec::with_capacity(n);
         let mut test = Vec::with_capacity(n);
@@ -63,7 +57,6 @@ impl CubeSplit {
             test,
             train_sums,
             train_len,
-            measure,
         }
     }
 
@@ -87,45 +80,33 @@ impl CubeSplit {
         self.test.first().map_or(0, |t| t.len())
     }
 
-    /// The accuracy measure used for scoring.
-    pub fn measure(&self) -> AccuracyMeasure {
-        self.measure
-    }
-
     /// Derivation weight `k_{S→t}` computed from the training history only
-    /// (no test leakage): [`crate::derive::derivation_weight_over`] at the
-    /// training length, from the sums cached at construction, so it costs
-    /// `O(|S|)`. `dataset` must be the one the split was made from.
+    /// (no test leakage): [`weight`] of the training-prefix sums cached at
+    /// construction, so it costs `O(|S|)`. `dataset` must be the one the
+    /// split was made from.
     pub fn train_weight(&self, dataset: &Dataset, sources: &[NodeId], target: NodeId) -> f64 {
         debug_assert_eq!(dataset.node_count(), self.train_sums.len());
         let h_s: f64 = sources.iter().map(|&s| self.train_sums[s]).sum();
-        if h_s.abs() < f64::EPSILON {
-            0.0
-        } else {
-            self.train_sums[target] / h_s
-        }
+        weight(self.train_sums[target], h_s)
     }
 
     /// The error of deriving `target` from the source test-window
-    /// `forecasts` with weight `k`: the scheme-error kernel. Each point is
-    /// `(0.0 + f₁[i] + f₂[i] …) · k`, scored as it is formed, so the value
-    /// equals `measure().score(test(target), &derive_forecast(forecasts,
-    /// k))` bit for bit without storing the derived forecast.
+    /// `forecasts` with weight `k`: the scheme-error kernel. Each
+    /// [`derived_point`] is scored by SMAPE as it is formed, so the value
+    /// equals `smape(test(target), &derive_forecast(forecasts, k))` bit
+    /// for bit without storing the derived forecast.
     pub fn derived_error(&self, forecasts: &[&[f64]], k: f64, target: NodeId) -> f64 {
         let test = &self.test[target];
         if test.is_empty() {
             return 0.0;
         }
         let horizon = forecasts.first().map_or(0, |f| f.len());
-        let measure = self.measure;
+        let measure = AccuracyMeasure::Smape;
         let sum: f64 = test
             .iter()
             .take(horizon)
             .enumerate()
-            .map(|(i, &x)| {
-                let derived = forecasts.iter().fold(0.0, |acc, f| acc + f[i]) * k;
-                measure.point_error(x, derived)
-            })
+            .map(|(i, &x)| measure.point_error(x, derived_point(forecasts.iter().map(|f| f[i]), k)))
             .sum();
         measure.from_sum(sum, test.len())
     }
@@ -581,17 +562,9 @@ mod tests {
     fn derived_error_is_the_score_of_the_derived_forecast() {
         let ds = dataset();
         let bits = |split: &CubeSplit, fc: &[&[f64]], k: f64, t: NodeId| {
-            let stored = split
-                .measure()
-                .score(split.test(t), &derive_forecast(fc, k));
+            let stored = AccuracyMeasure::Smape.score(split.test(t), &derive_forecast(fc, k));
             assert_eq!(split.derived_error(fc, k, t).to_bits(), stored.to_bits());
         };
-        let measures = [
-            AccuracyMeasure::Smape,
-            AccuracyMeasure::Mape,
-            AccuracyMeasure::Mae,
-            AccuracyMeasure::Rmse,
-        ];
         let f: Vec<Vec<f64>> = (0..4)
             .map(|s| {
                 (0..8)
@@ -600,32 +573,30 @@ mod tests {
             })
             .collect();
         let negated: Vec<f64> = f[1].iter().map(|v| -v).collect();
-        for measure in measures {
-            let split = CubeSplit::with_measure(&ds, 0.8, measure);
-            for t in 0..ds.node_count() {
-                for n in [1, 2, 4] {
-                    let fc: Vec<&[f64]> = f[..n].iter().map(Vec::as_slice).collect();
-                    for k in [0.37, 1.0, 0.0] {
-                        bits(&split, &fc, k, t);
-                    }
+        let split = CubeSplit::new(&ds, 0.8);
+        for t in 0..ds.node_count() {
+            for n in [1, 2, 4] {
+                let fc: Vec<&[f64]> = f[..n].iter().map(Vec::as_slice).collect();
+                for k in [0.37, 1.0, 0.0] {
+                    bits(&split, &fc, k, t);
                 }
-                // Sources summing to zero at every point.
-                bits(&split, &[&f[1], &negated], 0.5, t);
             }
-            // One observation per series: all training, an empty horizon.
-            let short = Dataset::from_base(
-                Schema::flat(vec![Dimension::new("d", vec!["a".into()])]).unwrap(),
-                vec![(
-                    Coord::new(vec![0]),
-                    TimeSeries::new(vec![2.0], Granularity::Monthly),
-                )],
-            )
-            .unwrap();
-            let empty = CubeSplit::with_measure(&short, 0.8, measure);
-            assert_eq!(empty.horizon(), 0);
-            bits(&empty, &[&[], &[]], 0.5, 0);
-            assert_eq!(empty.derived_error(&[&[]], 0.5, 0), 0.0);
+            // Sources summing to zero at every point.
+            bits(&split, &[&f[1], &negated], 0.5, t);
         }
+        // One observation per series: all training, an empty horizon.
+        let short = Dataset::from_base(
+            Schema::flat(vec![Dimension::new("d", vec!["a".into()])]).unwrap(),
+            vec![(
+                Coord::new(vec![0]),
+                TimeSeries::new(vec![2.0], Granularity::Monthly),
+            )],
+        )
+        .unwrap();
+        let empty = CubeSplit::new(&short, 0.8);
+        assert_eq!(empty.horizon(), 0);
+        bits(&empty, &[&[], &[]], 0.5, 0);
+        assert_eq!(empty.derived_error(&[&[]], 0.5, 0), 0.0);
     }
 
     #[test]

@@ -7,20 +7,20 @@
 //! x̂_t = k_{S→t} · Σ_{s∈S} x̂_s       with    k_{S→t} = h_t / Σ_{s∈S} h_s
 //! ```
 //!
-//! where `h_v` is the sum over the whole history of node `v` — the
+//! where `h_v` is the sum over the history of node `v` — the
 //! historical-share weighting Gross & Sohl found most effective \[16\].
+//! The advisor sums the training prefix, the catalog the whole history.
 //! The three special cases the paper illustrates (Fig. 3) fall out of the
 //! formula: *direct* (`S = {t}`, `k = 1`), *aggregation* (`S` = children
 //! of `t`, `k = 1` for consistent SUM data) and *disaggregation*
 //! (`S` = {parent}, `k` = the target's share of the parent).
 //!
-//! The module also computes the per-time-point weight series whose
-//! variance is the *similarity indicator* of §III-B: constant shares mean
-//! a stable relationship; fluctuating shares mean an unreliable scheme.
+//! [`weight`] and [`derived_point`] are the only places these two
+//! formulas are written: the advisor's split, its indicator kernel, the
+//! catalog's weights and every served derivation call them.
 
 use crate::dataset::Dataset;
 use crate::graph::NodeId;
-use fdc_forecast::accuracy::AccuracyMeasure;
 
 /// Classification of a derivation scheme relative to the graph structure
 /// (Fig. 3), mainly for reporting and tests.
@@ -63,120 +63,39 @@ pub fn classify_scheme(dataset: &Dataset, sources: &[NodeId], target: NodeId) ->
     SchemeKind::General
 }
 
-/// The derivation weight `k_{S→t} = h_t / Σ_s h_s` of Eq. (2)/(3),
-/// restricted to the first `history_len` observations (pass
-/// `usize::MAX` for the entire history). Returns 0 when the source
-/// history sums to zero.
-pub fn derivation_weight_over(
-    dataset: &Dataset,
-    sources: &[NodeId],
-    target: NodeId,
-    history_len: usize,
-) -> f64 {
-    let take = history_len.min(dataset.series_len());
-    let h_t: f64 = dataset.series(target).values()[..take].iter().sum();
-    let h_s: f64 = sources
-        .iter()
-        .map(|&s| dataset.series(s).values()[..take].iter().sum::<f64>())
-        .sum();
-    if h_s.abs() < f64::EPSILON {
+/// The derivation weight `k_{S→t} = h_t / Σ_s h_s` of Eq. (2)/(3) from
+/// the target's history sum `h_target` and the sources' summed history
+/// `h_sources`; 0 when the sources' history sums to (nearly) zero. Each
+/// caller sums its own histories (the training prefix, or the whole
+/// history as it grows); this is the one place the ratio is taken.
+#[inline]
+pub fn weight(h_target: f64, h_sources: f64) -> f64 {
+    if h_sources.abs() < f64::EPSILON {
         0.0
     } else {
-        h_t / h_s
+        h_target / h_sources
     }
 }
 
-/// [`derivation_weight_over`] on the whole history.
-pub fn derivation_weight(dataset: &Dataset, sources: &[NodeId], target: NodeId) -> f64 {
-    derivation_weight_over(dataset, sources, target, usize::MAX)
+/// One derived value of Eq. (1): the source values summed in order from
+/// `0.0`, times `k`, i.e. `(0.0 + v₁ + v₂ …) · k`. Every derived point —
+/// served, scored or used as an indicator — is formed here.
+#[inline]
+pub fn derived_point(values: impl IntoIterator<Item = f64>, k: f64) -> f64 {
+    values.into_iter().fold(0.0, |acc, v| acc + v) * k
 }
 
-/// The per-time-point share series `k_τ = x_t(τ) / Σ_s x_s(τ)`.
-/// Time points with a (near-)zero source sum are skipped.
-pub fn weight_series(dataset: &Dataset, sources: &[NodeId], target: NodeId) -> Vec<f64> {
-    let n = dataset.series_len();
-    let target_vals = dataset.series(target).values();
-    let mut out = Vec::with_capacity(n);
-    for (tau, &target) in target_vals.iter().enumerate().take(n) {
-        let denom: f64 = sources
-            .iter()
-            .map(|&s| dataset.series(s).values()[tau])
-            .sum();
-        if denom.abs() > 1e-12 {
-            out.push(target / denom);
-        }
-    }
-    out
-}
-
-/// Variance of the per-time-point weights over the entire history — the
-/// *similarity* indicator ingredient (§III-B): "if weights strongly
-/// fluctuate over time, the corresponding scheme is quite unstable and
-/// leads to low accuracy".
-pub fn weight_variance(dataset: &Dataset, sources: &[NodeId], target: NodeId) -> f64 {
-    let w = weight_series(dataset, sources, target);
-    if w.len() < 2 {
-        return 0.0;
-    }
-    let mean = w.iter().sum::<f64>() / w.len() as f64;
-    w.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / w.len() as f64
-}
-
-/// The *historical error* indicator ingredient (§III-B): assume perfect
-/// forecasts at the sources (use their real history), derive the target's
-/// values via the weight computed on the first `history_len` points, and
-/// score against the target's real history with `measure`.
-pub fn historical_error_over(
-    dataset: &Dataset,
-    sources: &[NodeId],
-    target: NodeId,
-    measure: AccuracyMeasure,
-    history_len: usize,
-) -> f64 {
-    let take = history_len.min(dataset.series_len());
-    if take == 0 {
-        return 0.0;
-    }
-    let k = derivation_weight_over(dataset, sources, target, take);
-    let mut derived = vec![0.0; take];
-    for &s in sources {
-        for (d, v) in derived.iter_mut().zip(dataset.series(s).values()) {
-            *d += v;
-        }
-    }
-    for d in &mut derived {
-        *d *= k;
-    }
-    measure.score(&dataset.series(target).values()[..take], &derived)
-}
-
-/// [`historical_error_over`] on the whole history (the paper computes the
-/// indicator "over the entire history as the time series from our
-/// real-world data sets are quite short").
-pub fn historical_error(
-    dataset: &Dataset,
-    sources: &[NodeId],
-    target: NodeId,
-    measure: AccuracyMeasure,
-) -> f64 {
-    historical_error_over(dataset, sources, target, measure, usize::MAX)
-}
-
-/// Combines source forecasts into the target forecast per Eq. (1):
-/// element-wise sum of the source forecasts scaled by `weight`.
+/// Combines source forecasts into the target forecast per Eq. (1): the
+/// [`derived_point`] of the source forecasts at every step.
 pub fn derive_forecast(source_forecasts: &[&[f64]], weight: f64) -> Vec<f64> {
     let h = source_forecasts.first().map_or(0, |f| f.len());
-    let mut out = vec![0.0; h];
-    for fc in source_forecasts {
-        debug_assert_eq!(fc.len(), h, "source horizons must match");
-        for (o, v) in out.iter_mut().zip(*fc) {
-            *o += v;
-        }
-    }
-    for o in &mut out {
-        *o *= weight;
-    }
-    out
+    debug_assert!(
+        source_forecasts.iter().all(|f| f.len() == h),
+        "source horizons must match"
+    );
+    (0..h)
+        .map(|i| derived_point(source_forecasts.iter().map(|f| f[i]), weight))
+        .collect()
 }
 
 #[cfg(test)]
@@ -219,11 +138,17 @@ mod tests {
         ds.graph().node(&Coord::new(vals)).unwrap()
     }
 
+    /// The weight over the whole history, summed as the catalog sums it.
+    fn full_weight(ds: &Dataset, sources: &[NodeId], target: NodeId) -> f64 {
+        let h_s = sources.iter().map(|&s| ds.series(s).history_sum()).sum();
+        weight(ds.series(target).history_sum(), h_s)
+    }
+
     #[test]
     fn direct_weight_is_one() {
         let ds = dataset();
         let t = node(&ds, vec![0, 0]);
-        assert!((derivation_weight(&ds, &[t], t) - 1.0).abs() < 1e-12);
+        assert!((full_weight(&ds, &[t], t) - 1.0).abs() < 1e-12);
         assert_eq!(classify_scheme(&ds, &[t], t), SchemeKind::Direct);
     }
 
@@ -233,7 +158,7 @@ mod tests {
         let r1 = node(&ds, vec![STAR, 0]);
         let c1 = node(&ds, vec![0, 0]);
         let c2 = node(&ds, vec![1, 0]);
-        let k = derivation_weight(&ds, &[c1, c2], r1);
+        let k = full_weight(&ds, &[c1, c2], r1);
         assert!((k - 1.0).abs() < 1e-12);
         assert_eq!(classify_scheme(&ds, &[c1, c2], r1), SchemeKind::Aggregation);
     }
@@ -243,7 +168,7 @@ mod tests {
         let ds = dataset();
         let r1 = node(&ds, vec![STAR, 0]);
         let c1 = node(&ds, vec![0, 0]); // share 1/(1+2) of region R1
-        let k = derivation_weight(&ds, &[r1], c1);
+        let k = full_weight(&ds, &[r1], c1);
         assert!((k - 1.0 / 3.0).abs() < 1e-12, "k = {k}");
         assert_eq!(classify_scheme(&ds, &[r1], c1), SchemeKind::Disaggregation);
     }
@@ -255,89 +180,49 @@ mod tests {
         let c2 = node(&ds, vec![1, 0]);
         assert_eq!(classify_scheme(&ds, &[c2], c1), SchemeKind::General);
         // C2 has twice C1's values → k = 1/2.
-        assert!((derivation_weight(&ds, &[c2], c1) - 0.5).abs() < 1e-12);
+        assert!((full_weight(&ds, &[c2], c1) - 0.5).abs() < 1e-12);
     }
 
     #[test]
-    fn weight_series_constant_for_proportional_data() {
-        let ds = dataset();
-        let r1 = node(&ds, vec![STAR, 0]);
-        let c1 = node(&ds, vec![0, 0]);
-        let w = weight_series(&ds, &[r1], c1);
-        assert_eq!(w.len(), 8);
-        for v in &w {
-            assert!((v - 1.0 / 3.0).abs() < 1e-12);
+    fn weight_guards_only_a_vanishing_source_sum() {
+        for h_s in [0.0, -0.0, f64::EPSILON / 2.0, -f64::EPSILON / 2.0] {
+            assert_eq!(weight(7.0, h_s).to_bits(), 0.0f64.to_bits(), "{h_s}");
         }
-        assert!(weight_variance(&ds, &[r1], c1) < 1e-20);
+        // From ε on the ratio is taken, whatever the signs.
+        assert_eq!(weight(1.0, f64::EPSILON), 1.0 / f64::EPSILON);
+        assert_eq!(weight(3.0, -4.0), -0.75);
+        assert_eq!(weight(-3.0, -4.0), 0.75);
+        assert_eq!(weight(1.0, 3.0), 1.0 / 3.0);
+        assert_eq!(weight(0.0, 5.0), 0.0);
+        assert_eq!(weight(6.0, 6.0), 1.0);
     }
 
     #[test]
-    fn weight_variance_positive_for_shifting_shares() {
-        // Build a data set where C1's share of R1 drifts over time.
-        let schema = Schema::new(
-            vec![
-                Dimension::new("city", vec!["C1".into(), "C2".into()]),
-                Dimension::new("region", vec!["R1".into()]),
-            ],
-            vec![FunctionalDependency::new(0, 1, vec![0, 0])],
-        )
-        .unwrap();
-        let c1: Vec<f64> = (0..8).map(|t| 1.0 + t as f64).collect(); // growing
-        let c2: Vec<f64> = (0..8).map(|_| 10.0).collect(); // flat
-        let base = vec![
-            (
-                Coord::new(vec![0, 0]),
-                TimeSeries::new(c1, Granularity::Monthly),
-            ),
-            (
-                Coord::new(vec![1, 0]),
-                TimeSeries::new(c2, Granularity::Monthly),
-            ),
-        ];
-        let ds = Dataset::from_base(schema, base).unwrap();
-        let r1 = node(&ds, vec![STAR, 0]);
-        let c1n = node(&ds, vec![0, 0]);
-        assert!(weight_variance(&ds, &[r1], c1n) > 1e-4);
-    }
-
-    #[test]
-    fn historical_error_zero_for_perfectly_proportional_data() {
-        let ds = dataset();
-        let r1 = node(&ds, vec![STAR, 0]);
-        let c1 = node(&ds, vec![0, 0]);
-        let e = historical_error(&ds, &[r1], c1, AccuracyMeasure::Smape);
-        assert!(e < 1e-12, "error {e}");
-    }
-
-    #[test]
-    fn historical_error_positive_for_unstable_scheme() {
-        let schema = Schema::new(
-            vec![
-                Dimension::new("city", vec!["C1".into(), "C2".into()]),
-                Dimension::new("region", vec!["R1".into()]),
-            ],
-            vec![FunctionalDependency::new(0, 1, vec![0, 0])],
-        )
-        .unwrap();
-        let c1 = vec![1.0, 9.0, 1.0, 9.0, 1.0, 9.0];
-        let c2 = vec![9.0, 1.0, 9.0, 1.0, 9.0, 1.0];
-        let base = vec![
-            (
-                Coord::new(vec![0, 0]),
-                TimeSeries::new(c1, Granularity::Monthly),
-            ),
-            (
-                Coord::new(vec![1, 0]),
-                TimeSeries::new(c2, Granularity::Monthly),
-            ),
-        ];
-        let ds = Dataset::from_base(schema, base).unwrap();
-        let r1 = node(&ds, vec![STAR, 0]);
-        let c1n = node(&ds, vec![0, 0]);
-        // Disaggregating the flat region series cannot reproduce the
-        // oscillating child.
-        let e = historical_error(&ds, &[r1], c1n, AccuracyMeasure::Smape);
-        assert!(e > 0.2, "error {e}");
+    fn derived_point_is_derive_forecast_bit_for_bit() {
+        let (a, b) = ([1.5, -0.0, -0.0, 0.1, -2.25], [-0.0, -0.0, 3.0, 0.2, 2.25]);
+        let c = [0.7, -0.0, -1e-300, 0.3, 1e300];
+        let cases: [&[&[f64]]; 4] = [&[&a], &[&a, &b], &[&b, &a, &c], &[&b, &b]];
+        for k in [0.37, 1.0, 0.0, -0.0, -2.5] {
+            for sources in cases {
+                // The stored form: zeros, each source added in, then × k.
+                let mut stored = vec![0.0; a.len()];
+                for fc in sources {
+                    for (o, v) in stored.iter_mut().zip(*fc) {
+                        *o += v;
+                    }
+                }
+                stored.iter_mut().for_each(|o| *o *= k);
+                let derived = derive_forecast(sources, k);
+                for (i, v) in stored.iter().enumerate() {
+                    let point = derived_point(sources.iter().map(|f| f[i]), k);
+                    assert_eq!(point.to_bits(), v.to_bits(), "k {k} step {i}");
+                    assert_eq!(derived[i].to_bits(), v.to_bits(), "k {k} step {i}");
+                }
+            }
+            // No sources: an empty forecast and a zero point.
+            assert!(derive_forecast(&[], k).is_empty());
+            assert_eq!(derived_point([], k).to_bits(), (0.0 * k).to_bits());
+        }
     }
 
     #[test]
@@ -345,37 +230,5 @@ mod tests {
         let fc = derive_forecast(&[&[1.0, 2.0], &[3.0, 4.0]], 0.5);
         assert_eq!(fc, vec![2.0, 3.0]);
         assert!(derive_forecast(&[], 1.0).is_empty());
-    }
-
-    #[test]
-    fn zero_history_sources_give_zero_weight() {
-        let schema = Schema::flat(vec![Dimension::new("d", vec!["a".into(), "b".into()])]).unwrap();
-        let base = vec![
-            (
-                Coord::new(vec![0]),
-                TimeSeries::new(vec![0.0; 4], Granularity::Monthly),
-            ),
-            (
-                Coord::new(vec![1]),
-                TimeSeries::new(vec![1.0; 4], Granularity::Monthly),
-            ),
-        ];
-        let ds = Dataset::from_base(schema, base).unwrap();
-        let a = node(&ds, vec![0]);
-        let b = node(&ds, vec![1]);
-        assert_eq!(derivation_weight(&ds, &[a], b), 0.0);
-        assert!(weight_series(&ds, &[a], b).is_empty());
-        assert_eq!(weight_variance(&ds, &[a], b), 0.0);
-    }
-
-    #[test]
-    fn partial_history_weight() {
-        let ds = dataset();
-        let r1 = node(&ds, vec![STAR, 0]);
-        let c1 = node(&ds, vec![0, 0]);
-        // Proportional data: prefix weight equals full weight.
-        let k_full = derivation_weight(&ds, &[r1], c1);
-        let k_half = derivation_weight_over(&ds, &[r1], c1, 4);
-        assert!((k_full - k_half).abs() < 1e-12);
     }
 }

@@ -11,10 +11,9 @@
 //! * [`dataset`] — base series plus eagerly materialized aggregated series
 //!   for every node (§VI-A: "we initially created all aggregated time
 //!   series for the whole time series graph"),
-//! * [`derive`](mod@crate::derive) — derivation schemes and Gross–Sohl weights (Eq. 1–3) used
-//!   to compute a node's forecasts from models at other nodes, plus the
-//!   per-time-point weight series whose variance feeds the similarity
-//!   indicator (§III-B),
+//! * [`derive`](mod@crate::derive) — derivation schemes, the Gross–Sohl
+//!   weight and the derived point (Eq. 1–3) used to compute a node's
+//!   forecasts from models at other nodes,
 //! * [`config`] — the **model configuration** (assignment of models and
 //!   derivation schemes to nodes) and its evaluation by forecast error and
 //!   model costs (§II-D),
@@ -24,7 +23,7 @@
 //! ## Example
 //!
 //! ```
-//! use fdc_cube::{Coord, Dataset, Dimension, Schema, derivation_weight};
+//! use fdc_cube::{derive, Coord, Dataset, Dimension, Schema};
 //! use fdc_forecast::{Granularity, TimeSeries};
 //!
 //! let schema = Schema::flat(vec![Dimension::new("store", vec!["S1".into(), "S2".into()])]).unwrap();
@@ -37,7 +36,10 @@
 //! let s1 = ds.graph().base_nodes()[0];
 //! // S1 contributes a quarter of the total: the Gross–Sohl weight for
 //! // disaggregating S1 from the top model is 0.25.
-//! assert!((derivation_weight(&ds, &[top], s1) - 0.25).abs() < 1e-12);
+//! let h = |v| ds.series(v).history_sum();
+//! assert_eq!(derive::weight(h(s1), h(top)), 0.25);
+//! // Its derived forecast is a quarter of the top forecast.
+//! assert_eq!(derive::derive_forecast(&[&[40.0, 48.0]], 0.25), [10.0, 12.0]);
 //! ```
 
 pub mod config;
@@ -50,10 +52,7 @@ pub mod slice;
 
 pub use config::{Configuration, ConfiguredModel, CubeSplit, NodeEstimate, Scheme};
 pub use dataset::Dataset;
-pub use derive::{
-    derivation_weight, derive_forecast, historical_error, weight_series, weight_variance,
-    SchemeKind,
-};
+pub use derive::{derive_forecast, SchemeKind};
 pub use graph::{Coord, NodeId, TimeSeriesGraph, STAR};
 pub use query::{DimSelector, NodeQuery};
 pub use schema::{Dimension, FunctionalDependency, Schema};

@@ -47,9 +47,10 @@
 use crate::maintenance::MaintenancePolicy;
 use crate::{F2dbError, Result};
 use fdc_codec::{Reader, Writer};
-use fdc_cube::{derive_forecast, Configuration, Dataset, NodeId};
+use fdc_cube::derive::{derive_forecast, weight};
+use fdc_cube::{Configuration, Dataset, NodeId};
 use fdc_forecast::model::restore_model;
-use fdc_forecast::{FitOptions, ForecastModel, ModelState};
+use fdc_forecast::{AccuracyMeasure, FitOptions, ForecastModel, ModelState};
 use fdc_obs::{journal, names, Event, RollingAccuracy};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -263,16 +264,11 @@ impl Catalog {
             shard.history_sums.insert(v, history_sums[v]);
             if let Some(scheme) = &configuration.estimate(v).scheme {
                 let h_s: f64 = scheme.sources.iter().map(|&s| history_sums[s]).sum();
-                let weight = if h_s.abs() < f64::EPSILON {
-                    0.0
-                } else {
-                    history_sums[v] / h_s
-                };
                 shard.entries.insert(
                     v,
                     CatalogEntry {
                         scheme_sources: scheme.sources.clone(),
-                        weight,
+                        weight: weight(history_sums[v], h_s),
                     },
                 );
             }
@@ -544,12 +540,7 @@ impl Catalog {
                 }
                 let actual = dataset.series(node).values()[last_index];
                 let predicted = stored.model.forecast(1)[0];
-                let denom = (actual + predicted).abs();
-                let step_err = if denom < f64::EPSILON {
-                    0.0
-                } else {
-                    (actual - predicted).abs() / denom
-                };
+                let step_err = AccuracyMeasure::Smape.point_error(actual, predicted);
                 stored.rolling_error = 0.8 * stored.rolling_error + 0.2 * step_err;
                 stored.model.update(actual);
                 out.model_updates += 1;
@@ -598,11 +589,7 @@ impl Catalog {
             let mut shard = lock.write().unwrap();
             for (&v, entry) in shard.entries.iter_mut() {
                 let h_s: f64 = entry.scheme_sources.iter().map(|&s| sums[s]).sum();
-                entry.weight = if h_s.abs() < f64::EPSILON {
-                    0.0
-                } else {
-                    sums[v] / h_s
-                };
+                entry.weight = weight(sums[v], h_s);
             }
         }
         out

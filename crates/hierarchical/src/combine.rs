@@ -13,6 +13,7 @@
 
 use crate::{BaselineOptions, BaselineResult};
 use fdc_cube::{ConfiguredModel, CubeSplit, Dataset};
+use fdc_forecast::smape;
 use fdc_linalg::{ols_projection, Matrix};
 use std::time::Instant;
 
@@ -65,7 +66,7 @@ pub fn combine(dataset: &Dataset, split: &CubeSplit, options: &BaselineOptions) 
                 }
             }
             (0..n)
-                .map(|v| split.measure().score(split.test(v), &reconciled[v]))
+                .map(|v| smape(split.test(v), &reconciled[v]))
                 .collect()
         }
         Err(_) => {
@@ -73,7 +74,7 @@ pub fn combine(dataset: &Dataset, split: &CubeSplit, options: &BaselineOptions) 
             // distinct base coords, but degrade gracefully to the unreconciled
             // forecasts if it ever does.
             (0..n)
-                .map(|v| split.measure().score(split.test(v), &forecasts[v]))
+                .map(|v| smape(split.test(v), &forecasts[v]))
                 .collect()
         }
     };

@@ -9,7 +9,7 @@ use crate::{LinalgError, Matrix, Result};
 /// Used to solve the normal equations `(SᵀS) β = Sᵀy` that arise in the
 /// optimal-combination reconciliation baseline. The factorization fails
 /// with [`LinalgError::Singular`] when a pivot drops below a small
-/// tolerance, which callers treat as "fall back to QR".
+/// tolerance.
 #[derive(Debug, Clone)]
 pub struct Cholesky {
     l: Matrix,
@@ -56,11 +56,6 @@ impl Cholesky {
             }
         }
         Ok(Cholesky { l })
-    }
-
-    /// The lower-triangular factor `L`.
-    pub fn factor(&self) -> &Matrix {
-        &self.l
     }
 
     /// Solves `A x = b` via forward and backward substitution.
@@ -122,19 +117,11 @@ impl Cholesky {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::tests::{matrix, max_abs_diff};
 
     fn spd3() -> Matrix {
         // A = B Bᵀ + I for B random-ish; hand-picked SPD matrix.
-        Matrix::from_rows(&[&[4.0, 2.0, 0.6], &[2.0, 5.0, 1.0], &[0.6, 1.0, 3.0]]).unwrap()
-    }
-
-    #[test]
-    fn factor_reconstructs_input() {
-        let a = spd3();
-        let ch = Cholesky::new(&a).unwrap();
-        let l = ch.factor();
-        let rec = l.matmul(&l.transpose()).unwrap();
-        assert!(rec.max_abs_diff(&a).unwrap() < 1e-10);
+        matrix(&[&[4.0, 2.0, 0.6], &[2.0, 5.0, 1.0], &[0.6, 1.0, 3.0]])
     }
 
     #[test]
@@ -154,7 +141,7 @@ mod tests {
         let a = spd3();
         let inv = Cholesky::new(&a).unwrap().inverse().unwrap();
         let prod = a.matmul(&inv).unwrap();
-        assert!(prod.max_abs_diff(&Matrix::identity(3)).unwrap() < 1e-10);
+        assert!(max_abs_diff(&prod, &Matrix::identity(3)) < 1e-10);
     }
 
     #[test]
@@ -164,13 +151,13 @@ mod tests {
 
     #[test]
     fn rejects_indefinite() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap(); // eigenvalues 3, -1
+        let a = matrix(&[&[1.0, 2.0], &[2.0, 1.0]]); // eigenvalues 3, -1
         assert_eq!(Cholesky::new(&a).unwrap_err(), LinalgError::Singular);
     }
 
     #[test]
     fn rejects_singular() {
-        let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]).unwrap();
+        let a = matrix(&[&[1.0, 1.0], &[1.0, 1.0]]);
         assert_eq!(Cholesky::new(&a).unwrap_err(), LinalgError::Singular);
     }
 
@@ -182,9 +169,7 @@ mod tests {
 
     #[test]
     fn one_by_one_matrix() {
-        let a = Matrix::from_rows(&[&[9.0]]).unwrap();
-        let ch = Cholesky::new(&a).unwrap();
-        assert!((ch.factor()[(0, 0)] - 3.0).abs() < 1e-12);
+        let ch = Cholesky::new(&matrix(&[&[9.0]])).unwrap();
         assert!((ch.solve(&[18.0]).unwrap()[0] - 2.0).abs() < 1e-12);
     }
 }

@@ -1,20 +1,17 @@
 //! # fdc-linalg
 //!
-//! A small, dependency-free dense linear algebra kernel used by the
-//! hierarchical-forecasting baselines of the data-cube reproduction —
-//! most importantly the *optimal combination* (Hyndman et al.) baseline,
-//! which reconciles independent node forecasts through the ordinary
-//! least squares projection `ŷ̃ = S (SᵀS)⁻¹ Sᵀ ŷ`.
+//! A small, dependency-free dense linear algebra kernel for the
+//! *optimal combination* (Hyndman et al.) baseline of the data-cube
+//! reproduction, which reconciles independent node forecasts through the
+//! ordinary least squares projection `ŷ̃ = S (SᵀS)⁻¹ Sᵀ ŷ`.
 //!
-//! The crate provides:
+//! The crate provides exactly what that projection needs:
 //!
-//! * [`Matrix`] — a row-major dense matrix of `f64` with the usual
-//!   arithmetic, transpose and multiplication operations,
+//! * [`Matrix`] — a row-major dense matrix of `f64` with transpose and
+//!   multiplication,
 //! * [`cholesky::Cholesky`] — Cholesky factorization of symmetric
-//!   positive-definite systems (used for normal-equation solves),
-//! * [`qr::Qr`] — Householder QR factorization (used for rank-safe least
-//!   squares),
-//! * [`lstsq`](mod@crate::lstsq) — convenience least squares driver choosing between the two.
+//!   positive-definite systems, and the inverse built from it,
+//! * [`ols_projection`] — the projection matrix itself.
 //!
 //! All algorithms are textbook implementations (Golub & Van Loan) written
 //! for clarity; the matrices appearing in the reproduction are small
@@ -24,23 +21,26 @@
 //! ## Example
 //!
 //! ```
-//! use fdc_linalg::{lstsq, Matrix};
+//! use fdc_linalg::{ols_projection, Matrix};
 //!
-//! // Fit y = 1 + 2t through three points.
-//! let a = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0]]).unwrap();
-//! let x = lstsq(&a, &[1.0, 3.0, 5.0]).unwrap();
-//! assert!((x[0] - 1.0).abs() < 1e-9 && (x[1] - 2.0).abs() < 1e-9);
+//! // A total over two leaves: rows [total; leaf 1; leaf 2].
+//! let mut s = Matrix::zeros(3, 2);
+//! for (r, c) in [(0, 0), (0, 1), (1, 0), (2, 1)] {
+//!     s[(r, c)] = 1.0;
+//! }
+//! let p = ols_projection(&s).unwrap();
+//! // The total says 10, the leaves 2 + 3: the reconciled vector adds up.
+//! let y = p.matvec(&[10.0, 2.0, 3.0]).unwrap();
+//! assert!((y[0] - (y[1] + y[2])).abs() < 1e-9);
 //! ```
 
 pub mod cholesky;
-pub mod lstsq;
 pub mod matrix;
-pub mod qr;
+pub mod projection;
 
 pub use cholesky::Cholesky;
-pub use lstsq::{lstsq, ols_projection, solve_normal_equations};
 pub use matrix::Matrix;
-pub use qr::Qr;
+pub use projection::ols_projection;
 
 /// Error type for linear algebra operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

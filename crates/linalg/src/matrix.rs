@@ -5,7 +5,7 @@ use crate::{LinalgError, Result};
 /// A dense, row-major matrix of `f64` values.
 ///
 /// The type intentionally keeps a tiny API surface: exactly what the
-/// reconciliation baselines and the tests need. Indexing is checked in
+/// OLS projection and the Combine baseline need. Indexing is checked in
 /// debug builds via the underlying slice indexing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -33,48 +33,6 @@ impl Matrix {
         m
     }
 
-    /// Creates a matrix from a row-major data vector.
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(LinalgError::DimensionMismatch {
-                expected: format!("{} elements ({rows}x{cols})", rows * cols),
-                found: format!("{} elements", data.len()),
-            });
-        }
-        Ok(Matrix { rows, cols, data })
-    }
-
-    /// Creates a matrix from nested row slices (convenient in tests).
-    pub fn from_rows(rows: &[&[f64]]) -> Result<Self> {
-        if rows.is_empty() {
-            return Err(LinalgError::Empty);
-        }
-        let cols = rows[0].len();
-        if rows.iter().any(|r| r.len() != cols) {
-            return Err(LinalgError::DimensionMismatch {
-                expected: format!("all rows of length {cols}"),
-                found: "ragged rows".to_string(),
-            });
-        }
-        let data = rows.iter().flat_map(|r| r.iter().copied()).collect();
-        Ok(Matrix {
-            rows: rows.len(),
-            cols,
-            data,
-        })
-    }
-
-    /// Creates a single-column matrix from a vector.
-    pub fn column(data: Vec<f64>) -> Self {
-        Matrix {
-            rows: data.len(),
-            cols: 1,
-            data,
-        }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -91,12 +49,6 @@ impl Matrix {
     #[inline]
     pub fn is_square(&self) -> bool {
         self.rows == self.cols
-    }
-
-    /// Borrow the underlying row-major data.
-    #[inline]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
     }
 
     /// Borrow row `r` as a slice.
@@ -167,66 +119,6 @@ impl Matrix {
             .map(|r| self.row(r).iter().zip(v).map(|(a, b)| a * b).sum::<f64>())
             .collect())
     }
-
-    /// Element-wise addition.
-    pub fn add(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.zip_with(rhs, |a, b| a + b)
-    }
-
-    /// Element-wise subtraction.
-    pub fn sub(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.zip_with(rhs, |a, b| a - b)
-    }
-
-    /// Multiply every element by `s`.
-    pub fn scale(&self, s: f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|v| v * s).collect(),
-        }
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Maximum absolute element difference to another matrix (∞-distance),
-    /// useful for approximate comparisons in tests.
-    pub fn max_abs_diff(&self, rhs: &Matrix) -> Result<f64> {
-        if self.rows != rhs.rows || self.cols != rhs.cols {
-            return Err(LinalgError::DimensionMismatch {
-                expected: format!("{}x{}", self.rows, self.cols),
-                found: format!("{}x{}", rhs.rows, rhs.cols),
-            });
-        }
-        Ok(self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max))
-    }
-
-    fn zip_with(&self, rhs: &Matrix, f: impl Fn(f64, f64) -> f64) -> Result<Matrix> {
-        if self.rows != rhs.rows || self.cols != rhs.cols {
-            return Err(LinalgError::DimensionMismatch {
-                expected: format!("{}x{}", self.rows, self.cols),
-                found: format!("{}x{}", rhs.rows, rhs.cols),
-            });
-        }
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        })
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -247,22 +139,34 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-/// Dot product of two equal-length slices.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A matrix from nested rows of equal length.
+    pub(crate) fn matrix(rows: &[&[f64]]) -> Matrix {
+        let mut m = Matrix::zeros(rows.len(), rows[0].len());
+        for (r, row) in rows.iter().enumerate() {
+            assert_eq!(row.len(), m.cols(), "ragged rows");
+            m.row_mut(r).copy_from_slice(row);
+        }
+        m
+    }
+
+    /// The largest absolute element difference of two equal-shape matrices.
+    pub(crate) fn max_abs_diff(a: &Matrix, b: &Matrix) -> f64 {
+        assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()));
+        (0..a.rows())
+            .flat_map(|r| a.row(r).iter().zip(b.row(r)).map(|(x, y)| (x - y).abs()))
+            .fold(0.0, f64::max)
+    }
 
     #[test]
     fn zeros_has_expected_shape_and_values() {
         let m = Matrix::zeros(2, 3);
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 3);
-        assert!(m.as_slice().iter().all(|&v| v == 0.0));
+        assert!((0..2).all(|r| m.row(r).iter().all(|&v| v == 0.0)));
     }
 
     #[test]
@@ -276,19 +180,8 @@ mod tests {
     }
 
     #[test]
-    fn from_vec_rejects_wrong_length() {
-        assert!(Matrix::from_vec(2, 2, vec![1.0; 3]).is_err());
-    }
-
-    #[test]
-    fn from_rows_rejects_ragged_input() {
-        assert!(Matrix::from_rows(&[&[1.0, 2.0], &[3.0]]).is_err());
-        assert!(Matrix::from_rows(&[]).is_err());
-    }
-
-    #[test]
     fn transpose_round_trips() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
+        let m = matrix(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         let t = m.transpose();
         assert_eq!(t.rows(), 3);
         assert_eq!(t[(0, 1)], 4.0);
@@ -297,13 +190,10 @@ mod tests {
 
     #[test]
     fn matmul_known_result() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]).unwrap();
+        let a = matrix(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        let b = matrix(&[&[5.0, 6.0], &[7.0, 8.0]]);
         let c = a.matmul(&b).unwrap();
-        assert_eq!(
-            c,
-            Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]).unwrap()
-        );
+        assert_eq!(c, matrix(&[&[19.0, 22.0], &[43.0, 50.0]]));
     }
 
     #[test]
@@ -315,55 +205,21 @@ mod tests {
 
     #[test]
     fn matmul_identity_is_noop() {
-        let a = Matrix::from_rows(&[&[1.0, -2.5], &[0.0, 4.0]]).unwrap();
+        let a = matrix(&[&[1.0, -2.5], &[0.0, 4.0]]);
         assert_eq!(a.matmul(&Matrix::identity(2)).unwrap(), a);
         assert_eq!(Matrix::identity(2).matmul(&a).unwrap(), a);
     }
 
     #[test]
     fn matvec_known_result() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
+        let a = matrix(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(a.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
         assert!(a.matvec(&[1.0]).is_err());
     }
 
     #[test]
-    fn add_sub_scale() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[3.0, -1.0]]).unwrap();
-        assert_eq!(
-            a.add(&b).unwrap(),
-            Matrix::from_rows(&[&[4.0, 1.0]]).unwrap()
-        );
-        assert_eq!(
-            a.sub(&b).unwrap(),
-            Matrix::from_rows(&[&[-2.0, 3.0]]).unwrap()
-        );
-        assert_eq!(a.scale(2.0), Matrix::from_rows(&[&[2.0, 4.0]]).unwrap());
-        assert!(a.add(&Matrix::zeros(2, 2)).is_err());
-    }
-
-    #[test]
-    fn frobenius_norm_known_value() {
-        let a = Matrix::from_rows(&[&[3.0, 4.0]]).unwrap();
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dot_product() {
-        assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-    }
-
-    #[test]
     fn col_extraction() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
+        let a = matrix(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(a.col(1), vec![2.0, 4.0]);
-    }
-
-    #[test]
-    fn max_abs_diff_detects_divergence() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[1.5, 2.0]]).unwrap();
-        assert!((a.max_abs_diff(&b).unwrap() - 0.5).abs() < 1e-12);
     }
 }

@@ -1,8 +1,13 @@
 //! Randomized integration tests over the public API, driven by the
 //! deterministic workspace RNG.
 
-use fdc::cube::{Coord, Dataset, Dimension, FunctionalDependency, Schema};
-use fdc::forecast::{smape, Granularity, TimeSeries};
+use fdc::advisor::indicator::{scheme_indicator, IndicatorOptions};
+use fdc::cube::{
+    Configuration, Coord, CubeSplit, Dataset, Dimension, FunctionalDependency, NodeEstimate,
+    Schema, Scheme,
+};
+use fdc::f2db::Catalog;
+use fdc::forecast::{smape, FitOptions, Granularity, TimeSeries};
 use fdc::rng::Rng;
 
 /// A small two-level cube (cities grouped into regions) with aligned
@@ -58,7 +63,8 @@ fn aggregates_always_sum_base_descendants() {
 }
 
 /// Derivation: the historical-share weights of all base nodes from the
-/// top node sum to 1.
+/// top node sum to 1, over the advisor's training prefix and over the
+/// catalog's whole history.
 #[test]
 fn derivation_weights_are_shares() {
     let mut rng = Rng::seed_from_u64(0x9102);
@@ -66,28 +72,57 @@ fn derivation_weights_are_shares() {
         let ds = random_cube(&mut rng);
         let g = ds.graph();
         let top = g.top_node();
-        let total: f64 = g
+        let split = CubeSplit::new(&ds, 0.8);
+        let train: f64 = g
             .base_nodes()
             .iter()
-            .map(|&b| fdc::cube::derivation_weight(&ds, &[top], b))
+            .map(|&b| split.train_weight(&ds, &[top], b))
             .sum();
-        assert!((total - 1.0).abs() < 1e-9, "shares sum to {total}");
+        assert!((train - 1.0).abs() < 1e-9, "training shares sum to {train}");
+        let mut configuration = Configuration::new(ds.node_count());
+        for &b in g.base_nodes() {
+            let scheme = Scheme {
+                sources: vec![top],
+                weight: 0.0,
+            };
+            configuration.set_estimate(
+                b,
+                NodeEstimate {
+                    error: 0.0,
+                    scheme: Some(scheme),
+                },
+            );
+        }
+        let catalog = Catalog::from_configuration(&ds, &configuration, &FitOptions::default())
+            .expect("a catalog without models builds");
+        let full: f64 = g
+            .base_nodes()
+            .iter()
+            .map(|&b| {
+                catalog
+                    .entry(b)
+                    .expect("every base node has a scheme")
+                    .weight
+            })
+            .sum();
+        assert!((full - 1.0).abs() < 1e-9, "catalog shares sum to {full}");
     }
 }
 
-/// The weight variance is non-negative and zero for a node derived
-/// from itself.
+/// The indicator of a node derived from itself is 0, and every
+/// indicator value lies in [0, 1].
 #[test]
 fn weight_variance_invariants() {
     let mut rng = Rng::seed_from_u64(0x9103);
     for _ in 0..64 {
         let ds = random_cube(&mut rng);
-        let g = ds.graph();
-        let top = g.top_node();
-        for &b in g.base_nodes() {
-            let var = fdc::cube::weight_variance(&ds, &[top], b);
-            assert!(var >= 0.0);
-            assert!(fdc::cube::weight_variance(&ds, &[b], b) < 1e-20);
+        let options = IndicatorOptions::new(ds.node_count(), ds.series_len() * 8 / 10);
+        for s in 0..ds.node_count() {
+            assert_eq!(scheme_indicator(&ds, s, s, &options), 0.0);
+            for t in 0..ds.node_count() {
+                let value = scheme_indicator(&ds, s, t, &options);
+                assert!((0.0..=1.0).contains(&value), "{s} → {t}: {value}");
+            }
         }
     }
 }
