@@ -105,12 +105,13 @@ pub fn select_candidates(
     positive.truncate(max_positive.max(1));
 
     // Preselection, Eq. 6: zero-indicator nodes (model holders).
-    let mut negative: Vec<RankedCandidate> = (0..dataset.node_count())
+    let holders: Vec<NodeId> = (0..dataset.node_count())
         .filter(|&v| global[v] <= f64::EPSILON && configuration.has_model(v))
-        .map(|v| RankedCandidate {
-            node: v,
-            score: store.mean_without(v),
-        })
+        .collect();
+    let mut negative: Vec<RankedCandidate> = holders
+        .iter()
+        .zip(store.means_without(&holders))
+        .map(|(&node, score)| RankedCandidate { node, score })
         .collect();
     // Ascending: the smallest increase (lowest benefit of keeping) first.
     negative.sort_by(|a, b| a.score.total_cmp(&b.score).then(a.node.cmp(&b.node)));

@@ -7,6 +7,7 @@
 //! syntax lives in `fdc-f2db`.
 
 use crate::graph::{NodeId, TimeSeriesGraph, STAR};
+use crate::schema::{Dimension, Schema};
 use crate::{CubeError, Result};
 
 /// Per-dimension selector of a node query.
@@ -25,19 +26,67 @@ pub enum DimSelector {
 /// it was built for, value labels already looked up.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeQuery {
-    selectors: Vec<Selector>,
+    selectors: Vec<Selector<String>>,
 }
 
 /// A [`DimSelector`] against one graph: a label that names a value is
-/// kept as that value's index, so building a query copies no label.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Selector {
+/// kept as that value's index. `L` holds a label the dimension does not
+/// have, for the error that reports it: owned in a [`NodeQuery`],
+/// borrowed from the caller in [`resolve_labels`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Selector<L> {
     All,
     Value(u32),
-    /// A label the dimension does not have; [`NodeQuery::resolve`]
-    /// reports it.
-    Unknown(String),
+    Unknown(L),
     GroupBy,
+}
+
+impl<'a> Selector<&'a str> {
+    /// `label` looked up in `dimension`; `None` expands the dimension.
+    fn of(dimension: &Dimension, label: Option<&'a str>) -> Self {
+        match label {
+            None => Selector::GroupBy,
+            Some(label) => dimension
+                .value_index(label)
+                .map_or(Selector::Unknown(label), Selector::Value),
+        }
+    }
+
+    fn owned(self) -> Selector<String> {
+        match self {
+            Selector::All => Selector::All,
+            Selector::Value(idx) => Selector::Value(idx),
+            Selector::Unknown(label) => Selector::Unknown(label.to_owned()),
+            Selector::GroupBy => Selector::GroupBy,
+        }
+    }
+}
+
+/// Dimensions whose selectors and candidate coordinate a resolution
+/// keeps on the stack; a wider schema's go to the heap.
+const INLINE_DIMS: usize = 16;
+
+/// The first `len` slots of `inline`, or of `heap` filled with `fill`
+/// when they do not fit.
+fn stack_or_heap<'b, T: Copy>(
+    inline: &'b mut [T; INLINE_DIMS],
+    heap: &'b mut Vec<T>,
+    len: usize,
+    fill: T,
+) -> &'b mut [T] {
+    if len <= INLINE_DIMS {
+        &mut inline[..len]
+    } else {
+        heap.resize(len, fill);
+        heap
+    }
+}
+
+/// The index of the dimension called `name`.
+fn dim_index(schema: &Schema, name: &str) -> Result<usize> {
+    schema
+        .dim_index(name)
+        .ok_or_else(|| CubeError::NotFound(format!("dimension {name}")))
 }
 
 impl NodeQuery {
@@ -58,16 +107,12 @@ impl NodeQuery {
         let schema = graph.schema();
         let mut selectors = vec![Selector::All; schema.dim_count()];
         for (name, sel) in predicates {
-            let d = schema
-                .dim_index(name)
-                .ok_or_else(|| CubeError::NotFound(format!("dimension {name}")))?;
+            let d = dim_index(schema, name)?;
+            let dimension = &schema.dimensions()[d];
             selectors[d] = match sel {
                 DimSelector::All => Selector::All,
                 DimSelector::GroupBy => Selector::GroupBy,
-                DimSelector::Value(label) => match schema.dimensions()[d].value_index(label) {
-                    Some(idx) => Selector::Value(idx),
-                    None => Selector::Unknown(label.clone()),
-                },
+                DimSelector::Value(label) => Selector::of(dimension, Some(label.as_str())).owned(),
             };
         }
         Ok(NodeQuery { selectors })
@@ -81,56 +126,88 @@ impl NodeQuery {
     /// values, the last such dimension varying fastest; nodes without
     /// data are skipped.
     pub fn resolve(&self, graph: &TimeSeriesGraph) -> Result<Vec<NodeId>> {
-        let dimensions = graph.schema().dimensions();
-        if self.selectors.len() != dimensions.len() {
+        let dim_count = graph.schema().dim_count();
+        if self.selectors.len() != dim_count {
             return Err(CubeError::InvalidCoordinate(format!(
-                "query has {} selectors, schema has {} dimensions",
+                "query has {} selectors, schema has {dim_count} dimensions",
                 self.selectors.len(),
-                dimensions.len()
             )));
         }
-        // How many coordinates the GROUP BYs span (one without any).
-        let mut count = 1usize;
-        for (sel, dim) in self.selectors.iter().zip(dimensions) {
-            match sel {
-                Selector::Unknown(label) => {
-                    return Err(CubeError::NotFound(format!(
-                        "value {label} in dimension {}",
-                        dim.name()
-                    )));
-                }
-                Selector::GroupBy => count *= dim.cardinality(),
-                Selector::All | Selector::Value(_) => {}
-            }
-        }
-        // One buffer serves every candidate. It is filled anew each
-        // time, because canonicalizing writes the dependent dimensions
-        // into it; `i` is the candidate's number, its digits the values
-        // of the GROUP BY dimensions.
-        let mut nodes = Vec::new();
-        let mut candidate = vec![STAR; self.selectors.len()];
-        for mut i in 0..count {
-            for (d, sel) in self.selectors.iter().enumerate().rev() {
-                candidate[d] = match sel {
-                    Selector::Value(idx) => *idx,
-                    Selector::GroupBy => {
-                        let cardinality = dimensions[d].cardinality();
-                        let value = i % cardinality;
-                        i /= cardinality;
-                        value as u32
-                    }
-                    Selector::All | Selector::Unknown(_) => STAR,
-                };
-            }
-            nodes.extend(graph.resolve_in_place(&mut candidate));
-        }
-        if nodes.is_empty() {
-            return Err(CubeError::NotFound(
-                "query does not match any node with data".into(),
-            ));
-        }
-        Ok(nodes)
+        expand(graph, &self.selectors)
     }
+}
+
+/// [`NodeQuery::from_predicates`] and [`NodeQuery::resolve`] in one
+/// pass over borrowed labels: `(dimension, Some(label))` pins a
+/// dimension to a value, `(dimension, None)` expands it (GROUP BY).
+/// Same answers, same errors in the same order; below 17 dimensions
+/// nothing is allocated but the answer.
+pub fn resolve_labels<'a>(
+    graph: &TimeSeriesGraph,
+    selections: impl IntoIterator<Item = (&'a str, Option<&'a str>)>,
+) -> Result<Vec<NodeId>> {
+    let schema = graph.schema();
+    let mut inline = [Selector::All; INLINE_DIMS];
+    let mut heap = Vec::new();
+    let selectors = stack_or_heap(&mut inline, &mut heap, schema.dim_count(), Selector::All);
+    for (name, label) in selections {
+        let d = dim_index(schema, name)?;
+        selectors[d] = Selector::of(&schema.dimensions()[d], label);
+    }
+    expand(graph, selectors)
+}
+
+/// The nodes one selector per dimension selects: an unknown label is
+/// reported first (the first dimension in schema order that has one),
+/// then every GROUP BY combination is canonicalized and looked up.
+fn expand<L: AsRef<str>>(
+    graph: &TimeSeriesGraph,
+    selectors: &[Selector<L>],
+) -> Result<Vec<NodeId>> {
+    let dimensions = graph.schema().dimensions();
+    // How many coordinates the GROUP BYs span (one without any).
+    let mut count = 1usize;
+    for (sel, dim) in selectors.iter().zip(dimensions) {
+        match sel {
+            Selector::Unknown(label) => {
+                return Err(CubeError::NotFound(format!(
+                    "value {} in dimension {}",
+                    label.as_ref(),
+                    dim.name()
+                )));
+            }
+            Selector::GroupBy => count *= dim.cardinality(),
+            Selector::All | Selector::Value(_) => {}
+        }
+    }
+    // One buffer serves every candidate. It is filled anew each time,
+    // because canonicalizing writes the dependent dimensions into it;
+    // `i` is the candidate's number, its digits the values of the GROUP
+    // BY dimensions.
+    let mut nodes = Vec::new();
+    let (mut inline, mut heap) = ([STAR; INLINE_DIMS], Vec::new());
+    let candidate = stack_or_heap(&mut inline, &mut heap, selectors.len(), STAR);
+    for mut i in 0..count {
+        for (d, sel) in selectors.iter().enumerate().rev() {
+            candidate[d] = match sel {
+                Selector::Value(idx) => *idx,
+                Selector::GroupBy => {
+                    let cardinality = dimensions[d].cardinality();
+                    let value = i % cardinality;
+                    i /= cardinality;
+                    value as u32
+                }
+                Selector::All | Selector::Unknown(_) => STAR,
+            };
+        }
+        nodes.extend(graph.resolve_in_place(candidate));
+    }
+    if nodes.is_empty() {
+        return Err(CubeError::NotFound(
+            "query does not match any node with data".into(),
+        ));
+    }
+    Ok(nodes)
 }
 
 #[cfg(test)]

@@ -644,18 +644,13 @@ impl F2db {
             QueryMode::Explain => None,
         };
         let started = Instant::now();
-        let ForecastQuery {
-            predicates,
-            group_dims,
-            horizon,
-            aggregate,
-            ..
-        } = placement::statement(sql, mode)?;
+        let query = placement::statement(sql, mode)?;
+        let (horizon, aggregate) = (query.horizon, query.aggregate);
         let ds = self.dataset.read().unwrap();
         // The planner a router runs over this engine's placement map,
         // so a statement is refused the same way on both tiers; only
         // what the map does not hold is checked after it.
-        let nodes = placement::resolve(ds.graph(), predicates, &group_dims, filter)?;
+        let nodes = placement::resolve(ds.graph(), &query, filter)?;
         let horizon = horizon.steps(ds.series(0).granularity()).ok_or_else(|| {
             F2dbError::Semantic(format!(
                 "horizon unit {horizon:?} is finer than the data granularity"
@@ -766,9 +761,12 @@ impl F2db {
             let (values, approx) = match sampled(n) {
                 None => (self.exact_forecast(ds, aggregate, n, horizon, lazy)?, None),
                 Some((spec, plane)) => {
-                    let mut fc = plane
-                        .estimate(n, horizon, spec)
-                        .expect("is_registered implies an estimate");
+                    let mut fc = plane.estimate(n, horizon, spec).ok_or_else(|| {
+                        F2dbError::Semantic(format!(
+                            "node {} has no sampled estimate",
+                            g.coord(n).display(g.schema())
+                        ))
+                    })?;
                     fdc_obs::counter!(names::F2DB_APPROX_ROWS).incr();
                     if aggregate == AggregateFn::Avg {
                         // AVG = SUM / population; the plane knows the exact
@@ -886,12 +884,9 @@ impl F2db {
             let values =
                 self.exact_forecast(ds, report.aggregate, row.node, report.horizon, false)?;
             let elapsed = node_started.elapsed();
-            let entry = self
+            let source_states = self
                 .catalog
-                .entry(row.node)
-                .expect("planned node has an entry");
-            let source_states = entry
-                .scheme_sources
+                .sources(row.node)
                 .iter()
                 .map(|s| {
                     if reestimated.binary_search(s).is_ok() {
@@ -922,7 +917,7 @@ impl F2db {
     ) -> Result<Vec<NodeId>> {
         let mut referenced: Vec<NodeId> = Vec::new();
         for n in nodes {
-            self.catalog.extend_with_sources(n, &mut referenced);
+            referenced.extend_from_slice(self.catalog.sources(n));
         }
         referenced.sort_unstable();
         referenced.dedup();

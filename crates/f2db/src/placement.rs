@@ -2,13 +2,16 @@
 //!
 //! A forecast statement becomes the nodes it answers in one step:
 //! parse and classify the statement under the request's mode, resolve
-//! it over the time series graph, keep the caller's node filter (in
-//! resolve order). [`F2db::execute`](crate::F2db::execute) takes that
-//! step over its own data set; a [`Placement`] takes it over a copy of
-//! what the step reads — the graph (schema plus base coordinates) and
-//! the catalog's per-node scheme sources, both fixed for an engine's
-//! lifetime — so a process without the cube plans exactly as a shard
-//! would, refusing a statement in the shard's own words.
+//! its borrowed labels over the time series graph, keep the caller's
+//! node filter (in resolve order). No label is copied on the way: the
+//! parse borrows the text and [`fdc_cube::query::resolve_labels`] looks
+//! each label up where it stands.
+//! [`F2db::execute`](crate::F2db::execute) takes that step over its own
+//! data set; a [`Placement`] takes it over a copy of what the step
+//! reads — the graph (schema plus base coordinates) and the catalog's
+//! per-node scheme sources, both fixed for an engine's lifetime — so a
+//! process without the cube plans exactly as a shard would, refusing a
+//! statement in the shard's own words.
 //!
 //! A shard serves its map encoded (`GET /placement`) and answers `POST
 //! /plan` from it; a router fetches it once and plans every routed query
@@ -26,13 +29,12 @@
 //! A decoder checks the fingerprint first, so every truncation and every
 //! bit flip is a typed error.
 
-use crate::query::{ForecastQuery, QueryMode, Statement};
-use crate::{parse_query, F2dbError, Result};
+use crate::parser::{parse, Parsed, Query};
+use crate::query::QueryMode;
+use crate::{F2dbError, Result};
 use fdc_codec::hash::{fnv1a, FNV_OFFSET};
 use fdc_codec::{DecodeError, Reader, Writer};
-use fdc_cube::{
-    Coord, DimSelector, Dimension, FunctionalDependency, NodeId, NodeQuery, Schema, TimeSeriesGraph,
-};
+use fdc_cube::{Coord, Dimension, FunctionalDependency, NodeId, Schema, TimeSeriesGraph};
 use std::sync::Arc;
 
 /// Magic bytes of an encoded placement map.
@@ -221,8 +223,7 @@ impl Placement {
         mode: QueryMode,
         filter: Option<&[NodeId]>,
     ) -> Result<Vec<NodeId>> {
-        let q = statement(sql, mode)?;
-        let nodes = resolve(&self.graph, q.predicates, &q.group_dims, filter)?;
+        let nodes = resolve(&self.graph, &statement(sql, mode)?, filter)?;
         if let Some(&n) = nodes.iter().find(|&&n| self.sources[n].is_none()) {
             return Err(F2dbError::Semantic(format!(
                 "node {} has no derivation scheme in the configuration",
@@ -266,45 +267,38 @@ fn read_text(r: &mut Reader<'_>) -> Result<String> {
 }
 
 /// Parses `sql` and classifies it against `mode` — the one place a
-/// statement becomes a [`ForecastQuery`].
-pub(crate) fn statement(sql: &str, mode: QueryMode) -> Result<ForecastQuery> {
-    match (parse_query(sql)?, mode) {
-        (Statement::Insert { .. }, _) => Err(F2dbError::Semantic(
+/// statement becomes a [`Query`].
+pub(crate) fn statement(sql: &str, mode: QueryMode) -> Result<Query<'_>> {
+    match (parse(sql)?, mode) {
+        (Parsed::Insert { .. }, _) => Err(F2dbError::Semantic(
             "expected a forecast query, got an INSERT".into(),
         )),
-        (Statement::Explain { .. }, QueryMode::Forecast) => Err(F2dbError::Semantic(
+        (Parsed::Explain { .. }, QueryMode::Forecast) => Err(F2dbError::Semantic(
             "EXPLAIN statements return a plan; use QueryMode::Explain or \
              QueryMode::ExplainAnalyze"
                 .into(),
         )),
-        (Statement::Explain { analyze: true, .. }, QueryMode::Explain) => Err(F2dbError::Semantic(
+        (Parsed::Explain { analyze: true, .. }, QueryMode::Explain) => Err(F2dbError::Semantic(
             "EXPLAIN ANALYZE executes the query; use QueryMode::ExplainAnalyze".into(),
         )),
-        (Statement::Forecast(q) | Statement::Explain { query: q, .. }, _) => Ok(q),
+        (Parsed::Forecast(q) | Parsed::Explain { query: q, .. }, _) => Ok(q),
     }
 }
 
 /// The nodes a query's predicates and GROUP BY dimensions select, in
 /// row order, restricted to `filter` (resolve order kept; an empty
-/// intersection is an error). The value labels move into the
-/// selectors: a query is resolved once, and nothing after that reads
-/// its predicates.
+/// intersection is an error).
 pub(crate) fn resolve(
     graph: &TimeSeriesGraph,
-    mut predicates: Vec<(String, String)>,
-    group_dims: &[String],
+    query: &Query<'_>,
     filter: Option<&[NodeId]>,
 ) -> Result<Vec<NodeId>> {
-    let mut selectors: Vec<(&str, DimSelector)> =
-        Vec::with_capacity(predicates.len() + group_dims.len());
-    for (dim, value) in &mut predicates {
-        selectors.push((dim.as_str(), DimSelector::Value(std::mem::take(value))));
-    }
-    for dim in group_dims {
-        selectors.push((dim.as_str(), DimSelector::GroupBy));
-    }
-    let mut nodes = NodeQuery::from_predicates(graph, &selectors)
-        .and_then(|query| query.resolve(graph))
+    let values = query
+        .predicates
+        .iter()
+        .map(|&(dim, value)| (dim, Some(value)));
+    let groups = query.group_dims.iter().map(|&dim| (dim, None));
+    let mut nodes = fdc_cube::query::resolve_labels(graph, values.chain(groups))
         .map_err(|e| F2dbError::Semantic(e.to_string()))?;
     if let Some(f) = filter {
         let keep: std::collections::HashSet<NodeId> = f.iter().copied().collect();

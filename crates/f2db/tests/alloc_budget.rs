@@ -8,16 +8,25 @@
 //! nodes, so direct, aggregation and disaggregation schemes all occur.
 //! The statements are the benchmark pool's shapes.
 //!
-//! | statement                        | budget | at 1a0d4da |
-//! |----------------------------------|-------:|-----------:|
-//! | point query, three predicates    |     28 |         84 |
-//! | `GROUP BY time, level2` (10 rows)  |    100 |        197 |
-//! | `GROUP BY time, level1` (100 rows) |    900 |       1466 |
+//! | statement                          | budget | at 4c8de16 | at 1a0d4da |
+//! |------------------------------------|-------:|-----------:|-----------:|
+//! | point query, three predicates      |     10 |         23 |         84 |
+//! | `GROUP BY time, level2` (10 rows)  |     38 |         86 |        197 |
+//! | `GROUP BY time, level1` (100 rows) |    314 |        722 |       1466 |
 //!
-//! The right column is what this file counted on the parent commit,
-//! where every token was an owned `String`, every node resolution
-//! cloned its labels and a `Coord` per candidate, and a catalog read
-//! cloned the node's entry twice.
+//! The right columns are what this file counted before two rewrites of
+//! the read path. At 1a0d4da every token was an owned `String`, every
+//! node resolution cloned its labels and a `Coord` per candidate, and a
+//! catalog read cloned the node's entry twice. At 4c8de16 a parse still
+//! copied every label, identifier and select item into a `String`, the
+//! resolver built two selector vectors and a candidate vector, and a
+//! catalog read cloned the node's row and collected the source forecasts
+//! and a slice of them before deriving a third vector.
+//!
+//! What is left of a point query: the predicate list of the borrowed
+//! parse, the resolved node list, the model's forecast (scaled in place
+//! into the answer), the row's label and `(time, value)` pairs, and the
+//! row list: six, in debug and release builds alike.
 
 #[path = "../../obs/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -108,11 +117,8 @@ fn a_warm_query_stays_inside_its_allocation_budget() {
         median_allocations(&db, &group_by("level1"), 100),
     ];
     println!("allocations per warm query (point, 10 rows, 100 rows): {counted:?}");
-    for (count, budget) in counted.into_iter().zip([28, 100, 900]) {
-        assert!(
-            count <= budget,
-            "{counted:?} against budgets [28, 100, 900]"
-        );
+    for (count, budget) in counted.into_iter().zip([10, 38, 314]) {
+        assert!(count <= budget, "{counted:?} against budgets [10, 38, 314]");
     }
 
     // Leaving tracing on is free, as a count: under an unsampled root

@@ -488,26 +488,39 @@ impl TDigest {
         }
     }
 
-    /// One merging-digest compression pass: sort the pending points
-    /// with the retained centroids, then greedily coalesce neighbours
-    /// while each stays within its `k1` width budget.
+    /// One merging-digest compression pass: take the pending points and
+    /// the retained centroids in order of their means, then greedily
+    /// coalesce neighbours while each stays within its `k1` width budget.
+    ///
+    /// The centroids come out of the last pass in order, so only the
+    /// buffer needs a real sort (sorting a sorted run is one pass; it
+    /// repairs a coalesced mean that rounded past its neighbour, and a
+    /// decoded list). The two runs are then merged, a centroid going
+    /// before a point of equal mean: exactly the stable sort of the
+    /// centroids followed by the buffer.
     fn compress(&mut self) {
         if self.buffer.is_empty() && self.centroids.len() <= (self.compression as usize) * 2 {
             return;
         }
-        let mut points = std::mem::take(&mut self.centroids);
-        points.append(&mut self.buffer);
-        if points.is_empty() {
+        let by_mean = |a: &Centroid, b: &Centroid| a.mean.total_cmp(&b.mean);
+        let mut old = std::mem::take(&mut self.centroids);
+        old.sort_by(by_mean);
+        let mut old = old.into_iter().peekable();
+        self.buffer.sort_by(by_mean);
+        let mut new = self.buffer.drain(..).peekable();
+        let mut points = std::iter::from_fn(|| match (old.peek(), new.peek()) {
+            (Some(a), Some(b)) if by_mean(b, a).is_lt() => new.next(),
+            (Some(_), _) => old.next(),
+            (None, _) => new.next(),
+        });
+        let Some(mut cur) = points.next() else {
             return;
-        }
-        points.sort_by(|a, b| a.mean.total_cmp(&b.mean));
+        };
         let total: f64 = self.weight;
         let mut merged: Vec<Centroid> = Vec::with_capacity(self.compression as usize * 2);
-        let mut iter = points.into_iter();
-        let mut cur = iter.next().unwrap();
         let mut w_so_far = 0.0;
         let mut limit = total * q_of(k_of(0.0, self.compression) + 1.0, self.compression);
-        for p in iter {
+        for p in points {
             let proposed = cur.weight + p.weight;
             if w_so_far + proposed <= limit {
                 // Coalesce: weighted mean keeps the centroid unbiased.
@@ -867,6 +880,110 @@ mod tests {
         assert!((900.0..=5100.0).contains(&med), "{med}");
         // b itself is untouched.
         assert_eq!(b.count(), 1000);
+    }
+
+    /// The compression pass as it was before the merge: one stable sort
+    /// of the centroids followed by the buffer, then the same coalescing.
+    fn compress_by_concatenation(d: &mut TDigest) {
+        let mut points = std::mem::take(&mut d.centroids);
+        points.append(&mut d.buffer);
+        if points.is_empty() {
+            return;
+        }
+        points.sort_by(|a, b| a.mean.total_cmp(&b.mean));
+        let total = d.weight;
+        let mut merged = Vec::new();
+        let mut iter = points.into_iter();
+        let mut cur = iter.next().unwrap();
+        let mut w_so_far = 0.0;
+        let mut limit = total * q_of(k_of(0.0, d.compression) + 1.0, d.compression);
+        for p in iter {
+            let proposed = cur.weight + p.weight;
+            if w_so_far + proposed <= limit {
+                cur.mean = (cur.mean * cur.weight + p.mean * p.weight) / proposed;
+                cur.weight = proposed;
+            } else {
+                w_so_far += cur.weight;
+                limit = total * q_of(k_of(w_so_far / total, d.compression) + 1.0, d.compression);
+                merged.push(cur);
+                cur = p;
+            }
+        }
+        merged.push(cur);
+        d.centroids = merged;
+    }
+
+    /// Every centroid's mean and weight bits.
+    fn centroid_bits(d: &TDigest) -> Vec<(u64, u64)> {
+        let centroids = d.centroids.iter();
+        centroids
+            .map(|c| (c.mean.to_bits(), c.weight.to_bits()))
+            .collect()
+    }
+
+    /// Compresses copies of `d` both ways and compares the centroids.
+    fn assert_compressions_agree(d: &TDigest, what: &str) {
+        let (mut merged, mut sorted) = (d.clone(), d.clone());
+        merged.compress();
+        compress_by_concatenation(&mut sorted);
+        assert_eq!(centroid_bits(&merged), centroid_bits(&sorted), "{what}");
+    }
+
+    #[test]
+    fn merging_the_sorted_buffer_is_the_sort_of_the_concatenation() {
+        let mut rng = fdc_rng::Rng::seed_from_u64(0x7D16_E575);
+        type Sample = fn(&mut fdc_rng::Rng, usize) -> f64;
+        let streams: [(&str, Sample); 5] = [
+            ("ties", |rng, _| rng.usize_below(8) as f64),
+            ("signed zeros", |rng, _| if rng.bool() { 0.0 } else { -0.0 }),
+            ("uniform", |rng, _| rng.f64() * 1e4 - 5e3),
+            ("ascending", |_, i| i as f64),
+            ("descending", |_, i| -(i as f64)),
+        ];
+        for (name, sample) in streams {
+            for compression in [20.0, 50.0] {
+                let mut d = TDigest::new(compression);
+                let mut other = TDigest::new(compression);
+                // Enough samples for the digest to fill its centroid
+                // budget many times over.
+                for i in 0..6_000 {
+                    d.insert(sample(&mut rng, i));
+                    other.insert(sample(&mut rng, i));
+                    if i % 5 == 0 {
+                        assert_compressions_agree(&d, &format!("{name} δ={compression} at {i}"));
+                    }
+                    if i % 997 == 0 {
+                        let mut reference = d.clone();
+                        reference.buffer.extend_from_slice(&other.centroids);
+                        reference.buffer.extend_from_slice(&other.buffer);
+                        reference.weight += other.weight;
+                        d.merge(&other);
+                        compress_by_concatenation(&mut reference);
+                        let (got, want) = (centroid_bits(&d), centroid_bits(&reference));
+                        assert_eq!(got, want, "{name} merge at {i}");
+                    }
+                }
+                assert!(
+                    d.centroid_count() > compression as usize / 2,
+                    "{name} filled up"
+                );
+            }
+        }
+        // A decoded list need not be in order.
+        let mut d = TDigest::new(20.0);
+        for x in [5.0, 1.0, 3.0, 1.0, 2.0] {
+            d.centroids.push(Centroid {
+                mean: x,
+                weight: 2.0,
+            });
+            d.weight += 2.0;
+        }
+        d.buffer.push(Centroid {
+            mean: 1.0,
+            weight: 1.0,
+        });
+        d.weight += 1.0;
+        assert_compressions_agree(&d, "unsorted centroids");
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 #![allow(dead_code)] // each test target uses its own subset
 
+pub mod corpus;
 pub mod mutate;
 
 use fdc::approx::{encode_plane, ApproxOptions, ApproxPlane};
