@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the observability plane itself: what one metric
-//! record costs (plain vs labeled, interned vs held handle), what the
-//! drift tracker adds per time advance, what the sketches cost (t-digest
-//! insert/merge, moment-summary insert/merge), and what a full
+//! record costs (plain vs labeled, interned vs held handle), what a span
+//! costs to enter and close (plain, and timed into a held histogram),
+//! what the drift tracker adds per time advance, what the sketches cost
+//! (t-digest insert/merge, moment-summary insert/merge), and what a full
 //! Prometheus encode / journal publish costs. The measured numbers back
 //! the overhead discussion in DESIGN.md §7 and EXPERIMENTS.md.
 //!
@@ -33,6 +34,32 @@ fn bench_metric_records() {
             v = v.wrapping_mul(2862933555777941757).wrapping_add(1);
             h.record(v >> 40)
         }
+    });
+    // Both extremes recorded first, so every later sample skips the
+    // min/max read-modify-writes: the common case of a warm histogram.
+    bench("histogram_record_inside_range", {
+        let h = fdc_obs::histogram("obsbench.inside.ns");
+        h.record(0);
+        h.record(u64::MAX);
+        let mut v = 1u64;
+        move || {
+            v = v.wrapping_mul(2862933555777941757).wrapping_add(1);
+            h.record(v >> 40)
+        }
+    });
+}
+
+/// What a span costs with no subscriber installed: a plain span's enter
+/// and close (two clock reads, its `span.<path>.ns` record), and a timed
+/// span's enter and finish into a held histogram (the same two clock
+/// reads and one record, which its caller would otherwise make itself).
+fn bench_spans() {
+    bench("span_enter_close", || {
+        let _g = fdc_obs::span!("obsbench.span");
+    });
+    bench("timed_span_finish", {
+        let h = fdc_obs::histogram("obsbench.timed.ns");
+        move || fdc_obs::SpanGuard::timed("obsbench.timed").finish(&h)
     });
 }
 
@@ -136,6 +163,7 @@ fn bench_export_plane() {
 
 fn main() {
     bench_metric_records();
+    bench_spans();
     bench_drift_tracker();
     bench_sketches();
     bench_export_plane();

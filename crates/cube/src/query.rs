@@ -67,14 +67,15 @@ impl<'a> Selector<&'a str> {
 const INLINE_DIMS: usize = 16;
 
 /// The first `len` slots of `inline`, or of `heap` filled with `fill`
-/// when they do not fit.
-fn stack_or_heap<'b, T: Copy>(
-    inline: &'b mut [T; INLINE_DIMS],
+/// when they do not fit: a scratch buffer whose common size costs no
+/// allocation.
+pub fn stack_or_heap<'b, T: Copy, const N: usize>(
+    inline: &'b mut [T; N],
     heap: &'b mut Vec<T>,
     len: usize,
     fill: T,
 ) -> &'b mut [T] {
-    if len <= INLINE_DIMS {
+    if len <= N {
         &mut inline[..len]
     } else {
         heap.resize(len, fill);

@@ -82,12 +82,13 @@ pub use query::{
 pub use fdc_approx::{ApproxOptions, ApproxQuerySpec, CoverageOptions, CoveragePlan};
 
 use fdc_approx::ApproxPlane;
+use fdc_cube::query::stack_or_heap;
 use fdc_cube::{Configuration, Dataset, NodeId};
 use fdc_forecast::FitOptions;
-use fdc_obs::{journal, names, AccuracyOptions, Event, RollingAccuracy};
+use fdc_obs::{journal, names, AccuracyOptions, Event, RollingAccuracy, SpanGuard};
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Errors raised by the database layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,6 +153,26 @@ pub type Result<T> = std::result::Result<T, F2dbError>;
 /// The approximation side of a request once the plane is locked: the
 /// caller's controls and the attached plane, or `None` for exact.
 type Sampling<'a> = Option<(&'a ApproxQuerySpec, &'a ApproxPlane)>;
+
+/// Forecast steps a query derives on the stack; a longer horizon's
+/// scratch buffer goes to the heap.
+pub(crate) const INLINE_STEPS: usize = 16;
+
+/// A statement resolved against the data set it holds the read lock of.
+struct Resolved<'d> {
+    ds: RwLockReadGuard<'d, Dataset>,
+    /// The sampling plane, locked only for a request with `approx`.
+    plane: Option<RwLockReadGuard<'d, Option<ApproxPlane>>>,
+    aggregate: AggregateFn,
+    horizon: usize,
+    nodes: Vec<NodeId>,
+}
+
+impl Resolved<'_> {
+    fn sampling<'a>(&'a self, approx: Option<&'a ApproxQuerySpec>) -> Sampling<'a> {
+        approx.zip(self.plane.as_ref().and_then(|guard| guard.as_ref()))
+    }
+}
 
 /// The embedded flash-forward database.
 ///
@@ -612,82 +633,112 @@ impl F2db {
     /// planning and works for any node.
     pub fn execute(&self, request: &QueryRequest) -> Result<QueryAnswer> {
         request.validate()?;
-        self.run(
-            &request.sql,
-            request.nodes.as_deref(),
-            request.approx.as_ref(),
-            request.mode,
-        )
+        let (sql, filter) = (request.sql.as_str(), request.nodes.as_deref());
+        let approx = request.approx.as_ref();
+        match request.mode {
+            QueryMode::Forecast => self.run(sql, filter, approx).map(QueryAnswer::Rows),
+            mode => self
+                .explain(sql, filter, approx, mode)
+                .map(QueryAnswer::Plan),
+        }
     }
 
     /// Executes a forecast query: sugar for [`F2db::execute`] with a
     /// plain [`QueryMode::Forecast`] request (no node filter, exact).
     pub fn query(&self, sql: &str) -> Result<QueryResult> {
-        self.run(sql, None, None, QueryMode::Forecast)
-            .map(|answer| answer.into_rows().expect("Forecast mode answers rows"))
+        self.run(sql, None, None)
     }
 
+    /// The forecast mode: the rows of the statement's nodes.
     fn run(
         &self,
         sql: &str,
         filter: Option<&[NodeId]>,
         approx: Option<&ApproxQuerySpec>,
+    ) -> Result<QueryResult> {
+        // The span's clock starts before the parse: it is part of what
+        // the query cost. A statement that does not parse (or any other
+        // error) leaves through `?`, and the dropped span records
+        // nothing.
+        let span = SpanGuard::timed("f2db.query");
+        let r = self.resolve(sql, filter, QueryMode::Forecast, approx)?;
+        let sampling = r.sampling(approx);
+        let rows = self.forecast_rows(&r.ds, r.aggregate, r.horizon, &r.nodes, sampling)?;
+        drop(r);
+        self.record_query(span);
+        Ok(rows)
+    }
+
+    /// The explain modes: the static plan, executed in place under
+    /// [`QueryMode::ExplainAnalyze`] (timed and counted as a query the
+    /// way [`F2db::run`] is).
+    fn explain(
+        &self,
+        sql: &str,
+        filter: Option<&[NodeId]>,
+        approx: Option<&ApproxQuerySpec>,
         mode: QueryMode,
-    ) -> Result<QueryAnswer> {
-        let executes = mode != QueryMode::Explain;
-        // Span and clock open before the parse: it is part of what the
-        // query cost. A statement that does not parse (or any other
-        // error) leaves through `?` and is counted nowhere below.
-        let _span = match mode {
-            QueryMode::Forecast => Some(fdc_obs::span!("f2db.query")),
-            QueryMode::ExplainAnalyze => Some(fdc_obs::span!("f2db.explain_analyze")),
-            QueryMode::Explain => None,
-        };
-        let started = Instant::now();
+    ) -> Result<ExplainReport> {
+        let analyze = mode == QueryMode::ExplainAnalyze;
+        let span = analyze.then(|| SpanGuard::timed("f2db.explain_analyze"));
+        let r = self.resolve(sql, filter, mode, approx)?;
+        let sampling = r.sampling(approx);
+        let mut report = self.plan_report(&r.ds, r.aggregate, r.horizon, &r.nodes, sampling)?;
+        if analyze {
+            self.analyze(&r.ds, &mut report)?;
+        }
+        drop(r);
+        if let Some(span) = span {
+            report.total_elapsed = Some(self.record_query(span));
+            fdc_obs::counter!(names::F2DB_EXPLAIN_ANALYZE).incr();
+        }
+        Ok(report)
+    }
+
+    /// Parses `sql`, classifies it against `mode` and resolves its
+    /// nodes under the data set's read lock; the executing modes also
+    /// check that every node is resident. The approximation plane is
+    /// locked only for a request with `approx`, so the exact path never
+    /// touches it.
+    fn resolve<'d>(
+        &'d self,
+        sql: &str,
+        filter: Option<&[NodeId]>,
+        mode: QueryMode,
+        approx: Option<&ApproxQuerySpec>,
+    ) -> Result<Resolved<'d>> {
         let query = placement::statement(sql, mode)?;
-        let (horizon, aggregate) = (query.horizon, query.aggregate);
         let ds = self.dataset.read().unwrap();
         // The planner a router runs over this engine's placement map,
         // so a statement is refused the same way on both tiers; only
         // what the map does not hold is checked after it.
         let nodes = placement::resolve(ds.graph(), &query, filter)?;
-        let horizon = horizon.steps(ds.series(0).granularity()).ok_or_else(|| {
+        let spec = query.horizon;
+        let horizon = spec.steps(ds.series(0).granularity()).ok_or_else(|| {
             F2dbError::Semantic(format!(
-                "horizon unit {horizon:?} is finer than the data granularity"
+                "horizon unit {spec:?} is finer than the data granularity"
             ))
         })?;
-        if executes {
+        if mode != QueryMode::Explain {
             self.check_resident(&nodes)?;
         }
-        // Without an approx spec the plane lock is never taken — the
-        // exact path is untouched.
-        let plane = approx.map(|_| self.approx.read().unwrap());
-        let sampling = approx.zip(plane.as_ref().and_then(|guard| guard.as_ref()));
+        Ok(Resolved {
+            ds,
+            plane: approx.map(|_| self.approx.read().unwrap()),
+            aggregate: query.aggregate,
+            horizon,
+            nodes,
+        })
+    }
 
-        let mut answer = match mode {
-            QueryMode::Forecast => {
-                QueryAnswer::Rows(self.forecast_rows(&ds, aggregate, horizon, &nodes, sampling)?)
-            }
-            QueryMode::Explain | QueryMode::ExplainAnalyze => {
-                let mut report = self.plan_report(&ds, aggregate, horizon, &nodes, sampling)?;
-                if executes {
-                    self.analyze(&ds, &mut report)?;
-                }
-                QueryAnswer::Plan(report)
-            }
-        };
-        drop(ds);
-        if executes {
-            let elapsed = started.elapsed();
-            if let QueryAnswer::Plan(report) = &mut answer {
-                report.total_elapsed = Some(elapsed);
-                fdc_obs::counter!(names::F2DB_EXPLAIN_ANALYZE).incr();
-            }
-            self.stats.record_query(elapsed);
-            fdc_obs::counter!(names::F2DB_QUERIES).incr();
-            fdc_obs::histogram!(names::F2DB_QUERY_NS).record_duration(elapsed);
-        }
-        Ok(answer)
+    /// Closes an executed query's span: its one duration is what
+    /// `f2db.query.ns` and the maintenance statistics record, and what
+    /// is returned.
+    fn record_query(&self, span: SpanGuard) -> Duration {
+        let elapsed = span.finish(fdc_obs::histogram!(names::F2DB_QUERY_NS));
+        self.stats.record_query(elapsed);
+        fdc_obs::counter!(names::F2DB_QUERIES).incr();
+        elapsed
     }
 
     /// The exact forecast of `n`: the catalog derivation, divided by the
@@ -701,24 +752,24 @@ impl F2db {
         ds: &Dataset,
         aggregate: AggregateFn,
         n: NodeId,
-        horizon: usize,
         lazy: bool,
-    ) -> Result<Vec<f64>> {
-        let settled = lazy.then(|| self.catalog.forecast_if_settled(n, horizon));
-        let values = match settled.flatten() {
-            Some((values, sources)) => {
+        out: &mut [f64],
+    ) -> Result<usize> {
+        let settled = lazy.then(|| self.catalog.forecast_if_settled(n, out));
+        let len = match settled.flatten() {
+            Some((len, sources)) => {
                 // What `reestimate_referenced` counts for valid sources.
                 fdc_obs::counter!(names::F2DB_MODELS_CACHED).add(sources as u64);
-                Some(values)
+                Some(len)
             }
             None => {
                 if lazy {
                     self.reestimate_referenced(ds, [n])?;
                 }
-                self.catalog.forecast(n, horizon)
+                self.catalog.forecast_into(n, out)
             }
         };
-        let mut values = values.ok_or_else(|| {
+        let len = len.ok_or_else(|| {
             F2dbError::Semantic(format!(
                 "node {} has no derivation scheme in the configuration",
                 ds.graph().coord(n).display(ds.graph().schema())
@@ -726,11 +777,11 @@ impl F2db {
         })?;
         if aggregate == AggregateFn::Avg {
             let count = ds.graph().base_descendants(n).len().max(1) as f64;
-            for v in &mut values {
+            for v in &mut out[..len] {
                 *v /= count;
             }
         }
-        Ok(values)
+        Ok(len)
     }
 
     /// Forecast rows of the resolved `nodes`: plane-registered nodes (only
@@ -756,10 +807,19 @@ impl F2db {
 
         let g = ds.graph();
         let now = ds.series(0).end();
+        let stamped =
+            |values: &[f64]| -> Vec<(i64, f64)> { (now..).zip(values.iter().copied()).collect() };
+        // The catalog derives an exact row into this buffer, and the
+        // row's `(time, value)` pairs are built from it.
+        let (mut inline, mut heap) = ([0.0; INLINE_STEPS], Vec::new());
+        let buffer = stack_or_heap(&mut inline, &mut heap, horizon, 0.0);
         let mut rows = Vec::with_capacity(nodes.len());
         for &n in nodes {
             let (values, approx) = match sampled(n) {
-                None => (self.exact_forecast(ds, aggregate, n, horizon, lazy)?, None),
+                None => {
+                    let len = self.exact_forecast(ds, aggregate, n, lazy, buffer)?;
+                    (stamped(&buffer[..len]), None)
+                }
                 Some((spec, plane)) => {
                     let mut fc = plane.estimate(n, horizon, spec).ok_or_else(|| {
                         F2dbError::Semantic(format!(
@@ -782,17 +842,13 @@ impl F2db {
                         confidence: fc.confidence,
                         ci_half: fc.ci_half,
                     };
-                    (fc.values, Some(approx))
+                    (stamped(&fc.values), Some(approx))
                 }
             };
             rows.push(QueryRow {
                 node: n,
                 label: g.coord(n).display(g.schema()),
-                values: values
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, v)| (now + i as i64, v))
-                    .collect(),
+                values,
                 approx,
             });
         }
@@ -881,8 +937,9 @@ impl F2db {
         let reestimated = self.reestimate_referenced(ds, report.rows.iter().map(|r| r.node))?;
         for row in &mut report.rows {
             let node_started = Instant::now();
-            let values =
-                self.exact_forecast(ds, report.aggregate, row.node, report.horizon, false)?;
+            let mut values = vec![0.0; report.horizon];
+            let len = self.exact_forecast(ds, report.aggregate, row.node, false, &mut values)?;
+            values.truncate(len);
             let elapsed = node_started.elapsed();
             let source_states = self
                 .catalog

@@ -243,6 +243,60 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// A list whose first `N` items live inline: the push past `N` moves
+/// them to the heap, where the list then grows (the
+/// `fdc_cube::query::stack_or_heap` idiom for a list built item by
+/// item).
+pub(crate) struct InlineList<T, const N: usize> {
+    len: usize,
+    inline: [T; N],
+    heap: Vec<T>,
+}
+
+impl<T: Copy + Default, const N: usize> InlineList<T, N> {
+    fn new() -> Self {
+        InlineList {
+            len: 0,
+            inline: [T::default(); N],
+            heap: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, item: T) {
+        if self.len < N {
+            self.inline[self.len] = item;
+        } else {
+            if self.len == N {
+                self.heap.extend_from_slice(&self.inline);
+            }
+            self.heap.push(item);
+        }
+        self.len += 1;
+    }
+}
+
+impl<T, const N: usize> std::ops::Deref for InlineList<T, N> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        if self.len <= N {
+            &self.inline[..self.len]
+        } else {
+            &self.heap
+        }
+    }
+}
+
+impl<T: std::fmt::Debug, const N: usize> std::fmt::Debug for InlineList<T, N> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Predicates a statement keeps inline: a point statement of a cube of
+/// up to four dimensions allocates none.
+const INLINE_PREDICATES: usize = 4;
+
 /// A statement as parsed, borrowing its text.
 #[derive(Debug)]
 pub(crate) enum Parsed<'a> {
@@ -259,7 +313,7 @@ pub(crate) struct Query<'a> {
     select: &'a str,
     table: &'a str,
     /// `(dimension, value)` of every WHERE predicate, in order.
-    pub(crate) predicates: Vec<(&'a str, &'a str)>,
+    pub(crate) predicates: InlineList<(&'a str, &'a str), INLINE_PREDICATES>,
     /// The GROUP BY dimensions besides `time`, in order.
     pub(crate) group_dims: Vec<&'a str>,
     pub(crate) horizon: HorizonSpec,
@@ -409,7 +463,7 @@ fn parse_forecast<'a>(p: &mut Parser<'a>) -> Result<Query<'a>> {
     p.expect_keyword("from")?;
     let table = p.ident()?;
 
-    let mut predicates = Vec::new();
+    let mut predicates = InlineList::new();
     if p.peek_keyword("where") {
         p.next()?;
         loop {
@@ -518,6 +572,17 @@ mod tests {
             Statement::Forecast(q) => q,
             other => panic!("expected forecast, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn an_inline_list_spills_to_the_heap_in_order() {
+        let mut list = InlineList::<u32, 2>::new();
+        assert!(list.is_empty());
+        for i in 0..5 {
+            list.push(i);
+            assert_eq!(*list, *(0..=i).collect::<Vec<_>>());
+        }
+        assert_eq!(format!("{list:?}"), "[0, 1, 2, 3, 4]");
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! catalog visit answered it (a lone node) or the lazy re-estimation
 //! pass ran first (several nodes, or anything to settle).
 //!
+//! An executed query reads one clock pair: its span's duration is the
+//! one `f2db.query.ns` records, so a span collector and the histogram
+//! agree to the nanosecond, and the span exports no `span.*.ns` series
+//! of its own.
+//!
 //! One test, so the process-wide registry sees only these queries.
 
 use fdc_core::{Advisor, AdvisorOptions};
@@ -41,6 +46,7 @@ fn queries_and_the_models_behind_them_are_counted_once() {
     let db = F2db::load(cube.dataset, &outcome.configuration).unwrap();
     answered_queries_count_once_with_their_parse(&db);
     referenced_models_count_once_per_query(&db);
+    an_answered_query_is_timed_by_one_clock(&db);
 }
 
 fn answered_queries_count_once_with_their_parse(db: &F2db) {
@@ -179,4 +185,38 @@ fn referenced_models_count_once_per_query(db: &F2db) {
         (after.0 - before.0, after.1, after.2),
         (distinct.len() as u64, before.1, before.2)
     );
+}
+
+fn an_answered_query_is_timed_by_one_clock(db: &F2db) {
+    let sql = "SELECT time, SUM(v) FROM facts GROUP BY time AS OF now() + '4 steps'";
+    let collector = fdc_obs::FlameCollector::new();
+    fdc_obs::set_subscriber(collector.clone());
+    let latency = || fdc_obs::histogram(names::F2DB_QUERY_NS).snapshot();
+    let before = latency();
+    const ANSWERED: u64 = 25;
+    for _ in 0..ANSWERED {
+        db.query(sql).unwrap();
+    }
+    let after = latency();
+    let (spans, span_time) = collector.total("f2db.query");
+    assert_eq!((spans, after.count - before.count), (ANSWERED, ANSWERED));
+    assert_eq!(span_time.as_nanos(), u128::from(after.sum - before.sum));
+
+    // A statement that does not parse closes its span, which the
+    // collector sees, and records no sample.
+    let answer = db.query("SELECT time FROM");
+    assert!(matches!(answer, Err(F2dbError::Parse(_))));
+    assert_eq!(collector.total("f2db.query").0, ANSWERED + 1);
+    assert_eq!(latency().count, after.count);
+    fdc_obs::take_subscriber();
+
+    let series = fdc_obs::snapshot();
+    let span_series: Vec<&String> = series
+        .histograms
+        .iter()
+        .map(|(name, _)| name)
+        .filter(|name| name.contains("f2db.query") || name.contains("f2db.explain_analyze"))
+        .filter(|name| name.starts_with("span."))
+        .collect();
+    assert!(span_series.is_empty(), "{span_series:?}");
 }

@@ -8,14 +8,25 @@
 //!   `span.<path>.ns`, and
 //! * notifies the global [`SpanSubscriber`], if one is installed.
 //!
+//! A **timed** span ([`SpanGuard::timed`]) is for work that keeps its
+//! own latency histogram: its clock runs whether or not spans are
+//! collected, and [`SpanGuard::finish`] reads it once, records that one
+//! duration into the caller's histogram, tells the subscriber (a
+//! collected span only) and hands the duration back. It never records
+//! `span.<path>.ns`, and dropped unfinished — the work failed — it
+//! closes for the subscriber and records nothing.
+//!
 //! [`FlameCollector`] is the built-in subscriber: it aggregates
 //! count/total/self time per path and renders an indented flame-style
-//! summary. Span collection is cheap (two `Instant::now()` calls and
-//! one histogram record per span; each thread remembers the paths it
-//! has entered and the histogram each closes into, so a span on a path
-//! its thread has closed before builds no string and takes no registry
-//! lock) and can be disabled globally with [`set_spans_enabled`] —
-//! disabled spans cost one relaxed atomic load.
+//! summary. Span collection is cheap: two `Instant::now()` calls and
+//! one histogram record per span (a timed span's record is its caller's
+//! own, so it adds only the path bookkeeping); each thread remembers the
+//! paths it has entered and the histogram each closes into, so a span
+//! on a path its thread has closed before builds no string and takes no
+//! registry lock; and with no subscriber installed a close reads one
+//! atomic flag instead of the subscriber slot's lock. Collection can be
+//! disabled globally with [`set_spans_enabled`] — a disabled plain span
+//! costs one relaxed atomic load.
 //! Threads running under an **unsampled** [`TraceContext`] skip span
 //! collection too (one thread-local read): the head-sampling decision
 //! made at request ingress covers every span under that request, which
@@ -84,14 +95,23 @@ fn subscriber_slot() -> &'static RwLock<Option<Arc<dyn SpanSubscriber>>> {
     SLOT.get_or_init(|| RwLock::new(None))
 }
 
+/// Whether the subscriber slot holds a subscriber: written under the
+/// slot's write lock, read by every close before it takes the slot's
+/// read lock, so a process without a subscriber never touches the lock.
+static SUBSCRIBED: AtomicBool = AtomicBool::new(false);
+
 /// Installs the global span subscriber, replacing any previous one.
 pub fn set_subscriber(sub: Arc<dyn SpanSubscriber>) {
-    *subscriber_slot().write().unwrap() = Some(sub);
+    let mut slot = subscriber_slot().write().unwrap();
+    *slot = Some(sub);
+    SUBSCRIBED.store(true, Ordering::Release);
 }
 
 /// Removes and returns the global span subscriber.
 pub fn take_subscriber() -> Option<Arc<dyn SpanSubscriber>> {
-    subscriber_slot().write().unwrap().take()
+    let mut slot = subscriber_slot().write().unwrap();
+    SUBSCRIBED.store(false, Ordering::Release);
+    slot.take()
 }
 
 /// What closing a span on one path needs: the slash-joined path and —
@@ -171,13 +191,22 @@ thread_local! {
     static SPANS: RefCell<ThreadSpans> = RefCell::new(ThreadSpans::default());
 }
 
-/// RAII guard for an open span; created by [`crate::span!`] or
-/// [`SpanGuard::enter`]. Closing (dropping) records the elapsed time.
+/// RAII guard for an open span; created by [`crate::span!`],
+/// [`SpanGuard::enter`] or [`SpanGuard::timed`]. Closing (dropping)
+/// records the elapsed time — a timed span's through
+/// [`SpanGuard::finish`] only.
 #[must_use = "a span guard must be bound (`let _g = span!(..)`) or it closes immediately"]
 #[derive(Debug)]
 pub struct SpanGuard {
-    /// `None` when spans were disabled at enter time.
+    /// `None` when a plain span was entered with spans disabled; a
+    /// timed span always holds its start.
     start: Option<Instant>,
+    /// Whether the span is on the thread's open stack (spans enabled,
+    /// context not unsampled): only such a span is reported.
+    live: bool,
+    /// A timed span records into the histogram its finisher is given,
+    /// never into `span.<path>.ns`.
+    timed: bool,
     depth: usize,
     /// Trace identity minted at enter (sampled contexts only).
     trace: Option<SpanTrace>,
@@ -192,13 +221,56 @@ impl SpanGuard {
     /// context for its extent, so nested spans (and outbound hops) form
     /// a parent/child chain under one trace id.
     pub fn enter(name: &str) -> SpanGuard {
+        let mut guard = SpanGuard::open(name, false);
+        if guard.live {
+            guard.start = Some(Instant::now());
+        }
+        guard
+    }
+
+    /// Opens a span like [`SpanGuard::enter`] whose clock runs even when
+    /// the span is not collected (spans disabled, unsampled context):
+    /// the work it covers is timed by [`SpanGuard::finish`] either way.
+    /// Dropped unfinished, it closes for the subscriber and records
+    /// nothing.
+    pub fn timed(name: &str) -> SpanGuard {
+        let mut guard = SpanGuard::open(name, true);
+        guard.start = Some(Instant::now());
+        guard
+    }
+
+    /// Reads the clock once, records that duration into `histogram`,
+    /// closes the span for the subscriber if it was collected, and
+    /// returns the duration. Zero for a plain span entered with spans
+    /// disabled, which never started its clock.
+    pub fn finish(mut self, histogram: &Histogram) -> Duration {
+        let elapsed = self.start.map_or(Duration::ZERO, |start| start.elapsed());
+        histogram.record_duration(elapsed);
+        if self.live {
+            self.live = false;
+            self.close(elapsed, false);
+        }
+        elapsed
+    }
+
+    /// The trace identity minted for this span, if any.
+    pub fn trace(&self) -> Option<SpanTrace> {
+        self.trace
+    }
+
+    /// Pushes `name` on the thread's open stack unless collection is
+    /// off; the caller starts the clock.
+    fn open(name: &str, timed: bool) -> SpanGuard {
+        let mut guard = SpanGuard {
+            start: None,
+            live: false,
+            timed,
+            depth: 0,
+            trace: None,
+            prev_ctx: None,
+        };
         if !spans_enabled() {
-            return SpanGuard {
-                start: None,
-                depth: 0,
-                trace: None,
-                prev_ctx: None,
-            };
+            return guard;
         }
         // Head sampling is an opt-out that covers the whole request: a
         // thread running under a context minted *unsampled* at ingress
@@ -207,60 +279,58 @@ impl SpanGuard {
         // runs, maintenance threads) keeps recording as before.
         let active = trace::current();
         if matches!(active, Some(ctx) if !ctx.sampled) {
-            return SpanGuard {
-                start: None,
-                depth: 0,
-                trace: None,
-                prev_ctx: None,
-            };
+            return guard;
         }
-        let depth = SPANS.with(|spans| spans.borrow_mut().enter(name));
-        let (trace, prev_ctx) = match active {
-            Some(ctx) if ctx.sampled => {
-                let child = ctx.child();
-                let trace = SpanTrace {
-                    trace_id: child.trace_id,
-                    span_id: child.span_id,
-                    parent_span_id: ctx.span_id,
-                };
-                (Some(trace), Some(trace::swap_current(Some(child))))
-            }
-            _ => (None, None),
-        };
-        SpanGuard {
-            start: Some(Instant::now()),
-            depth,
-            trace,
-            prev_ctx,
+        guard.live = true;
+        guard.depth = SPANS.with(|spans| spans.borrow_mut().enter(name));
+        if let Some(ctx) = active {
+            let child = ctx.child();
+            guard.trace = Some(SpanTrace {
+                trace_id: child.trace_id,
+                span_id: child.span_id,
+                parent_span_id: ctx.span_id,
+            });
+            guard.prev_ctx = Some(trace::swap_current(Some(child)));
         }
+        guard
     }
 
-    /// The trace identity minted for this span, if any.
-    pub fn trace(&self) -> Option<SpanTrace> {
-        self.trace
+    /// Pops the span off the thread's stack, records `elapsed` into
+    /// `span.<path>.ns` when `record`, and tells the subscriber.
+    fn close(&mut self, elapsed: Duration, record: bool) {
+        if let Some(prev) = self.prev_ctx.take() {
+            trace::swap_current(prev);
+        }
+        // A close with nothing to record and nobody to tell only pops.
+        let subscribed = SUBSCRIBED.load(Ordering::Acquire);
+        let close = SPANS.with(|spans| {
+            let mut spans = spans.borrow_mut();
+            let id = spans.open.pop()?;
+            (record || subscribed).then(|| Rc::clone(&spans.known[id].close))
+        });
+        let Some(close) = close else { return };
+        if record {
+            close
+                .histogram
+                .get_or_init(|| registry().histogram(&format!("span.{}.ns", close.path)))
+                .record_duration(elapsed);
+        }
+        if !subscribed {
+            return;
+        }
+        if let Some(sub) = subscriber_slot().read().unwrap().as_ref() {
+            sub.on_close_traced(&close.path, self.depth, elapsed, self.trace.as_ref());
+        }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
+        if !self.live {
+            return;
+        }
         let Some(start) = self.start else { return };
-        let elapsed = start.elapsed();
-        if let Some(prev) = self.prev_ctx.take() {
-            trace::swap_current(prev);
-        }
-        let close = SPANS.with(|spans| {
-            let mut spans = spans.borrow_mut();
-            let id = spans.open.pop()?;
-            Some(Rc::clone(&spans.known[id].close))
-        });
-        let Some(close) = close else { return };
-        close
-            .histogram
-            .get_or_init(|| registry().histogram(&format!("span.{}.ns", close.path)))
-            .record_duration(elapsed);
-        if let Some(sub) = subscriber_slot().read().unwrap().as_ref() {
-            sub.on_close_traced(&close.path, self.depth, elapsed, self.trace.as_ref());
-        }
+        self.close(start.elapsed(), !self.timed);
     }
 }
 
@@ -282,6 +352,15 @@ impl FlameCollector {
     /// Creates a collector ready to pass to [`set_subscriber`].
     pub fn new() -> Arc<FlameCollector> {
         Arc::new(FlameCollector::default())
+    }
+
+    /// How many spans closed on `path`, and their summed duration.
+    pub fn total(&self, path: &str) -> (u64, Duration) {
+        self.stats
+            .lock()
+            .unwrap()
+            .get(path)
+            .map_or((0, Duration::ZERO), |stat| (stat.count, stat.total))
     }
 
     /// Renders the flame-style summary. Paths are sorted, so children

@@ -168,3 +168,69 @@ fn the_flame_summary_and_the_span_switch_behave_as_before() {
         .iter()
         .any(|(name, _)| name.contains("flame_test.never")));
 }
+
+#[test]
+fn a_timed_span_records_once_into_its_callers_histogram() {
+    let _turn = TURN.lock().unwrap();
+    let collector = FlameCollector::new();
+    fdc_obs::set_subscriber(collector.clone());
+    let latency = fdc_obs::histogram("timed_test.latency.ns");
+    // Collected or not, a finished span records its one duration into
+    // the given histogram and hands it back.
+    let mut handed_back = [Duration::ZERO; 3];
+    for (enabled, slot) in [true, false].into_iter().zip(&mut handed_back) {
+        set_spans_enabled(enabled);
+        let span = fdc_obs::SpanGuard::timed("timed_test.work");
+        std::thread::sleep(Duration::from_millis(1));
+        *slot = span.finish(&latency);
+        assert!(*slot >= Duration::from_millis(1), "{slot:?}");
+    }
+    set_spans_enabled(true);
+    {
+        // Unsampled: timed, not collected.
+        let _ctx = fdc_obs::trace::activate(fdc_obs::TraceContext::root(false));
+        handed_back[2] = fdc_obs::SpanGuard::timed("timed_test.work").finish(&latency);
+    }
+    let recorded = latency.snapshot();
+    assert_eq!(recorded.count, 3);
+    let sum: Duration = handed_back.iter().sum();
+    assert_eq!(u128::from(recorded.sum), sum.as_nanos());
+    // Only the collected span was reported, with the recorded duration.
+    assert_eq!(collector.total("timed_test.work"), (1, handed_back[0]));
+
+    // Dropped unfinished, it closes for the subscriber and records
+    // nothing; a plain span nested in it sees the timed one's path.
+    {
+        let _span = fdc_obs::SpanGuard::timed("timed_test.work");
+        let _inner = span!("inner");
+    }
+    assert_eq!(collector.total("timed_test.work").0, 2);
+    assert_eq!(collector.total("timed_test.work/inner").0, 1);
+    assert_eq!(latency.snapshot().count, 3);
+    assert_eq!(span_count("timed_test.work/inner"), 1);
+    fdc_obs::take_subscriber();
+    assert!(!fdc_obs::snapshot()
+        .histograms
+        .iter()
+        .any(|(name, _)| name == "span.timed_test.work.ns"));
+}
+
+#[test]
+fn a_timed_span_on_a_known_path_allocates_only_what_its_record_does() {
+    let _turn = TURN.lock().unwrap();
+    const CLOSES: u64 = 1000;
+    let direct = fdc_obs::histogram("timed_alloc_test.direct.ns");
+    let timed = fdc_obs::histogram("timed_alloc_test.timed.ns");
+    direct.record_duration(Duration::from_nanos(1));
+    fdc_obs::SpanGuard::timed("timed_alloc_test.span").finish(&timed);
+    let before = allocations();
+    for _ in 0..CLOSES {
+        direct.record_duration(Duration::from_nanos(1));
+    }
+    let recording_alone = allocations() - before;
+    let before = allocations();
+    for _ in 0..CLOSES {
+        fdc_obs::SpanGuard::timed("timed_alloc_test.span").finish(&timed);
+    }
+    assert_eq!(allocations() - before, recording_alone);
+}
