@@ -5,7 +5,7 @@
 
 use fdc_bench::timing::{bench, emit_metrics};
 use fdc_forecast::{
-    Arima, ArimaOrder, FitOptions, ForecastModel, ModelSpec, Sarima, SeasonalKind, SeasonalOrder,
+    ArimaOrder, FitOptions, ForecastModel, ModelSpec, Sarima, SeasonalKind, SeasonalOrder,
     TimeSeries,
 };
 use std::hint::black_box;
@@ -58,7 +58,9 @@ fn bench_forecast_and_update() {
     }
     .fit(&series, &opts)
     .unwrap();
-    let arima = Arima::fit(&series, ArimaOrder::new(2, 1, 1), &opts).unwrap();
+    let arima = ModelSpec::Arima { p: 2, d: 1, q: 1 }
+        .fit(&series, &opts)
+        .unwrap();
     let sarima = Sarima::fit(
         &series,
         ArimaOrder::new(1, 0, 1),

@@ -26,6 +26,8 @@
 //!   improvement became too small; the advisor stops when α exceeds its
 //!   limit.
 
+use fdc_forecast::inverse_normal_cdf;
+
 /// Mutable control state carried across advisor iterations.
 #[derive(Debug, Clone)]
 pub struct ControlState {
@@ -136,76 +138,9 @@ pub fn indicator_size_for_budget(
     per_node.clamp(min_size.min(node_count.max(1)), node_count.max(1))
 }
 
-/// Acklam's rational approximation of the inverse standard normal CDF
-/// (absolute error < 1.15e-9 — far more precision than γ needs).
-pub fn inverse_normal_cdf(p: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
-    if p <= 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    if p >= 1.0 {
-        return f64::INFINITY;
-    }
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.383_577_518_672_69e2,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-
-    if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn inverse_normal_known_quantiles() {
-        assert!(inverse_normal_cdf(0.5).abs() < 1e-9);
-        assert!((inverse_normal_cdf(0.975) - 1.959964).abs() < 1e-4);
-        assert!((inverse_normal_cdf(0.8413447) - 1.0).abs() < 1e-4);
-        assert!((inverse_normal_cdf(0.025) + 1.959964).abs() < 1e-4);
-        assert_eq!(inverse_normal_cdf(0.0), f64::NEG_INFINITY);
-        assert_eq!(inverse_normal_cdf(1.0), f64::INFINITY);
-    }
 
     #[test]
     fn init_gamma_targets_candidate_count() {

@@ -646,35 +646,27 @@ impl Catalog {
     /// concurrent callers should prefer
     /// [`Catalog::reestimate_single_flight`].
     pub fn reestimate(&self, node: NodeId, dataset: &Dataset, fit: &FitOptions) -> Result<()> {
-        let mut shard = self.write_shard(self.shard_of(node));
-        let stored = shard
-            .models
-            .get_mut(&node)
-            .ok_or_else(|| F2dbError::Semantic(format!("no model at node {node}")))?;
-        fit.apply_artificial_cost();
-        stored
-            .model
-            .refit(dataset.series(node), fit)
-            .map_err(|e| F2dbError::Cube(format!("re-estimating node {node}: {e}")))?;
-        stored.invalid = false;
-        stored.rolling_error = 0.0;
-        Ok(())
+        self.refit(node, dataset, fit, false).map(|_| ())
     }
 
-    /// Re-estimates the model at `node` only if it is still invalid.
-    /// Returns whether a re-fit actually happened.
-    fn reestimate_if_invalid(
+    /// The one re-fit body of [`Catalog::reestimate`] and the single
+    /// flight: under the node's shard lock, pays the artificial cost,
+    /// re-estimates the model and clears its invalid flag and rolling
+    /// error. With `only_invalid`, a model found valid under the lock is
+    /// left alone. Returns whether a re-fit happened.
+    fn refit(
         &self,
         node: NodeId,
         dataset: &Dataset,
         fit: &FitOptions,
+        only_invalid: bool,
     ) -> Result<bool> {
         let mut shard = self.write_shard(self.shard_of(node));
         let stored = shard
             .models
             .get_mut(&node)
             .ok_or_else(|| F2dbError::Semantic(format!("no model at node {node}")))?;
-        if !stored.invalid {
+        if only_invalid && !stored.invalid {
             return Ok(false);
         }
         fit.apply_artificial_cost();
@@ -719,7 +711,7 @@ impl Catalog {
             if leader {
                 let in_flight = fdc_obs::gauge(names::F2DB_REESTIMATE_IN_FLIGHT);
                 in_flight.incr();
-                let result = self.reestimate_if_invalid(node, dataset, fit);
+                let result = self.refit(node, dataset, fit, true);
                 {
                     let mut state = slot.state.lock().unwrap();
                     *state = SlotState::Done(result.as_ref().err().cloned());

@@ -18,13 +18,13 @@
 //! Incremental maintenance (needed by F²DB, §V) keeps per-stage
 //! differencing ring buffers plus short histories of `w` and residuals, so
 //! absorbing one new observation is `O(p + q + d + D·s)`.
+//!
+//! A non-seasonal ARIMA(p, d, q) is the [`Sarima`] of
+//! [`SeasonalOrder::none`]; the model keeps the [`ModelSpec`] it was
+//! fitted from, so its state and name still say `Arima`.
 
-use crate::model::{
-    FitOptions, ForecastError, ForecastModel, ModelSpec, ModelState, OptimizerKind,
-};
-use crate::optimize::{
-    FnObjective, GridSearch, HillClimbing, NelderMead, Optimizer, SimulatedAnnealing,
-};
+use crate::model::{FitOptions, ForecastError, ForecastModel, ModelSpec, ModelState};
+use crate::optimize::{self, FnObjective, GridSearch, Optimizer};
 use crate::series::TimeSeries;
 
 /// Bound for individual AR/MA coefficients; keeps the recursions stable
@@ -279,10 +279,29 @@ fn css_objective(w: &[f64], ar: &[f64], ma: &[f64]) -> f64 {
 // Sarima
 // ---------------------------------------------------------------------------
 
-/// Seasonal ARIMA model. A plain [`Arima`] wraps this type with an
+/// The orders of an ARIMA or SARIMA spec, a plain ARIMA's seasonal
+/// order being [`SeasonalOrder::none`]; `None` for any other family.
+fn orders(spec: &ModelSpec) -> Option<(ArimaOrder, SeasonalOrder)> {
+    match *spec {
+        ModelSpec::Arima { p, d, q } => Some((ArimaOrder::new(p, d, q), SeasonalOrder::none())),
+        ModelSpec::Sarima {
+            order,
+            seasonal,
+            period,
+        } => Some((
+            ArimaOrder::new(order.0, order.1, order.2),
+            SeasonalOrder::new(seasonal.0, seasonal.1, seasonal.2, period),
+        )),
+        _ => None,
+    }
+}
+
+/// Seasonal ARIMA model, and the non-seasonal ARIMA as its
 /// all-zero seasonal order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sarima {
+    /// The `Arima` or `Sarima` spec the model was fitted from.
+    spec: ModelSpec,
     order: ArimaOrder,
     seasonal: SeasonalOrder,
     /// Raw coefficients: φ (p), Φ (P), θ (q), Θ (Q).
@@ -309,6 +328,24 @@ impl Sarima {
         seasonal: SeasonalOrder,
         options: &FitOptions,
     ) -> crate::Result<Self> {
+        let spec = ModelSpec::Sarima {
+            order: (order.p, order.d, order.q),
+            seasonal: (seasonal.p, seasonal.d, seasonal.q),
+            period: seasonal.period,
+        };
+        Self::fit_spec(&spec, series, options)
+    }
+
+    /// Fits an `Arima` or `Sarima` spec by grid-seeded CSS minimization;
+    /// the model reports `spec` as its own.
+    pub(crate) fn fit_spec(
+        spec: &ModelSpec,
+        series: &TimeSeries,
+        options: &FitOptions,
+    ) -> crate::Result<Self> {
+        let (order, seasonal) = orders(spec).ok_or_else(|| {
+            ForecastError::InvalidParameter(format!("{spec:?} is not an ARIMA spec"))
+        })?;
         if seasonal.period == 0 {
             return Err(ForecastError::InvalidParameter(
                 "seasonal period must be at least 1".into(),
@@ -353,25 +390,7 @@ impl Sarima {
                 points_per_dim: points,
             }
             .minimize(&obj, &vec![0.0; dim]);
-            let max_evaluations = options.max_iterations.max(50) * dim.max(1);
-            let refined = match options.optimizer {
-                OptimizerKind::NelderMead => NelderMead {
-                    max_evaluations,
-                    ..NelderMead::default()
-                }
-                .minimize(&obj, &seed.x),
-                OptimizerKind::HillClimbing => HillClimbing {
-                    max_evaluations,
-                    ..HillClimbing::default()
-                }
-                .minimize(&obj, &seed.x),
-                OptimizerKind::SimulatedAnnealing => SimulatedAnnealing {
-                    max_evaluations,
-                    seed: options.seed,
-                    ..SimulatedAnnealing::default()
-                }
-                .minimize(&obj, &seed.x),
-            };
+            let refined = optimize::minimize(options, &obj, &seed.x);
             if refined.value.is_finite() {
                 refined.x
             } else {
@@ -387,6 +406,7 @@ impl Sarima {
         let recent_e = tail(&e, ma.len());
 
         Ok(Sarima {
+            spec: spec.clone(),
             order,
             seasonal,
             raw,
@@ -423,11 +443,81 @@ impl Sarima {
         &self.raw
     }
 
-    fn forecast_impl(&self, horizon: usize) -> Vec<f64> {
+    /// Restores from serialized state.
+    pub fn from_state(state: &ModelState) -> crate::Result<Self> {
+        let (order, seasonal) = orders(&state.spec)
+            .ok_or_else(|| ForecastError::InvalidState("expected (S)ARIMA state".into()))?;
+        let dim = order.p + seasonal.p + order.q + seasonal.q;
+        if state.params.len() != dim {
+            return Err(ForecastError::InvalidState(
+                "parameter count mismatch".into(),
+            ));
+        }
+        let (ar, ma) = Self::expand_params(&state.params, order, seasonal);
+        let ar_len = ar.len();
+        let ma_len = ma.len();
+        let diff_len = order.d + seasonal.d * seasonal.period;
+        let expected = 1 + ar_len + ma_len + diff_len;
+        if state.state.len() != expected {
+            return Err(ForecastError::InvalidState(format!(
+                "state length mismatch: expected {expected}, got {}",
+                state.state.len()
+            )));
+        }
+        let mean = state.state[0];
+        let recent_w = state.state[1..1 + ar_len].to_vec();
+        let recent_e = state.state[1 + ar_len..1 + ar_len + ma_len].to_vec();
+        let flat = &state.state[1 + ar_len + ma_len..];
+        let differencer = Differencer::restore(order.d, seasonal.d, seasonal.period, flat)
+            .ok_or_else(|| ForecastError::InvalidState("bad differencer buffers".into()))?;
+        Ok(Sarima {
+            spec: state.spec.clone(),
+            order,
+            seasonal,
+            raw: state.params.clone(),
+            ar,
+            ma,
+            mean,
+            differencer,
+            recent_w,
+            recent_e,
+            observations: state.observations,
+        })
+    }
+}
+
+fn tail(v: &[f64], n: usize) -> Vec<f64> {
+    if n == 0 {
+        Vec::new()
+    } else if v.len() >= n {
+        v[v.len() - n..].to_vec()
+    } else {
+        // Pad the front with zeros (conditional convention).
+        let mut out = vec![0.0; n - v.len()];
+        out.extend_from_slice(v);
+        out
+    }
+}
+
+fn shift_push(buf: &mut [f64], v: f64) {
+    if buf.is_empty() {
+        return;
+    }
+    buf.copy_within(1.., 0);
+    *buf.last_mut().expect("non-empty") = v;
+}
+
+impl ForecastModel for Sarima {
+    fn name(&self) -> &'static str {
+        match self.spec {
+            ModelSpec::Arima { .. } => "arima",
+            _ => "sarima",
+        }
+    }
+
+    fn forecast(&self, horizon: usize) -> Vec<f64> {
         // Forecast recursion on the centered differenced series with
         // future shocks set to zero.
-        let ar_len = self.ar.len();
-        let ma_len = self.ma.len();
         let mut w_ext = self.recent_w.clone();
         let e_hist = &self.recent_e;
         let mut w_forecasts = Vec::with_capacity(horizon);
@@ -455,10 +545,6 @@ impl Sarima {
             }
             w_ext.push(pred);
             w_forecasts.push(pred + self.mean);
-            // Bound the rolling history so long horizons stay O(h·(p+q)).
-            if w_ext.len() > ar_len.max(ma_len) + horizon + 1 {
-                // never triggered in practice; safety against huge horizons
-            }
         }
         let mut out = self.differencer.integrate(&w_forecasts);
         for v in &mut out {
@@ -467,110 +553,6 @@ impl Sarima {
             }
         }
         out
-    }
-
-    /// Restores from serialized state.
-    pub fn from_state(state: &ModelState) -> crate::Result<Self> {
-        let (order, seasonal) = match &state.spec {
-            ModelSpec::Sarima {
-                order,
-                seasonal,
-                period,
-            } => (
-                ArimaOrder::new(order.0, order.1, order.2),
-                SeasonalOrder::new(seasonal.0, seasonal.1, seasonal.2, *period),
-            ),
-            _ => {
-                return Err(ForecastError::InvalidState("expected SARIMA state".into()));
-            }
-        };
-        Self::from_state_with(state, order, seasonal)
-    }
-
-    fn from_state_with(
-        state: &ModelState,
-        order: ArimaOrder,
-        seasonal: SeasonalOrder,
-    ) -> crate::Result<Self> {
-        let dim = order.p + seasonal.p + order.q + seasonal.q;
-        if state.params.len() != dim {
-            return Err(ForecastError::InvalidState(
-                "parameter count mismatch".into(),
-            ));
-        }
-        let (ar, ma) = Self::expand_params(&state.params, order, seasonal);
-        let ar_len = ar.len();
-        let ma_len = ma.len();
-        let diff_len = order.d + seasonal.d * seasonal.period;
-        let expected = 1 + ar_len + ma_len + diff_len;
-        if state.state.len() != expected {
-            return Err(ForecastError::InvalidState(format!(
-                "state length mismatch: expected {expected}, got {}",
-                state.state.len()
-            )));
-        }
-        let mean = state.state[0];
-        let recent_w = state.state[1..1 + ar_len].to_vec();
-        let recent_e = state.state[1 + ar_len..1 + ar_len + ma_len].to_vec();
-        let flat = &state.state[1 + ar_len + ma_len..];
-        let differencer = Differencer::restore(order.d, seasonal.d, seasonal.period, flat)
-            .ok_or_else(|| ForecastError::InvalidState("bad differencer buffers".into()))?;
-        Ok(Sarima {
-            order,
-            seasonal,
-            raw: state.params.clone(),
-            ar,
-            ma,
-            mean,
-            differencer,
-            recent_w,
-            recent_e,
-            observations: state.observations,
-        })
-    }
-
-    fn state_impl(&self, spec: ModelSpec) -> ModelState {
-        let mut state = vec![self.mean];
-        state.extend_from_slice(&self.recent_w);
-        state.extend_from_slice(&self.recent_e);
-        state.extend(self.differencer.flatten());
-        ModelState {
-            spec,
-            params: self.raw.clone(),
-            state,
-            observations: self.observations,
-        }
-    }
-}
-
-fn tail(v: &[f64], n: usize) -> Vec<f64> {
-    if n == 0 {
-        Vec::new()
-    } else if v.len() >= n {
-        v[v.len() - n..].to_vec()
-    } else {
-        // Pad the front with zeros (conditional convention).
-        let mut out = vec![0.0; n - v.len()];
-        out.extend_from_slice(v);
-        out
-    }
-}
-
-fn shift_push(buf: &mut [f64], v: f64) {
-    if buf.is_empty() {
-        return;
-    }
-    buf.copy_within(1.., 0);
-    *buf.last_mut().expect("non-empty") = v;
-}
-
-impl ForecastModel for Sarima {
-    fn name(&self) -> &'static str {
-        "sarima"
-    }
-
-    fn forecast(&self, horizon: usize) -> Vec<f64> {
-        self.forecast_impl(horizon)
     }
 
     fn update(&mut self, value: f64) {
@@ -595,7 +577,7 @@ impl ForecastModel for Sarima {
     }
 
     fn refit(&mut self, series: &TimeSeries, options: &FitOptions) -> crate::Result<()> {
-        *self = Self::fit(series, self.order, self.seasonal, options)?;
+        *self = Self::fit_spec(&self.spec, series, options)?;
         Ok(())
     }
 
@@ -604,100 +586,20 @@ impl ForecastModel for Sarima {
     }
 
     fn state(&self) -> ModelState {
-        self.state_impl(ModelSpec::Sarima {
-            order: (self.order.p, self.order.d, self.order.q),
-            seasonal: (self.seasonal.p, self.seasonal.d, self.seasonal.q),
-            period: self.seasonal.period,
-        })
+        let mut state = vec![self.mean];
+        state.extend_from_slice(&self.recent_w);
+        state.extend_from_slice(&self.recent_e);
+        state.extend(self.differencer.flatten());
+        ModelState {
+            spec: self.spec.clone(),
+            params: self.raw.clone(),
+            state,
+            observations: self.observations,
+        }
     }
 
     fn observations(&self) -> usize {
         self.observations
-    }
-
-    fn boxed_clone(&self) -> Box<dyn ForecastModel> {
-        Box::new(self.clone())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Arima (non-seasonal wrapper)
-// ---------------------------------------------------------------------------
-
-/// Non-seasonal ARIMA(p, d, q); a thin wrapper over [`Sarima`] with an
-/// all-zero seasonal part, kept as a distinct type so stored model state
-/// identifies the family the user requested.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Arima {
-    inner: Sarima,
-}
-
-impl Arima {
-    /// Fits an ARIMA(p, d, q) model by CSS.
-    pub fn fit(
-        series: &TimeSeries,
-        order: ArimaOrder,
-        options: &FitOptions,
-    ) -> crate::Result<Self> {
-        Ok(Arima {
-            inner: Sarima::fit(series, order, SeasonalOrder::none(), options)?,
-        })
-    }
-
-    /// The model order.
-    pub fn order(&self) -> ArimaOrder {
-        self.inner.order()
-    }
-
-    /// Raw coefficient estimates (φ then θ).
-    pub fn raw_params(&self) -> &[f64] {
-        self.inner.raw_params()
-    }
-
-    /// Restores from serialized state.
-    pub fn from_state(state: &ModelState) -> crate::Result<Self> {
-        let order = match &state.spec {
-            ModelSpec::Arima { p, d, q } => ArimaOrder::new(*p, *d, *q),
-            _ => return Err(ForecastError::InvalidState("expected ARIMA state".into())),
-        };
-        Ok(Arima {
-            inner: Sarima::from_state_with(state, order, SeasonalOrder::none())?,
-        })
-    }
-}
-
-impl ForecastModel for Arima {
-    fn name(&self) -> &'static str {
-        "arima"
-    }
-
-    fn forecast(&self, horizon: usize) -> Vec<f64> {
-        self.inner.forecast_impl(horizon)
-    }
-
-    fn update(&mut self, value: f64) {
-        self.inner.update(value);
-    }
-
-    fn refit(&mut self, series: &TimeSeries, options: &FitOptions) -> crate::Result<()> {
-        self.inner.refit(series, options)
-    }
-
-    fn params(&self) -> Vec<f64> {
-        self.inner.params()
-    }
-
-    fn state(&self) -> ModelState {
-        let order = self.inner.order();
-        self.inner.state_impl(ModelSpec::Arima {
-            p: order.p,
-            d: order.d,
-            q: order.q,
-        })
-    }
-
-    fn observations(&self) -> usize {
-        self.inner.observations()
     }
 
     fn boxed_clone(&self) -> Box<dyn ForecastModel> {
@@ -712,6 +614,15 @@ mod tests {
 
     fn ts(values: Vec<f64>) -> TimeSeries {
         TimeSeries::new(values, Granularity::Monthly)
+    }
+
+    /// Fits `ModelSpec::Arima` of order (p, d, q) with default options.
+    fn arima(series: &TimeSeries, p: usize, d: usize, q: usize) -> crate::Result<Sarima> {
+        Sarima::fit_spec(
+            &ModelSpec::Arima { p, d, q },
+            series,
+            &FitOptions::default(),
+        )
     }
 
     // -- differencing --------------------------------------------------------
@@ -838,7 +749,7 @@ mod tests {
     #[test]
     fn ar1_coefficient_recovered() {
         let series = ar1_series(200, 0.7);
-        let model = Arima::fit(&series, ArimaOrder::new(1, 0, 0), &FitOptions::default()).unwrap();
+        let model = arima(&series, 1, 0, 0).unwrap();
         let phi = model.raw_params()[0];
         assert!((phi - 0.7).abs() < 0.15, "estimated φ = {phi}");
     }
@@ -846,12 +757,7 @@ mod tests {
     #[test]
     fn random_walk_arima010_forecasts_near_last_value() {
         let values: Vec<f64> = (0..30).map(|t| 100.0 + t as f64).collect();
-        let model = Arima::fit(
-            &ts(values),
-            ArimaOrder::new(0, 1, 0),
-            &FitOptions::default(),
-        )
-        .unwrap();
+        let model = arima(&ts(values), 0, 1, 0).unwrap();
         let fc = model.forecast(3);
         // Drift = mean of differences = 1 → forecasts 130, 131, 132.
         assert!((fc[0] - 130.0).abs() < 1e-6, "{fc:?}");
@@ -882,11 +788,7 @@ mod tests {
     #[test]
     fn fit_rejects_short_series() {
         assert!(matches!(
-            Arima::fit(
-                &ts(vec![1.0; 4]),
-                ArimaOrder::new(2, 1, 2),
-                &FitOptions::default()
-            ),
+            arima(&ts(vec![1.0; 4]), 2, 1, 2),
             Err(ForecastError::SeriesTooShort { .. })
         ));
     }
@@ -905,8 +807,7 @@ mod tests {
     #[test]
     fn update_matches_refitted_residual_path() {
         let series = ar1_series(100, 0.6);
-        let mut model =
-            Arima::fit(&series, ArimaOrder::new(1, 0, 1), &FitOptions::default()).unwrap();
+        let mut model = arima(&series, 1, 0, 1).unwrap();
         let before = model.observations();
         model.update(12.0);
         model.update(11.5);
@@ -918,14 +819,13 @@ mod tests {
     fn update_shifts_known_state_correctly() {
         // Hand-checkable ARIMA(1,0,0) with φ=0.5, mean 0 via symmetric data.
         let series = ts(vec![0.0, 1.0, -1.0, 2.0, -2.0, 1.0, -1.0, 0.0, 0.0, 0.0]);
-        let mut model =
-            Arima::fit(&series, ArimaOrder::new(1, 0, 0), &FitOptions::default()).unwrap();
+        let mut model = arima(&series, 1, 0, 0).unwrap();
         let phi = model.raw_params()[0];
-        let mean = model.inner.mean;
-        let w_last = model.inner.recent_w[0];
+        let mean = model.mean;
+        let w_last = model.recent_w[0];
         model.update(3.0);
         let expected_w = 3.0 - mean;
-        assert!((model.inner.recent_w[0] - expected_w).abs() < 1e-12);
+        assert!((model.recent_w[0] - expected_w).abs() < 1e-12);
         // One-step forecast should be mean + φ·w_new (integration is identity
         // for d=0).
         let fc = model.forecast(1)[0];
@@ -958,26 +858,29 @@ mod tests {
     #[test]
     fn arima_state_round_trip() {
         let series = ar1_series(80, 0.5);
-        let model = Arima::fit(&series, ArimaOrder::new(1, 0, 1), &FitOptions::default()).unwrap();
-        let restored = Arima::from_state(&model.state()).unwrap();
+        let model = arima(&series, 1, 0, 1).unwrap();
+        let restored = Sarima::from_state(&model.state()).unwrap();
         assert_eq!(restored.forecast(5), model.forecast(5));
+        assert_eq!(restored.state().spec, ModelSpec::Arima { p: 1, d: 0, q: 1 });
+        assert_eq!(restored.name(), "arima");
     }
 
     #[test]
     fn from_state_rejects_mismatched_spec() {
         let series = ar1_series(80, 0.5);
-        let model = Arima::fit(&series, ArimaOrder::new(1, 0, 0), &FitOptions::default()).unwrap();
-        assert!(Sarima::from_state(&model.state()).is_err());
+        let model = arima(&series, 1, 0, 0).unwrap();
+        let holt = crate::smoothing::Holt::fit(&series, &FitOptions::default()).unwrap();
+        assert!(Sarima::from_state(&holt.state()).is_err());
         let mut bad = model.state();
         bad.state.pop();
-        assert!(Arima::from_state(&bad).is_err());
+        assert!(Sarima::from_state(&bad).is_err());
     }
 
     #[test]
     fn forecasts_are_finite_even_for_boundary_parameters() {
         // Construct the state directly with extreme-but-bounded φ.
         let series = ar1_series(60, 0.9);
-        let model = Arima::fit(&series, ArimaOrder::new(2, 1, 2), &FitOptions::default()).unwrap();
+        let model = arima(&series, 2, 1, 2).unwrap();
         let fc = model.forecast(50);
         assert!(fc.iter().all(|v| v.is_finite()));
     }

@@ -14,8 +14,9 @@
 //! * [`HoltWinters`](smoothing::HoltWinters) (triple exponential smoothing,
 //!   additive or multiplicative seasonality — the model that "worked best in
 //!   most cases" in §VI-A),
-//! * [`Arima`] / seasonal [`Sarima`] estimated
-//!   by conditional sum of squares,
+//! * seasonal ARIMA, [`Sarima`], estimated by conditional sum of squares;
+//!   a plain ARIMA is its all-zero seasonal order, fitted from
+//!   [`ModelSpec::Arima`] and reporting that spec,
 //!
 //! together with the numerical optimization machinery the paper references
 //! for parameter estimation (§IV-B.1): local [`HillClimbing`]
@@ -58,7 +59,7 @@ pub mod series;
 pub mod smoothing;
 
 pub use accuracy::{mae, mape, mase, rmse, smape, AccuracyMeasure};
-pub use arima::{Arima, ArimaOrder, Sarima, SeasonalOrder};
+pub use arima::{ArimaOrder, Sarima, SeasonalOrder};
 pub use model::{
     FitOptions, ForecastError, ForecastModel, ModelSpec, ModelState, SeasonalKind,
     WORK_UNITS_PER_US,
@@ -66,7 +67,9 @@ pub use model::{
 pub use optimize::{
     GridSearch, HillClimbing, NelderMead, Objective, OptimizeResult, Optimizer, SimulatedAnnealing,
 };
-pub use sampling::{stratified_estimate, z_quantile, HtEstimate, StratumSample};
+pub use sampling::{
+    inverse_normal_cdf, stratified_estimate, z_quantile, HtEstimate, StratumSample,
+};
 pub use series::{Granularity, TimeSeries};
 
 /// Crate-wide result alias.

@@ -1,7 +1,7 @@
 //! The [`ForecastModel`] abstraction, model specifications and
 //! serializable model state.
 
-use crate::arima::{Arima, ArimaOrder, Sarima, SeasonalOrder};
+use crate::arima::Sarima;
 use crate::series::TimeSeries;
 use crate::smoothing::{DampedHolt, Holt, HoltWinters, SimpleExponentialSmoothing};
 use fdc_codec::{DecodeError, Reader, Writer};
@@ -69,7 +69,9 @@ pub struct FitOptions {
     /// Artificial extra model-creation time, in microseconds of *sleep* —
     /// models the I/O portion of a (re-)fit: inside the DBMS, re-estimating
     /// a model scans the stored base history, during which the CPU is idle.
-    /// Used by the concurrency benchmarks to expose lock-hold cost.
+    /// Set only by tests: `fdc-serve`'s `http_api` makes lazy re-fits slow
+    /// enough to fill a request queue, and an `fdc-cube` unit test checks
+    /// that the stall counts as creation work.
     pub artificial_stall_us: u64,
 }
 
@@ -198,21 +200,9 @@ impl ModelSpec {
             ModelSpec::HoltWinters { period, seasonal } => Ok(Box::new(HoltWinters::fit(
                 series, *period, *seasonal, options,
             )?)),
-            ModelSpec::Arima { p, d, q } => Ok(Box::new(Arima::fit(
-                series,
-                ArimaOrder::new(*p, *d, *q),
-                options,
-            )?)),
-            ModelSpec::Sarima {
-                order,
-                seasonal,
-                period,
-            } => Ok(Box::new(Sarima::fit(
-                series,
-                ArimaOrder::new(order.0, order.1, order.2),
-                SeasonalOrder::new(seasonal.0, seasonal.1, seasonal.2, *period),
-                options,
-            )?)),
+            ModelSpec::Arima { .. } | ModelSpec::Sarima { .. } => {
+                Ok(Box::new(Sarima::fit_spec(self, series, options)?))
+            }
         }
     }
 
@@ -504,8 +494,9 @@ pub fn restore_model(state: &ModelState) -> crate::Result<Box<dyn ForecastModel>
         ModelSpec::Holt => Ok(Box::new(Holt::from_state(state)?)),
         ModelSpec::HoltDamped => Ok(Box::new(DampedHolt::from_state(state)?)),
         ModelSpec::HoltWinters { .. } => Ok(Box::new(HoltWinters::from_state(state)?)),
-        ModelSpec::Arima { .. } => Ok(Box::new(Arima::from_state(state)?)),
-        ModelSpec::Sarima { .. } => Ok(Box::new(Sarima::from_state(state)?)),
+        ModelSpec::Arima { .. } | ModelSpec::Sarima { .. } => {
+            Ok(Box::new(Sarima::from_state(state)?))
+        }
     }
 }
 

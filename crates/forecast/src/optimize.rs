@@ -12,6 +12,7 @@
 //! which is appropriate for smoothing parameters in `(0, 1)` and ARMA
 //! coefficients constrained to `(-1, 1)`.
 
+use crate::model::{FitOptions, OptimizerKind};
 use fdc_rng::Rng;
 use std::cell::Cell;
 
@@ -91,6 +92,36 @@ pub struct OptimizeResult {
 pub trait Optimizer {
     /// Minimizes `objective` starting from `x0`.
     fn minimize(&self, objective: &dyn Objective, x0: &[f64]) -> OptimizeResult;
+}
+
+/// Minimizes a model's fit `objective` from `x0` with the optimizer
+/// `options` selects, on the fit budget of `max_iterations.max(50)`
+/// evaluations per dimension. Every model family estimates its
+/// parameters through this one dispatch.
+pub(crate) fn minimize(
+    options: &FitOptions,
+    objective: &dyn Objective,
+    x0: &[f64],
+) -> OptimizeResult {
+    let max_evaluations = options.max_iterations.max(50) * objective.dim().max(1);
+    match options.optimizer {
+        OptimizerKind::NelderMead => NelderMead {
+            max_evaluations,
+            ..NelderMead::default()
+        }
+        .minimize(objective, x0),
+        OptimizerKind::HillClimbing => HillClimbing {
+            max_evaluations,
+            ..HillClimbing::default()
+        }
+        .minimize(objective, x0),
+        OptimizerKind::SimulatedAnnealing => SimulatedAnnealing {
+            max_evaluations,
+            seed: options.seed,
+            ..SimulatedAnnealing::default()
+        }
+        .minimize(objective, x0),
+    }
 }
 
 fn clamp_to_bounds(x: &mut [f64], bounds: &[(f64, f64)]) {

@@ -112,24 +112,36 @@ pub fn stratified_estimate(strata: &[StratumSample]) -> HtEstimate {
 }
 
 /// Two-sided standard-normal quantile for a confidence level in (0, 1):
-/// `z` such that P(|Z| ≤ z) = confidence. Uses Acklam's rational
-/// approximation of the inverse normal CDF (|relative error| < 1.15e-9),
-/// which is plenty for interval construction. Degenerate levels clamp to
-/// the nearest meaningful value.
+/// `z` such that P(|Z| ≤ z) = confidence, read from
+/// [`inverse_normal_cdf`], which is plenty for interval construction.
+/// Degenerate levels clamp to the nearest meaningful value; a NaN level
+/// (a decoded plane may carry one) has a NaN quantile.
 pub fn z_quantile(confidence: f64) -> f64 {
+    if confidence.is_nan() {
+        return f64::NAN;
+    }
     let c = confidence.clamp(1e-9, 1.0 - 1e-12);
     let p = 0.5 + c / 2.0; // upper-tail probability point
     inverse_normal_cdf(p)
 }
 
-/// Acklam's inverse normal CDF approximation on (0, 1).
-#[allow(clippy::excessive_precision)] // published coefficients, kept verbatim
-fn inverse_normal_cdf(p: f64) -> f64 {
+/// Acklam's rational approximation of the inverse standard normal CDF
+/// (absolute error < 1.15e-9): the `z` with P(Z ≤ z) = `p`, −∞ at 0 and
+/// +∞ at 1. Interval widths ([`z_quantile`]) and the advisor's γ both
+/// read it.
+pub fn inverse_normal_cdf(p: f64) -> f64 {
+    assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
+    if p <= 0.0 {
+        return f64::NEG_INFINITY;
+    }
+    if p >= 1.0 {
+        return f64::INFINITY;
+    }
     const A: [f64; 6] = [
         -3.969683028665376e+01,
         2.209460984245205e+02,
         -2.759285104469687e+02,
-        1.383577518672690e+02,
+        1.383_577_518_672_69e2,
         -3.066479806614716e+01,
         2.506628277459239e+00,
     ];
@@ -155,6 +167,7 @@ fn inverse_normal_cdf(p: f64) -> f64 {
         3.754408661907416e+00,
     ];
     const P_LOW: f64 = 0.02425;
+
     if p < P_LOW {
         let q = (-2.0 * p.ln()).sqrt();
         (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
@@ -176,6 +189,16 @@ mod tests {
     use super::*;
 
     #[test]
+    fn inverse_normal_known_quantiles() {
+        assert!(inverse_normal_cdf(0.5).abs() < 1e-9);
+        assert!((inverse_normal_cdf(0.975) - 1.959964).abs() < 1e-4);
+        assert!((inverse_normal_cdf(0.8413447) - 1.0).abs() < 1e-4);
+        assert!((inverse_normal_cdf(0.025) + 1.959964).abs() < 1e-4);
+        assert_eq!(inverse_normal_cdf(0.0), f64::NEG_INFINITY);
+        assert_eq!(inverse_normal_cdf(1.0), f64::INFINITY);
+    }
+
+    #[test]
     fn z_quantile_matches_textbook_values() {
         assert!(
             (z_quantile(0.95) - 1.959964).abs() < 1e-4,
@@ -185,6 +208,7 @@ mod tests {
         assert!((z_quantile(0.90) - 1.644854).abs() < 1e-4);
         assert!((z_quantile(0.99) - 2.575829).abs() < 1e-4);
         assert!((z_quantile(0.6827) - 1.0).abs() < 1e-3);
+        assert!(z_quantile(f64::NAN).is_nan());
     }
 
     #[test]

@@ -13,8 +13,42 @@ fn random_series(rng: &mut Rng, min_len: usize) -> TimeSeries {
     TimeSeries::new(v, Granularity::Monthly)
 }
 
+/// The bits of a model's serialized state — parameters, state values
+/// and observation count: what F²DB persists and forecasts from.
+fn state_bits(model: &impl ForecastModel) -> (Vec<u64>, Vec<u64>, usize) {
+    let state = model.state();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+    (bits(&state.params), bits(&state.state), state.observations)
+}
+
+/// One to seven further observations.
+fn extra_values(rng: &mut Rng) -> Vec<f64> {
+    (0..1 + rng.usize_below(7))
+        .map(|_| rng.f64_range(1.0, 1000.0))
+        .collect()
+}
+
+/// A model built on `series` that absorbs `extra` one `update` at a
+/// time reaches the state, bit for bit, of the model built on both.
+#[track_caller]
+fn assert_update_reaches_batch<M: ForecastModel>(
+    series: &[f64],
+    extra: &[f64],
+    with_params: impl Fn(&[f64]) -> M,
+    case: usize,
+) {
+    let mut all = series.to_vec();
+    all.extend_from_slice(extra);
+    let batch = with_params(&all);
+    let mut incr = with_params(series);
+    for &v in extra {
+        incr.update(v);
+    }
+    assert_eq!(state_bits(&incr), state_bits(&batch), "case {case}");
+}
+
 /// Incremental update equals batch recomputation for SES (the
-/// invariant F²DB maintenance relies on).
+/// invariant F²DB maintenance relies on), to the bit.
 #[test]
 fn ses_incremental_equals_batch() {
     use fdc_forecast::smoothing::SimpleExponentialSmoothing;
@@ -22,25 +56,17 @@ fn ses_incremental_equals_batch() {
     for case in 0..48 {
         let series = random_series(&mut rng, 8);
         let alpha = rng.f64_range(0.05, 0.95);
-        let extra: Vec<f64> = (0..1 + rng.usize_below(7))
-            .map(|_| rng.f64_range(1.0, 1000.0))
-            .collect();
-        let mut all = series.values().to_vec();
-        all.extend_from_slice(&extra);
-        let batch = SimpleExponentialSmoothing::with_params(&all, alpha);
-        let mut incr = SimpleExponentialSmoothing::with_params(series.values(), alpha);
-        for &v in &extra {
-            incr.update(v);
-        }
-        assert!(
-            (incr.forecast(1)[0] - batch.forecast(1)[0]).abs() < 1e-9,
-            "case {case}"
+        let extra = extra_values(&mut rng);
+        assert_update_reaches_batch(
+            series.values(),
+            &extra,
+            |x| SimpleExponentialSmoothing::with_params(x, alpha),
+            case,
         );
-        assert_eq!(incr.observations(), batch.observations());
     }
 }
 
-/// Holt incremental update equals batch recomputation.
+/// Holt incremental update equals batch recomputation, to the bit.
 #[test]
 fn holt_incremental_equals_batch() {
     use fdc_forecast::smoothing::Holt;
@@ -49,20 +75,58 @@ fn holt_incremental_equals_batch() {
         let series = random_series(&mut rng, 8);
         let alpha = rng.f64_range(0.05, 0.95);
         let beta = rng.f64_range(0.05, 0.95);
-        let extra: Vec<f64> = (0..1 + rng.usize_below(7))
-            .map(|_| rng.f64_range(1.0, 1000.0))
-            .collect();
-        let mut all = series.values().to_vec();
-        all.extend_from_slice(&extra);
-        let batch = Holt::with_params(&all, alpha, beta);
-        let mut incr = Holt::with_params(series.values(), alpha, beta);
-        for &v in &extra {
-            incr.update(v);
-        }
-        assert!(
-            (incr.forecast(3)[2] - batch.forecast(3)[2]).abs() < 1e-6,
-            "case {case}"
+        let extra = extra_values(&mut rng);
+        assert_update_reaches_batch(
+            series.values(),
+            &extra,
+            |x| Holt::with_params(x, alpha, beta),
+            case,
         );
+    }
+}
+
+/// Damped-Holt incremental update equals batch recomputation, to the
+/// bit.
+#[test]
+fn damped_holt_incremental_equals_batch() {
+    use fdc_forecast::smoothing::DampedHolt;
+    let mut rng = Rng::seed_from_u64(0xf07);
+    for case in 0..48 {
+        let series = random_series(&mut rng, 8);
+        let alpha = rng.f64_range(0.05, 0.95);
+        let beta = rng.f64_range(0.05, 0.95);
+        let phi = rng.f64_range(0.7, 0.99);
+        let extra = extra_values(&mut rng);
+        assert_update_reaches_batch(
+            series.values(),
+            &extra,
+            |x| DampedHolt::with_params(x, alpha, beta, phi),
+            case,
+        );
+    }
+}
+
+/// Holt–Winters incremental update equals batch recomputation, to the
+/// bit, for additive and multiplicative seasonality over periods 2–12.
+#[test]
+fn holt_winters_incremental_equals_batch() {
+    use fdc_forecast::smoothing::HoltWinters;
+    let mut rng = Rng::seed_from_u64(0xf08);
+    for kind in [SeasonalKind::Additive, SeasonalKind::Multiplicative] {
+        for case in 0..48 {
+            let period = 2 + rng.usize_below(11);
+            let series = random_series(&mut rng, 2 * period + 1);
+            let alpha = rng.f64_range(0.05, 0.95);
+            let beta = rng.f64_range(0.05, 0.95);
+            let gamma = rng.f64_range(0.05, 0.95);
+            let extra = extra_values(&mut rng);
+            assert_update_reaches_batch(
+                series.values(),
+                &extra,
+                |x| HoltWinters::with_params(x, period, kind, alpha, beta, gamma),
+                case,
+            );
+        }
     }
 }
 
