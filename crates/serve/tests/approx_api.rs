@@ -47,10 +47,14 @@ fn approx_controls_round_trip_over_http() {
     // Opted-in query: rows carry sampling metadata.
     let body = format!("{{\"sql\": \"{SQL}\", \"approx\": {{}}}}");
     let r = http(addr, "POST", "/query", &body).unwrap();
-    assert_eq!(r.status, 200, "{}", r.body);
-    assert!(r.body.contains("\"approx\":{\"sampled\":"), "{}", r.body);
-    assert!(r.body.contains("\"population\":400"), "{}", r.body);
-    assert!(r.body.contains("\"ci_half\":["), "{}", r.body);
+    assert_eq!(r.status, 200, "{}", r.text());
+    assert!(
+        r.text().contains("\"approx\":{\"sampled\":"),
+        "{}",
+        r.text()
+    );
+    assert!(r.text().contains("\"population\":400"), "{}", r.text());
+    assert!(r.text().contains("\"ci_half\":["), "{}", r.text());
 
     // A budget caps the evaluated cells (proportional allocation keeps
     // at least two cells per stratum, so compare against the full run).
@@ -58,24 +62,24 @@ fn approx_controls_round_trip_over_http() {
         let tail = &body[body.find("\"sampled\":").unwrap() + 10..];
         tail[..tail.find(',').unwrap()].parse().unwrap()
     };
-    let full_sampled = sampled_of(&r.body);
+    let full_sampled = sampled_of(&r.text());
     let body = format!("{{\"sql\": \"{SQL}\", \"approx\": {{\"budget\": 12}}}}");
     let r = http(addr, "POST", "/query", &body).unwrap();
-    assert_eq!(r.status, 200, "{}", r.body);
+    assert_eq!(r.status, 200, "{}", r.text());
     assert!(
-        sampled_of(&r.body) < full_sampled,
+        sampled_of(&r.text()) < full_sampled,
         "budget did not bind: {}",
-        r.body
+        r.text()
     );
 
     // EXPLAIN with controls: the plan row is a sampled one.
     let body =
         format!("{{\"sql\": \"{SQL}\", \"approx\": {{\"budget\": 24, \"target_ci\": 0.05}}}}");
     let r = http(addr, "POST", "/explain", &body).unwrap();
-    assert_eq!(r.status, 200, "{}", r.body);
-    assert!(r.body.contains("\"scheme\":\"sampled\""), "{}", r.body);
-    assert!(r.body.contains("\"budget\":24"), "{}", r.body);
-    assert!(r.body.contains("\"target_ci\":0.05"), "{}", r.body);
+    assert_eq!(r.status, 200, "{}", r.text());
+    assert!(r.text().contains("\"scheme\":\"sampled\""), "{}", r.text());
+    assert!(r.text().contains("\"budget\":24"), "{}", r.text());
+    assert!(r.text().contains("\"target_ci\":0.05"), "{}", r.text());
 
     // Malformed controls are a 400, not an engine error.
     for bad in [
@@ -84,13 +88,13 @@ fn approx_controls_round_trip_over_http() {
         format!("{{\"sql\": \"{SQL}\", \"approx\": {{\"confidence\": 1.5}}}}"),
     ] {
         let r = http(addr, "POST", "/query", &bad).unwrap();
-        assert_eq!(r.status, 400, "{}", r.body);
+        assert_eq!(r.status, 400, "{}", r.text());
     }
 
     // `analyze` and `approx` cannot be combined.
     let body = format!("{{\"sql\": \"{SQL}\", \"analyze\": true, \"approx\": {{}}}}");
     let r = http(addr, "POST", "/explain", &body).unwrap();
-    assert_eq!(r.status, 400, "{}", r.body);
+    assert_eq!(r.status, 400, "{}", r.text());
 
     server.shutdown().unwrap();
 }
@@ -107,6 +111,6 @@ fn plain_requests_carry_no_approx_bytes() {
     // The empty configuration has no exact scheme for the top node, so
     // the exact path errors — proving the plane was not consulted.
     assert_ne!(r.status, 200);
-    assert!(!r.body.contains("approx"), "{}", r.body);
+    assert!(!r.text().contains("approx"), "{}", r.text());
     server.shutdown().unwrap();
 }

@@ -6,7 +6,7 @@
 use fdc_core::{Advisor, AdvisorOptions};
 use fdc_datagen::tourism_proxy;
 use fdc_f2db::F2db;
-use fdc_obs::httpcore::client::{self, send_once, Outgoing};
+use fdc_obs::httpcore::client::{send_once, Outgoing, Response};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
@@ -64,33 +64,6 @@ pub fn row_json(dims: &[String], value: f64) -> String {
     format!("{{\"dims\":[{}],\"value\":{value}}}", quoted.join(","))
 }
 
-/// A parsed HTTP response.
-pub struct Response {
-    pub status: u16,
-    pub headers: Vec<(String, String)>,
-    pub body: String,
-}
-
-impl Response {
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-impl From<client::Response> for Response {
-    fn from(r: client::Response) -> Self {
-        Response {
-            status: r.status,
-            body: r.text(),
-            headers: r.headers,
-        }
-    }
-}
-
 /// Performs one request over a fresh connection that asks for
 /// `Connection: close` — each call also proves the accept path. Tests of
 /// connection reuse hold a [`fdc_obs::httpcore::client::Client`].
@@ -111,5 +84,5 @@ pub fn http_with_headers(
         headers: extra,
         ..Outgoing::new(method, path, body.as_bytes())
     };
-    send_once(&addr.to_string(), &request, Duration::from_secs(30)).map(Response::from)
+    send_once(&addr.to_string(), &request, Duration::from_secs(30))
 }

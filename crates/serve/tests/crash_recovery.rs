@@ -453,14 +453,15 @@ fn run_replica_kill(seed: u64) {
     // the engine, a typed redirect-to-the-primary answer.
     let rejected = http(f_addr, "POST", "/insert", &row_json(&dims[0], 424_242.5)).unwrap();
     assert_eq!(
-        rejected.status, 409,
+        rejected.status,
+        409,
         "follower accepted a write: {}",
-        rejected.body
+        rejected.text()
     );
     assert!(
-        rejected.body.contains("read-only follower"),
+        rejected.text().contains("read-only follower"),
         "rejection is not explicit: {}",
-        rejected.body
+        rejected.text()
     );
 
     // Load the primary from several threads (unique values = write
@@ -504,10 +505,10 @@ fn run_replica_kill(seed: u64) {
                 let mut lags = Vec::new();
                 while !sampler_stop.load(Ordering::Relaxed) {
                     if let Ok(r) = http(f_addr, "GET", "/stats", "") {
-                        if let Some(lag) = json_u64(&r.body, "lag_seq") {
+                        if let Some(lag) = json_u64(&r.text(), "lag_seq") {
                             lags.push(lag);
                         }
-                        if let Some(applied) = json_u64(&r.body, "applied_seq") {
+                        if let Some(applied) = json_u64(&r.text(), "applied_seq") {
                             follower_applied.store(applied, Ordering::Relaxed);
                         }
                     }
@@ -597,10 +598,15 @@ fn run_replica_kill(seed: u64) {
     )
     .unwrap();
     let promote_wall_ns = promote_started.elapsed().as_nanos() as u64;
-    assert_eq!(promoted.status, 200, "promotion failed: {}", promoted.body);
-    let tail_records = json_u64(&promoted.body, "tail_records").expect("tail_records");
-    let promotion_ns = json_u64(&promoted.body, "promotion_ns").expect("promotion_ns");
-    let promoted_last_seq = json_u64(&promoted.body, "last_seq").expect("last_seq");
+    assert_eq!(
+        promoted.status,
+        200,
+        "promotion failed: {}",
+        promoted.text()
+    );
+    let tail_records = json_u64(&promoted.text(), "tail_records").expect("tail_records");
+    let promotion_ns = json_u64(&promoted.text(), "promotion_ns").expect("promotion_ns");
+    let promoted_last_seq = json_u64(&promoted.text(), "last_seq").expect("last_seq");
 
     // The state machine only moves forward: a second promote is a 409.
     let again = http(f_addr, "POST", "/promote", "").unwrap();
@@ -613,12 +619,12 @@ fn run_replica_kill(seed: u64) {
     // The promoted follower is a primary now: healthy, labelled, and
     // accepting both queries and writes.
     let health = http(f_addr, "GET", "/healthz", "").unwrap();
-    assert_eq!(health.status, 200, "{}", health.body);
+    assert_eq!(health.status, 200, "{}", health.text());
     let stats = http(f_addr, "GET", "/stats", "").unwrap();
     assert!(
-        stats.body.contains("\"role\":\"promoted\""),
+        stats.text().contains("\"role\":\"promoted\""),
         "stats after promotion: {}",
-        stats.body
+        stats.text()
     );
     let query = http(
         f_addr,
@@ -627,7 +633,7 @@ fn run_replica_kill(seed: u64) {
         r#"{"sql": "SELECT time, SUM(visitors) FROM facts GROUP BY time AS OF now() + '2 quarters'"}"#,
     )
     .unwrap();
-    assert_eq!(query.status, 200, "query after promotion: {}", query.body);
+    assert_eq!(query.status, 200, "query after promotion: {}", query.text());
     let mut post_acked = Vec::new();
     for i in 0..10u64 {
         let value = (9_000_000 + i) as f64 + 0.5;
@@ -638,7 +644,7 @@ fn run_replica_kill(seed: u64) {
             &row_json(&dims[i as usize % dims.len()], value),
         )
         .unwrap();
-        assert_eq!(r.status, 202, "post-promotion insert: {}", r.body);
+        assert_eq!(r.status, 202, "post-promotion insert: {}", r.text());
         post_acked.push(value.to_bits());
     }
     assert!(

@@ -169,7 +169,7 @@ fn acked_partial_rows_survive_restart_in_the_container() {
     for d in &dims[..keep] {
         let v = rng.f64_range(1.0, 9.0);
         let r = http(addr, "POST", "/insert", &row_json(d, v)).unwrap();
-        assert_eq!(r.status, 202, "{}", r.body);
+        assert_eq!(r.status, 202, "{}", r.text());
         expected.push(v);
     }
     let len_before = db.dataset().series_len();

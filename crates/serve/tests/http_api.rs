@@ -37,10 +37,10 @@ fn routes_answer_over_a_real_socket() {
 
     // Health and stats.
     let r = http(addr, "GET", "/healthz", "").unwrap();
-    assert_eq!((r.status, r.body.as_str()), (200, "{\"status\":\"ok\"}"));
+    assert_eq!((r.status, r.text().as_str()), (200, "{\"status\":\"ok\"}"));
     let r = http(addr, "GET", "/stats", "").unwrap();
     assert_eq!(r.status, 200);
-    assert!(r.body.contains("\"series_len\""), "{}", r.body);
+    assert!(r.text().contains("\"series_len\""), "{}", r.text());
 
     // Forecast query.
     let r = http(
@@ -50,9 +50,13 @@ fn routes_answer_over_a_real_socket() {
         r#"{"sql": "SELECT time, SUM(visitors) FROM facts GROUP BY time AS OF now() + '3 quarters'"}"#,
     )
     .unwrap();
-    assert_eq!(r.status, 200, "{}", r.body);
-    assert!(r.body.starts_with("{\"rows\":[{\"node\":"), "{}", r.body);
-    assert!(r.body.contains("\"values\":[[32,"), "{}", r.body);
+    assert_eq!(r.status, 200, "{}", r.text());
+    assert!(
+        r.text().starts_with("{\"rows\":[{\"node\":"),
+        "{}",
+        r.text()
+    );
+    assert!(r.text().contains("\"values\":[[32,"), "{}", r.text());
 
     // Explain, static and analyzed.
     let r = http(
@@ -62,9 +66,9 @@ fn routes_answer_over_a_real_socket() {
         r#"{"sql": "SELECT time, SUM(visitors) FROM facts GROUP BY time AS OF now() + '2 quarters'"}"#,
     )
     .unwrap();
-    assert_eq!(r.status, 200, "{}", r.body);
-    assert!(r.body.contains("\"analyzed\":false"), "{}", r.body);
-    assert!(r.body.contains("\"scheme\":"), "{}", r.body);
+    assert_eq!(r.status, 200, "{}", r.text());
+    assert!(r.text().contains("\"analyzed\":false"), "{}", r.text());
+    assert!(r.text().contains("\"scheme\":"), "{}", r.text());
     let r = http(
         addr,
         "POST",
@@ -72,13 +76,13 @@ fn routes_answer_over_a_real_socket() {
         r#"{"sql": "SELECT time, SUM(visitors) FROM facts GROUP BY time AS OF now() + '2 quarters'", "analyze": true}"#,
     )
     .unwrap();
-    assert_eq!(r.status, 200, "{}", r.body);
-    assert!(r.body.contains("\"analyzed\":true"), "{}", r.body);
-    assert!(r.body.contains("\"elapsed_ns\":"), "{}", r.body);
+    assert_eq!(r.status, 200, "{}", r.text());
+    assert!(r.text().contains("\"analyzed\":true"), "{}", r.text());
+    assert!(r.text().contains("\"elapsed_ns\":"), "{}", r.text());
 
     // Single-row insert: acknowledged but no advance yet.
     let r = http(addr, "POST", "/insert", &row_json(&dims[0], 42.0)).unwrap();
-    assert_eq!((r.status, r.body.as_str()), (202, "{\"accepted\":1}"));
+    assert_eq!((r.status, r.text().as_str()), (202, "{\"accepted\":1}"));
     assert_eq!(db.pending_inserts(), 1);
 
     // Batch insert completing the round: the time stamp advances.
@@ -90,7 +94,7 @@ fn routes_answer_over_a_real_socket() {
         &format!("{{\"rows\":[{}]}}", rest.join(",")),
     )
     .unwrap();
-    assert_eq!(r.status, 202, "{}", r.body);
+    assert_eq!(r.status, 202, "{}", r.text());
     assert_eq!(db.dataset().series_len(), len_before + 1);
     assert_eq!(db.pending_inserts(), 0);
 
@@ -102,14 +106,14 @@ fn routes_answer_over_a_real_socket() {
     // Maintain.
     let r = http(addr, "POST", "/maintain", "").unwrap();
     assert_eq!(r.status, 200);
-    assert!(r.body.starts_with("{\"refitted\":"), "{}", r.body);
+    assert!(r.text().starts_with("{\"refitted\":"), "{}", r.text());
 
     // Error paths.
     let r = http(addr, "POST", "/query", "{not json").unwrap();
     assert_eq!(r.status, 400);
     let r = http(addr, "POST", "/query", r#"{"sql": "SELECT nonsense"}"#).unwrap();
     assert_eq!(r.status, 400);
-    assert!(r.body.contains("error"), "{}", r.body);
+    assert!(r.text().contains("error"), "{}", r.text());
     let r = http(addr, "POST", "/insert", r#"{"rows": []}"#).unwrap();
     assert_eq!(r.status, 400);
     let r = http(
@@ -119,7 +123,7 @@ fn routes_answer_over_a_real_socket() {
         r#"{"dims": ["nope", "NSW"], "value": 1.0}"#,
     )
     .unwrap();
-    assert_eq!(r.status, 400, "{}", r.body);
+    assert_eq!(r.status, 400, "{}", r.text());
     let r = http(addr, "GET", "/no/such/route", "").unwrap();
     assert_eq!(r.status, 404);
     let r = http(addr, "GET", "/query", "").unwrap();
@@ -142,10 +146,10 @@ fn routes_answer_over_a_real_socket() {
     // latency quantiles and a drift summary (null: monitoring is off).
     let r = http(addr, "GET", "/stats", "").unwrap();
     assert_eq!(r.status, 200);
-    assert!(r.body.contains("\"latency\":{"), "{}", r.body);
-    assert!(r.body.contains("\"query\":{\"count\":"), "{}", r.body);
-    assert!(r.body.contains("\"p999\":"), "{}", r.body);
-    assert!(r.body.contains("\"drift\":null"), "{}", r.body);
+    assert!(r.text().contains("\"latency\":{"), "{}", r.text());
+    assert!(r.text().contains("\"query\":{\"count\":"), "{}", r.text());
+    assert!(r.text().contains("\"p999\":"), "{}", r.text());
+    assert!(r.text().contains("\"drift\":null"), "{}", r.text());
 
     let report = server.shutdown().unwrap();
     assert_eq!(report.flushed_rows, 0);
@@ -176,20 +180,20 @@ fn a_forecast_planned_over_another_placement_map_is_misdirected() {
         http_with_headers(addr, "POST", "/query", body, &headers).unwrap()
     };
     let plain = ask(None);
-    assert_eq!(plain.status, 200, "{}", plain.body);
+    assert_eq!(plain.status, 200, "{}", plain.text());
     let routed = ask(Some(map.fingerprint()));
-    assert_eq!((routed.status, &routed.body), (200, &plain.body));
+    assert_eq!((routed.status, routed.text()), (200, plain.text()));
     let stale = ask(Some(!map.fingerprint()));
-    assert_eq!(stale.status, 421, "{}", stale.body);
+    assert_eq!(stale.status, 421, "{}", stale.text());
     assert!(
         stale
-            .body
+            .text()
             .contains(&wire::placement_header(!map.fingerprint()))
             && stale
-                .body
+                .text()
                 .contains(&wire::placement_header(map.fingerprint())),
         "{}",
-        stale.body
+        stale.text()
     );
     server.shutdown().unwrap();
 }
@@ -226,7 +230,7 @@ fn slow_log_keeps_its_plan_on_a_partitioned_shard() {
     let ids: Vec<String> = resident.iter().map(|n| n.to_string()).collect();
     let body = format!("{{\"sql\":\"{sql}\",\"nodes\":[{}]}}", ids.join(","));
     let r = http(server.addr(), "POST", "/query", &body).unwrap();
-    assert_eq!(r.status, 200, "{}", r.body);
+    assert_eq!(r.status, 200, "{}", r.text());
 
     // The capture runs after the response is on the wire, and a
     // length-framed client has its answer before the worker is done.
@@ -243,7 +247,7 @@ fn slow_log_keeps_its_plan_on_a_partitioned_shard() {
     // The capture re-ran the *same* request as EXPLAIN ANALYZE: exactly
     // the filtered rows, not a WrongShard on the unfiltered fan-out.
     let r = http(server.addr(), "GET", "/slow", "").unwrap();
-    assert!(!r.body.contains("\"explain\":null"), "{}", r.body);
+    assert!(!r.text().contains("\"explain\":null"), "{}", r.text());
     let entries = server.slow_log().entries();
     let entry = entries.iter().find(|e| e.route == "query").unwrap();
     assert_eq!(entry.sql.as_deref(), Some(sql));
@@ -298,7 +302,7 @@ fn queue_overflow_answers_429_with_retry_after() {
     std::thread::sleep(Duration::from_millis(100));
     // Third request: queue full → immediate 429 from the accept thread.
     let r = http(addr, "POST", "/query", SLOW_QUERY).unwrap();
-    assert_eq!(r.status, 429, "{}", r.body);
+    assert_eq!(r.status, 429, "{}", r.text());
     assert_eq!(r.header("retry-after"), Some("1"));
 
     assert_eq!(first.join().unwrap().status, 200);
@@ -334,7 +338,7 @@ fn stale_queued_request_answers_503() {
     // be answered 503 without running the query.
     let queries_before = db.stats().queries;
     let r = http(addr, "POST", "/query", SLOW_QUERY).unwrap();
-    assert_eq!(r.status, 503, "{}", r.body);
+    assert_eq!(r.status, 503, "{}", r.text());
     let first = first.join().unwrap();
     assert_eq!(first.status, 200);
     // The 503 request never reached the query processor.
