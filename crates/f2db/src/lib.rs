@@ -983,11 +983,7 @@ impl F2db {
             let refit = self.catalog.is_invalid(s)
                 && self.catalog.reestimate_single_flight(s, ds, &self.fit)? == Reestimation::Refit;
             if refit {
-                self.stats.record_reestimation();
-                fdc_obs::counter!(names::F2DB_MODELS_REESTIMATED).incr();
-                if let Some(acc) = &self.accuracy {
-                    acc.reset_key(s as u64);
-                }
+                self.refitted(s);
                 refitted.push(s);
             } else {
                 fdc_obs::counter!(names::F2DB_MODELS_CACHED).incr();
@@ -1040,42 +1036,8 @@ impl F2db {
     /// for the next time stamp" (§V); then time advances through the
     /// whole graph at once. Returns `true` when the graph advanced.
     pub fn insert_value(&self, base_node: NodeId, measure: f64) -> Result<bool> {
-        self.check_writable("INSERT")?;
-        let target_count = {
-            let ds = self.dataset.read().unwrap();
-            if !ds.graph().is_base(base_node) {
-                return Err(F2dbError::Semantic(format!(
-                    "node {base_node} is not a base series"
-                )));
-            }
-            self.check_owned(base_node)?;
-            self.advance_target(ds.graph().base_nodes().len())
-        };
-        let mut pending = self.pending.lock().unwrap();
-        // Log before mutating: the record is submitted under the same
-        // mutex that serializes applies, so WAL order == apply order.
-        let ticket = self.wal_submit(&[(base_node, measure)])?;
-        pending.insert(base_node, measure);
-        self.stats.record_insert();
-        fdc_obs::counter!(names::F2DB_INSERTS).incr();
-        if pending.len() < target_count {
-            drop(pending);
-            // Wait outside every lock — this is what lets the sync
-            // thread batch many appenders into one fsync.
-            self.wal_wait(ticket)?;
-            return Ok(false);
-        }
-        // Take the advance lock while still holding the pending mutex: a
-        // batch that completed first must append its time stamp first.
-        // Acquiring it only inside the advance would let a later-drained
-        // batch overtake an earlier one and swap which values land at
-        // which time index.
-        let serial = self.advance_lock.lock().unwrap();
-        let batch: Vec<(NodeId, f64)> = pending.drain().collect();
-        drop(pending);
-        self.advance_time(batch, serial)?;
-        self.wal_wait(ticket)?;
-        Ok(true)
+        self.insert_batch(&[(base_node, measure)])
+            .map(|advances| advances > 0)
     }
 
     /// Submits one [`WalRecord::InsertBatch`] for `rows` (no-op without
@@ -1175,9 +1137,11 @@ impl F2db {
             if pending.len() < target_count {
                 continue;
             }
-            // Same ordering rule as insert_value: acquire the advance
-            // lock while holding pending so completed time stamps commit
-            // in completion order. The pending mutex stays held through
+            // Acquire the advance lock while holding pending, so that
+            // completed time stamps commit in completion order: taken
+            // only inside the advance, it would let a later-drained batch
+            // overtake an earlier one and swap which values land at which
+            // time index. The pending mutex stays held through
             // the advance — lock order `pending → advance_lock → dataset
             // → shard` allows it, and it is what makes the batch a single
             // write-path pass.
@@ -1227,15 +1191,21 @@ impl F2db {
                 .reestimate_single_flight(node, &ds, &self.fit)?
                 == Reestimation::Refit
             {
-                self.stats.record_reestimation();
-                fdc_obs::counter!(names::F2DB_MODELS_REESTIMATED).incr();
-                if let Some(acc) = &self.accuracy {
-                    acc.reset_key(node as u64);
-                }
+                self.refitted(node);
                 refitted += 1;
             }
         }
         Ok(refitted)
+    }
+
+    /// The bookkeeping of one re-fit of `node`'s model: counted, and its
+    /// drift window started over.
+    fn refitted(&self, node: NodeId) {
+        self.stats.record_reestimation();
+        fdc_obs::counter!(names::F2DB_MODELS_REESTIMATED).incr();
+        if let Some(acc) = &self.accuracy {
+            acc.reset_key(node as u64);
+        }
     }
 
     /// Marks the model at `node` invalid (as a maintenance policy would).
@@ -1256,7 +1226,7 @@ impl F2db {
     }
 
     /// Applies one complete batch under the advance lock the caller
-    /// already holds ([`F2db::insert_value`] acquires it while draining,
+    /// already holds ([`F2db::insert_batch`] acquires it while draining,
     /// so batches commit in completion order). Advances are serialized:
     /// the catalog's per-shard passes assume one advance at a time
     /// (queries keep flowing shard by shard).
@@ -1345,17 +1315,15 @@ impl F2db {
     /// are then truncated. [`F2db::open_catalog`] restores all of it.
     pub fn save_checkpoint(&self, path: &std::path::Path) -> Result<()> {
         let wal = self.wal.get();
-        // Hold `pending` *and* `advance_lock` across the snapshot.
-        // Inserts submit their WAL record under `pending`, but
-        // `insert_value` drops `pending` before its advance runs —
-        // holding `pending` alone could observe a `last_seq` whose
-        // drained rows are neither in the pending map nor applied to
-        // the dataset yet, and the checkpoint below would truncate the
-        // only durable copy of an acknowledged write. Taking the
-        // advance lock too (same `pending → advance_lock → dataset →
-        // shard` order as the write path) waits out any in-flight
-        // advance: with both held, `last_seq` names exactly the state
-        // the snapshot captures.
+        // Hold `pending` *and* `advance_lock` across the snapshot, in
+        // the write path's `pending → advance_lock → dataset → shard`
+        // order. The write path submits its WAL record and runs its
+        // advance under `pending`, and every advance runs under the
+        // advance lock: with both held, `last_seq` names exactly the
+        // state the snapshot captures, and no drained row is missing
+        // from both the pending map and the dataset — the checkpoint
+        // below would truncate the only durable copy of an
+        // acknowledged write.
         let pending = self.pending.lock().unwrap();
         let serial = self.advance_lock.lock().unwrap();
         let wal_seq = wal.map_or(0, |w| w.stats().last_seq);

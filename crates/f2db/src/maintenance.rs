@@ -45,8 +45,9 @@ pub struct MaintenanceStats {
     pub queries: usize,
     /// Insert statements processed.
     pub inserts: usize,
-    /// Micro-batched insert commits ([`crate::F2db::insert_batch`]
-    /// calls); each commit enters the write path once for all its rows.
+    /// Insert commits: [`crate::F2db::insert_batch`] and
+    /// [`crate::F2db::insert_value`] calls (a one-row batch); each
+    /// commit enters the write path once for all its rows.
     pub insert_batches: usize,
     /// Completed time advances (batched inserts).
     pub time_advances: usize,
@@ -115,7 +116,7 @@ impl SharedMaintenanceStats {
         self.inserts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one micro-batched insert commit.
+    /// Records one insert commit.
     pub fn record_insert_batch(&self) {
         self.insert_batches.fetch_add(1, Ordering::Relaxed);
     }

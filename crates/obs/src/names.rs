@@ -35,9 +35,10 @@ pub const F2DB_TIME_ADVANCES: &str = "f2db.time_advances";
 /// Counter: incremental model updates skipped because a racing lazy
 /// re-fit already absorbed the newest observation.
 pub const F2DB_ADVANCE_SKIPPED_UPDATES: &str = "f2db.advance.skipped_updates";
-/// Counter: micro-batched insert commits (`F2db::insert_batch` calls).
+/// Counter: insert commits (`F2db::insert_batch` calls, and
+/// `F2db::insert_value` calls as one-row batches).
 pub const F2DB_INSERT_BATCHES: &str = "f2db.insert.batches";
-/// Histogram: rows per micro-batched insert commit.
+/// Histogram: rows per insert commit.
 pub const F2DB_INSERT_BATCH_ROWS: &str = "f2db.insert.batch_rows";
 
 // ---- F²DB catalog ----------------------------------------------------
