@@ -365,7 +365,10 @@ impl fmt::Debug for Journal {
     }
 }
 
-fn now_unix_ms() -> u64 {
+/// Milliseconds since the Unix epoch (`0` on a clock set before it):
+/// the wall-clock stamp of journal events, exemplars and slow-log
+/// captures.
+pub fn unix_ms() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
@@ -398,7 +401,7 @@ impl Journal {
         let trace = crate::trace::current_sampled_pair();
         let timed = TimedEvent {
             seq,
-            unix_ms: now_unix_ms(),
+            unix_ms: unix_ms(),
             trace_id: trace.map(|(t, _)| t),
             span_id: trace.map(|(_, s)| s),
             event,

@@ -1,15 +1,22 @@
-//! The connection side of the worker-pool servers: a bounded queue of
-//! accepted connections, and workers that serve each connection request
-//! after request until one side ends it.
+//! The one worker-pool server: `fdc-serve` and `fdc-router` are each a
+//! [`Service`] — a route table, its handlers, the names it records under
+//! and what it counts beyond them — and everything else is here.
 //!
-//! `fdc-serve` and `fdc-router` share this module and differ only in
-//! their [`Service`]: what a request is answered with, and which
-//! counters tick. The shape is the classic one — an **accept thread**
-//! ([`ConnQueue::accept_loop`]) admits connections into a bounded queue
-//! and turns away what does not fit, a fixed pool of **workers**
-//! ([`ConnQueue::run_worker`]) pops them — with one addition: a worker
-//! keeps the connection it popped for as long as the client keeps using
-//! it, instead of one queue trip per request.
+//! * **Lifecycle.** [`Pool::start`] binds `127.0.0.1:port`, builds the
+//!   bounded connection queue and starts an **accept thread**, which
+//!   admits connections and turns away what does not fit, and a fixed
+//!   pool of **workers**, which pop them; [`Pool::stop`] drains and joins
+//!   them. A worker keeps the connection it popped for as long as the
+//!   client keeps using it.
+//! * **Envelope.** Every request runs under the caller's `traceparent`
+//!   or a fresh root sampled at [`Service::trace_sample`], inside the
+//!   span [`Service::SPAN`]; the reply is counted in
+//!   [`Service::REQUESTS`] by route and status, then timed in
+//!   [`Service::LATENCY`] by route (the trace id its exemplar when
+//!   sampled), then handed to [`Service::answered`].
+//! * **Tables.** A request no route takes is a `405` with `Allow` when
+//!   [`Service::PATHS`] serves its path with another method, else a
+//!   `404`; a connection turned away is answered from [`Reject`]'s table.
 //!
 //! ## When a connection ends
 //!
@@ -49,11 +56,14 @@
 use super::{
     close_unread, status_line, write_reply, Request, RequestError, RequestReader, CLOSE_NOTICE,
 };
+use crate::trace::{self, TraceContext};
+use fdc_codec::json::Writer;
 use std::collections::VecDeque;
 use std::io::Read;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Per-request bounds of a server.
@@ -119,27 +129,238 @@ pub enum Reject {
     Malformed(String),
 }
 
-/// What a server does with its connections' requests.
-pub trait Service: Sync {
-    /// Answers one parsed request through `out`. `budget` is what is
-    /// left of the per-request deadline.
-    fn answer(&self, request: &Request, budget: Duration, out: &mut Responder<'_>);
+impl Reject {
+    /// The `reason` label of a refusal at admission (a full queue, or a
+    /// connection that waited past its deadline); `None` for a request
+    /// that arrived and could not be read.
+    pub fn admission(&self) -> Option<&'static str> {
+        match self {
+            Reject::QueueFull => Some("queue_full"),
+            Reject::QueuedTooLong => Some("deadline"),
+            Reject::BodyTooLarge | Reject::Malformed(_) => None,
+        }
+    }
 
-    /// Answers a connection that is turned away; it is closed afterwards.
-    fn reject(&self, why: &Reject, out: &mut Responder<'_>);
+    /// The answer; `queue_full` is the server's error text for a full
+    /// queue.
+    fn reply(&self, queue_full: &str) -> Reply {
+        let (route, status, error) = match self {
+            Reject::QueueFull => ("admission", 429, queue_full),
+            Reject::QueuedTooLong => ("admission", 503, "deadline exceeded while queued"),
+            Reject::BodyTooLarge => ("malformed", 413, "request body too large"),
+            Reject::Malformed(m) => ("malformed", 400, m.as_str()),
+        };
+        let reply = Reply::error(route, status, error);
+        match self {
+            Reject::QueueFull => reply.header("Retry-After", "1"),
+            _ => reply,
+        }
+    }
+}
+
+/// `{"error":"<msg>"}` — the body of every error answer.
+pub fn err_body(msg: &str) -> String {
+    let mut w = Writer::new();
+    w.begin_object().key("error").str(msg).end_object();
+    w.finish()
+}
+
+/// What a route answers a request with.
+#[derive(Debug)]
+pub struct Reply {
+    /// The `route` label it is counted and timed under.
+    pub route: &'static str,
+    /// The status code.
+    pub status: u16,
+    /// The `Content-Type`.
+    pub content_type: &'static str,
+    /// The body bytes.
+    pub body: Vec<u8>,
+    /// Headers beyond `Content-Type`, `Content-Length` and `Connection`.
+    pub headers: Vec<(&'static str, String)>,
+}
+
+impl Reply {
+    /// A reply with a body of `content_type`.
+    pub fn new(
+        route: &'static str,
+        status: u16,
+        content_type: &'static str,
+        body: Vec<u8>,
+    ) -> Reply {
+        Reply {
+            route,
+            status,
+            content_type,
+            body,
+            headers: Vec::new(),
+        }
+    }
+
+    /// A JSON reply.
+    pub fn json(route: &'static str, status: u16, body: String) -> Reply {
+        Reply::new(route, status, "application/json", body.into_bytes())
+    }
+
+    /// A JSON [`err_body`] reply.
+    pub fn error(route: &'static str, status: u16, msg: &str) -> Reply {
+        Reply::json(route, status, err_body(msg))
+    }
+
+    /// The same reply with one more header.
+    pub fn header(mut self, name: &'static str, value: &str) -> Reply {
+        self.headers.push((name, value.to_string()));
+        self
+    }
+
+    /// The answer to a request no route took: `405` naming the method
+    /// when one of `paths` serves its path, `404` otherwise.
+    fn unrouted(path: &str, paths: &[(&'static str, &[&str])]) -> Reply {
+        match paths.iter().find(|(_, served)| served.contains(&path)) {
+            Some(&(method, _)) => {
+                Reply::error("method", 405, &format!("use {method}")).header("Allow", method)
+            }
+            None => Reply::error("unknown", 404, "no such route"),
+        }
+    }
+}
+
+/// One server: its routes and handlers, the names it records under, and
+/// what it counts beyond them. [`Pool::start`] runs it.
+pub trait Service: Send + Sync + 'static {
+    /// The span every request runs in (`serve.request`).
+    const SPAN: &'static str;
+    /// The counter of answered requests, labelled `route` and `status`.
+    const REQUESTS: &'static str;
+    /// The per-route request-latency histogram, in nanoseconds.
+    const LATENCY: &'static str;
+    /// The error text of the `429` a full queue is answered with.
+    const QUEUE_FULL: &'static str;
+    /// Every path the routes serve, by the one method each takes: what a
+    /// request no route took is answered from.
+    const PATHS: &'static [(&'static str, &'static [&'static str])];
+
+    /// What a request's routing leaves for [`Service::answered`].
+    type Note: Default;
+
+    /// Head-sampling rate for traces minted at ingress.
+    fn trace_sample(&self) -> f64;
+
+    /// Answers one request; `None` when no route takes it. `budget` is
+    /// what is left of the per-request deadline.
+    fn route(&self, request: &Request, budget: Duration, note: &mut Self::Note) -> Option<Reply>;
+
+    /// The reply to a request is on the wire, `elapsed` after the request
+    /// began, still under its trace context `ctx`.
+    fn answered(&self, _note: Self::Note, _reply: &Reply, _elapsed: Duration, _ctx: TraceContext) {}
+
+    /// A connection is about to be turned away.
+    fn rejected(&self, _why: &Reject) {}
 
     /// A connection ended after `requests` answered requests.
     fn closed(&self, _reason: CloseReason, _requests: u64) {}
 
     /// The queue now holds `depth` connections: one was admitted or
-    /// popped.
+    /// popped. Called under the queue's lock, so the reports arrive in
+    /// the order the queue changed.
     fn queued(&self, _depth: usize) {}
 }
 
-/// Where a [`Service`] writes the one response of a request. Whether the
-/// response announces `Connection: close` is decided here, at the moment
-/// it is written.
-pub struct Responder<'a> {
+/// A running server: its accept thread and its workers. Stop it with
+/// [`Pool::stop`]; dropped without a stop, its threads park on the queue
+/// for the rest of the process.
+pub struct Pool {
+    addr: SocketAddr,
+    conns: Arc<ConnQueue>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Pool {
+    /// Binds `127.0.0.1:port` (`0` picks an ephemeral port), builds a
+    /// queue of at most `queue_depth` connections for `workers` workers
+    /// (at least one) and starts the accept thread and the workers. They
+    /// answer with the service `build` makes of the queue (a service may
+    /// report the queue's length), which is handed back beside the pool.
+    pub fn start<S: Service>(
+        port: u16,
+        workers: usize,
+        queue_depth: usize,
+        limits: Limits,
+        build: impl FnOnce(Arc<ConnQueue>) -> S,
+    ) -> std::io::Result<(Pool, Arc<S>)> {
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, port))?;
+        let addr = listener.local_addr()?;
+        let workers = workers.max(1);
+        let conns = Arc::new(ConnQueue::new(workers, queue_depth));
+        let service = Arc::new(build(Arc::clone(&conns)));
+        let (queue, accepting) = (Arc::clone(&conns), Arc::clone(&service));
+        let mut threads = vec![std::thread::spawn(move || {
+            queue.accept_loop(&listener, &*accepting)
+        })];
+        for worker in 0..workers {
+            let (queue, service) = (Arc::clone(&conns), Arc::clone(&service));
+            threads.push(std::thread::spawn(move || {
+                queue.run_worker(worker, &limits, &*service)
+            }));
+        }
+        let pool = Pool {
+            addr,
+            conns,
+            threads,
+        };
+        Ok((pool, service))
+    }
+
+    /// The bound address.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stops accepting, gives up idle connections, answers what is
+    /// queued or in flight and joins every thread. Returns how many
+    /// queued connections the drain answered.
+    pub fn stop(self) -> u64 {
+        self.conns.stop(self.addr);
+        for thread in self.threads {
+            thread.join().expect("no server thread panics");
+        }
+        self.conns.drained()
+    }
+}
+
+/// Answers one request in the envelope every request is answered in (see
+/// the module docs).
+fn answer<S: Service>(service: &S, request: &Request, budget: Duration, out: &mut Responder<'_>) {
+    let started = Instant::now();
+    // Ingress is where a trace is born, or adopted: a valid
+    // `traceparent` continues the caller's trace with the caller's
+    // sampling decision; anything else mints a fresh root. The guard
+    // scopes the context to this request on this worker thread.
+    let ctx = request
+        .trace_context()
+        .unwrap_or_else(|| TraceContext::root(trace::should_sample(service.trace_sample())));
+    let _ctx_guard = trace::activate(ctx);
+    let mut note = S::Note::default();
+    let reply = {
+        let _span = crate::span!(S::SPAN);
+        service
+            .route(request, budget, &mut note)
+            .unwrap_or_else(|| Reply::unrouted(request.path_query().0, S::PATHS))
+    };
+    out.send::<S>(&reply);
+    let elapsed = started.elapsed();
+    let latency = crate::histogram_with(S::LATENCY, &[("route", reply.route)]);
+    if ctx.sampled {
+        latency.record_duration_with_trace(elapsed, ctx.trace_id);
+    } else {
+        latency.record_duration(elapsed);
+    }
+    service.answered(note, &reply, elapsed, ctx);
+}
+
+/// Where the one response of a request is written. Whether it announces
+/// `Connection: close` is decided here, at the moment it is written.
+struct Responder<'a> {
     stream: &'a mut TcpStream,
     conns: &'a ConnQueue,
     /// Set when the connection ends after this response whatever the
@@ -151,18 +372,29 @@ pub struct Responder<'a> {
 }
 
 impl Responder<'_> {
-    /// Writes the response: `status` is the status line tail (`"200
-    /// OK"`). A failed write ends the connection; there is nobody left
-    /// to tell.
-    pub fn send(&mut self, status: &str, content_type: &str, body: &[u8], extra: &[(&str, &str)]) {
+    /// Counts `reply` in the server's requests counter and writes it. A
+    /// failed write ends the connection; there is nobody left to tell.
+    fn send<S: Service>(&mut self, reply: &Reply) {
+        let status = reply.status.to_string();
+        crate::counter_with(S::REQUESTS, &[("route", reply.route), ("status", &status)]).incr();
+        let headers: Vec<(&str, &str)> = reply
+            .headers
+            .iter()
+            .map(|(name, value)| (*name, value.as_str()))
+            .collect();
         let closing = self.forced.or_else(|| self.conns.pressure());
-        let close = closing.is_some();
-        self.sent = Some(
-            match write_reply(self.stream, status, content_type, body, extra, close) {
-                Ok(()) => closing,
-                Err(_) => Some(CloseReason::Error),
-            },
+        let written = write_reply(
+            self.stream,
+            status_line(reply.status),
+            reply.content_type,
+            &reply.body,
+            &headers,
+            closing.is_some(),
         );
+        self.sent = Some(match written {
+            Ok(()) => closing,
+            Err(_) => Some(CloseReason::Error),
+        });
     }
 }
 
@@ -235,8 +467,7 @@ impl State {
 
 /// What [`ConnQueue::offer`] did with a connection.
 enum Offer {
-    /// Admitted; the queue now holds this many.
-    Queued(usize),
+    Queued,
     Full(TcpStream),
     Stopping,
 }
@@ -252,7 +483,7 @@ pub struct ConnQueue {
 
 impl ConnQueue {
     /// A queue holding at most `depth` connections for `workers` workers.
-    pub fn new(workers: usize, depth: usize) -> ConnQueue {
+    fn new(workers: usize, depth: usize) -> ConnQueue {
         ConnQueue {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
@@ -285,7 +516,7 @@ impl ConnQueue {
 
     /// Queued connections popped after [`ConnQueue::stop`] — what the
     /// drain answered.
-    pub fn drained(&self) -> u64 {
+    fn drained(&self) -> u64 {
         self.drained.load(Ordering::SeqCst)
     }
 
@@ -293,7 +524,7 @@ impl ConnQueue {
     /// connections are given up at once, and the accept thread bound to
     /// `addr` is woken so it can exit. Workers exit once the queue is
     /// empty; join them, and the accept thread, afterwards.
-    pub fn stop(&self, addr: SocketAddr) {
+    fn stop(&self, addr: SocketAddr) {
         {
             let mut s = self.lock();
             s.stopping = true;
@@ -310,9 +541,9 @@ impl ConnQueue {
     }
 
     /// Runs the accept thread: admits connections until
-    /// [`ConnQueue::stop`]; what does not fit the queue is answered by
-    /// [`Service::reject`] with [`Reject::QueueFull`] and closed.
-    pub fn accept_loop(&self, listener: &TcpListener, service: &impl Service) {
+    /// [`ConnQueue::stop`]; what does not fit the queue is turned away
+    /// with [`Reject::QueueFull`].
+    fn accept_loop(&self, listener: &TcpListener, service: &impl Service) {
         loop {
             let stream = match listener.accept() {
                 Ok((stream, _)) => stream,
@@ -322,8 +553,8 @@ impl ConnQueue {
             // Responses leave in one write; without this the kernel may
             // still hold a small one back for the peer's delayed ACK.
             stream.set_nodelay(true).ok();
-            match self.offer(stream) {
-                Offer::Queued(depth) => service.queued(depth),
+            match self.offer(stream, service) {
+                Offer::Queued => {}
                 // The shutdown wake-up connection (or a late client);
                 // the listener closes when this loop returns.
                 Offer::Stopping => return,
@@ -337,7 +568,7 @@ impl ConnQueue {
         }
     }
 
-    fn offer(&self, stream: TcpStream) -> Offer {
+    fn offer(&self, stream: TcpStream, service: &impl Service) -> Offer {
         let mut s = self.lock();
         if s.stopping {
             return Offer::Stopping;
@@ -351,7 +582,8 @@ impl ConnQueue {
         });
         s.reclaim_for_queue();
         self.ready.notify_one();
-        Offer::Queued(s.queue.len())
+        service.queued(s.queue.len());
+        Offer::Queued
     }
 
     /// Blocks until a connection is queued and pops it; `None` once the
@@ -363,9 +595,7 @@ impl ConnQueue {
                 if s.stopping {
                     self.drained.fetch_add(1, Ordering::SeqCst);
                 }
-                let depth = s.queue.len();
-                drop(s);
-                service.queued(depth);
+                service.queued(s.queue.len());
                 return Some(conn);
             }
             if s.stopping {
@@ -437,27 +667,28 @@ impl ConnQueue {
 
     /// Answers a connection with `why` and closes it without resetting
     /// the response away (see [`close_unread`]).
-    fn turn_away(
+    fn turn_away<S: Service>(
         &self,
-        service: &impl Service,
+        service: &S,
         mut stream: TcpStream,
         why: &Reject,
         grace_ms: u64,
     ) {
+        service.rejected(why);
         let mut out = Responder {
             stream: &mut stream,
             conns: self,
             forced: Some(CloseReason::Error),
             sent: None,
         };
-        service.reject(why, &mut out);
+        out.send::<S>(&why.reply(S::QUEUE_FULL));
         close_unread(stream, Duration::from_millis(grace_ms));
     }
 
     /// Runs worker number `worker` (below the `workers` given to
     /// [`ConnQueue::new`]): serves queued connections until the queue is
     /// empty and the server is stopping.
-    pub fn run_worker(&self, worker: usize, limits: &Limits, service: &impl Service) {
+    fn run_worker(&self, worker: usize, limits: &Limits, service: &impl Service) {
         while let Some(conn) = self.next(service) {
             let (reason, requests) = self.serve_connection(worker, conn, limits, service);
             self.lock().slots[worker] = None;
@@ -549,7 +780,7 @@ impl ConnQueue {
                 forced: given_up.or(asked),
                 sent: None,
             };
-            service.answer(&request, budget, &mut out);
+            answer(service, &request, budget, &mut out);
             served += 1;
             match out.sent {
                 Some(None) => {}
@@ -603,16 +834,27 @@ mod tests {
     }
 
     impl Service for Echo {
-        fn answer(&self, request: &Request, _budget: Duration, out: &mut Responder<'_>) {
+        const SPAN: &'static str = "httpcore_test.request";
+        const REQUESTS: &'static str = "httpcore_test.requests";
+        const LATENCY: &'static str = "httpcore_test.request.ns";
+        const QUEUE_FULL: &'static str = "queue full";
+        const PATHS: &'static [(&'static str, &'static [&'static str])] = &[];
+        type Note = ();
+
+        fn trace_sample(&self) -> f64 {
+            0.0
+        }
+
+        fn route(&self, request: &Request, _budget: Duration, _note: &mut ()) -> Option<Reply> {
             if request.target == "/slow" {
                 std::thread::sleep(Duration::from_millis(150));
             }
-            out.send("200 OK", "text/plain", request.target.as_bytes(), &[]);
+            let body = request.target.as_bytes().to_vec();
+            Some(Reply::new("echo", 200, "text/plain", body))
         }
 
-        fn reject(&self, why: &Reject, out: &mut Responder<'_>) {
+        fn rejected(&self, why: &Reject) {
             self.rejected.lock().unwrap().push(format!("{why:?}"));
-            out.send("400 Bad Request", "text/plain", b"rejected", &[]);
         }
 
         fn closed(&self, reason: CloseReason, requests: u64) {
@@ -626,48 +868,27 @@ mod tests {
 
     struct Running {
         addr: SocketAddr,
-        conns: Arc<ConnQueue>,
+        pool: Pool,
         echo: Arc<Echo>,
-        threads: Vec<std::thread::JoinHandle<()>>,
     }
 
     fn start(workers: usize, read_timeout: Duration) -> Running {
-        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let conns = Arc::new(ConnQueue::new(workers, 16));
-        let echo = Arc::new(Echo::default());
         let limits = Limits {
             max_body: 1 << 20,
             read_timeout,
             deadline: Duration::from_secs(5),
         };
-        let mut threads = Vec::new();
-        {
-            let (conns, echo) = (Arc::clone(&conns), Arc::clone(&echo));
-            threads.push(std::thread::spawn(move || {
-                conns.accept_loop(&listener, &*echo)
-            }));
-        }
-        for worker in 0..workers {
-            let (conns, echo) = (Arc::clone(&conns), Arc::clone(&echo));
-            threads.push(std::thread::spawn(move || {
-                conns.run_worker(worker, &limits, &*echo)
-            }));
-        }
+        let (pool, echo) = Pool::start(0, workers, 16, limits, |_| Echo::default()).unwrap();
         Running {
-            addr,
-            conns,
+            addr: pool.addr(),
+            pool,
             echo,
-            threads,
         }
     }
 
     impl Running {
         fn stop(self) -> Vec<(CloseReason, u64)> {
-            self.conns.stop(self.addr);
-            for t in self.threads {
-                t.join().unwrap();
-            }
+            self.pool.stop();
             let closed = self.echo.closed.lock().unwrap().clone();
             closed
         }
@@ -694,6 +915,39 @@ mod tests {
     }
 
     const LONG: Duration = Duration::from_secs(5);
+
+    #[test]
+    fn refusals_and_unrouted_requests_answer_from_one_table() {
+        let paths: &[(&str, &[&str])] = &[("POST", &["/in"]), ("GET", &["/out", "/stats"])];
+        let replies = [
+            Reject::QueueFull.reply("full"),
+            Reject::QueuedTooLong.reply("full"),
+            Reject::BodyTooLarge.reply("full"),
+            Reject::Malformed("bad line".into()).reply("full"),
+            Reply::unrouted("/in", paths),
+            Reply::unrouted("/stats", paths),
+            Reply::unrouted("/nope", paths),
+        ];
+        let answers: Vec<String> = replies
+            .into_iter()
+            .map(|r| {
+                let body = String::from_utf8(r.body).unwrap();
+                format!("{} {} {body} {:?}", r.route, r.status, r.headers)
+            })
+            .collect();
+        assert_eq!(
+            answers,
+            [
+                r#"admission 429 {"error":"full"} [("Retry-After", "1")]"#,
+                r#"admission 503 {"error":"deadline exceeded while queued"} []"#,
+                r#"malformed 413 {"error":"request body too large"} []"#,
+                r#"malformed 400 {"error":"bad line"} []"#,
+                r#"method 405 {"error":"use POST"} [("Allow", "POST")]"#,
+                r#"method 405 {"error":"use GET"} [("Allow", "GET")]"#,
+                r#"unknown 404 {"error":"no such route"} []"#,
+            ]
+        );
+    }
 
     #[test]
     fn one_socket_is_answered_in_order_until_the_client_says_close() {

@@ -57,7 +57,7 @@ pub mod trace;
 pub mod wire;
 
 pub use accuracy::{AccuracyOptions, DriftAlert, DriftTrigger, KeyAccuracy, RollingAccuracy};
-pub use events::{journal, Event, Journal, TimedEvent};
+pub use events::{journal, unix_ms, Event, Journal, TimedEvent};
 pub use export::httpcore;
 pub use export::prom::encode_prometheus;
 pub use export::trace::{

@@ -257,10 +257,7 @@ impl Histogram {
     pub fn record_with_trace(&self, v: u64, trace_id: u128) {
         self.record(v);
         let now = Instant::now();
-        let unix_ms = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
+        let unix_ms = crate::unix_ms();
         let mut slot = self.exemplar.lock().unwrap();
         let fresh = Exemplar {
             value: v,

@@ -51,7 +51,8 @@
 //! | `GET /topology` | — | `200` the serving topology + live flags |
 //!
 //! The HTTP layer is the same [`fdc_obs::httpcore`] the shards use, on
-//! both sides: clients keep their connections to the router
+//! both sides: the router is a route table on the shards' worker-pool
+//! server, where clients keep their connections
 //! ([`fdc_obs::httpcore::server`]), and the router keeps a small pool of
 //! connections to every shard ([`fdc_obs::httpcore::client`]), so a
 //! routed request pays no connect on either hop. The router adopts
@@ -67,18 +68,19 @@ pub use topology::{ShardSpec, Topology};
 use fdc_codec::json::{self, Writer};
 use fdc_cube::NodeId;
 use fdc_f2db::{Placement, QueryRequest};
+use fdc_obs::export::prom;
 use fdc_obs::httpcore::client::{send_once, Client, Outgoing, Pooled, Response};
-use fdc_obs::httpcore::server::{ConnQueue, Limits, Reject, Responder, Service};
-use fdc_obs::httpcore::{status_line, Request};
-use fdc_obs::{journal, names, trace, Event, SketchBundle, TraceContext};
-use fdc_serve::wire::{self, count_body, err_body};
+use fdc_obs::httpcore::server::{Limits, Pool, Reply, Service};
+use fdc_obs::httpcore::Request;
+use fdc_obs::{journal, names, trace, Event, SketchBundle};
+use fdc_serve::wire::{self, count_body};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::net::{Ipv4Addr, SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tuning knobs for [`Router::start`].
 #[derive(Debug, Clone)]
@@ -149,8 +151,6 @@ struct Shared {
     topology: Topology,
     shards: Vec<ShardState>,
     opts: RouterOptions,
-    /// The bounded connection queue and the keep-alive bookkeeping.
-    conns: ConnQueue,
     /// Kept-alive connections to the shards, bounded by `shard_timeout`.
     client: Client,
     stopping: AtomicBool,
@@ -161,19 +161,20 @@ struct Shared {
 
 /// The running router. Stop it with [`Router::shutdown`].
 pub struct Router {
-    addr: SocketAddr,
     shared: Arc<Shared>,
-    accept_handle: Option<JoinHandle<()>>,
-    worker_handles: Vec<JoinHandle<()>>,
-    prober_handle: Option<JoinHandle<()>>,
+    pool: Pool,
+    prober: JoinHandle<()>,
 }
 
 impl Router {
     /// Binds `127.0.0.1:port` (`0` picks an ephemeral port) and starts
     /// the worker pool and the health prober.
     pub fn start(topology: Topology, port: u16, opts: RouterOptions) -> std::io::Result<Router> {
-        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, port))?;
-        let addr = listener.local_addr()?;
+        let limits = Limits {
+            max_body: opts.max_body,
+            read_timeout: opts.read_timeout,
+            deadline: opts.deadline,
+        };
         let shards = topology
             .shards
             .iter()
@@ -185,36 +186,21 @@ impl Router {
                 up: AtomicBool::new(true),
             })
             .collect();
-        let shared = Arc::new(Shared {
+        let (workers, queue_depth) = (opts.workers, opts.queue_depth);
+        let (pool, shared) = Pool::start(port, workers, queue_depth, limits, |_| Shared {
             shards,
-            conns: ConnQueue::new(opts.workers.max(1), opts.queue_depth),
             client: Client::new(opts.shard_timeout),
             opts,
             stopping: AtomicBool::new(false),
             map: Mutex::new(MapSlot::Unfetched),
             topology,
-        });
+        })?;
         journal().publish(Event::RouterStart {
-            addr: addr.to_string(),
+            addr: pool.addr().to_string(),
             shards: shared.shards.len() as u64,
             topology_version: shared.topology.version,
         });
-        let accept_handle = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || shared.conns.accept_loop(&listener, &*shared))
-        };
-        let limits = Limits {
-            max_body: shared.opts.max_body,
-            read_timeout: shared.opts.read_timeout,
-            deadline: shared.opts.deadline,
-        };
-        let worker_handles = (0..shared.opts.workers.max(1))
-            .map(|worker| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || shared.conns.run_worker(worker, &limits, &*shared))
-            })
-            .collect();
-        let prober_handle = {
+        let prober = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("fdc-router-probe".into())
@@ -222,17 +208,15 @@ impl Router {
                 .expect("spawn prober")
         };
         Ok(Router {
-            addr,
             shared,
-            accept_handle: Some(accept_handle),
-            worker_handles,
-            prober_handle: Some(prober_handle),
+            pool,
+            prober,
         })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.pool.addr()
     }
 
     /// The topology this router serves.
@@ -242,18 +226,10 @@ impl Router {
 
     /// Stops accepting, gives up idle kept-alive connections, answers
     /// what is queued or in flight and joins every thread.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         self.shared.stopping.store(true, Ordering::SeqCst);
-        self.shared.conns.stop(self.addr);
-        if let Some(h) = self.accept_handle.take() {
-            h.join().expect("accept thread panicked");
-        }
-        for h in self.worker_handles.drain(..) {
-            h.join().expect("worker thread panicked");
-        }
-        if let Some(h) = self.prober_handle.take() {
-            h.join().expect("prober thread panicked");
-        }
+        self.pool.stop();
+        self.prober.join().expect("prober thread panicked");
     }
 }
 
@@ -307,98 +283,44 @@ fn mark_up(shared: &Shared, idx: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Connections and requests (the serve pattern, without the write batcher)
+// The route table
 // ---------------------------------------------------------------------------
 
 impl Service for Shared {
-    fn answer(&self, request: &Request, _budget: Duration, out: &mut Responder<'_>) {
-        let started = Instant::now();
-        let ctx = request
-            .trace_context()
-            .unwrap_or_else(|| TraceContext::root(trace::should_sample(self.opts.trace_sample)));
-        let _ctx_guard = trace::activate(ctx);
-        let (route, status, body, extra) = {
-            let _span = fdc_obs::span!("router.request");
-            route_request(self, request)
-        };
-        let extra_refs: Vec<(&str, &str)> = extra.iter().map(|(n, v)| (*n, v.as_str())).collect();
-        let content_type = if route == "metrics" {
-            fdc_obs::export::prom::CONTENT_TYPE
-        } else {
-            "application/json"
-        };
-        respond(out, route, status, content_type, &body, &extra_refs);
-        fdc_obs::histogram_with(names::ROUTER_REQUEST_NS, &[("route", route)])
-            .record_duration(started.elapsed());
+    const SPAN: &'static str = "router.request";
+    const REQUESTS: &'static str = names::ROUTER_REQUESTS;
+    const LATENCY: &'static str = names::ROUTER_REQUEST_NS;
+    const QUEUE_FULL: &'static str = "router queue full";
+    const PATHS: &'static [(&'static str, &'static [&'static str])] = &[
+        ("POST", &["/query", "/explain", "/insert"]),
+        ("GET", &["/stats", "/metrics", "/healthz", "/topology"]),
+    ];
+
+    type Note = ();
+
+    fn trace_sample(&self) -> f64 {
+        self.opts.trace_sample
     }
 
-    fn reject(&self, why: &Reject, out: &mut Responder<'_>) {
-        let (route, status, error, extra): (_, _, _, &[(&str, &str)]) = match why {
-            Reject::QueueFull => (
-                "admission",
-                429,
-                "router queue full",
-                &[("Retry-After", "1")],
+    fn route(&self, request: &Request, _budget: Duration, _note: &mut ()) -> Option<Reply> {
+        let path = request.path_query().0;
+        let reply = match (request.method.as_str(), path) {
+            ("POST", "/query") => handle_forecast(self, path, &request.body, "query"),
+            ("POST", "/explain") => handle_forecast(self, path, &request.body, "explain"),
+            ("POST", "/insert") => handle_insert(self, &request.body),
+            ("GET", "/stats") => Reply::json("stats", 200, stats_body(self)),
+            ("GET", "/metrics") => Reply::new(
+                "metrics",
+                200,
+                prom::CONTENT_TYPE,
+                metrics_body(self).into_bytes(),
             ),
-            Reject::QueuedTooLong => ("admission", 503, "deadline exceeded while queued", &[]),
-            Reject::BodyTooLarge => ("malformed", 413, "request body too large", &[]),
-            Reject::Malformed(m) => ("malformed", 400, m.as_str(), &[]),
+            ("GET", "/healthz") => handle_healthz(self),
+            ("GET", "/topology") => handle_topology(self),
+            _ => return None,
         };
-        respond(
-            out,
-            route,
-            status,
-            "application/json",
-            &err_body(error),
-            extra,
-        );
+        Some(reply)
     }
-}
-
-type Routed = (&'static str, u16, String, Vec<(&'static str, String)>);
-
-fn route_request(shared: &Shared, request: &Request) -> Routed {
-    let (path, _query) = request.path_query();
-    let no_extra = Vec::new;
-    match (request.method.as_str(), path) {
-        ("POST", "/query") => handle_forecast(shared, path, &request.body, "query"),
-        ("POST", "/explain") => handle_forecast(shared, path, &request.body, "explain"),
-        ("POST", "/insert") => handle_insert(shared, &request.body),
-        ("GET", "/stats") => ("stats", 200, stats_body(shared), no_extra()),
-        ("GET", "/metrics") => ("metrics", 200, metrics_body(shared), no_extra()),
-        ("GET", "/healthz") => handle_healthz(shared),
-        ("GET", "/topology") => handle_topology(shared),
-        (_, "/query" | "/explain" | "/insert") => (
-            "method",
-            405,
-            err_body("use POST"),
-            vec![("Allow", "POST".to_string())],
-        ),
-        (_, "/stats" | "/metrics" | "/healthz" | "/topology") => (
-            "method",
-            405,
-            err_body("use GET"),
-            vec![("Allow", "GET".to_string())],
-        ),
-        _ => ("unknown", 404, err_body("no such route"), no_extra()),
-    }
-}
-
-/// Records the route/status counter and writes the response.
-fn respond(
-    out: &mut Responder<'_>,
-    route: &'static str,
-    status: u16,
-    content_type: &str,
-    body: &str,
-    extra: &[(&str, &str)],
-) {
-    fdc_obs::counter_with(
-        names::ROUTER_REQUESTS,
-        &[("route", route), ("status", &status.to_string())],
-    )
-    .incr();
-    out.send(status_line(status), content_type, body.as_bytes(), extra);
 }
 
 // ---------------------------------------------------------------------------
@@ -496,15 +418,15 @@ fn shard_error(shared: &Shared, idx: usize, error: &str) {
 
 /// Propagates a shard's backpressure answer (`429`/`503`) with its
 /// `Retry-After`, instead of wrapping it into an opaque 502.
-fn forward_backpressure(route: &'static str, resp: &Response) -> Option<Routed> {
+fn forward_backpressure(route: &'static str, resp: &Response) -> Option<Reply> {
     if resp.status != 429 && resp.status != 503 {
         return None;
     }
-    let extra = resp
-        .header("retry-after")
-        .map(|v| vec![("Retry-After", v.to_string())])
-        .unwrap_or_default();
-    Some((route, resp.status, resp.text(), extra))
+    let reply = Reply::json(route, resp.status, resp.text());
+    Some(match resp.header("retry-after") {
+        Some(after) => reply.header("Retry-After", after),
+        None => reply,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -573,7 +495,7 @@ fn split_refusal(
 /// serves it — the map depends on the shared catalog, not on a shard's
 /// partition — tried up shards first. A busy shard's `429`/`503` is
 /// kept, with its `Retry-After`, in case every shard is busy.
-fn current_map(shared: &Shared) -> Result<Arc<RouterMap>, Routed> {
+fn current_map(shared: &Shared) -> Result<Arc<RouterMap>, Reply> {
     let mut slot = shared
         .map
         .lock()
@@ -586,7 +508,7 @@ fn current_map(shared: &Shared) -> Result<Arc<RouterMap>, Routed> {
     let up = |i: &usize| shared.shards[*i].up.load(Ordering::SeqCst);
     let (live, down): (Vec<usize>, Vec<usize>) = (0..shared.shards.len()).partition(up);
     let mut last_err = String::from("no shard available for planning");
-    let mut last_backpressure: Option<Routed> = None;
+    let mut last_backpressure: Option<Reply> = None;
     for idx in live.into_iter().chain(down) {
         let id = &shared.shards[idx].spec.id;
         match shard_read(shared, idx, "/placement", None, &[]) {
@@ -601,20 +523,14 @@ fn current_map(shared: &Shared) -> Result<Arc<RouterMap>, Routed> {
                 Err(e) => last_err = format!("shard {id} served a bad placement map: {e}"),
             },
             Ok(resp) => match forward_backpressure("plan", &resp) {
-                Some(routed) => last_backpressure = Some(routed),
+                Some(reply) => last_backpressure = Some(reply),
                 None => last_err = format!("shard {id} answered /placement with {}", resp.status),
             },
             Err(e) => last_err = e,
         }
     }
-    Err(last_backpressure.unwrap_or_else(|| {
-        (
-            "plan",
-            503,
-            err_body(&last_err),
-            vec![("Retry-After", "1".to_string())],
-        )
-    }))
+    Err(last_backpressure
+        .unwrap_or_else(|| Reply::error("plan", 503, &last_err).header("Retry-After", "1")))
 }
 
 /// Drops `stale` — unless another request has already replaced it.
@@ -638,13 +554,13 @@ fn drop_map(shared: &Shared, stale: &Arc<RouterMap>) {
 /// shards → reassemble rows byte-identically in plan order. A shard's
 /// `421` says the map is not its own: the router fetches the map again
 /// and plans and sends the query once more; a second `421` is a `500`.
-fn handle_forecast(shared: &Shared, path: &str, body: &[u8], route: &'static str) -> Routed {
+fn handle_forecast(shared: &Shared, path: &str, body: &[u8], route: &'static str) -> Reply {
     let mut request = match wire::parse_body(body).and_then(|doc| wire::decode(path, &doc)) {
         Ok(r) => r,
-        Err(m) => return (route, 400, err_body(&m), Vec::new()),
+        Err(m) => return Reply::error(route, 400, &m),
     };
     if let Err(e) = request.validate() {
-        return (route, 400, err_body(&e.to_string()), Vec::new());
+        return Reply::error(route, 400, &e.to_string());
     }
     // The client's own filter narrows the plan; each sub-request's
     // `nodes` is then its shard's share of what is left.
@@ -653,15 +569,15 @@ fn handle_forecast(shared: &Shared, path: &str, body: &[u8], route: &'static str
     loop {
         let map = match current_map(shared) {
             Ok(map) => map,
-            Err(routed) => return routed,
+            Err(reply) => return reply,
         };
         match scatter_gather(shared, &map, &mut request, filter.as_deref(), route) {
             Gathered::Misdirected(_) if !resent => {
                 drop_map(shared, &map);
                 resent = true;
             }
-            Gathered::Misdirected(refusal) => return (route, 500, refusal, Vec::new()),
-            Gathered::Answer(routed) => return routed,
+            Gathered::Misdirected(refusal) => return Reply::json(route, 500, refusal),
+            Gathered::Answer(reply) => return reply,
         }
     }
 }
@@ -669,7 +585,7 @@ fn handle_forecast(shared: &Shared, path: &str, body: &[u8], route: &'static str
 /// What one planned scatter came to.
 enum Gathered {
     /// The answer for the client.
-    Answer(Routed),
+    Answer(Reply),
     /// A shard refused a sub-request with `421`; its body.
     Misdirected(String),
 }
@@ -683,8 +599,7 @@ fn scatter_gather(
     filter: Option<&[NodeId]>,
     route: &'static str,
 ) -> Gathered {
-    let no_extra = Vec::new;
-    let refused = |message: &str| Gathered::Answer(("plan", 400, err_body(message), no_extra()));
+    let refused = |message: &str| Gathered::Answer(Reply::error("plan", 400, message));
     let nodes = match map.placement.plan(&request.sql, request.mode, filter) {
         Ok(nodes) => nodes,
         Err(e) => return refused(&e.to_string()),
@@ -744,23 +659,18 @@ fn scatter_gather(
         let resp = match result {
             Ok(r) => r,
             Err(e) => {
-                return Gathered::Answer((
-                    route,
-                    503,
-                    err_body(&e),
-                    vec![("Retry-After", "1".to_string())],
-                ))
+                return Gathered::Answer(Reply::error(route, 503, &e).header("Retry-After", "1"))
             }
         };
         if resp.status != 200 {
-            if let Some(routed) = forward_backpressure(route, &resp) {
-                return Gathered::Answer(routed);
+            if let Some(reply) = forward_backpressure(route, &resp) {
+                return Gathered::Answer(reply);
             }
             if resp.status == 421 {
                 return Gathered::Misdirected(resp.text());
             }
             // Anything else is the query's own error.
-            return Gathered::Answer((route, resp.status, resp.text(), no_extra()));
+            return Gathered::Answer(Reply::json(route, resp.status, resp.text()));
         }
         bodies.push((shard_idx, resp.text()));
     }
@@ -775,15 +685,9 @@ fn scatter_gather(
                 chunks.extend(rows);
             }
             Err(m) => {
-                return Gathered::Answer((
-                    route,
-                    500,
-                    err_body(&format!(
-                        "unparseable answer from shard {}: {m}",
-                        shared.shards[*shard_idx].spec.id
-                    )),
-                    no_extra(),
-                ))
+                let shard = &shared.shards[*shard_idx].spec.id;
+                let error = format!("unparseable answer from shard {shard}: {m}");
+                return Gathered::Answer(Reply::error(route, 500, &error));
             }
         }
     }
@@ -795,20 +699,14 @@ fn scatter_gather(
         match chunks.get(&node) {
             Some(chunk) => ordered.push(*chunk),
             None => {
-                return Gathered::Answer((
-                    route,
-                    500,
-                    err_body(&format!(
-                        "shard answer is missing planned node {node} ({})",
-                        map.placement.label(node)
-                    )),
-                    no_extra(),
-                ))
+                let label = map.placement.label(node);
+                let error = format!("shard answer is missing planned node {node} ({label})");
+                return Gathered::Answer(Reply::error(route, 500, &error));
             }
         }
     }
     let body = join_rows(&head.unwrap_or_default(), &ordered);
-    Gathered::Answer((route, 200, body, no_extra()))
+    Gathered::Answer(Reply::json(route, 200, body))
 }
 
 /// The answer [`split_rows`] takes apart, put together: the members
@@ -929,11 +827,10 @@ fn place_rows<'a>(topology: &Topology, body: &'a [u8]) -> Result<Vec<(usize, &'a
 /// a failure names what already committed — the caller decides whether
 /// to retry the rest (inserts are idempotent per (cell, stamp) only
 /// until the stamp completes, so the answer is explicit, not hidden).
-fn handle_insert(shared: &Shared, body: &[u8]) -> Routed {
-    let no_extra = Vec::new;
+fn handle_insert(shared: &Shared, body: &[u8]) -> Reply {
     let placed = match place_rows(&shared.topology, body) {
         Ok(placed) => placed,
-        Err(m) => return ("insert", 400, err_body(&m), no_extra()),
+        Err(m) => return Reply::error("insert", 400, &m),
     };
     let mut groups: Vec<(usize, Vec<&str>)> = Vec::new();
     for (idx, row) in placed {
@@ -956,35 +853,26 @@ fn handle_insert(shared: &Shared, body: &[u8]) -> Routed {
         let sub_body = w.finish();
         let resp = match shard_write(shared, *idx, "/insert", &sub_body) {
             Ok(r) => r,
-            Err(e) => return insert_failure(shared, *idx, &committed, &e, None),
+            Err(e) => {
+                return insert_failure(shared, *idx, &committed, &e, 503).header("Retry-After", "1")
+            }
         };
         if resp.status == 202 {
             accepted += rows.len();
             committed.push(&shared.shards[*idx].spec.id);
             continue;
         }
-        if let Some((_, status, body, extra)) = forward_backpressure("insert", &resp) {
+        let detail = body_error(&resp.text());
+        let mut failure = insert_failure(shared, *idx, &committed, &detail, resp.status);
+        if let Some(backpressure) = forward_backpressure("insert", &resp) {
             // Backpressure with partial progress is still a partial
-            // failure — the typed body names the committed shards.
-            return insert_failure_with(
-                shared,
-                *idx,
-                &committed,
-                &body_error(&body),
-                status,
-                extra,
-            );
+            // failure — the typed body names the committed shards — and
+            // keeps the shard's Retry-After.
+            failure.headers = backpressure.headers;
         }
-        return insert_failure_with(
-            shared,
-            *idx,
-            &committed,
-            &body_error(&resp.text()),
-            resp.status,
-            Vec::new(),
-        );
+        return failure;
     }
-    ("insert", 202, count_body("accepted", accepted), no_extra())
+    Reply::json("insert", 202, count_body("accepted", accepted))
 }
 
 /// Extracts the `"error"` text of a shard answer (or passes the body
@@ -1000,27 +888,15 @@ fn body_error(body: &str) -> String {
         .unwrap_or_else(|| body.to_string())
 }
 
+/// The typed partial-write failure: the shard that failed, the shards
+/// that committed before it, and why.
 fn insert_failure(
     shared: &Shared,
     failed: usize,
     committed: &[&str],
     detail: &str,
-    retry_after: Option<&str>,
-) -> Routed {
-    let extra = retry_after
-        .map(|v| vec![("Retry-After", v.to_string())])
-        .unwrap_or_else(|| vec![("Retry-After", "1".to_string())]);
-    insert_failure_with(shared, failed, committed, detail, 503, extra)
-}
-
-fn insert_failure_with(
-    shared: &Shared,
-    failed: usize,
-    committed: &[&str],
-    detail: &str,
     status: u16,
-    extra: Vec<(&'static str, String)>,
-) -> Routed {
+) -> Reply {
     let mut w = Writer::new();
     w.begin_object().key("error").str("partial write failure");
     w.key("failed_shard").str(&shared.shards[failed].spec.id);
@@ -1029,7 +905,7 @@ fn insert_failure_with(
         w.str(shard);
     }
     w.end_array().key("detail").str(detail).end_object();
-    ("insert", status, w.finish(), extra)
+    Reply::json("insert", status, w.finish())
 }
 
 // ---------------------------------------------------------------------------
@@ -1051,7 +927,7 @@ fn gather_bundles(shared: &Shared) -> Vec<SketchBundle> {
     bundles
 }
 
-fn handle_healthz(shared: &Shared) -> Routed {
+fn handle_healthz(shared: &Shared) -> Reply {
     let healthy = shared
         .shards
         .iter()
@@ -1070,10 +946,10 @@ fn handle_healthz(shared: &Shared) -> Routed {
     w.key("healthy").usize(healthy).key("shards").usize(total);
     w.key("topology_version").u64(shared.topology.version);
     w.end_object();
-    ("healthz", status, w.finish(), Vec::new())
+    Reply::json("healthz", status, w.finish())
 }
 
-fn handle_topology(shared: &Shared) -> Routed {
+fn handle_topology(shared: &Shared) -> Reply {
     let mut w = Writer::new();
     w.begin_object();
     w.key("topology").raw(&shared.topology.encode());
@@ -1082,7 +958,7 @@ fn handle_topology(shared: &Shared) -> Routed {
         w.key(&s.spec.id).bool(s.up.load(Ordering::SeqCst));
     }
     w.end_object().end_object();
-    ("topology", 200, w.finish(), Vec::new())
+    Reply::json("topology", 200, w.finish())
 }
 
 /// `GET /stats` — the fleet view: router health, the folded sketch

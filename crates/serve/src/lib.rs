@@ -15,9 +15,12 @@
 //!   dispatches on the route table below. Connections are
 //!   **persistent**: a worker serves its connection request after
 //!   request until the client closes, nothing arrives for
-//!   `read_timeout`, or another connection needs the worker
-//!   ([`fdc_obs::httpcore::server`] has the rules; the accept thread and
-//!   worker loop live there and are shared with `fdc-router`);
+//!   `read_timeout`, or another connection needs the worker. The
+//!   listener, both kinds of thread and the envelope every request is
+//!   answered in — trace context, request span, route/status counter,
+//!   latency histogram, the refusal and `405`/`404` tables — live in
+//!   [`fdc_obs::httpcore::server`], shared with `fdc-router`; this crate
+//!   brings its route table and handlers;
 //! * a **flusher thread** group-commits writes: `POST /insert` requests
 //!   deposit resolved rows into the [`Batcher`] and block; the flusher
 //!   commits what is buffered the moment there is any, in a single
@@ -119,16 +122,18 @@ use fdc_f2db::{
     ExplainReport, F2db, F2dbError, QueryAnswer, QueryMode, QueryRequest, QueryResult, WalRecord,
 };
 use fdc_obs::export::prom;
-use fdc_obs::httpcore::server::{CloseReason, ConnQueue, Limits, Reject, Responder, Service};
-use fdc_obs::httpcore::{status_line, Request};
+use fdc_obs::httpcore::server::{
+    err_body, CloseReason, ConnQueue, Limits, Pool, Reject, Reply, Service,
+};
+use fdc_obs::httpcore::Request;
 use fdc_obs::{journal, names, trace, Event, TraceContext};
 use json::Writer;
-use std::net::{Ipv4Addr, SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-use wire::{count_body, err_body};
+use std::time::Duration;
+use wire::count_body;
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -306,12 +311,12 @@ pub fn open_engine(
     ))
 }
 
-/// State shared by the accept thread, workers and flusher.
+/// State shared by the workers and the flusher.
 struct Shared {
     db: Arc<F2db>,
     opts: ServeOptions,
-    /// The bounded connection queue and the keep-alive bookkeeping.
-    conns: ConnQueue,
+    /// The connection queue; its length is `/stats`' `queue_depth`.
+    conns: Arc<ConnQueue>,
     batcher: Batcher,
     /// The slow-request ring behind `GET /slow`.
     slow: SlowLog,
@@ -324,11 +329,9 @@ struct Shared {
 /// with [`Server::shutdown`] — dropping without a shutdown leaks the
 /// threads (they park on the queue) but keeps the process safe.
 pub struct Server {
-    addr: SocketAddr,
     shared: Arc<Shared>,
-    accept_handle: Option<JoinHandle<()>>,
-    worker_handles: Vec<JoinHandle<()>>,
-    flusher_handle: Option<JoinHandle<(u64, u64)>>,
+    pool: Pool,
+    flusher: JoinHandle<(u64, u64)>,
 }
 
 impl Server {
@@ -358,52 +361,37 @@ impl Server {
         opts: ServeOptions,
         replica: Option<Arc<Replica>>,
     ) -> std::io::Result<Server> {
-        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, port))?;
-        let addr = listener.local_addr()?;
-        let slow = SlowLog::new(opts.slow_threshold, opts.slow_log_cap);
-        let shared = Arc::new(Shared {
+        let limits = Limits {
+            max_body: opts.max_body,
+            read_timeout: opts.read_timeout,
+            deadline: opts.deadline,
+        };
+        let (workers, queue_depth) = (opts.workers, opts.queue_depth);
+        let (pool, shared) = Pool::start(port, workers, queue_depth, limits, |conns| Shared {
             db,
-            conns: ConnQueue::new(opts.workers.max(1), opts.queue_depth),
+            conns,
+            slow: SlowLog::new(opts.slow_threshold, opts.slow_log_cap),
             opts,
             batcher: Batcher::default(),
-            slow,
             replica,
-        });
+        })?;
         journal().publish(Event::ServeStart {
-            addr: addr.to_string(),
+            addr: pool.addr().to_string(),
         });
-
-        let accept_handle = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || shared.conns.accept_loop(&listener, &*shared))
-        };
-        let limits = Limits {
-            max_body: shared.opts.max_body,
-            read_timeout: shared.opts.read_timeout,
-            deadline: shared.opts.deadline,
-        };
-        let worker_handles = (0..shared.opts.workers.max(1))
-            .map(|worker| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || shared.conns.run_worker(worker, &limits, &*shared))
-            })
-            .collect();
-        let flusher_handle = {
+        let flusher = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || shared.batcher.run_flusher(&shared.db))
         };
         Ok(Server {
-            addr,
             shared,
-            accept_handle: Some(accept_handle),
-            worker_handles,
-            flusher_handle: Some(flusher_handle),
+            pool,
+            flusher,
         })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.pool.addr()
     }
 
     /// The engine this server fronts.
@@ -422,21 +410,14 @@ impl Server {
     /// in-flight request → join the workers → commit buffered insert
     /// rows → `maintain` → persist the checkpoint container (when
     /// configured) → publish the `ServeShutdown` journal event.
-    pub fn shutdown(mut self) -> Result<ShutdownReport, F2dbError> {
-        self.shared.conns.stop(self.addr);
-        if let Some(h) = self.accept_handle.take() {
-            h.join().expect("accept thread panicked");
-        }
+    pub fn shutdown(self) -> Result<ShutdownReport, F2dbError> {
+        let addr = self.addr();
         // Workers drain the queue, then exit.
-        for h in self.worker_handles.drain(..) {
-            h.join().expect("worker thread panicked");
-        }
+        let drained_requests = self.pool.stop();
         // No depositor is left; whatever is still buffered commits now.
         let flushed_rows = self.shared.batcher.flush_once(&self.shared.db);
         self.shared.batcher.stop();
-        if let Some(h) = self.flusher_handle.take() {
-            h.join().expect("flusher thread panicked");
-        }
+        self.flusher.join().expect("flusher thread panicked");
         // An unpromoted follower stops its fetch loop and leaves its
         // state exactly as replicated: no maintain, no catalog save —
         // the local log *is* the state, and a restart replays it.
@@ -444,14 +425,13 @@ impl Server {
             replica.seal();
         }
         if self.shared.db.is_read_only() {
-            let drained_requests = self.shared.conns.drained();
             journal().publish(Event::ServeShutdown {
-                addr: self.addr.to_string(),
+                addr: addr.to_string(),
                 drained_requests,
                 flushed_rows,
             });
             return Ok(ShutdownReport {
-                addr: self.addr,
+                addr,
                 drained_requests,
                 flushed_rows,
                 refitted: 0,
@@ -469,14 +449,13 @@ impl Server {
             saved_catalog = true;
         }
         let wal_checkpoint_seq = self.shared.db.wal_stats().map(|s| s.checkpoint_seq);
-        let drained_requests = self.shared.conns.drained();
         journal().publish(Event::ServeShutdown {
-            addr: self.addr.to_string(),
+            addr: addr.to_string(),
             drained_requests,
             flushed_rows,
         });
         Ok(ShutdownReport {
-            addr: self.addr,
+            addr,
             drained_requests,
             flushed_rows,
             refitted,
@@ -488,31 +467,118 @@ impl Server {
 }
 
 // ---------------------------------------------------------------------------
-// Connections and requests
+// The route table
 // ---------------------------------------------------------------------------
 
 impl Service for Shared {
-    fn reject(&self, why: &Reject, out: &mut Responder<'_>) {
-        let rejected = |reason| fdc_obs::counter_with(names::SERVE_REJECTED, &[("reason", reason)]);
-        let (route, status, error, extra): (_, _, _, &[(&str, &str)]) = match why {
-            Reject::QueueFull => {
-                rejected("queue_full").incr();
-                (
-                    "admission",
-                    429,
-                    "connection queue full",
-                    &[("Retry-After", "1")],
-                )
+    const SPAN: &'static str = "serve.request";
+    const REQUESTS: &'static str = names::SERVE_REQUESTS;
+    const LATENCY: &'static str = names::SERVE_REQUEST_NS;
+    const QUEUE_FULL: &'static str = "connection queue full";
+    const PATHS: &'static [(&'static str, &'static [&'static str])] = &[
+        (
+            "POST",
+            &[
+                "/query",
+                "/explain",
+                "/insert",
+                "/maintain",
+                "/promote",
+                "/plan",
+            ],
+        ),
+        (
+            "GET",
+            &[
+                "/stats",
+                "/healthz",
+                "/slow",
+                "/wal/fetch",
+                "/sketch",
+                "/placement",
+                "/metrics",
+                "/events",
+                "/snapshot",
+            ],
+        ),
+    ];
+
+    /// The decoded forecast request, kept for the slow log.
+    type Note = Option<QueryRequest>;
+
+    fn trace_sample(&self) -> f64 {
+        self.opts.trace_sample
+    }
+
+    fn route(
+        &self,
+        request: &Request,
+        budget: Duration,
+        forecast: &mut Self::Note,
+    ) -> Option<Reply> {
+        let (path, query) = request.path_query();
+        let reply = match (request.method.as_str(), path) {
+            ("POST", "/query" | "/explain") => {
+                let (status, body) = match stale_placement(self, request) {
+                    Some(refusal) => (421, refusal),
+                    None => handle_forecast(self, path, &request.body, forecast),
+                };
+                let route = if path == "/query" { "query" } else { "explain" };
+                Reply::json(route, status, body)
             }
-            Reject::QueuedTooLong => {
-                rejected("deadline").incr();
-                ("admission", 503, "deadline exceeded while queued", &[])
+            ("POST", "/insert") => follower_write_rejection(self, "insert")
+                .unwrap_or_else(|| handle_insert(self, &request.body, budget)),
+            ("POST", "/maintain") => {
+                follower_write_rejection(self, "maintain").unwrap_or_else(|| {
+                    match self.db.maintain() {
+                        Ok(refitted) => {
+                            Reply::json("maintain", 200, count_body("refitted", refitted))
+                        }
+                        Err(e) => Reply::error("maintain", 500, &e.to_string()),
+                    }
+                })
             }
-            Reject::BodyTooLarge => ("malformed", 413, "request body too large", &[]),
-            Reject::Malformed(m) => ("malformed", 400, m.as_str(), &[]),
+            ("POST", "/promote") => handle_promote(self, &request.body),
+            ("POST", "/plan") => handle_plan(self, &request.body),
+            ("GET", "/stats") => Reply::json("stats", 200, stats_body(self)),
+            ("GET", "/healthz") => handle_healthz(self),
+            ("GET", "/slow") => Reply::json("slow", 200, self.slow.to_json()),
+            ("GET", "/events") => match query_u64(query, "n") {
+                Ok(n) => {
+                    let events = journal().recent_json(n.map_or(EVENTS, |n| n as usize));
+                    Reply::json("events", 200, events)
+                }
+                Err(m) => Reply::error("events", 400, &m),
+            },
+            ("GET", "/snapshot") => Reply::json("snapshot", 200, fdc_obs::snapshot().to_json()),
+            // The binary routes: ship chunks, and the mergeable-sketch
+            // bundle a router folds into a fleet-wide view.
+            ("GET", "/wal/fetch") => handle_wal_fetch(self, query),
+            ("GET", "/sketch") => Reply::new("sketch", 200, BINARY, sketch_bundle(self)),
+            // The map a router plans over — counted with `/plan`, the other
+            // half of planning.
+            ("GET", "/placement") => {
+                let map = self.db.placement().encode().to_vec();
+                Reply::new("plan", 200, BINARY, map)
+            }
+            // The one answer that is neither JSON nor binary.
+            ("GET", "/metrics") => {
+                let text = fdc_obs::encode_prometheus(&fdc_obs::snapshot());
+                Reply::new("metrics", 200, prom::CONTENT_TYPE, text.into_bytes())
+            }
+            _ => return None,
         };
-        let body = Body::Json(err_body(error));
-        respond(out, route, status, &body, extra);
+        Some(reply)
+    }
+
+    fn answered(&self, forecast: Self::Note, reply: &Reply, elapsed: Duration, ctx: TraceContext) {
+        maybe_capture_slow(self, forecast, reply, elapsed, ctx);
+    }
+
+    fn rejected(&self, why: &Reject) {
+        if let Some(reason) = why.admission() {
+            fdc_obs::counter_with(names::SERVE_REJECTED, &[("reason", reason)]).incr();
+        }
     }
 
     fn closed(&self, reason: CloseReason, requests: u64) {
@@ -522,89 +588,6 @@ impl Service for Shared {
 
     fn queued(&self, depth: usize) {
         fdc_obs::gauge(names::SERVE_QUEUE_DEPTH).set(depth as i64);
-    }
-
-    fn answer(&self, request: &Request, budget: Duration, out: &mut Responder<'_>) {
-        let started = Instant::now();
-        // Request ingress is where a trace is born (or adopted): a valid
-        // `traceparent` header continues the caller's trace with the
-        // caller's sampling decision; anything else mints a fresh root,
-        // head-sampled at `ServeOptions::trace_sample`. The guard scopes
-        // the context to this request on this worker thread.
-        let ctx = request
-            .trace_context()
-            .unwrap_or_else(|| TraceContext::root(trace::should_sample(self.opts.trace_sample)));
-        let _ctx_guard = trace::activate(ctx);
-        // The decoded forecast request, kept for the slow log.
-        let mut forecast = None;
-        let (route, status, body, extra) = {
-            let _span = fdc_obs::span!("serve.request");
-            match (request.method.as_str(), request.path_query()) {
-                // The binary routes: ship chunks, and the mergeable-sketch
-                // bundle a router folds into a fleet-wide view.
-                ("GET", ("/wal/fetch", query)) => {
-                    let (status, body) = handle_wal_fetch(self, query);
-                    ("wal_fetch", status, body, Vec::new())
-                }
-                ("GET", ("/sketch", _)) => {
-                    ("sketch", 200, Body::Binary(sketch_bundle(self)), Vec::new())
-                }
-                // The map a router plans over — counted with `/plan`,
-                // the other half of planning.
-                ("GET", ("/placement", _)) => {
-                    let map = self.db.placement().encode().to_vec();
-                    ("plan", 200, Body::Binary(map), Vec::new())
-                }
-                // The one answer that is neither JSON nor binary.
-                ("GET", ("/metrics", _)) => {
-                    let text = fdc_obs::encode_prometheus(&fdc_obs::snapshot());
-                    ("metrics", 200, Body::Prometheus(text), Vec::new())
-                }
-                _ => {
-                    let (route, status, body, extra) =
-                        route_request(self, request, budget, &mut forecast);
-                    (route, status, Body::Json(body), extra)
-                }
-            }
-        };
-        let extra_refs: Vec<(&str, &str)> = extra.iter().map(|(n, v)| (*n, v.as_str())).collect();
-        respond(out, route, status, &body, &extra_refs);
-        let elapsed = started.elapsed();
-        record_latency(route, elapsed, ctx);
-        maybe_capture_slow(self, forecast, route, status, elapsed, ctx);
-    }
-}
-
-/// Records the route/status counter and writes the response.
-fn respond(
-    out: &mut Responder<'_>,
-    route: &'static str,
-    status: u16,
-    body: &Body,
-    extra: &[(&str, &str)],
-) {
-    fdc_obs::counter_with(
-        names::SERVE_REQUESTS,
-        &[("route", route), ("status", &status.to_string())],
-    )
-    .incr();
-    let (content_type, bytes) = match body {
-        Body::Json(text) => ("application/json", text.as_bytes()),
-        Body::Prometheus(text) => (prom::CONTENT_TYPE, text.as_bytes()),
-        Body::Binary(bytes) => ("application/octet-stream", bytes.as_slice()),
-    };
-    out.send(status_line(status), content_type, bytes, extra);
-}
-
-/// Records a request's latency into the per-route histogram; sampled
-/// requests attach their trace id, so `/metrics` can emit the family's
-/// worst-of-window observation as an OpenMetrics exemplar.
-fn record_latency(route: &'static str, elapsed: Duration, ctx: TraceContext) {
-    let h = fdc_obs::histogram_with(names::SERVE_REQUEST_NS, &[("route", route)]);
-    if ctx.sampled {
-        h.record_duration_with_trace(elapsed, ctx.trace_id);
-    } else {
-        h.record_duration(elapsed);
     }
 }
 
@@ -618,8 +601,7 @@ fn record_latency(route: &'static str, elapsed: Duration, ctx: TraceContext) {
 fn maybe_capture_slow(
     shared: &Shared,
     forecast: Option<QueryRequest>,
-    route: &'static str,
-    status: u16,
+    reply: &Reply,
     elapsed: Duration,
     ctx: TraceContext,
 ) {
@@ -638,7 +620,7 @@ fn maybe_capture_slow(
         .and_then(QueryAnswer::into_plan)
         .map(|report| report.to_masked_string());
     let sql = analyze.map(|request| request.sql);
-    let wait = (route == "insert").then(|| {
+    let wait = (reply.route == "insert").then(|| {
         let mut w = Writer::new();
         w.begin_object();
         w.key("buffered_rows").usize(shared.batcher.buffered());
@@ -654,9 +636,9 @@ fn maybe_capture_slow(
         w.finish()
     });
     shared.slow.push(SlowEntry {
-        unix_ms: slow::unix_ms(),
-        route,
-        status,
+        unix_ms: fdc_obs::unix_ms(),
+        route: reply.route,
+        status: reply.status,
         latency_ns: elapsed.as_nanos() as u64,
         trace_id: ctx.sampled.then_some(ctx.trace_id),
         sql,
@@ -666,91 +648,17 @@ fn maybe_capture_slow(
     fdc_obs::counter!(names::SERVE_SLOW_CAPTURED).incr();
 }
 
-/// What a route answers with.
-enum Body {
-    Json(String),
-    /// The Prometheus text exposition of `GET /metrics`.
-    Prometheus(String),
-    /// `application/octet-stream`: ship chunks and sketch bundles.
-    Binary(Vec<u8>),
-}
-
 // ---------------------------------------------------------------------------
-// Routing and handlers
+// Handlers
 // ---------------------------------------------------------------------------
 
-type Routed = (&'static str, u16, String, Vec<(&'static str, String)>);
+/// The content type of the binary routes: ship chunks, the sketch
+/// bundle and the placement map.
+const BINARY: &str = "application/octet-stream";
 
 /// How many of the journal's newest events `GET /events` answers with
 /// when the request names no `n`.
 const EVENTS: usize = 64;
-
-fn route_request(
-    shared: &Shared,
-    request: &Request,
-    remaining: Duration,
-    forecast: &mut Option<QueryRequest>,
-) -> Routed {
-    let (path, query) = request.path_query();
-    let no_extra = Vec::new;
-    match (request.method.as_str(), path) {
-        ("POST", "/query" | "/explain") => {
-            let (status, body) = match stale_placement(shared, request) {
-                Some(refusal) => (421, refusal),
-                None => handle_forecast(shared, path, &request.body, forecast),
-            };
-            let route = if path == "/query" { "query" } else { "explain" };
-            (route, status, body, no_extra())
-        }
-        ("POST", "/insert") => match follower_write_rejection(shared, "insert") {
-            Some(routed) => routed,
-            None => handle_insert(shared, &request.body, remaining),
-        },
-        ("POST", "/maintain") => match follower_write_rejection(shared, "maintain") {
-            Some(routed) => routed,
-            None => {
-                let (status, body) = match shared.db.maintain() {
-                    Ok(refitted) => (200, count_body("refitted", refitted)),
-                    Err(e) => (500, err_body(&e.to_string())),
-                };
-                ("maintain", status, body, no_extra())
-            }
-        },
-        ("POST", "/promote") => handle_promote(shared, &request.body),
-        ("POST", "/plan") => {
-            let (status, body) = handle_plan(shared, &request.body);
-            ("plan", status, body, no_extra())
-        }
-        ("GET", "/stats") => ("stats", 200, stats_body(shared), no_extra()),
-        ("GET", "/healthz") => handle_healthz(shared),
-        ("GET", "/slow") => ("slow", 200, shared.slow.to_json(), no_extra()),
-        ("GET", "/events") => {
-            let (status, body) = match query_u64(query, "n") {
-                Ok(n) => (200, journal().recent_json(n.map_or(EVENTS, |n| n as usize))),
-                Err(m) => (400, err_body(&m)),
-            };
-            ("events", status, body, no_extra())
-        }
-        ("GET", "/snapshot") => ("snapshot", 200, fdc_obs::snapshot().to_json(), no_extra()),
-        (_, "/query" | "/explain" | "/insert" | "/maintain" | "/promote" | "/plan") => (
-            "method",
-            405,
-            err_body("use POST"),
-            vec![("Allow", "POST".to_string())],
-        ),
-        (
-            _,
-            "/stats" | "/healthz" | "/slow" | "/wal/fetch" | "/sketch" | "/placement" | "/metrics"
-            | "/events" | "/snapshot",
-        ) => (
-            "method",
-            405,
-            err_body("use GET"),
-            vec![("Allow", "GET".to_string())],
-        ),
-        _ => ("unknown", 404, err_body("no such route"), no_extra()),
-    }
-}
 
 /// HTTP status for an engine error: wrong-shard errors are routing
 /// mistakes (`421 Misdirected Request` — a router must not retry them
@@ -872,8 +780,7 @@ fn plan_body(report: &ExplainReport) -> String {
     w.finish()
 }
 
-fn handle_insert(shared: &Shared, body: &[u8], remaining: Duration) -> Routed {
-    let no_extra = Vec::new;
+fn handle_insert(shared: &Shared, body: &[u8], remaining: Duration) -> Reply {
     // Each row's labels are resolved to its base node as they are read.
     // The resolver holds the data set's read lock and is gone with this
     // statement: it must be, before `deposit_and_wait` — the commit the
@@ -883,33 +790,25 @@ fn handle_insert(shared: &Shared, body: &[u8], remaining: Duration) -> Routed {
     });
     let rows = match decoded {
         Ok(rows) => rows,
-        Err(m) => return ("insert", 400, err_body(&m), no_extra()),
+        Err(m) => return Reply::error("insert", 400, &m),
     };
     // A misrouted row is rejected *before* the batcher: mixing it into
     // the coalesced commit would fail everyone's flush, and the router
     // needs the typed 421 to fix its placement rather than retry here.
     if let Some(&(node, _)) = rows.iter().find(|(n, _)| !shared.db.owns_base(*n)) {
-        return (
+        return Reply::error(
             "insert",
             421,
-            err_body(&format!(
-                "base node {node} is owned by another shard of this partitioned deployment"
-            )),
-            no_extra(),
+            &format!("base node {node} is owned by another shard of this partitioned deployment"),
         );
     }
     let accepted = rows.len();
     match shared.batcher.deposit_and_wait(&rows, remaining) {
-        DepositOutcome::Committed => ("insert", 202, count_body("accepted", accepted), no_extra()),
-        DepositOutcome::Failed(msg) => ("insert", 500, err_body(&msg), no_extra()),
+        DepositOutcome::Committed => Reply::json("insert", 202, count_body("accepted", accepted)),
+        DepositOutcome::Failed(msg) => Reply::error("insert", 500, &msg),
         DepositOutcome::TimedOut => {
             fdc_obs::counter_with(names::SERVE_REJECTED, &[("reason", "deadline")]).incr();
-            (
-                "insert",
-                503,
-                err_body("insert flush deadline exceeded"),
-                vec![("Retry-After", "1".to_string())],
-            )
+            Reply::error("insert", 503, "insert flush deadline exceeded").header("Retry-After", "1")
         }
     }
 }
@@ -918,34 +817,27 @@ fn handle_insert(shared: &Shared, body: &[u8], remaining: Duration) -> Routed {
 /// explicit redirect-to-the-primary error instead of reaching the
 /// engine's read-only guard through the batcher. `None` means the
 /// write may proceed (not a replica, or already promoted).
-fn follower_write_rejection(shared: &Shared, route: &'static str) -> Option<Routed> {
+fn follower_write_rejection(shared: &Shared, route: &'static str) -> Option<Reply> {
     let replica = shared.replica.as_ref()?;
     if replica.is_promoted() {
         return None;
     }
-    Some((
+    Some(Reply::error(
         route,
         409,
-        err_body(&format!(
+        &format!(
             "read-only follower replica of {}; write to the primary or POST /promote first",
             replica.primary()
-        )),
-        Vec::new(),
+        ),
     ))
 }
 
 /// `POST /promote` — runs the follower's promotion state machine. The
 /// optional JSON body names the dead primary's WAL directory for the
 /// tail replay: `{"tail_wal_dir": "/path/to/primary/wal"}`.
-fn handle_promote(shared: &Shared, body: &[u8]) -> Routed {
-    let no_extra = Vec::new;
+fn handle_promote(shared: &Shared, body: &[u8]) -> Reply {
     let Some(replica) = shared.replica.as_ref() else {
-        return (
-            "promote",
-            400,
-            err_body("this server is not a replica"),
-            no_extra(),
-        );
+        return Reply::error("promote", 400, "this server is not a replica");
     };
     let tail = if body.is_empty() {
         None
@@ -955,7 +847,7 @@ fn handle_promote(shared: &Shared, body: &[u8]) -> Routed {
                 .get("tail_wal_dir")
                 .and_then(json::Value::as_str)
                 .map(PathBuf::from),
-            Err(m) => return ("promote", 400, err_body(&m), no_extra()),
+            Err(m) => return Reply::error("promote", 400, &m),
         }
     };
     match replica.promote(tail.as_deref()) {
@@ -967,9 +859,9 @@ fn handle_promote(shared: &Shared, body: &[u8]) -> Routed {
             w.key("last_seq").u64(report.last_seq);
             w.key("promotion_ns").u64(report.promotion_ns);
             w.end_object();
-            ("promote", 200, w.finish(), no_extra())
+            Reply::json("promote", 200, w.finish())
         }
-        Err(e) => ("promote", 409, err_body(&e.to_string()), no_extra()),
+        Err(e) => Reply::error("promote", 409, &e.to_string()),
     }
 }
 
@@ -979,25 +871,27 @@ fn handle_promote(shared: &Shared, body: &[u8]) -> Routed {
 /// `key_dims` leading dimensions (sorted, each once). A router plans
 /// the same way from the map itself (`GET /placement`); this route is
 /// for operators and the benchmark's probe.
-fn handle_plan(shared: &Shared, body: &[u8]) -> (u16, String) {
+fn handle_plan(shared: &Shared, body: &[u8]) -> Reply {
     let decoded =
         wire::parse_body(body).and_then(|doc| Ok((wire::decode("/plan", &doc)?.sql, doc)));
     let (sql, doc) = match decoded {
         Ok(v) => v,
-        Err(m) => return (400, err_body(&m)),
+        Err(m) => return Reply::error("plan", 400, &m),
     };
     let key_dims = match doc.get("key_dims") {
         None => 0usize,
         Some(v) => match v.as_f64().filter(|f| f.fract() == 0.0 && *f >= 0.0) {
             Some(f) => f as usize,
-            None => return (400, err_body("\"key_dims\" must be a non-negative integer")),
+            None => {
+                return Reply::error("plan", 400, "\"key_dims\" must be a non-negative integer")
+            }
         },
     };
     let map = shared.db.placement();
     // The most permissive mode: any `EXPLAIN` prefix is accepted.
     let nodes = match map.plan(&sql, QueryMode::ExplainAnalyze, None) {
         Ok(nodes) => nodes,
-        Err(e) => return (f2db_status(&e), err_body(&e.to_string())),
+        Err(e) => return Reply::error("plan", f2db_status(&e), &e.to_string()),
     };
     let mut w = Writer::new();
     w.begin_object().key("key_dims").usize(key_dims);
@@ -1021,7 +915,7 @@ fn handle_plan(shared: &Shared, body: &[u8]) -> (u16, String) {
         w.end_array().end_object();
     }
     w.end_array().end_object();
-    (200, w.finish())
+    Reply::json("plan", 200, w.finish())
 }
 
 /// `GET /sketch` — this process's mergeable observability state as one
@@ -1058,8 +952,7 @@ fn sketch_bundle(shared: &Shared) -> Vec<u8> {
 /// `GET /healthz` — degrades to `503` on a follower whose replication
 /// lag exceeds [`ServeOptions::replica_lag_bound`], so a load balancer
 /// stops routing reads at a replica serving stale forecasts.
-fn handle_healthz(shared: &Shared) -> Routed {
-    let no_extra = Vec::new;
+fn handle_healthz(shared: &Shared) -> Reply {
     match shared.replica.as_ref().filter(|r| !r.is_promoted()) {
         Some(replica) => {
             let lag = replica.lag();
@@ -1071,9 +964,9 @@ fn handle_healthz(shared: &Shared) -> Routed {
             let mut w = Writer::new();
             w.begin_object().key("status").str(state);
             w.key("replication_lag_seq").u64(lag).end_object();
-            ("healthz", status, w.finish(), no_extra())
+            Reply::json("healthz", status, w.finish())
         }
-        None => ("healthz", 200, "{\"status\":\"ok\"}".into(), no_extra()),
+        None => Reply::json("healthz", 200, "{\"status\":\"ok\"}".into()),
     }
 }
 
@@ -1085,16 +978,16 @@ const SHIP_MAX_BYTES_CAP: usize = 4 << 20;
 /// shipping. Answers a binary [`fdc_wal::ShipChunk`] of durable frames
 /// past `after`; a fetch below the checkpoint watermark is `410 Gone`
 /// (the frames were truncated — re-bootstrap the follower).
-fn handle_wal_fetch(shared: &Shared, query: &str) -> (u16, Body) {
+fn handle_wal_fetch(shared: &Shared, query: &str) -> Reply {
     let Some(wal) = shared.db.wal() else {
-        return (404, Body::Json(err_body("no write-ahead log attached")));
+        return Reply::error("wal_fetch", 404, "no write-ahead log attached");
     };
     let (after, max_bytes) = match (query_u64(query, "after"), query_u64(query, "max_bytes")) {
         (Ok(after), Ok(max)) => (
             after.unwrap_or(0),
             (max.unwrap_or(256 << 10) as usize).clamp(1, SHIP_MAX_BYTES_CAP),
         ),
-        (Err(m), _) | (_, Err(m)) => return (400, Body::Json(err_body(&m))),
+        (Err(m), _) | (_, Err(m)) => return Reply::error("wal_fetch", 400, &m),
     };
     match wal.ship_chunk(after, max_bytes) {
         Ok(chunk) => {
@@ -1115,12 +1008,12 @@ fn handle_wal_fetch(shared: &Shared, query: &str) -> (u16, Body) {
                 });
             let _ship_span = fdc_obs::span!("serve.wal_ship");
             fdc_obs::gauge(names::WAL_DURABLE_SEQ).set(chunk.durable_seq as i64);
-            (200, Body::Binary(fdc_wal::encode_chunk(&chunk)))
+            Reply::new("wal_fetch", 200, BINARY, fdc_wal::encode_chunk(&chunk))
         }
         Err(e @ fdc_wal::ShipError::WatermarkGap { .. }) => {
-            (410, Body::Json(err_body(&e.to_string())))
+            Reply::error("wal_fetch", 410, &e.to_string())
         }
-        Err(e) => (500, Body::Json(err_body(&e.to_string()))),
+        Err(e) => Reply::error("wal_fetch", 500, &e.to_string()),
     }
 }
 

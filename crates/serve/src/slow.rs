@@ -20,7 +20,7 @@ use crate::json::Writer;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::Duration;
 
 /// One captured slow request.
 #[derive(Debug, Clone)]
@@ -133,14 +133,6 @@ impl SlowLog {
         w.end_array().end_object();
         w.finish()
     }
-}
-
-/// Milliseconds since the Unix epoch, for capture timestamps.
-pub fn unix_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -168,13 +168,6 @@ pub fn encode(request: &QueryRequest) -> String {
     w.finish()
 }
 
-/// The body of every refusal, on both tiers: `{"error":"<msg>"}`.
-pub fn err_body(msg: &str) -> String {
-    let mut w = Writer::new();
-    w.begin_object().key("error").str(msg).end_object();
-    w.finish()
-}
-
 /// `{"<key>":<n>}` — what a write route answers with.
 pub fn count_body(key: &str, n: usize) -> String {
     let mut w = Writer::new();
