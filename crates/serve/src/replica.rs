@@ -7,9 +7,9 @@
 //! watermark. Each fetched [`ShipChunk`] is verified (CRCs, sequence
 //! contiguity, protocol version), durably appended to the local log via
 //! [`Wal::apply_chunk`], and only then applied to the engine through
-//! [`F2db::apply_replicated`] — so the follower's log is always a
-//! prefix of the primary's durable log and a follower crash recovers by
-//! replaying its own log from scratch.
+//! [`F2db::replay`], the engine's one log-replay entry point — so the
+//! follower's log is always a prefix of the primary's durable log and a
+//! follower crash recovers by replaying its own log from scratch.
 //!
 //! ## Promotion
 //!
@@ -20,8 +20,9 @@
 //! 2. **Tail replay** — when the dead primary's WAL directory is
 //!    reachable (shared-storage failover), it is opened read-only
 //!    (`fsync: false`; a torn tail truncates exactly as crash recovery
-//!    would) and every record past the applied watermark is appended to
-//!    the local log and applied to the engine. Frames the primary had
+//!    would), and its records past the applied watermark are applied as
+//!    a fetched chunk is: one verified [`Wal::apply_chunk`] (a gap
+//!    appends nothing), then [`F2db::replay`]. Frames the primary had
 //!    written but not yet shipped — including fsynced, *acknowledged*
 //!    writes — are recovered here, which is what makes the
 //!    zero-acked-writes-lost contract hold across a primary SIGKILL.
@@ -165,12 +166,7 @@ impl Replica {
             ));
         }
         self.seal();
-        let wal =
-            self.wal.lock().unwrap().take().ok_or_else(|| {
-                F2dbError::Storage("replica log already handed to the engine".into())
-            })?;
-        let applied_seq = wal.stats().last_seq;
-        debug_assert_eq!(applied_seq, self.applied_seq());
+        let applied_seq = self.applied_seq();
 
         // Phase 2: recover the dead primary's unshipped tail. Opening
         // with fsync off replays without spawning a syncer and
@@ -187,31 +183,23 @@ impl Replica {
             )
             .map_err(|e| F2dbError::Storage(format!("promotion tail replay: {e}")))?;
             drop(primary_wal);
-            let mut expected = applied_seq + 1;
-            for (seq, payload) in &recovery.records {
-                if *seq <= applied_seq {
-                    continue;
-                }
-                if *seq != expected {
-                    return Err(F2dbError::Storage(format!(
-                        "promotion tail replay: primary log jumps to seq {seq}, \
-                         expected {expected} — refusing to promote over a gap"
-                    )));
-                }
-                wal.append(payload)
-                    .map_err(|e| F2dbError::Storage(format!("promotion tail append: {e}")))?;
-                apply_record(&self.db, payload)?;
-                expected += 1;
-                tail_records += 1;
-            }
+            let mut tail = ShipChunk {
+                durable_seq: recovery.last_seq,
+                checkpoint_seq: recovery.checkpoint_seq,
+                frames: recovery.records,
+            };
+            tail.frames.retain(|(seq, _)| *seq > applied_seq);
+            self.apply(&tail)?;
+            tail_records = tail.frames.len() as u64;
         }
 
         // Phase 3: open for writes.
+        let wal = self.wal.lock().unwrap().take();
+        let wal = wal.expect("the first promote holds the replica's log");
         let last_seq = wal.stats().last_seq;
         self.db.adopt_wal(wal)?;
         self.db.set_read_only(false);
         std::fs::remove_file(&self.marker).ok();
-        self.applied_seq.store(last_seq, Ordering::Release);
         fdc_obs::gauge(names::WAL_REPLICATION_APPLIED_SEQ).set(last_seq as i64);
         fdc_obs::gauge(names::WAL_REPLICATION_LAG_SEQ).set(0);
         let report = PromotionReport {
@@ -269,6 +257,7 @@ impl Replica {
     /// Durably appends a verified chunk to the local log, then applies
     /// its records to the engine — log first, engine second, so a crash
     /// between the two re-applies from the log instead of losing rows.
+    /// A fetched chunk and promotion's tail both come through here.
     fn apply(&self, chunk: &ShipChunk) -> Result<(), F2dbError> {
         let guard = self.wal.lock().unwrap();
         let wal = guard
@@ -277,8 +266,8 @@ impl Replica {
         let applied = wal
             .apply_chunk(chunk)
             .map_err(|e| F2dbError::Storage(e.to_string()))?;
-        for (_seq, payload) in &chunk.frames {
-            apply_record(&self.db, payload)?;
+        for (seq, payload) in &chunk.frames {
+            apply_record(&self.db, *seq, payload)?;
         }
         self.applied_seq.store(applied, Ordering::Release);
         Ok(())
@@ -300,15 +289,13 @@ impl Replica {
     }
 }
 
-/// Decodes one replicated WAL record and applies it to the engine,
-/// bypassing the read-only guard. One record = one primary
-/// `insert_batch` call, so batch boundaries (and therefore time-advance
-/// points) replay exactly as the primary saw them. A traced record
-/// re-activates the originating insert's context, so the follower's
-/// `replica.apply` span lands in the *same trace* as the primary-side
-/// serve and WAL-commit spans.
-fn apply_record(db: &F2db, payload: &[u8]) -> Result<(), F2dbError> {
-    let WalRecord::InsertBatch { rows, trace } = WalRecord::decode(payload)?;
+/// Decodes one logged record and hands it to [`F2db::replay`]. A
+/// traced record re-activates the originating insert's context, so the
+/// follower's `replica.apply` span lands in the *same trace* as the
+/// primary-side serve and WAL-commit spans.
+fn apply_record(db: &F2db, seq: u64, payload: &[u8]) -> Result<(), F2dbError> {
+    let record = WalRecord::decode(payload)?;
+    let WalRecord::InsertBatch { trace, .. } = &record;
     let _ctx = trace.map(|(trace_id, span_id)| {
         fdc_obs::trace::activate(TraceContext {
             trace_id,
@@ -317,14 +304,14 @@ fn apply_record(db: &F2db, payload: &[u8]) -> Result<(), F2dbError> {
         })
     });
     let _span = fdc_obs::span!("replica.apply");
-    db.apply_replicated(&rows)?;
+    db.replay(seq, &record)?;
     Ok(())
 }
 
 /// Builds the engine and fetch loop of a follower replica.
 ///
 /// The follower's state is exactly its local log: the `fresh` engine is
-/// made read-only, every record already in `opts.wal_dir` is re-applied
+/// made read-only, every record already in `opts.wal_dir` is replayed
 /// (a follower restart recovers from its own log, no catalog needed),
 /// the [`REPLICA_MARKER`] is written, and the fetch loop starts against
 /// `opts.replica_of`. Pass the returned pair to
@@ -350,8 +337,8 @@ pub fn open_follower(
     )
     .map_err(|e| F2dbError::Storage(format!("follower log open: {e}")))?;
     let db = Arc::new(fresh);
-    for (_seq, payload) in &recovery.records {
-        apply_record(&db, payload)?;
+    for (seq, payload) in &recovery.records {
+        apply_record(&db, *seq, payload)?;
     }
     db.set_read_only(true);
     let marker = replica_marker_path(&wal_dir);

@@ -149,7 +149,7 @@ impl fmt::Debug for WalOptions {
 }
 
 /// What [`Wal::open`] found and did.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct WalRecovery {
     /// Replayed records past the checkpoint watermark, in sequence
     /// order: `(seq, payload)`.
