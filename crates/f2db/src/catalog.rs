@@ -1,53 +1,55 @@
-//! Configuration storage (§V): the two catalog tables of F²DB, sharded
-//! for concurrent access.
+//! Configuration storage (§V): the two catalog tables of F²DB, stored by
+//! node.
 //!
 //! "The first one stores the time series graph and model configuration
 //! (including model assignments, derivation schemes and corresponding
 //! weights), and the second table stores the forecast models itself
 //! including state and parameter values." Here the first table is the
-//! per-node [`CatalogEntry`] map, the second the [`StoredModel`] map;
-//! both serialize into one `F2DB` file (see [`Catalog::encode`]).
+//! per-node scheme and weight columns (a row copied out is a
+//! [`CatalogEntry`]), the second the [`StoredModel`] slots; both
+//! serialize into one `F2DB` file (see [`Catalog::encode`]).
 //!
 //! ## Concurrency
 //!
-//! The catalog is split into [`Catalog::shard_count`] shards, each one an
-//! independently `RwLock`-guarded slice of the node space keyed by a
-//! node-id hash. Point queries on different nodes touch different shards
-//! and never contend; the batched time-advance write path takes one shard
-//! write lock at a time instead of a global lock, so readers of other
-//! shards keep flowing while maintenance runs.
+//! Every per-node scalar sits in a dense table indexed by node id. A
+//! node's scheme sources never change after the catalog is built, and
+//! its derivation weight is the bits of an `f64` in an atomic that only
+//! the advance rewrites, so both are read under no lock. The set of
+//! stored models is fixed once the catalog is built or decoded: each
+//! model has its own slot behind its own `RwLock`. A point query
+//! read-locks the models its scheme derives from and nothing for the
+//! node itself; a re-fit write-locks only the model it re-fits, so it
+//! stalls no reader of another model; the advance write-locks each model
+//! in turn. The history sums, read only by the advance and by
+//! [`Catalog::encode`], are one vector behind one mutex.
 //!
-//! A node's scheme sources never change after the catalog is built, so
-//! they sit outside the shards in one table that is read under no lock;
-//! the shards hold what changes — the derivation weights, the models and
-//! the history sums.
-//!
-//! Lock rule: **a reader holds one shard lock at a time.** `std`'s
+//! Lock rule: **a reader holds one model lock at a time.** `std`'s
 //! `RwLock` turns new readers away while a writer waits, so two readers
-//! that each hold one shard and ask for the other's, with a re-fit
+//! that each hold one model and ask for the other's, with a re-fit
 //! waiting on each, would never finish. [`Catalog::forecast`] therefore
-//! reads the node's weight and releases its shard before it visits a
-//! source. ([`Catalog::encode`] takes every shard, in ascending order;
-//! it is the only holder of several.)
+//! releases each source's model before it visits the next.
+//! ([`Catalog::encode`] takes every model's read lock, in node order; it
+//! is the only holder of several.)
 //!
-//! Lazy parameter re-estimation is **single-flight**: when a maintenance
-//! policy has invalidated a model and many concurrent queries reference
-//! it, exactly one thread re-fits (the *leader*); the others wait on the
-//! node's in-flight slot and reuse the result. The dedup is observable in
-//! the `fdc-obs` registry (`f2db.models.reestimated` counts exactly one
-//! re-fit per invalidation epoch, `f2db.reestimate.in_flight` gauges the
-//! fits currently running).
+//! Lazy parameter re-estimation is **single-flight**, and the model's
+//! write lock is the flight: a caller that finds the model invalid takes
+//! that lock and decides under it — still invalid, it re-fits; valid
+//! again, the re-fit it queued behind served it. The dedup is observable
+//! in the `fdc-obs` registry (`f2db.models.reestimated` counts exactly
+//! one re-fit per invalidation epoch, `f2db.reestimate.in_flight` gauges
+//! the fits currently running).
 //!
-//! Consistency model: every individual node read is consistent (shard
+//! Consistency model: every individual model read is consistent (model
 //! locks), and [`Catalog::advance_time`] is serialized by the caller
-//! (F²DB's maintenance processor). A query that spans shards *while* an
-//! advance is in progress may observe a mix of pre- and post-advance
-//! models; callers that need strict serial equivalence (the stress suite)
-//! phase queries and advances with barriers. A lazy re-fit that races an
-//! advance stays safe even without barriers: a refit landing after the
-//! dataset append already absorbed the newest observation, and the
-//! advance pass detects this (via the model's observation count) and
-//! skips its incremental update, so no observation is ever applied twice.
+//! (F²DB's maintenance processor). A query that reads several models
+//! *while* an advance is in progress may observe a mix of pre- and
+//! post-advance models and weights; callers that need strict serial
+//! equivalence (the stress suite) phase queries and advances with
+//! barriers. A lazy re-fit that races an advance stays safe even without
+//! barriers: a refit landing after the dataset append already absorbed
+//! the newest observation, and the advance pass detects this (via the
+//! model's observation count) and skips its incremental update, so no
+//! observation is ever applied twice.
 
 use crate::maintenance::MaintenancePolicy;
 use crate::{F2dbError, Result, INLINE_STEPS};
@@ -58,9 +60,9 @@ use fdc_cube::{Configuration, Dataset, NodeId};
 use fdc_forecast::model::restore_model;
 use fdc_forecast::{AccuracyMeasure, FitOptions, ForecastModel, ModelState};
 use fdc_obs::{journal, names, Event, RollingAccuracy};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Magic bytes identifying a catalog file.
 pub const MAGIC: &[u8; 4] = b"F2DB";
@@ -69,10 +71,8 @@ pub const MAGIC: &[u8; 4] = b"F2DB";
 /// has written version 1.)
 pub const VERSION: u16 = 2;
 
-/// Default number of catalog shards. A modest power of two: enough that 8
-/// reader threads rarely collide, small enough that whole-catalog
-/// operations (encode, advance) stay cheap.
-pub const DEFAULT_SHARD_COUNT: usize = 16;
+/// The slot of a node without a stored model.
+const NO_MODEL: usize = usize::MAX;
 
 /// Per-node configuration row: the derivation scheme serving the node,
 /// as [`Catalog::entry`] copies it out.
@@ -113,14 +113,30 @@ impl std::fmt::Debug for StoredModel {
     }
 }
 
-/// One lock-guarded slice of the catalog: the nodes whose id hashes to
-/// this shard, with their derivation weights, models and history sums.
-#[derive(Debug, Default)]
-struct Shard {
-    /// The weight `k` of every node with a scheme.
-    weights: BTreeMap<NodeId, f64>,
-    models: BTreeMap<NodeId, StoredModel>,
-    history_sums: BTreeMap<NodeId, f64>,
+impl StoredModel {
+    /// Marks the model invalid, opening a new epoch. Returns whether the
+    /// flag changed.
+    fn invalidate(&mut self) -> bool {
+        if self.invalid {
+            return false;
+        }
+        self.invalid = true;
+        self.epoch = self.epoch.saturating_add(1);
+        true
+    }
+
+    /// Re-estimates the model at `node` on its full current history,
+    /// paying the artificial cost first, and clears its invalid flag and
+    /// rolling error.
+    fn refit(&mut self, node: NodeId, dataset: &Dataset, fit: &FitOptions) -> Result<()> {
+        fit.apply_artificial_cost();
+        self.model
+            .refit(dataset.series(node), fit)
+            .map_err(|e| F2dbError::Cube(format!("re-estimating node {node}: {e}")))?;
+        self.invalid = false;
+        self.rolling_error = 0.0;
+        Ok(())
+    }
 }
 
 /// Tallies of one [`Catalog::advance_time`] call.
@@ -142,34 +158,12 @@ pub enum Reestimation {
     /// This thread was the leader and re-fitted the model.
     Refit,
     /// Another thread was already re-fitting; this thread waited on the
-    /// in-flight slot and reused the result.
+    /// model's lock and reused the result.
     Waited,
 }
 
-/// In-flight slot of a single-flight re-estimation.
-#[derive(Debug)]
-struct InflightSlot {
-    state: Mutex<SlotState>,
-    cv: Condvar,
-}
-
-#[derive(Debug)]
-enum SlotState {
-    Running,
-    Done(Option<F2dbError>),
-}
-
-impl InflightSlot {
-    fn new() -> Self {
-        InflightSlot {
-            state: Mutex::new(SlotState::Running),
-            cv: Condvar::new(),
-        }
-    }
-}
-
-/// The sharded catalog: configuration rows + model store + the per-node
-/// history sums needed to update derivation weights incrementally.
+/// The catalog: configuration rows + model store + the per-node history
+/// sums needed to update derivation weights incrementally.
 #[derive(Debug)]
 pub struct Catalog {
     advances: AtomicU64,
@@ -177,61 +171,96 @@ pub struct Catalog {
     /// scheme, one row per node. Fixed for the catalog's lifetime, so
     /// read under no lock.
     schemes: Vec<Option<Box<[NodeId]>>>,
-    shards: Vec<RwLock<Shard>>,
-    inflight: Mutex<HashMap<NodeId, Arc<InflightSlot>>>,
+    /// `weights[v]`: the bits of node `v`'s derivation weight `k` (0
+    /// without a scheme). Rewritten only by the advance, read under no
+    /// lock; `Relaxed`, as a weight publishes no other data.
+    weights: Vec<AtomicU64>,
+    /// `slots[v]`: where node `v`'s model sits in `models`, [`NO_MODEL`]
+    /// without one.
+    slots: Vec<usize>,
+    /// The stored models with their nodes, in ascending node order, each
+    /// behind its own lock.
+    models: Vec<(NodeId, RwLock<StoredModel>)>,
+    /// `history_sums[v]`: the sum of node `v`'s history so far.
+    history_sums: Mutex<Vec<f64>>,
 }
 
-/// Fibonacci-hash of a node id (spreads consecutive ids across shards).
-fn hash_node(node: NodeId) -> u64 {
-    (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+/// Read-locks a model, counting contended acquisitions into the
+/// `f2db.model.read_contention` metric.
+fn read(lock: &RwLock<StoredModel>) -> RwLockReadGuard<'_, StoredModel> {
+    lock.try_read().unwrap_or_else(|_| {
+        fdc_obs::counter!(names::F2DB_MODEL_READ_CONTENTION).incr();
+        lock.read().unwrap()
+    })
+}
+
+/// Write-locks a model, counting contended acquisitions into the
+/// `f2db.model.write_contention` metric.
+fn write(lock: &RwLock<StoredModel>) -> RwLockWriteGuard<'_, StoredModel> {
+    lock.try_write().unwrap_or_else(|_| {
+        fdc_obs::counter!(names::F2DB_MODEL_WRITE_CONTENTION).incr();
+        lock.write().unwrap()
+    })
 }
 
 impl Catalog {
-    /// A catalog of these schemes (one row per node) with no weight,
-    /// model or history sum yet.
-    fn empty(schemes: Vec<Option<Box<[NodeId]>>>, shard_count: usize) -> Self {
-        let shard_count = shard_count.max(1);
-        fdc_obs::gauge(names::F2DB_CATALOG_SHARDS).set(shard_count as i64);
+    /// A catalog of these per-node schemes, weights and history sums
+    /// and of these models (every node below `schemes.len()`).
+    fn new(
+        schemes: Vec<Option<Box<[NodeId]>>>,
+        weights: Vec<f64>,
+        models: BTreeMap<NodeId, StoredModel>,
+        history_sums: Vec<f64>,
+        advances: u64,
+    ) -> Self {
+        let mut slots = vec![NO_MODEL; schemes.len()];
+        for (slot, &node) in models.keys().enumerate() {
+            slots[node] = slot;
+        }
         Catalog {
-            advances: AtomicU64::new(0),
+            advances: AtomicU64::new(advances),
             schemes,
-            shards: (0..shard_count)
-                .map(|_| RwLock::new(Shard::default()))
+            weights: weights
+                .into_iter()
+                .map(|k| AtomicU64::new(k.to_bits()))
                 .collect(),
-            inflight: Mutex::new(HashMap::new()),
+            slots,
+            models: models
+                .into_iter()
+                .map(|(node, stored)| (node, RwLock::new(stored)))
+                .collect(),
+            history_sums: Mutex::new(history_sums),
         }
     }
 
-    fn shard_of(&self, node: NodeId) -> usize {
-        (hash_node(node) % self.shards.len() as u64) as usize
+    /// The lock of `node`'s model, if it has one ([`NO_MODEL`] is no
+    /// index of `models`).
+    fn model(&self, node: NodeId) -> Option<&RwLock<StoredModel>> {
+        let &slot = self.slots.get(node)?;
+        self.models.get(slot).map(|(_, lock)| lock)
     }
 
-    /// Read-locks shard `i`, counting contended acquisitions into the
-    /// `f2db.shard.read_contention` metric.
-    fn read_shard(&self, i: usize) -> RwLockReadGuard<'_, Shard> {
-        match self.shards[i].try_read() {
-            Ok(g) => g,
-            Err(_) => {
-                fdc_obs::counter!(names::F2DB_SHARD_READ_CONTENTION).incr();
-                self.shards[i].read().unwrap()
+    /// `node`'s model, read-locked.
+    fn read_model(&self, node: NodeId) -> Option<RwLockReadGuard<'_, StoredModel>> {
+        self.model(node).map(read)
+    }
+
+    /// The derivation weight `k` of `node` (0 without a scheme).
+    fn weight(&self, node: NodeId) -> f64 {
+        f64::from_bits(self.weights[node].load(Ordering::Relaxed))
+    }
+
+    /// Sets every scheme's weight `k` from these per-node history sums.
+    fn refresh_weights(&self, sums: &[f64]) {
+        for (v, sources) in self.schemes.iter().enumerate() {
+            if let Some(sources) = sources {
+                let h_s: f64 = sources.iter().map(|&s| sums[s]).sum();
+                self.weights[v].store(weight(sums[v], h_s).to_bits(), Ordering::Relaxed);
             }
         }
     }
 
-    /// Write-locks shard `i`, counting contended acquisitions into the
-    /// `f2db.shard.write_contention` metric.
-    fn write_shard(&self, i: usize) -> RwLockWriteGuard<'_, Shard> {
-        match self.shards[i].try_write() {
-            Ok(g) => g,
-            Err(_) => {
-                fdc_obs::counter!(names::F2DB_SHARD_WRITE_CONTENTION).incr();
-                self.shards[i].write().unwrap()
-            }
-        }
-    }
-
-    /// Builds a catalog from an advisor/baseline configuration with the
-    /// default shard count.
+    /// Builds a catalog from an advisor/baseline configuration.
     ///
     /// Every stored model is refit on the node's **full** history (the
     /// advisor evaluated on the training split; deployment forecasts must
@@ -242,17 +271,6 @@ impl Catalog {
         configuration: &Configuration,
         fit: &FitOptions,
     ) -> Result<Self> {
-        Self::from_configuration_sharded(dataset, configuration, fit, DEFAULT_SHARD_COUNT)
-    }
-
-    /// [`Catalog::from_configuration`] with an explicit shard count
-    /// (`1` reproduces a single global lock — the concurrency baseline).
-    pub fn from_configuration_sharded(
-        dataset: &Dataset,
-        configuration: &Configuration,
-        fit: &FitOptions,
-        shard_count: usize,
-    ) -> Result<Self> {
         let n = dataset.node_count();
         let schemes = (0..n)
             .map(|v| {
@@ -260,76 +278,29 @@ impl Catalog {
                 scheme.map(|scheme| scheme.sources.clone().into_boxed_slice())
             })
             .collect();
-        let catalog = Catalog::empty(schemes, shard_count);
-        let history_sums: Vec<f64> = (0..n).map(|v| dataset.series(v).history_sum()).collect();
+        let mut models = BTreeMap::new();
         for (node, cm) in configuration.models() {
             let model = cm
                 .spec
                 .fit(dataset.series(node), fit)
                 .map_err(|e| F2dbError::Cube(format!("refitting model at node {node}: {e}")))?;
-            let mut shard = catalog.shards[catalog.shard_of(node)].write().unwrap();
-            shard.models.insert(
-                node,
-                StoredModel {
-                    model,
-                    invalid: false,
-                    rolling_error: 0.0,
-                    epoch: 0,
-                },
-            );
+            let stored = StoredModel {
+                model,
+                invalid: false,
+                rolling_error: 0.0,
+                epoch: 0,
+            };
+            models.insert(node, stored);
         }
-        for v in 0..n {
-            let mut shard = catalog.shards[catalog.shard_of(v)].write().unwrap();
-            shard.history_sums.insert(v, history_sums[v]);
-            if let Some(sources) = &catalog.schemes[v] {
-                let h_s: f64 = sources.iter().map(|&s| history_sums[s]).sum();
-                shard.weights.insert(v, weight(history_sums[v], h_s));
-            }
-        }
+        let history_sums: Vec<f64> = (0..n).map(|v| dataset.series(v).history_sum()).collect();
+        let catalog = Catalog::new(schemes, vec![0.0; n], models, history_sums, 0);
+        catalog.refresh_weights(&catalog.history_sums.lock().unwrap());
         Ok(catalog)
-    }
-
-    /// Redistributes the catalog over `shard_count` shards (contents and
-    /// on-disk encoding are shard-count independent).
-    pub fn reshard(self, shard_count: usize) -> Self {
-        let advances = self.advances.load(Ordering::SeqCst);
-        let resharded = Catalog::empty(self.schemes, shard_count);
-        resharded.advances.store(advances, Ordering::SeqCst);
-        for old in self.shards {
-            let old = old.into_inner().unwrap();
-            for (node, k) in old.weights {
-                resharded.shards[resharded.shard_of(node)]
-                    .write()
-                    .unwrap()
-                    .weights
-                    .insert(node, k);
-            }
-            for (node, stored) in old.models {
-                resharded.shards[resharded.shard_of(node)]
-                    .write()
-                    .unwrap()
-                    .models
-                    .insert(node, stored);
-            }
-            for (node, h) in old.history_sums {
-                resharded.shards[resharded.shard_of(node)]
-                    .write()
-                    .unwrap()
-                    .history_sums
-                    .insert(node, h);
-            }
-        }
-        resharded
     }
 
     /// Number of nodes covered.
     pub fn node_count(&self) -> usize {
         self.schemes.len()
-    }
-
-    /// Number of shards the catalog is split into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Lifetime count of time advances this catalog has absorbed —
@@ -341,102 +312,61 @@ impl Catalog {
 
     /// Number of stored models.
     pub fn model_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap().models.len())
-            .sum()
+        self.models.len()
     }
 
     /// The configuration row of `node` (copied out).
     pub fn entry(&self, node: NodeId) -> Option<CatalogEntry> {
         let sources = self.schemes.get(node)?.as_deref()?;
-        let weight = *self.read_shard(self.shard_of(node)).weights.get(&node)?;
         Some(CatalogEntry {
             scheme_sources: sources.to_vec(),
-            weight,
+            weight: self.weight(node),
         })
     }
 
     /// Whether the model at `node` is marked invalid.
     pub fn is_invalid(&self, node: NodeId) -> bool {
-        self.read_shard(self.shard_of(node))
-            .models
-            .get(&node)
-            .is_some_and(|m| m.invalid)
+        self.read_model(node).is_some_and(|m| m.invalid)
     }
 
     /// Invalidation epoch of the model at `node` (how many times it has
     /// been marked invalid so far).
     pub fn epoch(&self, node: NodeId) -> Option<u64> {
-        self.read_shard(self.shard_of(node))
-            .models
-            .get(&node)
-            .map(|m| m.epoch)
+        self.read_model(node).map(|m| m.epoch)
     }
 
     /// Number of observations the model at `node` has absorbed.
     pub fn observations(&self, node: NodeId) -> Option<usize> {
-        self.read_shard(self.shard_of(node))
-            .models
-            .get(&node)
-            .map(|m| m.model.observations())
+        self.read_model(node).map(|m| m.model.observations())
     }
 
     /// Rolling one-step SMAPE of the model at `node`.
     pub fn rolling_error(&self, node: NodeId) -> Option<f64> {
-        self.read_shard(self.shard_of(node))
-            .models
-            .get(&node)
-            .map(|m| m.rolling_error)
+        self.read_model(node).map(|m| m.rolling_error)
     }
 
     /// All nodes whose models are currently marked invalid, ascending.
     pub fn invalid_nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self
-            .shards
+        self.models
             .iter()
-            .flat_map(|s| {
-                s.read()
-                    .unwrap()
-                    .models
-                    .iter()
-                    .filter(|(_, m)| m.invalid)
-                    .map(|(&n, _)| n)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        nodes.sort_unstable();
-        nodes
+            .filter(|(_, lock)| read(lock).invalid)
+            .map(|&(node, _)| node)
+            .collect()
     }
 
     /// Marks the model at `node` invalid (next referencing query pays for
     /// a re-estimation). Returns whether the flag changed.
     pub fn invalidate(&self, node: NodeId) -> bool {
-        let mut shard = self.write_shard(self.shard_of(node));
-        match shard.models.get_mut(&node) {
-            Some(m) if !m.invalid => {
-                m.invalid = true;
-                m.epoch = m.epoch.saturating_add(1);
-                true
-            }
-            _ => false,
-        }
+        self.model(node)
+            .is_some_and(|lock| write(lock).invalidate())
     }
 
     /// Marks every stored model invalid; returns how many flags changed.
     pub fn invalidate_all(&self) -> usize {
-        let mut changed = 0;
-        for lock in &self.shards {
-            let mut shard = lock.write().unwrap();
-            for m in shard.models.values_mut() {
-                if !m.invalid {
-                    m.invalid = true;
-                    m.epoch = m.epoch.saturating_add(1);
-                    changed += 1;
-                }
-            }
-        }
-        changed
+        self.models
+            .iter()
+            .filter(|(_, lock)| write(lock).invalidate())
+            .count()
     }
 
     /// Computes the forecast of `node` from its scheme and the stored
@@ -473,10 +403,10 @@ impl Catalog {
     }
 
     /// Eq. (1) over the stored models into `out`, copying nothing: the
-    /// sources are read from the scheme table and the weight under the
-    /// node's shard lock, which is released before any source is
-    /// visited, each under its own shard's lock — a reader never holds
-    /// two shard locks (`a_reader_waiting_for_a_source_holds_no_other_shard`).
+    /// sources and the weight are read from the per-node tables under no
+    /// lock, and each source's model under its own lock, released before
+    /// the next source is visited — a reader never holds two model locks
+    /// (`a_reader_waiting_for_a_source_holds_no_other_model`).
     ///
     /// The first source forecasts straight into `out`: every further
     /// source forecasts into a scratch buffer and adds into it in place,
@@ -489,11 +419,10 @@ impl Catalog {
     /// and of sources.
     fn derive(&self, node: NodeId, out: &mut [f64], settled_only: bool) -> Option<(usize, usize)> {
         let sources = self.schemes.get(node)?.as_deref()?;
-        let k = *self.read_shard(self.shard_of(node)).weights.get(&node)?;
+        let k = self.weight(node);
         let (mut inline, mut heap) = ([0.0; INLINE_STEPS], Vec::new());
         for (i, &s) in sources.iter().enumerate() {
-            let shard = self.read_shard(self.shard_of(s));
-            let stored = shard.models.get(&s)?;
+            let stored = self.read_model(s)?;
             if settled_only && (stored.invalid || (i > 0 && sources[i - 1] >= s)) {
                 return None;
             }
@@ -527,8 +456,8 @@ impl Catalog {
     /// update, derivation weights are refreshed from the new history
     /// sums, and the invalidation policy is applied.
     ///
-    /// Takes per-shard write locks one at a time (never a global lock);
-    /// the caller (F²DB's maintenance processor) serializes concurrent
+    /// Write-locks one model at a time (never the whole catalog); the
+    /// caller (F²DB's maintenance processor) serializes concurrent
     /// advances.
     pub fn advance_time(
         &self,
@@ -564,80 +493,63 @@ impl Catalog {
             _ => false,
         };
         let mut out = AdvanceOutcome::default();
-        // Pass 1 (per-shard write): model state updates + history sums +
-        // invalidation. No cross-shard data is needed here.
-        for lock in &self.shards {
-            let mut shard = lock.write().unwrap();
-            let shard = &mut *shard;
-            for (&node, stored) in shard.models.iter_mut() {
-                // A lazy re-fit racing this advance may already have
-                // fitted the model on the history *including*
-                // `last_index`: the dataset append happens before these
-                // shard passes, so a query's refit can observe the new
-                // value first. Re-applying the incremental update would
-                // absorb the newest observation twice and every later
-                // forecast would silently diverge from the serial order.
-                // Such a refit instead serializes after this advance:
-                // skip the update, the rolling-error step and the policy
-                // (whose invalidation that refit already consumed).
-                if stored.model.observations() > last_index {
-                    fdc_obs::counter!(names::F2DB_ADVANCE_SKIPPED_UPDATES).incr();
-                    continue;
+        // Each model under its own write lock: state update + rolling
+        // error + invalidation.
+        for (node, lock) in &self.models {
+            let node = *node;
+            let mut stored = write(lock);
+            // A lazy re-fit racing this advance may already have
+            // fitted the model on the history *including*
+            // `last_index`: the dataset append happens before this
+            // pass, so a query's refit can observe the new value first.
+            // Re-applying the incremental update would absorb the
+            // newest observation twice and every later forecast would
+            // silently diverge from the serial order. Such a refit
+            // instead serializes after this advance: skip the update,
+            // the rolling-error step and the policy (whose invalidation
+            // that refit already consumed).
+            if stored.model.observations() > last_index {
+                fdc_obs::counter!(names::F2DB_ADVANCE_SKIPPED_UPDATES).incr();
+                continue;
+            }
+            let actual = dataset.series(node).values()[last_index];
+            let predicted = stored.model.forecast(1)[0];
+            let step_err = AccuracyMeasure::Smape.point_error(actual, predicted);
+            stored.rolling_error = 0.8 * stored.rolling_error + 0.2 * step_err;
+            stored.model.update(actual);
+            out.model_updates += 1;
+            let mut invalidate = match policy {
+                MaintenancePolicy::None => false,
+                MaintenancePolicy::TimeBased { .. } => time_due,
+                MaintenancePolicy::ThresholdBased { smape_threshold } => {
+                    stored.rolling_error > *smape_threshold
                 }
-                let actual = dataset.series(node).values()[last_index];
-                let predicted = stored.model.forecast(1)[0];
-                let step_err = AccuracyMeasure::Smape.point_error(actual, predicted);
-                stored.rolling_error = 0.8 * stored.rolling_error + 0.2 * step_err;
-                stored.model.update(actual);
-                out.model_updates += 1;
-                let mut invalidate = match policy {
-                    MaintenancePolicy::None => false,
-                    MaintenancePolicy::TimeBased { .. } => time_due,
-                    MaintenancePolicy::ThresholdBased { smape_threshold } => {
-                        stored.rolling_error > *smape_threshold
-                    }
-                };
-                if let Some(acc) = accuracy {
-                    if let Some(alert) = acc.record(node as u64, actual, predicted) {
-                        out.drift_alerts += 1;
-                        invalidate = true;
-                        fdc_obs::counter!(names::F2DB_DRIFT_ALERTS).incr();
-                        journal().publish(Event::DriftAlert {
-                            node: node as u64,
-                            smape: alert.smape,
-                            mae: alert.mae,
-                            threshold: alert.threshold,
-                            trigger: alert.trigger.as_str(),
-                        });
-                    }
-                }
-                if invalidate && !stored.invalid {
-                    stored.invalid = true;
-                    stored.epoch = stored.epoch.saturating_add(1);
-                    out.invalidations += 1;
+            };
+            if let Some(acc) = accuracy {
+                if let Some(alert) = acc.record(node as u64, actual, predicted) {
+                    out.drift_alerts += 1;
+                    invalidate = true;
+                    fdc_obs::counter!(names::F2DB_DRIFT_ALERTS).incr();
+                    journal().publish(Event::DriftAlert {
+                        node: node as u64,
+                        smape: alert.smape,
+                        mae: alert.mae,
+                        threshold: alert.threshold,
+                        trigger: alert.trigger.as_str(),
+                    });
                 }
             }
-            for (&node, h) in shard.history_sums.iter_mut() {
-                *h += dataset.series(node).values()[last_index];
+            if invalidate && stored.invalidate() {
+                out.invalidations += 1;
             }
         }
-        // Pass 2 (per-shard read): snapshot the full history-sum vector.
-        let mut sums = vec![0.0; self.node_count()];
-        for lock in &self.shards {
-            let shard = lock.read().unwrap();
-            for (&node, &h) in &shard.history_sums {
-                sums[node] = h;
-            }
+        // The history sums, then the weights derived from them (a weight
+        // needs the sums of its node's sources).
+        let mut sums = self.history_sums.lock().unwrap();
+        for (v, h) in sums.iter_mut().enumerate() {
+            *h += dataset.series(v).values()[last_index];
         }
-        // Pass 3 (per-shard write): refresh derivation weights from the
-        // snapshot (weights need the sums of cross-shard source nodes).
-        for lock in &self.shards {
-            let mut shard = lock.write().unwrap();
-            for (&v, k) in shard.weights.iter_mut() {
-                let h_s: f64 = self.sources(v).iter().map(|&s| sums[s]).sum();
-                *k = weight(sums[v], h_s);
-            }
-        }
+        self.refresh_weights(&sums);
         out
     }
 
@@ -646,168 +558,92 @@ impl Catalog {
     /// concurrent callers should prefer
     /// [`Catalog::reestimate_single_flight`].
     pub fn reestimate(&self, node: NodeId, dataset: &Dataset, fit: &FitOptions) -> Result<()> {
-        self.refit(node, dataset, fit, false).map(|_| ())
-    }
-
-    /// The one re-fit body of [`Catalog::reestimate`] and the single
-    /// flight: under the node's shard lock, pays the artificial cost,
-    /// re-estimates the model and clears its invalid flag and rolling
-    /// error. With `only_invalid`, a model found valid under the lock is
-    /// left alone. Returns whether a re-fit happened.
-    fn refit(
-        &self,
-        node: NodeId,
-        dataset: &Dataset,
-        fit: &FitOptions,
-        only_invalid: bool,
-    ) -> Result<bool> {
-        let mut shard = self.write_shard(self.shard_of(node));
-        let stored = shard
-            .models
-            .get_mut(&node)
+        let lock = self
+            .model(node)
             .ok_or_else(|| F2dbError::Semantic(format!("no model at node {node}")))?;
-        if only_invalid && !stored.invalid {
-            return Ok(false);
-        }
-        fit.apply_artificial_cost();
-        stored
-            .model
-            .refit(dataset.series(node), fit)
-            .map_err(|e| F2dbError::Cube(format!("re-estimating node {node}: {e}")))?;
-        stored.invalid = false;
-        stored.rolling_error = 0.0;
-        Ok(true)
+        write(lock).refit(node, dataset, fit)
     }
 
     /// Single-flight lazy re-estimation: when many threads hit the same
-    /// invalidated model, exactly one re-fits; the rest wait on the
-    /// node's in-flight slot and reuse the result. Re-fitting is
-    /// deterministic (full-history refit), so which thread leads does not
-    /// affect the forecasts served afterwards.
+    /// invalidated model, exactly one re-fits; the rest queue on the
+    /// model's write lock and find it valid. Re-fitting is deterministic
+    /// (full-history refit), so which thread leads does not affect the
+    /// forecasts served afterwards — and a failed re-fit leaves the
+    /// model invalid, so the next caller fits again and meets the same
+    /// error.
     pub fn reestimate_single_flight(
         &self,
         node: NodeId,
         dataset: &Dataset,
         fit: &FitOptions,
     ) -> Result<Reestimation> {
-        let mut waited = false;
-        loop {
-            if !self.is_invalid(node) {
-                return Ok(if waited {
-                    Reestimation::Waited
-                } else {
-                    Reestimation::AlreadyValid
-                });
-            }
-            let (slot, leader) = {
-                let mut map = self.inflight.lock().unwrap();
-                match map.entry(node) {
-                    std::collections::hash_map::Entry::Occupied(e) => (Arc::clone(e.get()), false),
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        (Arc::clone(v.insert(Arc::new(InflightSlot::new()))), true)
-                    }
-                }
-            };
-            if leader {
-                let in_flight = fdc_obs::gauge(names::F2DB_REESTIMATE_IN_FLIGHT);
-                in_flight.incr();
-                let result = self.refit(node, dataset, fit, true);
-                {
-                    let mut state = slot.state.lock().unwrap();
-                    *state = SlotState::Done(result.as_ref().err().cloned());
-                    slot.cv.notify_all();
-                }
-                self.inflight.lock().unwrap().remove(&node);
-                in_flight.decr();
-                if let Ok(true) = result {
-                    journal().publish(Event::ReEstimation {
-                        node: node as u64,
-                        epoch: self.epoch(node).unwrap_or(0),
-                        outcome: "refit",
-                    });
-                }
-                return match result {
-                    Ok(true) => Ok(Reestimation::Refit),
-                    Ok(false) => Ok(if waited {
-                        Reestimation::Waited
-                    } else {
-                        Reestimation::AlreadyValid
-                    }),
-                    Err(e) => Err(e),
-                };
-            }
-            let mut state = slot.state.lock().unwrap();
-            while matches!(*state, SlotState::Running) {
-                state = slot.cv.wait(state).unwrap();
-            }
-            if let SlotState::Done(Some(e)) = &*state {
-                return Err(e.clone());
-            }
-            drop(state);
-            waited = true;
-            // Loop: the model is normally valid now; re-check handles the
-            // race where a new invalidation landed in the meantime.
+        let Some(lock) = self.model(node) else {
+            return Ok(Reestimation::AlreadyValid);
+        };
+        if !read(lock).invalid {
+            return Ok(Reestimation::AlreadyValid);
         }
+        let mut stored = write(lock);
+        if !stored.invalid {
+            return Ok(Reestimation::Waited);
+        }
+        let in_flight = fdc_obs::gauge(names::F2DB_REESTIMATE_IN_FLIGHT);
+        in_flight.incr();
+        let result = stored.refit(node, dataset, fit);
+        in_flight.decr();
+        result?;
+        let epoch = stored.epoch;
+        drop(stored);
+        journal().publish(Event::ReEstimation {
+            node: node as u64,
+            epoch,
+            outcome: "refit",
+        });
+        Ok(Reestimation::Refit)
     }
 
-    /// Serializes the catalog. The byte layout is canonical (node order)
-    /// and therefore independent of the shard count.
+    /// Serializes the catalog. The byte layout is canonical (node order).
     pub fn encode(&self) -> Vec<u8> {
-        // Lock every shard (ascending index) for a consistent snapshot.
-        let guards: Vec<RwLockReadGuard<'_, Shard>> =
-            self.shards.iter().map(|s| s.read().unwrap()).collect();
-        let weight_of = |v: NodeId| guards[self.shard_of(v)].weights.get(&v);
-        let model_of = |v: NodeId| guards[self.shard_of(v)].models.get(&v);
+        // Every model's read lock (ascending node), then the history
+        // sums, for a consistent snapshot.
+        let models: Vec<(NodeId, RwLockReadGuard<'_, StoredModel>)> = self
+            .models
+            .iter()
+            .map(|(node, lock)| (*node, read(lock)))
+            .collect();
+        let sums = self.history_sums.lock().unwrap();
 
         let mut w = Writer::with_capacity(1024);
         w.header(MAGIC, VERSION);
         w.len(self.node_count());
         for (v, scheme) in self.schemes.iter().enumerate() {
-            match scheme.as_deref().zip(weight_of(v)) {
+            match scheme {
                 None => w.u8(0),
-                Some((sources, &k)) => {
+                Some(sources) => {
                     w.u8(1);
                     w.len(sources.len());
-                    for &source in sources {
+                    for &source in sources.iter() {
                         w.u64(source as u64);
                     }
-                    w.f64(k);
+                    w.f64(self.weight(v));
                 }
             }
         }
-        let model_nodes: Vec<NodeId> = (0..self.node_count())
-            .filter(|&v| model_of(v).is_some())
-            .collect();
-        w.len(model_nodes.len());
-        for &node in &model_nodes {
-            let stored = model_of(node).expect("model listed above");
-            w.u64(node as u64);
+        w.len(models.len());
+        for (node, stored) in &models {
+            w.u64(*node as u64);
             w.u8(stored.invalid as u8);
             w.f64(stored.rolling_error);
             w.u64(stored.epoch);
             stored.model.state().encode_into(&mut w);
         }
-        let sums: Vec<f64> = (0..self.node_count())
-            .map(|v| {
-                guards[self.shard_of(v)]
-                    .history_sums
-                    .get(&v)
-                    .copied()
-                    .unwrap_or(0.0)
-            })
-            .collect();
         w.f64s(&sums);
         w.u64(self.advances.load(Ordering::SeqCst));
         w.finish()
     }
 
-    /// Deserializes a catalog into the default shard count.
+    /// Deserializes a catalog.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        Self::decode_sharded(bytes, DEFAULT_SHARD_COUNT)
-    }
-
-    /// Deserializes a catalog into an explicit shard count.
-    pub fn decode_sharded(bytes: &[u8], shard_count: usize) -> Result<Self> {
         let mut r = Reader::new(bytes);
         r.header(MAGIC, VERSION..=VERSION)?;
         // The smallest entry is its tag byte alone.
@@ -818,7 +654,7 @@ impl Catalog {
             match r.u8()? {
                 0 => {
                     schemes.push(None);
-                    weights.push(None);
+                    weights.push(0.0);
                 }
                 1 => {
                     let sources = r.count(8)?;
@@ -826,7 +662,7 @@ impl Catalog {
                         .map(|_| r.u64().map(|v| v as NodeId))
                         .collect::<std::result::Result<_, _>>()?;
                     schemes.push(Some(sources));
-                    weights.push(Some(r.f64()?));
+                    weights.push(r.f64()?);
                 }
                 t => return Err(F2dbError::Storage(format!("bad entry tag {t}"))),
             }
@@ -866,28 +702,18 @@ impl Catalog {
                 "scheme source {source} outside catalog of {n} nodes"
             )));
         }
-        let catalog = Catalog::empty(schemes, shard_count);
-        catalog.advances.store(advances, Ordering::SeqCst);
-        for (v, k) in weights.into_iter().enumerate() {
-            let mut shard = catalog.shards[catalog.shard_of(v)].write().unwrap();
-            shard.history_sums.insert(v, history_sums[v]);
-            if let Some(k) = k {
-                shard.weights.insert(v, k);
-            }
+        if let Some(node) = models.keys().find(|&&node| node >= n) {
+            return Err(F2dbError::Storage(format!(
+                "model at node {node} outside catalog of {n} nodes"
+            )));
         }
-        for (node, stored) in models {
-            if node >= n {
-                return Err(F2dbError::Storage(format!(
-                    "model at node {node} outside catalog of {n} nodes"
-                )));
-            }
-            catalog.shards[catalog.shard_of(node)]
-                .write()
-                .unwrap()
-                .models
-                .insert(node, stored);
-        }
-        Ok(catalog)
+        Ok(Catalog::new(
+            schemes,
+            weights,
+            models,
+            history_sums,
+            advances,
+        ))
     }
 }
 
@@ -897,6 +723,7 @@ mod tests {
     use fdc_cube::{ConfiguredModel, CubeSplit};
     use fdc_datagen::tourism_proxy;
     use fdc_forecast::ModelSpec;
+    use std::sync::Arc;
     use std::time::{Duration, Instant};
 
     fn catalog_fixture() -> (Dataset, Catalog) {
@@ -922,7 +749,6 @@ mod tests {
     fn catalog_serves_every_configured_node() {
         let (ds, catalog) = catalog_fixture();
         assert_eq!(catalog.model_count(), 1);
-        assert_eq!(catalog.shard_count(), DEFAULT_SHARD_COUNT);
         for v in 0..ds.node_count() {
             let fc = catalog.forecast(v, 4).expect("every node has a scheme");
             assert_eq!(fc.len(), 4);
@@ -968,10 +794,7 @@ mod tests {
             let forecasts: Vec<Vec<f64>> = entry
                 .scheme_sources
                 .iter()
-                .map(|&s| {
-                    let shard = catalog.read_shard(catalog.shard_of(s));
-                    shard.models[&s].model.forecast(3)
-                })
+                .map(|&s| catalog.read_model(s).unwrap().model.forecast(3))
                 .collect();
             let refs: Vec<&[f64]> = forecasts.iter().map(Vec::as_slice).collect();
             let expected = fdc_cube::derive_forecast(&refs, entry.weight);
@@ -1040,31 +863,23 @@ mod tests {
         }
     }
 
-    /// A two-shard catalog whose schemes cross the shards both ways:
-    /// `x` lives on shard 1 and derives from model `m0` on shard 0, `y`
-    /// lives on shard 0 and derives from `m1` on shard 1. Returns
-    /// `(dataset, catalog, [m0, m1], [x, y])`.
+    /// Four models whose schemes cross both ways: `x` derives from `m1`
+    /// then `m0`, `y` from `m0` then `m1`, and `x` and `y` have models of
+    /// their own. Returns `(dataset, catalog, [m0, m1], [x, y])`.
     fn crossing_fixture() -> (Dataset, Catalog, [NodeId; 2], [NodeId; 2]) {
         let ds = tourism_proxy(1);
         let split = CubeSplit::new(&ds, 0.8);
-        let probe = Catalog::empty(vec![None; ds.node_count()], 2);
-        let on_shard = |i: usize, skip: usize| {
-            (0..ds.node_count())
-                .filter(|&v| probe.shard_of(v) == i)
-                .nth(skip)
-                .expect("both shards hold several nodes")
-        };
-        let (m0, y) = (on_shard(0, 0), on_shard(0, 1));
-        let (m1, x) = (on_shard(1, 0), on_shard(1, 1));
+        let base = ds.graph().base_nodes();
+        let (m0, m1, x, y) = (base[0], base[1], base[2], base[3]);
         let mut cfg = Configuration::new(ds.node_count());
-        for m in [m0, m1] {
+        for m in [m0, m1, x, y] {
             let spec = ModelSpec::default_for_period(4);
             let model = ConfiguredModel::fit(&split, m, &spec, &FitOptions::default());
             cfg.insert_model(m, model.unwrap());
         }
-        for (node, source) in [(x, m0), (y, m1)] {
+        for (node, sources) in [(x, vec![m1, m0]), (y, vec![m0, m1])] {
             let scheme = fdc_cube::Scheme {
-                sources: vec![source],
+                sources,
                 weight: 1.0,
             };
             cfg.set_estimate(
@@ -1075,38 +890,90 @@ mod tests {
                 },
             );
         }
-        let fit = FitOptions::default();
-        let catalog = Catalog::from_configuration_sharded(&ds, &cfg, &fit, 2).unwrap();
+        let catalog = Catalog::from_configuration(&ds, &cfg, &FitOptions::default()).unwrap();
         (ds, catalog, [m0, m1], [x, y])
     }
 
     /// `std`'s `RwLock` turns new readers away while a writer waits, so
-    /// a reader that held its node's shard while asking for a source's
-    /// could close a cycle with a reader nesting the other way and a
-    /// re-fit waiting on each shard. Pinned directly: while a source's
-    /// shard is write-held, the reader waiting for it holds nothing.
+    /// a reader that held one model while asking for another could close
+    /// a cycle with a reader nesting the other way and a re-fit waiting
+    /// on each model. Pinned directly: while a source's model is
+    /// write-held, the reader waiting for it holds no other model's
+    /// lock — not the source it has visited, nor its own node's.
     #[test]
-    fn a_reader_waiting_for_a_source_holds_no_other_shard() {
-        let (_ds, catalog, _, [x, _]) = crossing_fixture();
-        let refit_in_progress = catalog.shards[0].write().unwrap();
+    fn a_reader_waiting_for_a_source_holds_no_other_model() {
+        let (_ds, catalog, [m0, m1], [x, _]) = crossing_fixture();
+        let refit_in_progress = catalog.model(m0).unwrap().write().unwrap();
         std::thread::scope(|scope| {
             let reader = scope.spawn(|| catalog.forecast(x, 2));
-            // The reader needs microseconds to reach shard 0 and block.
+            // The reader needs microseconds to visit m1, reach m0 and block.
             let waited = Instant::now();
             while !reader.is_finished() && waited.elapsed() < Duration::from_millis(300) {
                 std::thread::sleep(Duration::from_millis(10));
             }
-            assert!(!reader.is_finished(), "shard 0 is write-held");
-            let home_is_free = catalog.shards[1].try_write().is_ok();
+            assert!(!reader.is_finished(), "m0 is write-held");
+            let free = |node| catalog.model(node).unwrap().try_write().is_ok();
+            let (visited_is_free, home_is_free) = (free(m1), free(x));
             drop(refit_in_progress);
             assert!(reader.join().unwrap().is_some());
-            assert!(home_is_free, "the reader kept x's shard while waiting");
+            assert!(visited_is_free, "the reader kept m1 while waiting");
+            assert!(home_is_free, "the reader kept x's model while waiting");
+        });
+    }
+
+    /// A re-fit write-locks its own model only: while one stalls, every
+    /// other model of a catalog with a model at each node serves its
+    /// forecast at once.
+    #[test]
+    fn a_refit_blocks_only_readers_of_its_own_model() {
+        let ds = tourism_proxy(1);
+        let split = CubeSplit::new(&ds, 0.8);
+        let mut cfg = Configuration::new(ds.node_count());
+        for v in 0..ds.node_count() {
+            let model = ConfiguredModel::fit(&split, v, &ModelSpec::Ses, &FitOptions::default());
+            cfg.insert_model(v, model.unwrap());
+            let scheme = fdc_cube::Scheme {
+                sources: vec![v],
+                weight: 1.0,
+            };
+            cfg.set_estimate(
+                v,
+                fdc_cube::NodeEstimate {
+                    error: 0.5,
+                    scheme: Some(scheme),
+                },
+            );
+        }
+        assert!(ds.node_count() >= 17);
+        let catalog = Catalog::from_configuration(&ds, &cfg, &FitOptions::default()).unwrap();
+        assert!(catalog.invalidate(0));
+        let stalled = FitOptions {
+            artificial_stall_us: 500_000,
+            ..FitOptions::default()
+        };
+        std::thread::scope(|scope| {
+            let refit = scope.spawn(|| catalog.reestimate_single_flight(0, &ds, &stalled));
+            // Read once the re-fit holds node 0's write lock.
+            while !refit.is_finished() && catalog.model(0).unwrap().try_read().is_ok() {
+                std::thread::yield_now();
+            }
+            for v in 1..ds.node_count() {
+                let started = Instant::now();
+                assert!(catalog.forecast(v, 2).is_some());
+                let took = started.elapsed();
+                assert!(
+                    took < Duration::from_millis(250),
+                    "node {v} waited {took:?} behind node 0's re-fit"
+                );
+            }
+            assert!(!refit.is_finished(), "the reads ran during the stall");
+            assert_eq!(refit.join().unwrap().unwrap(), Reestimation::Refit);
         });
     }
 
     /// The same under load: readers of both crossing schemes against
-    /// back-to-back re-fits (each holds its shard's write lock for the
-    /// whole fit) on both shards.
+    /// back-to-back re-fits (each holds its model's write lock for the
+    /// whole fit) of both sources.
     #[test]
     fn crossing_readers_and_refits_all_finish() {
         let (ds, catalog, models, nodes) = crossing_fixture();
@@ -1317,16 +1184,10 @@ mod tests {
     }
 
     #[test]
-    fn encoding_is_shard_count_independent() {
+    fn decode_then_encode_gives_the_same_bytes() {
         let (_, catalog) = catalog_fixture();
         let bytes = catalog.encode();
-        for shards in [1, 3, 7, 64] {
-            let re = Catalog::decode_sharded(&bytes, shards).unwrap();
-            assert_eq!(re.shard_count(), shards);
-            assert_eq!(re.encode(), bytes, "{shards}-shard layout changed bytes");
-        }
-        let resharded = Catalog::decode(&bytes).unwrap().reshard(5);
-        assert_eq!(resharded.encode(), bytes);
+        assert_eq!(Catalog::decode(&bytes).unwrap().encode(), bytes);
     }
 
     #[test]

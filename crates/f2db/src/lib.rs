@@ -26,12 +26,13 @@
 //! ## Concurrency
 //!
 //! Every `F2db` method takes `&self`; the engine is safe to share across
-//! threads (`Arc<F2db>` or scoped borrows). Internally the catalog is
-//! sharded by node-id hash ([`catalog`]), lazy re-estimation is
-//! single-flight (one re-fit per invalidation epoch, concurrent queries
-//! wait and reuse the result), and inserts/time advances form a batched
-//! write path taking per-shard write locks. See DESIGN.md for the lock
-//! order and the serial-equivalence argument behind the stress suite in
+//! threads (`Arc<F2db>` or scoped borrows). Internally the catalog
+//! ([`catalog`]) keeps each stored model behind its own lock, lazy
+//! re-estimation is single-flight on that lock (one re-fit per
+//! invalidation epoch, concurrent queries wait and reuse the result), and
+//! inserts/time advances form a batched write path taking one model's
+//! write lock at a time. See DESIGN.md for the lock order and the
+//! serial-equivalence argument behind the stress suite in
 //! `tests/concurrency_stress.rs`.
 //!
 //! Substitution note (see DESIGN.md): the paper hosts this inside
@@ -63,9 +64,7 @@ pub mod parser;
 pub mod placement;
 pub mod query;
 
-pub use catalog::{
-    AdvanceOutcome, Catalog, CatalogEntry, Reestimation, StoredModel, DEFAULT_SHARD_COUNT,
-};
+pub use catalog::{AdvanceOutcome, Catalog, CatalogEntry, Reestimation, StoredModel};
 pub use durability::{DecodedCheckpoint, WalRecord};
 pub use explain::{
     ExplainApprox, ExplainReport, ExplainRow, ExplainSource, NodeAnalysis, SourceModelState,
@@ -178,7 +177,7 @@ impl Resolved<'_> {
 ///
 /// All methods take `&self`; share it across threads with `Arc` or scoped
 /// borrows. Lock order (see DESIGN.md): `wal_position` → `pending` →
-/// `advance_lock` → `dataset` → catalog shard. Callers holding the
+/// `advance_lock` → `dataset` → catalog model. Callers holding the
 /// [`F2db::dataset`] guard must drop it before calling a write path
 /// ([`F2db::insert_value`]) from the same thread.
 pub struct F2db {
@@ -225,7 +224,7 @@ pub struct F2db {
     /// Strictly additive — queries without an approx spec never touch
     /// it, so exact results stay byte-identical. Behind its own lock,
     /// taken *after* `dataset` on the advance path (lock order:
-    /// `pending` → `advance_lock` → `dataset` → shard → `approx`).
+    /// `pending` → `advance_lock` → `dataset` → model → `approx`).
     approx: RwLock<Option<ApproxPlane>>,
     /// The placement map ([`F2db::placement`]), built on first use: the
     /// graph and the scheme sources it copies never change.
@@ -567,15 +566,6 @@ impl F2db {
         })
     }
 
-    /// Redistributes the catalog over `shards` shards. `1` reproduces a
-    /// single global catalog lock — the concurrency baseline.
-    pub fn with_shards(self, shards: usize) -> Self {
-        F2db {
-            catalog: self.catalog.reshard(shards),
-            ..self
-        }
-    }
-
     /// Read access to the underlying data set. Holds a read lock for the
     /// guard's lifetime — drop it before calling an insert path from the
     /// same thread.
@@ -593,13 +583,8 @@ impl F2db {
         self.catalog.model_count()
     }
 
-    /// Number of catalog shards.
-    pub fn shard_count(&self) -> usize {
-        self.catalog.shard_count()
-    }
-
-    /// The sharded catalog itself — read-only diagnostics (invalid flags,
-    /// invalidation epochs, shard count) for tools and test harnesses.
+    /// The catalog itself — read-only diagnostics (invalid flags,
+    /// invalidation epochs) for tools and test harnesses.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
     }
@@ -961,8 +946,8 @@ impl F2db {
     }
 
     /// Lazily re-estimates every invalid model referenced by the
-    /// derivation schemes of `nodes` (§V maintenance processor). Uses the
-    /// catalog's single-flight slot per node, so under concurrency each
+    /// derivation schemes of `nodes` (§V maintenance processor). Each
+    /// model's lock is its single flight, so under concurrency each
     /// invalidation epoch pays for exactly one re-fit. Returns the
     /// sources this call was the leader for, sorted ascending.
     fn reestimate_referenced(
@@ -1156,7 +1141,7 @@ impl F2db {
             // overtake an earlier one and swap which values land at which
             // time index. The pending mutex stays held through
             // the advance — lock order `pending → advance_lock → dataset
-            // → shard` allows it, and it is what makes the batch a single
+            // → model` allows it, and it is what makes the batch a single
             // write-path pass.
             let serial = self.advance_lock.lock().unwrap();
             let batch: Vec<(NodeId, f64)> = pending.drain().collect();
@@ -1191,9 +1176,9 @@ impl F2db {
 
     /// Proactively re-estimates every currently-invalid model — the job
     /// a background maintenance worker runs between query bursts. Safe to
-    /// call from many threads concurrently; the single-flight slots make
-    /// sure each invalidation epoch pays for one re-fit total. Returns
-    /// how many models this call re-fitted.
+    /// call from many threads concurrently; each model's lock is its
+    /// single flight, so each invalidation epoch pays for one re-fit
+    /// total. Returns how many models this call re-fitted.
     pub fn maintain(&self) -> Result<usize> {
         self.check_writable("MAINTAIN")?;
         let ds = self.dataset.read().unwrap();
@@ -1241,8 +1226,8 @@ impl F2db {
     /// Applies one complete batch under the advance lock the caller
     /// already holds ([`F2db::insert_batch`] acquires it while draining,
     /// so batches commit in completion order). Advances are serialized:
-    /// the catalog's per-shard passes assume one advance at a time
-    /// (queries keep flowing shard by shard).
+    /// the catalog's pass assumes one advance at a time (queries keep
+    /// flowing model by model).
     fn advance_time(
         &self,
         mut batch: Vec<(NodeId, f64)>,
@@ -1329,7 +1314,7 @@ impl F2db {
     pub fn save_checkpoint(&self, path: &std::path::Path) -> Result<()> {
         let wal = self.wal.get();
         // Hold `pending` *and* `advance_lock` across the snapshot, in
-        // the write path's `pending → advance_lock → dataset → shard`
+        // the write path's `pending → advance_lock → dataset → model`
         // order. The write path submits its WAL record and runs its
         // advance under `pending`, and every advance runs under the
         // advance lock: with both held, `last_seq` names exactly the

@@ -1,8 +1,8 @@
-//! Deterministic concurrency stress suite for the sharded F²DB engine.
+//! Deterministic concurrency stress suite for the F²DB engine.
 //!
 //! A scripted schedule of phases — reader bursts, batched insert rounds,
 //! maintenance sweeps — runs twice over the same seeded cube: once with
-//! many threads against the sharded engine, once single-threaded as the
+//! many threads against one shared engine, once single-threaded as the
 //! serial reference. Phases are separated by thread joins, so the two
 //! runs see the same sequence of *states*; within a phase the threads
 //! interleave freely.
@@ -368,18 +368,4 @@ fn stress_with_exporter_and_journal_is_byte_identical() {
         let journal = std::fs::read_to_string(dir.join("stress-journal.jsonl")).unwrap();
         assert!(journal.lines().count() > 0, "journal artifact is empty");
     }
-}
-
-/// A single-shard engine must behave identically too (the shard count is
-/// an operational knob, not a semantic one).
-#[test]
-fn stress_single_shard_layout_matches_serial() {
-    let seed = 0xF2DB_0001;
-    let (concurrent, serial) = stress_dbs(seed);
-    let concurrent = concurrent.with_shards(1);
-    let schedule = build_schedule(seed, &concurrent.dataset().graph().clone());
-    let fp_concurrent = run_concurrent(&concurrent, &schedule);
-    let fp_serial = run_serial(&serial, &schedule);
-    assert_eq!(fp_concurrent, fp_serial);
-    assert_eq!(concurrent.stats().counters(), serial.stats().counters());
 }

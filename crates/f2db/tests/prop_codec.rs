@@ -135,47 +135,32 @@ fn random_catalog(rng: &mut Rng) -> (Dataset, Catalog, Vec<NodeId>) {
     (ds, catalog, model_nodes)
 }
 
-/// encode → decode → encode is byte-stable for arbitrary catalogs, for
-/// every shard layout: the canonical node-order encoding makes the bytes
-/// independent of how the shards slice the node space.
+/// encode → decode → encode is byte-stable for arbitrary catalogs: the
+/// encoding is canonical (node order).
 #[test]
-fn catalog_codec_round_trip_is_byte_stable_across_shards() {
+fn catalog_codec_round_trip_is_byte_stable() {
     let mut rng = Rng::seed_from_u64(0xc0dec6);
     for case in 0..12 {
         let (_, catalog, _) = random_catalog(&mut rng);
         let bytes = catalog.encode();
-        for shards in [1, 2 + rng.usize_below(14), 64] {
-            let decoded = Catalog::decode_sharded(&bytes, shards)
-                .unwrap_or_else(|e| panic!("case {case}, {shards} shards: {e}"));
-            assert_eq!(decoded.shard_count(), shards);
-            assert_eq!(
-                decoded.encode(),
-                bytes,
-                "case {case}: re-encode with {shards} shards changed bytes"
-            );
-        }
-        // Resharding an in-memory catalog is also byte-invisible.
-        let resharded = Catalog::decode(&bytes)
-            .unwrap()
-            .reshard(1 + rng.usize_below(32));
+        let decoded = Catalog::decode(&bytes).unwrap_or_else(|e| panic!("case {case}: {e}"));
         assert_eq!(
-            resharded.encode(),
+            decoded.encode(),
             bytes,
-            "case {case}: reshard changed bytes"
+            "case {case}: re-encode changed bytes"
         );
     }
 }
 
 /// Decoded catalogs serve the same forecasts and maintenance state as the
-/// original, whatever the shard count.
+/// original.
 #[test]
 fn decoded_catalog_preserves_forecasts_and_state() {
     let mut rng = Rng::seed_from_u64(0xc0dec7);
     for case in 0..8 {
         let (ds, catalog, model_nodes) = random_catalog(&mut rng);
         let bytes = catalog.encode();
-        let shards = 1 + rng.usize_below(16);
-        let decoded = Catalog::decode_sharded(&bytes, shards).unwrap();
+        let decoded = Catalog::decode(&bytes).unwrap();
         assert_eq!(decoded.node_count(), catalog.node_count(), "case {case}");
         assert_eq!(decoded.model_count(), catalog.model_count(), "case {case}");
         for v in 0..ds.node_count() {

@@ -70,7 +70,9 @@ pub struct FitOptions {
     /// models the I/O portion of a (re-)fit: inside the DBMS, re-estimating
     /// a model scans the stored base history, during which the CPU is idle.
     /// Set only by tests: `fdc-serve`'s `http_api` makes lazy re-fits slow
-    /// enough to fill a request queue, and an `fdc-cube` unit test checks
+    /// enough to fill a request queue, `fdc-f2db`'s
+    /// `a_refit_blocks_only_readers_of_its_own_model` holds one model's
+    /// lock through a stalled re-fit, and an `fdc-cube` unit test checks
     /// that the stall counts as creation work.
     pub artificial_stall_us: u64,
 }
@@ -432,8 +434,8 @@ impl ModelState {
 /// Implementations capture "the dependency of future on past data". The
 /// trait supports both query-time forecasting and the incremental
 /// maintenance performed by F²DB when new values arrive. Models are
-/// `Send + Sync` so a catalog shard can serve `forecast` calls from many
-/// reader threads behind a shared lock.
+/// `Send + Sync` so the catalog can serve one model's `forecast` calls
+/// from many reader threads behind a shared lock.
 pub trait ForecastModel: Send + Sync {
     /// Human-readable model family name.
     fn name(&self) -> &'static str;

@@ -43,16 +43,14 @@ pub const F2DB_INSERT_BATCH_ROWS: &str = "f2db.insert.batch_rows";
 
 // ---- F²DB catalog ----------------------------------------------------
 
-/// Gauge: number of catalog shards.
-pub const F2DB_CATALOG_SHARDS: &str = "f2db.catalog.shards";
 /// Counter: bytes written by catalog persistence.
 pub const F2DB_CATALOG_ENCODED_BYTES: &str = "f2db.catalog.encoded_bytes";
 /// Counter: bytes read by catalog restoration.
 pub const F2DB_CATALOG_DECODED_BYTES: &str = "f2db.catalog.decoded_bytes";
-/// Counter: contended catalog shard read-lock acquisitions.
-pub const F2DB_SHARD_READ_CONTENTION: &str = "f2db.shard.read_contention";
-/// Counter: contended catalog shard write-lock acquisitions.
-pub const F2DB_SHARD_WRITE_CONTENTION: &str = "f2db.shard.write_contention";
+/// Counter: contended read-lock acquisitions of a stored model.
+pub const F2DB_MODEL_READ_CONTENTION: &str = "f2db.model.read_contention";
+/// Counter: contended write-lock acquisitions of a stored model.
+pub const F2DB_MODEL_WRITE_CONTENTION: &str = "f2db.model.write_contention";
 /// Gauge: single-flight re-estimations currently running.
 pub const F2DB_REESTIMATE_IN_FLIGHT: &str = "f2db.reestimate.in_flight";
 
@@ -259,11 +257,10 @@ mod tests {
             F2DB_ADVANCE_SKIPPED_UPDATES,
             F2DB_INSERT_BATCHES,
             F2DB_INSERT_BATCH_ROWS,
-            F2DB_CATALOG_SHARDS,
             F2DB_CATALOG_ENCODED_BYTES,
             F2DB_CATALOG_DECODED_BYTES,
-            F2DB_SHARD_READ_CONTENTION,
-            F2DB_SHARD_WRITE_CONTENTION,
+            F2DB_MODEL_READ_CONTENTION,
+            F2DB_MODEL_WRITE_CONTENTION,
             F2DB_REESTIMATE_IN_FLIGHT,
             F2DB_NODE_SMAPE,
             F2DB_NODE_MAE,

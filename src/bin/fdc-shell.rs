@@ -310,7 +310,6 @@ fn main() {
         .map(|d| d.name().to_string())
         .collect();
     eprintln!("dimensions: {}", dims.join(", "));
-    eprintln!("catalog: {} shards", db.shard_count());
     eprintln!("try: SELECT time, SUM(v) FROM facts GROUP BY time AS OF now() + '4 steps'");
     eprintln!(
         "     EXPLAIN [ANALYZE] <query> | \\report | \\stats | \\accuracy | \\maintain | \\metrics [human|json]"
@@ -380,15 +379,14 @@ fn main() {
             "\\stats" => {
                 let s = db.stats();
                 println!(
-                    "queries {}, inserts {}, advances {}, updates {}, invalidations {}, reestimations {}, avg query {:?}, {} shards",
+                    "queries {}, inserts {}, advances {}, updates {}, invalidations {}, reestimations {}, avg query {:?}",
                     s.queries,
                     s.inserts,
                     s.time_advances,
                     s.model_updates,
                     s.invalidations,
                     s.reestimations,
-                    s.avg_query_time(),
-                    db.shard_count()
+                    s.avg_query_time()
                 );
                 continue;
             }

@@ -81,7 +81,7 @@ fn catalog_decoder_is_total() {
     let samples = [big.encode(), small.encode()];
     assert!(Catalog::decode(&samples[0]).is_ok() && Catalog::decode(&samples[1]).is_ok());
     drive("F2DB catalog", &samples, &mut |bytes| {
-        if let Ok(catalog) = Catalog::decode_sharded(bytes, 3) {
+        if let Ok(catalog) = Catalog::decode(bytes) {
             use_catalog(&catalog, &ds);
         }
     });
