@@ -132,22 +132,24 @@ impl Dataset {
     /// of the maintenance processor (§V). Every base node must be present
     /// exactly once.
     pub fn advance_time(&mut self, new_values: &[(NodeId, f64)]) -> Result<()> {
-        let base = self.graph.base_nodes();
-        if new_values.len() != base.len() {
+        let base_count = self.graph.base_nodes().len();
+        if new_values.len() != base_count {
             return Err(CubeError::InvalidData(format!(
-                "expected {} base values, got {}",
-                base.len(),
+                "expected {base_count} base values, got {}",
                 new_values.len()
             )));
         }
         let mut pending = vec![f64::NAN; self.graph.node_count()];
+        // Seen rows get their own mask: a NaN value is a legal row, so
+        // the value cannot double as the "unset" marker.
+        let mut seen = vec![false; self.graph.node_count()];
         for &(id, v) in new_values {
-            if !base.contains(&id) {
+            if !self.graph.is_base(id) {
                 return Err(CubeError::InvalidData(format!(
                     "node {id} is not a base node"
                 )));
             }
-            if !pending[id].is_nan() {
+            if std::mem::replace(&mut seen[id], true) {
                 return Err(CubeError::InvalidData(format!(
                     "duplicate value for base node {id}"
                 )));
@@ -331,6 +333,10 @@ mod tests {
         let base = ds.graph().base_nodes().to_vec();
         let mut vals: Vec<(NodeId, f64)> = base.iter().map(|&b| (b, 1.0)).collect();
         vals[1] = vals[0];
+        assert!(ds.advance_time(&vals).is_err());
+        // Duplicate node whose first value is NaN.
+        vals[0].1 = f64::NAN;
+        vals[1] = (vals[0].0, 2.0);
         assert!(ds.advance_time(&vals).is_err());
         // Non-base node.
         let top = ds.graph().top_node();
