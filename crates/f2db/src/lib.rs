@@ -963,9 +963,7 @@ impl F2db {
         referenced.dedup();
         let mut refitted = Vec::new();
         for s in referenced {
-            let refit = self.catalog.is_invalid(s)
-                && self.catalog.reestimate_single_flight(s, ds, &self.fit)? == Reestimation::Refit;
-            if refit {
+            if self.catalog.reestimate_single_flight(s, ds, &self.fit)? == Reestimation::Refit {
                 self.refitted(s);
                 refitted.push(s);
             } else {
@@ -1066,8 +1064,10 @@ impl F2db {
     /// every time stamp the batch completes advances inline — so `n`
     /// coalesced rows cost one `pending` acquisition and at most
     /// `n / base_count` advance-lock acquisitions, instead of `n` of each.
-    /// This is the commit path behind network micro-batching (fdc-serve
-    /// coalesces concurrent `/insert` requests into calls to this).
+    /// `fdc-serve` commits each `/insert` request through this on its
+    /// own worker: concurrent callers take `pending` in turn and wait
+    /// for durability after releasing it, so they share the log's
+    /// group-commit fsync.
     ///
     /// Later duplicates of a base node within one incomplete time stamp
     /// overwrite earlier ones, exactly as repeated [`F2db::insert_value`]
@@ -1125,8 +1125,8 @@ impl F2db {
         };
         let mut advances = 0usize;
         let mut pending = self.pending.lock().unwrap();
-        // One WAL record covers the whole micro-batch: N coalesced rows
-        // cost one log append and share one group-commit fsync.
+        // One WAL record covers the whole batch: its N rows cost one log
+        // append, and concurrent batches share one group-commit fsync.
         let ticket = self.wal_submit(rows)?;
         for &(node, measure) in rows {
             pending.insert(node, measure);

@@ -362,6 +362,47 @@ fn checkpoints_racing_inserts_never_lose_acked_writes() {
 }
 
 #[test]
+fn concurrent_single_row_inserts_share_group_commits() {
+    // Each insert is its own log record; writers that arrive while a
+    // sync runs must share the next one, so a synced log pays far
+    // fewer fsyncs than appends.
+    let s = Scratch::new("group_commit");
+    let (db, _) = small_db().attach_wal(&s.wal_dir(), wal_opts()).unwrap();
+    let base: Vec<NodeId> = db.dataset().graph().base_nodes().to_vec();
+    let len_before = db.dataset().series_len();
+    // 8 threads × 40 single-row inserts: 10 rounds of the 32 base
+    // series, each thread writing its own 4 cells of every round.
+    let (threads, rounds) = (8, 10);
+    let round_done = std::sync::Barrier::new(threads);
+    std::thread::scope(|scope| {
+        for cells in base.chunks(base.len() / threads) {
+            let (db, round_done) = (&db, &round_done);
+            scope.spawn(move || {
+                for round in 0..rounds {
+                    for &cell in cells {
+                        db.insert_batch(&[(cell, round as f64)]).unwrap();
+                    }
+                    // A cell's next value must not overwrite this one.
+                    round_done.wait();
+                }
+            });
+        }
+    });
+    // Every row landed, and every one of them is durable.
+    assert_eq!(db.dataset().series_len(), len_before + rounds);
+    assert_eq!(db.pending_inserts(), 0);
+    let wal = db.wal_stats().unwrap();
+    assert_eq!(wal.appends, (base.len() * rounds) as u64);
+    assert_eq!(wal.durable_seq, wal.last_seq);
+    assert!(
+        wal.fsyncs * 2 <= wal.appends,
+        "{} fsyncs for {} appends",
+        wal.fsyncs,
+        wal.appends
+    );
+}
+
+#[test]
 fn legacy_plain_catalog_still_opens_and_upgrades() {
     let s = Scratch::new("legacy");
     let db = small_db();

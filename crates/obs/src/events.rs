@@ -112,7 +112,9 @@ pub enum Event {
         addr: String,
         /// Queued requests answered during the drain.
         drained_requests: u64,
-        /// Buffered insert rows flushed into the engine.
+        /// Always 0 from `fdc-serve`, which buffers no insert rows: an
+        /// `/insert` commits on its worker before it is answered. Kept
+        /// so the event's JSON stays the format it was.
         flushed_rows: u64,
     },
     /// A follower replica began pulling WAL frames from a primary.

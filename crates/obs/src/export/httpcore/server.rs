@@ -74,8 +74,9 @@ pub struct Limits {
     /// Bounds every socket read — and with it how long an idle
     /// kept-alive connection is held.
     pub read_timeout: Duration,
-    /// Per-request deadline. Time spent in the queue counts against it
-    /// for a connection's first request.
+    /// How long a connection may wait in the queue: past it, its first
+    /// request is answered `503` before any work is done. A request a
+    /// worker has taken is not bounded by it.
     pub deadline: Duration,
 }
 
@@ -246,9 +247,8 @@ pub trait Service: Send + Sync + 'static {
     /// Head-sampling rate for traces minted at ingress.
     fn trace_sample(&self) -> f64;
 
-    /// Answers one request; `None` when no route takes it. `budget` is
-    /// what is left of the per-request deadline.
-    fn route(&self, request: &Request, budget: Duration, note: &mut Self::Note) -> Option<Reply>;
+    /// Answers one request; `None` when no route takes it.
+    fn route(&self, request: &Request, note: &mut Self::Note) -> Option<Reply>;
 
     /// The reply to a request is on the wire, `elapsed` after the request
     /// began, still under its trace context `ctx`.
@@ -330,7 +330,7 @@ impl Pool {
 
 /// Answers one request in the envelope every request is answered in (see
 /// the module docs).
-fn answer<S: Service>(service: &S, request: &Request, budget: Duration, out: &mut Responder<'_>) {
+fn answer<S: Service>(service: &S, request: &Request, out: &mut Responder<'_>) {
     let started = Instant::now();
     // Ingress is where a trace is born, or adopted: a valid
     // `traceparent` continues the caller's trace with the caller's
@@ -344,7 +344,7 @@ fn answer<S: Service>(service: &S, request: &Request, budget: Duration, out: &mu
     let reply = {
         let _span = crate::span!(S::SPAN);
         service
-            .route(request, budget, &mut note)
+            .route(request, &mut note)
             .unwrap_or_else(|| Reply::unrouted(request.path_query().0, S::PATHS))
     };
     out.send::<S>(&reply);
@@ -707,8 +707,7 @@ impl ConnQueue {
             mut stream,
             enqueued,
         } = conn;
-        let queued_for = enqueued.elapsed();
-        if queued_for > limits.deadline {
+        if enqueued.elapsed() > limits.deadline {
             self.turn_away(service, stream, &Reject::QueuedTooLong, 500);
             return (CloseReason::Error, 0);
         }
@@ -769,10 +768,6 @@ impl ConnQueue {
                     return (CloseReason::Error, served);
                 }
             };
-            let budget = match served {
-                0 => limits.deadline.saturating_sub(queued_for),
-                _ => limits.deadline,
-            };
             let asked = (!request.persistent).then_some(CloseReason::Client);
             let mut out = Responder {
                 stream: &mut stream,
@@ -780,7 +775,7 @@ impl ConnQueue {
                 forced: given_up.or(asked),
                 sent: None,
             };
-            answer(service, &request, budget, &mut out);
+            answer(service, &request, &mut out);
             served += 1;
             match out.sent {
                 Some(None) => {}
@@ -845,7 +840,7 @@ mod tests {
             0.0
         }
 
-        fn route(&self, request: &Request, _budget: Duration, _note: &mut ()) -> Option<Reply> {
+        fn route(&self, request: &Request, _note: &mut ()) -> Option<Reply> {
             if request.target == "/slow" {
                 std::thread::sleep(Duration::from_millis(150));
             }

@@ -126,10 +126,6 @@ pub const SERVE_QUEUE_DEPTH: &str = "serve.queue.depth";
 /// Counter family (label `reason`): requests rejected by admission
 /// control — `queue_full` (429) or `deadline` (503).
 pub const SERVE_REJECTED: &str = "serve.rejected";
-/// Counter: micro-batch flushes performed by the insert coalescer.
-pub const SERVE_BATCH_FLUSHES: &str = "serve.batch.flushes";
-/// Histogram: rows per insert-coalescer flush.
-pub const SERVE_BATCH_FLUSH_ROWS: &str = "serve.batch.flush_rows";
 /// Counter: requests captured into the slow-query journal (latency past
 /// `ServeOptions::slow_threshold`, with `EXPLAIN ANALYZE` / wait
 /// breakdown attached).
@@ -286,8 +282,6 @@ mod tests {
             SERVE_REQUEST_NS,
             SERVE_QUEUE_DEPTH,
             SERVE_REJECTED,
-            SERVE_BATCH_FLUSHES,
-            SERVE_BATCH_FLUSH_ROWS,
             SERVE_SLOW_CAPTURED,
             SERVE_CONN_REQUESTS,
             SERVE_CONN_CLOSED,

@@ -302,7 +302,7 @@ impl Service for Shared {
         self.opts.trace_sample
     }
 
-    fn route(&self, request: &Request, _budget: Duration, _note: &mut ()) -> Option<Reply> {
+    fn route(&self, request: &Request, _note: &mut ()) -> Option<Reply> {
         let path = request.path_query().0;
         let reply = match (request.method.as_str(), path) {
             ("POST", "/query") => handle_forecast(self, path, &request.body, "query"),

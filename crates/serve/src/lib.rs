@@ -21,14 +21,11 @@
 //!   latency histogram, the refusal and `405`/`404` tables — live in
 //!   [`fdc_obs::httpcore::server`], shared with `fdc-router`; this crate
 //!   brings its route table and handlers;
-//! * a **flusher thread** group-commits writes: `POST /insert` requests
-//!   deposit resolved rows into the [`Batcher`] and block; the flusher
-//!   commits what is buffered the moment there is any, in a single
-//!   [`F2db::insert_batch`] call, and whatever is deposited while that
-//!   commit runs goes in the next one — so a lone insert waits for its
-//!   own commit and nothing else, and `n` concurrent ones cost one pass
-//!   over the engine's write path instead of `n`. A `202 Accepted` is
-//!   only sent *after* the commit.
+//! * a `POST /insert` **commits on its own worker**: its rows go to the
+//!   engine in one [`F2db::insert_batch`] call, which logs them and
+//!   waits for the write-ahead log's group commit, so concurrent
+//!   inserts share one fsync without a buffer of the server's own. A
+//!   `202 Accepted` is sent if and only if that call committed.
 //!
 //! ## Routes
 //!
@@ -68,8 +65,8 @@
 //! histograms record the trace id of the worst observation per window
 //! as an OpenMetrics exemplar. Requests slower than
 //! [`ServeOptions::slow_threshold`] are captured — with the request's
-//! `EXPLAIN ANALYZE` output for query routes and a WAL/batcher wait
-//! breakdown for writes — into the bounded [`slow::SlowLog`] served at
+//! `EXPLAIN ANALYZE` output for query routes and a WAL wait breakdown
+//! for writes — into the bounded [`slow::SlowLog`] served at
 //! `GET /slow`.
 //!
 //! ## Replication
@@ -86,34 +83,30 @@
 //!
 //! [`Server::shutdown`] stops accepting, closes idle connections at
 //! once, answers everything already queued or in flight, joins the
-//! workers, commits any still-buffered insert rows,
-//! runs [`F2db::maintain`], and — when a catalog path is configured —
-//! persists one `F2CK` checkpoint container (crash-safely): catalog,
-//! base series and the rows of the incomplete next time stamp, so
-//! **every acknowledged write survives a restart** and
+//! workers, runs [`F2db::maintain`], and — when a catalog path is
+//! configured — persists one `F2CK` checkpoint container (crash-safely):
+//! catalog, base series and the rows of the incomplete next time stamp,
+//! so **every acknowledged write survives a restart** and
 //! [`F2db::open_catalog`] alone brings all of it back. The drain is
-//! observable: a `ServeShutdown` journal event records what was drained
-//! and flushed.
+//! observable: a `ServeShutdown` journal event records what was drained.
 //!
 //! ## Durability
 //!
 //! With [`ServeOptions::wal_dir`] set, [`open_engine`] attaches a
 //! write-ahead log ([`fdc_wal`]) under the engine: an insert's `202` is
 //! only sent after its rows are fsynced (group-committed — concurrent
-//! requests coalesce into one fsync via the [`Batcher`] *and* one WAL
-//! append), so acknowledged writes survive a SIGKILL, not just a
-//! graceful drain. A checkpoint then also records the WAL position it
-//! covers and truncates the log behind it; on restart [`open_engine`]
-//! replays the suffix. `GET /stats` reports the log's position under
-//! the `"wal"` key.
+//! requests share one fsync, each with its own log record), so
+//! acknowledged writes survive a SIGKILL, not just a graceful drain. A
+//! checkpoint then also records the WAL position it covers and
+//! truncates the log behind it; on restart [`open_engine`] replays the
+//! suffix. `GET /stats` reports the log's position under the `"wal"`
+//! key.
 
-pub mod batcher;
 pub mod json;
 pub mod replica;
 pub mod slow;
 pub mod wire;
 
-pub use batcher::{Batcher, DepositOutcome};
 pub use replica::{open_follower, replica_marker_path, PromotionReport, Replica};
 pub use slow::{SlowEntry, SlowLog};
 
@@ -131,7 +124,6 @@ use json::Writer;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 use wire::count_body;
 
@@ -143,9 +135,11 @@ pub struct ServeOptions {
     /// Bound on connections queued for a worker; beyond it the accept
     /// thread answers `429`.
     pub queue_depth: usize,
-    /// Per-request deadline: time in the queue counts against it (for a
-    /// connection's first request), and an insert waits at most this
-    /// long for its flush.
+    /// How long a connection may wait in the queue for a worker: past
+    /// it, its first request is answered `503` before any work is done.
+    /// A request a worker has taken runs to its answer — an `/insert`
+    /// to its commit, so its `202` means committed and nothing else
+    /// does.
     pub deadline: Duration,
     /// Largest accepted request body, in bytes.
     pub max_body: usize,
@@ -225,8 +219,6 @@ pub struct ShutdownReport {
     pub addr: SocketAddr,
     /// Queued requests answered after the listener stopped accepting.
     pub drained_requests: u64,
-    /// Buffered insert rows committed by the final flush.
-    pub flushed_rows: u64,
     /// Models re-estimated by the shutdown `maintain` pass.
     pub refitted: usize,
     /// Whether a checkpoint container was persisted.
@@ -311,13 +303,12 @@ pub fn open_engine(
     ))
 }
 
-/// State shared by the workers and the flusher.
+/// State shared by the workers.
 struct Shared {
     db: Arc<F2db>,
     opts: ServeOptions,
     /// The connection queue; its length is `/stats`' `queue_depth`.
     conns: Arc<ConnQueue>,
-    batcher: Batcher,
     /// The slow-request ring behind `GET /slow`.
     slow: SlowLog,
     /// Present when this server fronts a follower replica; routes
@@ -331,13 +322,12 @@ struct Shared {
 pub struct Server {
     shared: Arc<Shared>,
     pool: Pool,
-    flusher: JoinHandle<(u64, u64)>,
 }
 
 impl Server {
     /// Binds `127.0.0.1:port` (`0` picks an ephemeral port — read it
-    /// back with [`Server::addr`]) and starts the accept thread, the
-    /// worker pool and the insert flusher.
+    /// back with [`Server::addr`]) and starts the accept thread and the
+    /// worker pool.
     pub fn start(db: Arc<F2db>, port: u16, opts: ServeOptions) -> std::io::Result<Server> {
         Server::start_inner(db, port, opts, None)
     }
@@ -372,21 +362,12 @@ impl Server {
             conns,
             slow: SlowLog::new(opts.slow_threshold, opts.slow_log_cap),
             opts,
-            batcher: Batcher::default(),
             replica,
         })?;
         journal().publish(Event::ServeStart {
             addr: pool.addr().to_string(),
         });
-        let flusher = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || shared.batcher.run_flusher(&shared.db))
-        };
-        Ok(Server {
-            shared,
-            pool,
-            flusher,
-        })
+        Ok(Server { shared, pool })
     }
 
     /// The bound address.
@@ -407,17 +388,14 @@ impl Server {
 
     /// Gracefully drains and stops the server: stop accepting and give
     /// up idle kept-alive connections → answer every queued and
-    /// in-flight request → join the workers → commit buffered insert
-    /// rows → `maintain` → persist the checkpoint container (when
-    /// configured) → publish the `ServeShutdown` journal event.
+    /// in-flight request → join the workers → `maintain` → persist the
+    /// checkpoint container (when configured) → publish the
+    /// `ServeShutdown` journal event.
     pub fn shutdown(self) -> Result<ShutdownReport, F2dbError> {
         let addr = self.addr();
-        // Workers drain the queue, then exit.
+        // Workers drain the queue, then exit; every insert they took has
+        // committed or failed by then.
         let drained_requests = self.pool.stop();
-        // No depositor is left; whatever is still buffered commits now.
-        let flushed_rows = self.shared.batcher.flush_once(&self.shared.db);
-        self.shared.batcher.stop();
-        self.flusher.join().expect("flusher thread panicked");
         // An unpromoted follower stops its fetch loop and leaves its
         // state exactly as replicated: no maintain, no catalog save —
         // the local log *is* the state, and a restart replays it.
@@ -425,15 +403,10 @@ impl Server {
             replica.seal();
         }
         if self.shared.db.is_read_only() {
-            journal().publish(Event::ServeShutdown {
-                addr: addr.to_string(),
-                drained_requests,
-                flushed_rows,
-            });
+            publish_shutdown(addr, drained_requests);
             return Ok(ShutdownReport {
                 addr,
                 drained_requests,
-                flushed_rows,
                 refitted: 0,
                 saved_catalog: false,
                 saved_pending_rows: 0,
@@ -449,21 +422,27 @@ impl Server {
             saved_catalog = true;
         }
         let wal_checkpoint_seq = self.shared.db.wal_stats().map(|s| s.checkpoint_seq);
-        journal().publish(Event::ServeShutdown {
-            addr: addr.to_string(),
-            drained_requests,
-            flushed_rows,
-        });
+        publish_shutdown(addr, drained_requests);
         Ok(ShutdownReport {
             addr,
             drained_requests,
-            flushed_rows,
             refitted,
             saved_catalog,
             saved_pending_rows,
             wal_checkpoint_seq,
         })
     }
+}
+
+/// The drain's journal event. The server buffers no rows, so
+/// `flushed_rows` is always 0 (the field stays: the event's JSON is a
+/// stable format).
+fn publish_shutdown(addr: SocketAddr, drained_requests: u64) {
+    journal().publish(Event::ServeShutdown {
+        addr: addr.to_string(),
+        drained_requests,
+        flushed_rows: 0,
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -510,12 +489,7 @@ impl Service for Shared {
         self.opts.trace_sample
     }
 
-    fn route(
-        &self,
-        request: &Request,
-        budget: Duration,
-        forecast: &mut Self::Note,
-    ) -> Option<Reply> {
+    fn route(&self, request: &Request, forecast: &mut Self::Note) -> Option<Reply> {
         let (path, query) = request.path_query();
         let reply = match (request.method.as_str(), path) {
             ("POST", "/query" | "/explain") => {
@@ -527,7 +501,7 @@ impl Service for Shared {
                 Reply::json(route, status, body)
             }
             ("POST", "/insert") => follower_write_rejection(self, "insert")
-                .unwrap_or_else(|| handle_insert(self, &request.body, budget)),
+                .unwrap_or_else(|| handle_insert(self, &request.body)),
             ("POST", "/maintain") => {
                 follower_write_rejection(self, "maintain").unwrap_or_else(|| {
                     match self.db.maintain() {
@@ -596,8 +570,8 @@ impl Service for Shared {
 /// decoded request as `EXPLAIN ANALYZE` (same node filter, so a routed
 /// sub-request on a partitioned shard analyzes exactly the rows it
 /// served; off the client's critical path, on the worker that just went
-/// slow), or snapshotting the WAL/batcher wait state for writes — into
-/// the bounded slow log.
+/// slow), or snapshotting the WAL wait state for writes — into the
+/// bounded slow log.
 fn maybe_capture_slow(
     shared: &Shared,
     forecast: Option<QueryRequest>,
@@ -623,7 +597,8 @@ fn maybe_capture_slow(
     let wait = (reply.route == "insert").then(|| {
         let mut w = Writer::new();
         w.begin_object();
-        w.key("buffered_rows").usize(shared.batcher.buffered());
+        // Always 0 (see `stats_body`).
+        w.key("buffered_rows").usize(0);
         w.key("queue_depth").usize(shared.conns.len()).key("wal");
         match shared.db.wal_stats() {
             Some(wal) => {
@@ -780,11 +755,11 @@ fn plan_body(report: &ExplainReport) -> String {
     w.finish()
 }
 
-fn handle_insert(shared: &Shared, body: &[u8], remaining: Duration) -> Reply {
+fn handle_insert(shared: &Shared, body: &[u8]) -> Reply {
     // Each row's labels are resolved to its base node as they are read.
     // The resolver holds the data set's read lock and is gone with this
-    // statement: it must be, before `deposit_and_wait` — the commit the
-    // deposit waits for takes the write lock.
+    // statement: it must be, before the commit — a time advance takes
+    // the write lock.
     let decoded = wire::decode_insert(body, &mut shared.db.base_resolver(), |node, value, _| {
         (node, value)
     });
@@ -792,9 +767,9 @@ fn handle_insert(shared: &Shared, body: &[u8], remaining: Duration) -> Reply {
         Ok(rows) => rows,
         Err(m) => return Reply::error("insert", 400, &m),
     };
-    // A misrouted row is rejected *before* the batcher: mixing it into
-    // the coalesced commit would fail everyone's flush, and the router
-    // needs the typed 421 to fix its placement rather than retry here.
+    // A misrouted row is rejected *before* the commit, so none of the
+    // request's rows land: the router needs the typed 421 to fix its
+    // placement rather than retry here.
     if let Some(&(node, _)) = rows.iter().find(|(n, _)| !shared.db.owns_base(*n)) {
         return Reply::error(
             "insert",
@@ -802,20 +777,15 @@ fn handle_insert(shared: &Shared, body: &[u8], remaining: Duration) -> Reply {
             &format!("base node {node} is owned by another shard of this partitioned deployment"),
         );
     }
-    let accepted = rows.len();
-    match shared.batcher.deposit_and_wait(&rows, remaining) {
-        DepositOutcome::Committed => Reply::json("insert", 202, count_body("accepted", accepted)),
-        DepositOutcome::Failed(msg) => Reply::error("insert", 500, &msg),
-        DepositOutcome::TimedOut => {
-            fdc_obs::counter_with(names::SERVE_REJECTED, &[("reason", "deadline")]).incr();
-            Reply::error("insert", 503, "insert flush deadline exceeded").header("Retry-After", "1")
-        }
+    match shared.db.insert_batch(&rows) {
+        Ok(_) => Reply::json("insert", 202, count_body("accepted", rows.len())),
+        Err(e) => Reply::error("insert", 500, &e.to_string()),
     }
 }
 
 /// On an unpromoted follower, every write route answers `409` with an
 /// explicit redirect-to-the-primary error instead of reaching the
-/// engine's read-only guard through the batcher. `None` means the
+/// engine's read-only guard. `None` means the
 /// write may proceed (not a replica, or already promoted).
 fn follower_write_rejection(shared: &Shared, route: &'static str) -> Option<Reply> {
     let replica = shared.replica.as_ref()?;
@@ -1129,7 +1099,9 @@ fn stats_body(shared: &Shared) -> String {
     w.key("invalidations").usize(stats.invalidations);
     w.key("reestimations").usize(stats.reestimations);
     w.key("pending_inserts").usize(shared.db.pending_inserts());
-    w.key("buffered_rows").usize(shared.batcher.buffered());
+    // Always 0: an insert commits on its worker, so the server buffers
+    // no rows. Kept so the document keeps its pinned shape.
+    w.key("buffered_rows").usize(0);
     w.key("queue_depth").usize(shared.conns.len());
     w.key("series_len").usize(shared.db.dataset().series_len());
     w.key("models").usize(shared.db.model_count());

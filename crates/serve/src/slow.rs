@@ -1,8 +1,8 @@
 //! The auto-`EXPLAIN` slow-query log: a bounded ring of requests that
 //! ran past a configurable latency threshold, each carrying what a
 //! post-hoc investigation needs — the route, the SQL (when the route
-//! has one), a captured `EXPLAIN ANALYZE` plan, the WAL/batcher wait
-//! breakdown for writes, and the request's trace id so the entry joins
+//! has one), a captured `EXPLAIN ANALYZE` plan, the WAL wait breakdown
+//! for writes, and the request's trace id so the entry joins
 //! the distributed trace in Perfetto.
 //!
 //! Capture happens *after* the response is written (see

@@ -531,9 +531,9 @@ fn run_replica_kill(seed: u64) {
 
         // Tentpole acceptance: send crafted-traceparent inserts until
         // the trace id lights up the full cross-process chain in the
-        // two trace exports. Retries are needed because a coalesced
-        // flush carries one representative trace — under concurrent
-        // load another depositor's context may win a given generation.
+        // two trace exports. Retries are needed because the follower
+        // applies, and both exporters rewrite their files, on their own
+        // schedule.
         let trace_started = std::time::Instant::now();
         let mut ti = 0u64;
         loop {

@@ -1,7 +1,7 @@
 //! Route-level integration tests: every endpoint over a real socket,
 //! the two admission-control rejections (`429` queue-full, `503`
 //! deadline) provoked deterministically with artificially slow queries,
-//! and the life of a kept-alive connection: reuse, idle reap, backlog
+//! an insert whose commit outlasts the deadline, and the life of a kept-alive connection: reuse, idle reap, backlog
 //! and shutdown.
 
 mod common;
@@ -152,7 +152,6 @@ fn routes_answer_over_a_real_socket() {
     assert!(r.text().contains("\"drift\":null"), "{}", r.text());
 
     let report = server.shutdown().unwrap();
-    assert_eq!(report.flushed_rows, 0);
     assert!(!report.saved_catalog);
 }
 
@@ -344,6 +343,46 @@ fn stale_queued_request_answers_503() {
     // The 503 request never reached the query processor.
     assert_eq!(db.stats().queries, queries_before + 1);
     server.shutdown().unwrap();
+}
+
+#[test]
+fn an_insert_not_answered_202_commits_nothing() {
+    // The commit outlasts the deadline: the test holds the data set's
+    // read lock while a full round is in flight, and the round's time
+    // advance needs the write lock. The deadline bounds only the wait
+    // in the queue, so the insert runs to its commit and is answered
+    // `202`; whatever the answer, the rounds that landed are exactly
+    // the rounds acknowledged.
+    let db = small_db();
+    let dims = base_dims(&db);
+    let len_before = db.dataset().series_len();
+    let server = Server::start(
+        Arc::clone(&db),
+        0,
+        ServeOptions {
+            deadline: Duration::from_millis(200),
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let held = db.dataset();
+    let body = full_round_body(&dims, 7.0);
+    let insert = std::thread::spawn(move || http(addr, "POST", "/insert", &body).unwrap());
+    std::thread::sleep(Duration::from_millis(500));
+    drop(held);
+    let r = insert.join().unwrap();
+    // Nothing the engine was handed is still on its way in after this.
+    server.shutdown().unwrap();
+    let acked = usize::from(r.status == 202);
+    assert_eq!(
+        db.dataset().series_len(),
+        len_before + acked,
+        "answered {}: {}",
+        r.status,
+        r.text()
+    );
+    assert_eq!(r.status, 202, "{}", r.text());
 }
 
 const POINT_QUERY: &str =

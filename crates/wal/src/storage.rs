@@ -16,12 +16,14 @@ use std::fs::{File, OpenOptions};
 use std::io;
 use std::path::Path;
 
-/// One open segment file on the append path.
-pub trait WalFile: Send {
+/// One open segment file on the append path. Both methods take
+/// `&self`: the log's sync thread syncs a shared handle while appenders
+/// keep writing to it under the log mutex.
+pub trait WalFile: Send + Sync {
     /// Appends `buf` in full (or errors).
-    fn write_all(&mut self, buf: &[u8]) -> io::Result<()>;
+    fn write_all(&self, buf: &[u8]) -> io::Result<()>;
     /// Forces everything written so far to stable storage.
-    fn sync_all(&mut self) -> io::Result<()>;
+    fn sync_all(&self) -> io::Result<()>;
 }
 
 /// Creates and reopens segment files.
@@ -39,11 +41,11 @@ pub struct StdWalStorage;
 struct StdWalFile(File);
 
 impl WalFile for StdWalFile {
-    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
-        io::Write::write_all(&mut self.0, buf)
+    fn write_all(&self, buf: &[u8]) -> io::Result<()> {
+        io::Write::write_all(&mut &self.0, buf)
     }
 
-    fn sync_all(&mut self) -> io::Result<()> {
+    fn sync_all(&self) -> io::Result<()> {
         self.0.sync_all()
     }
 }

@@ -201,22 +201,22 @@ struct FaultFile {
 }
 
 impl WalFile for FaultFile {
-    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+    fn write_all(&self, buf: &[u8]) -> io::Result<()> {
         let n = self.state.writes.fetch_add(1, Ordering::SeqCst);
         let inject = n >= self.state.after;
         match self.state.fault {
             Fault::ShortWrite if inject => {
-                io::Write::write_all(&mut self.inner, &buf[..buf.len() / 2])?;
+                io::Write::write_all(&mut &self.inner, &buf[..buf.len() / 2])?;
                 Err(io::Error::other("injected short write"))
             }
             Fault::LyingWrite if inject => {
-                io::Write::write_all(&mut self.inner, &buf[..buf.len() / 2])
+                io::Write::write_all(&mut &self.inner, &buf[..buf.len() / 2])
             }
-            _ => io::Write::write_all(&mut self.inner, buf),
+            _ => io::Write::write_all(&mut &self.inner, buf),
         }
     }
 
-    fn sync_all(&mut self) -> io::Result<()> {
+    fn sync_all(&self) -> io::Result<()> {
         let n = self.state.syncs.fetch_add(1, Ordering::SeqCst);
         match self.state.fault {
             Fault::SyncError if n >= self.state.after => {

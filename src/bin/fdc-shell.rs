@@ -763,8 +763,8 @@ fn main() {
     if let Some(s) = forecast_server.take() {
         match s.shutdown() {
             Ok(r) => eprintln!(
-                "forecast server drained: {} queued request(s) answered, {} row(s) flushed",
-                r.drained_requests, r.flushed_rows
+                "forecast server drained: {} queued request(s) answered",
+                r.drained_requests
             ),
             Err(e) => eprintln!("forecast server shutdown failed: {e}"),
         }

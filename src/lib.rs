@@ -24,7 +24,7 @@
 //! * [`obs`] — observability: the global metrics registry (counters,
 //!   gauges, latency histograms) and hierarchical tracing spans.
 //! * [`serve`] — the network forecast-serving subsystem: an HTTP/1.1
-//!   worker pool over the F²DB engine with micro-batched writes,
+//!   worker pool over the F²DB engine with group-committed writes,
 //!   admission control and graceful drain.
 //! * [`wal`] — the write-ahead log: segmented, checksummed, group-
 //!   committed durability under the F²DB engine, with replay-on-open
